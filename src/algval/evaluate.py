@@ -16,20 +16,28 @@ The two clauses are mutually recursive; termination is by descent on the
 sum of the argument ranks, since every recursive call replaces one argument
 by a member of the other's domain.  Atomic values are memoized per context,
 so "ba" and "pa" caches can never alias.  The memo is grow-only and every
-entry is deterministic, which makes a context safe to share across worker
-threads; quantifiers always sweep the universe contents at call time, and
-atomic values never depend on what else has been interned.
+entry is deterministic; quantifiers always sweep the universe contents at
+call time, and atomic values never depend on what else has been interned.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
-name in the (bounded) universe.
+name in the (bounded) universe, stopping early once the fold reaches its
+absorbing element (bottom for forall, top for exists).
+
+Each `value` call first compiles its sentence into nested closures, once,
+and then runs them.  Variables live in a slot list owned by that call: the
+caller's env fills the first slots and every binder gets a fresh slot, so
+shadowing is lexical and env is never written.  Atom closures read the memo
+directly and fall back to the clauses on a miss.  Nothing of a call's state
+is kept on the context, and the memo only ever gains deterministic entries,
+so one context is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .algebra import Algebra
 from .errors import CapabilityError, InputError
@@ -122,73 +130,111 @@ class EvalContext:
 
     # -- formula evaluation -------------------------------------------------------
 
-    def _term(self, t: Term, env: dict[str, int]) -> int:
+    def value(self, f: Formula, env: Optional[dict[str, int]] = None) -> int:
+        """Evaluate to an element index; free variables must be bound in env."""
+        env = env or {}
+        slots = list(env.values())
+        return self._compile(f, dict(zip(env, range(len(slots)))), slots)()
+
+    def _compile(self, f: Formula, scope: dict[str, int],
+                 slots: list[int]) -> Callable[[], int]:
+        """Turn f into a closure; scope maps each variable to its slot."""
+        match f:
+            case Mem() | Eq():
+                return self._atom(f, scope, slots)
+            case And(left, right) | Or(left, right) | Imp(left, right):
+                table = {And: self._meet, Or: self._join, Imp: self._imp}[type(f)]
+                a = self._compile(left, scope, slots)
+                b = self._compile(right, scope, slots)
+                return lambda: table[a()][b()]
+            case Not(body):
+                star = self._star
+                if star is None:
+                    raise CapabilityError(
+                        f"negation needs a star table; {self.algebra.name} has none"
+                    )
+                a = self._compile(body, scope, slots)
+                return lambda: star[a()]
+            case Top():
+                top = self._top
+                return lambda: top
+            case Bot():
+                bottom = self._bottom
+                return lambda: bottom
+            case Forall(var, body) | Exists(var, body):
+                k = len(slots)
+                slots.append(0)
+                run = self._compile(body, {**scope, var: k}, slots)
+                if isinstance(f, Forall):
+                    table, unit, absorbing = self._meet, self._top, self._bottom
+                else:
+                    table, unit, absorbing = self._join, self._bottom, self._top
+                names = self.universe.names
+
+                def sweep() -> int:
+                    acc = unit
+                    for nid in range(len(names)):
+                        slots[k] = nid
+                        acc = table[acc][run()]
+                        if acc == absorbing:
+                            break
+                    return acc
+                return sweep
+        raise InputError(f"cannot evaluate {f!r}")
+
+    def _slot(self, t: Term, scope: dict[str, int]) -> tuple[bool, int]:
+        """(True, slot) for a variable, (False, name id) for a constant."""
         if isinstance(t, Const):
             if not 0 <= t.name_id < len(self.universe.names):
                 raise InputError(f"unknown name constant #{t.name_id}")
-            return t.name_id
+            return False, t.name_id
         try:
-            return env[t.name]
+            return True, scope[t.name]
         except KeyError:
             raise InputError(f"unbound variable {t.name!r}")
 
-    def value(self, f: Formula, env: Optional[dict[str, int]] = None) -> int:
-        """Evaluate to an element index; free variables must be bound in env."""
-        if env is None:
-            env = {}
-        return self._value(f, env)
-
-    def _value(self, f: Formula, env: dict[str, int]) -> int:
-        if isinstance(f, Mem):
-            return self.membership(self._term(f.left, env), self._term(f.right, env))
+    def _atom(self, f: Mem | Eq, scope: dict[str, int],
+              slots: list[int]) -> Callable[[], int]:
+        """An atom closure that reads the memo inline and fills it on a miss."""
+        get = self._memo.get
+        (lvar, i), (rvar, j) = self._slot(f.left, scope), self._slot(f.right, scope)
         if isinstance(f, Eq):
-            return self.equality(self._term(f.left, env), self._term(f.right, env))
-        if isinstance(f, And):
-            return self._meet[self._value(f.left, env)][self._value(f.right, env)]
-        if isinstance(f, Or):
-            return self._join[self._value(f.left, env)][self._value(f.right, env)]
-        if isinstance(f, Imp):
-            return self._imp[self._value(f.left, env)][self._value(f.right, env)]
-        if isinstance(f, Not):
-            if self._star is None:
-                raise CapabilityError(
-                    f"negation needs a star table; {self.algebra.name} has none"
-                )
-            return self._star[self._value(f.body, env)]
-        if isinstance(f, Top):
-            return self._top
-        if isinstance(f, Bot):
-            return self._bottom
-        if isinstance(f, Forall):
-            saved = env.get(f.var)
-            acc = self._top
-            meet = self._meet
-            for nid in range(len(self.universe.names)):
-                env[f.var] = nid
-                acc = meet[acc][self._value(f.body, env)]
-                if acc == self._bottom:
-                    break
-            self._restore(env, f.var, saved)
-            return acc
-        if isinstance(f, Exists):
-            saved = env.get(f.var)
-            acc = self._bottom
-            join = self._join
-            for nid in range(len(self.universe.names)):
-                env[f.var] = nid
-                acc = join[acc][self._value(f.body, env)]
-                if acc == self._top:
-                    break
-            self._restore(env, f.var, saved)
-            return acc
-        raise InputError(f"cannot evaluate {f!r}")
-
-    @staticmethod
-    def _restore(env: dict[str, int], var: str, saved: Optional[int]):
-        if saved is None:
-            env.pop(var, None)
+            clause = self.equality
+            if lvar and not rvar:
+                lvar, i, rvar, j = rvar, j, lvar, i  # the clause is symmetric
+            if lvar and rvar:
+                def eq_vv() -> int:
+                    u, v = slots[i], slots[j]
+                    hit = get((_REL_EQ, u, v) if u <= v else (_REL_EQ, v, u))
+                    return clause(u, v) if hit is None else hit
+                return eq_vv
+            if rvar:
+                def eq_cv() -> int:
+                    v = slots[j]
+                    hit = get((_REL_EQ, i, v) if i <= v else (_REL_EQ, v, i))
+                    return clause(i, v) if hit is None else hit
+                return eq_cv
         else:
-            env[var] = saved
+            clause = self.membership
+            if lvar and rvar:
+                def mem_vv() -> int:
+                    u, v = slots[i], slots[j]
+                    hit = get((_REL_MEM, u, v))
+                    return clause(u, v) if hit is None else hit
+                return mem_vv
+            if rvar:
+                def mem_cv() -> int:
+                    v = slots[j]
+                    hit = get((_REL_MEM, i, v))
+                    return clause(i, v) if hit is None else hit
+                return mem_cv
+            if lvar:
+                def mem_vc() -> int:
+                    u = slots[i]
+                    hit = get((_REL_MEM, u, j))
+                    return clause(u, j) if hit is None else hit
+                return mem_vc
+        return lambda: clause(i, j)
 
     def eval(self, f: Formula, env: Optional[dict[str, int]] = None) -> str:
         """Evaluate to an element identifier."""

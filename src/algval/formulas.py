@@ -218,6 +218,19 @@ _TOKEN_RE = re.compile(
 )
 _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 
+# How deeply `~`, quantifiers, parentheses and binary connectives may nest;
+# each operator of a chain such as `a /\ b /\ c` counts one level.  The
+# cap keeps the parsers, and every recursive walk of what they return, far
+# inside Python's recursion limit.
+MAX_NESTING = 100
+
+
+def _nest(depth: int) -> int:
+    """One nesting level deeper; refuses formulas nested past MAX_NESTING."""
+    if depth >= MAX_NESTING:
+        raise InputError(f"formula nested deeper than {MAX_NESTING} levels")
+    return depth + 1
+
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
@@ -238,6 +251,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.max_name = max_name
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -251,46 +265,64 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def deeper(self) -> int:
+        """Take the next token one nesting level down; returns the old level."""
+        self.take()
+        outer = self.depth
+        self.depth = _nest(outer)
+        return outer
+
     def formula(self) -> Formula:
+        outer = self.depth
         left = self.implication()
         while self.peek() == "<->":
-            self.take()
+            self.deeper()
             right = self.implication()
             left = iff(left, right)
+        self.depth = outer
         return left
 
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek() == "->":
-            self.take()
-            return Imp(left, self.implication())
+            outer = self.deeper()
+            right = self.implication()
+            self.depth = outer
+            return Imp(left, right)
         return left
 
     def disjunction(self) -> Formula:
+        outer = self.depth
         left = self.conjunction()
         while self.peek() == "\\/":
-            self.take()
+            self.deeper()
             left = Or(left, self.conjunction())
+        self.depth = outer
         return left
 
     def conjunction(self) -> Formula:
+        outer = self.depth
         left = self.unary()
         while self.peek() == "/\\":
-            self.take()
+            self.deeper()
             left = And(left, self.unary())
+        self.depth = outer
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok == "~":
-            self.take()
-            return Not(self.unary())
+            outer = self.deeper()
+            body = self.unary()
+            self.depth = outer
+            return Not(body)
         if tok in ("forall", "exists"):
             return self.quantifier()
         return self.primary()
 
     def quantifier(self) -> Formula:
-        kind = self.take()
+        kind = self.peek()
+        outer = self.deeper()
         var = self.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", var) or var in _KEYWORDS:
             raise InputError(f"bad quantified variable {var!r}")
@@ -300,6 +332,7 @@ class _Parser:
             bound = self.term()
         self.take(".")
         body = self.formula()
+        self.depth = outer
         if kind == "forall":
             return Forall(var, body if bound is None else Imp(Mem(Var(var), bound), body))
         return Exists(var, body if bound is None else And(Mem(Var(var), bound), body))
@@ -307,9 +340,10 @@ class _Parser:
     def primary(self) -> Formula:
         tok = self.peek()
         if tok == "(":
-            self.take()
+            outer = self.deeper()
             f = self.formula()
             self.take(")")
+            self.depth = outer
             return f
         if tok == "true":
             self.take()

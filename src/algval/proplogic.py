@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import Algebra, ps3
 from .errors import CapabilityError, InputError, ResourceError
-from .formulas import And, Bot, Imp, Not, Or, Top, _tokenize
+from .formulas import And, Bot, Imp, Not, Or, Top, _nest, _tokenize
 from .theorems import CheckResult, _timed, profile
 
 MAX_VALUATIONS = 100_000
@@ -71,6 +71,7 @@ class _PropParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -84,44 +85,62 @@ class _PropParser:
         self.pos += 1
         return tok
 
+    def deeper(self) -> int:
+        """Take the next token one nesting level down; returns the old level."""
+        self.take()
+        outer = self.depth
+        self.depth = _nest(outer)
+        return outer
+
     def formula(self):
+        outer = self.depth
         left = self.implication()
         while self.peek() == "<->":
-            self.take()
+            self.deeper()
             right = self.implication()
             left = And(Imp(left, right), Imp(right, left))
+        self.depth = outer
         return left
 
     def implication(self):
         left = self.disjunction()
         if self.peek() == "->":
-            self.take()
-            return Imp(left, self.implication())
+            outer = self.deeper()
+            right = self.implication()
+            self.depth = outer
+            return Imp(left, right)
         return left
 
     def disjunction(self):
+        outer = self.depth
         left = self.conjunction()
         while self.peek() == "\\/":
-            self.take()
+            self.deeper()
             left = Or(left, self.conjunction())
+        self.depth = outer
         return left
 
     def conjunction(self):
+        outer = self.depth
         left = self.unary()
         while self.peek() == "/\\":
-            self.take()
+            self.deeper()
             left = And(left, self.unary())
+        self.depth = outer
         return left
 
     def unary(self):
         tok = self.peek()
         if tok == "~":
-            self.take()
-            return Not(self.unary())
+            outer = self.deeper()
+            body = self.unary()
+            self.depth = outer
+            return Not(body)
         if tok == "(":
-            self.take()
+            outer = self.deeper()
             f = self.formula()
             self.take(")")
+            self.depth = outer
             return f
         if tok == "true":
             self.take()

@@ -44,6 +44,13 @@ class TestEval:
         r = invoke(runner, "eval", "-a", "chainZ", "true")
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("text", ["~" * 3000 + "#0 = #0",
+                                      "(" * 3000 + "#0 = #0" + ")" * 3000])
+    def test_deep_nesting_exits_2(self, runner, text):
+        r = invoke(runner, "eval", "-a", "ps3", text)
+        assert r.exit_code == 2
+        assert "nested deeper" in r.output and "Traceback" not in r.output
+
 
 class TestAlgebraCheck:
     def test_ps3_passes(self, runner):
@@ -167,6 +174,12 @@ class TestLogic:
         r = invoke(runner, "logic", "taut", "-a", "bool2", "(p /\\ ~p) -> q")
         assert r.exit_code == 0
         assert "valid" in r.output
+
+    @pytest.mark.parametrize("text", ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000])
+    def test_taut_deep_nesting_exits_2(self, runner, text):
+        r = invoke(runner, "logic", "taut", "-a", "ps3", text)
+        assert r.exit_code == 2
+        assert "nested deeper" in r.output and "Traceback" not in r.output
 
     def test_para(self, runner):
         r = invoke(runner, "logic", "para", "-a", "chain4")

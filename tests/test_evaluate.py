@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,8 @@ from algval.evaluate import (
     nff_battery,
 )
 from algval.formulas import (
-    And, Bot, Const, Eq, Forall, Imp, Mem, Not, Top, Var, parse,
+    And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var, parse,
+    print_formula,
 )
 from algval.universe import build_universe
 
@@ -289,3 +291,68 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=4) as pool:
             outs = list(pool.map(lambda _: ctx.eval(sentence), range(12)))
         assert set(outs) == {want}
+
+
+# -- differential test against a direct reading of the semantics -------------------
+
+
+def reference_value(ctx, f, env):
+    """Recursive evaluation over the context's atomic clauses, with no
+    compilation and no short-circuit in the quantifier folds."""
+    alg = ctx.algebra
+
+    def term(t):
+        return t.name_id if isinstance(t, Const) else env[t.name]
+
+    if isinstance(f, Mem):
+        return ctx.membership(term(f.left), term(f.right))
+    if isinstance(f, Eq):
+        return ctx.equality(term(f.left), term(f.right))
+    if isinstance(f, Top):
+        return alg.top_i
+    if isinstance(f, Bot):
+        return alg.bottom_i
+    if isinstance(f, Not):
+        return alg.star_t[reference_value(ctx, f.body, env)]
+    if isinstance(f, (And, Or, Imp)):
+        table = {And: alg.meet_t, Or: alg.join_t, Imp: alg.imp_t}[type(f)]
+        return table[reference_value(ctx, f.left, env)][reference_value(ctx, f.right, env)]
+    table, acc = ((alg.meet_t, alg.top_i) if isinstance(f, Forall)
+                  else (alg.join_t, alg.bottom_i))
+    for nid in ctx.universe.ids():
+        acc = table[acc][reference_value(ctx, f.body, {**env, f.var: nid})]
+    return acc
+
+
+VARS = ("x", "y", "z")
+
+
+def random_formula(rng, n_names, depth):
+    """Negation, nested binders that shadow each other and the free variables
+    x, y, z, and name constants mixed into the atoms."""
+    if depth == 0 or rng.random() < 0.15:
+        def term():
+            return Const(rng.randrange(n_names)) if rng.random() < 0.3 else Var(rng.choice(VARS))
+        kind = rng.choice((Mem, Mem, Eq, Eq, Top, Bot))
+        return kind(term(), term()) if kind in (Mem, Eq) else kind()
+    kind = rng.choice((And, Or, Imp, Not, Forall, Exists, Forall, Exists))
+    if kind is Not:
+        return Not(random_formula(rng, n_names, depth - 1))
+    if kind in (Forall, Exists):
+        return kind(rng.choice(VARS), random_formula(rng, n_names, depth - 1))
+    return kind(random_formula(rng, n_names, depth - 1),
+                random_formula(rng, n_names, depth - 1))
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain4", "bool4"])
+@pytest.mark.parametrize("assignment", ["ba", "pa"])
+def test_value_matches_reference_evaluator(algname, assignment):
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    rng = random.Random(f"{algname}-{assignment}")
+    for _ in range(150):
+        f = random_formula(rng, len(uni.names), depth=4)
+        env = {v: rng.randrange(len(uni.names)) for v in VARS}
+        got = ctx.value(f, dict(env))
+        assert got == reference_value(ctx, f, env), print_formula(f)

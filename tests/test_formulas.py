@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from algval.errors import InputError
 from algval.formulas import (
+    MAX_NESTING,
     And,
     Bot,
     Const,
@@ -85,6 +86,17 @@ class TestParsing:
         for text in ("forall . x = x", "x =", "(x = x", "x ? y",
                      "x in in y", "forall in. x = x", "x = x )"):
             with pytest.raises(InputError):
+                parse(text)
+
+    def test_nesting_limit(self):
+        ok = "~" * (MAX_NESTING - 1) + "(x = x)"
+        assert parse(ok) is not None
+        for text in ("~" * 3000 + "x = x",
+                     "(" * 3000 + "x = x" + ")" * 3000,
+                     "forall x. " * 3000 + "x = x",
+                     " -> ".join(["x = x"] * 3000),
+                     " /\\ ".join(["x = x"] * 3000)):
+            with pytest.raises(InputError, match="nested deeper"):
                 parse(text)
 
     def test_unknown_constant_with_bound(self):

@@ -199,3 +199,9 @@ class TestPropParser:
             parse_prop("forall x. p")
         with pytest.raises(InputError):
             parse_prop("p /\\")
+
+    def test_nesting_limit(self):
+        for text in ("~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000,
+                     " \\/ ".join(["p"] * 3000)):
+            with pytest.raises(InputError, match="nested deeper"):
+                parse_prop(text)

@@ -1,7 +1,7 @@
 import pytest
 
 from algval.algebra import builtin, loads_algebra, ps3
-from algval.errors import InputError
+from algval.errors import InputError, InvariantError
 from algval.formulas import parse
 from algval.theorems import (
     CHECKS,
@@ -167,6 +167,17 @@ class TestCoincidenceSweep:
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=3)
         assert coincidence_mismatches(ws, rng=random.Random(0)) == []
+
+    def test_fold_divergence_is_an_invariant_violation(self, monkeypatch):
+        import random
+
+        import algval.theorems as th
+
+        alg, d = builtin("bool2")
+        ws = Workspace(alg, d, rank_bound=2)
+        monkeypatch.setattr(th, "_fold_equality", lambda *args: -1)
+        with pytest.raises(InvariantError, match="diverged"):
+            coincidence_mismatches(ws, rng=random.Random(0))
 
 
 class TestReplay:
