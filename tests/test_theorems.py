@@ -171,13 +171,70 @@ class TestCoincidenceSweep:
     def test_fold_divergence_is_an_invariant_violation(self, monkeypatch):
         import random
 
-        import algval.theorems as th
+        from algval.evaluate import EvalContext
 
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=2)
-        monkeypatch.setattr(th, "_fold_equality", lambda *args: -1)
+        engine = EvalContext.membership
+
+        def wrong_above_the_low_rows(self, u, v):
+            # The sweep asks the engine only for members of rank below the
+            # bound, so only the sampled cross-check sees these values.
+            value = engine(self, u, v)
+            if ws.universe.rank_of(u) < ws.rank_bound:
+                return value
+            return (value + 1) % len(alg.elements)
+
+        monkeypatch.setattr(EvalContext, "membership", wrong_above_the_low_rows)
         with pytest.raises(InvariantError, match="diverged"):
             coincidence_mismatches(ws, rng=random.Random(0))
+
+
+def engine_mismatches(ws):
+    """The mismatch list built pair by pair from the engine's clauses, in
+    the documented order: low rows, then `=` for u <= v, then `in`."""
+    uni, alg, n = ws.universe, ws.algebra, len(ws.universe)
+    out = []
+
+    def add(rel, u, v):
+        vba, vpa = (ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
+                    for ctx in (ws.ba, ws.pa))
+        if vba != vpa:
+            out.append({"kind": "coincidence-mismatch", "rel": rel,
+                        "u": uni.pretty(u), "v": uni.pretty(v),
+                        "ba": alg.elements[vba], "pa": alg.elements[vpa]})
+
+    for s in (nid for nid in range(n) if uni.rank_of(nid) < ws.rank_bound):
+        for v in range(n):
+            add("in", s, v)
+            add("=", s, v)
+    for u in range(n):
+        for v in range(u, n):
+            add("=", u, v)
+    for u in range(n):
+        for v in range(n):
+            add("in", u, v)
+    return out
+
+
+class TestCoincidenceExhaustive:
+    @pytest.mark.parametrize("name,rank,count", [
+        ("ps3", 3, 15228), ("chain4", 2, 2), ("stretch-bool4", 2, 4),
+        ("bool2", 3, 0), ("bool4", 2, 0),
+    ])
+    def test_matches_the_engine_on_every_pair(self, name, rank, count):
+        alg, d = builtin(name)
+        expected = engine_mismatches(Workspace(alg, d, rank_bound=rank))
+        got = coincidence_mismatches(Workspace(alg, d, rank_bound=rank), limit=10**9)
+        assert got == expected
+        assert len(got) == count
+
+    def test_limit_gives_a_prefix(self):
+        alg, d = ps3()
+        ws = Workspace(alg, d, rank_bound=3)
+        full = coincidence_mismatches(ws, limit=10**9)
+        for k in (1, 2, 5, 100, 1000, len(full)):
+            assert coincidence_mismatches(ws, limit=k) == full[:k]
 
 
 class TestReplay:
