@@ -10,9 +10,6 @@ construction and propositional-logic validations.
 from .algebra import (
     Algebra,
     AlgebraReport,
-    big_join,
-    big_meet,
-    binary_op,
     boolean_algebra,
     builtin,
     chain,
@@ -25,9 +22,7 @@ from .algebra import (
     dumps_algebra,
     load_algebra,
     loads_algebra,
-    make_algebra,
     ps3,
-    star,
     stretch,
 )
 from .errors import (
@@ -37,7 +32,7 @@ from .errors import (
     InvariantError,
     ResourceError,
 )
-from .evaluate import BqResult, EvalContext, battery, check_bq, is_valid, nff_battery
+from .evaluate import BqResult, EvalContext, battery, check_bq, nff_battery
 from .formulas import (
     Formula,
     instantiate_axiom,

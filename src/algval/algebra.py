@@ -167,25 +167,6 @@ class Algebra:
         return f"Algebra({self.name}, {len(self.elements)} elements)"
 
 
-def binary_op(alg: Algebra, op: str, a: str, b: str) -> str:
-    """Apply one of the binary tables by name ('meet', 'join' or 'imp')."""
-    if op not in ("meet", "join", "imp"):
-        raise InputError(f"unknown binary operation {op!r}")
-    return getattr(alg, op)(a, b)
-
-
-def star(alg: Algebra, a: str) -> str:
-    return alg.star(a)
-
-
-def big_meet(alg: Algebra, elems: Iterable[str]) -> str:
-    return alg.big_meet(elems)
-
-
-def big_join(alg: Algebra, elems: Iterable[str]) -> str:
-    return alg.big_join(elems)
-
-
 # -- law reports ---------------------------------------------------------------
 
 
@@ -679,23 +660,6 @@ def designated_cobounded(lattice: Algebra, designated: Iterable[str]
     return alg, d
 
 
-def make_algebra(kind: str, **kwargs) -> tuple[Algebra, frozenset[str]]:
-    """Dispatch constructor: ps3, boolean(n_atoms), chain(k), stretch(base),
-    designated_cobounded(lattice, designated)."""
-    if kind == "ps3":
-        return ps3()
-    if kind == "boolean":
-        return boolean_algebra(kwargs["n_atoms"])
-    if kind == "chain":
-        return chain(kwargs["k"], kwargs.get("designated"),
-                     kwargs.get("star_rule", "designated"))
-    if kind == "stretch":
-        return stretch(kwargs["base"], kwargs.get("designated"))
-    if kind == "designated_cobounded":
-        return designated_cobounded(kwargs["lattice"], kwargs["designated"])
-    raise InputError(f"unknown algebra kind {kind!r}")
-
-
 BUILTIN_NAMES = ("ps3", "bool2", "bool4") + tuple(f"chain{k}" for k in range(3, 9)) + (
     "stretch-bool4",
 )
@@ -805,7 +769,7 @@ def dumps_algebra(alg: Algebra, designated: Iterable[str]) -> str:
     for op in ("meet", "join", "imp"):
         for a in alg.elements:
             for b in alg.elements:
-                lines.append(f"{op} {a} {b} {binary_op(alg, op, a, b)}")
+                lines.append(f"{op} {a} {b} {getattr(alg, op)(a, b)}")
     if alg.star_t is not None:
         for a in alg.elements:
             lines.append(f"star {a} {alg.star(a)}")

@@ -59,8 +59,9 @@ def algebra_options(fn):
 def run_options(fn):
     fn = click.option("--seed", default=0, envvar="ALGVAL_SEED", show_default=True,
                       help="seed for randomized sweeps")(fn)
-    fn = click.option("--budget", default=DEFAULT_BUDGET, envvar="ALGVAL_BUDGET",
-                      show_default=True, help="name enumeration budget")(fn)
+    fn = click.option("--budget", default=DEFAULT_BUDGET, type=click.IntRange(min=0),
+                      envvar="ALGVAL_BUDGET", show_default=True,
+                      help="name enumeration budget")(fn)
     fn = click.option("--rank", default=2, envvar="ALGVAL_RANK", show_default=True,
                       help="rank bound of the enumerated universe")(fn)
     return fn
@@ -286,8 +287,8 @@ def logic_para(algebra_spec, designated_spec, fmt):
 
 @logic_group.command("agree")
 @algebra_options
-@click.option("--corpus-size", default=500, show_default=True,
-              envvar="ALGVAL_CORPUS_SIZE")
+@click.option("--corpus-size", default=500, type=click.IntRange(min=1),
+              show_default=True, envvar="ALGVAL_CORPUS_SIZE")
 @click.option("--seed", default=0, envvar="ALGVAL_SEED", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "records"]),
               default="text", envvar="ALGVAL_FORMAT", show_default=True)

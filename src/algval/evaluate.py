@@ -248,11 +248,6 @@ class EvalContext:
         return value_index in self.designated_i
 
 
-def is_valid(ctx: EvalContext, sentence: Formula) -> bool:
-    """Validity of a closed sentence."""
-    return ctx.holds(sentence)
-
-
 # -- bounded quantification ------------------------------------------------------
 
 

@@ -1,17 +1,29 @@
-"""Abstract syntax, parser and printer for the set-theoretic language.
+"""Abstract syntax, traversal, parser and printer for the set-theoretic language.
 
 Terms are variables or name constants (`#k`).  Connective precedence is
 `~` over `/\\` over `\\/` over `->`, with `->` right-associative; `<->` is
 definitional sugar for the two implications and is expanded at parse time,
 as is the bounded quantifier `forall x in t. F` (to `forall x. x in t ->
 F`) and its dual `exists x in t. F` (to `exists x. x in t /\\ F`).
+
+The shape of the tree is known in one place: `children` lists a node's
+immediate subformulas and `map_terms` rebuilds a formula with its terms
+mapped, leaving alone the body of a binder of a given variable.  Every
+walker (`free_vars`, `subst_const`, `rename_var`, the collapse transfer's
+`bar_formula`, `proplogic.prop_vars`, ...) is built from these two; only
+the evaluators and printers dispatch on node types themselves.
+
+The propositional formulas of `proplogic` share the connective nodes and
+the parser: `_Parser` reads the connectives and hands everything else to
+an atom rule, which here reads quantifiers and `term (=|in) term`, and in
+`proplogic` a bare variable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import InputError
 
@@ -96,30 +108,52 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(Imp(a, b), Imp(b, a))
 
 
+BINDERS = (Forall, Exists)
+
+
+def children(f) -> tuple:
+    """The immediate subformulas of f; atoms, of either language, have none."""
+    if isinstance(f, (And, Or, Imp)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Forall, Exists)):
+        return (f.body,)
+    return ()
+
+
+def subformulas(f) -> Iterator:
+    """f and every formula below it, in preorder."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(children(g)))
+
+
+def map_terms(f: Formula, fn: Callable[[Term], Term], var: Optional[str] = None) -> Formula:
+    """Rebuild f with every term t replaced by fn(t).
+
+    The body of a binder of `var` is left untouched, so a substitution for
+    the free occurrences of `var` passes `var` here.
+    """
+    if isinstance(f, (Eq, Mem)):
+        return type(f)(fn(f.left), fn(f.right))
+    if isinstance(f, BINDERS):
+        return f if f.var == var else type(f)(f.var, map_terms(f.body, fn, var))
+    kids = children(f)
+    return type(f)(*[map_terms(g, fn, var) for g in kids]) if kids else f
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, (Eq, Mem)):
-        out = set()
-        for t in (f.left, f.right):
-            if isinstance(t, Var):
-                out.add(t.name)
-        return frozenset(out)
-    if isinstance(f, (And, Or, Imp)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    return frozenset()
+        return frozenset([t.name for t in (f.left, f.right) if isinstance(t, Var)])
+    out = frozenset()
+    for g in children(f):
+        out |= free_vars(g)
+    return out - {f.var} if isinstance(f, BINDERS) else out
 
 
 def bound_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (And, Or, Imp)):
-        return bound_vars(f.left) | bound_vars(f.right)
-    if isinstance(f, Not):
-        return bound_vars(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return bound_vars(f.body) | {f.var}
-    return frozenset()
+    return frozenset(g.var for g in subformulas(f) if isinstance(g, BINDERS))
 
 
 def is_closed(f: Formula) -> bool:
@@ -128,58 +162,13 @@ def is_closed(f: Formula) -> bool:
 
 def is_negation_free(f: Formula) -> bool:
     """True when no negation node occurs anywhere; falsum is allowed."""
-    if isinstance(f, Not):
-        return False
-    if isinstance(f, (And, Or, Imp)):
-        return is_negation_free(f.left) and is_negation_free(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return is_negation_free(f.body)
-    return True
-
-
-def _map_terms(f: Formula, fn) -> Formula:
-    if isinstance(f, Eq):
-        return Eq(fn(f.left), fn(f.right))
-    if isinstance(f, Mem):
-        return Mem(fn(f.left), fn(f.right))
-    if isinstance(f, And):
-        return And(_map_terms(f.left, fn), _map_terms(f.right, fn))
-    if isinstance(f, Or):
-        return Or(_map_terms(f.left, fn), _map_terms(f.right, fn))
-    if isinstance(f, Imp):
-        return Imp(_map_terms(f.left, fn), _map_terms(f.right, fn))
-    if isinstance(f, Not):
-        return Not(_map_terms(f.body, fn))
-    if isinstance(f, Forall):
-        return Forall(f.var, _map_terms(f.body, fn))
-    if isinstance(f, Exists):
-        return Exists(f.var, _map_terms(f.body, fn))
-    return f
+    return not any(isinstance(g, Not) for g in subformulas(f))
 
 
 def subst_const(f: Formula, var: str, name_id: int) -> Formula:
     """Replace a free variable by a name constant (never captures)."""
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Forall, Exists)) and g.var == var:
-            return g
-        if isinstance(g, (Eq, Mem)):
-            return _map_terms(g, lambda t: Const(name_id) if t == Var(var) else t)
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Imp):
-            return Imp(walk(g.left), walk(g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Forall):
-            return Forall(g.var, walk(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        return g
-
-    return walk(f)
+    const = Const(name_id)
+    return map_terms(f, lambda t: const if isinstance(t, Var) and t.name == var else t, var)
 
 
 def rename_var(f: Formula, old: str, new: str) -> Formula:
@@ -188,27 +177,8 @@ def rename_var(f: Formula, old: str, new: str) -> Formula:
         return f
     if new in free_vars(f) | bound_vars(f):
         raise InputError(f"cannot rename {old!r} to {new!r}: name in use")
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Forall, Exists)) and g.var == old:
-            return g
-        if isinstance(g, (Eq, Mem)):
-            return _map_terms(g, lambda t: Var(new) if t == Var(old) else t)
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Imp):
-            return Imp(walk(g.left), walk(g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, Forall):
-            return Forall(g.var, walk(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        return g
-
-    return walk(f)
+    renamed = Var(new)
+    return map_terms(f, lambda t: renamed if isinstance(t, Var) and t.name == old else t, old)
 
 
 # -- parser -------------------------------------------------------------------------
@@ -220,16 +190,9 @@ _KEYWORDS = {"forall", "exists", "in", "true", "false"}
 
 # How deeply `~`, quantifiers, parentheses and binary connectives may nest;
 # each operator of a chain such as `a /\ b /\ c` counts one level.  The
-# cap keeps the parsers, and every recursive walk of what they return, far
+# cap keeps the parser, and every recursive walk of what it returns, far
 # inside Python's recursion limit.
 MAX_NESTING = 100
-
-
-def _nest(depth: int) -> int:
-    """One nesting level deeper; refuses formulas nested past MAX_NESTING."""
-    if depth >= MAX_NESTING:
-        raise InputError(f"formula nested deeper than {MAX_NESTING} levels")
-    return depth + 1
 
 
 def _tokenize(text: str) -> list[str]:
@@ -246,12 +209,33 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _is_variable(tok: str) -> bool:
+    """A variable name: an identifier that is not a keyword."""
+    return _IDENT_RE.fullmatch(tok) is not None and tok not in _KEYWORDS
+
+
 class _Parser:
-    def __init__(self, tokens: list[str], max_name: Optional[int]):
-        self.tokens = tokens
+    """Recursive descent over the connectives both languages share.
+
+    `atom` parses whatever is not `~`, parentheses, `true` or `false`: the
+    sentence rule reads quantifiers and `term (=|in) term`, the
+    propositional rule a bare variable.
+    """
+
+    def __init__(self, text: str, atom: Callable[["_Parser"], Formula]):
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.max_name = max_name
         self.depth = 0
+        self.atom = atom
+
+    def parse(self) -> Formula:
+        f = self.formula()
+        if self.peek() is not None:
+            raise InputError(f"trailing tokens after formula: {self.peek()!r}")
+        return f
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -269,7 +253,9 @@ class _Parser:
         """Take the next token one nesting level down; returns the old level."""
         self.take()
         outer = self.depth
-        self.depth = _nest(outer)
+        if outer >= MAX_NESTING:
+            raise InputError(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth = outer + 1
         return outer
 
     def formula(self) -> Formula:
@@ -316,29 +302,6 @@ class _Parser:
             body = self.unary()
             self.depth = outer
             return Not(body)
-        if tok in ("forall", "exists"):
-            return self.quantifier()
-        return self.primary()
-
-    def quantifier(self) -> Formula:
-        kind = self.peek()
-        outer = self.deeper()
-        var = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", var) or var in _KEYWORDS:
-            raise InputError(f"bad quantified variable {var!r}")
-        bound = None
-        if self.peek() == "in":
-            self.take()
-            bound = self.term()
-        self.take(".")
-        body = self.formula()
-        self.depth = outer
-        if kind == "forall":
-            return Forall(var, body if bound is None else Imp(Mem(Var(var), bound), body))
-        return Exists(var, body if bound is None else And(Mem(Var(var), bound), body))
-
-    def primary(self) -> Formula:
-        tok = self.peek()
         if tok == "(":
             outer = self.deeper()
             f = self.formula()
@@ -351,33 +314,52 @@ class _Parser:
         if tok == "false":
             self.take()
             return FALSE
-        left = self.term()
-        op = self.take()
-        if op == "=":
-            return Eq(left, self.term())
-        if op == "in":
-            return Mem(left, self.term())
-        raise InputError(f"expected '=' or 'in' after a term, found {op!r}")
-
-    def term(self) -> Term:
-        tok = self.take()
-        if tok.startswith("#"):
-            nid = int(tok[1:])
-            if self.max_name is not None and nid >= self.max_name:
-                raise InputError(f"unknown name constant #{nid}")
-            return Const(nid)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in _KEYWORDS:
-            return Var(tok)
-        raise InputError(f"expected a term, found {tok!r}")
+        return self.atom(self)
 
 
 def parse(text: str, max_name: Optional[int] = None) -> Formula:
-    """Parse a formula; `max_name` bounds the legal name constants."""
-    parser = _Parser(_tokenize(text), max_name)
-    f = parser.formula()
-    if parser.peek() is not None:
-        raise InputError(f"trailing tokens after formula: {parser.peek()!r}")
-    return f
+    """Parse a sentence; `max_name` bounds the legal name constants."""
+
+    def term(p: _Parser) -> Term:
+        tok = p.take()
+        if tok.startswith("#"):
+            nid = int(tok[1:])
+            if max_name is not None and nid >= max_name:
+                raise InputError(f"unknown name constant #{nid}")
+            return Const(nid)
+        if _is_variable(tok):
+            return Var(tok)
+        raise InputError(f"expected a term, found {tok!r}")
+
+    def quantifier(p: _Parser) -> Formula:
+        kind = p.peek()
+        outer = p.deeper()
+        var = p.take()
+        if not _is_variable(var):
+            raise InputError(f"bad quantified variable {var!r}")
+        bound = None
+        if p.peek() == "in":
+            p.take()
+            bound = term(p)
+        p.take(".")
+        body = p.formula()
+        p.depth = outer
+        if kind == "forall":
+            return Forall(var, body if bound is None else Imp(Mem(Var(var), bound), body))
+        return Exists(var, body if bound is None else And(Mem(Var(var), bound), body))
+
+    def atom(p: _Parser) -> Formula:
+        if p.peek() in ("forall", "exists"):
+            return quantifier(p)
+        left = term(p)
+        op = p.take()
+        if op == "=":
+            return Eq(left, term(p))
+        if op == "in":
+            return Mem(left, term(p))
+        raise InputError(f"expected '=' or 'in' after a term, found {op!r}")
+
+    return _Parser(text, atom).parse()
 
 
 # -- printer ------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Propositional many-valued validity over a finite algebra.
 
 A propositional formula is a tree over variables and the shared connective
-nodes; a valuation maps every variable to an element and evaluation is the
+nodes, read by the sentence parser with a bare-variable atom rule; a
+valuation maps every variable to an element and evaluation is the
 homomorphic extension through the algebra tables.  Validity quantifies the
 valuation over the whole carrier, exhaustively, so the variable count is
 capped by a valuation budget.
@@ -11,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .algebra import Algebra, ps3
 from .errors import CapabilityError, InputError, ResourceError
-from .formulas import And, Bot, Imp, Not, Or, Top, _nest, _tokenize
+from .formulas import And, Bot, Imp, Not, Or, Top, _is_variable, _Parser, subformulas
 from .theorems import CheckResult, _timed, profile
 
 MAX_VALUATIONS = 100_000
@@ -32,13 +32,7 @@ PropFormula = Union[PVar, And, Or, Imp, Not, Top, Bot]
 
 
 def prop_vars(f: PropFormula) -> frozenset[str]:
-    if isinstance(f, PVar):
-        return frozenset({f.name})
-    if isinstance(f, (And, Or, Imp)):
-        return prop_vars(f.left) | prop_vars(f.right)
-    if isinstance(f, Not):
-        return prop_vars(f.body)
-    return frozenset()
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, PVar))
 
 
 def print_prop(f: PropFormula) -> str:
@@ -65,102 +59,16 @@ def _wrap(f: PropFormula) -> str:
     return f"({print_prop(f)})"
 
 
-class _PropParser:
-    """Same connective grammar as the sentence language; atoms are bare names."""
-
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise InputError("unexpected end of formula")
-        if expected is not None and tok != expected:
-            raise InputError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def deeper(self) -> int:
-        """Take the next token one nesting level down; returns the old level."""
-        self.take()
-        outer = self.depth
-        self.depth = _nest(outer)
-        return outer
-
-    def formula(self):
-        outer = self.depth
-        left = self.implication()
-        while self.peek() == "<->":
-            self.deeper()
-            right = self.implication()
-            left = And(Imp(left, right), Imp(right, left))
-        self.depth = outer
-        return left
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek() == "->":
-            outer = self.deeper()
-            right = self.implication()
-            self.depth = outer
-            return Imp(left, right)
-        return left
-
-    def disjunction(self):
-        outer = self.depth
-        left = self.conjunction()
-        while self.peek() == "\\/":
-            self.deeper()
-            left = Or(left, self.conjunction())
-        self.depth = outer
-        return left
-
-    def conjunction(self):
-        outer = self.depth
-        left = self.unary()
-        while self.peek() == "/\\":
-            self.deeper()
-            left = And(left, self.unary())
-        self.depth = outer
-        return left
-
-    def unary(self):
-        tok = self.peek()
-        if tok == "~":
-            outer = self.deeper()
-            body = self.unary()
-            self.depth = outer
-            return Not(body)
-        if tok == "(":
-            outer = self.deeper()
-            f = self.formula()
-            self.take(")")
-            self.depth = outer
-            return f
-        if tok == "true":
-            self.take()
-            return Top()
-        if tok == "false":
-            self.take()
-            return Bot()
-        tok = self.take()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tok not in (
-                "forall", "exists", "in"):
-            return PVar(tok)
-        raise InputError(f"expected a propositional variable, found {tok!r}")
+def _prop_atom(p: _Parser) -> PropFormula:
+    tok = p.take()
+    if _is_variable(tok):
+        return PVar(tok)
+    raise InputError(f"expected a propositional variable, found {tok!r}")
 
 
 def parse_prop(text: str) -> PropFormula:
-    parser = _PropParser(_tokenize(text))
-    f = parser.formula()
-    if parser.peek() is not None:
-        raise InputError(f"trailing tokens after formula: {parser.peek()!r}")
-    return f
+    """Parse with the sentence grammar's connectives; atoms are bare names."""
+    return _Parser(text, _prop_atom).parse()
 
 
 def eval_prop(alg: Algebra, valuation: Mapping[str, str], f: PropFormula) -> str:

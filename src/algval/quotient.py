@@ -23,7 +23,7 @@ from .formulas import (
     And, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
     free_vars, subst_const,
 )
-from .theorems import CheckResult, Workspace, _timed, profile
+from .theorems import CheckResult, Workspace, _skip, _timed, profile
 from .universe import DEFAULT_BUDGET
 
 
@@ -161,7 +161,7 @@ def check_connective_theorem(algebra: Algebra, designated: Iterable[str],
     desc = f"satisfaction clauses over the class structure (rank {rank_bound})"
     prof = profile(algebra, designated)
     if not prof["ultra_designated_cobounded"]:
-        return _skip_result(name, desc, "needs an ultra-designated cobounded algebra")
+        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
     if qm is None:
         ws = Workspace(algebra, designated, rank_bound, budget)
         qm = build_quotient(ws.pa, seed=seed)
@@ -215,7 +215,7 @@ def check_connective_theorem(algebra: Algebra, designated: Iterable[str],
     # The converse of the negation clause must fail somewhere: the member
     # and non-member relations overlap when the designated set is rich.
     overlap = sorted(qm.r_mem & qm.r_nmem)
-    if profile(algebra, designated)["big_designated"]:
+    if prof["big_designated"]:
         if not overlap:
             ce = {"kind": "missing-overlap",
                   "note": "member and non-member relations never overlap"}
@@ -229,10 +229,6 @@ def check_connective_theorem(algebra: Algebra, designated: Iterable[str],
             "note": "membership and its negation both satisfied",
         }
     return CheckResult(name, desc, "pass", details=details)
-
-
-def _skip_result(name: str, desc: str, reason: str) -> CheckResult:
-    return CheckResult(name, desc, "skipped", skip_reason=reason)
 
 
 def _fail(name: str, desc: str, clause: str, la: str, lb: str,
@@ -257,7 +253,7 @@ def check_quotient(algebra: Algebra, designated: Iterable[str],
     desc = f"class relations of the quotient model (rank {rank_bound})"
     prof = profile(algebra, designated)
     if not prof["ultra_designated_cobounded"]:
-        return _skip_result(name, desc, "needs an ultra-designated cobounded algebra")
+        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
     ws = Workspace(algebra, designated, rank_bound, budget)
     qm = build_quotient(ws.pa, seed=seed)
     k = len(qm.classes)

@@ -26,8 +26,9 @@ from .evaluate import (
     EvalContext, battery, check_bq, nff_battery, two_var_battery,
 )
 from .formulas import (
-    And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
-    iff, instantiate_axiom, parse, print_formula, subst_const,
+    BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
+    children, iff, instantiate_axiom, is_negation_free, map_terms, parse,
+    print_formula, subst_const,
 )
 from .universe import DEFAULT_BUDGET, Universe, build_universe
 
@@ -679,13 +680,8 @@ def check_zfbar_witnesses(algebra: Algebra, designated: Iterable[str],
 
 
 def _quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (And, Or, Imp)):
-        return max(_quantifier_depth(f.left), _quantifier_depth(f.right))
-    if isinstance(f, Not):
-        return _quantifier_depth(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return 1 + _quantifier_depth(f.body)
-    return 0
+    inner = max(map(_quantifier_depth, children(f)), default=0)
+    return inner + 1 if isinstance(f, BINDERS) else inner
 
 
 # -- collapse transfer ----------------------------------------------------------------
@@ -722,21 +718,7 @@ def bar_name(src: Universe, dst: Universe, value_map: list[int], nid: int,
 
 
 def bar_formula(f: Formula, name_map: dict[int, int]) -> Formula:
-    from .formulas import _map_terms
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Eq, Mem)):
-            return _map_terms(
-                g, lambda t: Const(name_map[t.name_id]) if isinstance(t, Const) else t)
-        if isinstance(g, (And, Or, Imp)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (Forall, Exists)):
-            return type(g)(g.var, walk(g.body))
-        return g
-
-    return walk(f)
+    return map_terms(f, lambda t: Const(name_map[t.name_id]) if isinstance(t, Const) else t)
 
 
 @_timed
@@ -956,7 +938,7 @@ def check_leibniz(algebra: Algebra, designated: Iterable[str],
                 if u == v or ba.equality(u, v) not in d:
                     continue
                 for label, phi in forms:
-                    if not _contains_not(phi):
+                    if is_negation_free(phi):
                         continue
                     vu = ba.value(subst_const(phi, "x", u))
                     vv = ba.value(subst_const(phi, "x", v))
@@ -980,12 +962,6 @@ def check_leibniz(algebra: Algebra, designated: Iterable[str],
                                details=details)
         details["ba_violation"] = violation
     return CheckResult("leibniz", desc, "pass", details=details)
-
-
-def _contains_not(f: Formula) -> bool:
-    from .formulas import is_negation_free
-
-    return not is_negation_free(f)
 
 
 @_timed

@@ -225,6 +225,8 @@ def parse_name_literal(text: str, universe: Universe) -> int:
             if not m:
                 raise InputError(f"bad name entry {part!r}; expected '#k: element'")
             nid = int(m.group(1))
+            if nid in entries:
+                raise InputError(f"duplicate key #{nid} in name literal {text!r}")
             elem = universe.algebra.resolve(m.group(2))
             entries[nid] = universe.algebra.index[elem]
     return universe.insert(entries)

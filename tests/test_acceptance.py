@@ -8,7 +8,6 @@ criterion prints one pass/fail line.
 import time
 
 from algval.algebra import (
-    big_join,
     builtin,
     check_cobounded,
     check_drim,
@@ -202,7 +201,7 @@ def test_12_paraconsistency():
         alg, designated = builtin(name)
         result = check_paraconsistency(alg, designated, rank_bound=2)
         ok &= result.verdict == "pass"
-        coatom = big_join(alg, [e for e in alg.elements if e != alg.top])
+        coatom = alg.big_join([e for e in alg.elements if e != alg.top])
         ok &= result.details.get("coatom") == coatom
         ok &= result.details.get("phi_ba") == coatom
         ok &= result.details.get("phi_pa") == coatom

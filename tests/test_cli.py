@@ -52,6 +52,12 @@ class TestEval:
         assert "nested deeper" in r.output and "Traceback" not in r.output
 
 
+    def test_duplicate_name_key_exits_2(self, runner):
+        r = invoke(runner, "eval", "-a", "ps3", "--name", "{#0: half, #0: 1}", "true")
+        assert r.exit_code == 2
+        assert "duplicate key #0" in r.output
+
+
 class TestAlgebraCheck:
     def test_ps3_passes(self, runner):
         r = invoke(runner, "algebra", "check", "--algebra", "ps3")
@@ -123,6 +129,11 @@ class TestCheckCommand:
         r = invoke(runner, "check", "mystery", "-a", "ps3")
         assert r.exit_code == 2
 
+    def test_negative_budget_exits_2(self, runner):
+        r = invoke(runner, "check", "drim", "-a", "ps3", "--budget", "-1")
+        assert r.exit_code == 2
+        assert "--budget" in r.output
+
     def test_records_are_json_lines(self, runner):
         r = invoke(runner, "check", "drim", "-a", "ps3", "--format", "records")
         assert r.exit_code == 0
@@ -190,6 +201,13 @@ class TestLogic:
         r = invoke(runner, "logic", "agree", "-a", "chain5",
                    "--corpus-size", "40", "--seed", "1")
         assert r.exit_code == 0
+
+
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_agree_rejects_empty_corpus(self, runner, size):
+        r = invoke(runner, "logic", "agree", "-a", "chain5", "--corpus-size", size)
+        assert r.exit_code == 2
+        assert "--corpus-size" in r.output
 
 
 class TestEnvironmentOverrides:

@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_formulas import formula_strategy
 
 from algval.algebra import Algebra, builtin, ps3
 from algval.errors import CapabilityError, InputError
@@ -9,12 +12,11 @@ from algval.evaluate import (
     EvalContext,
     battery,
     check_bq,
-    is_valid,
     nff_battery,
 )
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var, parse,
-    print_formula,
+    print_formula, subst_const,
 )
 from algval.universe import build_universe
 
@@ -83,13 +85,13 @@ class TestEval:
     def test_validity(self, ps3_rank2):
         uni, d = ps3_rank2
         ba, pa = contexts(uni, d)
-        assert is_valid(ba, Eq(Const(0), Const(0)))
+        assert ba.holds(Eq(Const(0), Const(0)))
         phi = parse("exists x. exists y. (x in y /\\ ~(x in y))")
-        assert is_valid(ba, phi) and is_valid(ba, Not(phi))
+        assert ba.holds(phi) and ba.holds(Not(phi))
         h, t = uni.algebra.index["half"], uni.algebra.top_i
         u, v = uni.insert({0: h}), uni.insert({0: t})
-        assert not is_valid(pa, Eq(Const(u), Const(v)))
-        assert is_valid(ba, Eq(Const(u), Const(v)))
+        assert not pa.holds(Eq(Const(u), Const(v)))
+        assert ba.holds(Eq(Const(u), Const(v)))
 
     def test_unbound_variable(self, ps3_rank2):
         uni, d = ps3_rank2
@@ -356,3 +358,24 @@ def test_value_matches_reference_evaluator(algname, assignment):
         env = {v: rng.randrange(len(uni.names)) for v in VARS}
         got = ctx.value(f, dict(env))
         assert got == reference_value(ctx, f, env), print_formula(f)
+
+
+@pytest.fixture(scope="module")
+def ps3_six_names():
+    """ps3 at rank 2 plus two inserted names, so #0..#5 all exist."""
+    alg, d = ps3()
+    uni = build_universe(alg, 2)
+    h, t = alg.index["half"], alg.top_i
+    assert (uni.insert({1: h}), uni.insert({1: t, 2: h})) == (4, 5)
+    return contexts(uni, d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=formula_strategy(), ids=st.tuples(*[st.integers(0, 5)] * len(VARS)))
+def test_substitution_matches_env_binding(ps3_six_names, f, ids):
+    env = dict(zip(VARS, ids))
+    closed = f
+    for var, nid in env.items():
+        closed = subst_const(closed, var, nid)
+    for ctx in ps3_six_names:
+        assert ctx.value(closed) == ctx.value(f, env), print_formula(f)

@@ -188,6 +188,11 @@ class TestPropParser:
             f = parse_prop(text)
             assert parse_prop(print_prop(f)) == f
 
+    @settings(max_examples=300, deadline=None)
+    @given(prop_formula())
+    def test_print_parse_round_trip(self, f):
+        assert parse_prop(print_prop(f)) == f
+
     def test_iff_desugar(self):
         f = parse_prop("p <-> q")
         assert f == And(Imp(PVar("p"), PVar("q")), Imp(PVar("q"), PVar("p")))

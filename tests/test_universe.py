@@ -188,3 +188,5 @@ class TestNameLiterals:
             parse_name_literal("{0: half}", uni)
         with pytest.raises(InputError):
             parse_name_literal("{#0: third}", uni)
+        with pytest.raises(InputError, match="duplicate key #0"):
+            parse_name_literal("{#0: half, #0: 1}", uni)
