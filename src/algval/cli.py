@@ -172,7 +172,8 @@ def eval_command(algebra_spec, designated_spec, rank, budget, seed, assignment,
 @run_options
 @click.option("--format", "fmt", type=click.Choice(["text", "records"]),
               default="text", envvar="ALGVAL_FORMAT", show_default=True)
-@click.option("--jobs", default=1, envvar="ALGVAL_JOBS", show_default=True,
+@click.option("--jobs", default=1, type=click.IntRange(min=1), envvar="ALGVAL_JOBS",
+              show_default=True,
               help="run checks on a thread pool of this size")
 @click.option("--list", "list_checks", is_flag=True,
               help="list the available check names and exit")

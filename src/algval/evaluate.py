@@ -28,14 +28,33 @@ Each `value` call first compiles its sentence into nested closures, once,
 and then runs them.  Variables live in a slot list owned by that call: the
 caller's env fills the first slots and every binder gets a fresh slot, so
 shadowing is lexical and env is never written.  Atom closures read the memo
-directly and fall back to the clauses on a miss.  Nothing of a call's state
-is kept on the context, and the memo only ever gains deterministic entries,
-so one context is safe to share across threads.
+directly and fall back to the clauses on a miss.
+
+A connective whose left value fixes the whole table row (bottom -> b, for
+instance, on a table where that row is constant) skips its right operand.
+The rows are read from the tables, not assumed, so defective tables from
+files evaluate exactly as before.
+
+A quantifier whose body has no binder sweeps over atom rows.  For every
+distinct atom of the body that mentions the bound variable z (`z in t`,
+`t in z`, `z = t`, `z in z`, `z = z`, with t an outer variable or a
+constant) the context keeps a row: the atom's value at z = 0, 1, 2, ...,
+keyed by relation, the side z stands on and t's name id.  The body's value
+depends on z only through those values, so a sweep runs the body closure
+once per distinct tuple of them and otherwise folds a looked-up value, in
+the same order and with the same early stop.  A row is filled only as far
+as a sweep reaches and is extended, never rebuilt, as the universe grows,
+which is sound because atomic values never depend on later inserts.
+
+The memo and the rows only ever gain deterministic entries, and rows are
+extended under a per-context lock, so a context may be shared across
+threads; none is today, since each check builds its own workspace.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -43,13 +62,20 @@ from .algebra import Algebra
 from .errors import CapabilityError, InputError
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term,
-    Top, Var, instantiate_axiom, print_formula, subst_const,
+    Top, Var, instantiate_axiom, print_formula, subst_const, subformulas,
 )
 from .universe import Universe
 
 ASSIGNMENTS = ("ba", "pa")
 
 _REL_EQ, _REL_MEM = 0, 1
+_Z_LEFT, _Z_RIGHT, _Z_BOTH = 0, 1, 2  # where a row's swept variable stands
+
+
+def _decided(table: tuple[tuple[int, ...], ...]) -> list[Optional[int]]:
+    """For each left operand, the value its whole row of the table holds,
+    or None when the right operand matters."""
+    return [row[0] if len(set(row)) == 1 else None for row in table]
 
 
 class EvalContext:
@@ -72,6 +98,10 @@ class EvalContext:
         self._star = alg.star_t
         self._top = alg.top_i
         self._bottom = alg.bottom_i
+        self._connectives = {op: (table, _decided(table)) for op, table in
+                             ((And, alg.meet_t), (Or, alg.join_t), (Imp, alg.imp_t))}
+        self._rows: dict[tuple[int, int, int], list[int]] = {}
+        self._rows_lock = threading.Lock()
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -143,10 +173,15 @@ class EvalContext:
             case Mem() | Eq():
                 return self._atom(f, scope, slots)
             case And(left, right) | Or(left, right) | Imp(left, right):
-                table = {And: self._meet, Or: self._join, Imp: self._imp}[type(f)]
+                table, decided = self._connectives[type(f)]
                 a = self._compile(left, scope, slots)
                 b = self._compile(right, scope, slots)
-                return lambda: table[a()][b()]
+
+                def connective() -> int:
+                    x = a()
+                    y = decided[x]
+                    return table[x][b()] if y is None else y
+                return connective
             case Not(body):
                 star = self._star
                 if star is None:
@@ -169,6 +204,9 @@ class EvalContext:
                     table, unit, absorbing = self._meet, self._top, self._bottom
                 else:
                     table, unit, absorbing = self._join, self._bottom, self._top
+                if not any(isinstance(g, (Forall, Exists)) for g in subformulas(body)):
+                    return self._row_sweep(var, body, scope, slots, k, run,
+                                           table, unit, absorbing)
                 names = self.universe.names
 
                 def sweep() -> int:
@@ -181,6 +219,71 @@ class EvalContext:
                     return acc
                 return sweep
         raise InputError(f"cannot evaluate {f!r}")
+
+    def _row_sweep(self, var: str, body: Formula, scope: dict[str, int],
+                   slots: list[int], k: int, run: Callable[[], int],
+                   table: tuple[tuple[int, ...], ...], unit: int,
+                   absorbing: int) -> Callable[[], int]:
+        """A sweep over a quantifier-free body that reads the context's rows of
+        the atoms mentioning `var` and runs `run` once per distinct tuple of
+        their values (see the module docstring)."""
+        eq, mem = self.equality, self.membership
+        fills = {
+            (_REL_EQ, _Z_LEFT): lambda z, t: eq(z, t),
+            (_REL_MEM, _Z_LEFT): lambda z, t: mem(z, t),
+            (_REL_MEM, _Z_RIGHT): lambda z, t: mem(t, z),
+            (_REL_EQ, _Z_BOTH): lambda z, t: eq(z, z),
+            (_REL_MEM, _Z_BOTH): lambda z, t: mem(z, z),
+        }
+        specs: list[tuple[int, int, bool, int]] = []
+        for g in subformulas(body):
+            if not isinstance(g, (Eq, Mem)):
+                continue
+            zl, zr = (isinstance(t, Var) and t.name == var for t in (g.left, g.right))
+            if not (zl or zr):
+                continue
+            rel = _REL_EQ if isinstance(g, Eq) else _REL_MEM
+            if zl and zr:
+                spec = (rel, _Z_BOTH, False, -1)
+            else:
+                # equality is symmetric, so both of its orientations share a row
+                side = _Z_LEFT if zl or rel == _REL_EQ else _Z_RIGHT
+                spec = (rel, side, *self._slot(g.right if zl else g.left, scope))
+            if spec not in specs:
+                specs.append(spec)
+        fillers = [fills[rel, side] for rel, side, _, _ in specs]
+        rows_of, lock, names = self._rows, self._rows_lock, self.universe.names
+
+        def sweep() -> int:
+            others = [slots[j] if is_var else j for _, _, is_var, j in specs]
+            rows = [rows_of.setdefault((rel, side, t), [])
+                    for (rel, side, _, _), t in zip(specs, others)]
+            seen: dict[tuple[int, ...], int] = {}
+            acc, nid = unit, -1
+            for nid, key in enumerate(zip(*rows)):
+                v = seen.get(key)
+                if v is None:
+                    slots[k] = nid
+                    v = seen[key] = run()
+                acc = table[acc][v]
+                if acc == absorbing:
+                    return acc
+            # past the prefix every row holds: extend the rows one name at a time
+            for nid in range(nid + 1, len(names)):
+                with lock:
+                    for row, fill, t in zip(rows, fillers, others):
+                        while len(row) <= nid:
+                            row.append(fill(len(row), t))
+                key = tuple(row[nid] for row in rows)
+                v = seen.get(key)
+                if v is None:
+                    slots[k] = nid
+                    v = seen[key] = run()
+                acc = table[acc][v]
+                if acc == absorbing:
+                    break
+            return acc
+        return sweep
 
     def _slot(self, t: Term, scope: dict[str, int]) -> tuple[bool, int]:
         """(True, slot) for a variable, (False, name id) for a constant."""
@@ -199,6 +302,12 @@ class EvalContext:
         get = self._memo.get
         (lvar, i), (rvar, j) = self._slot(f.left, scope), self._slot(f.right, scope)
         if isinstance(f, Eq):
+            if self.assignment == "pa" and self._star is None:
+                # equality raises on every pair; say so here, where neither a
+                # skipped operand nor a row sweep can keep it from being called
+                raise CapabilityError(
+                    f"the pa assignment needs a star table; {self.algebra.name} has none"
+                )
             clause = self.equality
             if lvar and not rvar:
                 lvar, i, rvar, j = rvar, j, lvar, i  # the clause is symmetric

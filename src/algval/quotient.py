@@ -21,7 +21,7 @@ from .errors import InputError, InvariantError
 from .evaluate import EvalContext
 from .formulas import (
     And, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
-    free_vars, subst_const,
+    free_vars,
 )
 from .theorems import CheckResult, Workspace, _skip, _timed, profile
 from .universe import DEFAULT_BUDGET
@@ -137,12 +137,12 @@ def quotient_satisfies(qm: QuotientModel, f: Formula,
     fv = sorted(free_vars(f))
     if len(fv) != len(args):
         raise InputError(f"formula has free variables {fv}, got {len(args)} classes")
-    g = f
+    env = {}
     for var, cls in zip(fv, args):
         if not 0 <= cls < len(qm.classes):
             raise InputError(f"no class [{cls}]")
-        g = subst_const(g, var, qm.representatives[cls])
-    return qm.context.holds(g)
+        env[var] = qm.representatives[cls]
+    return qm.context.holds(f, env)
 
 
 @_timed

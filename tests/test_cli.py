@@ -134,6 +134,17 @@ class TestCheckCommand:
         assert r.exit_code == 2
         assert "--budget" in r.output
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, runner, jobs):
+        r = invoke(runner, "check", "drim", "-a", "ps3", "--jobs", jobs)
+        assert r.exit_code == 2
+        assert "--jobs" in r.output
+
+    def test_jobs_zero_from_env_exits_2(self, runner):
+        r = invoke(runner, "check", "drim", "-a", "ps3", env={"ALGVAL_JOBS": "0"})
+        assert r.exit_code == 2
+        assert "--jobs" in r.output
+
     def test_records_are_json_lines(self, runner):
         r = invoke(runner, "check", "drim", "-a", "ps3", "--format", "records")
         assert r.exit_code == 0

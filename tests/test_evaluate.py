@@ -136,6 +136,17 @@ class TestStarRequirements:
         with pytest.raises(CapabilityError, match="star"):
             ba.value(Not(Top()))
 
+    def test_pa_equality_needs_star_behind_a_decided_operand(self):
+        # bottom -> anything is top, so the equality is never reached; the
+        # capability error must not depend on that.
+        bare, d = self._starless()
+        uni = build_universe(bare, 2)
+        pa = EvalContext(uni, d, "pa")
+        for f in (Imp(Bot(), Eq(Const(1), Const(2))),
+                  Forall("z", Imp(Mem(Var("z"), Const(0)), Eq(Var("z"), Const(1))))):
+            with pytest.raises(CapabilityError, match="star"):
+                pa.value(f)
+
     def test_ba_works_without_star(self):
         bare, d = self._starless()
         uni = build_universe(bare, 2)
@@ -282,6 +293,38 @@ class TestConcurrency:
             for pair, val in got.items():
                 assert val == expected[pair]
 
+    def test_rows_filled_from_many_threads(self):
+        # Several threads extend the same cold atom rows at once; a row that
+        # lost or doubled an entry would give some name another's value.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        alg, d = builtin("ps3")
+        uni = build_universe(alg, 3)
+        sentences = [parse(t) for t in (
+            "exists y. forall z. (z in y -> ~(z = y))",
+            "forall y. exists z. (y in z /\\ z in #200)",
+            "forall y. exists z. (z = y /\\ ~(z in #17))",
+        )]
+        serial = EvalContext(uni, d, "pa")
+        want = [serial.value(f) for f in sentences]
+        shared = EvalContext(uni, d, "pa")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda i: [shared.value(f) for f in
+                                                  sentences[i % 3:] + sentences[:i % 3]], i)
+                           for i in range(6)]
+                outs = [fut.result(timeout=120) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, got in enumerate(outs):
+            assert got == want[i % 3:] + want[:i % 3]
+        assert [shared.value(f) for f in sentences] == want
+        for key, row in shared._rows.items():
+            assert row == serial._rows[key][:len(row)], key
+
     def test_quantifier_sweep_matches_under_threads(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -358,6 +401,90 @@ def test_value_matches_reference_evaluator(algname, assignment):
         env = {v: rng.randrange(len(uni.names)) for v in VARS}
         got = ctx.value(f, dict(env))
         assert got == reference_value(ctx, f, env), print_formula(f)
+
+
+# Quantifier-free bodies are swept over cached atom rows and connectives skip
+# a right operand their table row makes irrelevant; both must agree with the
+# reference evaluator on every binding.
+
+ROW_SWEEP_SENTENCES = [
+    "forall z. x in y",
+    "exists z. (x = y \\/ #1 in x)",
+    "exists z. z in x",
+    "forall z. (z in x -> z in y)",
+    "forall z. (x in z -> ~(y in z))",
+    "exists z. (z in x /\\ x in z)",
+    "forall z. (z in x <-> (z = y \\/ #2 = z))",
+    "exists z. (#3 in z /\\ z in #4 /\\ ~(z = x) /\\ (y in z \\/ z in #1))",
+    "forall z. (z in z -> z = z)",
+    "exists z. (~(z in z) /\\ z = #1 /\\ x = z)",
+    "exists z. (z in x -> false) /\\ forall z. (y in z \\/ ~(z in y))",
+]
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain4"])
+@pytest.mark.parametrize("assignment", ["ba", "pa"])
+def test_row_sweeps_match_reference_evaluator(algname, assignment):
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 2)
+    top = alg.top_i
+    uni.insert({1: top, 2: top})
+    uni.insert({0: top, 3: top})
+    ctx = EvalContext(uni, d, assignment)
+    for text in ROW_SWEEP_SENTENCES * 2:  # cold rows first, then warm ones
+        f = parse(text)
+        for x in uni.ids():
+            for y in uni.ids():
+                env = {"x": x, "y": y}
+                assert ctx.value(f, dict(env)) == reference_value(ctx, f, env), text
+
+
+@pytest.mark.parametrize("assignment", ["ba", "pa"])
+@pytest.mark.parametrize("text", ["exists z. #c in z", "forall z. ~(#c in z)"])
+def test_rows_extend_when_the_universe_grows(assignment, text):
+    alg, d = ps3()
+    uni = build_universe(alg, 2)
+    c = uni.insert({0: alg.top_i})  # already interned at rank 2
+    ctx = EvalContext(uni, d, assignment)
+    f = parse(text.replace("#c", f"#{c}"))
+    before = ctx.value(f)
+    assert before == reference_value(ctx, f, {})
+    uni.insert({c: alg.top_i})  # the first name with #c as a member
+    after = ctx.value(f)
+    assert after == reference_value(ctx, f, {})
+    assert after != before
+
+
+def _skewed_ps3():
+    """ps3 with a defective implication whose bottom row is not constant:
+    0 -> half is half, 0 -> b is 1 otherwise."""
+    alg, d = ps3()
+    es = alg.elements
+    table = lambda op: {(a, b): op(a, b) for a in es for b in es}  # noqa: E731
+    imp = {(a, b): ("half" if (a, b) == ("0", "half") else alg.imp(a, b))
+           for a in es for b in es}
+    star = {a: alg.star(a) for a in es}
+    skew = Algebra("skew3", es, table(alg.meet), table(alg.join), imp, "1", "0", star)
+    return skew, d
+
+
+@pytest.mark.parametrize("assignment", ["ba", "pa"])
+def test_undecided_right_operand_is_evaluated(assignment):
+    alg, d = _skewed_ps3()
+    uni = build_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    half_seen = False
+    for text in ("#0 in #0 -> x in y",
+                 "forall z. (z in #0 -> z in x)",
+                 "exists z. ((#0 in #0 -> x in z) /\\ z in y)"):
+        f = parse(text)
+        for x in uni.ids():
+            for y in uni.ids():
+                env = {"x": x, "y": y}
+                got = ctx.value(f, dict(env))
+                assert got == reference_value(ctx, f, env), text
+                half_seen |= got == alg.index["half"]
+    assert half_seen
 
 
 @pytest.fixture(scope="module")
