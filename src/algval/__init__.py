@@ -48,7 +48,7 @@ from .quotient import (
     export_relations,
     quotient_satisfies,
 )
-from .theorems import CHECKS, CheckResult, Workspace, replay, run_all, run_check
+from .theorems import CHECKS, CheckResult, Run, Workspace, replay, run_all, run_check
 from .universe import (
     Universe,
     build_universe,

@@ -23,11 +23,9 @@ from .algebra import (
 from .errors import AlgvalError, InputError
 from .evaluate import EvalContext
 from .formulas import parse
-from .proplogic import (
-    check_paraconsistent, check_ps3_agreement, is_tautology, parse_prop,
-)
+from .proplogic import is_tautology, parse_prop
 from .quotient import build_quotient, export_relations
-from .theorems import CHECKS, CheckResult, run_all
+from .theorems import CHECKS, CheckResult, Run, run_all, run_check
 from .universe import DEFAULT_BUDGET, build_universe, parse_name_literal
 
 
@@ -57,14 +55,17 @@ def algebra_options(fn):
 
 
 def run_options(fn):
-    fn = click.option("--seed", default=0, envvar="ALGVAL_SEED", show_default=True,
-                      help="seed for randomized sweeps")(fn)
     fn = click.option("--budget", default=DEFAULT_BUDGET, type=click.IntRange(min=0),
                       envvar="ALGVAL_BUDGET", show_default=True,
                       help="name enumeration budget")(fn)
-    fn = click.option("--rank", default=2, envvar="ALGVAL_RANK", show_default=True,
+    fn = click.option("--rank", default=2, type=click.IntRange(min=1),
+                      envvar="ALGVAL_RANK", show_default=True,
                       help="rank bound of the enumerated universe")(fn)
     return fn
+
+
+seed_option = click.option("--seed", default=0, envvar="ALGVAL_SEED", show_default=True,
+                           help="seed for randomized sweeps")
 
 
 def _fail_input(exc: Exception):
@@ -122,7 +123,7 @@ def universe_group():
 @universe_group.command("build")
 @algebra_options
 @run_options
-def universe_build(algebra_spec, designated_spec, rank, budget, seed):
+def universe_build(algebra_spec, designated_spec, rank, budget):
     """Enumerate the bounded universe and print the level sizes."""
     try:
         alg, _ = _resolve_algebra(algebra_spec, designated_spec)
@@ -146,7 +147,7 @@ def universe_build(algebra_spec, designated_spec, rank, budget, seed):
 @click.option("--name", "name_literals", multiple=True,
               help="intern an ad-hoc name, e.g. '{#0: half}' (repeatable)")
 @click.argument("formula_text")
-def eval_command(algebra_spec, designated_spec, rank, budget, seed, assignment,
+def eval_command(algebra_spec, designated_spec, rank, budget, assignment,
                  name_literals, formula_text):
     """Evaluate a sentence and print the resulting element."""
     try:
@@ -170,16 +171,14 @@ def eval_command(algebra_spec, designated_spec, rank, budget, seed, assignment,
 @cli.command("check")
 @algebra_options
 @run_options
+@seed_option
 @click.option("--format", "fmt", type=click.Choice(["text", "records"]),
               default="text", envvar="ALGVAL_FORMAT", show_default=True)
-@click.option("--jobs", default=1, type=click.IntRange(min=1), envvar="ALGVAL_JOBS",
-              show_default=True,
-              help="run checks on a thread pool of this size")
 @click.option("--list", "list_checks", is_flag=True,
               help="list the available check names and exit")
 @click.argument("selection", nargs=-1)
 def check_command(algebra_spec, designated_spec, rank, budget, seed, fmt,
-                  jobs, list_checks, selection):
+                  list_checks, selection):
     """Run named validation checks ('all' or explicit names)."""
     if list_checks:
         for name, (_, help_text) in CHECKS.items():
@@ -191,7 +190,7 @@ def check_command(algebra_spec, designated_spec, rank, budget, seed, fmt,
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
         results = run_all(alg, d, rank_bound=rank, seed=seed, budget=budget,
-                          names=names, jobs=jobs)
+                          names=names)
     except AlgvalError as exc:
         _fail_input(exc)
     _emit(results, fmt)
@@ -223,6 +222,7 @@ def quotient_group():
 @quotient_group.command("export")
 @algebra_options
 @run_options
+@seed_option
 @click.option("--out", "out_path", default=None,
               help="write to a file instead of standard output")
 def quotient_export(algebra_spec, designated_spec, rank, budget, seed, out_path):
@@ -279,7 +279,7 @@ def logic_para(algebra_spec, designated_spec, fmt):
     """Check that explosion fails for some valuation."""
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        result = check_paraconsistent(alg, d)
+        result = run_check("prop-paraconsistency", Run(alg, d))
     except AlgvalError as exc:
         _fail_input(exc)
     _emit([result], fmt)
@@ -290,14 +290,15 @@ def logic_para(algebra_spec, designated_spec, fmt):
 @algebra_options
 @click.option("--corpus-size", default=500, type=click.IntRange(min=1),
               show_default=True, envvar="ALGVAL_CORPUS_SIZE")
-@click.option("--seed", default=0, envvar="ALGVAL_SEED", show_default=True)
+@seed_option
 @click.option("--format", "fmt", type=click.Choice(["text", "records"]),
               default="text", envvar="ALGVAL_FORMAT", show_default=True)
 def logic_agree(algebra_spec, designated_spec, corpus_size, seed, fmt):
     """Compare validity against the three-valued core on a random corpus."""
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        result = check_ps3_agreement(alg, d, corpus_size=corpus_size, seed=seed)
+        result = run_check("prop-agreement",
+                           Run(alg, d, seed=seed, corpus_size=corpus_size))
     except AlgvalError as exc:
         _fail_input(exc)
     _emit([result], fmt)

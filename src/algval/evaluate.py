@@ -353,9 +353,6 @@ class EvalContext:
         """Validity: the value lands in the designated set."""
         return self.value(f, env) in self.designated_i
 
-    def is_designated(self, value_index: int) -> bool:
-        return value_index in self.designated_i
-
 
 # -- bounded quantification ------------------------------------------------------
 

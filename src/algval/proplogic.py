@@ -15,10 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .algebra import Algebra, ps3
+from .algebra import Algebra
 from .errors import CapabilityError, InputError, ResourceError
 from .formulas import And, Bot, Imp, Not, Or, Top, _is_variable, _Parser, subformulas
-from .theorems import CheckResult, _timed, profile
 
 MAX_VALUATIONS = 100_000
 
@@ -125,43 +124,6 @@ def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula,
 EXPLOSION = Imp(And(PVar("p"), Not(PVar("p"))), PVar("q"))
 
 
-@_timed
-def check_paraconsistent(alg: Algebra, designated: Iterable[str],
-                         rank_bound: int = 2, seed: int = 0,
-                         budget: int = 0) -> CheckResult:
-    """Search for a valuation that defeats explosion.
-
-    On a designated cobounded algebra with a second designated element the
-    witness valuation (that element for p, bottom for q) must defeat it; on
-    a classical two-valued setup no valuation can.
-    """
-    name = "prop-paraconsistency"
-    desc = "explosion (p /\\ ~p) -> q fails for some valuation"
-    prof = profile(alg, designated)
-    if alg.star_t is None:
-        return CheckResult(name, desc, "skipped",
-                           skip_reason="no star table for negation")
-    ok, falsifier = is_tautology(alg, designated, EXPLOSION)
-    details: dict = {"witness": falsifier}
-    expected_witness = prof["designated_cobounded"] and prof["big_designated"]
-    if expected_witness and ok:
-        ce = {"kind": "missing-witness",
-              "note": "no falsifying valuation found although one is guaranteed"}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-    if expected_witness:
-        d = frozenset(alg.resolve(x) for x in designated)
-        mid = sorted(d - {alg.top})[0]
-        guaranteed = {"p": mid, "q": alg.bottom}
-        val = eval_prop(alg, guaranteed, EXPLOSION)
-        if alg.resolve(val) in d:
-            ce = {"kind": "guaranteed-witness-broken", "valuation": guaranteed,
-                  "value": val}
-            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-        details["guaranteed_witness"] = guaranteed
-    details["explosion_valid"] = ok
-    return CheckResult(name, desc, "pass", details=details)
-
-
 def random_prop_corpus(count: int, seed: int, max_vars: int = 3,
                        max_depth: int = 4) -> list[PropFormula]:
     """Seeded corpus of random propositional formulas."""
@@ -181,49 +143,3 @@ def random_prop_corpus(count: int, seed: int, max_vars: int = 3,
         return ctor(gen(depth - 1), gen(depth - 1))
 
     return [gen(max_depth) for _ in range(count)]
-
-
-@_timed
-def check_ps3_agreement(alg: Algebra, designated: Iterable[str],
-                        corpus: Optional[list[PropFormula]] = None,
-                        corpus_size: int = 500, seed: int = 0,
-                        rank_bound: int = 2, budget: int = 0) -> CheckResult:
-    """Propositional validity agrees with the three-valued core.
-
-    Soundness side: every formula valid here is valid there, via the
-    collapse of valuations.  Completeness side: each falsifying valuation
-    of the core pulls back through the section top->top, half->(a fixed
-    intermediate), bottom->bottom and still falsifies here.
-    """
-    name = "prop-agreement"
-    desc = "validity agrees with the three-valued core on a random corpus"
-    prof = profile(alg, designated)
-    if not prof["ultra_designated_cobounded"]:
-        return CheckResult(name, desc, "skipped",
-                           skip_reason="needs an ultra-designated cobounded algebra")
-    if not prof["has_intermediate"]:
-        return CheckResult(name, desc, "skipped",
-                           skip_reason="needs more than two elements")
-    if corpus is None:
-        corpus = random_prop_corpus(corpus_size, seed)
-    core, core_d = ps3()
-    mid = alg.intermediates()[0]
-    section = {"1": alg.top, "half": mid, "0": alg.bottom}
-    agreements = 0
-    for f in corpus:
-        here, _ = is_tautology(alg, designated, f)
-        there, falsifier = is_tautology(core, core_d, f)
-        if here != there:
-            ce = {"kind": "validity-disagreement", "formula": print_prop(f),
-                  "alg": here, "core": there}
-            return CheckResult(name, desc, "fail", counterexample=ce)
-        if falsifier is not None:
-            pulled = {v: section[e] for v, e in falsifier.items()}
-            val = eval_prop(alg, pulled, f)
-            if alg.resolve(val) in frozenset(alg.resolve(x) for x in designated):
-                ce = {"kind": "pullback-not-falsifying", "formula": print_prop(f),
-                      "core_valuation": falsifier, "pulled": pulled, "value": val}
-                return CheckResult(name, desc, "fail", counterexample=ce)
-        agreements += 1
-    return CheckResult(name, desc, "pass",
-                       details={"corpus": len(corpus), "agreements": agreements})

@@ -14,17 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
-from .algebra import Algebra
 from .errors import InputError, InvariantError
 from .evaluate import EvalContext
-from .formulas import (
-    And, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
-    free_vars,
-)
-from .theorems import CheckResult, Workspace, _skip, _timed, profile
-from .universe import DEFAULT_BUDGET
+from .formulas import Formula, free_vars
 
 
 class _UnionFind:
@@ -143,152 +137,6 @@ def quotient_satisfies(qm: QuotientModel, f: Formula,
             raise InputError(f"no class [{cls}]")
         env[var] = qm.representatives[cls]
     return qm.context.holds(f, env)
-
-
-@_timed
-def check_connective_theorem(algebra: Algebra, designated: Iterable[str],
-                             rank_bound: int = 2, seed: int = 0,
-                             budget: int = DEFAULT_BUDGET,
-                             qm: Optional[QuotientModel] = None) -> CheckResult:
-    """Satisfaction in the quotient distributes over the connectives.
-
-    Implication is material, conjunction and disjunction are componentwise,
-    an unsatisfied formula has a satisfied negation (one direction only;
-    the converse has an explicit failure witness through the membership
-    overlap), and the quantifier clauses are class sweeps.
-    """
-    name = "quotient-connectives"
-    desc = f"satisfaction clauses over the class structure (rank {rank_bound})"
-    prof = profile(algebra, designated)
-    if not prof["ultra_designated_cobounded"]:
-        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
-    if qm is None:
-        ws = Workspace(algebra, designated, rank_bound, budget)
-        qm = build_quotient(ws.pa, seed=seed)
-    k = len(qm.classes)
-    x, y = Var("x"), Var("y")
-    atoms: list[tuple[str, Formula]] = [
-        ("x in y", Mem(x, y)),
-        ("x = y", Eq(x, y)),
-        ("~(x in y)", Not(Mem(x, y))),
-    ]
-    details: dict = {"classes": k}
-
-    def sat(f: Formula, args: Sequence[int]) -> bool:
-        return quotient_satisfies(qm, f, args)
-
-    checked = 0
-    for (la, fa), (lb, fb) in [(a, b) for a in atoms for b in atoms]:
-        for i in range(k):
-            for j in range(k):
-                args = [i, j]
-                va, vb = sat(fa, args), sat(fb, args)
-                checked += 1
-                if sat(Imp(fa, fb), args) != ((not va) or vb):
-                    return _fail(name, desc, "implication", la, lb, i, j)
-                if sat(And(fa, fb), args) != (va and vb):
-                    return _fail(name, desc, "conjunction", la, lb, i, j)
-                if sat(Or(fa, fb), args) != (va or vb):
-                    return _fail(name, desc, "disjunction", la, lb, i, j)
-                if not va and not sat(Not(fa), args):
-                    return _fail(name, desc, "negation-direction", la, lb, i, j)
-    details["connective_instances"] = checked
-
-    # Quantifier clauses: a quantified atom is satisfied iff the class
-    # sweep says so.
-    quantifier_checked = 0
-    for label, f in atoms:
-        for j in range(k):
-            all_forall = all(sat(f, [i, j]) for i in range(k))
-            some_exists = any(sat(f, [i, j]) for i in range(k))
-            if sat(Forall("x", f), [j]) != all_forall:
-                return _fail(name, desc, "universal", label, "-", j, j)
-            if sat(Exists("x", f), [j]) != some_exists:
-                return _fail(name, desc, "existential", label, "-", j, j)
-            quantifier_checked += 2
-    details["quantifier_instances"] = quantifier_checked
-
-    # Tautological sample: a universally satisfied body.
-    if not quotient_satisfies(qm, Forall("x", Eq(x, x)), []):
-        return _fail(name, desc, "reflexive-universal", "x = x", "-", 0, 0)
-
-    # The converse of the negation clause must fail somewhere: the member
-    # and non-member relations overlap when the designated set is rich.
-    overlap = sorted(qm.r_mem & qm.r_nmem)
-    if prof["big_designated"]:
-        if not overlap:
-            ce = {"kind": "missing-overlap",
-                  "note": "member and non-member relations never overlap"}
-            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-        i, j = overlap[0]
-        if not (sat(Mem(x, y), [i, j]) and sat(Not(Mem(x, y)), [i, j])):
-            ce = {"kind": "overlap-witness-broken", "pair": [i, j]}
-            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-        details["negation_converse_failure"] = {
-            "classes": [i, j],
-            "note": "membership and its negation both satisfied",
-        }
-    return CheckResult(name, desc, "pass", details=details)
-
-
-def _fail(name: str, desc: str, clause: str, la: str, lb: str,
-          i: int, j: int) -> CheckResult:
-    ce = {"kind": "connective-clause", "clause": clause,
-          "left": la, "right": lb, "classes": [i, j]}
-    return CheckResult(name, desc, "fail", counterexample=ce)
-
-
-@_timed
-def check_quotient(algebra: Algebra, designated: Iterable[str],
-                   rank_bound: int = 2, seed: int = 0,
-                   budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """Build the quotient and validate the relation laws.
-
-    Equal-classes is the identity relation and distinct-classes its exact
-    complement; member/non-member cover every class pair, and overlap
-    somewhere when the designated set has a non-top element.  The
-    connective clauses run on the same model.
-    """
-    name = "quotient"
-    desc = f"class relations of the quotient model (rank {rank_bound})"
-    prof = profile(algebra, designated)
-    if not prof["ultra_designated_cobounded"]:
-        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
-    qm = build_quotient(ws.pa, seed=seed)
-    k = len(qm.classes)
-    details: dict = {"classes": k,
-                     "class_sizes": [len(c) for c in qm.classes]}
-
-    identity = {(i, i) for i in range(k)}
-    if qm.r_eq != identity:
-        ce = {"kind": "relation-law", "law": "equality-is-identity",
-              "extra": sorted(map(list, qm.r_eq - identity)),
-              "missing": sorted(map(list, identity - qm.r_eq))}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-    all_pairs = {(i, j) for i in range(k) for j in range(k)}
-    if qm.r_neq != all_pairs - qm.r_eq:
-        ce = {"kind": "relation-law", "law": "distinct-is-complement",
-              "symmetric_difference":
-                  sorted(map(list, qm.r_neq ^ (all_pairs - qm.r_eq)))}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-    if qm.r_mem | qm.r_nmem != all_pairs:
-        ce = {"kind": "relation-law", "law": "membership-covers",
-              "missing": sorted(map(list, all_pairs - (qm.r_mem | qm.r_nmem)))}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-    overlap = sorted(qm.r_mem & qm.r_nmem)
-    details["membership_overlap"] = [list(p) for p in overlap]
-    if prof["big_designated"] and not overlap:
-        ce = {"kind": "relation-law", "law": "membership-overlap-expected"}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
-
-    sub = check_connective_theorem(algebra, designated, rank_bound, seed,
-                                   budget, qm=qm)
-    if sub.verdict == "fail":
-        return CheckResult(name, desc, "fail", counterexample=sub.counterexample,
-                           details={**details, "connectives": sub.details})
-    details["connectives"] = sub.details
-    return CheckResult(name, desc, "pass", details=details)
 
 
 def export_relations(qm: QuotientModel) -> str:

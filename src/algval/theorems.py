@@ -1,11 +1,17 @@
 """Named, reproducible validation runs over a configured algebra.
 
-Every check builds its own fresh bounded universe, runs a sweep, and emits
-one CheckResult.  A failing result carries a replayable counterexample: the
-assignment, the formula (or atomic pair), and the ad-hoc names inserted up
-to the point of failure, in insertion order, so that `replay` can rebuild
-the exact evaluation from scratch.  Quantified verdicts are approximations
-bounded at the configured rank and say so in their description.
+Every registered check is `fn(run: Run) -> CheckResult`.  A `Run` carries
+the algebra, its resolved designated set and the sweep bounds; the theorems
+hold for classes of algebras, so a check first gates on the run's
+structure profile (computed once per run, on first use) and then builds
+its own fresh bounded universe and sweeps it.  `run_check` is the one
+place that times a check and turns a resource overrun into a skip.
+
+A failing result carries a replayable counterexample: the assignment, the
+formula (or atomic pair), and the ad-hoc names inserted up to the point of
+failure, in insertion order, so that `replay` can rebuild the exact
+evaluation from scratch.  Quantified verdicts are approximations bounded at
+the configured rank and say so in their description.
 """
 
 from __future__ import annotations
@@ -14,14 +20,14 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import (
     Algebra, check_cobounded, check_drim, check_filter, check_lattice,
     collapse_f, ps3,
 )
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceError
 from .evaluate import (
     EvalContext, battery, check_bq, nff_battery, two_var_battery,
 )
@@ -30,7 +36,15 @@ from .formulas import (
     children, iff, instantiate_axiom, is_negation_free, map_terms, parse,
     print_formula, subst_const,
 )
+from .proplogic import (
+    EXPLOSION, eval_prop, is_tautology, print_prop, random_prop_corpus,
+)
+from .quotient import QuotientModel, build_quotient, quotient_satisfies
 from .universe import DEFAULT_BUDGET, Universe, build_universe
+
+# zfbar's power-set witness enumerates |A|^|dom x| subsets, so only names
+# with at most this many entries get one.
+POWERSET_DOMAIN_CAP = 3
 
 
 @dataclass
@@ -144,6 +158,41 @@ class Workspace:
         return out
 
 
+@dataclass(frozen=True)
+class Run:
+    """The configuration one check runs under.
+
+    `designated` is resolved to element ids once.  `profile` is computed
+    on first use and kept in `_profile`, which `dataclasses.replace`
+    carries over, so the per-check runs that `run_all` derives (each with
+    its own seed) all gate on one computation.  Only `logic agree` sets
+    `corpus_size`.
+    """
+
+    algebra: Algebra
+    designated: frozenset[str]
+    rank_bound: int = 2
+    seed: int = 0
+    budget: int = DEFAULT_BUDGET
+    corpus_size: int = 500
+    _profile: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "designated",
+                           frozenset(self.algebra.resolve(d) for d in self.designated))
+
+    @property
+    def profile(self) -> dict[str, bool]:
+        if not self._profile:
+            self._profile.update(profile(self.algebra, self.designated))
+        return self._profile
+
+    def workspace(self, rank_bound: Optional[int] = None) -> Workspace:
+        """A fresh workspace at the run's rank bound, or at `rank_bound`."""
+        rank = self.rank_bound if rank_bound is None else rank_bound
+        return Workspace(self.algebra, self.designated, rank, self.budget)
+
+
 def replay(algebra: Algebra, designated: Iterable[str], rank_bound: int,
            counterexample: dict, budget: int = DEFAULT_BUDGET) -> str:
     """Re-evaluate a recorded counterexample from scratch.
@@ -218,17 +267,6 @@ def _first_intermediate(algebra: Algebra) -> Optional[str]:
     return mids[0] if mids else None
 
 
-def _timed(fn: Callable[..., CheckResult]) -> Callable[..., CheckResult]:
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        out.wall_time = time.perf_counter() - t0
-        return out
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 def _skip(name: str, description: str, reason: str) -> CheckResult:
     return CheckResult(name, description, "skipped", skip_reason=reason)
 
@@ -236,14 +274,11 @@ def _skip(name: str, description: str, reason: str) -> CheckResult:
 # -- algebra-level checks ------------------------------------------------------------
 
 
-@_timed
-def check_algebra_laws(algebra: Algebra, designated: Iterable[str],
-                       rank_bound: int = 2, seed: int = 0,
-                       budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_algebra_laws(run: Run) -> CheckResult:
     """Lattice laws, boundedness, distributivity and the filter verdicts."""
     desc = "lattice, boundedness, distributivity and designated-set shape"
-    rep = check_lattice(algebra)
-    filt = check_filter(algebra, designated)
+    rep = check_lattice(run.algebra)
+    filt = check_filter(run.algebra, run.designated)
     details = {**rep.verdicts, **filt.verdicts}
     bad = [k for k in ("lattice", "bounded", "distributive") if not rep.ok(k)]
     if not filt.ok("filter"):
@@ -257,13 +292,10 @@ def check_algebra_laws(algebra: Algebra, designated: Iterable[str],
     return CheckResult("algebra-laws", desc, "pass", details=details)
 
 
-@_timed
-def check_implication_laws(algebra: Algebra, designated: Iterable[str],
-                           rank_bound: int = 2, seed: int = 0,
-                           budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_implication_laws(run: Run) -> CheckResult:
     """The four implication laws, exhaustively over element triples."""
     desc = "implication laws P1-P4 over all element triples"
-    rep = check_drim(algebra)
+    rep = check_drim(run.algebra)
     if rep.ok("drim"):
         return CheckResult("drim", desc, "pass")
     ce = {"kind": "law", "laws": ["drim"],
@@ -271,13 +303,10 @@ def check_implication_laws(algebra: Algebra, designated: Iterable[str],
     return CheckResult("drim", desc, "fail", counterexample=ce)
 
 
-@_timed
-def check_cobounded_routes(algebra: Algebra, designated: Iterable[str],
-                           rank_bound: int = 2, seed: int = 0,
-                           budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_cobounded_routes(run: Run) -> CheckResult:
     """Cobounded verdict with agreement between its two detection routes."""
     desc = "cobounded verdict; subset search and closed form must agree"
-    rep = check_cobounded(algebra)
+    rep = check_cobounded(run.algebra)
     details = {"cobounded": rep.ok("cobounded"), **rep.info}
     subset = rep.info.get("cobounded-subset-search")
     closed = rep.info.get("cobounded-closed-form")
@@ -292,16 +321,13 @@ def check_cobounded_routes(algebra: Algebra, designated: Iterable[str],
 # -- valuation checks -----------------------------------------------------------------
 
 
-@_timed
-def check_two_valued(algebra: Algebra, designated: Iterable[str],
-                     rank_bound: int = 3, seed: int = 0,
-                     budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_two_valued(run: Run) -> CheckResult:
     """Equality under pa takes only the top or bottom value, on all pairs."""
-    prof = profile(algebra, designated)
-    desc = f"pa equality is two-valued on every pair (bounded at rank {rank_bound})"
-    if not prof["designated_cobounded"]:
+    algebra = run.algebra
+    desc = f"pa equality is two-valued on every pair (bounded at rank {run.rank_bound})"
+    if not run.profile["designated_cobounded"]:
         return _skip("two-valued", desc, "needs a designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     ctx = ws.pa
     ok_values = (algebra.top_i, algebra.bottom_i)
     n = len(ws.universe)
@@ -355,18 +381,14 @@ def _characteristic_equality(uni: Universe, designated_i: frozenset[int],
     return out
 
 
-@_timed
-def check_equality_characterization(algebra: Algebra, designated: Iterable[str],
-                                    rank_bound: int = 2, seed: int = 0,
-                                    budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_equality_characterization(run: Run) -> CheckResult:
     """Recursive pa equality agrees with the entry-matching criterion."""
-    prof = profile(algebra, designated)
     desc = (f"pa equality validity equals the entry-matching criterion "
-            f"(bounded at rank {rank_bound})")
-    if not prof["ultra_designated_cobounded"]:
+            f"(bounded at rank {run.rank_bound})")
+    if not run.profile["ultra_designated_cobounded"]:
         return _skip("equality-characterization", desc,
                      "needs an ultra-designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     ctx = ws.pa
     memo: dict = {}
     d_i = ctx.designated_i
@@ -376,7 +398,7 @@ def check_equality_characterization(algebra: Algebra, designated: Iterable[str],
         for v in range(u, n):
             recursive = ctx.equality(u, v) in d_i
             combinatorial = _characteristic_equality(
-                ws.universe, d_i, algebra.top_i, memo, u, v)
+                ws.universe, d_i, run.algebra.top_i, memo, u, v)
             checked += 1
             if recursive != combinatorial:
                 ce = ws.atomic_counterexample(
@@ -388,10 +410,7 @@ def check_equality_characterization(algebra: Algebra, designated: Iterable[str],
                        details={"pairs": checked})
 
 
-@_timed
-def check_extensionality_contrast(algebra: Algebra, designated: Iterable[str],
-                                  rank_bound: int = 2, seed: int = 0,
-                                  budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_extensionality_contrast(run: Run) -> CheckResult:
     """The singleton-weight witness separates the two equality readings.
 
     With w the empty name, a strictly intermediate and u = {w: a},
@@ -401,8 +420,8 @@ def check_extensionality_contrast(algebra: Algebra, designated: Iterable[str],
     memberships rejects the pair, and the strengthened axiom itself holds
     on the bounded universe.
     """
-    prof = profile(algebra, designated)
-    desc = f"extensionality contrast witness (bounded at rank {rank_bound})"
+    algebra, prof = run.algebra, run.profile
+    desc = f"extensionality contrast witness (bounded at rank {run.rank_bound})"
     if not prof["designated_cobounded"]:
         return _skip("extensionality-contrast", desc,
                      "needs a designated cobounded algebra")
@@ -410,7 +429,7 @@ def check_extensionality_contrast(algebra: Algebra, designated: Iterable[str],
         return _skip("extensionality-contrast", desc,
                      "needs at least three elements")
     mid = _first_intermediate(algebra)
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     u = ws.insert({0: algebra.index[mid]})
     v = ws.insert({0: algebra.top_i})
     pa, ba = ws.pa, ws.ba
@@ -471,11 +490,7 @@ def _axiom_failure(ws: Workspace, name: str, desc: str, assignment: str,
                        details={"axiom": axiom})
 
 
-@_timed
-def check_zfbar_witnesses(algebra: Algebra, designated: Iterable[str],
-                          rank_bound: int = 2, seed: int = 0,
-                          budget: int = DEFAULT_BUDGET,
-                          powerset_domain_cap: int = 3) -> CheckResult:
+def check_zfbar_witnesses(run: Run) -> CheckResult:
     """Witness constructions for every axiom, validated instance by instance.
 
     Each instance builds the explicit witness name (pair set, union set,
@@ -485,13 +500,13 @@ def check_zfbar_witnesses(algebra: Algebra, designated: Iterable[str],
     fail whenever an intermediate element exists.
     """
     name = "zfbar-witnesses"
-    prof = profile(algebra, designated)
+    rank_bound = run.rank_bound
     desc = f"axiom witnesses valid under pa (bounded at rank {rank_bound})"
-    if not prof["ultra_designated_cobounded"]:
+    if not run.profile["ultra_designated_cobounded"]:
         return _skip(name, desc, "needs an ultra-designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     pa = ws.pa
-    alg = algebra
+    alg = run.algebra
     top = alg.top_i
     details: dict = {}
     # Quantified instances cost at least a universe sweep each, and several
@@ -547,7 +562,7 @@ def check_zfbar_witnesses(algebra: Algebra, designated: Iterable[str],
     count = skipped = 0
     for x in base:
         dom_x = [c for c, _ in ws.universe.entries_of(x)]
-        if len(dom_x) > powerset_domain_cap:
+        if len(dom_x) > POWERSET_DOMAIN_CAP:
             skipped += 1
             continue
         y_entries: dict[int, int] = {}
@@ -721,28 +736,25 @@ def bar_formula(f: Formula, name_map: dict[int, int]) -> Formula:
     return map_terms(f, lambda t: Const(name_map[t.name_id]) if isinstance(t, Const) else t)
 
 
-@_timed
-def check_nff_transfer(algebra: Algebra, designated: Iterable[str],
-                       rank_bound: int = 2, seed: int = 0,
-                       budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_nff_transfer(run: Run) -> CheckResult:
     """Collapsing a negation-free value commutes with moving the sentence
     into the three-valued model at the same rank bound."""
-    prof = profile(algebra, designated)
+    algebra, prof = run.algebra, run.profile
     desc = (f"collapse of negation-free values matches the collapsed model "
-            f"(bounded at rank {rank_bound})")
+            f"(bounded at rank {run.rank_bound})")
     if not prof["cobounded"]:
         return _skip("nff-transfer", desc, "needs a cobounded algebra")
     if not prof["has_intermediate"]:
         return _skip("nff-transfer", desc,
                      "needs at least three elements (collapse must be onto)")
-    src_ws = Workspace(algebra, designated, rank_bound, budget)
+    src_ws = run.workspace()
     ps3_alg, ps3_d = ps3()
-    dst_ws = Workspace(ps3_alg, ps3_d, rank_bound, budget)
+    dst_ws = Workspace(ps3_alg, ps3_d, run.rank_bound, run.budget)
     vmap = bar_values(algebra, ps3_alg)
     memo: dict[int, int] = {}
     name_map = {nid: bar_name(src_ws.universe, dst_ws.universe, vmap, nid, memo)
                 for nid in range(src_ws.enumerated)}
-    rng = random.Random(seed)
+    rng = random.Random(run.seed)
     src_ctx = src_ws.ba
     dst_ctx = dst_ws.ba
     big = src_ws.enumerated > 64
@@ -775,10 +787,7 @@ def check_nff_transfer(algebra: Algebra, designated: Iterable[str],
 # -- paraconsistency ------------------------------------------------------------------
 
 
-@_timed
-def check_paraconsistency(algebra: Algebra, designated: Iterable[str],
-                          rank_bound: int = 2, seed: int = 0,
-                          budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_paraconsistency(run: Run) -> CheckResult:
     """A sentence and its negation both valid, without explosion.
 
     The witness sentence says some name both belongs and does not belong
@@ -786,14 +795,14 @@ def check_paraconsistency(algebra: Algebra, designated: Iterable[str],
     coatom, and the explosion implication must evaluate to bottom, under
     both assignments.
     """
-    prof = profile(algebra, designated)
-    desc = f"joint validity of a sentence and its negation (bounded at rank {rank_bound})"
+    algebra, prof = run.algebra, run.profile
+    desc = f"joint validity of a sentence and its negation (bounded at rank {run.rank_bound})"
     if not prof["designated_cobounded"]:
         return _skip("paraconsistency", desc, "needs a designated cobounded algebra")
     if not prof["big_designated"]:
         return _skip("paraconsistency", desc,
                      "needs at least two designated elements")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     phi = Exists("x", Exists("y", And(Mem(Var("x"), Var("y")),
                                       Not(Mem(Var("x"), Var("y"))))))
     psi = Not(Forall("x", Eq(Var("x"), Var("x"))))
@@ -826,17 +835,14 @@ def check_paraconsistency(algebra: Algebra, designated: Iterable[str],
 # -- equivalence-style properties ------------------------------------------------------
 
 
-@_timed
-def check_properties(algebra: Algebra, designated: Iterable[str],
-                     rank_bound: int = 2, seed: int = 0,
-                     budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_properties(run: Run) -> CheckResult:
     """Reflexivity, designated-entry membership, transitivity and the two
     substitution laws, exhaustively over the bounded universe."""
-    prof = profile(algebra, designated)
-    desc = f"equality behaves like an equivalence compatible with membership (rank {rank_bound})"
-    if not prof["ultra_designated_cobounded"]:
+    desc = ("equality behaves like an equivalence compatible with membership "
+            f"(rank {run.rank_bound})")
+    if not run.profile["ultra_designated_cobounded"]:
         return _skip("properties", desc, "needs an ultra-designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     ctx = ws.pa
     d = ctx.designated_i
     n = len(ws.universe)
@@ -853,7 +859,7 @@ def check_properties(algebra: Algebra, designated: Iterable[str],
                                               ctx.atomic("in", x, u),
                                               "designated entry not a member")
                 return CheckResult("properties", desc, "fail", counterexample=ce)
-    meet = algebra.meet_t
+    meet = run.algebra.meet_t
     for u in range(n):
         for v in range(n):
             eq_uv = ctx.equality(u, v)
@@ -878,10 +884,7 @@ def check_properties(algebra: Algebra, designated: Iterable[str],
     return CheckResult("properties", desc, "pass", details={"names": n})
 
 
-@_timed
-def check_leibniz(algebra: Algebra, designated: Iterable[str],
-                  rank_bound: int = 2, seed: int = 0,
-                  budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_leibniz(run: Run) -> CheckResult:
     """Indiscernibility of pa-equal names, plus the ba-side contrast.
 
     For every pa-equal pair and battery formula, validity transfers from
@@ -889,11 +892,11 @@ def check_leibniz(algebra: Algebra, designated: Iterable[str],
     bottom) is preserved.  Under ba, at least one negated battery formula
     must break indiscernibility whenever an intermediate element exists.
     """
-    prof = profile(algebra, designated)
-    desc = f"indiscernibility under pa with a ba violation witness (rank {rank_bound})"
+    algebra, prof = run.algebra, run.profile
+    desc = f"indiscernibility under pa with a ba violation witness (rank {run.rank_bound})"
     if not prof["ultra_designated_cobounded"]:
         return _skip("leibniz", desc, "needs an ultra-designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     pa = ws.pa
     d = pa.designated_i
     n = len(ws.universe)
@@ -964,18 +967,14 @@ def check_leibniz(algebra: Algebra, designated: Iterable[str],
     return CheckResult("leibniz", desc, "pass", details=details)
 
 
-@_timed
-def check_bounded_quantification(algebra: Algebra, designated: Iterable[str],
-                                 rank_bound: int = 2, seed: int = 0,
-                                 budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_bounded_quantification(run: Run) -> CheckResult:
     """The domain-indexed form of a bounded universal matches the quantifier."""
-    prof = profile(algebra, designated)
     desc = (f"bounded universals equal their domain-indexed meets "
-            f"(pa, bounded at rank {rank_bound})")
-    if not prof["ultra_designated_cobounded"]:
+            f"(pa, bounded at rank {run.rank_bound})")
+    if not run.profile["ultra_designated_cobounded"]:
         return _skip("bounded-quantification", desc,
                      "needs an ultra-designated cobounded algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
+    ws = run.workspace()
     ctx = ws.pa
     big = ws.enumerated > 64
     names = _sweep_base(ws) if big else list(range(ws.enumerated))
@@ -1118,10 +1117,7 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1,
     return out
 
 
-@_timed
-def check_boolean_coincidence(algebra: Algebra, designated: Iterable[str],
-                              rank_bound: int = 3, seed: int = 0,
-                              budget: int = DEFAULT_BUDGET) -> CheckResult:
+def check_boolean_coincidence(run: Run) -> CheckResult:
     """On boolean algebras the two assignments agree everywhere.
 
     Atomic values are compared on every pair of the bounded universe, by
@@ -1129,16 +1125,16 @@ def check_boolean_coincidence(algebra: Algebra, designated: Iterable[str],
     battery is compared at rank 2 at most, in the same workspace when the
     bound allows (sweeps at the full bound would be quadratic).
     """
-    prof = profile(algebra, designated)
-    desc = f"ba and pa coincide on atoms and battery sentences (rank {rank_bound})"
-    if not prof["boolean"]:
+    algebra = run.algebra
+    desc = f"ba and pa coincide on atoms and battery sentences (rank {run.rank_bound})"
+    if not run.profile["boolean"]:
         return _skip("boolean-coincidence", desc, "needs a boolean algebra")
-    ws = Workspace(algebra, designated, rank_bound, budget)
-    rng = random.Random(seed)
+    ws = run.workspace()
+    rng = random.Random(run.seed)
     bad = coincidence_mismatches(ws, limit=1, rng=rng)
     if bad:
         return CheckResult("boolean-coincidence", desc, "fail", counterexample=bad[0])
-    ws2 = ws if rank_bound <= 2 else Workspace(algebra, designated, 2, budget)
+    ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
     checked = 0
     for u in range(len(ws2.universe)):
         for label, phi in battery(ws2.universe):
@@ -1158,31 +1154,215 @@ def check_boolean_coincidence(algebra: Algebra, designated: Iterable[str],
                                 "battery_sentences": checked})
 
 
+# -- quotient model --------------------------------------------------------------------
+
+
+def check_quotient(run: Run) -> CheckResult:
+    """Build the quotient and validate the relation laws.
+
+    Equal-classes is the identity relation and distinct-classes its exact
+    complement; member/non-member cover every class pair, and overlap
+    somewhere when the designated set has a non-top element.  The
+    connective clauses run on the same model.
+    """
+    name = "quotient"
+    desc = f"class relations of the quotient model (rank {run.rank_bound})"
+    if not run.profile["ultra_designated_cobounded"]:
+        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
+    qm = build_quotient(run.workspace().pa, seed=run.seed)
+    k = len(qm.classes)
+    details: dict = {"classes": k,
+                     "class_sizes": [len(c) for c in qm.classes]}
+
+    identity = {(i, i) for i in range(k)}
+    if qm.r_eq != identity:
+        ce = {"kind": "relation-law", "law": "equality-is-identity",
+              "extra": sorted(map(list, qm.r_eq - identity)),
+              "missing": sorted(map(list, identity - qm.r_eq))}
+        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+    all_pairs = {(i, j) for i in range(k) for j in range(k)}
+    if qm.r_neq != all_pairs - qm.r_eq:
+        ce = {"kind": "relation-law", "law": "distinct-is-complement",
+              "symmetric_difference":
+                  sorted(map(list, qm.r_neq ^ (all_pairs - qm.r_eq)))}
+        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+    if qm.r_mem | qm.r_nmem != all_pairs:
+        ce = {"kind": "relation-law", "law": "membership-covers",
+              "missing": sorted(map(list, all_pairs - (qm.r_mem | qm.r_nmem)))}
+        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+    overlap = sorted(qm.r_mem & qm.r_nmem)
+    details["membership_overlap"] = [list(p) for p in overlap]
+    if run.profile["big_designated"] and not overlap:
+        ce = {"kind": "relation-law", "law": "membership-overlap-expected"}
+        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+
+    sub = check_connective_theorem(run, qm)
+    if sub.verdict == "fail":
+        return CheckResult(name, desc, "fail", counterexample=sub.counterexample,
+                           details={**details, "connectives": sub.details})
+    details["connectives"] = sub.details
+    return CheckResult(name, desc, "pass", details=details)
+
+
+def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
+    """Satisfaction in the quotient `qm` distributes over the connectives.
+
+    Implication is material, conjunction and disjunction are componentwise,
+    an unsatisfied formula has a satisfied negation (one direction only;
+    the converse has an explicit failure witness through the membership
+    overlap), and the quantifier clauses are class sweeps.
+    """
+    name = "quotient-connectives"
+    desc = f"satisfaction clauses over the class structure (rank {run.rank_bound})"
+    k = len(qm.classes)
+    x, y = Var("x"), Var("y")
+    atoms: list[tuple[str, Formula]] = [
+        ("x in y", Mem(x, y)),
+        ("x = y", Eq(x, y)),
+        ("~(x in y)", Not(Mem(x, y))),
+    ]
+    details: dict = {"classes": k}
+
+    def sat(f: Formula, args: Sequence[int]) -> bool:
+        return quotient_satisfies(qm, f, args)
+
+    def fail(clause: str, la: str, lb: str, i: int, j: int) -> CheckResult:
+        ce = {"kind": "connective-clause", "clause": clause,
+              "left": la, "right": lb, "classes": [i, j]}
+        return CheckResult(name, desc, "fail", counterexample=ce)
+
+    checked = 0
+    for (la, fa), (lb, fb) in [(a, b) for a in atoms for b in atoms]:
+        for i in range(k):
+            for j in range(k):
+                args = [i, j]
+                va, vb = sat(fa, args), sat(fb, args)
+                checked += 1
+                if sat(Imp(fa, fb), args) != ((not va) or vb):
+                    return fail("implication", la, lb, i, j)
+                if sat(And(fa, fb), args) != (va and vb):
+                    return fail("conjunction", la, lb, i, j)
+                if sat(Or(fa, fb), args) != (va or vb):
+                    return fail("disjunction", la, lb, i, j)
+                if not va and not sat(Not(fa), args):
+                    return fail("negation-direction", la, lb, i, j)
+    details["connective_instances"] = checked
+
+    # Quantifier clauses: a quantified atom is satisfied iff the class
+    # sweep says so.
+    quantifier_checked = 0
+    for label, f in atoms:
+        for j in range(k):
+            all_forall = all(sat(f, [i, j]) for i in range(k))
+            some_exists = any(sat(f, [i, j]) for i in range(k))
+            if sat(Forall("x", f), [j]) != all_forall:
+                return fail("universal", label, "-", j, j)
+            if sat(Exists("x", f), [j]) != some_exists:
+                return fail("existential", label, "-", j, j)
+            quantifier_checked += 2
+    details["quantifier_instances"] = quantifier_checked
+
+    # Tautological sample: a universally satisfied body.
+    if not quotient_satisfies(qm, Forall("x", Eq(x, x)), []):
+        return fail("reflexive-universal", "x = x", "-", 0, 0)
+
+    # The converse of the negation clause must fail somewhere: the member
+    # and non-member relations overlap when the designated set is rich.
+    overlap = sorted(qm.r_mem & qm.r_nmem)
+    if run.profile["big_designated"]:
+        if not overlap:
+            ce = {"kind": "missing-overlap",
+                  "note": "member and non-member relations never overlap"}
+            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        i, j = overlap[0]
+        if not (sat(Mem(x, y), [i, j]) and sat(Not(Mem(x, y)), [i, j])):
+            ce = {"kind": "overlap-witness-broken", "pair": [i, j]}
+            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        details["negation_converse_failure"] = {
+            "classes": [i, j],
+            "note": "membership and its negation both satisfied",
+        }
+    return CheckResult(name, desc, "pass", details=details)
+
+
+# -- propositional logic ---------------------------------------------------------------
+
+
+def check_paraconsistent(run: Run) -> CheckResult:
+    """Search for a valuation that defeats explosion.
+
+    On a designated cobounded algebra with a second designated element the
+    witness valuation (that element for p, bottom for q) must defeat it; on
+    a classical two-valued setup no valuation can.
+    """
+    name = "prop-paraconsistency"
+    desc = "explosion (p /\\ ~p) -> q fails for some valuation"
+    alg, d = run.algebra, run.designated
+    if alg.star_t is None:
+        return _skip(name, desc, "no star table for negation")
+    ok, falsifier = is_tautology(alg, d, EXPLOSION)
+    details: dict = {"witness": falsifier}
+    expected_witness = run.profile["designated_cobounded"] and run.profile["big_designated"]
+    if expected_witness and ok:
+        ce = {"kind": "missing-witness",
+              "note": "no falsifying valuation found although one is guaranteed"}
+        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+    if expected_witness:
+        mid = sorted(d - {alg.top})[0]
+        guaranteed = {"p": mid, "q": alg.bottom}
+        val = eval_prop(alg, guaranteed, EXPLOSION)
+        if alg.resolve(val) in d:
+            ce = {"kind": "guaranteed-witness-broken", "valuation": guaranteed,
+                  "value": val}
+            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        details["guaranteed_witness"] = guaranteed
+    details["explosion_valid"] = ok
+    return CheckResult(name, desc, "pass", details=details)
+
+
+def check_ps3_agreement(run: Run) -> CheckResult:
+    """Propositional validity agrees with the three-valued core.
+
+    Soundness side: every formula valid here is valid there, via the
+    collapse of valuations.  Completeness side: each falsifying valuation
+    of the core pulls back through the section top->top, half->(a fixed
+    intermediate), bottom->bottom and still falsifies here.  The corpus
+    holds `run.corpus_size` random formulas drawn from `run.seed`.
+    """
+    name = "prop-agreement"
+    desc = "validity agrees with the three-valued core on a random corpus"
+    if not run.profile["ultra_designated_cobounded"]:
+        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
+    if not run.profile["has_intermediate"]:
+        return _skip(name, desc, "needs more than two elements")
+    alg, d = run.algebra, run.designated
+    corpus = random_prop_corpus(run.corpus_size, run.seed)
+    core, core_d = ps3()
+    section = {"1": alg.top, "half": alg.intermediates()[0], "0": alg.bottom}
+    agreements = 0
+    for f in corpus:
+        here, _ = is_tautology(alg, d, f)
+        there, falsifier = is_tautology(core, core_d, f)
+        if here != there:
+            ce = {"kind": "validity-disagreement", "formula": print_prop(f),
+                  "alg": here, "core": there}
+            return CheckResult(name, desc, "fail", counterexample=ce)
+        if falsifier is not None:
+            pulled = {v: section[e] for v, e in falsifier.items()}
+            val = eval_prop(alg, pulled, f)
+            if alg.resolve(val) in d:
+                ce = {"kind": "pullback-not-falsifying", "formula": print_prop(f),
+                      "core_valuation": falsifier, "pulled": pulled, "value": val}
+                return CheckResult(name, desc, "fail", counterexample=ce)
+        agreements += 1
+    return CheckResult(name, desc, "pass",
+                       details={"corpus": len(corpus), "agreements": agreements})
+
+
 # -- registry --------------------------------------------------------------------------
 
 
-def _quotient_check(algebra, designated, rank_bound=2, seed=0,
-                    budget=DEFAULT_BUDGET) -> CheckResult:
-    from .quotient import check_quotient
-
-    return check_quotient(algebra, designated, rank_bound, seed, budget)
-
-
-def _prop_paraconsistency_check(algebra, designated, rank_bound=2, seed=0,
-                                budget=DEFAULT_BUDGET) -> CheckResult:
-    from .proplogic import check_paraconsistent
-
-    return check_paraconsistent(algebra, designated)
-
-
-def _prop_agreement_check(algebra, designated, rank_bound=2, seed=0,
-                          budget=DEFAULT_BUDGET) -> CheckResult:
-    from .proplogic import check_ps3_agreement
-
-    return check_ps3_agreement(algebra, designated, seed=seed)
-
-
-CHECKS: dict[str, tuple[Callable[..., CheckResult], str]] = {
+CHECKS: dict[str, tuple[Callable[[Run], CheckResult], str]] = {
     "algebra-laws": (check_algebra_laws,
                      "lattice, boundedness, distributivity, filter shape"),
     "drim": (check_implication_laws,
@@ -1209,30 +1389,29 @@ CHECKS: dict[str, tuple[Callable[..., CheckResult], str]] = {
                                "bounded universals equal domain-indexed meets"),
     "boolean-coincidence": (check_boolean_coincidence,
                             "ba and pa coincide on boolean algebras"),
-    "quotient": (_quotient_check,
+    "quotient": (check_quotient,
                  "quotient model relations and connective clauses"),
-    "prop-paraconsistency": (_prop_paraconsistency_check,
+    "prop-paraconsistency": (check_paraconsistent,
                              "propositional explosion fails on the algebra"),
-    "prop-agreement": (_prop_agreement_check,
+    "prop-agreement": (check_ps3_agreement,
                        "propositional validity agrees with the three-valued core"),
 }
 
 
-def run_check(name: str, algebra: Algebra, designated: Iterable[str],
-              rank_bound: int = 2, seed: int = 0,
-              budget: int = DEFAULT_BUDGET) -> CheckResult:
-    """Run one named check; an enumeration over budget degrades to a skip."""
+def run_check(name: str, run: Run) -> CheckResult:
+    """Run one named check and time it; a resource overrun (an enumeration
+    or valuation count over its budget) degrades to a skip."""
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}; see `check --list`")
     fn, help_text = CHECKS[name]
-    from .errors import ResourceError
-
+    t0 = time.perf_counter()
     try:
-        return fn(algebra, designated, rank_bound=rank_bound, seed=seed,
-                  budget=budget)
+        out = fn(run)
     except ResourceError as exc:
-        return CheckResult(name, help_text, "skipped",
-                           skip_reason=f"budget exceeded: {exc}")
+        out = CheckResult(name, help_text, "skipped",
+                          skip_reason=f"budget exceeded: {exc}")
+    out.wall_time = time.perf_counter() - t0
+    return out
 
 
 def run_all(algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,
@@ -1241,23 +1420,21 @@ def run_all(algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,
             jobs: int = 1) -> list[CheckResult]:
     """Run the selected checks (all by default) in registry order.
 
-    With jobs > 1 the checks run on a thread pool; results are still
-    reported in registry order, and each check derives its own seed from
-    the run seed and its name so scheduling cannot change any output.
+    Each check gets its own seed, derived from the run seed and its name,
+    and all of them share one structure profile.  `jobs` accepts only 1:
+    the checks are pure Python and hold the interpreter lock, so a thread
+    pool ran slower than serial and was removed; the keyword stays so
+    that callers passing `jobs=1` keep working.
     """
+    if jobs != 1:
+        raise InputError(f"jobs={jobs}: checks run serially, so jobs must be 1")
     selected = list(names) if names is not None else list(CHECKS)
     for nm in selected:
         if nm not in CHECKS:
             raise InputError(f"unknown check {nm!r}")
-
-    def job(nm: str) -> CheckResult:
+    run = Run(algebra, designated, rank_bound, seed, budget)
+    results = []
+    for nm in selected:
         child_seed = (seed * 1_000_003 + sum(ord(c) for c in nm)) % (2**31)
-        return run_check(nm, algebra, designated, rank_bound, child_seed, budget)
-
-    if jobs <= 1:
-        return [job(nm) for nm in selected]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(job, nm) for nm in selected]
-        return [f.result() for f in futures]
+        results.append(run_check(nm, replace(run, seed=child_seed)))
+    return results

@@ -134,16 +134,12 @@ class TestCheckCommand:
         assert r.exit_code == 2
         assert "--budget" in r.output
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_exits_2(self, runner, jobs):
-        r = invoke(runner, "check", "drim", "-a", "ps3", "--jobs", jobs)
+    @pytest.mark.parametrize("name,rank", [("drim", "0"), ("drim", "-1"),
+                                           ("two-valued", "0")])
+    def test_rank_below_one_exits_2(self, runner, name, rank):
+        r = invoke(runner, "check", name, "-a", "ps3", "--rank", rank)
         assert r.exit_code == 2
-        assert "--jobs" in r.output
-
-    def test_jobs_zero_from_env_exits_2(self, runner):
-        r = invoke(runner, "check", "drim", "-a", "ps3", env={"ALGVAL_JOBS": "0"})
-        assert r.exit_code == 2
-        assert "--jobs" in r.output
+        assert "--rank" in r.output
 
     def test_records_are_json_lines(self, runner):
         r = invoke(runner, "check", "drim", "-a", "ps3", "--format", "records")
@@ -151,13 +147,6 @@ class TestCheckCommand:
         payload = json.loads(r.output.strip())
         assert payload["check"] == "drim"
         assert payload["verdict"] == "pass"
-
-    def test_records_deterministic_across_jobs(self, runner):
-        args = ("check", "all", "-a", "chain3", "--rank", "2",
-                "--seed", "7", "--format", "records")
-        r1 = invoke(runner, *args)
-        r2 = invoke(runner, *args, "--jobs", "3")
-        assert r1.output == r2.output
 
     def test_failing_check_exits_1(self, runner, tmp_path):
         alg, d = ps3()

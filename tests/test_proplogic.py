@@ -10,8 +10,6 @@ from algval.formulas import And, Bot, Imp, Not, Or, Top
 from algval.proplogic import (
     EXPLOSION,
     PVar,
-    check_paraconsistent,
-    check_ps3_agreement,
     eval_prop,
     is_tautology,
     parse_prop,
@@ -19,6 +17,7 @@ from algval.proplogic import (
     prop_vars,
     random_prop_corpus,
 )
+from algval.theorems import Run, check_paraconsistent, check_ps3_agreement
 
 
 class TestEval:
@@ -109,21 +108,21 @@ class TestParaconsistencyCheck:
     @pytest.mark.parametrize("algname", ["ps3", "chain4", "stretch-bool4"])
     def test_witness_found(self, algname):
         alg, d = builtin(algname)
-        r = check_paraconsistent(alg, d)
+        r = check_paraconsistent(Run(alg, d))
         assert r.verdict == "pass"
         assert r.details["witness"] is not None
         assert r.details["guaranteed_witness"]["q"] == alg.bottom
 
     def test_classical_case_has_no_witness(self):
         alg, d = builtin("bool2")
-        r = check_paraconsistent(alg, d)
+        r = check_paraconsistent(Run(alg, d))
         assert r.verdict == "pass"
         assert r.details["witness"] is None
         assert r.details["explosion_valid"]
 
     def test_plain_boolean_with_singleton_designated(self):
         alg, d = builtin("bool4")
-        r = check_paraconsistent(alg, d)
+        r = check_paraconsistent(Run(alg, d))
         assert r.verdict == "pass"
         assert r.details["witness"] is None
 
@@ -131,7 +130,7 @@ class TestParaconsistencyCheck:
 class TestAgreement:
     def test_chain5_agrees_with_the_core(self):
         alg, d = builtin("chain5")
-        r = check_ps3_agreement(alg, d, corpus_size=150, seed=2)
+        r = check_ps3_agreement(Run(alg, d, seed=2, corpus_size=150))
         assert r.verdict == "pass"
         assert r.details["agreements"] == 150
 
@@ -144,11 +143,11 @@ class TestAgreement:
 
     def test_skipped_on_two_element_algebras(self):
         alg, d = builtin("bool2")
-        assert check_ps3_agreement(alg, d, corpus_size=5).verdict == "skipped"
+        assert check_ps3_agreement(Run(alg, d, corpus_size=5)).verdict == "skipped"
 
     def test_skipped_without_ultrafilter(self):
         alg, d = builtin("bool4")
-        assert check_ps3_agreement(alg, d, corpus_size=5).verdict == "skipped"
+        assert check_ps3_agreement(Run(alg, d, corpus_size=5)).verdict == "skipped"
 
 
 @st.composite

@@ -1,11 +1,15 @@
+import inspect
+
 import pytest
 
+from algval import theorems
 from algval.algebra import builtin, loads_algebra, ps3
 from algval.errors import InputError, InvariantError
 from algval.formulas import parse
 from algval.theorems import (
     CHECKS,
     CheckResult,
+    Run,
     Workspace,
     check_boolean_coincidence,
     check_bounded_quantification,
@@ -58,20 +62,20 @@ class TestPassVerdicts:
 
     def test_two_valued(self):
         alg, d = ps3()
-        r = check_two_valued(alg, d, rank_bound=2)
+        r = check_two_valued(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["names"] == 4
 
     def test_equality_characterization(self):
         for algname in ("ps3", "chain4"):
             alg, d = builtin(algname)
-            r = check_equality_characterization(alg, d, rank_bound=2)
+            r = check_equality_characterization(Run(alg, d, rank_bound=2))
             assert r.verdict == "pass"
             assert r.details["pairs"] > 0
 
     def test_extensionality_contrast_values(self):
         alg, d = ps3()
-        r = check_extensionality_contrast(alg, d, rank_bound=2)
+        r = check_extensionality_contrast(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["eq_pa"] == "0"
         assert r.details["eq_ba"] == "1"
@@ -80,7 +84,7 @@ class TestPassVerdicts:
 
     def test_zfbar_details(self):
         alg, d = ps3()
-        r = check_zfbar_witnesses(alg, d, rank_bound=2)
+        r = check_zfbar_witnesses(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["extensionality_bar"] == "valid"
         assert r.details["pairing_instances"] == 10
@@ -90,24 +94,24 @@ class TestPassVerdicts:
 
     def test_leibniz_finds_the_ba_violation(self):
         alg, d = ps3()
-        r = check_leibniz(alg, d, rank_bound=2)
+        r = check_leibniz(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         violation = r.details["ba_violation"]
         assert "~" in violation["formula"]
 
     def test_bounded_quantification(self):
         alg, d = ps3()
-        r = check_bounded_quantification(alg, d, rank_bound=2)
+        r = check_bounded_quantification(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["instances"] > 0
 
     def test_properties(self):
         alg, d = builtin("chain3")
-        assert check_properties(alg, d, rank_bound=2).verdict == "pass"
+        assert check_properties(Run(alg, d, rank_bound=2)).verdict == "pass"
 
     def test_paraconsistency_coatom(self):
         alg, d = builtin("chain4")
-        r = check_paraconsistency(alg, d, rank_bound=2)
+        r = check_paraconsistency(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["coatom"] == "b"
         assert r.details["phi_ba"] == "b" and r.details["phi_pa"] == "b"
@@ -115,13 +119,13 @@ class TestPassVerdicts:
     @pytest.mark.parametrize("algname", ["chain4", "chain5"])
     def test_nff_transfer(self, algname):
         alg, d = builtin(algname)
-        r = check_nff_transfer(alg, d, rank_bound=2, seed=5)
+        r = check_nff_transfer(Run(alg, d, rank_bound=2, seed=5))
         assert r.verdict == "pass"
         assert r.details["sentences"] > 10
 
     def test_boolean_coincidence_small(self):
         alg, d = builtin("bool2")
-        r = check_boolean_coincidence(alg, d, rank_bound=3)
+        r = check_boolean_coincidence(Run(alg, d, rank_bound=3))
         assert r.verdict == "pass"
         assert r.details["names"] == 27
 
@@ -129,7 +133,7 @@ class TestPassVerdicts:
 class TestSkips:
     def test_contrast_needs_three_elements(self):
         alg, d = builtin("bool2")
-        r = check_extensionality_contrast(alg, d)
+        r = check_extensionality_contrast(Run(alg, d))
         assert r.verdict == "skipped"
         assert "three" in r.skip_reason
 
@@ -137,17 +141,17 @@ class TestSkips:
         alg, d = builtin("bool4")
         for fn in (check_two_valued, check_equality_characterization,
                    check_zfbar_witnesses, check_leibniz, check_properties):
-            assert fn(alg, d, rank_bound=2).verdict == "skipped"
+            assert fn(Run(alg, d, rank_bound=2)).verdict == "skipped"
 
     def test_paraconsistency_needs_two_designated(self):
         alg, d = builtin("bool2")
-        r = check_paraconsistency(alg, d)
+        r = check_paraconsistency(Run(alg, d))
         assert r.verdict == "skipped"
         assert "two designated" in r.skip_reason
 
     def test_coincidence_needs_boolean(self):
         alg, d = ps3()
-        assert check_boolean_coincidence(alg, d).verdict == "skipped"
+        assert check_boolean_coincidence(Run(alg, d)).verdict == "skipped"
 
 
 class TestCoincidenceSweep:
@@ -296,7 +300,7 @@ class TestFailurePath:
         text += "\n".join(rows) + "\nstar 0 1\nstar a a\nstar 1 0\n"
         text = text.replace("join a 1 1", "join a 1 a")  # break commutativity
         alg, d = loads_algebra(text)
-        result = run_check("algebra-laws", alg, d)
+        result = run_check("algebra-laws", Run(alg, d))
         assert result.verdict == "fail"
         assert result.counterexample["laws"] == ["lattice"]
         assert result.counterexample["witnesses"]["lattice"]
@@ -313,7 +317,7 @@ class TestRegistry:
     def test_unknown_check_rejected(self):
         alg, d = ps3()
         with pytest.raises(InputError, match="unknown check"):
-            run_check("mystery", alg, d)
+            run_check("mystery", Run(alg, d))
         with pytest.raises(InputError, match="unknown check"):
             run_all(alg, d, names=["mystery"])
 
@@ -322,16 +326,31 @@ class TestRegistry:
         results = run_all(alg, d, names=["drim", "cobounded"], rank_bound=2)
         assert [r.name for r in results] == ["drim", "cobounded"]
 
-    def test_jobs_do_not_change_records(self):
-        alg, d = builtin("chain3")
-        seq = run_all(alg, d, rank_bound=2, seed=3, jobs=1)
-        par = run_all(alg, d, rank_bound=2, seed=3, jobs=4)
-        assert [r.record_line() for r in seq] == [r.record_line() for r in par]
-
     def test_every_check_has_help_text(self):
         for name, (fn, help_text) in CHECKS.items():
             assert help_text
             assert callable(fn)
+
+    def test_every_check_takes_one_run(self):
+        for name, (fn, _) in CHECKS.items():
+            assert list(inspect.signature(fn).parameters) == ["run"], name
+
+    def test_profile_computed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(algebra, designated):
+            calls.append(algebra.name)
+            return profile(algebra, designated)
+
+        monkeypatch.setattr(theorems, "profile", counted)
+        alg, d = ps3()
+        run_all(alg, d, rank_bound=2, seed=0)
+        assert calls == [alg.name]
+
+    def test_jobs_other_than_one_rejected(self):
+        alg, d = ps3()
+        with pytest.raises(InputError, match="jobs"):
+            run_all(alg, d, names=["drim"], jobs=2)
 
 
 class TestRobustness:
@@ -409,7 +428,7 @@ class TestBarCollisions:
 class TestBudgetDegradation:
     def test_over_budget_checks_skip_instead_of_erroring(self):
         alg, d = ps3()
-        r = run_check("two-valued", alg, d, rank_bound=4)
+        r = run_check("two-valued", Run(alg, d, rank_bound=4))
         assert r.verdict == "skipped"
         assert "budget exceeded" in r.skip_reason
         results = run_all(alg, d, rank_bound=4, names=["two-valued", "leibniz"])
