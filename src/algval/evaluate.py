@@ -39,16 +39,30 @@ A quantifier whose body has no binder sweeps over atom rows.  For every
 distinct atom of the body that mentions the bound variable z (`z in t`,
 `t in z`, `z = t`, `z in z`, `z = z`, with t an outer variable or a
 constant) the context keeps a row: the atom's value at z = 0, 1, 2, ...,
-keyed by relation, the side z stands on and t's name id.  The body's value
-depends on z only through those values, so a sweep runs the body closure
-once per distinct tuple of them and otherwise folds a looked-up value, in
-the same order and with the same early stop.  A row is filled only as far
-as a sweep reaches and is extended, never rebuilt, as the universe grows,
-which is sound because atomic values never depend on later inserts.
+keyed by relation, the side z stands on and t's name id.  Before each sweep
+the rows are filled to the end of the universe, never rebuilt, which is
+sound because atomic values never depend on later inserts, and each row is
+interned by its contents into a class id that holds while the universe
+keeps its length.  The body's value depends on z only through those rows
+and on the outer variables its other atoms read, so the sweep's result is
+cached in the compiled closure under the universe length, the rows' class
+ids and the name ids of those outer variables.  Indiscernible names have
+equal rows (ps3 at rank 3 has 256 names but 27 membership columns), so a
+sweep repeated for them is looked up, not run.  A sweep that does run folds
+in the same order and with the same early stop as before, and runs the body
+closure once per distinct tuple of row values.  `sweeps_run` and
+`sweeps_reused` count the two outcomes (sweeps over a body with a binder
+always run).
+
+An equality clause stops as soon as its meet reaches bottom, but only when
+the meet table's bottom row is constant, so defective tables evaluate as
+they always have.  The clauses read the memo inline on their recursive
+calls.
 
 The memo and the rows only ever gain deterministic entries, and rows are
-extended under a per-context lock, so a context may be shared across
-threads; none is today, since each check builds its own workspace.
+extended and interned under a per-context lock, so a context may be shared
+across threads (the sweep counters are exact only on one thread); none is
+today, since each check builds its own workspace.
 """
 
 from __future__ import annotations
@@ -56,6 +70,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, Iterable, Optional
 
 from .algebra import Algebra
@@ -100,8 +115,18 @@ class EvalContext:
         self._bottom = alg.bottom_i
         self._connectives = {op: (table, _decided(table)) for op, table in
                              ((And, alg.meet_t), (Or, alg.join_t), (Imp, alg.imp_t))}
-        self._rows: dict[tuple[int, int, int], list[int]] = {}
+        # equality may stop mid-side at bottom only if bottom absorbs the meet
+        self._eq_stop = (self._bottom if _decided(alg.meet_t)[self._bottom] == self._bottom
+                         else -1)
+        self._rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._rows_lock = threading.Lock()
+        # class ids of the rows, by content and by row key, valid for a
+        # universe of _classes_n names
+        self._classes: dict[tuple[int, ...], int] = {}
+        self._row_class: dict[tuple[int, int, int], int] = {}
+        self._classes_n = 0
+        self.sweeps_run = 0  # quantifier sweeps that folded the universe
+        self.sweeps_reused = 0  # row sweeps answered from their cache
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -109,7 +134,8 @@ class EvalContext:
         if u > v:
             u, v = v, u  # the clause is symmetric
         key = (_REL_EQ, u, v)
-        hit = self._memo.get(key)
+        get = self._memo.get
+        hit = get(key)
         if hit is not None:
             return hit
         names = self.universe.names
@@ -120,16 +146,21 @@ class EvalContext:
             raise CapabilityError(
                 f"the pa assignment needs a star table; {self.algebra.name} has none"
             )
+        mem, stop = self.membership, self._eq_stop
         acc = self._top
         for hi, lo in ((u, v), (v, u)):
             for x, ux in names[hi].entries:
                 if __debug__:
                     assert names[x].rank < names[hi].rank
-                m = self.membership(x, lo)
+                m = get((_REL_MEM, x, lo))
+                if m is None:
+                    m = mem(x, lo)
                 c = imp[ux][m]
                 if pa:
                     c = meet[c][imp[star[m]][star[ux]]]
                 acc = meet[acc][c]
+                if acc == stop:
+                    break
             if acc == self._bottom:
                 break
         self._memo[key] = acc
@@ -137,18 +168,59 @@ class EvalContext:
 
     def membership(self, u: int, v: int) -> int:
         key = (_REL_MEM, u, v)
-        hit = self._memo.get(key)
+        get = self._memo.get
+        hit = get(key)
         if hit is not None:
             return hit
         names = self.universe.names
         meet, join = self._meet, self._join
+        eq, top = self.equality, self._top
         acc = self._bottom
         for x, vx in names[v].entries:
-            acc = join[acc][meet[vx][self.equality(x, u)]]
-            if acc == self._top:
+            e = get((_REL_EQ, x, u) if x <= u else (_REL_EQ, u, x))
+            if e is None:
+                e = eq(x, u)
+            acc = join[acc][meet[vx][e]]
+            if acc == top:
                 break
         self._memo[key] = acc
         return acc
+
+    def _extended(self, row: tuple[int, ...], rel: int, side: int, t: int,
+                  n: int) -> tuple[int, ...]:
+        """The row of (rel, side, t) extended to n names, reading the memo inline."""
+        get = self._memo.get
+        clause = self.equality if rel == _REL_EQ else self.membership
+        new = []
+        for z in range(len(row), n):
+            u, v = (t, z) if side == _Z_RIGHT else (z, z) if side == _Z_BOTH else (z, t)
+            if rel == _REL_EQ and u > v:
+                u, v = v, u
+            hit = get((rel, u, v))
+            new.append(clause(u, v) if hit is None else hit)
+        return row + tuple(new)
+
+    def _row_classes(self, keys: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
+        """Fill the rows of keys to the end of the universe and return its
+        length n with the rows' class ids: rows with equal contents share an
+        id while the universe holds n names.  n is read under the lock, so it
+        never falls and an id is never reused for other contents at one n."""
+        with self._rows_lock:
+            n = len(self.universe.names)
+            rows, row_class, classes = self._rows, self._row_class, self._classes
+            if self._classes_n != n:
+                row_class.clear()
+                classes.clear()
+                self._classes_n = n
+            ids = []
+            for key in keys:
+                cid = row_class.get(key)
+                if cid is None:
+                    # a row is a tuple, so the class table keys on the row itself
+                    row = rows[key] = self._extended(rows.get(key, ()), *key, n)
+                    cid = row_class[key] = classes.setdefault(row, len(classes))
+                ids.append(cid)
+            return n, ids
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""
@@ -210,6 +282,7 @@ class EvalContext:
                 names = self.universe.names
 
                 def sweep() -> int:
+                    self.sweeps_run += 1
                     acc = unit
                     for nid in range(len(names)):
                         slots[k] = nid
@@ -225,24 +298,21 @@ class EvalContext:
                    table: tuple[tuple[int, ...], ...], unit: int,
                    absorbing: int) -> Callable[[], int]:
         """A sweep over a quantifier-free body that reads the context's rows of
-        the atoms mentioning `var` and runs `run` once per distinct tuple of
-        their values (see the module docstring)."""
-        eq, mem = self.equality, self.membership
-        fills = {
-            (_REL_EQ, _Z_LEFT): lambda z, t: eq(z, t),
-            (_REL_MEM, _Z_LEFT): lambda z, t: mem(z, t),
-            (_REL_MEM, _Z_RIGHT): lambda z, t: mem(t, z),
-            (_REL_EQ, _Z_BOTH): lambda z, t: eq(z, z),
-            (_REL_MEM, _Z_BOTH): lambda z, t: mem(z, z),
-        }
+        the atoms mentioning `var`, runs `run` once per distinct tuple of their
+        values and caches its result by the rows' classes (see the module
+        docstring)."""
         specs: list[tuple[int, int, bool, int]] = []
+        outer: list[int] = []  # slots read by the atoms that do not mention var
         for g in subformulas(body):
             if not isinstance(g, (Eq, Mem)):
                 continue
             zl, zr = (isinstance(t, Var) and t.name == var for t in (g.left, g.right))
-            if not (zl or zr):
-                continue
             rel = _REL_EQ if isinstance(g, Eq) else _REL_MEM
+            if not (zl or zr):
+                for is_var, j in (self._slot(g.left, scope), self._slot(g.right, scope)):
+                    if is_var and j not in outer:
+                        outer.append(j)
+                continue
             if zl and zr:
                 spec = (rel, _Z_BOTH, False, -1)
             else:
@@ -251,37 +321,31 @@ class EvalContext:
                 spec = (rel, side, *self._slot(g.right if zl else g.left, scope))
             if spec not in specs:
                 specs.append(spec)
-        fillers = [fills[rel, side] for rel, side, _, _ in specs]
-        rows_of, lock, names = self._rows, self._rows_lock, self.universe.names
+        rows_of = self._rows
+        done: dict[tuple[int, ...], int] = {}
 
         def sweep() -> int:
-            others = [slots[j] if is_var else j for _, _, is_var, j in specs]
-            rows = [rows_of.setdefault((rel, side, t), [])
-                    for (rel, side, _, _), t in zip(specs, others)]
+            keys = [(rel, side, slots[j] if is_var else j) for rel, side, is_var, j in specs]
+            n, ids = self._row_classes(keys)
+            key = (n, *ids, *[slots[j] for j in outer])
+            acc = done.get(key)
+            if acc is not None:
+                self.sweeps_reused += 1
+                return acc
+            self.sweeps_run += 1
+            rows = [rows_of[rk] for rk in keys]
             seen: dict[tuple[int, ...], int] = {}
-            acc, nid = unit, -1
-            for nid, key in enumerate(zip(*rows)):
-                v = seen.get(key)
+            acc = unit
+            # zip() of no rows is empty, but a body without them still runs
+            for nid, atoms in enumerate(islice(zip(*rows), n) if rows else repeat((), n)):
+                v = seen.get(atoms)
                 if v is None:
                     slots[k] = nid
-                    v = seen[key] = run()
-                acc = table[acc][v]
-                if acc == absorbing:
-                    return acc
-            # past the prefix every row holds: extend the rows one name at a time
-            for nid in range(nid + 1, len(names)):
-                with lock:
-                    for row, fill, t in zip(rows, fillers, others):
-                        while len(row) <= nid:
-                            row.append(fill(len(row), t))
-                key = tuple(row[nid] for row in rows)
-                v = seen.get(key)
-                if v is None:
-                    slots[k] = nid
-                    v = seen[key] = run()
+                    v = seen[atoms] = run()
                 acc = table[acc][v]
                 if acc == absorbing:
                     break
+            done[key] = acc
             return acc
         return sweep
 

@@ -846,41 +846,39 @@ def check_properties(run: Run) -> CheckResult:
     ctx = ws.pa
     d = ctx.designated_i
     n = len(ws.universe)
+    # whole rows per name: eq[u][w] is u = w, mem[u][w] is u in w, col[u][w] is w in u
+    eq = [[ctx.equality(u, w) for w in range(n)] for u in range(n)]
+    mem = [[ctx.membership(u, w) for w in range(n)] for u in range(n)]
+    col = list(zip(*mem))
+
+    def fail(rel: str, u: int, v: int, note: str) -> CheckResult:
+        ce = ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note)
+        return CheckResult("properties", desc, "fail", counterexample=ce)
 
     for u in range(n):
-        if ctx.equality(u, u) not in d:
-            ce = ws.atomic_counterexample("pa", "=", u, u, ctx.atomic("=", u, u),
-                                          "reflexivity")
-            return CheckResult("properties", desc, "fail", counterexample=ce)
+        if eq[u][u] not in d:
+            return fail("=", u, u, "reflexivity")
     for u in range(n):
         for x, ux in ws.universe.entries_of(u):
-            if ux in d and ctx.membership(x, u) not in d:
-                ce = ws.atomic_counterexample("pa", "in", x, u,
-                                              ctx.atomic("in", x, u),
-                                              "designated entry not a member")
-                return CheckResult("properties", desc, "fail", counterexample=ce)
-    meet = run.algebra.meet_t
+            if ux in d and mem[x][u] not in d:
+                return fail("in", x, u, "designated entry not a member")
+    meet, size = run.algebra.meet_t, len(run.algebra.elements)
+    # lifted[e][a]: the meet of e and a is designated
+    lifted = [[meet[e][a] in d for a in range(size)] for e in range(size)]
     for u in range(n):
+        eq_u, mem_u, col_u = eq[u], mem[u], col[u]
         for v in range(n):
-            eq_uv = ctx.equality(u, v)
-            if eq_uv not in d:
+            if eq_u[v] not in d:
                 continue
-            for w in range(n):
-                if meet[eq_uv][ctx.equality(v, w)] in d and ctx.equality(u, w) not in d:
-                    ce = ws.atomic_counterexample("pa", "=", u, w,
-                                                  ctx.atomic("=", u, w),
-                                                  f"transitivity via #{v}")
-                    return CheckResult("properties", desc, "fail", counterexample=ce)
-                if meet[eq_uv][ctx.membership(v, w)] in d and ctx.membership(u, w) not in d:
-                    ce = ws.atomic_counterexample("pa", "in", u, w,
-                                                  ctx.atomic("in", u, w),
-                                                  f"member substitution via #{v}")
-                    return CheckResult("properties", desc, "fail", counterexample=ce)
-                if meet[eq_uv][ctx.membership(w, v)] in d and ctx.membership(w, u) not in d:
-                    ce = ws.atomic_counterexample("pa", "in", w, u,
-                                                  ctx.atomic("in", w, u),
-                                                  f"container substitution via #{v}")
-                    return CheckResult("properties", desc, "fail", counterexample=ce)
+            lift = lifted[eq_u[v]]
+            for w, (e_vw, e_uw, m_vw, m_uw, m_wv, m_wu) in enumerate(
+                    zip(eq[v], eq_u, mem[v], mem_u, col[v], col_u)):
+                if lift[e_vw] and e_uw not in d:
+                    return fail("=", u, w, f"transitivity via #{v}")
+                if lift[m_vw] and m_uw not in d:
+                    return fail("in", u, w, f"member substitution via #{v}")
+                if lift[m_wv] and m_wu not in d:
+                    return fail("in", w, u, f"container substitution via #{v}")
     return CheckResult("properties", desc, "pass", details={"names": n})
 
 

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_formulas import formula_strategy
 
-from algval.algebra import Algebra, builtin, ps3
+from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
 from algval.errors import CapabilityError, InputError
 from algval.evaluate import (
+    ASSIGNMENTS,
     EvalContext,
     battery,
     check_bq,
     nff_battery,
 )
 from algval.formulas import (
-    And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var, parse,
-    print_formula, subst_const,
+    And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
+    instantiate_axiom, parse, print_formula, subst_const,
 )
 from algval.universe import build_universe
 
@@ -294,8 +295,9 @@ class TestConcurrency:
                 assert val == expected[pair]
 
     def test_rows_filled_from_many_threads(self):
-        # Several threads extend the same cold atom rows at once; a row that
-        # lost or doubled an entry would give some name another's value.
+        # Several threads extend and intern the same cold atom rows at once;
+        # a row that lost or doubled an entry, or a class id handed to two
+        # contents, would give some name another's value.
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
@@ -324,6 +326,13 @@ class TestConcurrency:
         assert [shared.value(f) for f in sentences] == want
         for key, row in shared._rows.items():
             assert row == serial._rows[key][:len(row)], key
+        # rows were interned from all threads at once: one id per content
+        n = len(uni.names)
+        assert shared._classes_n == n
+        ids = {}
+        for key, cid in shared._row_class.items():
+            assert ids.setdefault(shared._rows[key][:n], cid) == cid, key
+        assert len(set(ids.values())) == len(ids)
 
     def test_quantifier_sweep_matches_under_threads(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -403,9 +412,9 @@ def test_value_matches_reference_evaluator(algname, assignment):
         assert got == reference_value(ctx, f, env), print_formula(f)
 
 
-# Quantifier-free bodies are swept over cached atom rows and connectives skip
-# a right operand their table row makes irrelevant; both must agree with the
-# reference evaluator on every binding.
+# Quantifier-free bodies are swept over cached atom rows, with results cached
+# by row class, and connectives skip a right operand their table row makes
+# irrelevant; all must agree with the reference evaluator on every binding.
 
 ROW_SWEEP_SENTENCES = [
     "forall z. x in y",
@@ -419,6 +428,14 @@ ROW_SWEEP_SENTENCES = [
     "forall z. (z in z -> z = z)",
     "exists z. (~(z in z) /\\ z = #1 /\\ x = z)",
     "exists z. (z in x -> false) /\\ forall z. (y in z \\/ ~(z in y))",
+    # no atom rows at all
+    "x = x /\\ forall x. false",
+    "forall z. ~false -> x in y",
+    # atoms that read an outer binding the swept variable does not reach
+    "forall z. (z in x -> x = y)",
+    "forall x. forall y. forall z. (z in x -> x = y)",
+    "exists x. exists z. (z = x /\\ ~(y in x))",
+    "forall x. exists y. forall z. ((z in x <-> z in y) /\\ (x in y \\/ #1 = y))",
 ]
 
 
@@ -440,7 +457,8 @@ def test_row_sweeps_match_reference_evaluator(algname, assignment):
 
 
 @pytest.mark.parametrize("assignment", ["ba", "pa"])
-@pytest.mark.parametrize("text", ["exists z. #c in z", "forall z. ~(#c in z)"])
+@pytest.mark.parametrize("text", ["exists z. #c in z", "forall z. ~(#c in z)",
+                                  "forall y. exists z. (#c in z /\\ ~(z in y))"])
 def test_rows_extend_when_the_universe_grows(assignment, text):
     alg, d = ps3()
     uni = build_universe(alg, 2)
@@ -506,3 +524,95 @@ def test_substitution_matches_env_binding(ps3_six_names, f, ids):
         closed = subst_const(closed, var, nid)
     for ctx in ps3_six_names:
         assert ctx.value(closed) == ctx.value(f, env), print_formula(f)
+
+
+# -- the atomic clauses against a direct transcription ------------------------------
+
+
+def reference_clauses(ctx):
+    """(equality, membership) transcribed from the two clauses with no memo
+    and no mid-side exit: equality stops only between its sides, once it is
+    bottom, and membership once it is top."""
+    alg, names = ctx.algebra, ctx.universe.names
+    meet, join, imp, star = alg.meet_t, alg.join_t, alg.imp_t, alg.star_t
+    pa = ctx.assignment == "pa"
+
+    def eq(u, v):
+        if u > v:
+            u, v = v, u
+        acc = alg.top_i
+        for hi, lo in ((u, v), (v, u)):
+            for x, ux in names[hi].entries:
+                m = mem(x, lo)
+                c = imp[ux][m]
+                if pa:
+                    c = meet[c][imp[star[m]][star[ux]]]
+                acc = meet[acc][c]
+            if acc == alg.bottom_i:
+                break
+        return acc
+
+    def mem(u, v):
+        acc = alg.bottom_i
+        for x, vx in names[v].entries:
+            acc = join[acc][meet[vx][eq(x, u)]]
+            if acc == alg.top_i:
+                break
+        return acc
+
+    return eq, mem
+
+
+def assert_clauses_match_reference(ctx):
+    eq, mem = reference_clauses(ctx)
+    for u in ctx.universe.ids():
+        for v in ctx.universe.ids():
+            assert ctx.equality(u, v) == eq(u, v), ("=", u, v)
+            assert ctx.membership(u, v) == mem(u, v), ("in", u, v)
+
+
+@pytest.mark.parametrize("algname", BUILTIN_NAMES)
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_atomic_clauses_match_reference_clauses(algname, assignment):
+    alg, d = builtin(algname)
+    assert_clauses_match_reference(EvalContext(build_universe(alg, 2), d, assignment))
+
+
+def _skewed_meet_ps3():
+    """ps3 with a defective meet whose bottom row is not constant:
+    0 /\\ 1 is half, so an equality that reaches bottom mid-side can rise."""
+    alg, d = ps3()
+    es = alg.elements
+    table = lambda op: {(a, b): op(a, b) for a in es for b in es}  # noqa: E731
+    meet = {(a, b): ("half" if (a, b) == ("0", "1") else alg.meet(a, b))
+            for a in es for b in es}
+    star = {a: alg.star(a) for a in es}
+    skew = Algebra("skew-meet3", es, meet, table(alg.join), table(alg.imp), "1", "0", star)
+    return skew, d
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_atomic_clauses_match_reference_on_a_skewed_meet(assignment):
+    alg, d = _skewed_meet_ps3()
+    uni = build_universe(alg, 2)
+    # names with two entries, so each side of an equality has a middle
+    for pair in itertools.combinations(range(len(uni.names)), 2):
+        for values in itertools.product(range(len(alg.elements)), repeat=2):
+            uni.insert(dict(zip(pair, values)))
+    assert_clauses_match_reference(EvalContext(uni, d, assignment))
+
+
+# -- sweep counters ------------------------------------------------------------------
+
+
+def test_extensionality_bar_runs_one_inner_sweep_per_column_pair():
+    # ps3 at rank 3: 256 names, 27 distinct membership columns, so the
+    # inner forall z runs at most 27 * 27 times and is looked up otherwise.
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    n = len(uni.names)
+    ctx = EvalContext(uni, d, "pa")
+    assert ctx.holds(instantiate_axiom("ExtensionalityBar"))
+    outer = 1 + n  # forall x once, forall y once per x
+    assert ctx.sweeps_run - outer <= 27 * 27
+    assert ctx.sweeps_run + ctx.sweeps_reused == outer + n * n

@@ -1,9 +1,10 @@
 import inspect
+import itertools
 
 import pytest
 
 from algval import theorems
-from algval.algebra import builtin, loads_algebra, ps3
+from algval.algebra import BUILTIN_NAMES, builtin, loads_algebra, ps3
 from algval.errors import InputError, InvariantError
 from algval.formulas import parse
 from algval.theorems import (
@@ -282,6 +283,38 @@ class TestReplay:
             replay(alg, d, 2, ce)
 
 
+def properties_by_triples(run):
+    """(verdict, counterexample) of the properties laws asked pair by pair
+    and triple by triple of the engine, in the order the check promises."""
+    ws = run.workspace()
+    ctx, meet = ws.pa, run.algebra.meet_t
+    d, n = ctx.designated_i, len(ws.universe)
+
+    def fail(rel, u, v, note):
+        return "fail", ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note)
+
+    for u in range(n):
+        if ctx.equality(u, u) not in d:
+            return fail("=", u, u, "reflexivity")
+    for u in range(n):
+        for x, ux in ws.universe.entries_of(u):
+            if ux in d and ctx.membership(x, u) not in d:
+                return fail("in", x, u, "designated entry not a member")
+    for u in range(n):
+        for v in range(n):
+            e = ctx.equality(u, v)
+            if e not in d:
+                continue
+            for w in range(n):
+                if meet[e][ctx.equality(v, w)] in d and ctx.equality(u, w) not in d:
+                    return fail("=", u, w, f"transitivity via #{v}")
+                if meet[e][ctx.membership(v, w)] in d and ctx.membership(u, w) not in d:
+                    return fail("in", u, w, f"member substitution via #{v}")
+                if meet[e][ctx.membership(w, v)] in d and ctx.membership(w, u) not in d:
+                    return fail("in", w, u, f"container substitution via #{v}")
+    return "pass", None
+
+
 class TestFailurePath:
     def test_defective_algebra_fails_law_check_with_witness(self):
         text = """
@@ -304,6 +337,25 @@ class TestFailurePath:
         assert result.verdict == "fail"
         assert result.counterexample["laws"] == ["lattice"]
         assert result.counterexample["witnesses"]["lattice"]
+
+    def test_properties_matches_the_triple_loop(self):
+        # Every designated set, gate bypassed, so each law fails somewhere;
+        # the row-wise check must report the first failure the per-triple
+        # loop reports, with the same counterexample.
+        notes = set()
+        for algname in BUILTIN_NAMES:
+            alg, _ = builtin(algname)
+            for r in range(1, len(alg.elements)):
+                for des in itertools.combinations(alg.elements, r):
+                    run = Run(alg, frozenset(des), rank_bound=2,
+                              _profile={"ultra_designated_cobounded": True})
+                    want = properties_by_triples(run)
+                    got = check_properties(run)
+                    assert (got.verdict, got.counterexample) == want, (algname, des)
+                    if want[1]:
+                        notes.add(want[1]["note"].split(" via")[0])
+        assert notes == {"reflexivity", "transitivity", "member substitution",
+                         "container substitution"}
 
     def test_record_lines_report_the_failure(self):
         alg, d = ps3()
