@@ -14,10 +14,15 @@ Two assignment styles share one membership clause and differ on equality:
 
 The two clauses are mutually recursive; termination is by descent on the
 sum of the argument ranks, since every recursive call replaces one argument
-by a member of the other's domain.  Atomic values are memoized per context,
-so "ba" and "pa" caches can never alias.  The memo is grow-only and every
-entry is deterministic; quantifiers always sweep the universe contents at
-call time, and atomic values never depend on what else has been interned.
+by a member of the other's domain.  Atomic values are memoized in one dict
+per assignment, keyed by one int per atom (relation and both name ids), so
+"ba" and "pa" caches never alias.  A context owns its memo or is handed one
+to share: an atomic value depends only on its two names, so contexts over
+universes that agree on every id they hold may share a memo (a run's
+workspaces share one per rank; see `theorems.Run.workspace`).  Every entry
+is deterministic; quantifiers always sweep the universe contents at call
+time, and atomic values never depend on what else has been interned.
+`atomic_fills` counts the clause computations, that is, the memo misses.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -59,10 +64,11 @@ the meet table's bottom row is constant, so defective tables evaluate as
 they always have.  The clauses read the memo inline on their recursive
 calls.
 
-The memo and the rows only ever gain deterministic entries, and rows are
-extended and interned under a per-context lock, so a context may be shared
-across threads (the sweep counters are exact only on one thread); none is
-today, since each check builds its own workspace.
+The memo and the rows only ever gain deterministic entries while a context
+evaluates, and rows are extended and interned under a per-context lock, so
+a context may be shared across threads (the counters are exact only on one
+thread).  The checks run on one thread; only the owner of a shared memo
+removes entries from it (`forget_names`), between evaluations.
 """
 
 from __future__ import annotations
@@ -84,6 +90,11 @@ from .universe import Universe
 ASSIGNMENTS = ("ba", "pa")
 
 _REL_EQ, _REL_MEM = 0, 1
+# A memo key is one int per atom: 2 * pair + rel, where pair numbers (u, v)
+# shell by shell, v*v + u if u < v else u*u + u + v (Szudzik's pairing), and
+# an equality pair, kept as u <= v, is v*v + u.  Both are below n*n exactly
+# when both ids are below n, and stay small ints (one digit, fast arithmetic)
+# for any universe that can be swept.
 _Z_LEFT, _Z_RIGHT, _Z_BOTH = 0, 1, 2  # where a row's swept variable stands
 
 
@@ -93,11 +104,23 @@ def _decided(table: tuple[tuple[int, ...], ...]) -> list[Optional[int]]:
     return [row[0] if len(set(row)) == 1 else None for row in table]
 
 
+def forget_names(memo: dict[int, int], n: int) -> None:
+    """Remove the entries of an atomic memo that involve a name id >= n."""
+    limit = 2 * n * n
+    for key in [k for k in memo if k >= limit]:
+        del memo[key]
+
+
 class EvalContext:
-    """A universe, a designated set and one assignment style."""
+    """A universe, a designated set and one assignment style.
+
+    `memo` is the atomic memo to read and fill; by default the context owns
+    a fresh one.  A memo passed in may be shared with other contexts of the
+    same assignment over universes that agree on every name id they hold.
+    """
 
     def __init__(self, universe: Universe, designated: Iterable[str],
-                 assignment: str = "pa"):
+                 assignment: str = "pa", memo: Optional[dict[int, int]] = None):
         if assignment not in ASSIGNMENTS:
             raise InputError(f"unknown assignment {assignment!r}; use 'ba' or 'pa'")
         self.universe = universe
@@ -106,7 +129,7 @@ class EvalContext:
         self.assignment = assignment
         self.designated = frozenset(alg.resolve(d) for d in designated)
         self.designated_i = frozenset(alg.index[d] for d in self.designated)
-        self._memo: dict[tuple[int, int, int], int] = {}
+        self._memo: dict[int, int] = {} if memo is None else memo
         self._meet = alg.meet_t
         self._join = alg.join_t
         self._imp = alg.imp_t
@@ -125,6 +148,7 @@ class EvalContext:
         self._classes: dict[tuple[int, ...], int] = {}
         self._row_class: dict[tuple[int, int, int], int] = {}
         self._classes_n = 0
+        self.atomic_fills = 0  # clause computations, that is, memo misses
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.sweeps_reused = 0  # row sweeps answered from their cache
 
@@ -133,7 +157,7 @@ class EvalContext:
     def equality(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u  # the clause is symmetric
-        key = (_REL_EQ, u, v)
+        key = (v * v + u) * 2
         get = self._memo.get
         hit = get(key)
         if hit is not None:
@@ -146,13 +170,15 @@ class EvalContext:
             raise CapabilityError(
                 f"the pa assignment needs a star table; {self.algebra.name} has none"
             )
+        self.atomic_fills += 1
         mem, stop = self.membership, self._eq_stop
         acc = self._top
         for hi, lo in ((u, v), (v, u)):
+            lo_sq = lo * lo
             for x, ux in names[hi].entries:
                 if __debug__:
                     assert names[x].rank < names[hi].rank
-                m = get((_REL_MEM, x, lo))
+                m = get((lo_sq + x) * 2 + 1 if x < lo else (x * x + x + lo) * 2 + 1)
                 if m is None:
                     m = mem(x, lo)
                 c = imp[ux][m]
@@ -167,17 +193,19 @@ class EvalContext:
         return acc
 
     def membership(self, u: int, v: int) -> int:
-        key = (_REL_MEM, u, v)
+        key = (v * v + u if u < v else u * u + u + v) * 2 + 1
         get = self._memo.get
         hit = get(key)
         if hit is not None:
             return hit
+        self.atomic_fills += 1
         names = self.universe.names
         meet, join = self._meet, self._join
         eq, top = self.equality, self._top
+        u_sq = u * u
         acc = self._bottom
         for x, vx in names[v].entries:
-            e = get((_REL_EQ, x, u) if x <= u else (_REL_EQ, u, x))
+            e = get((u_sq + x) * 2 if x <= u else (x * x + u) * 2)
             if e is None:
                 e = eq(x, u)
             acc = join[acc][meet[vx][e]]
@@ -194,9 +222,10 @@ class EvalContext:
         new = []
         for z in range(len(row), n):
             u, v = (t, z) if side == _Z_RIGHT else (z, z) if side == _Z_BOTH else (z, t)
-            if rel == _REL_EQ and u > v:
-                u, v = v, u
-            hit = get((rel, u, v))
+            if rel == _REL_MEM:
+                hit = get((v * v + u if u < v else u * u + u + v) * 2 + 1)
+            else:
+                hit = get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
             new.append(clause(u, v) if hit is None else hit)
         return row + tuple(new)
 
@@ -378,13 +407,15 @@ class EvalContext:
             if lvar and rvar:
                 def eq_vv() -> int:
                     u, v = slots[i], slots[j]
-                    hit = get((_REL_EQ, u, v) if u <= v else (_REL_EQ, v, u))
+                    hit = get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
                     return clause(u, v) if hit is None else hit
                 return eq_vv
             if rvar:
+                i_sq = i * i
+
                 def eq_cv() -> int:
                     v = slots[j]
-                    hit = get((_REL_EQ, i, v) if i <= v else (_REL_EQ, v, i))
+                    hit = get((v * v + i) * 2 if i <= v else (i_sq + v) * 2)
                     return clause(i, v) if hit is None else hit
                 return eq_cv
         else:
@@ -392,19 +423,23 @@ class EvalContext:
             if lvar and rvar:
                 def mem_vv() -> int:
                     u, v = slots[i], slots[j]
-                    hit = get((_REL_MEM, u, v))
+                    hit = get((v * v + u if u < v else u * u + u + v) * 2 + 1)
                     return clause(u, v) if hit is None else hit
                 return mem_vv
             if rvar:
+                i_shell = i * i + i
+
                 def mem_cv() -> int:
                     v = slots[j]
-                    hit = get((_REL_MEM, i, v))
+                    hit = get((v * v + i if i < v else i_shell + v) * 2 + 1)
                     return clause(i, v) if hit is None else hit
                 return mem_cv
             if lvar:
+                j_sq = j * j
+
                 def mem_vc() -> int:
                     u = slots[i]
-                    hit = get((_REL_MEM, u, j))
+                    hit = get((j_sq + u if u < j else u * u + u + j) * 2 + 1)
                     return clause(u, j) if hit is None else hit
                 return mem_vc
         return lambda: clause(i, j)

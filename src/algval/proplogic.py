@@ -3,9 +3,11 @@
 A propositional formula is a tree over variables and the shared connective
 nodes, read by the sentence parser with a bare-variable atom rule; a
 valuation maps every variable to an element and evaluation is the
-homomorphic extension through the algebra tables.  Validity quantifies the
-valuation over the whole carrier, exhaustively, so the variable count is
-capped by a valuation budget.
+homomorphic extension through the algebra tables.  A formula is compiled
+once into closures that evaluate many valuations at a time, held as
+columns (one list per variable, one entry per valuation).  Validity
+quantifies the valuation over the whole carrier, exhaustively, so the
+variable count is capped by a valuation budget.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .algebra import Algebra
 from .errors import CapabilityError, InputError, ResourceError
@@ -72,31 +75,43 @@ def parse_prop(text: str) -> PropFormula:
 
 def eval_prop(alg: Algebra, valuation: Mapping[str, str], f: PropFormula) -> str:
     """Homomorphic evaluation of a propositional formula."""
-    return alg.elements[_eval_i(alg, {k: alg.index[alg.resolve(v)]
-                                      for k, v in valuation.items()}, f)]
+    values = {k: alg.index[alg.resolve(v)] for k, v in valuation.items()}
+    run = _compile(alg, f, list(values), 1)
+    return alg.elements[run([[i] for i in values.values()])[0]]
 
 
-def _eval_i(alg: Algebra, valuation: Mapping[str, int], f: PropFormula) -> int:
-    if isinstance(f, PVar):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise InputError(f"no value assigned to variable {f.name!r}")
-    if isinstance(f, Top):
-        return alg.top_i
-    if isinstance(f, Bot):
-        return alg.bottom_i
-    if isinstance(f, And):
-        return alg.meet_t[_eval_i(alg, valuation, f.left)][_eval_i(alg, valuation, f.right)]
-    if isinstance(f, Or):
-        return alg.join_t[_eval_i(alg, valuation, f.left)][_eval_i(alg, valuation, f.right)]
-    if isinstance(f, Imp):
-        return alg.imp_t[_eval_i(alg, valuation, f.left)][_eval_i(alg, valuation, f.right)]
-    if isinstance(f, Not):
-        if alg.star_t is None:
-            raise CapabilityError(f"negation needs a star table; {alg.name} has none")
-        return alg.star_t[_eval_i(alg, valuation, f.body)]
-    raise InputError(f"cannot evaluate {f!r}")
+Column = list[int]
+
+
+def _compile(alg: Algebra, f: PropFormula, variables: list[str], n: int
+             ) -> Callable[[list[Column]], Column]:
+    """f as a closure from the value columns of `variables` (in that order),
+    each n valuations long, to f's value column.  Each connective makes one
+    table lookup per valuation."""
+    slot = {v: k for k, v in enumerate(variables)}
+    tables = {And: alg.meet_t, Or: alg.join_t, Imp: alg.imp_t}
+
+    def build(g: PropFormula) -> Callable[[list[Column]], Column]:
+        kind = type(g)
+        if kind in tables:
+            table, a, b = tables[kind], build(g.left), build(g.right)
+            return lambda cols: [table[x][y] for x, y in zip(a(cols), b(cols))]
+        if kind is PVar:
+            if g.name not in slot:
+                raise InputError(f"no value assigned to variable {g.name!r}")
+            return itemgetter(slot[g.name])
+        if kind is Not:
+            star = alg.star_t
+            if star is None:
+                raise CapabilityError(f"negation needs a star table; {alg.name} has none")
+            a = build(g.body)
+            return lambda cols: [star[x] for x in a(cols)]
+        if kind is Top or kind is Bot:
+            column = [alg.top_i if kind is Top else alg.bottom_i] * n
+            return lambda cols: column
+        raise InputError(f"cannot evaluate {g!r}")
+
+    return build(f)
 
 
 def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula,
@@ -105,19 +120,32 @@ def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula,
     """Exhaustive validity over all valuations.
 
     Returns (True, None) when every valuation lands in the designated set,
-    else (False, falsifying valuation).
+    else (False, the first falsifying valuation in `itertools.product`
+    order).  The valuations are evaluated one block per value of the first
+    variable, as columns.
     """
     d = frozenset(alg.index[alg.resolve(x)] for x in designated)
     variables = sorted(prop_vars(f))
-    total = len(alg.elements) ** len(variables)
+    size = len(alg.elements)
+    total = size ** len(variables)
     if total > max_valuations:
         raise ResourceError(
-            f"{len(variables)} variables over {len(alg.elements)} elements "
+            f"{len(variables)} variables over {size} elements "
             f"need {total} valuations; cap is {max_valuations}")
-    for combo in itertools.product(range(len(alg.elements)), repeat=len(variables)):
-        valuation = dict(zip(variables, combo))
-        if _eval_i(alg, valuation, f) not in d:
-            return False, {v: alg.elements[i] for v, i in valuation.items()}
+    ok = [i in d for i in range(size)].__getitem__
+    # one block per value of the first variable (one block if there is
+    # none); the columns of the other variables are shared by every block
+    first = min(len(variables), 1)
+    n = total // size ** first
+    run = _compile(alg, f, variables, n)
+    rest = [list(c) for c in zip(*itertools.product(range(size),
+                                                    repeat=len(variables) - first))]
+    for head in itertools.product(range(size), repeat=first):
+        out = run([[a] * n for a in head] + rest)
+        if not all(map(ok, out)):
+            j = next(j for j, v in enumerate(out) if not ok(v))
+            combo = (*head, *(col[j] for col in rest))
+            return False, {v: alg.elements[i] for v, i in zip(variables, combo)}
     return True, None
 
 

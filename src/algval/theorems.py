@@ -3,9 +3,11 @@
 Every registered check is `fn(run: Run) -> CheckResult`.  A `Run` carries
 the algebra, its resolved designated set and the sweep bounds; the theorems
 hold for classes of algebras, so a check first gates on the run's
-structure profile (computed once per run, on first use) and then builds
-its own fresh bounded universe and sweeps it.  `run_check` is the one
-place that times a check and turns a resource overrun into a skip.
+structure profile (computed once per run, on first use) and then sweeps a
+workspace from `Run.workspace`: a copy of the run's enumerated universe,
+built once per rank, whose contexts share the run's atomic memos.
+`run_check` is the one place that times a check and turns a resource
+overrun into a skip.
 
 A failing result carries a replayable counterexample: the assignment, the
 formula (or atomic pair), and the ad-hoc names inserted up to the point of
@@ -20,6 +22,7 @@ import itertools
 import json
 import random
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -29,7 +32,8 @@ from .algebra import (
 )
 from .errors import InputError, InvariantError, ResourceError
 from .evaluate import (
-    EvalContext, battery, check_bq, nff_battery, two_var_battery,
+    ASSIGNMENTS, EvalContext, battery, check_bq, forget_names, nff_battery,
+    two_var_battery,
 )
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
@@ -80,26 +84,85 @@ class CheckResult:
         return out
 
 
-class Workspace:
-    """A fresh enumerated universe plus contexts for both assignments.
+class _Enumerated:
+    """One rank's enumerated universe and the atomic memos, one per
+    assignment, that the workspaces built on it share.
 
-    Ad-hoc witness names go through `insert`, which keeps a log (id plus
-    entry literal) so failures can be replayed against a rebuilt universe.
+    Atomic values depend only on the two names, so every workspace fills
+    the same entries for enumerated ids.  Witness ids are not shared: each
+    workspace interns its own names from the enumerated count `n` up.  So
+    the memos hold witness entries of one universe at most, the grower's:
+    before a universe grows or a workspace is handed out, the contexts of
+    a live grower move onto private copies of their memos and the witness
+    entries are removed.
+    """
+
+    def __init__(self, universe: Universe):
+        self.universe = universe
+        self.n = len(universe)
+        self.memos: dict[str, dict[int, int]] = {a: {} for a in ASSIGNMENTS}
+        self._contexts: weakref.WeakSet[EvalContext] = weakref.WeakSet()
+        self._grower: Optional[weakref.ref[Universe]] = None
+
+    def context(self, universe: Universe, designated: Iterable[str],
+                assignment: str) -> EvalContext:
+        """A context on the shared memo, unless its universe holds witness
+        names that the memo no longer tracks."""
+        grower = self._grower() if self._grower is not None else None
+        if len(universe) > self.n and universe is not grower:
+            return EvalContext(universe, designated, assignment)
+        ctx = EvalContext(universe, designated, assignment, memo=self.memos[assignment])
+        self._contexts.add(ctx)
+        return ctx
+
+    def release(self) -> None:
+        """Move a live grower's contexts onto private copies and drop the
+        witness entries from the shared memos."""
+        if self._grower is None:
+            return
+        grower = self._grower()
+        for ctx in list(self._contexts):
+            if ctx.universe is grower:
+                ctx._memo = dict(ctx._memo)
+                self._contexts.discard(ctx)
+        for memo in self.memos.values():
+            forget_names(memo, self.n)
+        self._grower = None
+
+    def grow(self, universe: Universe) -> None:
+        """Called when `universe` interns its first witness name."""
+        self.release()
+        self._grower = weakref.ref(universe)
+
+
+class Workspace:
+    """A copy of an enumerated universe plus contexts for both assignments.
+
+    Handed out by `Run.workspace`, it copies the run's enumerated universe
+    for its rank (same names, same ids) and its contexts read and fill the
+    run's memos.  Built alone, it enumerates a universe of its own.  Ad-hoc
+    witness names go through `insert`, which keeps a log (id plus entry
+    literal) so failures can be replayed against a rebuilt universe.
     """
 
     def __init__(self, algebra: Algebra, designated: Iterable[str],
-                 rank_bound: int = 2, budget: int = DEFAULT_BUDGET):
+                 rank_bound: int = 2, budget: int = DEFAULT_BUDGET,
+                 shared: Optional[_Enumerated] = None):
         self.algebra = algebra
         self.designated = frozenset(algebra.resolve(d) for d in designated)
         self.rank_bound = rank_bound
-        self.universe = build_universe(algebra, rank_bound, budget=budget)
+        if shared is None:
+            shared = _Enumerated(build_universe(algebra, rank_bound, budget=budget))
+        self._shared = shared
+        self.universe = shared.universe.copy()
         self.enumerated = len(self.universe)
         self.insertion_log: list[list] = []
         self._ctxs: dict[str, EvalContext] = {}
 
     def ctx(self, assignment: str) -> EvalContext:
         if assignment not in self._ctxs:
-            self._ctxs[assignment] = EvalContext(self.universe, self.designated, assignment)
+            self._ctxs[assignment] = self._shared.context(
+                self.universe, self.designated, assignment)
         return self._ctxs[assignment]
 
     @property
@@ -114,6 +177,8 @@ class Workspace:
         before = len(self.universe)
         nid = self.universe.insert(entries)
         if nid >= before:
+            if before == self.enumerated:
+                self._shared.grow(self.universe)
             literal = [[c, self.algebra.elements[v]]
                        for c, v in self.universe.entries_of(nid)]
             self.insertion_log.append([nid, literal])
@@ -163,9 +228,11 @@ class Run:
     """The configuration one check runs under.
 
     `designated` is resolved to element ids once.  `profile` is computed
-    on first use and kept in `_profile`, which `dataclasses.replace`
-    carries over, so the per-check runs that `run_all` derives (each with
-    its own seed) all gate on one computation.  Only `logic agree` sets
+    on first use and kept in `_profile`; each rank's enumerated universe
+    and atomic memos are built on first use and kept in `_enumerated`.
+    `dataclasses.replace` carries both over, so the per-check runs that
+    `run_all` derives (each with its own seed) gate on one profile and
+    share one universe and one memo per rank.  Only `logic agree` sets
     `corpus_size`.
     """
 
@@ -176,6 +243,7 @@ class Run:
     budget: int = DEFAULT_BUDGET
     corpus_size: int = 500
     _profile: dict = field(default_factory=dict, repr=False, compare=False)
+    _enumerated: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "designated",
@@ -188,9 +256,16 @@ class Run:
         return self._profile
 
     def workspace(self, rank_bound: Optional[int] = None) -> Workspace:
-        """A fresh workspace at the run's rank bound, or at `rank_bound`."""
+        """A workspace at the run's rank bound, or at `rank_bound`, on the
+        run's enumerated universe and memos for that rank.  It starts at
+        the enumerated length, whatever earlier workspaces inserted."""
         rank = self.rank_bound if rank_bound is None else rank_bound
-        return Workspace(self.algebra, self.designated, rank, self.budget)
+        shared = self._enumerated.get(rank)
+        if shared is None:
+            shared = self._enumerated[rank] = _Enumerated(
+                build_universe(self.algebra, rank, budget=self.budget))
+        shared.release()
+        return Workspace(self.algebra, self.designated, rank, self.budget, shared)
 
 
 def replay(algebra: Algebra, designated: Iterable[str], rank_bound: int,

@@ -15,6 +15,7 @@ invalidates previously computed atomic values.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import re
@@ -77,6 +78,13 @@ class Universe:
         self.names.append(Name(key, rank))
         self._index[key] = n
         return n
+
+    def copy(self) -> "Universe":
+        """An independent universe holding the same names under the same ids."""
+        out = copy.copy(self)
+        out.names = list(self.names)
+        out._index = dict(self._index)
+        return out
 
     def __len__(self) -> int:
         return len(self.names)

@@ -1,10 +1,16 @@
+import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from algval.algebra import dumps_algebra, ps3
+from algval.algebra import Algebra, builtin, dumps_algebra, load_algebra, ps3
 from algval.cli import cli
+from algval.errors import InputError
+from algval.formulas import And, Bot, Imp, Not, Or, Top
+from algval.proplogic import MAX_VALUATIONS, PVar, parse_prop, print_prop
 
 
 @pytest.fixture()
@@ -236,3 +242,122 @@ class TestBuiltinSweep:
                    "--corpus-size", "500", "--seed", "0", "--format", "records")
         assert r.exit_code == 0
         assert '"corpus": 500' in r.output
+
+
+# -- fuzzing `logic taut` ------------------------------------------------------------
+
+def _starless_file(directory) -> str:
+    alg, d = ps3()
+    es = alg.elements
+    bare = Algebra("bare3", es,
+                   {(a, b): alg.meet(a, b) for a in es for b in es},
+                   {(a, b): alg.join(a, b) for a in es for b in es},
+                   {(a, b): alg.imp(a, b) for a in es for b in es}, "1", "0")
+    path = directory / "bare3.alg"
+    path.write_text(dumps_algebra(bare, d))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def taut_algebras(tmp_path_factory):
+    """(CLI spec, algebra, designated ids) for ps3, chain4 and a starless algebra."""
+    path = _starless_file(tmp_path_factory.mktemp("alg"))
+    out = []
+    for spec, (alg, d) in (("ps3", builtin("ps3")), ("chain4", builtin("chain4")),
+                           (path, load_algebra(path))):
+        assert (alg.star_t is None) == (spec == path)
+        out.append((spec, alg, frozenset(alg.index[x] for x in d)))
+    return out
+
+
+def _reference_value(alg, f, valuation: dict) -> int:
+    """Per-valuation recursive evaluation, written apart from the engine."""
+    if isinstance(f, PVar):
+        return valuation[f.name]
+    if isinstance(f, Top):
+        return alg.top_i
+    if isinstance(f, Bot):
+        return alg.bottom_i
+    if isinstance(f, Not):
+        return alg.star_t[_reference_value(alg, f.body, valuation)]
+    table = {And: alg.meet_t, Or: alg.join_t, Imp: alg.imp_t}[type(f)]
+    return table[_reference_value(alg, f.left, valuation)][
+        _reference_value(alg, f.right, valuation)]
+
+
+def _expected_taut(alg, designated_i, text: str) -> tuple[int, str]:
+    """(exit code, the line to find in the output) for `logic taut`."""
+    try:
+        f = parse_prop(text)
+    except InputError:
+        return 2, "error:"
+    variables = sorted({n.name for n in _prop_nodes(f) if isinstance(n, PVar)})
+    if len(alg.elements) ** len(variables) > MAX_VALUATIONS:
+        return 2, "valuations"
+    if alg.star_t is None and any(isinstance(n, Not) for n in _prop_nodes(f)):
+        return 2, "star"
+    for combo in itertools.product(range(len(alg.elements)), repeat=len(variables)):
+        valuation = dict(zip(variables, combo))
+        if _reference_value(alg, f, valuation) not in designated_i:
+            parts = " ".join(f"{v}={alg.elements[i]}" for v, i in valuation.items())
+            return 1, f"falsified by: {parts}"
+    return 0, "valid"
+
+
+def _prop_nodes(f):
+    yield f
+    if isinstance(f, Not):
+        yield from _prop_nodes(f.body)
+    elif isinstance(f, (And, Or, Imp)):
+        yield from _prop_nodes(f.left)
+        yield from _prop_nodes(f.right)
+
+
+_prop_trees = st.recursive(
+    st.one_of(st.sampled_from([PVar(v) for v in ("p", "q", "r", "s")]),
+              st.just(Top()), st.just(Bot())),
+    lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids),
+                           st.builds(Imp, kids, kids), st.builds(Not, kids)),
+    max_leaves=12)
+
+# Formula-like text: the grammar's tokens, sentence syntax and stray characters.
+_prop_text = st.lists(
+    st.sampled_from(["p", "q", "r", "p1", "x_2", "~", "/\\", "\\/", "->", "<->",
+                     "(", ")", "true", "false", "forall", "in", "=", "#0", ".",
+                     " ", "-", "/", "\\", "<", "!", "é", "\t"]),
+    max_size=14).map("".join)
+
+_taut_settings = settings(max_examples=120, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestLogicTautFuzz:
+    """`logic taut` exits 0, 1 or 2 without a traceback on any input, and its
+    verdict and falsifier match a per-valuation reference."""
+
+    def _check(self, taut_algebras, which: int, text: str):
+        spec, alg, designated_i = taut_algebras[which]
+        r = CliRunner().invoke(cli, ["logic", "taut", "-a", spec, "--", text])
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code in (0, 1, 2)
+        assert "Traceback" not in r.stderr
+        code, line = _expected_taut(alg, designated_i, text)
+        assert r.exit_code == code, (spec, text, r.output)
+        shown = r.stderr if code == 2 else r.stdout
+        assert line in shown, (spec, text, r.output)
+
+    @_taut_settings
+    @given(which=st.integers(0, 2), text=_prop_text)
+    def test_random_text(self, taut_algebras, which, text):
+        self._check(taut_algebras, which, text)
+
+    @_taut_settings
+    @given(which=st.integers(0, 2), tree=_prop_trees)
+    def test_generated_trees(self, taut_algebras, which, tree):
+        self._check(taut_algebras, which, print_prop(tree))
+
+    def test_valuation_cap_comes_before_the_missing_star(self, taut_algebras):
+        spec, alg, designated_i = taut_algebras[2]
+        text = " /\\ ".join(f"~p{i}" for i in range(12))  # 3**12 valuations
+        r = CliRunner().invoke(cli, ["logic", "taut", "-a", spec, "--", text])
+        assert r.exit_code == 2 and "valuations" in r.stderr

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 
 import pytest
 
@@ -485,3 +486,134 @@ class TestBudgetDegradation:
         assert "budget exceeded" in r.skip_reason
         results = run_all(alg, d, rank_bound=4, names=["two-valued", "leibniz"])
         assert all(x.verdict == "skipped" for x in results)
+
+
+def _memo_key(rel: int, u: int, v: int) -> int:
+    """The atomic memo key of (rel, u, v): 2 * pair + rel, where an equality
+    pair (u <= v) is v*v + u and a membership pair is Szudzik's."""
+    if rel == 0:
+        u, v = min(u, v), max(u, v)
+        return (v * v + u) * 2
+    return (v * v + u if u < v else u * u + u + v) * 2 + 1
+
+
+def _key_max_id(key: int) -> int:
+    """The larger name id of an atomic memo key."""
+    return math.isqrt(key // 2)
+
+
+def _atomic_table(ws: Workspace, assignments=("ba", "pa")) -> dict:
+    """Every atomic value of the workspace's universe."""
+    n = len(ws.universe)
+    return {(a, rel, u, v): ws.ctx(a).atomic(rel, u, v)
+            for a in assignments for rel in ("=", "in")
+            for u in range(n) for v in range(n)}
+
+
+class TestSharedUniverse:
+    """A run enumerates each rank once and its workspaces share one atomic
+    memo per assignment; witness ids never share an entry."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_each_check_alone_matches_run_all(self, name):
+        alg, d = builtin(name)
+        together = [r.record_line() for r in run_all(alg, d, rank_bound=2, seed=5)]
+        alone = [run_all(alg, d, rank_bound=2, seed=5, names=[check])[0].record_line()
+                 for check in CHECKS]
+        assert alone == together
+
+    def test_witness_entries_pruned_before_the_next_workspace(self):
+        alg, d = ps3()
+        run = Run(alg, d, rank_bound=2)
+        assert run_check("zfbar-witnesses", run).verdict == "pass"
+        n = run.workspace().enumerated
+        memos = run._enumerated[2].memos
+        # zfbar filled entries for its witnesses; none survive the hand-out
+        assert memos["pa"] and memos["ba"]
+        assert all(_key_max_id(k) < n for memo in memos.values() for k in memo)
+        ws = run.workspace()
+        assert len(ws.universe) == ws.enumerated == n
+        assert ws.insert({0: alg.top_i, 1: alg.top_i, 2: alg.top_i}) == n
+
+    def test_grown_memo_holds_witness_entries_until_released(self):
+        # The prune test above only means something if witness entries do
+        # reach the shared memo while their workspace grows.
+        alg, d = ps3()
+        run = Run(alg, d, rank_bound=2)
+        ws = run.workspace()
+        w = ws.insert({0: alg.top_i, 1: alg.top_i, 2: alg.top_i})
+        ws.pa.equality(w, 1)
+        assert any(_key_max_id(k) >= ws.enumerated for k in run._enumerated[2].memos["pa"])
+
+    def test_two_live_workspaces_keep_their_own_witnesses(self):
+        alg, d = ps3()
+        half, top = alg.index["half"], alg.top_i
+        a_entries = {1: top, 2: half}
+        b_entries = {1: half, 3: top}
+        expected = {}
+        for label, entries in (("a", a_entries), ("b", b_entries)):
+            scratch = Workspace(alg, d, rank_bound=2)
+            scratch.insert(entries)
+            expected[label] = _atomic_table(scratch)
+        run = Run(alg, d, rank_bound=2)
+        ws_a, ws_b = run.workspace(), run.workspace()
+        # a fills the shared pa memo with its witness, then b interns another
+        # name under the same id while a is still alive; a opens its ba
+        # context only after that
+        assert ws_a.insert(a_entries) == ws_a.enumerated
+        pa_only = _atomic_table(ws_a, ("pa",))
+        assert pa_only.items() <= expected["a"].items()
+        assert ws_b.insert(b_entries) == ws_a.enumerated
+        assert _atomic_table(ws_b) == expected["b"]
+        assert _atomic_table(ws_a) == expected["a"]
+        assert expected["a"] != expected["b"]
+
+    def test_run_all_enumerates_each_rank_once(self, monkeypatch):
+        calls = []
+        build = theorems.build_universe
+
+        def counted(algebra, rank_bound, **kwargs):
+            calls.append((algebra, rank_bound))
+            return build(algebra, rank_bound, **kwargs)
+
+        monkeypatch.setattr(theorems, "build_universe", counted)
+        for name, rank, ranks in (("ps3", 2, [2]), ("bool4", 3, [3, 2])):
+            alg, d = builtin(name)
+            calls.clear()
+            run_all(alg, d, rank_bound=rank, seed=0)
+            # nff-transfer's target universe belongs to another algebra
+            assert [r for a, r in calls if a is alg] == ranks
+
+    def test_each_enumerated_atom_filled_once_per_assignment(self, monkeypatch):
+        from collections import Counter
+
+        from algval.evaluate import EvalContext
+
+        fills: Counter = Counter()
+        contexts: list = []
+        init = EvalContext.__init__
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            contexts.append(self)
+
+        monkeypatch.setattr(EvalContext, "__init__", tracked_init)
+        for rel, clause_name in ((0, "equality"), (1, "membership")):
+            clause = getattr(EvalContext, clause_name)
+
+            def logged(self, u, v, clause=clause, rel=rel):
+                if _memo_key(rel, u, v) not in self._memo:
+                    a, b = (v, u) if rel == 0 and u > v else (u, v)
+                    fills[self.algebra, self.assignment, rel, a, b] += 1
+                return clause(self, u, v)
+
+            monkeypatch.setattr(EvalContext, clause_name, logged)
+        alg, d = ps3()
+        run_all(alg, d, rank_bound=2, seed=0)
+        n = len(Workspace(alg, d, rank_bound=2).universe)
+        mine = {k: c for k, c in fills.items() if k[0] is alg}
+        enumerated = [c for (_, _, _, u, v), c in mine.items() if u < n and v < n]
+        assert len(enumerated) > 2 * n * n  # both assignments, both relations
+        assert max(enumerated) == 1
+        # the counter counts exactly the clause computations
+        assert sum(c.atomic_fills for c in contexts if c.algebra is alg) == sum(mine.values())
