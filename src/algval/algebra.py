@@ -757,8 +757,11 @@ def loads_algebra(text: str, name: str = "file") -> tuple[Algebra, frozenset[str
 
 
 def load_algebra(path: str) -> tuple[Algebra, frozenset[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read algebra file {path}: {exc}") from exc
     return loads_algebra(text, name=os.path.splitext(os.path.basename(path))[0])
 
 

@@ -3,9 +3,9 @@
 Subcommands: `algebra check`, `universe build`, `eval`, `check`, `quotient
 export` and `logic`.  Exit code 0 means every selected verification passed,
 1 means at least one failed (its counterexample is printed), 2 is a usage
-or input problem.  Every option can also be set through an environment
-variable named ALGVAL_<OPTION>; with a fixed seed the machine-readable
-record output is byte-identical across runs.
+or input problem.  The options that name an `envvar` below can also be set
+through that environment variable, and no others can; with a fixed seed
+the machine-readable record output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -236,8 +236,11 @@ def quotient_export(algebra_spec, designated_spec, rank, budget, seed, out_path)
         _fail_input(exc)
     text = export_relations(qm)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail_input(exc)
         click.echo(f"wrote {len(qm.classes)} classes to {out_path}")
     else:
         click.echo(text, nl=False)
@@ -306,7 +309,7 @@ def logic_agree(algebra_spec, designated_spec, corpus_size, seed, fmt):
 
 
 def main():
-    cli(auto_envvar_prefix="ALGVAL")
+    cli()
 
 
 if __name__ == "__main__":

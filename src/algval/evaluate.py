@@ -30,10 +30,14 @@ name in the (bounded) universe, stopping early once the fold reaches its
 absorbing element (bottom for forall, top for exists).
 
 Each `value` call first compiles its sentence into nested closures, once,
-and then runs them.  Variables live in a slot list owned by that call: the
-caller's env fills the first slots and every binder gets a fresh slot, so
-shadowing is lexical and env is never written.  Atom closures read the memo
-directly and fall back to the clauses on a miss.
+and then runs them.  Every term is a slot in a list owned by that call: the
+caller's env fills the first slots, every binder gets a fresh slot, so
+shadowing is lexical and env is never written, and a name constant gets a
+slot on first use, shared within its scope, that holds its id for the whole
+call.  A constant `#k` and a variable bound to k are thus the same to the
+evaluator, and a caller binds a name through env rather than substituting
+it into the formula.  Each relation has one atom closure, which reads its
+two slots and the memo and falls back to the clauses on a miss.
 
 A connective whose left value fixes the whole table row (bottom -> b, for
 instance, on a table where that row is constant) skips its right operand.
@@ -83,7 +87,7 @@ from .algebra import Algebra
 from .errors import CapabilityError, InputError
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term,
-    Top, Var, instantiate_axiom, print_formula, subst_const, subformulas,
+    Top, Var, instantiate_axiom, print_formula, subformulas,
 )
 from .universe import Universe
 
@@ -267,9 +271,10 @@ class EvalContext:
         slots = list(env.values())
         return self._compile(f, dict(zip(env, range(len(slots)))), slots)()
 
-    def _compile(self, f: Formula, scope: dict[str, int],
+    def _compile(self, f: Formula, scope: dict[str | int, int],
                  slots: list[int]) -> Callable[[], int]:
-        """Turn f into a closure; scope maps each variable to its slot."""
+        """Turn f into a closure; scope maps each variable (by name) and each
+        name constant (by id) to its slot."""
         match f:
             case Mem() | Eq():
                 return self._atom(f, scope, slots)
@@ -300,13 +305,14 @@ class EvalContext:
             case Forall(var, body) | Exists(var, body):
                 k = len(slots)
                 slots.append(0)
-                run = self._compile(body, {**scope, var: k}, slots)
+                inner = {**scope, var: k}
+                run = self._compile(body, inner, slots)
                 if isinstance(f, Forall):
                     table, unit, absorbing = self._meet, self._top, self._bottom
                 else:
                     table, unit, absorbing = self._join, self._bottom, self._top
                 if not any(isinstance(g, (Forall, Exists)) for g in subformulas(body)):
-                    return self._row_sweep(var, body, scope, slots, k, run,
+                    return self._row_sweep(var, body, inner, slots, k, run,
                                            table, unit, absorbing)
                 names = self.universe.names
 
@@ -322,15 +328,15 @@ class EvalContext:
                 return sweep
         raise InputError(f"cannot evaluate {f!r}")
 
-    def _row_sweep(self, var: str, body: Formula, scope: dict[str, int],
+    def _row_sweep(self, var: str, body: Formula, scope: dict[str | int, int],
                    slots: list[int], k: int, run: Callable[[], int],
                    table: tuple[tuple[int, ...], ...], unit: int,
                    absorbing: int) -> Callable[[], int]:
         """A sweep over a quantifier-free body that reads the context's rows of
-        the atoms mentioning `var`, runs `run` once per distinct tuple of their
-        values and caches its result by the rows' classes (see the module
-        docstring)."""
-        specs: list[tuple[int, int, bool, int]] = []
+        the atoms mentioning `var` (slot k in scope), runs `run` once per
+        distinct tuple of their values and caches its result by the rows'
+        classes (see the module docstring)."""
+        specs: list[tuple[int, int, int]] = []  # (rel, side, slot of the other term)
         outer: list[int] = []  # slots read by the atoms that do not mention var
         for g in subformulas(body):
             if not isinstance(g, (Eq, Mem)):
@@ -338,23 +344,24 @@ class EvalContext:
             zl, zr = (isinstance(t, Var) and t.name == var for t in (g.left, g.right))
             rel = _REL_EQ if isinstance(g, Eq) else _REL_MEM
             if not (zl or zr):
-                for is_var, j in (self._slot(g.left, scope), self._slot(g.right, scope)):
-                    if is_var and j not in outer:
+                for j in (self._slot(g.left, scope, slots), self._slot(g.right, scope, slots)):
+                    if j not in outer:
                         outer.append(j)
                 continue
             if zl and zr:
-                spec = (rel, _Z_BOTH, False, -1)
+                spec = (rel, _Z_BOTH, k)
             else:
                 # equality is symmetric, so both of its orientations share a row
                 side = _Z_LEFT if zl or rel == _REL_EQ else _Z_RIGHT
-                spec = (rel, side, *self._slot(g.right if zl else g.left, scope))
+                spec = (rel, side, self._slot(g.right if zl else g.left, scope, slots))
             if spec not in specs:
                 specs.append(spec)
         rows_of = self._rows
         done: dict[tuple[int, ...], int] = {}
 
         def sweep() -> int:
-            keys = [(rel, side, slots[j] if is_var else j) for rel, side, is_var, j in specs]
+            slots[k] = -1  # so the row of `z in z` or `z = z` keys on -1
+            keys = [(rel, side, slots[j]) for rel, side, j in specs]
             n, ids = self._row_classes(keys)
             key = (n, *ids, *[slots[j] for j in outer])
             acc = done.get(key)
@@ -378,71 +385,49 @@ class EvalContext:
             return acc
         return sweep
 
-    def _slot(self, t: Term, scope: dict[str, int]) -> tuple[bool, int]:
-        """(True, slot) for a variable, (False, name id) for a constant."""
-        if isinstance(t, Const):
-            if not 0 <= t.name_id < len(self.universe.names):
-                raise InputError(f"unknown name constant #{t.name_id}")
-            return False, t.name_id
-        try:
-            return True, scope[t.name]
-        except KeyError:
-            raise InputError(f"unbound variable {t.name!r}")
+    def _slot(self, t: Term, scope: dict[str | int, int], slots: list[int]) -> int:
+        """The slot of a term.  A name constant gets one on first use, added
+        to scope and holding its id for the whole call."""
+        if isinstance(t, Var):
+            try:
+                return scope[t.name]
+            except KeyError:
+                raise InputError(f"unbound variable {t.name!r}")
+        nid = t.name_id
+        j = scope.get(nid)
+        if j is None:
+            if not 0 <= nid < len(self.universe.names):
+                raise InputError(f"unknown name constant #{nid}")
+            j = scope[nid] = len(slots)
+            slots.append(nid)
+        return j
 
-    def _atom(self, f: Mem | Eq, scope: dict[str, int],
+    def _atom(self, f: Mem | Eq, scope: dict[str | int, int],
               slots: list[int]) -> Callable[[], int]:
         """An atom closure that reads the memo inline and fills it on a miss."""
         get = self._memo.get
-        (lvar, i), (rvar, j) = self._slot(f.left, scope), self._slot(f.right, scope)
-        if isinstance(f, Eq):
-            if self.assignment == "pa" and self._star is None:
-                # equality raises on every pair; say so here, where neither a
-                # skipped operand nor a row sweep can keep it from being called
-                raise CapabilityError(
-                    f"the pa assignment needs a star table; {self.algebra.name} has none"
-                )
-            clause = self.equality
-            if lvar and not rvar:
-                lvar, i, rvar, j = rvar, j, lvar, i  # the clause is symmetric
-            if lvar and rvar:
-                def eq_vv() -> int:
-                    u, v = slots[i], slots[j]
-                    hit = get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
-                    return clause(u, v) if hit is None else hit
-                return eq_vv
-            if rvar:
-                i_sq = i * i
-
-                def eq_cv() -> int:
-                    v = slots[j]
-                    hit = get((v * v + i) * 2 if i <= v else (i_sq + v) * 2)
-                    return clause(i, v) if hit is None else hit
-                return eq_cv
-        else:
+        i, j = self._slot(f.left, scope, slots), self._slot(f.right, scope, slots)
+        if isinstance(f, Mem):
             clause = self.membership
-            if lvar and rvar:
-                def mem_vv() -> int:
-                    u, v = slots[i], slots[j]
-                    hit = get((v * v + u if u < v else u * u + u + v) * 2 + 1)
-                    return clause(u, v) if hit is None else hit
-                return mem_vv
-            if rvar:
-                i_shell = i * i + i
 
-                def mem_cv() -> int:
-                    v = slots[j]
-                    hit = get((v * v + i if i < v else i_shell + v) * 2 + 1)
-                    return clause(i, v) if hit is None else hit
-                return mem_cv
-            if lvar:
-                j_sq = j * j
+            def mem() -> int:
+                u, v = slots[i], slots[j]
+                hit = get((v * v + u if u < v else u * u + u + v) * 2 + 1)
+                return clause(u, v) if hit is None else hit
+            return mem
+        if self.assignment == "pa" and self._star is None:
+            # equality raises on every pair; say so here, where neither a
+            # skipped operand nor a row sweep can keep it from being called
+            raise CapabilityError(
+                f"the pa assignment needs a star table; {self.algebra.name} has none"
+            )
+        clause = self.equality
 
-                def mem_vc() -> int:
-                    u = slots[i]
-                    hit = get((j_sq + u if u < j else u * u + u + j) * 2 + 1)
-                    return clause(u, j) if hit is None else hit
-                return mem_vc
-        return lambda: clause(i, j)
+        def eq() -> int:
+            u, v = slots[i], slots[j]
+            hit = get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
+            return clause(u, v) if hit is None else hit
+        return eq
 
     def eval(self, f: Formula, env: Optional[dict[str, int]] = None) -> str:
         """Evaluate to an element identifier."""
@@ -472,7 +457,7 @@ def check_bq(ctx: EvalContext, u: int, phi: Formula, var: str = "x") -> BqResult
     quantified = ctx.value(Forall(var, Imp(Mem(Var(var), Const(u)), phi)))
     acc = ctx._top
     for x, ux in ctx.universe.names[u].entries:
-        acc = ctx._meet[acc][ctx._imp[ux][ctx.value(subst_const(phi, var, x))]]
+        acc = ctx._meet[acc][ctx._imp[ux][ctx.value(phi, {var: x})]]
     es = ctx.algebra.elements
     return BqResult(es[quantified], es[acc], quantified == acc)
 

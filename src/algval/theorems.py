@@ -613,14 +613,13 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
 
     # Union: dom(v) is the union of the member domains, each point weighted
     # by its membership-of-a-member value.
-    def member_of_member(xid: int, uid: int) -> Formula:
-        return Exists("m", And(Mem(Var("m"), Const(uid)), Mem(Const(xid), Var("m"))))
-
+    member_of_member = Exists("m", And(Mem(Var("m"), Var("u")), Mem(Var("x"), Var("m"))))
     count = 0
     for u in base:
         dom_v = sorted({c for y, _ in ws.universe.entries_of(u)
                         for c, _ in ws.universe.entries_of(y)})
-        v = ws.insert({xid: pa.value(member_of_member(xid, u)) for xid in dom_v})
+        v = ws.insert({xid: pa.value(member_of_member, {"x": xid, "u": u})
+                       for xid in dom_v})
         inst = Forall("x", iff(
             Mem(Var("x"), Const(v)),
             Exists("m", And(Mem(Var("m"), Const(u)), Mem(Var("x"), Var("m"))))))
@@ -631,9 +630,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
 
     # Power set: dom(y) holds every total map dom(x) -> carrier, weighted by
     # its subset-of-x value.
-    def subset_of(zid: int, xid: int) -> Formula:
-        return Forall("w", Imp(Mem(Var("w"), Const(zid)), Mem(Var("w"), Const(xid))))
-
+    subset_of = Forall("w", Imp(Mem(Var("w"), Var("z")), Mem(Var("w"), Var("x"))))
     count = skipped = 0
     for x in base:
         dom_x = [c for c, _ in ws.universe.entries_of(x)]
@@ -643,7 +640,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
         y_entries: dict[int, int] = {}
         for values in itertools.product(range(len(alg.elements)), repeat=len(dom_x)):
             z = ws.insert(dict(zip(dom_x, values)))
-            y_entries[z] = pa.value(subset_of(z, x))
+            y_entries[z] = pa.value(subset_of, {"z": z, "x": x})
         y = ws.insert(y_entries)
         inst = Forall("z", iff(
             Mem(Var("z"), Const(y)),
@@ -675,7 +672,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
             for ctx_name in ("pa", "ba"):
                 ctx = ws.ctx(ctx_name)
                 y = ws.insert({
-                    zid: alg.meet_t[xv][ctx.value(subst_const(phi, "z", zid))]
+                    zid: alg.meet_t[xv][ctx.value(phi, {"z": zid})]
                     for zid, xv in ws.universe.entries_of(x)
                 })
                 inst = Forall("z", iff(
@@ -992,18 +989,17 @@ def check_leibniz(run: Run) -> CheckResult:
         pairs = pairs[::stride]
     for u, v in pairs:
         for label, phi in forms:
-            val_u = pa.value(subst_const(phi, "x", u))
-            val_v = pa.value(subst_const(phi, "x", v))
+            val_u = pa.value(phi, {"x": u})
+            val_v = pa.value(phi, {"x": v})
             if (val_u in d) and (val_v not in d):
-                ce = ws.sentence_counterexample(
-                    "pa", subst_const(phi, "x", v), algebra.elements[val_v],
-                    note=f"{label}: valid at #{u} but not at pa-equal #{v}")
-                return CheckResult("leibniz", desc, "fail", counterexample=ce)
-            if value_class(val_u) != value_class(val_v):
-                ce = ws.sentence_counterexample(
-                    "pa", subst_const(phi, "x", v), algebra.elements[val_v],
-                    note=f"{label}: value class changed across a pa-equal pair")
-                return CheckResult("leibniz", desc, "fail", counterexample=ce)
+                note = f"{label}: valid at #{u} but not at pa-equal #{v}"
+            elif value_class(val_u) != value_class(val_v):
+                note = f"{label}: value class changed across a pa-equal pair"
+            else:
+                continue
+            ce = ws.sentence_counterexample(
+                "pa", subst_const(phi, "x", v), algebra.elements[val_v], note=note)
+            return CheckResult("leibniz", desc, "fail", counterexample=ce)
 
     details: dict = {"pa_equal_pairs": len(pairs), "battery": len(forms)}
     if prof["big_designated"] and prof["has_intermediate"]:
@@ -1016,8 +1012,8 @@ def check_leibniz(run: Run) -> CheckResult:
                 for label, phi in forms:
                     if is_negation_free(phi):
                         continue
-                    vu = ba.value(subst_const(phi, "x", u))
-                    vv = ba.value(subst_const(phi, "x", v))
+                    vu = ba.value(phi, {"x": u})
+                    vv = ba.value(phi, {"x": v})
                     if vu in d and vv not in d:
                         violation = {
                             "formula": label,
@@ -1209,15 +1205,15 @@ def check_boolean_coincidence(run: Run) -> CheckResult:
         return CheckResult("boolean-coincidence", desc, "fail", counterexample=bad[0])
     ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
     checked = 0
+    forms = battery(ws2.universe)
     for u in range(len(ws2.universe)):
-        for label, phi in battery(ws2.universe):
-            sentence = subst_const(phi, "x", u)
-            vba = ws2.ba.value(sentence)
-            vpa = ws2.pa.value(sentence)
+        for label, phi in forms:
+            vba = ws2.ba.value(phi, {"x": u})
+            vpa = ws2.pa.value(phi, {"x": u})
             checked += 1
             if (vba in ws2.ba.designated_i) != (vpa in ws2.pa.designated_i):
                 ce = ws2.sentence_counterexample(
-                    "pa", sentence, algebra.elements[vpa],
+                    "pa", subst_const(phi, "x", u), algebra.elements[vpa],
                     note=f"ba gave {algebra.elements[vba]}")
                 return CheckResult("boolean-coincidence", desc, "fail",
                                    counterexample=ce)

@@ -1,11 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import algval
 from algval.algebra import Algebra, builtin, dumps_algebra, load_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
@@ -99,6 +103,17 @@ class TestAlgebraCheck:
         assert r.exit_code == 1
         assert "lattice: false" in r.output
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_exits_2(self, runner, tmp_path, case):
+        path = tmp_path / "core.alg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"elements \xff\xfe\n")
+        r = invoke(runner, "algebra", "check", "-a", str(path))
+        assert r.exit_code == 2
+        assert "error: cannot read algebra file" in r.stderr
+
 
 class TestUniverse:
     def test_level_sizes(self, runner):
@@ -180,6 +195,13 @@ class TestQuotientExport:
         assert r.exit_code == 0
         assert out.read_text().startswith("class [0]")
 
+    def test_unwritable_out_exits_2(self, runner, tmp_path):
+        out = tmp_path / "missing-dir" / "relations.txt"
+        r = invoke(runner, "quotient", "export", "-a", "ps3", "--rank", "2",
+                   "--out", str(out))
+        assert r.exit_code == 2
+        assert "error:" in r.stderr and str(out) in r.stderr
+
 
 class TestLogic:
     def test_taut_rejects_explosion_on_ps3(self, runner):
@@ -228,6 +250,18 @@ class TestEnvironmentOverrides:
                    env={"ALGVAL_RANK": "3"})
         assert r.exit_code == 0
         assert "total: 256 names" in r.output
+
+    def test_no_variable_for_undeclared_options(self):
+        # Only the options that declare an envvar read one; `--list` does not.
+        src = os.path.dirname(os.path.dirname(algval.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("ALGVAL_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["ALGVAL_CHECK_LIST_CHECKS"] = "1"
+        r = subprocess.run([sys.executable, "-m", "algval.cli", "check", "drim"],
+                           env=env, capture_output=True, text=True, timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert "[PASS] drim" in r.stdout
+        assert "zfbar-witnesses" not in r.stdout
 
 
 class TestBuiltinSweep:
@@ -361,3 +395,54 @@ class TestLogicTautFuzz:
         text = " /\\ ".join(f"~p{i}" for i in range(12))  # 3**12 valuations
         r = CliRunner().invoke(cli, ["logic", "taut", "-a", spec, "--", text])
         assert r.exit_code == 2 and "valuations" in r.stderr
+
+
+# -- fuzzing `eval` ------------------------------------------------------------------
+
+# Random token text, and sentences from the grammar that bind x and y most of
+# the time; the names #4 and #5 exist only when `--name` literals intern them.
+_eval_tokens = st.lists(
+    st.sampled_from(["forall x.", "exists y.", "x", "y", "#0", "#4", "#9", "in", "=",
+                     "~", "/\\", "\\/", "->", "<->", "(", ")", "true", "false", ".",
+                     "#", "é", "\t", " "]),
+    max_size=12).map("".join)
+_eval_terms = st.sampled_from(["x", "y", "x", "y", "#0", "#1", "#3", "#4", "#5"])
+_eval_sentences = st.recursive(
+    st.builds("{} {} {}".format, _eval_terms, st.sampled_from(["in", "="]), _eval_terms),
+    lambda kids: st.one_of(
+        st.builds("~({})".format, kids),
+        st.builds("({} {} {})".format, kids, st.sampled_from(["/\\", "\\/", "->", "<->"]),
+                  kids),
+        st.builds("{} {}. ({})".format, st.sampled_from(["forall", "exists"]),
+                  st.sampled_from(["x", "y"]), kids)),
+    max_leaves=5).flatmap(lambda f: st.sampled_from([f, f"forall x. exists y. ({f})"]))
+_eval_text = st.one_of(_eval_tokens, _eval_sentences)
+
+# well-formed literals, some naming an unknown id, element or a key twice
+_literal_names = st.sampled_from(["{}", "{#0: half}", "{#1: 1, #0: 0}", "{#3: half, #2: one}",
+                                  "{#4: 1}", "{#9: half}", "{#0: 7}", "{#1: 1, #1: 0}"])
+_junk_names = st.lists(st.sampled_from(["{", "}", "#0", "#1", "#4", "#9", ":", ",", " ",
+                                        "half", "1", "0", "one", "b", "#", "é"]),
+                       max_size=8).map("".join)
+_name_lists = st.one_of(st.lists(_literal_names, max_size=2),
+                        st.lists(st.one_of(_literal_names, _junk_names), min_size=1, max_size=2))
+
+
+class TestEvalFuzz:
+    """`eval` on ps3 at rank 2 exits 0 with an element, or 2 with an error
+    line, and never with a traceback, whatever the formula and names."""
+
+    @_taut_settings
+    @given(text=_eval_text, names=_name_lists)
+    def test_random_text_and_names(self, text, names):
+        args = ["eval", "-a", "ps3", "--rank", "2"]
+        for literal in names:
+            args += ["--name", literal]
+        r = CliRunner().invoke(cli, args + ["--", text])
+        assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+        assert r.exit_code in (0, 2), (names, text, r.output)
+        assert "Traceback" not in r.stderr
+        if r.exit_code == 0:
+            assert r.stdout.splitlines()[-1] in ps3()[0].elements
+        else:
+            assert "error:" in r.stderr, (names, text, r.output)

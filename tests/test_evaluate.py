@@ -14,6 +14,7 @@ from algval.evaluate import (
     battery,
     check_bq,
     nff_battery,
+    two_var_battery,
 )
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
@@ -524,6 +525,62 @@ def test_substitution_matches_env_binding(ps3_six_names, f, ids):
         closed = subst_const(closed, var, nid)
     for ctx in ps3_six_names:
         assert ctx.value(closed) == ctx.value(f, env), print_formula(f)
+
+
+@pytest.mark.parametrize("algname", BUILTIN_NAMES)
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_env_binding_matches_substitution_on_the_batteries(algname, assignment):
+    # The checks bind battery variables through env; a counterexample prints
+    # the substituted sentence, so both must have one value.
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    for _, phi in battery(uni):
+        for u in uni.ids():
+            assert ctx.value(phi, {"x": u}) == ctx.value(subst_const(phi, "x", u)), \
+                print_formula(phi)
+    for _, phi in two_var_battery():
+        for y in uni.ids():
+            for z in uni.ids():
+                closed = subst_const(subst_const(phi, "y", y), "z", z)
+                assert ctx.value(phi, {"y": y, "z": z}) == ctx.value(closed), \
+                    print_formula(phi)
+
+
+# A constant gets one slot per scope: repeated within a scope, first used
+# inside a binder and again outside it, and mixed into a row sweep with an
+# outer variable and the bound one.  #a and #b range over every name.
+CONSTANT_SLOT_SENTENCES = [
+    "#a in #b /\\ forall y. (#a in y -> exists z. (z = #a \\/ #b in z))",
+    "(forall y. (y in #a \\/ #a = y)) \\/ (#a in #b /\\ ~(#b = #a))",
+    "(exists y. (#b in y \\/ ~(#a in y))) /\\ (exists y. (y in #b /\\ ~(y = #a))) /\\ ~(#a = #b)",
+    "forall y. forall z. (z in #b -> (y = z \\/ #b in y))",
+    "exists y. (#a in y /\\ forall z. (z in #a -> (z in y /\\ ~(#b = z))))",
+]
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain4", "bool4"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_constant_slots_match_reference_evaluator(algname, assignment):
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    for text in CONSTANT_SLOT_SENTENCES:
+        for a in uni.ids():
+            for b in uni.ids():
+                f = parse(text.replace("#a", f"#{a}").replace("#b", f"#{b}"))
+                assert ctx.value(f) == reference_value(ctx, f, {}), print_formula(f)
+
+
+def test_a_self_atom_keeps_one_row():
+    # `z in z` reads z's own slot, which holds -1 while the rows are keyed,
+    # so the row does not fork on the last name the sweep bound.
+    alg, d = ps3()
+    uni = build_universe(alg, 2)
+    ctx = EvalContext(uni, d, "pa")
+    assert ctx.value(parse("forall x. exists z. (z in z \\/ z in x \\/ z = x)")) == alg.top_i
+    assert sorted(key for key in ctx._rows if key[1] == 2) == [(1, 2, -1)]
+    assert {key[2] for key in ctx._rows if key[1] == 0} == set(uni.ids())
 
 
 # -- the atomic clauses against a direct transcription ------------------------------
