@@ -18,7 +18,6 @@ from .algebra import (
     check_filter,
     check_lattice,
     collapse_f,
-    designated_cobounded,
     dumps_algebra,
     load_algebra,
     loads_algebra,
@@ -36,7 +35,6 @@ from .evaluate import BqResult, EvalContext, battery, check_bq, nff_battery
 from .formulas import (
     Formula,
     instantiate_axiom,
-    is_closed,
     is_negation_free,
     parse,
     print_formula,
@@ -49,14 +47,7 @@ from .quotient import (
     quotient_satisfies,
 )
 from .theorems import CHECKS, CheckResult, Run, Workspace, replay, run_all, run_check
-from .universe import (
-    Universe,
-    build_universe,
-    check_name,
-    hf_nat,
-    parse_hf,
-    parse_name_literal,
-)
+from .universe import Universe, build_universe, parse_name_literal
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -560,15 +560,13 @@ def boolean_algebra(n_atoms: int) -> tuple[Algebra, frozenset[str]]:
     return alg, frozenset({by_mask[full]})
 
 
-def chain(k: int, designated: Optional[Iterable[str]] = None,
-          star_rule: str = "designated") -> tuple[Algebra, frozenset[str]]:
-    """Totally ordered k-element algebra with the collapsing implication.
+def chain(k: int, designated: Optional[Iterable[str]] = None
+          ) -> tuple[Algebra, frozenset[str]]:
+    """Totally ordered k-element algebra with the collapsing implication
+    and the designated-relative star.
 
     Elements are 0 < a < b < ... < 1.  The default designated set is
-    everything except bottom, which is an ultrafilter.  `star_rule` picks
-    between the designated-relative star (default) and the fixed-middle
-    star that leaves every non-extreme element in place regardless of the
-    designated set; the two coincide for the default designated set.
+    everything except bottom, which is an ultrafilter.
     """
     if k < 2:
         raise InputError("a chain needs at least two elements")
@@ -582,15 +580,9 @@ def chain(k: int, designated: Optional[Iterable[str]] = None,
         d = frozenset(es[1:])
     else:
         d = frozenset(designated)
-    if star_rule == "designated":
-        star_table = _designated_star(es, "1", "0", d)
-    elif star_rule == "fixed-middle":
-        star_table = {e: e for e in es}
-        star_table["1"], star_table["0"] = "0", "1"
-    else:
-        raise InputError(f"unknown star rule {star_rule!r}")
+    star_table = _designated_star(es, "1", "0", d)
     alg = Algebra(f"chain{k}", es, meet, join, imp, "1", "0", star_table,
-                  star_rule=star_rule)
+                  star_rule="designated")
     ok, witness = is_filter(alg, d)
     if not ok:
         raise InputError(f"designated set {sorted(d)} is not a filter: {witness}")
@@ -639,24 +631,6 @@ def stretch(base: Algebra, designated: Optional[Iterable[str]] = None
     ok, witness = is_filter(alg, d)
     if not ok:
         raise InputError(f"designated set {sorted(d)} is not a filter: {witness}")
-    return alg, d
-
-
-def designated_cobounded(lattice: Algebra, designated: Iterable[str]
-                         ) -> tuple[Algebra, frozenset[str]]:
-    """Install the collapsing implication and designated-relative star
-    on top of an existing lattice's meet/join structure."""
-    d = frozenset(lattice.resolve(m) for m in designated)
-    ok, witness = is_filter(lattice, d)
-    if not ok:
-        raise InputError(f"designated set {sorted(d)} is not a filter: {witness}")
-    es = lattice.elements
-    meet = {(a, b): lattice.meet(a, b) for a in es for b in es}
-    join = {(a, b): lattice.join(a, b) for a in es for b in es}
-    imp = _collapsing_imp(es, lattice.bottom, lattice.top)
-    star_table = _designated_star(es, lattice.top, lattice.bottom, d)
-    alg = Algebra(f"{lattice.name}-designated", es, meet, join, imp,
-                  lattice.top, lattice.bottom, star_table, star_rule="designated")
     return alg, d
 
 
@@ -719,12 +693,17 @@ def loads_algebra(text: str, name: str = "file") -> tuple[Algebra, frozenset[str
     tables: dict[str, dict] = {"meet": {}, "join": {}, "imp": {}, "star": {}}
     top = bottom = None
     designated: list[str] = []
+    seen: dict[tuple[str, ...], int] = {}  # line number of each table entry or keyword
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         kw, args = tokens[0], tokens[1:]
+        key = (kw, *args[:-1]) if kw in ("meet", "join", "imp", "star") else (kw,)
+        if key in seen:
+            raise InputError(f"line {lineno}: {' '.join(key)} already given on line {seen[key]}")
+        seen[key] = lineno
         if kw == "elements":
             elements = args
         elif kw in ("top", "bottom"):

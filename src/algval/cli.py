@@ -20,7 +20,7 @@ from .algebra import (
     BUILTIN_NAMES, Algebra, builtin, check_cobounded, check_drim,
     check_filter, load_algebra, override_designated,
 )
-from .errors import AlgvalError, InputError
+from .errors import AlgvalError, CapabilityError, InputError
 from .evaluate import EvalContext
 from .formulas import parse
 from .proplogic import is_tautology, parse_prop
@@ -229,9 +229,10 @@ def quotient_export(algebra_spec, designated_spec, rank, budget, seed, out_path)
     """Build the quotient model and export classes and relations."""
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        uni = build_universe(alg, rank, budget=budget)
-        ctx = EvalContext(uni, d, "pa")
-        qm = build_quotient(ctx, seed=seed)
+        run = Run(alg, d, rank_bound=rank, seed=seed, budget=budget)
+        if not run.profile["ultra_designated_cobounded"]:
+            raise CapabilityError("needs an ultra-designated cobounded algebra")
+        qm = build_quotient(run.workspace().pa, seed=run.seed)
     except AlgvalError as exc:
         _fail_input(exc)
     text = export_relations(qm)

@@ -69,16 +69,13 @@ they always have.  The clauses read the memo inline on their recursive
 calls.
 
 The memo and the rows only ever gain deterministic entries while a context
-evaluates, and rows are extended and interned under a per-context lock, so
-a context may be shared across threads (the counters are exact only on one
-thread).  The checks run on one thread; only the owner of a shared memo
-removes entries from it (`forget_names`), between evaluations.
+evaluates; only the owner of a shared memo removes entries from it
+(`forget_names`), between evaluations.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Callable, Iterable, Optional
@@ -146,7 +143,6 @@ class EvalContext:
         self._eq_stop = (self._bottom if _decided(alg.meet_t)[self._bottom] == self._bottom
                          else -1)
         self._rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._rows_lock = threading.Lock()
         # class ids of the rows, by content and by row key, valid for a
         # universe of _classes_n names
         self._classes: dict[tuple[int, ...], int] = {}
@@ -236,24 +232,22 @@ class EvalContext:
     def _row_classes(self, keys: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
         """Fill the rows of keys to the end of the universe and return its
         length n with the rows' class ids: rows with equal contents share an
-        id while the universe holds n names.  n is read under the lock, so it
-        never falls and an id is never reused for other contents at one n."""
-        with self._rows_lock:
-            n = len(self.universe.names)
-            rows, row_class, classes = self._rows, self._row_class, self._classes
-            if self._classes_n != n:
-                row_class.clear()
-                classes.clear()
-                self._classes_n = n
-            ids = []
-            for key in keys:
-                cid = row_class.get(key)
-                if cid is None:
-                    # a row is a tuple, so the class table keys on the row itself
-                    row = rows[key] = self._extended(rows.get(key, ()), *key, n)
-                    cid = row_class[key] = classes.setdefault(row, len(classes))
-                ids.append(cid)
-            return n, ids
+        id while the universe holds n names."""
+        n = len(self.universe.names)
+        rows, row_class, classes = self._rows, self._row_class, self._classes
+        if self._classes_n != n:
+            row_class.clear()
+            classes.clear()
+            self._classes_n = n
+        ids = []
+        for key in keys:
+            cid = row_class.get(key)
+            if cid is None:
+                # a row is a tuple, so the class table keys on the row itself
+                row = rows[key] = self._extended(rows.get(key, ()), *key, n)
+                cid = row_class[key] = classes.setdefault(row, len(classes))
+            ids.append(cid)
+        return n, ids
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""
@@ -448,16 +442,16 @@ class BqResult:
     equal: bool
 
 
-def check_bq(ctx: EvalContext, u: int, phi: Formula, var: str = "x") -> BqResult:
+def check_bq(ctx: EvalContext, u: int, phi: Formula) -> BqResult:
     """Compare the quantified bounded formula against its domain-indexed form.
 
-    Left side:  value of `forall var (var in u -> phi(var))` over the whole
+    Left side:  value of `forall x (x in u -> phi(x))` over the whole
     universe.  Right side: meet over x in dom(u) of u(x) => phi(x).
     """
-    quantified = ctx.value(Forall(var, Imp(Mem(Var(var), Const(u)), phi)))
+    quantified = ctx.value(Forall("x", Imp(Mem(Var("x"), Const(u)), phi)))
     acc = ctx._top
     for x, ux in ctx.universe.names[u].entries:
-        acc = ctx._meet[acc][ctx._imp[ux][ctx.value(phi, {var: x})]]
+        acc = ctx._meet[acc][ctx._imp[ux][ctx.value(phi, {"x": x})]]
     es = ctx.algebra.elements
     return BqResult(es[quantified], es[acc], quantified == acc)
 
@@ -465,8 +459,8 @@ def check_bq(ctx: EvalContext, u: int, phi: Formula, var: str = "x") -> BqResult
 # -- formula batteries --------------------------------------------------------------
 
 
-def battery(universe: Universe, t_ids: Optional[Iterable[int]] = None,
-            var: str = "x") -> list[tuple[str, Formula]]:
+def battery(universe: Universe, t_ids: Optional[Iterable[int]] = None
+            ) -> list[tuple[str, Formula]]:
     """The fixed one-free-variable formula battery used by the property sweeps.
 
     Contains, for each t in a small name sample: x = t, t in x, x in t,
@@ -477,22 +471,22 @@ def battery(universe: Universe, t_ids: Optional[Iterable[int]] = None,
     """
     if t_ids is None:
         t_ids = range(min(4, len(universe.names)))
-    x = Var(var)
+    x = Var("x")
     m, n = Var("m"), Var("n")
     forms: list[tuple[str, Formula]] = []
     for t in t_ids:
         c = Const(t)
-        forms.append((f"{var} = #{t}", Eq(x, c)))
-        forms.append((f"#{t} in {var}", Mem(c, x)))
-        forms.append((f"{var} in #{t}", Mem(x, c)))
-        forms.append((f"~({var} in #{t})", Not(Mem(x, c))))
-        forms.append((f"({var} in #{t}) -> false", Imp(Mem(x, c), Bot())))
-    forms.append((f"exists m (m in {var})", Exists("m", Mem(m, x))))
-    forms.append((f"forall m (m in {var} -> m = m)",
+        forms.append((f"x = #{t}", Eq(x, c)))
+        forms.append((f"#{t} in x", Mem(c, x)))
+        forms.append((f"x in #{t}", Mem(x, c)))
+        forms.append((f"~(x in #{t})", Not(Mem(x, c))))
+        forms.append((f"(x in #{t}) -> false", Imp(Mem(x, c), Bot())))
+    forms.append(("exists m (m in x)", Exists("m", Mem(m, x))))
+    forms.append(("forall m (m in x -> m = m)",
                   Forall("m", Imp(Mem(m, x), Eq(m, m)))))
-    forms.append((f"exists m forall n (n in m -> n in {var})",
+    forms.append(("exists m forall n (n in m -> n in x)",
                   Exists("m", Forall("n", Imp(Mem(n, m), Mem(n, x))))))
-    forms.append((f"~exists m (m in {var})", Not(Exists("m", Mem(m, x)))))
+    forms.append(("~exists m (m in x)", Not(Exists("m", Mem(m, x)))))
     return forms
 
 
@@ -507,12 +501,11 @@ def two_var_battery() -> list[tuple[str, Formula]]:
     ]
 
 
-def nff_battery(universe: Universe, sample: Optional[Iterable[int]] = None,
-                rng: Optional[random.Random] = None) -> list[tuple[str, Formula]]:
-    """Closed negation-free sentences, with name constants from the sample."""
-    if sample is None:
-        sample = list(range(min(4, len(universe.names))))
-    sample = list(sample)
+def nff_battery(universe: Universe, rng: Optional[random.Random] = None
+                ) -> list[tuple[str, Formula]]:
+    """Closed negation-free sentences, with name constants from the first
+    (at most four) names of the universe."""
+    sample = list(range(min(4, len(universe.names))))
     out: list[tuple[str, Formula]] = []
     e = sample[0]
     out.append((f"#{e} = #{e}", Eq(Const(e), Const(e))))

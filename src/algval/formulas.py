@@ -156,10 +156,6 @@ def bound_vars(f: Formula) -> frozenset[str]:
     return frozenset(g.var for g in subformulas(f) if isinstance(g, BINDERS))
 
 
-def is_closed(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def is_negation_free(f: Formula) -> bool:
     """True when no negation node occurs anywhere; falsum is allowed."""
     return not any(isinstance(g, Not) for g in subformulas(f))

@@ -114,8 +114,7 @@ def _compile(alg: Algebra, f: PropFormula, variables: list[str], n: int
     return build(f)
 
 
-def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula,
-                 max_valuations: int = MAX_VALUATIONS
+def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula
                  ) -> tuple[bool, Optional[dict[str, str]]]:
     """Exhaustive validity over all valuations.
 
@@ -128,10 +127,10 @@ def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula,
     variables = sorted(prop_vars(f))
     size = len(alg.elements)
     total = size ** len(variables)
-    if total > max_valuations:
+    if total > MAX_VALUATIONS:
         raise ResourceError(
             f"{len(variables)} variables over {size} elements "
-            f"need {total} valuations; cap is {max_valuations}")
+            f"need {total} valuations; cap is {MAX_VALUATIONS}")
     ok = [i in d for i in range(size)].__getitem__
     # one block per value of the first variable (one block if there is
     # none); the columns of the other variables are shared by every block

@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 import re
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Union
 
 from .algebra import Algebra
 from .errors import InputError, ResourceError
 
 DEFAULT_BUDGET = 100_000
-
-HF = frozenset  # hereditarily finite sets as nested frozensets
 
 
 class Name:
@@ -38,15 +35,11 @@ class Name:
         self.entries = entries
         self.rank = rank
 
-    def domain(self) -> tuple[int, ...]:
-        return tuple(k for k, _ in self.entries)
-
 
 class Universe:
-    def __init__(self, algebra: Algebra, rank_bound: int, budget: int = DEFAULT_BUDGET):
+    def __init__(self, algebra: Algebra, rank_bound: int):
         self.algebra = algebra
         self.rank_bound = rank_bound
-        self.budget = budget
         self.names: list[Name] = []
         self._index: dict[tuple[tuple[int, int], ...], int] = {}
         self.insert({})  # the empty name, always NameId 0
@@ -112,39 +105,23 @@ class Universe:
         return "{" + inner + "}"
 
 
-def _enumeration_count(n_prev: int, n_values: int, domain_cap: Optional[int]) -> int:
-    if domain_cap is None or domain_cap >= n_prev:
-        return (n_values + 1) ** n_prev
-    return sum(math.comb(n_prev, k) * n_values**k for k in range(domain_cap + 1))
-
-
-def build_universe(
-    algebra: Algebra,
-    rank_bound: int,
-    value_restriction: Optional[Iterable[str]] = None,
-    domain_cap: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Universe:
+def build_universe(algebra: Algebra, rank_bound: int,
+                   budget: int = DEFAULT_BUDGET) -> Universe:
     """Enumerate every name up to the rank bound.
 
     At each rank the candidates are all maps from subsets of the previous
-    level into the allowed values (all elements unless restricted), so the
-    level of rank r has (v+1)^(size of level r-1) candidates before
-    deduplication.  Enumeration refuses to start a rank whose candidate
-    count would exceed the budget.
+    level into the elements, so the level of rank r has (v+1)^(size of
+    level r-1) candidates before deduplication, for v elements.
+    Enumeration refuses to start a rank whose candidate count would exceed
+    the budget.
     """
     if rank_bound < 1:
         raise InputError("rank bound must be at least 1")
-    if value_restriction is None:
-        values = list(range(len(algebra.elements)))
-    else:
-        values = sorted({algebra.index[algebra.resolve(v)] for v in value_restriction})
-        if not values:
-            raise InputError("value restriction must allow at least one element")
-    uni = Universe(algebra, rank_bound, budget)
+    values = range(len(algebra.elements))
+    uni = Universe(algebra, rank_bound)
     for rank in range(2, rank_bound + 1):
         prev = [nid for nid in uni.ids() if uni.rank_of(nid) <= rank - 1]
-        candidates = _enumeration_count(len(prev), len(values), domain_cap)
+        candidates = (len(values) + 1) ** len(prev)
         if candidates > budget:
             shown = (str(candidates) if candidates < 10**9
                      else f"about 10^{len(str(candidates)) - 1}")
@@ -152,62 +129,11 @@ def build_universe(
                 f"rank {rank}: enumeration needs {shown} candidate names, "
                 f"budget is {budget}"
             )
-        cap = len(prev) if domain_cap is None else min(domain_cap, len(prev))
-        for size in range(cap + 1):
+        for size in range(len(prev) + 1):
             for domain in itertools.combinations(prev, size):
                 for assignment in itertools.product(values, repeat=size):
                     uni.insert(tuple(zip(domain, assignment)))
     return uni
-
-
-# -- hereditarily finite sets -----------------------------------------------------
-
-
-def parse_hf(text: str) -> HF:
-    """Parse a nested-braces literal such as `{{},{{}}}` into nested frozensets."""
-    text = re.sub(r"\s+", "", text)
-    pos = 0
-
-    def parse() -> HF:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "{":
-            raise InputError(f"expected '{{' at position {pos} of HF literal")
-        pos += 1
-        members = []
-        while pos < len(text) and text[pos] != "}":
-            members.append(parse())
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-        if pos >= len(text):
-            raise InputError("unterminated HF literal")
-        pos += 1  # closing brace
-        return frozenset(members)
-
-    out = parse()
-    if pos != len(text):
-        raise InputError(f"trailing characters at position {pos} of HF literal")
-    return out
-
-
-def hf_nat(n: int) -> HF:
-    """The von Neumann numeral n as a hereditarily finite set."""
-    out: HF = frozenset()
-    for _ in range(n):
-        out = out | frozenset([out])
-    return out
-
-
-def check_name(universe: Universe, x: Union[HF, str]) -> int:
-    """Embed a hereditarily finite set: every member mapped to top, recursively."""
-    if isinstance(x, str):
-        x = parse_hf(x)
-    top = universe.algebra.top_i
-
-    def build(s: HF) -> int:
-        children = sorted(build(m) for m in s)
-        return universe.insert([(c, top) for c in children])
-
-    return build(x)
 
 
 # -- CLI name-entry literals --------------------------------------------------------

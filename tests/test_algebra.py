@@ -12,7 +12,6 @@ from algval.algebra import (
     check_filter,
     check_lattice,
     collapse_f,
-    designated_cobounded,
     dumps_algebra,
     loads_algebra,
     ps3,
@@ -214,16 +213,6 @@ class TestStarLaws:
                 assert alg.star(a) == a
                 assert alg.star(alg.star(a)) == a
 
-    def test_fixed_middle_variant(self):
-        alg, _ = chain(4, star_rule="fixed-middle")
-        assert alg.star("a") == "a" and alg.star("b") == "b"
-        assert alg.star("1") == "0" and alg.star("0") == "1"
-
-    def test_variants_coincide_on_default_designated(self):
-        a1, _ = chain(5)
-        a2, _ = chain(5, star_rule="fixed-middle")
-        assert a1.star_t == a2.star_t
-
 
 class TestBuilders:
     def test_chain2_is_two_element_boolean(self):
@@ -250,20 +239,6 @@ class TestBuilders:
         lying = Algebra("unbounded", es, tbl, tbl, tbl, "y", "x")
         with pytest.raises(InputError, match="bounded"):
             stretch(lying)
-
-    def test_designated_cobounded_requires_filter(self):
-        alg, _ = chain(4)
-        with pytest.raises(InputError, match="filter"):
-            designated_cobounded(alg, {"a"})
-
-    def test_designated_cobounded_installs_operators(self):
-        base, _ = chain(4)
-        alg, d = designated_cobounded(base, {"1", "b"})
-        assert alg.star("b") == "b"      # designated, below top
-        assert alg.star("a") == "1"      # not designated
-        assert alg.imp("a", "0") == "0"
-        rep = check_filter(alg, d)
-        assert rep.ok("designated-cobounded")
 
     def test_builder_sizes(self):
         assert ps3()[0].name == "ps3"

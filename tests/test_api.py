@@ -1,0 +1,80 @@
+"""Dead-code guard: every public module-level function and class of the
+package is reachable by name from code that runs.
+
+The live parts of `src/algval/` are its module-level statements other
+than definitions and imports (the check registry, for instance), its click
+commands, the allowlisted entry points, and every definition that a live
+part names.  A public definition that only names itself, or is only named
+by dead definitions or by the package's re-exports, is reported.
+"""
+
+import ast
+from pathlib import Path
+
+import algval
+
+SRC = Path(algval.__file__).parent
+
+# public entry points with no caller in the package: `replay` rebuilds a
+# value from a record, `dumps_algebra` writes the algebra file format
+ALLOWED = {"replay", "dumps_algebra"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _is_click_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+               and dec.func.attr in ("command", "group") for dec in node.decorator_list)
+
+
+def dead_definitions(src: Path) -> list[str]:
+    """`module.name` of each public definition in src/*.py that is not live."""
+    defs: dict[tuple[str, str], set[str]] = {}  # (module, name) -> names it uses
+    roots: set[str] = set(ALLOWED)
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                used = _names(node) - {node.name}
+                defs[(path.stem, node.name)] = used
+                if _is_click_command(node):
+                    roots |= used | {node.name}
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _names(node)
+    live = set(roots)
+    grown = True
+    while grown:
+        grown = False
+        for (_, name), used in defs.items():
+            if name in live and not used <= live:
+                live |= used
+                grown = True
+    return sorted(f"{mod}.{name}" for mod, name in defs
+                  if not name.startswith("_") and name not in live)
+
+
+def test_every_public_definition_has_a_caller():
+    assert dead_definitions(SRC) == []
+
+
+def test_guard_sees_a_definition_named_only_by_the_dead(tmp_path):
+    # a dead pair, a live pair and re-exports: only the dead pair is
+    # reported, since a name used by a dead definition does not count
+    (tmp_path / "probe.py").write_text(
+        "def orphan():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def used():\n    return inner()\n\n\n"
+        "def inner():\n    return 2\n\n\nVALUE = used()\n",
+        encoding="utf-8")
+    (tmp_path / "__init__.py").write_text("from .probe import helper, orphan\n",
+                                          encoding="utf-8")
+    assert dead_definitions(tmp_path) == ["probe.helper", "probe.orphan"]

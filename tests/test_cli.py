@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import algval
-from algval.algebra import Algebra, builtin, dumps_algebra, load_algebra, ps3
+from algval.algebra import BUILTIN_NAMES, Algebra, builtin, dumps_algebra, load_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
 from algval.formulas import And, Bot, Imp, Not, Or, Top
@@ -114,6 +114,18 @@ class TestAlgebraCheck:
         assert r.exit_code == 2
         assert "error: cannot read algebra file" in r.stderr
 
+    @pytest.mark.parametrize("first,repeat", [("star 1 0", "star 1 1"),
+                                              ("meet 1 1 1", "meet 1 1 0"),
+                                              ("top 1", "top 1")])
+    def test_repeated_line_exits_2(self, runner, tmp_path, first, repeat):
+        lines = dumps_algebra(*ps3()).splitlines() + [repeat]
+        path = tmp_path / "core.alg"
+        path.write_text("\n".join(lines) + "\n")
+        r = invoke(runner, "algebra", "check", "-a", str(path))
+        assert r.exit_code == 2
+        assert r.stderr.startswith(f"error: line {len(lines)}: ")
+        assert f"on line {lines.index(first) + 1}" in r.stderr
+
 
 class TestUniverse:
     def test_level_sizes(self, runner):
@@ -194,6 +206,17 @@ class TestQuotientExport:
                    "--out", str(out))
         assert r.exit_code == 0
         assert out.read_text().startswith("class [0]")
+
+    @pytest.mark.parametrize("case", ["ps3-designated-1", "file-designated-0", "bool4"])
+    def test_outside_the_quotient_class_exits_2(self, runner, tmp_path, case):
+        path = tmp_path / "bottom.alg"
+        path.write_text(dumps_algebra(ps3()[0], {"0"}))
+        args = {"ps3-designated-1": ["-a", "ps3", "--designated", "1"],
+                "file-designated-0": ["-a", str(path)], "bool4": ["-a", "bool4"]}[case]
+        r = invoke(runner, "quotient", "export", *args)
+        assert r.exit_code == 2
+        assert r.stderr == "error: needs an ultra-designated cobounded algebra\n"
+        assert "class" not in r.stdout
 
     def test_unwritable_out_exits_2(self, runner, tmp_path):
         out = tmp_path / "missing-dir" / "relations.txt"
@@ -446,3 +469,45 @@ class TestEvalFuzz:
             assert r.stdout.splitlines()[-1] in ps3()[0].elements
         else:
             assert "error:" in r.stderr, (names, text, r.output)
+
+
+# -- fuzzing algebra files -----------------------------------------------------------
+
+# no builtin element or alias (one, zero, top, bottom) is spelt with these letters
+_fresh_ids = st.text(alphabet="qwxyz_", min_size=1, max_size=5)
+
+
+class TestAlgebraFileFuzz:
+    """A builtin's algebra file with one line deleted, one line repeated (as
+    it is or with another last token) or one token replaced by a fresh
+    identifier is bad input: `algebra check` and `check drim` exit 2 with an
+    error line and no traceback."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(BUILTIN_NAMES),
+           kind=st.sampled_from(["delete", "repeat", "repeat-changed", "replace"]),
+           fresh=_fresh_ids, data=st.data())
+    def test_one_mutation(self, tmp_path, name, kind, fresh, data):
+        alg, d = builtin(name)
+        assert fresh not in alg.index
+        lines = dumps_algebra(alg, d).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if kind == "delete":
+            del lines[i]
+        elif kind == "replace":
+            tokens[data.draw(st.integers(0, len(tokens) - 1))] = fresh
+            lines[i] = " ".join(tokens)
+        else:
+            if kind == "repeat-changed":
+                tokens[-1] = data.draw(st.sampled_from([*alg.elements, fresh]))
+            lines.insert(data.draw(st.integers(0, len(lines))), " ".join(tokens))
+        path = tmp_path / f"{name}.alg"
+        path.write_text("\n".join(lines) + "\n")
+        for args in (["algebra", "check"], ["check", "drim"]):
+            r = CliRunner().invoke(cli, args + ["-a", str(path)])
+            assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+            assert r.exit_code == 2, (args, lines, r.output)
+            assert r.stderr.startswith("error:")
+            assert "Traceback" not in r.stderr

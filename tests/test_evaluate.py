@@ -20,6 +20,7 @@ from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
     instantiate_axiom, parse, print_formula, subst_const,
 )
+from algval.theorems import Workspace
 from algval.universe import build_universe
 
 
@@ -61,6 +62,30 @@ class TestAtomic:
         ba, _ = contexts(uni, d)
         with pytest.raises(InputError):
             ba.atomic("<", 0, 0)
+
+    def test_numeral_membership(self):
+        ws = Workspace(*ps3())
+        _, one, two = ws.numerals(2)
+        for assignment in ("ba", "pa"):
+            assert ws.ctx(assignment).atomic("in", one, two) == "1"
+
+    @pytest.mark.parametrize("algname", ["ps3", "bool2"])
+    @pytest.mark.parametrize("assignment", ["ba", "pa"])
+    def test_embedding_reflects_structural_equality(self, algname, assignment):
+        # Six distinct hereditarily finite sets, each a name whose members
+        # all weigh top: 0, 1, 2, 3, {1} and {0, 2}.  Equal exactly when
+        # they are the same set.
+        ws = Workspace(*builtin(algname))
+        top = ws.algebra.top_i
+        nums = ws.numerals(3)
+        ids = nums + [ws.universe.insert({nums[1]: top}),
+                      ws.universe.insert({nums[0]: top, nums[2]: top})]
+        assert len(set(ids)) == 6
+        ctx = ws.ctx(assignment)
+        for i, u in enumerate(ids):
+            for j, v in enumerate(ids):
+                want = ws.algebra.top if i == j else ws.algebra.bottom
+                assert ctx.atomic("=", u, v) == want
 
 
 class TestEval:
@@ -260,92 +285,12 @@ class TestBatteries:
     def test_nff_battery_is_negation_free_and_closed(self, ps3_rank2):
         import random
 
-        from algval.formulas import is_closed, is_negation_free
+        from algval.formulas import free_vars, is_negation_free
 
         uni, _ = ps3_rank2
         for _, f in nff_battery(uni, rng=random.Random(3)):
             assert is_negation_free(f)
-            assert is_closed(f)
-
-
-class TestConcurrency:
-    def test_shared_context_across_threads(self):
-        # The memo is grow-only with deterministic entries, so hammering the
-        # same context from several threads must agree with a serial run.
-        from concurrent.futures import ThreadPoolExecutor
-
-        alg, d = builtin("ps3")
-        uni = build_universe(alg, 3)
-        serial = EvalContext(uni, d, "pa")
-        expected = {(u, v): serial.equality(u, v)
-                    for u in range(40) for v in range(40)}
-        shared = EvalContext(uni, d, "pa")
-
-        def worker(offset):
-            out = {}
-            for u in range(40):
-                for v in range(40):
-                    a, b = (u, v) if offset % 2 else (v, u)
-                    out[(a, b)] = shared.equality(a, b)
-            return out
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(worker, range(8)))
-        for got in results:
-            for pair, val in got.items():
-                assert val == expected[pair]
-
-    def test_rows_filled_from_many_threads(self):
-        # Several threads extend and intern the same cold atom rows at once;
-        # a row that lost or doubled an entry, or a class id handed to two
-        # contents, would give some name another's value.
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        alg, d = builtin("ps3")
-        uni = build_universe(alg, 3)
-        sentences = [parse(t) for t in (
-            "exists y. forall z. (z in y -> ~(z = y))",
-            "forall y. exists z. (y in z /\\ z in #200)",
-            "forall y. exists z. (z = y /\\ ~(z in #17))",
-        )]
-        serial = EvalContext(uni, d, "pa")
-        want = [serial.value(f) for f in sentences]
-        shared = EvalContext(uni, d, "pa")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(lambda i: [shared.value(f) for f in
-                                                  sentences[i % 3:] + sentences[:i % 3]], i)
-                           for i in range(6)]
-                outs = [fut.result(timeout=120) for fut in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for i, got in enumerate(outs):
-            assert got == want[i % 3:] + want[:i % 3]
-        assert [shared.value(f) for f in sentences] == want
-        for key, row in shared._rows.items():
-            assert row == serial._rows[key][:len(row)], key
-        # rows were interned from all threads at once: one id per content
-        n = len(uni.names)
-        assert shared._classes_n == n
-        ids = {}
-        for key, cid in shared._row_class.items():
-            assert ids.setdefault(shared._rows[key][:n], cid) == cid, key
-        assert len(set(ids.values())) == len(ids)
-
-    def test_quantifier_sweep_matches_under_threads(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        alg, d = builtin("chain4")
-        uni = build_universe(alg, 2)
-        ctx = EvalContext(uni, d, "pa")
-        sentence = parse("forall x. exists y. (x in y /\\ y = y)")
-        want = ctx.eval(sentence)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            outs = list(pool.map(lambda _: ctx.eval(sentence), range(12)))
-        assert set(outs) == {want}
+            assert not free_vars(f)
 
 
 # -- differential test against a direct reading of the semantics -------------------

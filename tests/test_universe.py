@@ -4,24 +4,16 @@ import pytest
 
 from algval.algebra import builtin, ps3
 from algval.errors import InputError, ResourceError
-from algval.evaluate import EvalContext
-from algval.universe import (
-    build_universe,
-    check_name,
-    hf_nat,
-    parse_hf,
-    parse_name_literal,
-)
+from algval.universe import build_universe, parse_name_literal
 
 
-def level_oracle(n_values, rank_bound, domain_cap=None):
+def level_oracle(n_values, rank_bound):
     """Independent count of cumulative level sizes: the level at rank r
     holds all maps from subsets of the previous level into the values."""
     sizes = {1: 1}
     for r in range(2, rank_bound + 1):
         prev = sizes[r - 1]
-        cap = prev if domain_cap is None else min(domain_cap, prev)
-        sizes[r] = sum(math.comb(prev, k) * n_values**k for k in range(cap + 1))
+        sizes[r] = sum(math.comb(prev, k) * n_values**k for k in range(prev + 1))
     return sizes
 
 
@@ -48,19 +40,6 @@ class TestEnumeration:
     def test_bool2_rank3_counts(self):
         uni = build_universe(builtin("bool2")[0], 3)
         assert uni.level_sizes() == {1: 1, 2: 3, 3: 27}
-
-    def test_value_restriction(self):
-        alg, _ = builtin("bool2")
-        uni = build_universe(alg, 3, value_restriction={"1"})
-        assert uni.level_sizes() == level_oracle(1, 3)
-        for nid in uni.ids():
-            assert all(v == alg.top_i for _, v in uni.entries_of(nid))
-
-    def test_domain_cap(self):
-        alg, _ = ps3()
-        uni = build_universe(alg, 3, domain_cap=1)
-        assert uni.level_sizes() == level_oracle(3, 3, domain_cap=1)
-        assert all(len(uni.entries_of(nid)) <= 1 for nid in uni.ids())
 
     def test_budget_refusal_names_the_rank(self):
         with pytest.raises(ResourceError, match="rank 4"):
@@ -104,63 +83,6 @@ class TestInterning:
             uni.insert({99: 0})
         with pytest.raises(InputError, match="element index"):
             uni.insert({0: 17})
-
-
-class TestHfSets:
-    def test_parse_examples(self):
-        assert parse_hf("{}") == frozenset()
-        assert parse_hf("{{}}") == frozenset([frozenset()])
-        assert parse_hf("{{},{{}}}") == hf_nat(2)
-        # duplicate members collapse
-        assert parse_hf("{{},{}}") == parse_hf("{{}}")
-
-    def test_parse_errors(self):
-        with pytest.raises(InputError):
-            parse_hf("{{}")
-        with pytest.raises(InputError):
-            parse_hf("{}}")
-        with pytest.raises(InputError):
-            parse_hf("x")
-
-    def test_numerals(self):
-        assert hf_nat(0) == frozenset()
-        assert hf_nat(1) == frozenset([frozenset()])
-        assert len(hf_nat(3)) == 3
-
-
-class TestCheckName:
-    def test_base_cases(self):
-        uni = build_universe(ps3()[0], 2)
-        assert check_name(uni, frozenset()) == 0
-        one = check_name(uni, "{{}}")
-        assert uni.entries_of(one) == ((0, uni.algebra.top_i),)
-
-    def test_idempotent(self):
-        uni = build_universe(ps3()[0], 2)
-        assert check_name(uni, hf_nat(2)) == check_name(uni, hf_nat(2))
-
-    def test_numeral_membership(self):
-        uni = build_universe(ps3()[0], 2)
-        one = check_name(uni, hf_nat(1))
-        two = check_name(uni, hf_nat(2))
-        for assignment in ("ba", "pa"):
-            ctx = EvalContext(uni, {"1", "half"}, assignment)
-            assert ctx.atomic("in", one, two) == "1"
-
-    @pytest.mark.parametrize("algname", ["ps3", "bool2"])
-    @pytest.mark.parametrize("assignment", ["ba", "pa"])
-    def test_embedding_reflects_structural_equality(self, algname, assignment):
-        # Oracle: structural equality of the hereditarily finite sets.
-        alg, d = builtin(algname)
-        uni = build_universe(alg, 2)
-        sets = [hf_nat(0), hf_nat(1), hf_nat(2), hf_nat(3),
-                frozenset([hf_nat(1)]), frozenset([hf_nat(0), hf_nat(2)])]
-        ids = [check_name(uni, s) for s in sets]
-        ctx = EvalContext(uni, d, assignment)
-        for s, sid in zip(sets, ids):
-            for t, tid in zip(sets, ids):
-                want = alg.top if s == t else alg.bottom
-                assert ctx.atomic("=", sid, tid) == want
 
 
 class TestNameLiterals:
