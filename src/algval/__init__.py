@@ -31,7 +31,7 @@ from .errors import (
     InvariantError,
     ResourceError,
 )
-from .evaluate import BqResult, EvalContext, battery, check_bq, nff_battery
+from .evaluate import BqResult, EvalContext, battery, bq_sides, nff_battery
 from .formulas import (
     Formula,
     instantiate_axiom,

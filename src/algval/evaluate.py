@@ -29,15 +29,20 @@ tables, ~ through star, and the quantifiers as big meet/join over every
 name in the (bounded) universe, stopping early once the fold reaches its
 absorbing element (bottom for forall, top for exists).
 
-Each `value` call first compiles its sentence into nested closures, once,
-and then runs them.  Every term is a slot in a list owned by that call: the
-caller's env fills the first slots, every binder gets a fresh slot, so
-shadowing is lexical and env is never written, and a name constant gets a
-slot on first use, shared within its scope, that holds its id for the whole
-call.  A constant `#k` and a variable bound to k are thus the same to the
-evaluator, and a caller binds a name through env rather than substituting
-it into the formula.  Each relation has one atom closure, which reads its
-two slots and the memo and falls back to the clauses on a miss.
+`sentence(f, params)` compiles a formula into nested closures, once, and
+returns a handle: a function of the name ids of `params` that writes them
+into the first slots and runs the closures.  `value(f, env)` is a handle
+made and called once, so there is one evaluation path; a caller that
+evaluates one formula over many names holds a handle for its loop instead,
+and the context caches no compiled formula of its own.  Every term is a
+slot in a list owned by the handle: the params fill the first slots, every
+binder gets a fresh slot, so shadowing is lexical, and a name constant gets
+a slot on first use, shared within its scope, that holds its id for the
+handle's life.  A constant `#k` and a variable bound to k are thus the same
+to the evaluator, and a caller binds a name through a parameter rather than
+substituting it into the formula.  Each relation has one atom closure,
+which reads its two slots and the context's current memo and falls back to
+the clauses on a miss.
 
 A connective whose left value fixes the whole table row (bottom -> b, for
 instance, on a table where that row is constant) skips its right operand.
@@ -54,12 +59,13 @@ sound because atomic values never depend on later inserts, and each row is
 interned by its contents into a class id that holds while the universe
 keeps its length.  The body's value depends on z only through those rows
 and on the outer variables its other atoms read, so the sweep's result is
-cached in the compiled closure under the universe length, the rows' class
-ids and the name ids of those outer variables.  Indiscernible names have
-equal rows (ps3 at rank 3 has 256 names but 27 membership columns), so a
-sweep repeated for them is looked up, not run.  A sweep that does run folds
-in the same order and with the same early stop as before, and runs the body
-closure once per distinct tuple of row values.  `sweeps_run` and
+cached in the compiled closure, for the life of its handle, under the
+universe length, the rows' class ids and the name ids of those outer
+variables.  Indiscernible names have equal rows (ps3 at rank 3 has 256
+names but 27 membership columns), so a sweep repeated for them is looked
+up, not run.  A sweep that does run folds in the same order and with the
+same early stop as before, and runs the body closure once per distinct
+tuple of row values.  `sweeps_run` and
 `sweeps_reused` count the two outcomes (sweeps over a body with a binder
 always run).
 
@@ -78,7 +84,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import Algebra
 from .errors import CapabilityError, InputError
@@ -262,8 +268,23 @@ class EvalContext:
     def value(self, f: Formula, env: Optional[dict[str, int]] = None) -> int:
         """Evaluate to an element index; free variables must be bound in env."""
         env = env or {}
-        slots = list(env.values())
-        return self._compile(f, dict(zip(env, range(len(slots)))), slots)()
+        return self.sentence(f, tuple(env))(*env.values())
+
+    def sentence(self, f: Formula, params: Sequence[str] = ()) -> Callable[..., int]:
+        """f compiled once, as a function from the name ids of `params`, in
+        order, to f's value.  A caller that evaluates one formula over many
+        names holds the handle for its loop; the handle keeps its sweeps'
+        caches and grows with the universe like `value` does."""
+        k = len(params)
+        slots = [0] * k
+        run = self._compile(f, dict(zip(params, range(k))), slots)
+
+        def handle(*ids: int) -> int:
+            if len(ids) != k:
+                raise InputError(f"expected {k} name ids, got {len(ids)}")
+            slots[:k] = ids
+            return run()
+        return handle
 
     def _compile(self, f: Formula, scope: dict[str | int, int],
                  slots: list[int]) -> Callable[[], int]:
@@ -398,15 +419,17 @@ class EvalContext:
 
     def _atom(self, f: Mem | Eq, scope: dict[str | int, int],
               slots: list[int]) -> Callable[[], int]:
-        """An atom closure that reads the memo inline and fills it on a miss."""
-        get = self._memo.get
+        """An atom closure that reads the memo inline and fills it on a miss.
+        It reads the context's memo at call time, not the one it was
+        compiled against, so a held handle follows its context onto a
+        private memo (see `theorems._Enumerated.release`)."""
         i, j = self._slot(f.left, scope, slots), self._slot(f.right, scope, slots)
         if isinstance(f, Mem):
             clause = self.membership
 
             def mem() -> int:
                 u, v = slots[i], slots[j]
-                hit = get((v * v + u if u < v else u * u + u + v) * 2 + 1)
+                hit = self._memo.get((v * v + u if u < v else u * u + u + v) * 2 + 1)
                 return clause(u, v) if hit is None else hit
             return mem
         if self.assignment == "pa" and self._star is None:
@@ -419,7 +442,7 @@ class EvalContext:
 
         def eq() -> int:
             u, v = slots[i], slots[j]
-            hit = get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
+            hit = self._memo.get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
             return clause(u, v) if hit is None else hit
         return eq
 
@@ -442,18 +465,27 @@ class BqResult:
     equal: bool
 
 
-def check_bq(ctx: EvalContext, u: int, phi: Formula) -> BqResult:
-    """Compare the quantified bounded formula against its domain-indexed form.
+def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
+    """Compare, for a name u, the quantified bounded formula against its
+    domain-indexed form.
 
     Left side:  value of `forall x (x in u -> phi(x))` over the whole
-    universe.  Right side: meet over x in dom(u) of u(x) => phi(x).
+    universe.  Right side: meet over x in dom(u) of u(x) => phi(x).  Each
+    side is compiled once, with u a parameter rather than a constant, and
+    the returned function of u is held for a sweep over many names.
     """
-    quantified = ctx.value(Forall("x", Imp(Mem(Var("x"), Const(u)), phi)))
-    acc = ctx._top
-    for x, ux in ctx.universe.names[u].entries:
-        acc = ctx._meet[acc][ctx._imp[ux][ctx.value(phi, {"x": x})]]
+    quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
+    indexed = ctx.sentence(phi, ("x",))
+    names, meet, imp, top = ctx.universe.names, ctx._meet, ctx._imp, ctx._top
     es = ctx.algebra.elements
-    return BqResult(es[quantified], es[acc], quantified == acc)
+
+    def compare(u: int) -> BqResult:
+        q = quantified(u)
+        acc = top
+        for x, ux in names[u].entries:
+            acc = meet[acc][imp[ux][indexed(x)]]
+        return BqResult(es[q], es[acc], q == acc)
+    return compare
 
 
 # -- formula batteries --------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InputError, InvariantError
 from .evaluate import EvalContext
@@ -127,15 +127,23 @@ def quotient_satisfies(qm: QuotientModel, f: Formula,
     classes' representatives; the verdict is representative-independent
     because indiscernibility holds.
     """
-    fv = sorted(free_vars(f))
+    fv = free_vars(f)
     if len(fv) != len(args):
-        raise InputError(f"formula has free variables {fv}, got {len(args)} classes")
-    env = {}
-    for var, cls in zip(fv, args):
+        raise InputError(f"formula has free variables {sorted(fv)}, got {len(args)} classes")
+    for cls in args:
         if not 0 <= cls < len(qm.classes):
             raise InputError(f"no class [{cls}]")
-        env[var] = qm.representatives[cls]
-    return qm.context.holds(f, env)
+    return satisfaction(qm, f)(*args)
+
+
+def satisfaction(qm: QuotientModel, f: Formula) -> Callable[..., bool]:
+    """`quotient_satisfies(qm, f, args)` as a function of the classes,
+    compiled once for callers that test many tuples; the classes are not
+    range-checked."""
+    rep = qm.representatives.__getitem__
+    holds = qm.context.sentence(f, sorted(free_vars(f)))
+    d = qm.context.designated_i
+    return lambda *classes: holds(*map(rep, classes)) in d
 
 
 def export_relations(qm: QuotientModel) -> str:

@@ -24,7 +24,7 @@ import random
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .algebra import (
     Algebra, check_cobounded, check_drim, check_filter, check_lattice,
@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .errors import InputError, InvariantError, ResourceError
 from .evaluate import (
-    ASSIGNMENTS, EvalContext, battery, check_bq, forget_names, nff_battery,
+    ASSIGNMENTS, EvalContext, battery, bq_sides, forget_names, nff_battery,
     two_var_battery,
 )
 from .formulas import (
@@ -43,7 +43,7 @@ from .formulas import (
 from .proplogic import (
     EXPLOSION, eval_prop, is_tautology, print_prop, random_prop_corpus,
 )
-from .quotient import QuotientModel, build_quotient, quotient_satisfies
+from .quotient import QuotientModel, build_quotient, quotient_satisfies, satisfaction
 from .universe import DEFAULT_BUDGET, Universe, build_universe
 
 # zfbar's power-set witness enumerates |A|^|dom x| subsets, so only names
@@ -613,13 +613,13 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
 
     # Union: dom(v) is the union of the member domains, each point weighted
     # by its membership-of-a-member value.
-    member_of_member = Exists("m", And(Mem(Var("m"), Var("u")), Mem(Var("x"), Var("m"))))
+    member_of_member = pa.sentence(
+        Exists("m", And(Mem(Var("m"), Var("u")), Mem(Var("x"), Var("m")))), ("x", "u"))
     count = 0
     for u in base:
         dom_v = sorted({c for y, _ in ws.universe.entries_of(u)
                         for c, _ in ws.universe.entries_of(y)})
-        v = ws.insert({xid: pa.value(member_of_member, {"x": xid, "u": u})
-                       for xid in dom_v})
+        v = ws.insert({xid: member_of_member(xid, u) for xid in dom_v})
         inst = Forall("x", iff(
             Mem(Var("x"), Const(v)),
             Exists("m", And(Mem(Var("m"), Const(u)), Mem(Var("x"), Var("m"))))))
@@ -630,7 +630,8 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
 
     # Power set: dom(y) holds every total map dom(x) -> carrier, weighted by
     # its subset-of-x value.
-    subset_of = Forall("w", Imp(Mem(Var("w"), Var("z")), Mem(Var("w"), Var("x"))))
+    subset_of = pa.sentence(
+        Forall("w", Imp(Mem(Var("w"), Var("z")), Mem(Var("w"), Var("x")))), ("z", "x"))
     count = skipped = 0
     for x in base:
         dom_x = [c for c, _ in ws.universe.entries_of(x)]
@@ -640,7 +641,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
         y_entries: dict[int, int] = {}
         for values in itertools.product(range(len(alg.elements)), repeat=len(dom_x)):
             z = ws.insert(dict(zip(dom_x, values)))
-            y_entries[z] = pa.value(subset_of, {"z": z, "x": x})
+            y_entries[z] = subset_of(z, x)
         y = ws.insert(y_entries)
         inst = Forall("z", iff(
             Mem(Var("z"), Const(y)),
@@ -668,11 +669,12 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
     count = 0
     ba_contrast = None
     for label, phi in sep_params:
+        weight = {a: ws.ctx(a).sentence(phi, ("z",)) for a in ("pa", "ba")}
         for x in sep_base:
             for ctx_name in ("pa", "ba"):
                 ctx = ws.ctx(ctx_name)
                 y = ws.insert({
-                    zid: alg.meet_t[xv][ctx.value(phi, {"z": zid})]
+                    zid: alg.meet_t[xv][weight[ctx_name](zid)]
                     for zid, xv in ws.universe.entries_of(x)
                 })
                 inst = Forall("z", iff(
@@ -987,10 +989,11 @@ def check_leibniz(run: Run) -> CheckResult:
     if big and len(pairs) > 200:
         stride = len(pairs) // 200
         pairs = pairs[::stride]
+    handles = [(label, phi, pa.sentence(phi, ("x",))) for label, phi in forms]
     for u, v in pairs:
-        for label, phi in forms:
-            val_u = pa.value(phi, {"x": u})
-            val_v = pa.value(phi, {"x": v})
+        for label, phi, at in handles:
+            val_u = at(u)
+            val_v = at(v)
             if (val_u in d) and (val_v not in d):
                 note = f"{label}: valid at #{u} but not at pa-equal #{v}"
             elif value_class(val_u) != value_class(val_v):
@@ -1004,16 +1007,16 @@ def check_leibniz(run: Run) -> CheckResult:
     details: dict = {"pa_equal_pairs": len(pairs), "battery": len(forms)}
     if prof["big_designated"] and prof["has_intermediate"]:
         ba = ws.ba
+        negated = [(label, ba.sentence(phi, ("x",))) for label, phi in forms
+                   if not is_negation_free(phi)]
         violation = None
         for u in range(n):
             for v in range(n):
                 if u == v or ba.equality(u, v) not in d:
                     continue
-                for label, phi in forms:
-                    if is_negation_free(phi):
-                        continue
-                    vu = ba.value(phi, {"x": u})
-                    vv = ba.value(phi, {"x": v})
+                for label, at in negated:
+                    vu = at(u)
+                    vv = at(v)
                     if vu in d and vv not in d:
                         violation = {
                             "formula": label,
@@ -1049,10 +1052,11 @@ def check_bounded_quantification(run: Run) -> CheckResult:
     names = _sweep_base(ws) if big else list(range(ws.enumerated))
     forms = [(label, phi) for label, phi in battery(ws.universe)
              if not (big and _quantifier_depth(phi) > 1)]
+    sides = [(label, bq_sides(ctx, phi)) for label, phi in forms]
     checked = 0
     for u in names:
-        for label, phi in forms:
-            res = check_bq(ctx, u, phi)
+        for label, compare in sides:
+            res = compare(u)
             checked += 1
             if not res.equal:
                 ce = {
@@ -1205,11 +1209,12 @@ def check_boolean_coincidence(run: Run) -> CheckResult:
         return CheckResult("boolean-coincidence", desc, "fail", counterexample=bad[0])
     ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
     checked = 0
-    forms = battery(ws2.universe)
+    forms = [(phi, ws2.ba.sentence(phi, ("x",)), ws2.pa.sentence(phi, ("x",)))
+             for _, phi in battery(ws2.universe)]
     for u in range(len(ws2.universe)):
-        for label, phi in forms:
-            vba = ws2.ba.value(phi, {"x": u})
-            vpa = ws2.pa.value(phi, {"x": u})
+        for phi, at_ba, at_pa in forms:
+            vba = at_ba(u)
+            vpa = at_pa(u)
             checked += 1
             if (vba in ws2.ba.designated_i) != (vpa in ws2.pa.designated_i):
                 ce = ws2.sentence_counterexample(
@@ -1292,8 +1297,14 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
     ]
     details: dict = {"classes": k}
 
-    def sat(f: Formula, args: Sequence[int]) -> bool:
-        return quotient_satisfies(qm, f, args)
+    handles: dict[Formula, Callable[..., bool]] = {}
+
+    def sat(f: Formula) -> Callable[..., bool]:
+        """f's satisfaction handle, compiled once per distinct formula."""
+        h = handles.get(f)
+        if h is None:
+            h = handles[f] = satisfaction(qm, f)
+        return h
 
     def fail(clause: str, la: str, lb: str, i: int, j: int) -> CheckResult:
         ce = {"kind": "connective-clause", "clause": clause,
@@ -1302,18 +1313,19 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
 
     checked = 0
     for (la, fa), (lb, fb) in [(a, b) for a in atoms for b in atoms]:
+        a, b, imp, conj, disj, neg = map(sat, (fa, fb, Imp(fa, fb), And(fa, fb),
+                                               Or(fa, fb), Not(fa)))
         for i in range(k):
             for j in range(k):
-                args = [i, j]
-                va, vb = sat(fa, args), sat(fb, args)
+                va, vb = a(i, j), b(i, j)
                 checked += 1
-                if sat(Imp(fa, fb), args) != ((not va) or vb):
+                if imp(i, j) != ((not va) or vb):
                     return fail("implication", la, lb, i, j)
-                if sat(And(fa, fb), args) != (va and vb):
+                if conj(i, j) != (va and vb):
                     return fail("conjunction", la, lb, i, j)
-                if sat(Or(fa, fb), args) != (va or vb):
+                if disj(i, j) != (va or vb):
                     return fail("disjunction", la, lb, i, j)
-                if not va and not sat(Not(fa), args):
+                if not va and not neg(i, j):
                     return fail("negation-direction", la, lb, i, j)
     details["connective_instances"] = checked
 
@@ -1321,12 +1333,13 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
     # sweep says so.
     quantifier_checked = 0
     for label, f in atoms:
+        body, forall, exists = sat(f), sat(Forall("x", f)), sat(Exists("x", f))
         for j in range(k):
-            all_forall = all(sat(f, [i, j]) for i in range(k))
-            some_exists = any(sat(f, [i, j]) for i in range(k))
-            if sat(Forall("x", f), [j]) != all_forall:
+            all_forall = all(body(i, j) for i in range(k))
+            some_exists = any(body(i, j) for i in range(k))
+            if forall(j) != all_forall:
                 return fail("universal", label, "-", j, j)
-            if sat(Exists("x", f), [j]) != some_exists:
+            if exists(j) != some_exists:
                 return fail("existential", label, "-", j, j)
             quantifier_checked += 2
     details["quantifier_instances"] = quantifier_checked
@@ -1344,7 +1357,7 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
                   "note": "member and non-member relations never overlap"}
             return CheckResult(name, desc, "fail", counterexample=ce, details=details)
         i, j = overlap[0]
-        if not (sat(Mem(x, y), [i, j]) and sat(Not(Mem(x, y)), [i, j])):
+        if not (sat(Mem(x, y))(i, j) and sat(Not(Mem(x, y)))(i, j)):
             ce = {"kind": "overlap-witness-broken", "pair": [i, j]}
             return CheckResult(name, desc, "fail", counterexample=ce, details=details)
         details["negation_converse_failure"] = {

@@ -13,7 +13,7 @@ from algval.algebra import (
     check_drim,
     ps3,
 )
-from algval.evaluate import EvalContext, battery, check_bq
+from algval.evaluate import EvalContext, battery, bq_sides
 from algval.proplogic import EXPLOSION, is_tautology
 from algval.quotient import build_quotient
 from algval.theorems import (
@@ -155,7 +155,7 @@ def test_08_bounded_quantification_identity():
     ok = True
     for u in uni.ids():
         for _, phi in battery(uni):
-            res = check_bq(ctx, u, phi)
+            res = bq_sides(ctx, phi)(u)
             ok &= res.equal
             checked += 1
     _report(8, "bounded universals equal domain-indexed meets", ok,

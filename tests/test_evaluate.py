@@ -12,7 +12,7 @@ from algval.evaluate import (
     ASSIGNMENTS,
     EvalContext,
     battery,
-    check_bq,
+    bq_sides,
     nff_battery,
     two_var_battery,
 )
@@ -246,14 +246,14 @@ class TestBoundedQuantification:
         uni, d = ps3_rank2
         pa = EvalContext(uni, d, "pa")
         u = uni.insert({0: uni.algebra.index["half"]})
-        res = check_bq(pa, u, Eq(Var("x"), Var("x")))
+        res = bq_sides(pa, Eq(Var("x"), Var("x")))(u)
         assert res.quantified == res.domain_indexed == "1"
 
     def test_absurd_body(self, ps3_rank2):
         uni, d = ps3_rank2
         pa = EvalContext(uni, d, "pa")
         u = uni.insert({0: uni.algebra.index["half"]})
-        res = check_bq(pa, u, Bot())
+        res = bq_sides(pa, Bot())(u)
         assert res.quantified == res.domain_indexed == "0"
 
     def test_full_sweep_rank2(self, ps3_rank2):
@@ -261,7 +261,7 @@ class TestBoundedQuantification:
         pa = EvalContext(uni, d, "pa")
         for u in uni.ids():
             for _, phi in battery(uni):
-                assert check_bq(pa, u, phi).equal
+                assert bq_sides(pa, phi)(u).equal
 
 
 class TestBatteries:
@@ -515,6 +515,34 @@ def test_constant_slots_match_reference_evaluator(algname, assignment):
             for b in uni.ids():
                 f = parse(text.replace("#a", f"#{a}").replace("#b", f"#{b}"))
                 assert ctx.value(f) == reference_value(ctx, f, {}), print_formula(f)
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain4", "bool4"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_held_handles_match_reference_evaluator_as_the_universe_grows(algname, assignment):
+    # One handle per formula for the whole test, called with every id in a
+    # new order each round, while inserts grow the universe between rounds:
+    # each sweep cache entry must hold only for the universe it was made on.
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    rng = random.Random(f"handles-{algname}-{assignment}")
+    y = Var("y")
+    one = [(phi, ("x",)) for _, phi in battery(uni)]
+    two = [(phi, ("y", "z")) for _, phi in two_var_battery()]
+    swept = [(Exists("z", phi), ("y",)) for phi, _ in two]
+    swept += [(Forall("y", Imp(Mem(y, Var("x")), f)), ("x",)) for f, _ in swept]
+    handles = [(f, params, ctx.sentence(f, params)) for f, params in one + two + swept]
+    for _ in range(4):
+        ids = list(uni.ids())
+        for f, params, h in handles:
+            for args in itertools.product(ids, repeat=len(params)):
+                env = dict(zip(params, args))
+                assert h(*args) == reference_value(ctx, f, env), (print_formula(f), env)
+            rng.shuffle(ids)
+        for _ in range(2):
+            members = rng.sample(range(len(uni.names)), 2)
+            uni.insert({m: rng.randrange(len(alg.elements)) for m in members})
 
 
 def test_a_self_atom_keeps_one_row():

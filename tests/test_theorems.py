@@ -7,7 +7,8 @@ import pytest
 from algval import theorems
 from algval.algebra import BUILTIN_NAMES, builtin, loads_algebra, ps3
 from algval.errors import InputError, InvariantError
-from algval.formulas import parse
+from algval.evaluate import battery
+from algval.formulas import Eq, Var, parse
 from algval.theorems import (
     CHECKS,
     CheckResult,
@@ -274,6 +275,38 @@ class TestReplay:
                                       ws.pa.atomic("in", inner, outer))
         assert replay(alg, d, 2, ce) == ce["value"]
 
+    def test_leibniz_failure_replays(self):
+        # Gate bypassed on a designated set that is no filter, so some
+        # battery formula tells a pa-equal pair apart.  The check reads the
+        # value through a handle and prints the substituted sentence; replay
+        # evaluates that sentence from scratch.
+        alg, _ = builtin("chain4")
+        d = frozenset({"1", "a"})
+        run = Run(alg, d, rank_bound=2, _profile={"ultra_designated_cobounded": True})
+        result = check_leibniz(run)
+        ce = result.counterexample
+        assert result.verdict == "fail" and ce["kind"] == "sentence"
+        assert replay(alg, d, 2, ce) == ce["value"]
+
+    def test_zfbar_failure_replays(self, monkeypatch):
+        # Every multi-entry witness weighs its last entry bottom, so the first
+        # pairing instance over two distinct names fails; replay rebuilds
+        # the faulty witnesses from the insertion log.
+        alg, d = ps3()
+        insert = Workspace.insert
+
+        def faulty(self, entries):
+            if len(entries) > 1:
+                entries = {**entries, max(entries): alg.bottom_i}
+            return insert(self, entries)
+
+        monkeypatch.setattr(Workspace, "insert", faulty)
+        result = check_zfbar_witnesses(Run(alg, d, rank_bound=2))
+        ce = result.counterexample
+        assert result.verdict == "fail" and ce["kind"] == "sentence"
+        assert ce["note"] == "axiom Pairing" and ce["inserted"]
+        assert replay(alg, d, 2, ce) == ce["value"]
+
     def test_replay_detects_divergence(self):
         alg, d = ps3()
         ws = Workspace(alg, d, rank_bound=2)
@@ -364,6 +397,44 @@ class TestFailurePath:
                         counterexample={"kind": "sentence", "formula": "true"})
         assert '"verdict": "fail"' in r.record_line()
         assert any("counterexample" in line for line in r.text_lines())
+
+
+class TestCompileOnce:
+    """Checks that evaluate one formula over many names compile it once
+    per loop, not once per evaluation."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The formulas compiled at top level, one entry per compile."""
+        from algval.evaluate import EvalContext
+
+        out: list = []
+        depth = [0]
+        compile_ = EvalContext._compile
+
+        def counted(self, f, scope, slots):
+            if not depth[0]:
+                out.append((self.assignment, f))
+            depth[0] += 1
+            try:
+                return compile_(self, f, scope, slots)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(EvalContext, "_compile", counted)
+        return out
+
+    def test_quotient_compiles_each_formula_once(self, compiled):
+        alg, d = ps3()
+        assert run_check("quotient", Run(alg, d, rank_bound=2)).verdict == "pass"
+        assert len(compiled) == len(set(compiled)) <= 39
+
+    @pytest.mark.parametrize("name", ["leibniz", "bounded-quantification"])
+    def test_battery_checks_compile_twice_per_formula_at_most(self, compiled, name):
+        alg, d = ps3()
+        run = Run(alg, d, rank_bound=2)
+        assert run_check(name, run).verdict == "pass"
+        assert 0 < len(compiled) <= 2 * len(battery(run.workspace().universe))
 
 
 class TestRegistry:
@@ -567,6 +638,24 @@ class TestSharedUniverse:
         assert _atomic_table(ws_b) == expected["b"]
         assert _atomic_table(ws_a) == expected["a"]
         assert expected["a"] != expected["b"]
+
+    def test_a_held_handle_follows_its_context_off_the_shared_memo(self):
+        # A handle compiled on the shared memo must not read it after its
+        # context moves to a private copy, when another workspace's witness
+        # takes the same id there.
+        alg, d = ps3()
+        top = alg.top_i
+        x, y = Var("x"), Var("y")
+        run = Run(alg, d, rank_bound=2)
+        ws1 = run.workspace()
+        h = ws1.pa.sentence(Eq(x, y), ("x", "y"))
+        assert ws1.insert({3: top}) == 4
+        ws2 = run.workspace()
+        assert ws2.insert({2: top}) == 4
+        others = [ws2.pa.equality(4, v) for v in range(4)]  # fills #4 = {#2}
+        mine = [ws1.pa.value(Eq(x, y), {"x": 4, "y": v}) for v in range(4)]
+        assert [h(4, v) for v in range(4)] == mine
+        assert mine != others
 
     def test_run_all_enumerates_each_rank_once(self, monkeypatch):
         calls = []
