@@ -34,12 +34,13 @@ from .errors import (
 from .evaluate import BqResult, EvalContext, battery, bq_sides, nff_battery
 from .formulas import (
     Formula,
+    enumerate_formulas,
     instantiate_axiom,
     is_negation_free,
     parse,
     print_formula,
 )
-from .proplogic import eval_prop, is_tautology, parse_prop, random_prop_corpus
+from .proplogic import eval_prop, is_tautology, parse_prop
 from .quotient import (
     QuotientModel,
     build_quotient,

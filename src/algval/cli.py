@@ -4,8 +4,9 @@ Subcommands: `algebra check`, `universe build`, `eval`, `check`, `quotient
 export` and `logic`.  Exit code 0 means every selected verification passed,
 1 means at least one failed (its counterexample is printed), 2 is a usage
 or input problem.  The options that name an `envvar` below can also be set
-through that environment variable, and no others can; with a fixed seed
-the machine-readable record output is byte-identical across runs.
+through that environment variable, and no others can.  Every check
+enumerates what it sweeps, so the machine-readable record output is
+byte-identical across runs of the same configuration.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ def run_options(fn):
                       envvar="ALGVAL_RANK", show_default=True,
                       help="rank bound of the enumerated universe")(fn)
     return fn
-
-
-seed_option = click.option("--seed", default=0, envvar="ALGVAL_SEED", show_default=True,
-                           help="seed for randomized sweeps")
 
 
 def _fail_input(exc: Exception):
@@ -171,7 +168,8 @@ def eval_command(algebra_spec, designated_spec, rank, budget, assignment,
 @cli.command("check")
 @algebra_options
 @run_options
-@seed_option
+@click.option("--seed", default=0, hidden=True,
+              help="ignored; accepted so that callers passing it keep working")
 @click.option("--format", "fmt", type=click.Choice(["text", "records"]),
               default="text", envvar="ALGVAL_FORMAT", show_default=True)
 @click.option("--list", "list_checks", is_flag=True,
@@ -189,8 +187,7 @@ def check_command(algebra_spec, designated_spec, rank, budget, seed, fmt,
         names = list(selection)
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        results = run_all(alg, d, rank_bound=rank, seed=seed, budget=budget,
-                          names=names)
+        results = run_all(alg, d, rank_bound=rank, budget=budget, names=names)
     except AlgvalError as exc:
         _fail_input(exc)
     _emit(results, fmt)
@@ -222,17 +219,16 @@ def quotient_group():
 @quotient_group.command("export")
 @algebra_options
 @run_options
-@seed_option
 @click.option("--out", "out_path", default=None,
               help="write to a file instead of standard output")
-def quotient_export(algebra_spec, designated_spec, rank, budget, seed, out_path):
+def quotient_export(algebra_spec, designated_spec, rank, budget, out_path):
     """Build the quotient model and export classes and relations."""
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        run = Run(alg, d, rank_bound=rank, seed=seed, budget=budget)
+        run = Run(alg, d, rank_bound=rank, budget=budget)
         if not run.profile["ultra_designated_cobounded"]:
             raise CapabilityError("needs an ultra-designated cobounded algebra")
-        qm = build_quotient(run.workspace().pa, seed=run.seed)
+        qm = build_quotient(run.workspace().pa)
     except AlgvalError as exc:
         _fail_input(exc)
     text = export_relations(qm)
@@ -292,17 +288,14 @@ def logic_para(algebra_spec, designated_spec, fmt):
 
 @logic_group.command("agree")
 @algebra_options
-@click.option("--corpus-size", default=500, type=click.IntRange(min=1),
-              show_default=True, envvar="ALGVAL_CORPUS_SIZE")
-@seed_option
 @click.option("--format", "fmt", type=click.Choice(["text", "records"]),
               default="text", envvar="ALGVAL_FORMAT", show_default=True)
-def logic_agree(algebra_spec, designated_spec, corpus_size, seed, fmt):
-    """Compare validity against the three-valued core on a random corpus."""
+def logic_agree(algebra_spec, designated_spec, fmt):
+    """Compare validity against the three-valued core on every formula of
+    at most 5 nodes over p, q and r."""
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        result = run_check("prop-agreement",
-                           Run(alg, d, seed=seed, corpus_size=corpus_size))
+        result = run_check("prop-agreement", Run(alg, d))
     except AlgvalError as exc:
         _fail_input(exc)
     _emit([result], fmt)

@@ -81,7 +81,6 @@ evaluates; only the owner of a shared memo removes entries from it
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
@@ -90,7 +89,7 @@ from .algebra import Algebra
 from .errors import CapabilityError, InputError
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term,
-    Top, Var, instantiate_axiom, print_formula, subformulas,
+    Top, Var, enumerate_formulas, instantiate_axiom, print_formula, subformulas,
 )
 from .universe import Universe
 
@@ -533,10 +532,11 @@ def two_var_battery() -> list[tuple[str, Formula]]:
     ]
 
 
-def nff_battery(universe: Universe, rng: Optional[random.Random] = None
-                ) -> list[tuple[str, Formula]]:
+def nff_battery(universe: Universe) -> list[tuple[str, Formula]]:
     """Closed negation-free sentences, with name constants from the first
-    (at most four) names of the universe."""
+    (at most four) names of the universe: a fixed list, then `forall x. B`
+    and `exists x. B` for every negation-free B of at most 3 nodes over
+    `x in #c`, `#c in x` and `x = #c`, c the last of those names."""
     sample = list(range(min(4, len(universe.names))))
     out: list[tuple[str, Formula]] = []
     e = sample[0]
@@ -556,28 +556,9 @@ def nff_battery(universe: Universe, rng: Optional[random.Random] = None
     out.append(("PowerSet", instantiate_axiom("PowerSet")))
     out.append(("Separation[z = z]",
                 instantiate_axiom("Separation", Eq(Var("z"), Var("z")))))
-    if rng is not None:
-        for i in range(4):
-            f = _random_nff(rng, sample, depth=3)
-            out.append((f"random-{i}: {print_formula(f)}", f))
+    x, k = Var("x"), Const(c)
+    for body in enumerate_formulas((Mem(x, k), Mem(k, x), Eq(x, k)), 3, negation=False):
+        for quantifier in (Forall, Exists):
+            f = quantifier("x", body)
+            out.append((print_formula(f), f))
     return out
-
-
-def _random_nff(rng: random.Random, sample: list[int], depth: int,
-                vars_in_scope: tuple[str, ...] = ()) -> Formula:
-    """A random closed negation-free sentence (quantifiers bind every variable)."""
-    if depth == 0 or (vars_in_scope and rng.random() < 0.4):
-        def term() -> Term:
-            if vars_in_scope and rng.random() < 0.6:
-                return Var(rng.choice(vars_in_scope))
-            return Const(rng.choice(sample))
-        rel = rng.choice(("=", "in"))
-        return Eq(term(), term()) if rel == "=" else Mem(term(), term())
-    kind = rng.choice(("and", "or", "imp", "forall", "exists"))
-    if kind in ("forall", "exists"):
-        var = f"q{len(vars_in_scope)}"
-        body = _random_nff(rng, sample, depth - 1, vars_in_scope + (var,))
-        return Forall(var, body) if kind == "forall" else Exists(var, body)
-    left = _random_nff(rng, sample, depth - 1, vars_in_scope)
-    right = _random_nff(rng, sample, depth - 1, vars_in_scope)
-    return {"and": And, "or": Or, "imp": Imp}[kind](left, right)

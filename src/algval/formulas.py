@@ -17,14 +17,16 @@ tautology search, dispatch on node types themselves.
 The propositional formulas of `proplogic` share the connective nodes and
 the parser: `_Parser` reads the connectives and hands everything else to
 an atom rule, which here reads quantifiers and `term (=|in) term`, and in
-`proplogic` a bare variable.
+`proplogic` a bare variable.  For the same reason `enumerate_formulas`
+builds formulas of either language from the atoms it is given; checks
+sweep its lists instead of sampling instances.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError
 
@@ -166,6 +168,25 @@ def subst_const(f: Formula, var: str, name_id: int) -> Formula:
     """Replace a free variable by a name constant (never captures)."""
     const = Const(name_id)
     return map_terms(f, lambda t: const if isinstance(t, Var) and t.name == var else t, var)
+
+
+def enumerate_formulas(atoms: Sequence, max_nodes: int, negation: bool) -> list:
+    """Every formula of at most `max_nodes` nodes built from the leaves
+    `atoms` with /\\, \\/ and -> (and ~ when `negation` is set), each once.
+
+    The order is fixed: by node count, and within a size the negations
+    first, then the binary nodes by the size of their left operand, by
+    connective and by the order of their operands.  Distinct atoms give
+    distinct trees, so nothing is listed twice.
+    """
+    by_size: list[list] = [[], list(atoms)]
+    for size in range(2, max_nodes + 1):
+        level = [Not(f) for f in by_size[size - 1]] if negation else []
+        for left in range(1, size - 1):
+            for op in (And, Or, Imp):
+                level += [op(a, b) for a in by_size[left] for b in by_size[size - 1 - left]]
+        by_size.append(level)
+    return [f for level in by_size[:max_nodes + 1] for f in level]
 
 
 def rename_var(f: Formula, old: str, new: str) -> Formula:

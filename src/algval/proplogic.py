@@ -13,7 +13,6 @@ variable count is capped by a valuation budget.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
@@ -163,23 +162,3 @@ def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula
 
 EXPLOSION = Imp(And(PVar("p"), Not(PVar("p"))), PVar("q"))
 
-
-def random_prop_corpus(count: int, seed: int, max_vars: int = 3,
-                       max_depth: int = 4) -> list[PropFormula]:
-    """Seeded corpus of random propositional formulas."""
-    rng = random.Random(seed)
-    variables = [f"p{i}" for i in range(max_vars)]
-
-    def gen(depth: int) -> PropFormula:
-        if depth == 0 or rng.random() < 0.25:
-            r = rng.random()
-            if r < 0.85:
-                return PVar(rng.choice(variables))
-            return Top() if r < 0.925 else Bot()
-        kind = rng.choice(("and", "or", "imp", "not"))
-        if kind == "not":
-            return Not(gen(depth - 1))
-        ctor = {"and": And, "or": Or, "imp": Imp}[kind]
-        return ctor(gen(depth - 1), gen(depth - 1))
-
-    return [gen(max_depth) for _ in range(count)]

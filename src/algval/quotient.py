@@ -7,12 +7,14 @@ satisfied by a tuple of classes when it is valid at (any) representatives.
 Equality and membership then induce four class relations: equal, distinct,
 member and non-member.  Equal/distinct partition the class pairs; member
 and non-member cover all class pairs and may overlap, which is exactly the
-paraconsistent signature of these models.
+paraconsistent signature of these models.  `build_quotient` confirms that
+the relations are well defined on every pair of names, not only on the
+representatives it reads them from.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,12 +59,13 @@ class QuotientModel:
         return len(self.classes)
 
 
-def build_quotient(ctx: EvalContext, seed: int = 0) -> QuotientModel:
+def build_quotient(ctx: EvalContext) -> QuotientModel:
     """Partition the universe by designated pa equality and materialize the
     four class relations.
 
-    Well-definedness is spot-checked: for 20 seeded class pairs, swapping
-    representatives must not change any relation verdict.
+    Well-definedness is checked on every pair of names: the four relation
+    verdicts at (u, v) must be those at the representatives of their
+    classes.
     """
     if ctx.assignment != "pa":
         raise InputError("quotients are built over the pa assignment")
@@ -89,33 +92,33 @@ def build_quotient(ctx: EvalContext, seed: int = 0) -> QuotientModel:
 
     d = ctx.designated_i
     star = alg.star_t
-    for i, u in enumerate(reps):
-        for j, v in enumerate(reps):
-            if ctx.equality(u, v) in d:
-                qm.r_eq.add((i, j))
-            if star[ctx.equality(u, v)] in d:
-                qm.r_neq.add((i, j))
-            if ctx.membership(u, v) in d:
-                qm.r_mem.add((i, j))
-            if star[ctx.membership(u, v)] in d:
-                qm.r_nmem.add((i, j))
+    # One code per value: bit 0 set when it is designated, bit 1 when its
+    # star is; a pair's four verdicts are the code of its equality plus 4
+    # times the code of its membership.
+    code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
+    eq, mem = ctx.equality, ctx.membership
 
-    rng = random.Random(seed)
-    k = len(classes)
-    for _ in range(20):
-        i, j = rng.randrange(k), rng.randrange(k)
-        u = rng.choice(classes[i])
-        v = rng.choice(classes[j])
-        checks = (
-            ((i, j) in qm.r_eq, ctx.equality(u, v) in d),
-            ((i, j) in qm.r_neq, star[ctx.equality(u, v)] in d),
-            ((i, j) in qm.r_mem, ctx.membership(u, v) in d),
-            ((i, j) in qm.r_nmem, star[ctx.membership(u, v)] in d),
-        )
-        if any(a != b for a, b in checks):
+    def verdicts(u: int) -> list[int]:
+        us = itertools.repeat(u)
+        return [code[e] + 4 * code[m]
+                for e, m in zip(map(eq, us, range(n)), map(mem, us, range(n)))]
+
+    at_reps = [[row[v] for v in reps] for row in map(verdicts, reps)]
+    for i, j in itertools.product(range(len(reps)), repeat=2):
+        for bit, rel in ((1, qm.r_eq), (2, qm.r_neq), (4, qm.r_mem), (8, qm.r_nmem)):
+            if at_reps[i][j] & bit:
+                rel.add((i, j))
+    # Well-definedness: every name's verdicts are its representative's.
+    classes_of = [class_of[v] for v in range(n)]
+    for u in range(n):
+        row = verdicts(u)
+        want = list(map(at_reps[class_of[u]].__getitem__, classes_of))
+        if row != want:
+            v = next(v for v in range(n) if row[v] != want[v])
             raise InvariantError(
-                f"relations changed under a representative swap at classes "
-                f"({i}, {j}); indiscernibility must have failed")
+                f"relations at (#{u}, #{v}) differ from those of the "
+                f"representatives of classes ({class_of[u]}, {class_of[v]}); "
+                f"indiscernibility must have failed")
     return qm
 
 

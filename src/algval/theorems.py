@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 import time
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .algebra import (
@@ -37,12 +36,10 @@ from .evaluate import (
 )
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
-    children, iff, instantiate_axiom, is_negation_free, map_terms, parse,
-    print_formula, subst_const,
+    children, enumerate_formulas, iff, instantiate_axiom, is_negation_free,
+    map_terms, parse, print_formula, subst_const,
 )
-from .proplogic import (
-    EXPLOSION, eval_prop, is_tautology, print_prop, random_prop_corpus,
-)
+from .proplogic import EXPLOSION, PVar, eval_prop, is_tautology, print_prop
 from .quotient import QuotientModel, build_quotient, quotient_satisfies, satisfaction
 from .universe import DEFAULT_BUDGET, Universe, build_universe
 
@@ -229,19 +226,16 @@ class Run:
 
     `designated` is resolved to element ids once.  `profile` is computed
     on first use and kept in `_profile`; each rank's enumerated universe
-    and atomic memos are built on first use and kept in `_enumerated`.
-    `dataclasses.replace` carries both over, so the per-check runs that
-    `run_all` derives (each with its own seed) gate on one profile and
-    share one universe and one memo per rank.  Only `logic agree` sets
-    `corpus_size`.
+    and atomic memos are built on first use and kept in `_enumerated`, so
+    the checks that `run_all` runs on one `Run` gate on one profile and
+    share one universe and one memo per rank.  Every check enumerates
+    what it sweeps, so a check's record depends on these fields alone.
     """
 
     algebra: Algebra
     designated: frozenset[str]
     rank_bound: int = 2
-    seed: int = 0
     budget: int = DEFAULT_BUDGET
-    corpus_size: int = 500
     _profile: dict = field(default_factory=dict, repr=False, compare=False)
     _enumerated: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -344,6 +338,11 @@ def _first_intermediate(algebra: Algebra) -> Optional[str]:
 
 def _skip(name: str, description: str, reason: str) -> CheckResult:
     return CheckResult(name, description, "skipped", skip_reason=reason)
+
+
+# The checks whose witnesses need a name with an intermediate entry skip
+# below rank 2 with this reason.
+_RANK1 = "needs rank 2 or more: the rank-1 universe holds only #0"
 
 
 # -- algebra-level checks ------------------------------------------------------------
@@ -812,7 +811,9 @@ def bar_formula(f: Formula, name_map: dict[int, int]) -> Formula:
 
 def check_nff_transfer(run: Run) -> CheckResult:
     """Collapsing a negation-free value commutes with moving the sentence
-    into the three-valued model at the same rank bound."""
+    into the three-valued model at the same rank bound, for every sentence
+    of `nff_battery`: a fixed list plus 60 enumerated one-quantifier
+    sentences."""
     algebra, prof = run.algebra, run.profile
     desc = (f"collapse of negation-free values matches the collapsed model "
             f"(bounded at rank {run.rank_bound})")
@@ -828,12 +829,11 @@ def check_nff_transfer(run: Run) -> CheckResult:
     memo: dict[int, int] = {}
     name_map = {nid: bar_name(src_ws.universe, dst_ws.universe, vmap, nid, memo)
                 for nid in range(src_ws.enumerated)}
-    rng = random.Random(run.seed)
     src_ctx = src_ws.ba
     dst_ctx = dst_ws.ba
     big = src_ws.enumerated > 64
     checked = trimmed = 0
-    for label, sentence in nff_battery(src_ws.universe, rng=rng):
+    for label, sentence in nff_battery(src_ws.universe):
         if big and _quantifier_depth(sentence) > 2:
             trimmed += 1
             continue
@@ -876,6 +876,8 @@ def check_paraconsistency(run: Run) -> CheckResult:
     if not prof["big_designated"]:
         return _skip("paraconsistency", desc,
                      "needs at least two designated elements")
+    if run.rank_bound < 2:
+        return _skip("paraconsistency", desc, _RANK1)
     ws = run.workspace()
     phi = Exists("x", Exists("y", And(Mem(Var("x"), Var("y")),
                                       Not(Mem(Var("x"), Var("y"))))))
@@ -968,6 +970,8 @@ def check_leibniz(run: Run) -> CheckResult:
     desc = f"indiscernibility under pa with a ba violation witness (rank {run.rank_bound})"
     if not prof["ultra_designated_cobounded"]:
         return _skip("leibniz", desc, "needs an ultra-designated cobounded algebra")
+    if run.rank_bound < 2:
+        return _skip("leibniz", desc, _RANK1)
     ws = run.workspace()
     pa = ws.pa
     d = pa.designated_i
@@ -1077,8 +1081,7 @@ def check_bounded_quantification(run: Run) -> CheckResult:
 # -- boolean coincidence ---------------------------------------------------------------
 
 
-def coincidence_mismatches(ws: Workspace, limit: int = 1,
-                           rng: Optional[random.Random] = None) -> list[dict]:
+def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     """Pairs where the two assignments give different atomic values, in
     order: the low rows (names of rank below the bound against every name,
     `in` then `=`), then `=` for u <= v, then `in` for all (u, v).
@@ -1093,8 +1096,14 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1,
     independently, so meeting every half from class pair (a, b) with
     every half from (b, a) gives exactly the values of all their pairs:
     the verdict covers every pair.  Only bad class pairs are rescanned
-    pair by pair to list the offenders.  With `rng`, a clean sweep is
-    cross-checked against the engine's `=` and `in` on sampled pairs.
+    pair by pair to list the offenders.
+
+    Before the fold, the class-derived values are cross-checked against
+    the engine's clauses on fixed pairs, with the highest-id member of
+    each class standing for it: `=` on every pair of membership-class
+    members and `in` of each equality-class member in each
+    membership-class member, under both assignments.  A divergence raises
+    `InvariantError`.
     """
     uni = ws.universe
     alg = ws.algebra
@@ -1155,6 +1164,17 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1,
         (b1, p1), (b2, p2) = half(u, m_cols[m_of[v]]), half(v, m_cols[m_of[u]])
         return meet[b1][b2], meet[p1][p2]
 
+    m_reps = list({c: u for u, c in enumerate(m_of)}.values())
+    e_reps = list({c: u for u, c in enumerate(e_of)}.values())
+    derived = [("=", u, v, eq_value(u, v)) for u in m_reps for v in m_reps]
+    derived += [("in", u, v, member(v, e_cols[e_of[u]])) for u in e_reps for v in m_reps]
+    for rel, u, v, values in derived:
+        for ctx, want in zip((ba, pa), values):
+            got = ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
+            if got != want:
+                raise InvariantError(
+                    f"class-derived {rel} diverged from the engine at (#{u}, #{v})")
+
     halves: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for u in range(n):
         for b, col in enumerate(m_cols):
@@ -1176,17 +1196,6 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1,
             out.append(mismatch(rel, u, v, vb, vp))
             if len(out) >= limit:
                 return out
-
-    if rng is not None and not out:
-        # Second route: the class-derived values of both relations must
-        # agree with the engine's clauses on a sample of pairs.
-        for _ in range(min(200, n * n)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            eq, mem = eq_value(u, v), member(v, e_cols[e_of[u]])
-            for i, ctx in enumerate((ba, pa)):
-                if ctx.equality(u, v) != eq[i] or ctx.membership(u, v) != mem[i]:
-                    raise InvariantError(
-                        f"class-derived values diverged from the engine at (#{u}, #{v})")
     return out
 
 
@@ -1203,8 +1212,7 @@ def check_boolean_coincidence(run: Run) -> CheckResult:
     if not run.profile["boolean"]:
         return _skip("boolean-coincidence", desc, "needs a boolean algebra")
     ws = run.workspace()
-    rng = random.Random(run.seed)
-    bad = coincidence_mismatches(ws, limit=1, rng=rng)
+    bad = coincidence_mismatches(ws, limit=1)
     if bad:
         return CheckResult("boolean-coincidence", desc, "fail", counterexample=bad[0])
     ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
@@ -1234,7 +1242,8 @@ def check_boolean_coincidence(run: Run) -> CheckResult:
 def check_quotient(run: Run) -> CheckResult:
     """Build the quotient and validate the relation laws.
 
-    Equal-classes is the identity relation and distinct-classes its exact
+    `build_quotient` has checked that the relations are well defined on
+    every pair of names.  Equal-classes is the identity relation and distinct-classes its exact
     complement; member/non-member cover every class pair, and overlap
     somewhere when the designated set has a non-top element.  The
     connective clauses run on the same model.
@@ -1243,7 +1252,9 @@ def check_quotient(run: Run) -> CheckResult:
     desc = f"class relations of the quotient model (rank {run.rank_bound})"
     if not run.profile["ultra_designated_cobounded"]:
         return _skip(name, desc, "needs an ultra-designated cobounded algebra")
-    qm = build_quotient(run.workspace().pa, seed=run.seed)
+    if run.rank_bound < 2:
+        return _skip(name, desc, _RANK1)
+    qm = build_quotient(run.workspace().pa)
     k = len(qm.classes)
     details: dict = {"classes": k,
                      "class_sizes": [len(c) for c in qm.classes]}
@@ -1408,17 +1419,18 @@ def check_ps3_agreement(run: Run) -> CheckResult:
     Soundness side: every formula valid here is valid there, via the
     collapse of valuations.  Completeness side: each falsifying valuation
     of the core pulls back through the section top->top, half->(a fixed
-    intermediate), bottom->bottom and still falsifies here.  The corpus
-    holds `run.corpus_size` random formulas drawn from `run.seed`.
+    intermediate), bottom->bottom and still falsifies here.  The corpus is
+    every formula of at most 5 nodes over p, q and r (771 of them).
     """
     name = "prop-agreement"
-    desc = "validity agrees with the three-valued core on a random corpus"
+    desc = ("validity agrees with the three-valued core on every formula "
+            "of at most 5 nodes over p, q, r")
     if not run.profile["ultra_designated_cobounded"]:
         return _skip(name, desc, "needs an ultra-designated cobounded algebra")
     if not run.profile["has_intermediate"]:
         return _skip(name, desc, "needs more than two elements")
     alg, d = run.algebra, run.designated
-    corpus = random_prop_corpus(run.corpus_size, run.seed)
+    corpus = enumerate_formulas([PVar(v) for v in "pqr"], 5, negation=True)
     core, core_d = ps3()
     section = {"1": alg.top, "half": alg.intermediates()[0], "0": alg.bottom}
     agreements = 0
@@ -1500,13 +1512,15 @@ def run_all(algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,
             seed: int = 0, budget: int = DEFAULT_BUDGET,
             names: Optional[Iterable[str]] = None,
             jobs: int = 1) -> list[CheckResult]:
-    """Run the selected checks (all by default) in registry order.
+    """Run the selected checks (all by default) in registry order, on one
+    `Run`, so all of them share one structure profile.
 
-    Each check gets its own seed, derived from the run seed and its name,
-    and all of them share one structure profile.  `jobs` accepts only 1:
-    the checks are pure Python and hold the interpreter lock, so a thread
-    pool ran slower than serial and was removed; the keyword stays so
-    that callers passing `jobs=1` keep working.
+    `seed` is ignored: every check enumerates what it sweeps, so the
+    records do not depend on it; the keyword stays so that callers passing
+    it keep working.  `jobs` accepts only 1: the checks are pure Python and
+    hold the interpreter lock, so a thread pool ran slower than serial and
+    was removed; the keyword stays so that callers passing `jobs=1` keep
+    working.
     """
     if jobs != 1:
         raise InputError(f"jobs={jobs}: checks run serially, so jobs must be 1")
@@ -1514,9 +1528,5 @@ def run_all(algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,
     for nm in selected:
         if nm not in CHECKS:
             raise InputError(f"unknown check {nm!r}")
-    run = Run(algebra, designated, rank_bound, seed, budget)
-    results = []
-    for nm in selected:
-        child_seed = (seed * 1_000_003 + sum(ord(c) for c in nm)) % (2**31)
-        results.append(run_check(nm, replace(run, seed=child_seed)))
-    return results
+    run = Run(algebra, designated, rank_bound, budget)
+    return [run_check(nm, run) for nm in selected]

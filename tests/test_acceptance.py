@@ -191,7 +191,7 @@ def test_11_collapse_transfer():
     counts = {}
     for name in ("chain4", "chain5"):
         alg, designated = builtin(name)
-        result = check_nff_transfer(Run(alg, designated, rank_bound=2, seed=0))
+        result = check_nff_transfer(Run(alg, designated, rank_bound=2))
         ok &= result.verdict == "pass"
         counts[name] = result.details.get("sentences", 0)
     _report(11, "negation-free transfer onto the three-valued core", ok,
@@ -248,10 +248,10 @@ def test_14_propositional_logics():
     valid, _ = is_tautology(b2, d2, EXPLOSION)
     ok &= valid
     alg5, d5 = builtin("chain5")
-    first = check_ps3_agreement(Run(alg5, d5, seed=42, corpus_size=500))
-    second = check_ps3_agreement(Run(alg5, d5, seed=42, corpus_size=500))
+    first = check_ps3_agreement(Run(alg5, d5))
+    second = check_ps3_agreement(Run(alg5, d5))
     ok &= first.verdict == "pass"
-    ok &= first.details.get("corpus") == 500
+    ok &= first.details.get("corpus") == 771
     ok &= first.record_line() == second.record_line()
     _report(14, "explosion verdicts and corpus agreement with the core", ok,
             f"corpus={first.details.get('corpus')}")

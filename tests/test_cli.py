@@ -249,16 +249,26 @@ class TestLogic:
         assert "[PASS]" in r.output
 
     def test_agree(self, runner):
-        r = invoke(runner, "logic", "agree", "-a", "chain5",
-                   "--corpus-size", "40", "--seed", "1")
+        r = invoke(runner, "logic", "agree", "-a", "chain5")
         assert r.exit_code == 0
-
 
     @pytest.mark.parametrize("size", ["-3", "0"])
     def test_agree_rejects_empty_corpus(self, runner, size):
+        # the corpus is enumerated, so no corpus size is accepted at all
         r = invoke(runner, "logic", "agree", "-a", "chain5", "--corpus-size", size)
         assert r.exit_code == 2
         assert "--corpus-size" in r.output
+
+    @pytest.mark.parametrize("args", [
+        ("logic", "agree", "--seed", "1"),
+        ("quotient", "export", "--seed", "1"),
+    ], ids=["agree-seed", "export-seed"])
+    def test_removed_options_exit_2(self, runner, args):
+        # the corpus is enumerated and nothing is sampled, so these
+        # commands take neither a corpus size nor a seed
+        r = invoke(runner, *args)
+        assert r.exit_code == 2
+        assert "No such option" in r.output and "Traceback" not in r.output
 
 
 class TestEnvironmentOverrides:
@@ -295,10 +305,24 @@ class TestBuiltinSweep:
         assert r.exit_code == 0, r.output
 
     def test_agree_full_corpus_on_chain5(self, runner):
-        r = invoke(runner, "logic", "agree", "-a", "chain5",
-                   "--corpus-size", "500", "--seed", "0", "--format", "records")
+        r = invoke(runner, "logic", "agree", "-a", "chain5", "--format", "records")
         assert r.exit_code == 0
-        assert '"corpus": 500' in r.output
+        assert '"corpus": 771' in r.output
+
+    def test_check_ignores_seed(self, runner):
+        plain = invoke(runner, "check", "nff-transfer", "quotient", "-a", "chain4",
+                       "--format", "records")
+        seeded = invoke(runner, "check", "nff-transfer", "quotient", "-a", "chain4",
+                        "--seed", "7", "--format", "records")
+        assert plain.exit_code == seeded.exit_code == 0
+        assert plain.output == seeded.output
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_check_all_at_rank_1_exits_zero(self, runner, name):
+        # the checks whose witnesses need a second rank skip, naming it
+        r = invoke(runner, "check", "all", "-a", name, "--rank", "1")
+        assert r.exit_code == 0, r.output
+        assert "[FAIL]" not in r.output
 
 
 # -- fuzzing `logic taut` ------------------------------------------------------------

@@ -283,14 +283,19 @@ class TestBatteries:
             assert free_vars(phi) == {"x"}
 
     def test_nff_battery_is_negation_free_and_closed(self, ps3_rank2):
-        import random
-
         from algval.formulas import free_vars, is_negation_free
 
         uni, _ = ps3_rank2
-        for _, f in nff_battery(uni, rng=random.Random(3)):
+        forms = nff_battery(uni)
+        for _, f in forms:
             assert is_negation_free(f)
             assert not free_vars(f)
+        # 60 enumerated sentences: both quantifiers over the 30 bodies of
+        # at most 3 nodes over three atoms, after the fixed list
+        enumerated = forms[-60:]
+        assert len({f for _, f in enumerated}) == 60
+        assert all(isinstance(f, (Forall, Exists)) and f.var == "x" for _, f in enumerated)
+        assert all(label == print_formula(f) for label, f in enumerated)
 
 
 # -- differential test against a direct reading of the semantics -------------------

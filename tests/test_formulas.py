@@ -18,6 +18,7 @@ from algval.formulas import (
     Top,
     Var,
     bound_vars,
+    enumerate_formulas,
     free_vars,
     iff,
     instantiate_axiom,
@@ -26,7 +27,9 @@ from algval.formulas import (
     print_formula,
     rename_var,
     subst_const,
+    subformulas,
 )
+from algval.proplogic import PVar
 
 
 class TestParsing:
@@ -171,6 +174,51 @@ class TestFragments:
         assert rename_var(f, "x", "w") == parse("w in y")
         with pytest.raises(InputError):
             rename_var(f, "x", "y")
+
+
+def count_by_size(atoms, max_nodes, negation):
+    """Formulas of at most max_nodes nodes, by the size recurrence: a(1) is
+    the atom count, and a(n) is a(n - 1) negations (when allowed) plus,
+    for each of the three binary connectives, a(i) * a(n - 1 - i) for
+    every left size i."""
+    a = [0, atoms]
+    for n in range(2, max_nodes + 1):
+        binary = 3 * sum(a[i] * a[n - 1 - i] for i in range(1, n - 1))
+        a.append((a[n - 1] if negation else 0) + binary)
+    return sum(a[:max_nodes + 1])
+
+
+PQR = [PVar("p"), PVar("q"), PVar("r")]
+
+
+class TestEnumerate:
+    @pytest.mark.parametrize("atoms,max_nodes,count", [
+        (PQR, 5, 771),
+        (PQR + [Top(), Bot()], 4, 320),
+        (PQR + [Top(), Bot()], 5, 3025),
+    ], ids=["pqr-5", "pqr-tf-4", "pqr-tf-5"])
+    def test_counts_match_the_size_recurrence(self, atoms, max_nodes, count):
+        forms = enumerate_formulas(atoms, max_nodes, negation=True)
+        assert len(forms) == count == count_by_size(len(atoms), max_nodes, True)
+
+    def test_negation_free_count(self):
+        x, c = Var("x"), Const(3)
+        atoms = [Mem(x, c), Mem(c, x), Eq(x, c)]
+        forms = enumerate_formulas(atoms, 3, negation=False)
+        assert len(forms) == 30 == count_by_size(3, 3, False)
+        assert all(is_negation_free(f) for f in forms)
+
+    def test_no_duplicates_and_a_fixed_order_by_size(self):
+        forms = enumerate_formulas(PQR + [Top(), Bot()], 5, negation=True)
+        assert len(set(forms)) == len(forms)
+        assert enumerate_formulas(PQR + [Top(), Bot()], 5, negation=True) == forms
+        sizes = [sum(1 for _ in subformulas(f)) for f in forms]
+        assert sizes == sorted(sizes) and max(sizes) == 5
+
+    def test_at_most_max_nodes(self):
+        assert enumerate_formulas(PQR, 0, negation=True) == []
+        assert enumerate_formulas(PQR, 1, negation=True) == PQR
+        assert enumerate_formulas(PQR, 2, negation=True) == PQR + [Not(f) for f in PQR]
 
 
 class TestAxiomSchemas:

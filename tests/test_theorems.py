@@ -122,7 +122,7 @@ class TestPassVerdicts:
     @pytest.mark.parametrize("algname", ["chain4", "chain5"])
     def test_nff_transfer(self, algname):
         alg, d = builtin(algname)
-        r = check_nff_transfer(Run(alg, d, rank_bound=2, seed=5))
+        r = check_nff_transfer(Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["sentences"] > 10
 
@@ -145,6 +145,15 @@ class TestSkips:
         for fn in (check_two_valued, check_equality_characterization,
                    check_zfbar_witnesses, check_leibniz, check_properties):
             assert fn(Run(alg, d, rank_bound=2)).verdict == "skipped"
+
+    @pytest.mark.parametrize("name", ["paraconsistency", "leibniz", "quotient"])
+    def test_witness_checks_skip_at_rank_1_naming_the_rank(self, name):
+        # the rank-1 universe holds only #0, so no name has an
+        # intermediate entry to build a witness from
+        alg, d = ps3()
+        r = run_check(name, Run(alg, d, rank_bound=1))
+        assert r.verdict == "skipped"
+        assert "rank 2" in r.skip_reason and "rank-1" in r.skip_reason
 
     def test_paraconsistency_needs_two_designated(self):
         alg, d = builtin("bool2")
@@ -169,15 +178,11 @@ class TestCoincidenceSweep:
         assert any("half" in u + v for u, v in literals)
 
     def test_flattened_fold_cross_checked(self):
-        import random
-
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=3)
-        assert coincidence_mismatches(ws, rng=random.Random(0)) == []
+        assert coincidence_mismatches(ws) == []
 
     def test_fold_divergence_is_an_invariant_violation(self, monkeypatch):
-        import random
-
         from algval.evaluate import EvalContext
 
         alg, d = builtin("bool2")
@@ -186,7 +191,7 @@ class TestCoincidenceSweep:
 
         def wrong_above_the_low_rows(self, u, v):
             # The sweep asks the engine only for members of rank below the
-            # bound, so only the sampled cross-check sees these values.
+            # bound, so only the cross-check sees these values.
             value = engine(self, u, v)
             if ws.universe.rank_of(u) < ws.rank_bound:
                 return value
@@ -194,7 +199,46 @@ class TestCoincidenceSweep:
 
         monkeypatch.setattr(EvalContext, "membership", wrong_above_the_low_rows)
         with pytest.raises(InvariantError, match="diverged"):
-            coincidence_mismatches(ws, rng=random.Random(0))
+            coincidence_mismatches(ws)
+
+    def test_equality_divergence_is_an_invariant_violation(self, monkeypatch):
+        from algval.evaluate import EvalContext
+
+        alg, d = builtin("bool2")
+        ws = Workspace(alg, d, rank_bound=2)
+        engine = EvalContext.equality
+
+        def wrong_above_the_low_rows(self, u, v):
+            # Wrong only where neither name is in a low row, so the fold
+            # never reads these values and only the cross-check sees them.
+            value = engine(self, u, v)
+            if min(ws.universe.rank_of(u), ws.universe.rank_of(v)) < ws.rank_bound:
+                return value
+            return (value + 1) % len(alg.elements)
+
+        monkeypatch.setattr(EvalContext, "equality", wrong_above_the_low_rows)
+        with pytest.raises(InvariantError, match="diverged"):
+            coincidence_mismatches(ws)
+
+    def test_cross_check_reads_800_engine_atoms_on_bool4_rank3(self, monkeypatch):
+        # 16 membership and 9 equality classes: `=` on 16 x 16 member
+        # pairs and `in` on 9 x 16, under both assignments
+        from algval.evaluate import EvalContext
+
+        alg, d = builtin("bool4")
+        ws = Workspace(alg, d, rank_bound=3)
+        low = sum(ws.universe.rank_of(nid) < 3 for nid in range(len(ws.universe)))
+        calls = []
+        for name in ("equality", "membership"):
+            engine = getattr(EvalContext, name)
+
+            def counted(self, u, v, engine=engine):
+                if min(u, v) >= low:
+                    calls.append((u, v))
+                return engine(self, u, v)
+            monkeypatch.setattr(EvalContext, name, counted)
+        assert coincidence_mismatches(ws) == []
+        assert len(calls) == 2 * (16 * 16 + 9 * 16)
 
 
 def engine_mismatches(ws):
