@@ -14,15 +14,21 @@ Two assignment styles share one membership clause and differ on equality:
 
 The two clauses are mutually recursive; termination is by descent on the
 sum of the argument ranks, since every recursive call replaces one argument
-by a member of the other's domain.  Atomic values are memoized in one dict
-per assignment, keyed by one int per atom (relation and both name ids), so
-"ba" and "pa" caches never alias.  A context owns its memo or is handed one
-to share: an atomic value depends only on its two names, so contexts over
-universes that agree on every id they hold may share a memo (a run's
-workspaces share one per rank; see `theorems.Run.workspace`).  Every entry
-is deterministic; quantifiers always sweep the universe contents at call
-time, and atomic values never depend on what else has been interned.
-`atomic_fills` counts the clause computations, that is, the memo misses.
+by a member of the other's domain.  Atomic values are memoized in a store
+per assignment, so "ba" and "pa" values never alias.  A store is two dicts
+of rows, one row per name and relation: `mem[v][u]` is `u in v` and
+`eq[max(u, v)][min(u, v)]` is `u = v`.  A row is an array of element
+indices whose item type is the narrowest unsigned one that holds every
+index below its maximum, which marks a value not yet computed; it grows
+only up to the largest index written to it, so bool4's 5 low names
+against its 3125 names at rank 3 make 3125 rows of 5 items, not 3125 x
+3125.  A context owns its store or is handed one to share: an atomic value
+depends only on its two names, so contexts over universes that agree on
+every id they hold may share a store (a run's workspaces share one per
+rank; see `theorems.Run.workspace`).  Every value is deterministic;
+quantifiers always sweep the universe contents at call time, and atomic
+values never depend on what else has been interned.  `atomic_fills`
+counts the clause computations, that is, the store misses.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -41,8 +47,8 @@ a slot on first use, shared within its scope, that holds its id for the
 handle's life.  A constant `#k` and a variable bound to k are thus the same
 to the evaluator, and a caller binds a name through a parameter rather than
 substituting it into the formula.  Each relation has one atom closure,
-which reads its two slots and the context's current memo and falls back to
-the clauses on a miss.
+which calls its clause on its two slots; the clause reads the context's
+current store and computes on a miss.
 
 A connective whose left value fixes the whole table row (bottom -> b, for
 instance, on a table where that row is constant) skips its right operand.
@@ -53,10 +59,12 @@ A quantifier whose body has no binder sweeps over atom rows.  For every
 distinct atom of the body that mentions the bound variable z (`z in t`,
 `t in z`, `z = t`, `z in z`, `z = z`, with t an outer variable or a
 constant) the context keeps a row: the atom's value at z = 0, 1, 2, ...,
-keyed by relation, the side z stands on and t's name id.  Before each sweep
-the rows are filled to the end of the universe, never rebuilt, which is
-sound because atomic values never depend on later inserts, and each row is
-interned by its contents into a class id that holds while the universe
+keyed by relation, the side z stands on and t's name id.  A row is an
+array of the store's item type.  Before each sweep the rows are filled to
+the end of the universe, never rebuilt, which is sound because atomic
+values never depend on later inserts; the row of `z in t` is a copy of the
+store's own row for t with its holes filled through the clause.  Each row
+is interned by its bytes into a class id that holds while the universe
 keeps its length.  The body's value depends on z only through those rows
 and on the outer variables its other atoms read, so the sweep's result is
 cached in the compiled closure, for the life of its handle, under the
@@ -71,16 +79,17 @@ always run).
 
 An equality clause stops as soon as its meet reaches bottom, but only when
 the meet table's bottom row is constant, so defective tables evaluate as
-they always have.  The clauses read the memo inline on their recursive
+they always have.  The clauses read the store inline on their recursive
 calls.
 
-The memo and the rows only ever gain deterministic entries while a context
-evaluates; only the owner of a shared memo removes entries from it
+The store and the rows only ever gain deterministic values while a context
+evaluates; only the owner of a shared store removes values from it
 (`forget_names`), between evaluations.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Callable, Iterable, Optional, Sequence
@@ -96,12 +105,22 @@ from .universe import Universe
 ASSIGNMENTS = ("ba", "pa")
 
 _REL_EQ, _REL_MEM = 0, 1
-# A memo key is one int per atom: 2 * pair + rel, where pair numbers (u, v)
-# shell by shell, v*v + u if u < v else u*u + u + v (Szudzik's pairing), and
-# an equality pair, kept as u <= v, is v*v + u.  Both are below n*n exactly
-# when both ids are below n, and stay small ints (one digit, fast arithmetic)
-# for any universe that can be swept.
 _Z_LEFT, _Z_RIGHT, _Z_BOTH = 0, 1, 2  # where a row's swept variable stands
+
+# The atomic store of one assignment: (eq, mem), indexed by relation, where
+# eq[max(u, v)][min(u, v)] is `u = v` and mem[v][u] is `u in v`.
+Memo = tuple[dict[int, array], dict[int, array]]
+
+
+def _item_type(size: int) -> tuple[str, int]:
+    """The narrowest unsigned array typecode that holds every index of an
+    algebra of `size` elements below its maximum, and that maximum, which
+    marks an unset value."""
+    for typecode in "BHIQ":
+        unset = (1 << 8 * array(typecode).itemsize) - 1
+        if size <= unset:
+            break
+    return typecode, unset
 
 
 def _decided(table: tuple[tuple[int, ...], ...]) -> list[Optional[int]]:
@@ -110,23 +129,26 @@ def _decided(table: tuple[tuple[int, ...], ...]) -> list[Optional[int]]:
     return [row[0] if len(set(row)) == 1 else None for row in table]
 
 
-def forget_names(memo: dict[int, int], n: int) -> None:
-    """Remove the entries of an atomic memo that involve a name id >= n."""
-    limit = 2 * n * n
-    for key in [k for k in memo if k >= limit]:
-        del memo[key]
+def forget_names(memo: Memo, n: int) -> None:
+    """Remove the values of an atomic store that involve a name id >= n."""
+    for rows in memo:
+        for key in [k for k in rows if k >= n]:
+            del rows[key]
+        for row in rows.values():
+            del row[n:]
 
 
 class EvalContext:
     """A universe, a designated set and one assignment style.
 
-    `memo` is the atomic memo to read and fill; by default the context owns
-    a fresh one.  A memo passed in may be shared with other contexts of the
-    same assignment over universes that agree on every name id they hold.
+    `memo` is the atomic store to read and fill; by default the context
+    owns a fresh one.  A store passed in may be shared with other contexts
+    of the same assignment over universes that agree on every name id they
+    hold.
     """
 
     def __init__(self, universe: Universe, designated: Iterable[str],
-                 assignment: str = "pa", memo: Optional[dict[int, int]] = None):
+                 assignment: str = "pa", memo: Optional[Memo] = None):
         if assignment not in ASSIGNMENTS:
             raise InputError(f"unknown assignment {assignment!r}; use 'ba' or 'pa'")
         self.universe = universe
@@ -135,7 +157,8 @@ class EvalContext:
         self.assignment = assignment
         self.designated = frozenset(alg.resolve(d) for d in designated)
         self.designated_i = frozenset(alg.index[d] for d in self.designated)
-        self._memo: dict[int, int] = {} if memo is None else memo
+        self._memo: Memo = ({}, {}) if memo is None else memo
+        self._typecode, self._unset = _item_type(len(alg.elements))
         self._meet = alg.meet_t
         self._join = alg.join_t
         self._imp = alg.imp_t
@@ -147,26 +170,41 @@ class EvalContext:
         # equality may stop mid-side at bottom only if bottom absorbs the meet
         self._eq_stop = (self._bottom if _decided(alg.meet_t)[self._bottom] == self._bottom
                          else -1)
-        self._rows: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._rows: dict[tuple[int, int, int], array] = {}
         # class ids of the rows, by content and by row key, valid for a
         # universe of _classes_n names
-        self._classes: dict[tuple[int, ...], int] = {}
+        self._classes: dict[bytes, int] = {}
         self._row_class: dict[tuple[int, int, int], int] = {}
         self._classes_n = 0
-        self.atomic_fills = 0  # clause computations, that is, memo misses
+        self.atomic_fills = 0  # clause computations, that is, store misses
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.sweeps_reused = 0  # row sweeps answered from their cache
 
     # -- atomic clauses ---------------------------------------------------------
 
+    def _put(self, rows: dict[int, array], key: int, i: int, value: int) -> None:
+        """Set rows[key][i], growing the row to i + 1 with unset marks."""
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = array(self._typecode)
+        k = len(row)
+        if i < k:
+            row[i] = value
+            return
+        if i > k:
+            row.extend(repeat(self._unset, i - k))
+        row.append(value)
+
     def equality(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u  # the clause is symmetric
-        key = (v * v + u) * 2
-        get = self._memo.get
-        hit = get(key)
-        if hit is not None:
-            return hit
+        eq_rows, mem_rows = self._memo
+        unset = self._unset
+        row = eq_rows.get(v)
+        if row is not None and u < len(row):
+            hit = row[u]
+            if hit != unset:
+                return hit
         names = self.universe.names
         meet, imp = self._meet, self._imp
         pa = self.assignment == "pa"
@@ -179,13 +217,17 @@ class EvalContext:
         mem, stop = self.membership, self._eq_stop
         acc = self._top
         for hi, lo in ((u, v), (v, u)):
-            lo_sq = lo * lo
+            col = mem_rows.get(lo, ())  # `x in lo` for every x
             for x, ux in names[hi].entries:
                 if __debug__:
                     assert names[x].rank < names[hi].rank
-                m = get((lo_sq + x) * 2 + 1 if x < lo else (x * x + x + lo) * 2 + 1)
-                if m is None:
+                try:
+                    m = col[x]
+                except IndexError:
+                    m = unset
+                if m == unset:
                     m = mem(x, lo)
+                    col = mem_rows.get(lo, ())
                 c = imp[ux][m]
                 if pa:
                     c = meet[c][imp[star[m]][star[ux]]]
@@ -194,45 +236,52 @@ class EvalContext:
                     break
             if acc == self._bottom:
                 break
-        self._memo[key] = acc
+        self._put(eq_rows, v, u, acc)
         return acc
 
     def membership(self, u: int, v: int) -> int:
-        key = (v * v + u if u < v else u * u + u + v) * 2 + 1
-        get = self._memo.get
-        hit = get(key)
-        if hit is not None:
-            return hit
+        eq_rows, mem_rows = self._memo
+        unset = self._unset
+        row = mem_rows.get(v)
+        if row is not None and u < len(row):
+            hit = row[u]
+            if hit != unset:
+                return hit
         self.atomic_fills += 1
         names = self.universe.names
         meet, join = self._meet, self._join
         eq, top = self.equality, self._top
-        u_sq = u * u
+        col = eq_rows.get(u, ())  # `x = u` for every x <= u
         acc = self._bottom
         for x, vx in names[v].entries:
-            e = get((u_sq + x) * 2 if x <= u else (x * x + u) * 2)
-            if e is None:
+            try:
+                e = col[x] if x <= u else eq_rows.get(x, ())[u]
+            except IndexError:
+                e = unset
+            if e == unset:
                 e = eq(x, u)
+                col = eq_rows.get(u, ())
             acc = join[acc][meet[vx][e]]
             if acc == top:
                 break
-        self._memo[key] = acc
+        self._put(mem_rows, v, u, acc)
         return acc
 
-    def _extended(self, row: tuple[int, ...], rel: int, side: int, t: int,
-                  n: int) -> tuple[int, ...]:
-        """The row of (rel, side, t) extended to n names, reading the memo inline."""
-        get = self._memo.get
+    def _extend(self, row: array, rel: int, side: int, t: int, n: int) -> None:
+        """Extend the row of (rel, side, t) to n names."""
+        m, unset = len(row), self._unset
+        if rel == _REL_MEM and side == _Z_LEFT:
+            # `z in t` is the store's own row for t, with its holes filled
+            row.extend(self._memo[_REL_MEM].get(t, ())[m:n])
+            row.extend(repeat(unset, n - len(row)))
+            for z in range(m, n):
+                if row[z] == unset:
+                    row[z] = self.membership(z, t)
+            return
         clause = self.equality if rel == _REL_EQ else self.membership
-        new = []
-        for z in range(len(row), n):
+        for z in range(m, n):
             u, v = (t, z) if side == _Z_RIGHT else (z, z) if side == _Z_BOTH else (z, t)
-            if rel == _REL_MEM:
-                hit = get((v * v + u if u < v else u * u + u + v) * 2 + 1)
-            else:
-                hit = get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
-            new.append(clause(u, v) if hit is None else hit)
-        return row + tuple(new)
+            row.append(clause(u, v))
 
     def _row_classes(self, keys: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
         """Fill the rows of keys to the end of the universe and return its
@@ -248,9 +297,11 @@ class EvalContext:
         for key in keys:
             cid = row_class.get(key)
             if cid is None:
-                # a row is a tuple, so the class table keys on the row itself
-                row = rows[key] = self._extended(rows.get(key, ()), *key, n)
-                cid = row_class[key] = classes.setdefault(row, len(classes))
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = array(self._typecode)
+                self._extend(row, *key, n)
+                cid = row_class[key] = classes.setdefault(row.tobytes(), len(classes))
             ids.append(cid)
         return n, ids
 
@@ -418,32 +469,22 @@ class EvalContext:
 
     def _atom(self, f: Mem | Eq, scope: dict[str | int, int],
               slots: list[int]) -> Callable[[], int]:
-        """An atom closure that reads the memo inline and fills it on a miss.
-        It reads the context's memo at call time, not the one it was
-        compiled against, so a held handle follows its context onto a
-        private memo (see `theorems._Enumerated.release`)."""
+        """An atom closure that calls its clause, which reads the store at
+        call time, not the one the closure was compiled against, so a held
+        handle follows its context onto a private store (see
+        `theorems._Enumerated.release`)."""
         i, j = self._slot(f.left, scope, slots), self._slot(f.right, scope, slots)
         if isinstance(f, Mem):
             clause = self.membership
-
-            def mem() -> int:
-                u, v = slots[i], slots[j]
-                hit = self._memo.get((v * v + u if u < v else u * u + u + v) * 2 + 1)
-                return clause(u, v) if hit is None else hit
-            return mem
-        if self.assignment == "pa" and self._star is None:
+        elif self.assignment == "pa" and self._star is None:
             # equality raises on every pair; say so here, where neither a
             # skipped operand nor a row sweep can keep it from being called
             raise CapabilityError(
                 f"the pa assignment needs a star table; {self.algebra.name} has none"
             )
-        clause = self.equality
-
-        def eq() -> int:
-            u, v = slots[i], slots[j]
-            hit = self._memo.get((v * v + u) * 2 if u <= v else (u * u + v) * 2)
-            return clause(u, v) if hit is None else hit
-        return eq
+        else:
+            clause = self.equality
+        return lambda: clause(slots[i], slots[j])
 
     def eval(self, f: Formula, env: Optional[dict[str, int]] = None) -> str:
         """Evaluate to an element identifier."""

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .errors import InputError, InvariantError, ResourceError
 from .evaluate import (
-    ASSIGNMENTS, EvalContext, battery, bq_sides, forget_names, nff_battery,
+    ASSIGNMENTS, EvalContext, Memo, battery, bq_sides, forget_names, nff_battery,
     two_var_battery,
 )
 from .formulas import (
@@ -82,29 +82,29 @@ class CheckResult:
 
 
 class _Enumerated:
-    """One rank's enumerated universe and the atomic memos, one per
+    """One rank's enumerated universe and the atomic stores, one per
     assignment, that the workspaces built on it share.
 
     Atomic values depend only on the two names, so every workspace fills
-    the same entries for enumerated ids.  Witness ids are not shared: each
+    the same values for enumerated ids.  Witness ids are not shared: each
     workspace interns its own names from the enumerated count `n` up.  So
-    the memos hold witness entries of one universe at most, the grower's:
+    the stores hold witness values of one universe at most, the grower's:
     before a universe grows or a workspace is handed out, the contexts of
-    a live grower move onto private copies of their memos and the witness
-    entries are removed.
+    a live grower move onto private copies of the store's rows, and the
+    shared rows are cut to `n` and the rows keyed at `n` or above dropped.
     """
 
     def __init__(self, universe: Universe):
         self.universe = universe
         self.n = len(universe)
-        self.memos: dict[str, dict[int, int]] = {a: {} for a in ASSIGNMENTS}
+        self.memos: dict[str, Memo] = {a: ({}, {}) for a in ASSIGNMENTS}
         self._contexts: weakref.WeakSet[EvalContext] = weakref.WeakSet()
         self._grower: Optional[weakref.ref[Universe]] = None
 
     def context(self, universe: Universe, designated: Iterable[str],
                 assignment: str) -> EvalContext:
-        """A context on the shared memo, unless its universe holds witness
-        names that the memo no longer tracks."""
+        """A context on the shared store, unless its universe holds witness
+        names that the store no longer tracks."""
         grower = self._grower() if self._grower is not None else None
         if len(universe) > self.n and universe is not grower:
             return EvalContext(universe, designated, assignment)
@@ -113,14 +113,15 @@ class _Enumerated:
         return ctx
 
     def release(self) -> None:
-        """Move a live grower's contexts onto private copies and drop the
-        witness entries from the shared memos."""
+        """Move a live grower's contexts onto private copies of the rows
+        and drop the witness values from the shared stores."""
         if self._grower is None:
             return
         grower = self._grower()
         for ctx in list(self._contexts):
             if ctx.universe is grower:
-                ctx._memo = dict(ctx._memo)
+                ctx._memo = tuple({k: row[:] for k, row in rows.items()}
+                                  for rows in ctx._memo)
                 self._contexts.discard(ctx)
         for memo in self.memos.values():
             forget_names(memo, self.n)
@@ -137,7 +138,8 @@ class Workspace:
 
     Handed out by `Run.workspace`, it copies the run's enumerated universe
     for its rank (same names, same ids) and its contexts read and fill the
-    run's memos.  Built alone, it enumerates a universe of its own.  Ad-hoc
+    run's atomic stores, one row per name and relation (see `evaluate`).
+    Built alone, it enumerates a universe of its own.  Ad-hoc
     witness names go through `insert`, which keeps a log (id plus entry
     literal) so failures can be replayed against a rebuilt universe.
     """

@@ -54,6 +54,12 @@ class TestEval:
         r = invoke(runner, "eval", "-a", "chainZ", "true")
         assert r.exit_code == 2
 
+    def test_more_than_255_elements(self, runner):
+        # element indices past one byte: the atomic store widens its item type
+        r = invoke(runner, "eval", "forall x. x = x", "-a", "chain300")
+        assert r.exit_code == 0
+        assert r.output.strip() == "1"
+
     @pytest.mark.parametrize("text", ["~" * 3000 + "#0 = #0",
                                       "(" * 3000 + "#0 = #0" + ")" * 3000])
     def test_deep_nesting_exits_2(self, runner, text):

@@ -20,7 +20,7 @@ from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
     instantiate_axiom, parse, print_formula, subst_const,
 )
-from algval.theorems import Workspace
+from algval.theorems import CHECKS, Run, Workspace, run_check
 from algval.universe import build_universe
 
 
@@ -611,6 +611,45 @@ def assert_clauses_match_reference(ctx):
 def test_atomic_clauses_match_reference_clauses(algname, assignment):
     alg, d = builtin(algname)
     assert_clauses_match_reference(EvalContext(build_universe(alg, 2), d, assignment))
+
+
+def stored_values(memo):
+    """Every value set in an atomic store, as ((rel, u, v), value), with
+    u <= v for `=`."""
+    for rel, rows in zip(("=", "in"), memo):
+        for key, row in rows.items():
+            unset = (1 << 8 * row.itemsize) - 1
+            for i, value in enumerate(row):
+                if value != unset:
+                    yield (rel, i, key), value
+
+
+@pytest.mark.parametrize("algname, rank",
+                         [(name, 2) for name in BUILTIN_NAMES] + [("ps3", 3)])
+def test_shared_store_matches_reference_clauses_after_all_checks(algname, rank):
+    # the loop of run_all, on a Run kept to read its stores afterwards
+    alg, d = builtin(algname)
+    run = Run(alg, d, rank)
+    for name in CHECKS:
+        run_check(name, run)
+    checked = 0
+    for shared in run._enumerated.values():
+        shared.release()  # the last grower's witness values go
+        for assignment, memo in shared.memos.items():
+            eq, mem = reference_clauses(EvalContext(shared.universe, d, assignment))
+            for (rel, u, v), value in stored_values(memo):
+                assert rel == "in" or u <= v, ("eq rows are keyed by the larger id", u, v)
+                assert value == (eq if rel == "=" else mem)(u, v), (assignment, rel, u, v)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_clauses_match_reference_past_one_byte(assignment):
+    alg, d = builtin("chain300")
+    ctx = EvalContext(build_universe(alg, 2), d, assignment)
+    assert_clauses_match_reference(ctx)
+    assert max(value for _, value in stored_values(ctx._memo)) >= 255
 
 
 def _skewed_meet_ps3():

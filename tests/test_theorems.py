@@ -1,8 +1,8 @@
 import inspect
 import itertools
-import math
 
 import pytest
+from test_evaluate import stored_values
 
 from algval import theorems
 from algval.algebra import BUILTIN_NAMES, builtin, loads_algebra, ps3
@@ -603,18 +603,13 @@ class TestBudgetDegradation:
         assert all(x.verdict == "skipped" for x in results)
 
 
-def _memo_key(rel: int, u: int, v: int) -> int:
-    """The atomic memo key of (rel, u, v): 2 * pair + rel, where an equality
-    pair (u <= v) is v*v + u and a membership pair is Szudzik's."""
+def _is_stored(memo, rel: int, u: int, v: int) -> bool:
+    """Whether an atomic store holds (rel, u, v): eq[max][min] for rel 0,
+    mem[v][u] for rel 1."""
     if rel == 0:
         u, v = min(u, v), max(u, v)
-        return (v * v + u) * 2
-    return (v * v + u if u < v else u * u + u + v) * 2 + 1
-
-
-def _key_max_id(key: int) -> int:
-    """The larger name id of an atomic memo key."""
-    return math.isqrt(key // 2)
+    row = memo[rel].get(v, ())
+    return u < len(row) and row[u] != (1 << 8 * row.itemsize) - 1
 
 
 def _atomic_table(ws: Workspace, assignments=("ba", "pa")) -> dict:
@@ -644,8 +639,9 @@ class TestSharedUniverse:
         n = run.workspace().enumerated
         memos = run._enumerated[2].memos
         # zfbar filled entries for its witnesses; none survive the hand-out
-        assert memos["pa"] and memos["ba"]
-        assert all(_key_max_id(k) < n for memo in memos.values() for k in memo)
+        stored = {a: [pair for pair, _ in stored_values(memo)] for a, memo in memos.items()}
+        assert stored["pa"] and stored["ba"]
+        assert all(max(u, v) < n for pairs in stored.values() for _, u, v in pairs)
         ws = run.workspace()
         assert len(ws.universe) == ws.enumerated == n
         assert ws.insert({0: alg.top_i, 1: alg.top_i, 2: alg.top_i}) == n
@@ -658,7 +654,8 @@ class TestSharedUniverse:
         ws = run.workspace()
         w = ws.insert({0: alg.top_i, 1: alg.top_i, 2: alg.top_i})
         ws.pa.equality(w, 1)
-        assert any(_key_max_id(k) >= ws.enumerated for k in run._enumerated[2].memos["pa"])
+        assert any(max(u, v) >= ws.enumerated
+                   for (_, u, v), _ in stored_values(run._enumerated[2].memos["pa"]))
 
     def test_two_live_workspaces_keep_their_own_witnesses(self):
         alg, d = ps3()
@@ -735,7 +732,7 @@ class TestSharedUniverse:
             clause = getattr(EvalContext, clause_name)
 
             def logged(self, u, v, clause=clause, rel=rel):
-                if _memo_key(rel, u, v) not in self._memo:
+                if not _is_stored(self._memo, rel, u, v):
                     a, b = (v, u) if rel == 0 and u > v else (u, v)
                     fills[self.algebra, self.assignment, rel, a, b] += 1
                 return clause(self, u, v)
@@ -750,3 +747,21 @@ class TestSharedUniverse:
         assert max(enumerated) == 1
         # the counter counts exactly the clause computations
         assert sum(c.atomic_fills for c in contexts if c.algebra is alg) == sum(mine.values())
+
+
+class TestMemory:
+    def test_paraconsistency_on_ps3_rank3_traced_peak(self):
+        # Traced peak of paraconsistency on ps3 at rank 3 (Python 3.11): about
+        # 11.1 MB with the atomic memo as a dict keyed by one int per atom,
+        # 0.65 MB with byte rows per name.  The bound lies midway.
+        import tracemalloc
+
+        alg, d = ps3()
+        tracemalloc.start()
+        try:
+            result = run_check("paraconsistency", Run(alg, d, rank_bound=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "pass"
+        assert peak < 5.9e6
