@@ -179,8 +179,8 @@ def check_command(algebra_spec, designated_spec, rank, budget, seed, fmt,
                   list_checks, selection):
     """Run named validation checks ('all' or explicit names)."""
     if list_checks:
-        for name, (_, help_text) in CHECKS.items():
-            click.echo(f"{name}: {help_text}")
+        for name, check in CHECKS.items():
+            click.echo(f"{name}: {check.help}")
         sys.exit(0)
     names = None
     if selection and list(selection) != ["all"]:

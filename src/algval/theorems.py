@@ -1,13 +1,19 @@
 """Named, reproducible validation runs over a configured algebra.
 
-Every registered check is `fn(run: Run) -> CheckResult`.  A `Run` carries
-the algebra, its resolved designated set and the sweep bounds; the theorems
-hold for classes of algebras, so a check first gates on the run's
-structure profile (computed once per run, on first use) and then sweeps a
-workspace from `Run.workspace`: a copy of the run's enumerated universe,
-built once per rank, whose contexts share the run's atomic memos.
-`run_check` is the one place that times a check and turns a resource
-overrun into a skip.
+The theorems hold for classes of algebras, so every check is a claim plus
+its hypotheses.  A `CHECKS` entry declares both: the body that sweeps and
+judges, the `check --list` help text, the record's description (a
+template whose only parameter is the rank bound) and the gates, an
+ordered list of (condition, skip reason) pairs.  A condition is a key of
+the run's structure profile (computed once per run, on first use),
+`rank>=2` or `star` (the algebra has a star table).  `run_check` is the
+one place that checks the gates in order, turns a resource overrun into a
+skip, times the check and builds its `CheckResult`.
+
+A body is `fn(run: Run)` and returns a `Verdict`: the counterexample
+(None when the check passes) and the details.  It sweeps a workspace from
+`Run.workspace`: a copy of the run's enumerated universe, built once per
+rank, whose contexts share the run's atomic memos.
 
 A failing result carries a replayable counterexample: the assignment, the
 formula (or atomic pair), and the ad-hoc names inserted up to the point of
@@ -23,7 +29,7 @@ import json
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .algebra import (
     Algebra, check_cobounded, check_drim, check_filter, check_lattice,
@@ -238,8 +244,8 @@ class Run:
     designated: frozenset[str]
     rank_bound: int = 2
     budget: int = DEFAULT_BUDGET
-    _profile: dict = field(default_factory=dict, repr=False, compare=False)
-    _enumerated: dict = field(default_factory=dict, repr=False, compare=False)
+    _profile: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _enumerated: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "designated",
@@ -250,6 +256,15 @@ class Run:
         if not self._profile:
             self._profile.update(profile(self.algebra, self.designated))
         return self._profile
+
+    def meets(self, condition: str) -> bool:
+        """Whether the run meets a gate condition: `rank>=2`, `star` or a
+        profile key."""
+        if condition == "rank>=2":
+            return self.rank_bound >= 2
+        if condition == "star":
+            return self.algebra.star_t is not None
+        return self.profile[condition]
 
     def workspace(self, rank_bound: Optional[int] = None) -> Workspace:
         """A workspace at the run's rank bound, or at `rank_bound`, on the
@@ -338,21 +353,16 @@ def _first_intermediate(algebra: Algebra) -> Optional[str]:
     return mids[0] if mids else None
 
 
-def _skip(name: str, description: str, reason: str) -> CheckResult:
-    return CheckResult(name, description, "skipped", skip_reason=reason)
-
-
-# The checks whose witnesses need a name with an intermediate entry skip
-# below rank 2 with this reason.
-_RANK1 = "needs rank 2 or more: the rank-1 universe holds only #0"
+# What a check body returns: the counterexample, None when the check
+# passes, and the details.
+Verdict = tuple[Optional[dict], dict]
 
 
 # -- algebra-level checks ------------------------------------------------------------
 
 
-def check_algebra_laws(run: Run) -> CheckResult:
+def check_algebra_laws(run: Run) -> Verdict:
     """Lattice laws, boundedness, distributivity and the filter verdicts."""
-    desc = "lattice, boundedness, distributivity and designated-set shape"
     rep = check_lattice(run.algebra)
     filt = check_filter(run.algebra, run.designated)
     details = {**rep.verdicts, **filt.verdicts}
@@ -363,25 +373,22 @@ def check_algebra_laws(run: Run) -> CheckResult:
         witnesses = {**rep.witnesses, **filt.witnesses}
         ce = {"kind": "law", "laws": bad,
               "witnesses": {k: list(witnesses.get(k, ())) for k in bad}}
-        return CheckResult("algebra-laws", desc, "fail", counterexample=ce,
-                           details=details)
-    return CheckResult("algebra-laws", desc, "pass", details=details)
+        return ce, details
+    return None, details
 
 
-def check_implication_laws(run: Run) -> CheckResult:
+def check_implication_laws(run: Run) -> Verdict:
     """The four implication laws, exhaustively over element triples."""
-    desc = "implication laws P1-P4 over all element triples"
     rep = check_drim(run.algebra)
     if rep.ok("drim"):
-        return CheckResult("drim", desc, "pass")
+        return None, {}
     ce = {"kind": "law", "laws": ["drim"],
           "witnesses": {"drim": list(rep.witnesses.get("drim", ()))}}
-    return CheckResult("drim", desc, "fail", counterexample=ce)
+    return ce, {}
 
 
-def check_cobounded_routes(run: Run) -> CheckResult:
+def check_cobounded_routes(run: Run) -> Verdict:
     """Cobounded verdict with agreement between its two detection routes."""
-    desc = "cobounded verdict; subset search and closed form must agree"
     rep = check_cobounded(run.algebra)
     details = {"cobounded": rep.ok("cobounded"), **rep.info}
     subset = rep.info.get("cobounded-subset-search")
@@ -389,20 +396,16 @@ def check_cobounded_routes(run: Run) -> CheckResult:
     if subset is not None and subset != closed:
         ce = {"kind": "route-disagreement", "subset_search": subset,
               "closed_form": closed}
-        return CheckResult("cobounded", desc, "fail", counterexample=ce,
-                           details=details)
-    return CheckResult("cobounded", desc, "pass", details=details)
+        return ce, details
+    return None, details
 
 
 # -- valuation checks -----------------------------------------------------------------
 
 
-def check_two_valued(run: Run) -> CheckResult:
+def check_two_valued(run: Run) -> Verdict:
     """Equality under pa takes only the top or bottom value, on all pairs."""
     algebra = run.algebra
-    desc = f"pa equality is two-valued on every pair (bounded at rank {run.rank_bound})"
-    if not run.profile["designated_cobounded"]:
-        return _skip("two-valued", desc, "needs a designated cobounded algebra")
     ws = run.workspace()
     ctx = ws.pa
     ok_values = (algebra.top_i, algebra.bottom_i)
@@ -411,10 +414,8 @@ def check_two_valued(run: Run) -> CheckResult:
         for v in range(u, n):
             val = ctx.equality(u, v)
             if val not in ok_values:
-                ce = ws.atomic_counterexample("pa", "=", u, v, algebra.elements[val])
-                return CheckResult("two-valued", desc, "fail", counterexample=ce)
-    return CheckResult("two-valued", desc, "pass",
-                       details={"names": n, "pairs": n * (n + 1) // 2})
+                return ws.atomic_counterexample("pa", "=", u, v, algebra.elements[val]), {}
+    return None, {"names": n, "pairs": n * (n + 1) // 2}
 
 
 def _characteristic_equality(uni: Universe, designated_i: frozenset[int],
@@ -457,13 +458,8 @@ def _characteristic_equality(uni: Universe, designated_i: frozenset[int],
     return out
 
 
-def check_equality_characterization(run: Run) -> CheckResult:
+def check_equality_characterization(run: Run) -> Verdict:
     """Recursive pa equality agrees with the entry-matching criterion."""
-    desc = (f"pa equality validity equals the entry-matching criterion "
-            f"(bounded at rank {run.rank_bound})")
-    if not run.profile["ultra_designated_cobounded"]:
-        return _skip("equality-characterization", desc,
-                     "needs an ultra-designated cobounded algebra")
     ws = run.workspace()
     ctx = ws.pa
     memo: dict = {}
@@ -480,13 +476,11 @@ def check_equality_characterization(run: Run) -> CheckResult:
                 ce = ws.atomic_counterexample(
                     "pa", "=", u, v, ctx.atomic("=", u, v),
                     note=f"criterion says {combinatorial}")
-                return CheckResult("equality-characterization", desc, "fail",
-                                   counterexample=ce)
-    return CheckResult("equality-characterization", desc, "pass",
-                       details={"pairs": checked})
+                return ce, {}
+    return None, {"pairs": checked}
 
 
-def check_extensionality_contrast(run: Run) -> CheckResult:
+def check_extensionality_contrast(run: Run) -> Verdict:
     """The singleton-weight witness separates the two equality readings.
 
     With w the empty name, a strictly intermediate and u = {w: a},
@@ -496,14 +490,7 @@ def check_extensionality_contrast(run: Run) -> CheckResult:
     memberships rejects the pair, and the strengthened axiom itself holds
     on the bounded universe.
     """
-    algebra, prof = run.algebra, run.profile
-    desc = f"extensionality contrast witness (bounded at rank {run.rank_bound})"
-    if not prof["designated_cobounded"]:
-        return _skip("extensionality-contrast", desc,
-                     "needs a designated cobounded algebra")
-    if not prof["has_intermediate"]:
-        return _skip("extensionality-contrast", desc,
-                     "needs at least three elements")
+    algebra = run.algebra
     mid = _first_intermediate(algebra)
     ws = run.workspace()
     u = ws.insert({0: algebra.index[mid]})
@@ -516,11 +503,9 @@ def check_extensionality_contrast(run: Run) -> CheckResult:
     eq_ba = ba.atomic("=", u, v)
     details["eq_pa"], details["eq_ba"] = eq_pa, eq_ba
     if eq_pa != algebra.bottom:
-        ce = ws.atomic_counterexample("pa", "=", u, v, eq_pa, "expected bottom")
-        return CheckResult("extensionality-contrast", desc, "fail", counterexample=ce)
+        return ws.atomic_counterexample("pa", "=", u, v, eq_pa, "expected bottom"), {}
     if eq_ba != algebra.top:
-        ce = ws.atomic_counterexample("ba", "=", u, v, eq_ba, "expected top")
-        return CheckResult("extensionality-contrast", desc, "fail", counterexample=ce)
+        return ws.atomic_counterexample("ba", "=", u, v, eq_ba, "expected top"), {}
 
     z = Var("z")
     plain_antecedent = Forall("z", iff(Mem(z, Const(u)), Mem(z, Const(v))))
@@ -528,13 +513,13 @@ def check_extensionality_contrast(run: Run) -> CheckResult:
         ce = ws.sentence_counterexample(
             "pa", plain_antecedent, pa.eval(plain_antecedent),
             "plain antecedent should be designated for the witness pair")
-        return CheckResult("extensionality-contrast", desc, "fail", counterexample=ce)
+        return ce, {}
     plain_axiom = instantiate_axiom("Extensionality")
     if pa.holds(plain_axiom):
         ce = ws.sentence_counterexample(
             "pa", plain_axiom, pa.eval(plain_axiom),
             "plain extensionality should fail on the witness pair")
-        return CheckResult("extensionality-contrast", desc, "fail", counterexample=ce)
+        return ce, {}
     details["plain_extensionality_fails_pa"] = True
     details["plain_axiom_value"] = pa.eval(plain_axiom)
 
@@ -545,28 +530,27 @@ def check_extensionality_contrast(run: Run) -> CheckResult:
         ce = ws.sentence_counterexample(
             "pa", strong_antecedent, pa.eval(strong_antecedent),
             "strengthened antecedent should reject the witness pair")
-        return CheckResult("extensionality-contrast", desc, "fail", counterexample=ce)
+        return ce, {}
     details["strong_antecedent_rejected"] = True
 
     axiom = instantiate_axiom("ExtensionalityBar")
     if not pa.holds(axiom):
-        ce = ws.sentence_counterexample("pa", axiom, pa.eval(axiom))
-        return CheckResult("extensionality-contrast", desc, "fail", counterexample=ce)
+        return ws.sentence_counterexample("pa", axiom, pa.eval(axiom)), {}
     details["strengthened_axiom_holds_pa"] = True
-    return CheckResult("extensionality-contrast", desc, "pass", details=details)
+    return None, details
 
 
 # -- the axiom battery ----------------------------------------------------------------
 
 
-def _axiom_failure(ws: Workspace, name: str, desc: str, assignment: str,
-                   formula: Formula, value: str, axiom: str) -> CheckResult:
-    ce = ws.sentence_counterexample(assignment, formula, value, note=f"axiom {axiom}")
-    return CheckResult(name, desc, "fail", counterexample=ce,
-                       details={"axiom": axiom})
+def _axiom_failure(ws: Workspace, formula: Formula, axiom: str) -> Verdict:
+    """The failure of a pa instance of `axiom`."""
+    ce = ws.sentence_counterexample("pa", formula, ws.pa.eval(formula),
+                                    note=f"axiom {axiom}")
+    return ce, {"axiom": axiom}
 
 
-def check_zfbar_witnesses(run: Run) -> CheckResult:
+def check_zfbar_witnesses(run: Run) -> Verdict:
     """Witness constructions for every axiom, validated instance by instance.
 
     Each instance builds the explicit witness name (pair set, union set,
@@ -575,11 +559,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
     instance is additionally evaluated under ba, where it is expected to
     fail whenever an intermediate element exists.
     """
-    name = "zfbar-witnesses"
     rank_bound = run.rank_bound
-    desc = f"axiom witnesses valid under pa (bounded at rank {rank_bound})"
-    if not run.profile["ultra_designated_cobounded"]:
-        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
     ws = run.workspace()
     pa = ws.pa
     alg = run.algebra
@@ -593,8 +573,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
 
     axiom = instantiate_axiom("ExtensionalityBar")
     if not pa.holds(axiom):
-        return _axiom_failure(ws, name, desc, "pa", axiom, pa.eval(axiom),
-                              "ExtensionalityBar")
+        return _axiom_failure(ws, axiom, "ExtensionalityBar")
     details["extensionality_bar"] = "valid"
 
     # Pairing: z = {x: top, y: top}.
@@ -607,8 +586,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
             inst = Forall("w", iff(Mem(Var("w"), Const(z)),
                                    Or(Eq(Var("w"), Const(x)), Eq(Var("w"), Const(y)))))
             if not pa.holds(inst):
-                return _axiom_failure(ws, name, desc, "pa", inst, pa.eval(inst),
-                                      "Pairing")
+                return _axiom_failure(ws, inst, "Pairing")
             count += 1
     details["pairing_instances"] = count
 
@@ -625,7 +603,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
             Mem(Var("x"), Const(v)),
             Exists("m", And(Mem(Var("m"), Const(u)), Mem(Var("x"), Var("m"))))))
         if not pa.holds(inst):
-            return _axiom_failure(ws, name, desc, "pa", inst, pa.eval(inst), "Union")
+            return _axiom_failure(ws, inst, "Union")
         count += 1
     details["union_instances"] = count
 
@@ -648,8 +626,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
             Mem(Var("z"), Const(y)),
             Forall("w", Imp(Mem(Var("w"), Var("z")), Mem(Var("w"), Const(x))))))
         if not pa.holds(inst):
-            return _axiom_failure(ws, name, desc, "pa", inst, pa.eval(inst),
-                                  "PowerSet")
+            return _axiom_failure(ws, inst, "PowerSet")
         count += 1
     details["powerset_instances"] = count
     if skipped:
@@ -684,8 +661,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
                 holds = ctx.holds(inst)
                 if ctx_name == "pa":
                     if not holds:
-                        return _axiom_failure(ws, name, desc, "pa", inst,
-                                              ctx.eval(inst), f"Separation[{label}]")
+                        return _axiom_failure(ws, inst, f"Separation[{label}]")
                     count += 1
                 elif not holds and ba_contrast is None and "~" in label:
                     ba_contrast = {
@@ -707,16 +683,14 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
     empty_member = Exists("m", And(Forall("z", Not(Mem(Var("z"), Var("m")))),
                                    Mem(Var("m"), Const(omega_trunc))))
     if not pa.holds(empty_member):
-        return _axiom_failure(ws, name, desc, "pa", empty_member,
-                              pa.eval(empty_member), "Infinity")
+        return _axiom_failure(ws, empty_member, "Infinity")
     successor_checked = boundary = 0
     for k in range(rank_bound):
         if k + 1 <= rank_bound - 1:
             inst = Exists("u", And(Mem(Var("u"), Const(omega_trunc)),
                                    Mem(Const(nums[k]), Var("u"))))
             if not pa.holds(inst):
-                return _axiom_failure(ws, name, desc, "pa", inst, pa.eval(inst),
-                                      f"Infinity successor of {k}")
+                return _axiom_failure(ws, inst, f"Infinity successor of {k}")
             successor_checked += 1
         else:
             boundary += 1
@@ -724,8 +698,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
         for n2 in range(k + 1, rank_bound + 1):
             if pa.value(Mem(Const(nums[k]), Const(nums[n2]))) != top:
                 inst = Mem(Const(nums[k]), Const(nums[n2]))
-                return _axiom_failure(ws, name, desc, "pa", inst, pa.eval(inst),
-                                      "Infinity membership chain")
+                return _axiom_failure(ws, inst, "Infinity membership chain")
     details["infinity"] = {"numerals": rank_bound + 1,
                            "successor_instances": successor_checked,
                            "out_of_truncation": boundary}
@@ -743,8 +716,7 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
                 Mem(Var("y"), Const(u)),
                 Exists("z", And(Mem(Var("z"), Const(v_big)), phi))))
             if not pa.holds(consequent):
-                return _axiom_failure(ws, name, desc, "pa", consequent,
-                                      pa.eval(consequent), f"Collection[{label}]")
+                return _axiom_failure(ws, consequent, f"Collection[{label}]")
             count += 1
     details["collection_instances"] = count
     details["collection_vacuous"] = vacuous
@@ -759,14 +731,13 @@ def check_zfbar_witnesses(run: Run) -> CheckResult:
             continue
         axiom = instantiate_axiom("Foundation", phi)
         if not pa.holds(axiom):
-            return _axiom_failure(ws, name, desc, "pa", axiom, pa.eval(axiom),
-                                  f"Foundation[{label}]")
+            return _axiom_failure(ws, axiom, f"Foundation[{label}]")
         count += 1
     details["foundation_instances"] = count
     if trimmed:
         details["foundation_trimmed_quantified_bodies"] = trimmed
 
-    return CheckResult(name, desc, "pass", details=details)
+    return None, details
 
 
 def _quantifier_depth(f: Formula) -> int:
@@ -811,19 +782,12 @@ def bar_formula(f: Formula, name_map: dict[int, int]) -> Formula:
     return map_terms(f, lambda t: Const(name_map[t.name_id]) if isinstance(t, Const) else t)
 
 
-def check_nff_transfer(run: Run) -> CheckResult:
+def check_nff_transfer(run: Run) -> Verdict:
     """Collapsing a negation-free value commutes with moving the sentence
     into the three-valued model at the same rank bound, for every sentence
     of `nff_battery`: a fixed list plus 60 enumerated one-quantifier
     sentences."""
-    algebra, prof = run.algebra, run.profile
-    desc = (f"collapse of negation-free values matches the collapsed model "
-            f"(bounded at rank {run.rank_bound})")
-    if not prof["cobounded"]:
-        return _skip("nff-transfer", desc, "needs a cobounded algebra")
-    if not prof["has_intermediate"]:
-        return _skip("nff-transfer", desc,
-                     "needs at least three elements (collapse must be onto)")
+    algebra = run.algebra
     src_ws = run.workspace()
     ps3_alg, ps3_d = ps3()
     dst_ws = Workspace(ps3_alg, ps3_d, run.rank_bound, run.budget)
@@ -853,17 +817,17 @@ def check_nff_transfer(run: Run) -> CheckResult:
                 "collapsed": collapsed,
                 "target_value": dst_val,
             }
-            return CheckResult("nff-transfer", desc, "fail", counterexample=ce)
+            return ce, {}
     details = {"sentences": checked}
     if trimmed:
         details["trimmed_deeply_quantified"] = trimmed
-    return CheckResult("nff-transfer", desc, "pass", details=details)
+    return None, details
 
 
 # -- paraconsistency ------------------------------------------------------------------
 
 
-def check_paraconsistency(run: Run) -> CheckResult:
+def check_paraconsistency(run: Run) -> Verdict:
     """A sentence and its negation both valid, without explosion.
 
     The witness sentence says some name both belongs and does not belong
@@ -871,15 +835,7 @@ def check_paraconsistency(run: Run) -> CheckResult:
     coatom, and the explosion implication must evaluate to bottom, under
     both assignments.
     """
-    algebra, prof = run.algebra, run.profile
-    desc = f"joint validity of a sentence and its negation (bounded at rank {run.rank_bound})"
-    if not prof["designated_cobounded"]:
-        return _skip("paraconsistency", desc, "needs a designated cobounded algebra")
-    if not prof["big_designated"]:
-        return _skip("paraconsistency", desc,
-                     "needs at least two designated elements")
-    if run.rank_bound < 2:
-        return _skip("paraconsistency", desc, _RANK1)
+    algebra = run.algebra
     ws = run.workspace()
     phi = Exists("x", Exists("y", And(Mem(Var("x"), Var("y")),
                                       Not(Mem(Var("x"), Var("y"))))))
@@ -894,32 +850,28 @@ def check_paraconsistency(run: Run) -> CheckResult:
             ce = ws.sentence_counterexample(
                 assignment, phi, val_phi,
                 note=f"expected coatom {coatom}; negation gave {val_not_phi}")
-            return CheckResult("paraconsistency", desc, "fail", counterexample=ce)
+            return ce, {}
         if not (ctx.holds(phi) and ctx.holds(Not(phi))):
             ce = ws.sentence_counterexample(assignment, phi, val_phi,
                                             note="witness or negation not designated")
-            return CheckResult("paraconsistency", desc, "fail", counterexample=ce)
+            return ce, {}
         explosion = Imp(And(phi, Not(phi)), psi)
         val_exp = ctx.eval(explosion)
         if val_exp != algebra.bottom:
             ce = ws.sentence_counterexample(assignment, explosion, val_exp,
                                             note="expected bottom")
-            return CheckResult("paraconsistency", desc, "fail", counterexample=ce)
+            return ce, {}
         details[f"phi_{assignment}"] = val_phi
         details[f"explosion_{assignment}"] = val_exp
-    return CheckResult("paraconsistency", desc, "pass", details=details)
+    return None, details
 
 
 # -- equivalence-style properties ------------------------------------------------------
 
 
-def check_properties(run: Run) -> CheckResult:
+def check_properties(run: Run) -> Verdict:
     """Reflexivity, designated-entry membership, transitivity and the two
     substitution laws, exhaustively over the bounded universe."""
-    desc = ("equality behaves like an equivalence compatible with membership "
-            f"(rank {run.rank_bound})")
-    if not run.profile["ultra_designated_cobounded"]:
-        return _skip("properties", desc, "needs an ultra-designated cobounded algebra")
     ws = run.workspace()
     ctx = ws.pa
     d = ctx.designated_i
@@ -929,9 +881,8 @@ def check_properties(run: Run) -> CheckResult:
     mem = [[ctx.membership(u, w) for w in range(n)] for u in range(n)]
     col = list(zip(*mem))
 
-    def fail(rel: str, u: int, v: int, note: str) -> CheckResult:
-        ce = ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note)
-        return CheckResult("properties", desc, "fail", counterexample=ce)
+    def fail(rel: str, u: int, v: int, note: str) -> Verdict:
+        return ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note), {}
 
     for u in range(n):
         if eq[u][u] not in d:
@@ -957,10 +908,10 @@ def check_properties(run: Run) -> CheckResult:
                     return fail("in", u, w, f"member substitution via #{v}")
                 if lift[m_wv] and m_wu not in d:
                     return fail("in", w, u, f"container substitution via #{v}")
-    return CheckResult("properties", desc, "pass", details={"names": n})
+    return None, {"names": n}
 
 
-def check_leibniz(run: Run) -> CheckResult:
+def check_leibniz(run: Run) -> Verdict:
     """Indiscernibility of pa-equal names, plus the ba-side contrast.
 
     For every pa-equal pair and battery formula, validity transfers from
@@ -969,11 +920,6 @@ def check_leibniz(run: Run) -> CheckResult:
     must break indiscernibility whenever an intermediate element exists.
     """
     algebra, prof = run.algebra, run.profile
-    desc = f"indiscernibility under pa with a ba violation witness (rank {run.rank_bound})"
-    if not prof["ultra_designated_cobounded"]:
-        return _skip("leibniz", desc, "needs an ultra-designated cobounded algebra")
-    if run.rank_bound < 2:
-        return _skip("leibniz", desc, _RANK1)
     ws = run.workspace()
     pa = ws.pa
     d = pa.designated_i
@@ -1008,7 +954,7 @@ def check_leibniz(run: Run) -> CheckResult:
                 continue
             ce = ws.sentence_counterexample(
                 "pa", subst_const(phi, "x", v), algebra.elements[val_v], note=note)
-            return CheckResult("leibniz", desc, "fail", counterexample=ce)
+            return ce, {}
 
     details: dict = {"pa_equal_pairs": len(pairs), "battery": len(forms)}
     if prof["big_designated"] and prof["has_intermediate"]:
@@ -1039,19 +985,13 @@ def check_leibniz(run: Run) -> CheckResult:
         if violation is None:
             ce = {"kind": "missing-ba-violation",
                   "note": "no negated battery formula broke ba indiscernibility"}
-            return CheckResult("leibniz", desc, "fail", counterexample=ce,
-                               details=details)
+            return ce, details
         details["ba_violation"] = violation
-    return CheckResult("leibniz", desc, "pass", details=details)
+    return None, details
 
 
-def check_bounded_quantification(run: Run) -> CheckResult:
+def check_bounded_quantification(run: Run) -> Verdict:
     """The domain-indexed form of a bounded universal matches the quantifier."""
-    desc = (f"bounded universals equal their domain-indexed meets "
-            f"(pa, bounded at rank {run.rank_bound})")
-    if not run.profile["ultra_designated_cobounded"]:
-        return _skip("bounded-quantification", desc,
-                     "needs an ultra-designated cobounded algebra")
     ws = run.workspace()
     ctx = ws.pa
     big = ws.enumerated > 64
@@ -1072,12 +1012,11 @@ def check_bounded_quantification(run: Run) -> CheckResult:
                     "quantified": res.quantified,
                     "domain_indexed": res.domain_indexed,
                 }
-                return CheckResult("bounded-quantification", desc, "fail",
-                                   counterexample=ce)
+                return ce, {}
     details = {"instances": checked}
     if big:
         details["sampled_names"] = len(names)
-    return CheckResult("bounded-quantification", desc, "pass", details=details)
+    return None, details
 
 
 # -- boolean coincidence ---------------------------------------------------------------
@@ -1201,7 +1140,7 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     return out
 
 
-def check_boolean_coincidence(run: Run) -> CheckResult:
+def check_boolean_coincidence(run: Run) -> Verdict:
     """On boolean algebras the two assignments agree everywhere.
 
     Atomic values are compared on every pair of the bounded universe, by
@@ -1210,13 +1149,10 @@ def check_boolean_coincidence(run: Run) -> CheckResult:
     bound allows (sweeps at the full bound would be quadratic).
     """
     algebra = run.algebra
-    desc = f"ba and pa coincide on atoms and battery sentences (rank {run.rank_bound})"
-    if not run.profile["boolean"]:
-        return _skip("boolean-coincidence", desc, "needs a boolean algebra")
     ws = run.workspace()
     bad = coincidence_mismatches(ws, limit=1)
     if bad:
-        return CheckResult("boolean-coincidence", desc, "fail", counterexample=bad[0])
+        return bad[0], {}
     ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
     checked = 0
     forms = [(phi, ws2.ba.sentence(phi, ("x",)), ws2.pa.sentence(phi, ("x",)))
@@ -1230,18 +1166,15 @@ def check_boolean_coincidence(run: Run) -> CheckResult:
                 ce = ws2.sentence_counterexample(
                     "pa", subst_const(phi, "x", u), algebra.elements[vpa],
                     note=f"ba gave {algebra.elements[vba]}")
-                return CheckResult("boolean-coincidence", desc, "fail",
-                                   counterexample=ce)
+                return ce, {}
     n = len(ws.universe)
-    return CheckResult("boolean-coincidence", desc, "pass",
-                       details={"names": n, "atomic_pairs": n * n,
-                                "battery_sentences": checked})
+    return None, {"names": n, "atomic_pairs": n * n, "battery_sentences": checked}
 
 
 # -- quotient model --------------------------------------------------------------------
 
 
-def check_quotient(run: Run) -> CheckResult:
+def check_quotient(run: Run) -> Verdict:
     """Build the quotient and validate the relation laws.
 
     `build_quotient` has checked that the relations are well defined on
@@ -1250,12 +1183,6 @@ def check_quotient(run: Run) -> CheckResult:
     somewhere when the designated set has a non-top element.  The
     connective clauses run on the same model.
     """
-    name = "quotient"
-    desc = f"class relations of the quotient model (rank {run.rank_bound})"
-    if not run.profile["ultra_designated_cobounded"]:
-        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
-    if run.rank_bound < 2:
-        return _skip(name, desc, _RANK1)
     qm = build_quotient(run.workspace().pa)
     k = len(qm.classes)
     details: dict = {"classes": k,
@@ -1266,32 +1193,27 @@ def check_quotient(run: Run) -> CheckResult:
         ce = {"kind": "relation-law", "law": "equality-is-identity",
               "extra": sorted(map(list, qm.r_eq - identity)),
               "missing": sorted(map(list, identity - qm.r_eq))}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        return ce, details
     all_pairs = {(i, j) for i in range(k) for j in range(k)}
     if qm.r_neq != all_pairs - qm.r_eq:
         ce = {"kind": "relation-law", "law": "distinct-is-complement",
               "symmetric_difference":
                   sorted(map(list, qm.r_neq ^ (all_pairs - qm.r_eq)))}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        return ce, details
     if qm.r_mem | qm.r_nmem != all_pairs:
         ce = {"kind": "relation-law", "law": "membership-covers",
               "missing": sorted(map(list, all_pairs - (qm.r_mem | qm.r_nmem)))}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        return ce, details
     overlap = sorted(qm.r_mem & qm.r_nmem)
     details["membership_overlap"] = [list(p) for p in overlap]
     if run.profile["big_designated"] and not overlap:
-        ce = {"kind": "relation-law", "law": "membership-overlap-expected"}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        return {"kind": "relation-law", "law": "membership-overlap-expected"}, details
 
-    sub = check_connective_theorem(run, qm)
-    if sub.verdict == "fail":
-        return CheckResult(name, desc, "fail", counterexample=sub.counterexample,
-                           details={**details, "connectives": sub.details})
-    details["connectives"] = sub.details
-    return CheckResult(name, desc, "pass", details=details)
+    ce, details["connectives"] = check_connective_theorem(run, qm)
+    return ce, details
 
 
-def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
+def check_connective_theorem(run: Run, qm: QuotientModel) -> Verdict:
     """Satisfaction in the quotient `qm` distributes over the connectives.
 
     Implication is material, conjunction and disjunction are componentwise,
@@ -1299,8 +1221,6 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
     the converse has an explicit failure witness through the membership
     overlap), and the quantifier clauses are class sweeps.
     """
-    name = "quotient-connectives"
-    desc = f"satisfaction clauses over the class structure (rank {run.rank_bound})"
     k = len(qm.classes)
     x, y = Var("x"), Var("y")
     atoms: list[tuple[str, Formula]] = [
@@ -1319,10 +1239,10 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
             h = handles[f] = satisfaction(qm, f)
         return h
 
-    def fail(clause: str, la: str, lb: str, i: int, j: int) -> CheckResult:
+    def fail(clause: str, la: str, lb: str, i: int, j: int) -> Verdict:
         ce = {"kind": "connective-clause", "clause": clause,
               "left": la, "right": lb, "classes": [i, j]}
-        return CheckResult(name, desc, "fail", counterexample=ce)
+        return ce, {}
 
     checked = 0
     for (la, fa), (lb, fb) in [(a, b) for a in atoms for b in atoms]:
@@ -1368,40 +1288,35 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> CheckResult:
         if not overlap:
             ce = {"kind": "missing-overlap",
                   "note": "member and non-member relations never overlap"}
-            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+            return ce, details
         i, j = overlap[0]
         if not (sat(Mem(x, y))(i, j) and sat(Not(Mem(x, y)))(i, j)):
-            ce = {"kind": "overlap-witness-broken", "pair": [i, j]}
-            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+            return {"kind": "overlap-witness-broken", "pair": [i, j]}, details
         details["negation_converse_failure"] = {
             "classes": [i, j],
             "note": "membership and its negation both satisfied",
         }
-    return CheckResult(name, desc, "pass", details=details)
+    return None, details
 
 
 # -- propositional logic ---------------------------------------------------------------
 
 
-def check_paraconsistent(run: Run) -> CheckResult:
+def check_paraconsistent(run: Run) -> Verdict:
     """Search for a valuation that defeats explosion.
 
     On a designated cobounded algebra with a second designated element the
     witness valuation (that element for p, bottom for q) must defeat it; on
     a classical two-valued setup no valuation can.
     """
-    name = "prop-paraconsistency"
-    desc = "explosion (p /\\ ~p) -> q fails for some valuation"
     alg, d = run.algebra, run.designated
-    if alg.star_t is None:
-        return _skip(name, desc, "no star table for negation")
     ok, falsifier = is_tautology(alg, d, EXPLOSION)
     details: dict = {"witness": falsifier}
     expected_witness = run.profile["designated_cobounded"] and run.profile["big_designated"]
     if expected_witness and ok:
         ce = {"kind": "missing-witness",
               "note": "no falsifying valuation found although one is guaranteed"}
-        return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+        return ce, details
     if expected_witness:
         mid = sorted(d - {alg.top})[0]
         guaranteed = {"p": mid, "q": alg.bottom}
@@ -1409,13 +1324,13 @@ def check_paraconsistent(run: Run) -> CheckResult:
         if alg.resolve(val) in d:
             ce = {"kind": "guaranteed-witness-broken", "valuation": guaranteed,
                   "value": val}
-            return CheckResult(name, desc, "fail", counterexample=ce, details=details)
+            return ce, details
         details["guaranteed_witness"] = guaranteed
     details["explosion_valid"] = ok
-    return CheckResult(name, desc, "pass", details=details)
+    return None, details
 
 
-def check_ps3_agreement(run: Run) -> CheckResult:
+def check_ps3_agreement(run: Run) -> Verdict:
     """Propositional validity agrees with the three-valued core.
 
     Soundness side: every formula valid here is valid there, via the
@@ -1424,13 +1339,6 @@ def check_ps3_agreement(run: Run) -> CheckResult:
     intermediate), bottom->bottom and still falsifies here.  The corpus is
     every formula of at most 5 nodes over p, q and r (771 of them).
     """
-    name = "prop-agreement"
-    desc = ("validity agrees with the three-valued core on every formula "
-            "of at most 5 nodes over p, q, r")
-    if not run.profile["ultra_designated_cobounded"]:
-        return _skip(name, desc, "needs an ultra-designated cobounded algebra")
-    if not run.profile["has_intermediate"]:
-        return _skip(name, desc, "needs more than two elements")
     alg, d = run.algebra, run.designated
     corpus = enumerate_formulas([PVar(v) for v in "pqr"], 5, negation=True)
     core, core_d = ps3()
@@ -1442,72 +1350,131 @@ def check_ps3_agreement(run: Run) -> CheckResult:
         if here != there:
             ce = {"kind": "validity-disagreement", "formula": print_prop(f),
                   "alg": here, "core": there}
-            return CheckResult(name, desc, "fail", counterexample=ce)
+            return ce, {}
         if falsifier is not None:
             pulled = {v: section[e] for v, e in falsifier.items()}
             val = eval_prop(alg, pulled, f)
             if alg.resolve(val) in d:
                 ce = {"kind": "pullback-not-falsifying", "formula": print_prop(f),
                       "core_valuation": falsifier, "pulled": pulled, "value": val}
-                return CheckResult(name, desc, "fail", counterexample=ce)
+                return ce, {}
         agreements += 1
-    return CheckResult(name, desc, "pass",
-                       details={"corpus": len(corpus), "agreements": agreements})
+    return None, {"corpus": len(corpus), "agreements": agreements}
 
 
 # -- registry --------------------------------------------------------------------------
 
 
-CHECKS: dict[str, tuple[Callable[[Run], CheckResult], str]] = {
-    "algebra-laws": (check_algebra_laws,
-                     "lattice, boundedness, distributivity, filter shape"),
-    "drim": (check_implication_laws,
-             "implication laws P1-P4 over all triples"),
-    "cobounded": (check_cobounded_routes,
-                  "cobounded verdict via subset search and closed form"),
-    "two-valued": (check_two_valued,
-                   "pa equality takes only top or bottom on every pair"),
-    "equality-characterization": (check_equality_characterization,
-                                  "recursive equality equals the entry-matching criterion"),
-    "extensionality-contrast": (check_extensionality_contrast,
-                                "plain extensionality fails under pa, strengthened form holds"),
-    "zfbar-witnesses": (check_zfbar_witnesses,
-                        "witness constructions for every axiom valid under pa"),
-    "nff-transfer": (check_nff_transfer,
-                     "collapse commutes with negation-free evaluation"),
-    "paraconsistency": (check_paraconsistency,
-                        "a sentence and its negation jointly valid without explosion"),
-    "properties": (check_properties,
-                   "equality is a congruence-like equivalence on the universe"),
-    "leibniz": (check_leibniz,
-                "indiscernibility under pa, with the ba violation witness"),
-    "bounded-quantification": (check_bounded_quantification,
-                               "bounded universals equal domain-indexed meets"),
-    "boolean-coincidence": (check_boolean_coincidence,
-                            "ba and pa coincide on boolean algebras"),
-    "quotient": (check_quotient,
-                 "quotient model relations and connective clauses"),
-    "prop-paraconsistency": (check_paraconsistent,
-                             "propositional explosion fails on the algebra"),
-    "prop-agreement": (check_ps3_agreement,
-                       "propositional validity agrees with the three-valued core"),
+class Check(NamedTuple):
+    """A registry entry: the body, the `check --list` help text, the
+    record's description (`{rank}` stands for the rank bound) and the
+    gates, (condition, skip reason) pairs that `run_check` checks in order
+    with `Run.meets`."""
+
+    fn: Callable[[Run], Verdict]
+    help: str
+    description: str
+    gates: list[tuple[str, str]]
+
+
+_DESIGNATED = ("designated_cobounded", "needs a designated cobounded algebra")
+_ULTRA = ("ultra_designated_cobounded", "needs an ultra-designated cobounded algebra")
+# The checks whose witnesses need a name with an intermediate entry skip
+# below rank 2 with this gate.
+_RANK2 = ("rank>=2", "needs rank 2 or more: the rank-1 universe holds only #0")
+
+CHECKS: dict[str, Check] = {
+    "algebra-laws": Check(
+        check_algebra_laws, "lattice, boundedness, distributivity, filter shape",
+        "lattice, boundedness, distributivity and designated-set shape", []),
+    "drim": Check(
+        check_implication_laws, "implication laws P1-P4 over all triples",
+        "implication laws P1-P4 over all element triples", []),
+    "cobounded": Check(
+        check_cobounded_routes, "cobounded verdict via subset search and closed form",
+        "cobounded verdict; subset search and closed form must agree", []),
+    "two-valued": Check(
+        check_two_valued, "pa equality takes only top or bottom on every pair",
+        "pa equality is two-valued on every pair (bounded at rank {rank})",
+        [_DESIGNATED]),
+    "equality-characterization": Check(
+        check_equality_characterization,
+        "recursive equality equals the entry-matching criterion",
+        "pa equality validity equals the entry-matching criterion "
+        "(bounded at rank {rank})",
+        [_ULTRA]),
+    "extensionality-contrast": Check(
+        check_extensionality_contrast,
+        "plain extensionality fails under pa, strengthened form holds",
+        "extensionality contrast witness (bounded at rank {rank})",
+        [_DESIGNATED, ("has_intermediate", "needs at least three elements")]),
+    "zfbar-witnesses": Check(
+        check_zfbar_witnesses, "witness constructions for every axiom valid under pa",
+        "axiom witnesses valid under pa (bounded at rank {rank})",
+        [_ULTRA]),
+    "nff-transfer": Check(
+        check_nff_transfer, "collapse commutes with negation-free evaluation",
+        "collapse of negation-free values matches the collapsed model "
+        "(bounded at rank {rank})",
+        [("cobounded", "needs a cobounded algebra"),
+         ("has_intermediate", "needs at least three elements (collapse must be onto)")]),
+    "paraconsistency": Check(
+        check_paraconsistency, "a sentence and its negation jointly valid without explosion",
+        "joint validity of a sentence and its negation (bounded at rank {rank})",
+        [_DESIGNATED, ("big_designated", "needs at least two designated elements"),
+         _RANK2]),
+    "properties": Check(
+        check_properties, "equality is a congruence-like equivalence on the universe",
+        "equality behaves like an equivalence compatible with membership (rank {rank})",
+        [_ULTRA]),
+    "leibniz": Check(
+        check_leibniz, "indiscernibility under pa, with the ba violation witness",
+        "indiscernibility under pa with a ba violation witness (rank {rank})",
+        [_ULTRA, _RANK2]),
+    "bounded-quantification": Check(
+        check_bounded_quantification, "bounded universals equal domain-indexed meets",
+        "bounded universals equal their domain-indexed meets "
+        "(pa, bounded at rank {rank})",
+        [_ULTRA]),
+    "boolean-coincidence": Check(
+        check_boolean_coincidence, "ba and pa coincide on boolean algebras",
+        "ba and pa coincide on atoms and battery sentences (rank {rank})",
+        [("boolean", "needs a boolean algebra")]),
+    "quotient": Check(
+        check_quotient, "quotient model relations and connective clauses",
+        "class relations of the quotient model (rank {rank})",
+        [_ULTRA, _RANK2]),
+    "prop-paraconsistency": Check(
+        check_paraconsistent, "propositional explosion fails on the algebra",
+        "explosion (p /\\ ~p) -> q fails for some valuation",
+        [("star", "no star table for negation")]),
+    "prop-agreement": Check(
+        check_ps3_agreement, "propositional validity agrees with the three-valued core",
+        "validity agrees with the three-valued core on every formula "
+        "of at most 5 nodes over p, q, r",
+        [_ULTRA, ("has_intermediate", "needs more than two elements")]),
 }
 
 
 def run_check(name: str, run: Run) -> CheckResult:
-    """Run one named check and time it; a resource overrun (an enumeration
-    or valuation count over its budget) degrades to a skip."""
+    """Run one named check and time it.  The first gate the run does not
+    meet skips it with that gate's reason, and so does a resource overrun
+    (an enumeration or valuation count over its budget); otherwise the
+    body's counterexample decides between fail and pass."""
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}; see `check --list`")
-    fn, help_text = CHECKS[name]
+    check = CHECKS[name]
     t0 = time.perf_counter()
-    try:
-        out = fn(run)
-    except ResourceError as exc:
-        out = CheckResult(name, help_text, "skipped",
-                          skip_reason=f"budget exceeded: {exc}")
-    out.wall_time = time.perf_counter() - t0
-    return out
+    counterexample, details = None, {}
+    reason = next((why for condition, why in check.gates if not run.meets(condition)), None)
+    if reason is None:
+        try:
+            counterexample, details = check.fn(run)
+        except ResourceError as exc:
+            reason = f"budget exceeded: {exc}"
+    verdict = "skipped" if reason else "pass" if counterexample is None else "fail"
+    return CheckResult(name, check.description.format(rank=run.rank_bound), verdict,
+                       counterexample, reason, time.perf_counter() - t0, details)
 
 
 def run_all(algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,

@@ -16,20 +16,7 @@ from algval.algebra import (
 from algval.evaluate import EvalContext, battery, bq_sides
 from algval.proplogic import EXPLOSION, is_tautology
 from algval.quotient import build_quotient
-from algval.theorems import (
-    Run,
-    check_boolean_coincidence,
-    check_connective_theorem,
-    check_equality_characterization,
-    check_extensionality_contrast,
-    check_leibniz,
-    check_nff_transfer,
-    check_paraconsistency,
-    check_ps3_agreement,
-    check_quotient,
-    check_two_valued,
-    check_zfbar_witnesses,
-)
+from algval.theorems import Run, check_connective_theorem, run_check
 from algval.universe import build_universe
 
 ALL_BUILTINS = ["ps3", "bool2", "bool4", "chain3", "chain4", "chain5",
@@ -103,7 +90,7 @@ def test_04_pa_equality_two_valued_rank3():
     t0 = time.perf_counter()
     uni = build_universe(alg, 3)
     levels = uni.level_sizes()
-    result = check_two_valued(Run(alg, designated, rank_bound=3))
+    result = run_check("two-valued", Run(alg, designated, rank_bound=3))
     elapsed = time.perf_counter() - t0
     ok = levels == {1: 1, 2: 4, 3: 256}
     ok &= result.verdict == "pass"
@@ -120,7 +107,7 @@ def test_05_equality_characterization():
     pairs = {}
     for name in ("ps3", "chain4"):
         alg, designated = builtin(name)
-        result = check_equality_characterization(Run(alg, designated, rank_bound=2))
+        result = run_check("equality-characterization", Run(alg, designated, rank_bound=2))
         ok &= result.verdict == "pass"
         pairs[name] = result.details.get("pairs", 0)
     _report(5, "recursive equality matches the entry-matching criterion", ok,
@@ -129,7 +116,7 @@ def test_05_equality_characterization():
 
 def test_06_extensionality_contrast():
     alg, designated = ps3()
-    result = check_extensionality_contrast(Run(alg, designated, rank_bound=2))
+    result = run_check("extensionality-contrast", Run(alg, designated, rank_bound=2))
     ok = result.verdict == "pass"
     ok &= result.details.get("eq_pa") == "0"
     ok &= result.details.get("eq_ba") == "1"
@@ -139,7 +126,7 @@ def test_06_extensionality_contrast():
 
 def test_07_leibniz_sweep():
     alg, designated = ps3()
-    result = check_leibniz(Run(alg, designated, rank_bound=2))
+    result = run_check("leibniz", Run(alg, designated, rank_bound=2))
     ok = result.verdict == "pass"
     violation = result.details.get("ba_violation", {})
     ok &= bool(violation) and "~" in violation.get("formula", "")
@@ -167,7 +154,7 @@ def test_09_zfbar_witnesses():
     notes = []
     for name in ("ps3", "chain4"):
         alg, designated = builtin(name)
-        result = check_zfbar_witnesses(Run(alg, designated, rank_bound=2))
+        result = run_check("zfbar-witnesses", Run(alg, designated, rank_bound=2))
         ok &= result.verdict == "pass"
         notes.append(f"{name}:{result.verdict}")
         if name == "ps3":
@@ -178,7 +165,7 @@ def test_09_zfbar_witnesses():
 
 def test_10_boolean_coincidence():
     alg, designated = builtin("bool4")
-    result = check_boolean_coincidence(Run(alg, designated, rank_bound=3))
+    result = run_check("boolean-coincidence", Run(alg, designated, rank_bound=3))
     ok = result.verdict == "pass"
     ok &= result.details.get("names") == 3125
     _report(10, "assignments coincide on the rank-3 boolean universe", ok,
@@ -191,7 +178,7 @@ def test_11_collapse_transfer():
     counts = {}
     for name in ("chain4", "chain5"):
         alg, designated = builtin(name)
-        result = check_nff_transfer(Run(alg, designated, rank_bound=2))
+        result = run_check("nff-transfer", Run(alg, designated, rank_bound=2))
         ok &= result.verdict == "pass"
         counts[name] = result.details.get("sentences", 0)
     _report(11, "negation-free transfer onto the three-valued core", ok,
@@ -203,7 +190,7 @@ def test_12_paraconsistency():
     notes = []
     for name in ("ps3", "chain4"):
         alg, designated = builtin(name)
-        result = check_paraconsistency(Run(alg, designated, rank_bound=2))
+        result = run_check("paraconsistency", Run(alg, designated, rank_bound=2))
         ok &= result.verdict == "pass"
         coatom = alg.big_join([e for e in alg.elements if e != alg.top])
         ok &= result.details.get("coatom") == coatom
@@ -229,10 +216,10 @@ def test_13_quotient_model():
     ok &= qm.r_mem | qm.r_nmem == all_pairs
     overlap = qm.r_mem & qm.r_nmem
     ok &= (qm.class_of[0], qm.class_of[2]) in overlap
-    connectives = check_connective_theorem(Run(alg, designated), qm)
-    ok &= connectives.verdict == "pass"
-    ok &= bool(connectives.details.get("negation_converse_failure"))
-    full = check_quotient(Run(alg, designated, rank_bound=2))
+    counterexample, connectives = check_connective_theorem(Run(alg, designated), qm)
+    ok &= counterexample is None
+    ok &= bool(connectives.get("negation_converse_failure"))
+    full = run_check("quotient", Run(alg, designated, rank_bound=2))
     ok &= full.verdict == "pass"
     _report(13, "quotient classes, relations and connective clauses", ok,
             f"classes={k}, overlap={sorted(overlap)}")
@@ -248,8 +235,8 @@ def test_14_propositional_logics():
     valid, _ = is_tautology(b2, d2, EXPLOSION)
     ok &= valid
     alg5, d5 = builtin("chain5")
-    first = check_ps3_agreement(Run(alg5, d5))
-    second = check_ps3_agreement(Run(alg5, d5))
+    first = run_check("prop-agreement", Run(alg5, d5))
+    second = run_check("prop-agreement", Run(alg5, d5))
     ok &= first.verdict == "pass"
     ok &= first.details.get("corpus") == 771
     ok &= first.record_line() == second.record_line()

@@ -1,11 +1,16 @@
-"""Dead-code guard: every public module-level function and class of the
-package is reachable by name from code that runs.
+"""Guards over the package source, read with `ast`.
 
-The live parts of `src/algval/` are its module-level statements other
-than definitions and imports (the check registry, for instance), its click
-commands, the allowlisted entry points, and every definition that a live
-part names.  A public definition that only names itself, or is only named
-by dead definitions or by the package's re-exports, is reported.
+Dead-code guard: every public module-level function and class of the
+package is reachable by name from code that runs.  The live parts of
+`src/algval/` are its module-level statements other than definitions and
+imports (the check registry, for instance), its click commands, the
+allowlisted entry points, and every definition that a live part names.  A
+public definition that only names itself, or is only named by dead
+definitions or by the package's re-exports, is reported.
+
+Record guard: `CheckResult` is built only in `run_check`, and no
+registered check body names a "skipped" verdict, so gates and skips live
+in the registry and in `run_check` alone.
 """
 
 import ast
@@ -78,3 +83,52 @@ def test_guard_sees_a_definition_named_only_by_the_dead(tmp_path):
     (tmp_path / "__init__.py").write_text("from .probe import helper, orphan\n",
                                           encoding="utf-8")
     assert dead_definitions(tmp_path) == ["probe.helper", "probe.orphan"]
+
+
+def _callee(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def record_violations(src: Path) -> tuple[set[str], list[str]]:
+    """The registered check bodies (first arguments of `Check(...)`), and
+    `module.owner` of each top-level definition in src/*.py that builds a
+    `CheckResult` outside `run_check` or is a body naming "skipped"."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(src.glob("*.py"))}
+    bodies = {call.args[0].id for tree in modules.values() for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and _callee(call) == "Check"
+              and call.args and isinstance(call.args[0], ast.Name)}
+    out = set()
+    for mod, tree in modules.items():
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for sub in ast.walk(top):
+                if (isinstance(sub, ast.Call) and _callee(sub) == "CheckResult"
+                        and owner != "run_check"):
+                    out.add(f"{mod}.{owner} builds a CheckResult")
+                if owner in bodies and isinstance(sub, ast.Constant) and sub.value == "skipped":
+                    out.add(f"{mod}.{owner} names a skipped verdict")
+    return bodies, sorted(out)
+
+
+def test_only_run_check_builds_records():
+    bodies, violations = record_violations(SRC)
+    assert len(bodies) == len(algval.CHECKS)
+    assert violations == []
+
+
+def test_record_guard_sees_a_body_that_skips(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "def _skip(name, reason):\n"
+        "    return CheckResult(name, '', 'skipped', skip_reason=reason)\n\n\n"
+        "def check_gated(run):\n"
+        "    if not run.profile['boolean']:\n"
+        "        return 'skipped', {}\n"
+        "    return None, {}\n\n\n"
+        "def run_check(name, run):\n"
+        "    return CheckResult(name, '', 'pass')\n\n\n"
+        "CHECKS = {'gated': Check(check_gated, '', '', [])}\n",
+        encoding="utf-8")
+    assert record_violations(tmp_path) == ({"check_gated"}, [
+        "probe._skip builds a CheckResult", "probe.check_gated names a skipped verdict"])

@@ -16,7 +16,7 @@ from algval.proplogic import (
     print_prop,
     prop_vars,
 )
-from algval.theorems import Run, check_paraconsistent, check_ps3_agreement
+from algval.theorems import Run, run_check
 
 
 class TestEval:
@@ -108,21 +108,21 @@ class TestParaconsistencyCheck:
     @pytest.mark.parametrize("algname", ["ps3", "chain4", "stretch-bool4"])
     def test_witness_found(self, algname):
         alg, d = builtin(algname)
-        r = check_paraconsistent(Run(alg, d))
+        r = run_check("prop-paraconsistency", Run(alg, d))
         assert r.verdict == "pass"
         assert r.details["witness"] is not None
         assert r.details["guaranteed_witness"]["q"] == alg.bottom
 
     def test_classical_case_has_no_witness(self):
         alg, d = builtin("bool2")
-        r = check_paraconsistent(Run(alg, d))
+        r = run_check("prop-paraconsistency", Run(alg, d))
         assert r.verdict == "pass"
         assert r.details["witness"] is None
         assert r.details["explosion_valid"]
 
     def test_plain_boolean_with_singleton_designated(self):
         alg, d = builtin("bool4")
-        r = check_paraconsistent(Run(alg, d))
+        r = run_check("prop-paraconsistency", Run(alg, d))
         assert r.verdict == "pass"
         assert r.details["witness"] is None
 
@@ -130,24 +130,24 @@ class TestParaconsistencyCheck:
 class TestAgreement:
     def test_chain5_agrees_with_the_core(self):
         alg, d = builtin("chain5")
-        r = check_ps3_agreement(Run(alg, d))
+        r = run_check("prop-agreement", Run(alg, d))
         assert r.verdict == "pass"
         assert r.details == {"corpus": 771, "agreements": 771}
 
     def test_corpus_deterministic(self):
         # The corpus is enumerated, so two runs give the same record.
         alg, d = builtin("chain4")
-        first = check_ps3_agreement(Run(alg, d))
-        second = check_ps3_agreement(Run(alg, d))
+        first = run_check("prop-agreement", Run(alg, d))
+        second = run_check("prop-agreement", Run(alg, d))
         assert first.record_line() == second.record_line()
 
     def test_skipped_on_two_element_algebras(self):
         alg, d = builtin("bool2")
-        assert check_ps3_agreement(Run(alg, d)).verdict == "skipped"
+        assert run_check("prop-agreement", Run(alg, d)).verdict == "skipped"
 
     def test_skipped_without_ultrafilter(self):
         alg, d = builtin("bool4")
-        assert check_ps3_agreement(Run(alg, d)).verdict == "skipped"
+        assert run_check("prop-agreement", Run(alg, d)).verdict == "skipped"
 
 
 @st.composite

@@ -5,7 +5,7 @@ from algval.errors import InputError, InvariantError
 from algval.evaluate import EvalContext
 from algval.formulas import Eq, Exists, Forall, Mem, Not, Var
 from algval.quotient import build_quotient, export_relations, quotient_satisfies
-from algval.theorems import Run, check_connective_theorem, check_quotient
+from algval.theorems import Run, check_connective_theorem, run_check
 from algval.universe import build_universe
 
 
@@ -162,26 +162,27 @@ class TestChecks:
     @pytest.mark.parametrize("algname", ["ps3", "chain4"])
     def test_quotient_check_passes(self, algname):
         alg, d = builtin(algname)
-        result = check_quotient(Run(alg, d, rank_bound=2))
+        result = run_check("quotient", Run(alg, d, rank_bound=2))
         assert result.verdict == "pass"
         assert result.details["membership_overlap"]
 
     def test_ps3_class_count_detail(self):
         alg, d = ps3()
-        result = check_quotient(Run(alg, d, rank_bound=2))
+        result = run_check("quotient", Run(alg, d, rank_bound=2))
         assert result.details["classes"] == 3
 
     def test_connective_clauses(self):
         alg, d = ps3()
         run = Run(alg, d, rank_bound=2)
-        result = check_connective_theorem(run, build_quotient(run.workspace().pa))
-        assert result.verdict == "pass"
-        failure = result.details["negation_converse_failure"]
+        counterexample, details = check_connective_theorem(
+            run, build_quotient(run.workspace().pa))
+        assert counterexample is None
+        failure = details["negation_converse_failure"]
         assert failure["classes"]
 
     def test_skipped_without_ultra_designated(self):
         alg, d = builtin("bool4")
-        assert check_quotient(Run(alg, d)).verdict == "skipped"
+        assert run_check("quotient", Run(alg, d)).verdict == "skipped"
 
 
 class TestExport:

@@ -1,5 +1,8 @@
+import dataclasses
 import inspect
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from test_evaluate import stored_values
@@ -14,16 +17,8 @@ from algval.theorems import (
     CheckResult,
     Run,
     Workspace,
-    check_boolean_coincidence,
-    check_bounded_quantification,
-    check_equality_characterization,
-    check_extensionality_contrast,
     check_leibniz,
-    check_nff_transfer,
-    check_paraconsistency,
     check_properties,
-    check_two_valued,
-    check_zfbar_witnesses,
     coincidence_mismatches,
     is_boolean,
     profile,
@@ -65,20 +60,20 @@ class TestPassVerdicts:
 
     def test_two_valued(self):
         alg, d = ps3()
-        r = check_two_valued(Run(alg, d, rank_bound=2))
+        r = run_check("two-valued", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["names"] == 4
 
     def test_equality_characterization(self):
         for algname in ("ps3", "chain4"):
             alg, d = builtin(algname)
-            r = check_equality_characterization(Run(alg, d, rank_bound=2))
+            r = run_check("equality-characterization", Run(alg, d, rank_bound=2))
             assert r.verdict == "pass"
             assert r.details["pairs"] > 0
 
     def test_extensionality_contrast_values(self):
         alg, d = ps3()
-        r = check_extensionality_contrast(Run(alg, d, rank_bound=2))
+        r = run_check("extensionality-contrast", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["eq_pa"] == "0"
         assert r.details["eq_ba"] == "1"
@@ -87,7 +82,7 @@ class TestPassVerdicts:
 
     def test_zfbar_details(self):
         alg, d = ps3()
-        r = check_zfbar_witnesses(Run(alg, d, rank_bound=2))
+        r = run_check("zfbar-witnesses", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["extensionality_bar"] == "valid"
         assert r.details["pairing_instances"] == 10
@@ -97,24 +92,24 @@ class TestPassVerdicts:
 
     def test_leibniz_finds_the_ba_violation(self):
         alg, d = ps3()
-        r = check_leibniz(Run(alg, d, rank_bound=2))
+        r = run_check("leibniz", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         violation = r.details["ba_violation"]
         assert "~" in violation["formula"]
 
     def test_bounded_quantification(self):
         alg, d = ps3()
-        r = check_bounded_quantification(Run(alg, d, rank_bound=2))
+        r = run_check("bounded-quantification", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["instances"] > 0
 
     def test_properties(self):
         alg, d = builtin("chain3")
-        assert check_properties(Run(alg, d, rank_bound=2)).verdict == "pass"
+        assert run_check("properties", Run(alg, d, rank_bound=2)).verdict == "pass"
 
     def test_paraconsistency_coatom(self):
         alg, d = builtin("chain4")
-        r = check_paraconsistency(Run(alg, d, rank_bound=2))
+        r = run_check("paraconsistency", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["coatom"] == "b"
         assert r.details["phi_ba"] == "b" and r.details["phi_pa"] == "b"
@@ -122,13 +117,13 @@ class TestPassVerdicts:
     @pytest.mark.parametrize("algname", ["chain4", "chain5"])
     def test_nff_transfer(self, algname):
         alg, d = builtin(algname)
-        r = check_nff_transfer(Run(alg, d, rank_bound=2))
+        r = run_check("nff-transfer", Run(alg, d, rank_bound=2))
         assert r.verdict == "pass"
         assert r.details["sentences"] > 10
 
     def test_boolean_coincidence_small(self):
         alg, d = builtin("bool2")
-        r = check_boolean_coincidence(Run(alg, d, rank_bound=3))
+        r = run_check("boolean-coincidence", Run(alg, d, rank_bound=3))
         assert r.verdict == "pass"
         assert r.details["names"] == 27
 
@@ -136,15 +131,15 @@ class TestPassVerdicts:
 class TestSkips:
     def test_contrast_needs_three_elements(self):
         alg, d = builtin("bool2")
-        r = check_extensionality_contrast(Run(alg, d))
+        r = run_check("extensionality-contrast", Run(alg, d))
         assert r.verdict == "skipped"
         assert "three" in r.skip_reason
 
     def test_pa_checks_skip_on_plain_boolean(self):
         alg, d = builtin("bool4")
-        for fn in (check_two_valued, check_equality_characterization,
-                   check_zfbar_witnesses, check_leibniz, check_properties):
-            assert fn(Run(alg, d, rank_bound=2)).verdict == "skipped"
+        for name in ("two-valued", "equality-characterization", "zfbar-witnesses",
+                     "leibniz", "properties"):
+            assert run_check(name, Run(alg, d, rank_bound=2)).verdict == "skipped"
 
     @pytest.mark.parametrize("name", ["paraconsistency", "leibniz", "quotient"])
     def test_witness_checks_skip_at_rank_1_naming_the_rank(self, name):
@@ -157,13 +152,17 @@ class TestSkips:
 
     def test_paraconsistency_needs_two_designated(self):
         alg, d = builtin("bool2")
-        r = check_paraconsistency(Run(alg, d))
+        r = run_check("paraconsistency", Run(alg, d))
         assert r.verdict == "skipped"
         assert "two designated" in r.skip_reason
+        # at rank 1 the later rank gate fails too; the first failing gate
+        # names the skip
+        r = run_check("paraconsistency", Run(alg, d, rank_bound=1))
+        assert r.skip_reason == "needs at least two designated elements"
 
     def test_coincidence_needs_boolean(self):
         alg, d = ps3()
-        assert check_boolean_coincidence(Run(alg, d)).verdict == "skipped"
+        assert run_check("boolean-coincidence", Run(alg, d)).verdict == "skipped"
 
 
 class TestCoincidenceSweep:
@@ -320,16 +319,14 @@ class TestReplay:
         assert replay(alg, d, 2, ce) == ce["value"]
 
     def test_leibniz_failure_replays(self):
-        # Gate bypassed on a designated set that is no filter, so some
-        # battery formula tells a pa-equal pair apart.  The check reads the
-        # value through a handle and prints the substituted sentence; replay
-        # evaluates that sentence from scratch.
+        # The body, called without its gate on a designated set that is no
+        # filter, finds a battery formula that tells a pa-equal pair apart.
+        # The check reads the value through a handle and prints the
+        # substituted sentence; replay evaluates that sentence from scratch.
         alg, _ = builtin("chain4")
         d = frozenset({"1", "a"})
-        run = Run(alg, d, rank_bound=2, _profile={"ultra_designated_cobounded": True})
-        result = check_leibniz(run)
-        ce = result.counterexample
-        assert result.verdict == "fail" and ce["kind"] == "sentence"
+        ce, _ = check_leibniz(Run(alg, d, rank_bound=2))
+        assert ce is not None and ce["kind"] == "sentence"
         assert replay(alg, d, 2, ce) == ce["value"]
 
     def test_zfbar_failure_replays(self, monkeypatch):
@@ -345,7 +342,7 @@ class TestReplay:
             return insert(self, entries)
 
         monkeypatch.setattr(Workspace, "insert", faulty)
-        result = check_zfbar_witnesses(Run(alg, d, rank_bound=2))
+        result = run_check("zfbar-witnesses", Run(alg, d, rank_bound=2))
         ce = result.counterexample
         assert result.verdict == "fail" and ce["kind"] == "sentence"
         assert ce["note"] == "axiom Pairing" and ce["inserted"]
@@ -417,19 +414,19 @@ class TestFailurePath:
         assert result.counterexample["witnesses"]["lattice"]
 
     def test_properties_matches_the_triple_loop(self):
-        # Every designated set, gate bypassed, so each law fails somewhere;
-        # the row-wise check must report the first failure the per-triple
+        # Every designated set, the body called without its gate, so each
+        # law fails somewhere; the row-wise check must report the first failure the per-triple
         # loop reports, with the same counterexample.
         notes = set()
         for algname in BUILTIN_NAMES:
             alg, _ = builtin(algname)
             for r in range(1, len(alg.elements)):
                 for des in itertools.combinations(alg.elements, r):
-                    run = Run(alg, frozenset(des), rank_bound=2,
-                              _profile={"ultra_designated_cobounded": True})
+                    run = Run(alg, frozenset(des), rank_bound=2)
                     want = properties_by_triples(run)
-                    got = check_properties(run)
-                    assert (got.verdict, got.counterexample) == want, (algname, des)
+                    ce, _ = check_properties(run)
+                    got = ("pass" if ce is None else "fail", ce)
+                    assert got == want, (algname, des)
                     if want[1]:
                         notes.add(want[1]["note"].split(" via")[0])
         assert notes == {"reflexivity", "transitivity", "member substitution",
@@ -495,13 +492,19 @@ class TestRegistry:
         assert [r.name for r in results] == ["drim", "cobounded"]
 
     def test_every_check_has_help_text(self):
-        for name, (fn, help_text) in CHECKS.items():
-            assert help_text
-            assert callable(fn)
+        for check in CHECKS.values():
+            assert check.help
+            assert callable(check.fn)
+
+    def test_run_sets_four_fields(self):
+        assert [f.name for f in dataclasses.fields(Run) if f.init] == [
+            "algebra", "designated", "rank_bound", "budget"]
+        with pytest.raises(TypeError):
+            Run(*ps3(), _profile={"ultra_designated_cobounded": True})
 
     def test_every_check_takes_one_run(self):
-        for name, (fn, _) in CHECKS.items():
-            assert list(inspect.signature(fn).parameters) == ["run"], name
+        for name, check in CHECKS.items():
+            assert list(inspect.signature(check.fn).parameters) == ["run"], name
 
     def test_profile_computed_once_per_run(self, monkeypatch):
         calls = []
@@ -601,6 +604,21 @@ class TestBudgetDegradation:
         assert "budget exceeded" in r.skip_reason
         results = run_all(alg, d, rank_bound=4, names=["two-valued", "leibniz"])
         assert all(x.verdict == "skipped" for x in results)
+
+    @pytest.mark.parametrize("algname", BUILTIN_NAMES)
+    def test_budget_skips_carry_the_check_description(self, algname):
+        # At rank 2 enumeration needs more candidate names than a zero
+        # budget allows, so each check that builds a workspace skips for
+        # the budget, under the description of its golden record.
+        golden = Path(__file__).parent / "golden" / f"rank2-{algname}.records"
+        want = {rec["check"]: rec["description"]
+                for rec in map(json.loads, golden.read_text(encoding="utf-8").splitlines())}
+        alg, d = builtin(algname)
+        run = Run(alg, d, rank_bound=2, budget=0)
+        results = [run_check(name, run) for name in CHECKS]
+        assert {r.name: r.description for r in results} == want
+        assert any(r.skip_reason.startswith("budget exceeded")
+                   for r in results if r.verdict == "skipped")
 
 
 def _is_stored(memo, rel: int, u: int, v: int) -> bool:
