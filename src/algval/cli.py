@@ -25,7 +25,7 @@ from .errors import AlgvalError, CapabilityError, InputError
 from .evaluate import EvalContext
 from .formulas import parse
 from .proplogic import is_tautology, parse_prop
-from .quotient import build_quotient, export_relations
+from .quotient import export_relations
 from .theorems import CHECKS, CheckResult, Run, run_all, run_check
 from .universe import DEFAULT_BUDGET, build_universe, parse_name_literal
 
@@ -228,7 +228,7 @@ def quotient_export(algebra_spec, designated_spec, rank, budget, out_path):
         run = Run(alg, d, rank_bound=rank, budget=budget)
         if not run.profile["ultra_designated_cobounded"]:
             raise CapabilityError("needs an ultra-designated cobounded algebra")
-        qm = build_quotient(run.workspace().pa)
+        qm = run.quotient
     except AlgvalError as exc:
         _fail_input(exc)
     text = export_relations(qm)

@@ -7,9 +7,9 @@ satisfied by a tuple of classes when it is valid at (any) representatives.
 Equality and membership then induce four class relations: equal, distinct,
 member and non-member.  Equal/distinct partition the class pairs; member
 and non-member cover all class pairs and may overlap, which is exactly the
-paraconsistent signature of these models.  `build_quotient` confirms that
-the relations are well defined on every pair of names, not only on the
-representatives it reads them from.
+paraconsistent signature of these models.  `build_quotient` checks on
+every pair of names that the partition is well defined, and names the
+law that a failing pair breaks.
 """
 
 from __future__ import annotations
@@ -21,27 +21,6 @@ from typing import Callable, Sequence
 from .errors import InputError, InvariantError
 from .evaluate import EvalContext
 from .formulas import Formula, free_vars
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # smaller root wins so representatives are the lowest ids
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 @dataclass
@@ -59,34 +38,50 @@ class QuotientModel:
         return len(self.classes)
 
 
+class QuotientDefect(InvariantError):
+    """A pair on which the partition is not well defined: `rel` at (#u, #v)
+    breaks the law that `note` names, such as "member substitution via #3"."""
+
+    def __init__(self, rel: str, u: int, v: int, note: str):
+        super().__init__(f"classes and relations at the representatives are not well "
+                         f"defined: {rel} at (#{u}, #{v}), {note}")
+        self.rel, self.u, self.v, self.note = rel, u, v, note
+
+
 def build_quotient(ctx: EvalContext) -> QuotientModel:
     """Partition the universe by designated pa equality and materialize the
     four class relations.
 
-    Well-definedness is checked on every pair of names: the four relation
-    verdicts at (u, v) must be those at the representatives of their
-    classes.
+    A name in no earlier class opens one with the later names whose pa
+    equality with it is top, and represents it.  Pa equality off the
+    diagonal must be top or bottom, and the four relation verdicts at each
+    pair those at the representatives.  The first pair that breaks this
+    raises `QuotientDefect` naming the law: "not two-valued", or
+    "transitivity", "member substitution" or "container substitution" via
+    #w, the name equal to one of the pair with the other verdict ("of the
+    negation" when only the negated relation's verdict differs).
     """
     if ctx.assignment != "pa":
         raise InputError("quotients are built over the pa assignment")
     alg = ctx.algebra
     n = len(ctx.universe.names)
     two_values = (alg.top_i, alg.bottom_i)
-    uf = _UnionFind(n)
+    eq, mem = ctx.equality, ctx.membership
+    classes: list[list[int]] = []
+    class_of: dict[int, int] = {}
     for u in range(n):
+        opens = u not in class_of
+        if opens:
+            class_of[u] = len(classes)
+            classes.append([u])
         for v in range(u + 1, n):
-            val = ctx.equality(u, v)
+            val = eq(u, v)
             if val not in two_values:
-                raise InvariantError(
-                    f"pa equality of #{u}, #{v} is {alg.elements[val]}, not "
-                    f"two-valued; the algebra is outside the supported class")
-            if val == alg.top_i:
-                uf.union(u, v)
-    members: dict[int, list[int]] = {}
-    for u in range(n):
-        members.setdefault(uf.find(u), []).append(u)
-    classes = [sorted(members[root]) for root in sorted(members)]
-    class_of = {nid: idx for idx, cls in enumerate(classes) for nid in cls}
+                raise QuotientDefect("=", u, v, "not two-valued")
+            # a name already in a class stays there; the verdicts show the break
+            if opens and val == alg.top_i and v not in class_of:
+                class_of[v] = class_of[u]
+                classes[-1].append(v)
     reps = [cls[0] for cls in classes]
     qm = QuotientModel(ctx, classes, class_of, reps)
 
@@ -96,29 +91,37 @@ def build_quotient(ctx: EvalContext) -> QuotientModel:
     # star is; a pair's four verdicts are the code of its equality plus 4
     # times the code of its membership.
     code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
-    eq, mem = ctx.equality, ctx.membership
 
     def verdicts(u: int) -> list[int]:
         us = itertools.repeat(u)
         return [code[e] + 4 * code[m]
                 for e, m in zip(map(eq, us, range(n)), map(mem, us, range(n)))]
 
-    at_reps = [[row[v] for v in reps] for row in map(verdicts, reps)]
+    # Well-definedness, class by class: each name's verdicts are its
+    # representative's (the left name moves, position 0), and each verdict
+    # is the one at the right name's representative (position 1).
+    rep_of = [reps[class_of[v]] for v in range(n)]
+    at_reps = []
+    for cls in classes:
+        base = verdicts(cls[0])
+        at_reps.append([base[r] for r in reps])
+        for u in cls:
+            row = base if u == cls[0] else verdicts(u)
+            for pos, other in enumerate((base, list(map(row.__getitem__, rep_of)))):
+                if row == other:
+                    continue
+                v = next(v for v in range(n) if row[v] != other[v])
+                moved = (rep_of[u], v) if pos == 0 else (u, rep_of[v])
+                bit = (row[v] ^ other[v]) & -(row[v] ^ other[v])  # the lowest that differs
+                good, bad = ((u, v), moved) if row[v] & bit else (moved, (u, v))
+                rel, law = ("=", "transitivity") if bit < 4 else (
+                    "in", ("member substitution", "container substitution")[pos])
+                negation = " of the negation" if bit in (2, 8) else ""
+                raise QuotientDefect(rel, *bad, f"{law}{negation} via #{good[pos]}")
     for i, j in itertools.product(range(len(reps)), repeat=2):
         for bit, rel in ((1, qm.r_eq), (2, qm.r_neq), (4, qm.r_mem), (8, qm.r_nmem)):
             if at_reps[i][j] & bit:
                 rel.add((i, j))
-    # Well-definedness: every name's verdicts are its representative's.
-    classes_of = [class_of[v] for v in range(n)]
-    for u in range(n):
-        row = verdicts(u)
-        want = list(map(at_reps[class_of[u]].__getitem__, classes_of))
-        if row != want:
-            v = next(v for v in range(n) if row[v] != want[v])
-            raise InvariantError(
-                f"relations at (#{u}, #{v}) differ from those of the "
-                f"representatives of classes ({class_of[u]}, {class_of[v]}); "
-                f"indiscernibility must have failed")
     return qm
 
 
@@ -154,12 +157,6 @@ def export_relations(qm: QuotientModel) -> str:
     lines = []
     for i, cls in enumerate(qm.classes):
         lines.append(f"class [{i}] = " + " ".join(f"#{nid}" for nid in cls))
-    for i, j in sorted(qm.r_eq):
-        lines.append(f"eq [{i}] [{j}]")
-    for i, j in sorted(qm.r_neq):
-        lines.append(f"neq [{i}] [{j}]")
-    for i, j in sorted(qm.r_mem):
-        lines.append(f"mem [{i}] [{j}]")
-    for i, j in sorted(qm.r_nmem):
-        lines.append(f"nmem [{i}] [{j}]")
+    for tag, rel in (("eq", qm.r_eq), ("neq", qm.r_neq), ("mem", qm.r_mem), ("nmem", qm.r_nmem)):
+        lines.extend(f"{tag} [{i}] [{j}]" for i, j in sorted(rel))
     return "\n".join(lines) + "\n"

@@ -8,12 +8,16 @@ ordered list of (condition, skip reason) pairs.  A condition is a key of
 the run's structure profile (computed once per run, on first use),
 `rank>=2` or `star` (the algebra has a star table).  `run_check` is the
 one place that checks the gates in order, turns a resource overrun into a
-skip, times the check and builds its `CheckResult`.
+skip and an `InvariantError` into a failure (an `invariant`
+counterexample), times the check and builds its `CheckResult`.
 
 A body is `fn(run: Run)` and returns a `Verdict`: the counterexample
 (None when the check passes) and the details.  It sweeps a workspace from
 `Run.workspace`: a copy of the run's enumerated universe, built once per
-rank, whose contexts share the run's atomic memos.
+rank, whose contexts share the run's atomic memos.  `properties` and
+`quotient` read one partition by pa equality, `Run.quotient`, built once
+per run; a pair on which it is not well defined fails both, with the law
+it breaks.
 
 A failing result carries a replayable counterexample: the assignment, the
 formula (or atomic pair), and the ad-hoc names inserted up to the point of
@@ -29,6 +33,7 @@ import json
 import time
 import weakref
 from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .algebra import (
@@ -46,7 +51,9 @@ from .formulas import (
     map_terms, parse, print_formula, subst_const,
 )
 from .proplogic import EXPLOSION, PVar, eval_prop, is_tautology, print_prop
-from .quotient import QuotientModel, build_quotient, quotient_satisfies, satisfaction
+from .quotient import (
+    QuotientDefect, QuotientModel, build_quotient, quotient_satisfies, satisfaction,
+)
 from .universe import DEFAULT_BUDGET, Universe, build_universe
 
 # zfbar's power-set witness enumerates |A|^|dom x| subsets, so only names
@@ -232,11 +239,11 @@ class Workspace:
 class Run:
     """The configuration one check runs under.
 
-    `designated` is resolved to element ids once.  `profile` is computed
-    on first use and kept in `_profile`; each rank's enumerated universe
-    and atomic memos are built on first use and kept in `_enumerated`, so
-    the checks that `run_all` runs on one `Run` gate on one profile and
-    share one universe and one memo per rank.  Every check enumerates
+    `designated` is resolved to element ids once.  `profile`, each rank's
+    enumerated universe and atomic memos (kept in `_enumerated`) and the
+    pa partition are built on first use and kept, so the checks that
+    `run_all` runs on one `Run` gate on one profile, share one universe
+    and one memo per rank, and read one partition.  Every check enumerates
     what it sweeps, so a check's record depends on these fields alone.
     """
 
@@ -244,18 +251,21 @@ class Run:
     designated: frozenset[str]
     rank_bound: int = 2
     budget: int = DEFAULT_BUDGET
-    _profile: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     _enumerated: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "designated",
                            frozenset(self.algebra.resolve(d) for d in self.designated))
 
-    @property
+    @cached_property
     def profile(self) -> dict[str, bool]:
-        if not self._profile:
-            self._profile.update(profile(self.algebra, self.designated))
-        return self._profile
+        return profile(self.algebra, self.designated)
+
+    @cached_property
+    def quotient(self) -> QuotientModel:
+        """The quotient by pa equality at the run's rank bound.  A partition
+        that is not well defined raises its `QuotientDefect` on each read."""
+        return build_quotient(self.workspace().pa)
 
     def meets(self, condition: str) -> bool:
         """Whether the run meets a gate condition: `rank>=2`, `star` or a
@@ -871,43 +881,39 @@ def check_paraconsistency(run: Run) -> Verdict:
 
 def check_properties(run: Run) -> Verdict:
     """Reflexivity, designated-entry membership, transitivity and the two
-    substitution laws, exhaustively over the bounded universe."""
+    substitution laws, exhaustively over the bounded universe.
+
+    The engine is asked the first two name by name and entry by entry.
+    The other three take u, v, w with e = `u = v` in D, the designated
+    set: if a, the value of `v = w`, `v in w` or `w in v`, has e /\\ a in
+    D, then `u = w`, `u in w` or `w in u` is in D.  They are a reading of
+    the run's partition (`Run.quotient`).  D is a proper filter under the
+    gate, so for u = v, e /\\ a in D puts a, the conclusion, in D.  For
+    u != v, `build_quotient` has checked that pa equality is top or
+    bottom, and bottom is not in D, so e is top, u and v share a class and
+    e /\\ a is a; it has also checked that the verdicts of `=` and `in`,
+    both sides, are constant on classes.  A pair on which the partition
+    fails fails the check with its law.
+    """
     ws = run.workspace()
     ctx = ws.pa
     d = ctx.designated_i
     n = len(ws.universe)
-    # whole rows per name: eq[u][w] is u = w, mem[u][w] is u in w, col[u][w] is w in u
-    eq = [[ctx.equality(u, w) for w in range(n)] for u in range(n)]
-    mem = [[ctx.membership(u, w) for w in range(n)] for u in range(n)]
-    col = list(zip(*mem))
 
     def fail(rel: str, u: int, v: int, note: str) -> Verdict:
         return ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note), {}
 
     for u in range(n):
-        if eq[u][u] not in d:
+        if ctx.equality(u, u) not in d:
             return fail("=", u, u, "reflexivity")
     for u in range(n):
         for x, ux in ws.universe.entries_of(u):
-            if ux in d and mem[x][u] not in d:
+            if ux in d and ctx.membership(x, u) not in d:
                 return fail("in", x, u, "designated entry not a member")
-    meet, size = run.algebra.meet_t, len(run.algebra.elements)
-    # lifted[e][a]: the meet of e and a is designated
-    lifted = [[meet[e][a] in d for a in range(size)] for e in range(size)]
-    for u in range(n):
-        eq_u, mem_u, col_u = eq[u], mem[u], col[u]
-        for v in range(n):
-            if eq_u[v] not in d:
-                continue
-            lift = lifted[eq_u[v]]
-            for w, (e_vw, e_uw, m_vw, m_uw, m_wv, m_wu) in enumerate(
-                    zip(eq[v], eq_u, mem[v], mem_u, col[v], col_u)):
-                if lift[e_vw] and e_uw not in d:
-                    return fail("=", u, w, f"transitivity via #{v}")
-                if lift[m_vw] and m_uw not in d:
-                    return fail("in", u, w, f"member substitution via #{v}")
-                if lift[m_wv] and m_wu not in d:
-                    return fail("in", w, u, f"container substitution via #{v}")
+    try:
+        run.quotient  # its checks answer the other three laws
+    except QuotientDefect as defect:
+        return fail(defect.rel, defect.u, defect.v, defect.note)
     return None, {"names": n}
 
 
@@ -1175,15 +1181,19 @@ def check_boolean_coincidence(run: Run) -> Verdict:
 
 
 def check_quotient(run: Run) -> Verdict:
-    """Build the quotient and validate the relation laws.
+    """Validate the relation laws of the run's quotient (`Run.quotient`).
 
-    `build_quotient` has checked that the relations are well defined on
-    every pair of names.  Equal-classes is the identity relation and distinct-classes its exact
-    complement; member/non-member cover every class pair, and overlap
-    somewhere when the designated set has a non-top element.  The
-    connective clauses run on the same model.
+    A pair on which the relations are not well defined fails the check
+    with its law.  Equal-classes is the identity relation and
+    distinct-classes its exact complement; member/non-member cover every
+    class pair, and overlap somewhere when the designated set has a
+    non-top element.  The connective clauses run on the same model.
     """
-    qm = build_quotient(run.workspace().pa)
+    try:
+        qm = run.quotient
+    except QuotientDefect as defect:
+        ws, rel, u, v = run.workspace(), defect.rel, defect.u, defect.v
+        return ws.atomic_counterexample("pa", rel, u, v, ws.pa.atomic(rel, u, v), defect.note), {}
     k = len(qm.classes)
     details: dict = {"classes": k,
                      "class_sizes": [len(c) for c in qm.classes]}
@@ -1209,17 +1219,18 @@ def check_quotient(run: Run) -> Verdict:
     if run.profile["big_designated"] and not overlap:
         return {"kind": "relation-law", "law": "membership-overlap-expected"}, details
 
-    ce, details["connectives"] = check_connective_theorem(run, qm)
+    ce, details["connectives"] = check_connective_theorem(qm, overlap[0] if overlap else None)
     return ce, details
 
 
-def check_connective_theorem(run: Run, qm: QuotientModel) -> Verdict:
+def check_connective_theorem(qm: QuotientModel, overlap: Optional[tuple[int, int]]) -> Verdict:
     """Satisfaction in the quotient `qm` distributes over the connectives.
 
     Implication is material, conjunction and disjunction are componentwise,
-    an unsatisfied formula has a satisfied negation (one direction only;
-    the converse has an explicit failure witness through the membership
-    overlap), and the quantifier clauses are class sweeps.
+    an unsatisfied formula has a satisfied negation (one direction only),
+    and the quantifier clauses are class sweeps.  `overlap`, a class pair
+    both member and non-member, witnesses the failure of the converse; it
+    is None when the two relations do not overlap.
     """
     k = len(qm.classes)
     x, y = Var("x"), Var("y")
@@ -1229,15 +1240,7 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> Verdict:
         ("~(x in y)", Not(Mem(x, y))),
     ]
     details: dict = {"classes": k}
-
-    handles: dict[Formula, Callable[..., bool]] = {}
-
-    def sat(f: Formula) -> Callable[..., bool]:
-        """f's satisfaction handle, compiled once per distinct formula."""
-        h = handles.get(f)
-        if h is None:
-            h = handles[f] = satisfaction(qm, f)
-        return h
+    sat = cache(partial(satisfaction, qm))  # one handle per distinct formula
 
     def fail(clause: str, la: str, lb: str, i: int, j: int) -> Verdict:
         ce = {"kind": "connective-clause", "clause": clause,
@@ -1281,15 +1284,9 @@ def check_connective_theorem(run: Run, qm: QuotientModel) -> Verdict:
     if not quotient_satisfies(qm, Forall("x", Eq(x, x)), []):
         return fail("reflexive-universal", "x = x", "-", 0, 0)
 
-    # The converse of the negation clause must fail somewhere: the member
-    # and non-member relations overlap when the designated set is rich.
-    overlap = sorted(qm.r_mem & qm.r_nmem)
-    if run.profile["big_designated"]:
-        if not overlap:
-            ce = {"kind": "missing-overlap",
-                  "note": "member and non-member relations never overlap"}
-            return ce, details
-        i, j = overlap[0]
+    # The converse of the negation clause fails at the overlap.
+    if overlap is not None:
+        i, j = overlap
         if not (sat(Mem(x, y))(i, j) and sat(Not(Mem(x, y)))(i, j)):
             return {"kind": "overlap-witness-broken", "pair": [i, j]}, details
         details["negation_converse_failure"] = {
@@ -1459,8 +1456,9 @@ CHECKS: dict[str, Check] = {
 def run_check(name: str, run: Run) -> CheckResult:
     """Run one named check and time it.  The first gate the run does not
     meet skips it with that gate's reason, and so does a resource overrun
-    (an enumeration or valuation count over its budget); otherwise the
-    body's counterexample decides between fail and pass."""
+    (an enumeration or valuation count over its budget).  An
+    `InvariantError` fails it with an `invariant` counterexample; otherwise
+    the body's counterexample decides between fail and pass."""
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}; see `check --list`")
     check = CHECKS[name]
@@ -1472,6 +1470,8 @@ def run_check(name: str, run: Run) -> CheckResult:
             counterexample, details = check.fn(run)
         except ResourceError as exc:
             reason = f"budget exceeded: {exc}"
+        except InvariantError as exc:
+            counterexample = {"kind": "invariant", "message": str(exc)}
     verdict = "skipped" if reason else "pass" if counterexample is None else "fail"
     return CheckResult(name, check.description.format(rank=run.rank_bound), verdict,
                        counterexample, reason, time.perf_counter() - t0, details)

@@ -216,7 +216,7 @@ def test_13_quotient_model():
     ok &= qm.r_mem | qm.r_nmem == all_pairs
     overlap = qm.r_mem & qm.r_nmem
     ok &= (qm.class_of[0], qm.class_of[2]) in overlap
-    counterexample, connectives = check_connective_theorem(Run(alg, designated), qm)
+    counterexample, connectives = check_connective_theorem(qm, min(overlap))
     ok &= counterexample is None
     ok &= bool(connectives.get("negation_converse_failure"))
     full = run_check("quotient", Run(alg, designated, rank_bound=2))

@@ -11,6 +11,9 @@ definitions or by the package's re-exports, is reported.
 Record guard: `CheckResult` is built only in `run_check`, and no
 registered check body names a "skipped" verdict, so gates and skips live
 in the registry and in `run_check` alone.
+
+Partition guard: `build_quotient` is called only by `Run.quotient`, so a
+run builds the pa partition once and every reader shares it.
 """
 
 import ast
@@ -132,3 +135,39 @@ def test_record_guard_sees_a_body_that_skips(tmp_path):
         encoding="utf-8")
     assert record_violations(tmp_path) == ({"check_gated"}, [
         "probe._skip builds a CheckResult", "probe.check_gated names a skipped verdict"])
+
+
+def quotient_builders(src: Path) -> list[str]:
+    """`module.qualified.name` of each definition in src/*.py that calls
+    `build_quotient` (`module` alone for a call at module level)."""
+    out = set()
+
+    def visit(node: ast.AST, owner: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _callee(child) == "build_quotient":
+                out.add(owner)
+            visit(child, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sorted(out)
+
+
+def test_only_the_run_builds_the_partition():
+    assert quotient_builders(SRC) == ["theorems.Run.quotient"]
+
+
+def test_partition_guard_sees_a_check_that_builds_its_own(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "class Run:\n"
+        "    @property\n"
+        "    def quotient(self):\n"
+        "        return build_quotient(self.workspace().pa)\n\n\n"
+        "def check_quotient(run):\n"
+        "    qm = quotient.build_quotient(run.workspace().pa)\n"
+        "    return None, {'classes': len(qm)}\n",
+        encoding="utf-8")
+    assert quotient_builders(tmp_path) == ["probe.Run.quotient", "probe.check_quotient"]

@@ -173,9 +173,8 @@ class TestChecks:
 
     def test_connective_clauses(self):
         alg, d = ps3()
-        run = Run(alg, d, rank_bound=2)
-        counterexample, details = check_connective_theorem(
-            run, build_quotient(run.workspace().pa))
+        qm = Run(alg, d, rank_bound=2).quotient
+        counterexample, details = check_connective_theorem(qm, min(qm.r_mem & qm.r_nmem))
         assert counterexample is None
         failure = details["negation_converse_failure"]
         assert failure["classes"]

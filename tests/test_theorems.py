@@ -5,12 +5,14 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from test_evaluate import stored_values
 
 from algval import theorems
-from algval.algebra import BUILTIN_NAMES, builtin, loads_algebra, ps3
+from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
+from algval.cli import cli
 from algval.errors import InputError, InvariantError
-from algval.evaluate import battery
+from algval.evaluate import EvalContext, battery
 from algval.formulas import Eq, Var, parse
 from algval.theorems import (
     CHECKS,
@@ -165,6 +167,21 @@ class TestSkips:
         assert run_check("boolean-coincidence", Run(alg, d)).verdict == "skipped"
 
 
+def wrong_above_the_low_rows(monkeypatch, rank_bound):
+    """Make `x in y` wrong whenever x has rank `rank_bound` or more.  The
+    coincidence sweep asks the engine only for members of rank below the
+    bound, so only its cross-check sees these values."""
+    engine = EvalContext.membership
+
+    def wrong(self, u, v):
+        value = engine(self, u, v)
+        if self.universe.rank_of(u) < rank_bound:
+            return value
+        return (value + 1) % len(self.algebra.elements)
+
+    monkeypatch.setattr(EvalContext, "membership", wrong)
+
+
 class TestCoincidenceSweep:
     def test_finds_the_divergent_pair_outside_boolean(self):
         # On the three-valued core the assignments genuinely disagree, and
@@ -182,23 +199,25 @@ class TestCoincidenceSweep:
         assert coincidence_mismatches(ws) == []
 
     def test_fold_divergence_is_an_invariant_violation(self, monkeypatch):
-        from algval.evaluate import EvalContext
-
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=2)
-        engine = EvalContext.membership
-
-        def wrong_above_the_low_rows(self, u, v):
-            # The sweep asks the engine only for members of rank below the
-            # bound, so only the cross-check sees these values.
-            value = engine(self, u, v)
-            if ws.universe.rank_of(u) < ws.rank_bound:
-                return value
-            return (value + 1) % len(alg.elements)
-
-        monkeypatch.setattr(EvalContext, "membership", wrong_above_the_low_rows)
+        wrong_above_the_low_rows(monkeypatch, ws.rank_bound)
         with pytest.raises(InvariantError, match="diverged"):
             coincidence_mismatches(ws)
+
+    def test_invariant_violation_fails_its_check_only(self, monkeypatch):
+        # the cross-check's InvariantError becomes the failing record of
+        # boolean-coincidence; the run goes on and prints every record
+        wrong_above_the_low_rows(monkeypatch, 2)
+        r = CliRunner().invoke(cli, ["check", "all", "-a", "bool2", "--rank", "2",
+                                     "--format", "records"])
+        assert r.exit_code == 1
+        records = {rec["check"]: rec for rec in map(json.loads, r.output.splitlines())}
+        assert list(records) == list(CHECKS) and len(records) == 16
+        failed = records["boolean-coincidence"]
+        assert failed["verdict"] == "fail"
+        assert failed["counterexample"]["kind"] == "invariant"
+        assert "diverged" in failed["counterexample"]["message"]
 
     def test_equality_divergence_is_an_invariant_violation(self, monkeypatch):
         from algval.evaluate import EvalContext
@@ -390,6 +409,45 @@ def properties_by_triples(run):
     return "pass", None
 
 
+ENGINE_LAWS = ("reflexivity", "designated entry not a member")
+
+
+def flip(monkeypatch, clause, a, b):
+    """Make the `clause` value ("equality" or "membership") at (a, b) change
+    sides of the designated set: bottom when it was designated, else top.
+    Equality is symmetric, so its flip holds at (b, a) too."""
+    engine = getattr(EvalContext, clause)
+    pairs = {(a, b), (b, a)} if clause == "equality" else {(a, b)}
+
+    def flipped(self, u, v):
+        value = engine(self, u, v)
+        if (u, v) not in pairs:
+            return value
+        return self.algebra.bottom_i if value in self.designated_i else self.algebra.top_i
+
+    monkeypatch.setattr(EvalContext, clause, flipped)
+
+
+def planted_defects(rank):
+    """(clause, a, b, law): a flip on ps3 at `rank` that breaks `law`.
+
+    u is the highest top-rank name off the representatives, c the highest
+    top-rank representative of another class.  No name's domain holds a
+    top-rank name, so no other atomic value reads a flipped one.  `u = c`
+    made top puts u in two classes; `u in #0` made top sets u apart from
+    its representative as a member, and `c in u` as a container."""
+    alg, d = ps3()
+    run = Run(alg, d, rank_bound=rank)
+    qm, uni = run.quotient, run.workspace().universe
+    top = [nid for nid in range(len(uni)) if uni.rank_of(nid) == rank]
+    u = max(nid for nid in top if nid not in qm.representatives)
+    c = max(nid for nid in top if nid in qm.representatives
+            and qm.class_of[nid] != qm.class_of[u])
+    return [("equality", u, c, "transitivity"),
+            ("membership", u, 0, "member substitution"),
+            ("membership", c, u, "container substitution")]
+
+
 class TestFailurePath:
     def test_defective_algebra_fails_law_check_with_witness(self):
         text = """
@@ -414,9 +472,11 @@ class TestFailurePath:
         assert result.counterexample["witnesses"]["lattice"]
 
     def test_properties_matches_the_triple_loop(self):
-        # Every designated set, the body called without its gate, so each
-        # law fails somewhere; the row-wise check must report the first failure the per-triple
-        # loop reports, with the same counterexample.
+        # Every designated set, the body called without its gate.  Both
+        # routes ask reflexivity and the designated-entry law first, so
+        # there they agree exactly; past them the body reads the partition,
+        # which fails whenever the triple loop fails if the designated set
+        # is a proper filter, and gives the same verdict under the gate.
         notes = set()
         for algname in BUILTIN_NAMES:
             alg, _ = builtin(algname)
@@ -426,11 +486,48 @@ class TestFailurePath:
                     want = properties_by_triples(run)
                     ce, _ = check_properties(run)
                     got = ("pass" if ce is None else "fail", ce)
-                    assert got == want, (algname, des)
+                    if want[1] and want[1]["note"] in ENGINE_LAWS:
+                        assert got == want, (algname, des)
+                    if is_filter(alg, des)[0] and want[0] == "fail":
+                        assert got[0] == "fail", (algname, des)
+                    if run.meets("ultra_designated_cobounded"):
+                        assert got[0] == want[0], (algname, des)
                     if want[1]:
                         notes.add(want[1]["note"].split(" via")[0])
+        for rank in (2, 3):
+            for clause, a, b, law in planted_defects(rank):
+                with pytest.MonkeyPatch.context() as mp:
+                    flip(mp, clause, a, b)
+                    alg, d = ps3()
+                    run = Run(alg, d, rank_bound=rank)
+                    assert run.meets("ultra_designated_cobounded")
+                    want = properties_by_triples(run)
+                    ce, _ = check_properties(run)
+                    assert want[0] == "fail" and ce is not None, (rank, law)
+                    assert ce["kind"] == "atomic" and ce["note"].startswith(law + " via")
+                    assert replay(alg, d, rank, ce) == ce["value"]
+                    notes.add(want[1]["note"].split(" via")[0])
         assert notes == {"reflexivity", "transitivity", "member substitution",
                          "container substitution"}
+
+    def test_planted_defect_fails_properties_and_quotient(self, monkeypatch):
+        # `u in #0` flipped for a top-rank name u off the representatives:
+        # both readers of the partition fail with a replayable atomic pair,
+        # and every other check still reports
+        clause, a, b, law = planted_defects(2)[1]
+        assert (clause, b, law) == ("membership", 0, "member substitution")
+        flip(monkeypatch, clause, a, b)
+        r = CliRunner().invoke(cli, ["check", "all", "-a", "ps3", "--rank", "2",
+                                     "--format", "records"])
+        assert r.exit_code == 1
+        records = {rec["check"]: rec for rec in map(json.loads, r.output.splitlines())}
+        assert list(records) == list(CHECKS) and len(records) == 16
+        alg, d = ps3()
+        for name in ("properties", "quotient"):
+            ce = records[name]["counterexample"]
+            assert records[name]["verdict"] == "fail"
+            assert ce["kind"] == "atomic" and ce["note"].startswith(law)
+            assert replay(alg, d, 2, ce) == ce["value"]
 
     def test_record_lines_report_the_failure(self):
         alg, d = ps3()
@@ -517,6 +614,22 @@ class TestRegistry:
         alg, d = ps3()
         run_all(alg, d, rank_bound=2, seed=0)
         assert calls == [alg.name]
+
+    def test_partition_built_once_per_run(self, monkeypatch):
+        calls = []
+        build = theorems.build_quotient
+
+        def counted(ctx):
+            calls.append(len(ctx.universe))
+            return build(ctx)
+
+        monkeypatch.setattr(theorems, "build_quotient", counted)
+        alg, d = ps3()
+        run_all(alg, d, rank_bound=2, seed=0)
+        assert calls == [4]
+        calls.clear()
+        run_all(alg, d, rank_bound=3, names=["properties", "quotient"])
+        assert calls == [256]
 
     def test_jobs_other_than_one_rejected(self):
         alg, d = ps3()
