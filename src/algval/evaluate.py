@@ -28,7 +28,34 @@ every id they hold may share a store (a run's workspaces share one per
 rank; see `theorems.Run.workspace`).  Every value is deterministic;
 quantifiers always sweep the universe contents at call time, and atomic
 values never depend on what else has been interned.  `atomic_fills`
-counts the clause computations, that is, the store misses.
+counts the store misses.
+
+A store miss on two names of the bound's rank is computed by column class
+(`ColumnClasses`).  The entries of every enumerated name lie among the low
+names L, those of lower rank.  So `u = v` reads u's entries only against
+v's membership column, the values of `x in v` for x in L, and v's entries
+only against u's; and `u in v` reads v's entries only against u's
+equality column, `x = u` for x in L.  Names with equal columns form a
+class (ps3 at rank 3: 256 names, 27 membership and 4 equality classes),
+and the tables hold one row of halves per name, by membership class, and
+one row of memberships, by equality class:
+
+    `=`(u, v) = H[u][mc(v)] /\\ H[v][mc(u)]        `in`(u, v) = M[v][ec(u)]
+
+where mc(v) is the class of v's membership column and ec(u) that of u's
+equality column.  A name's column is read through the clauses when the
+name is first needed, so a run that asks for few pairs reads few
+columns, and a new class extends every row held.  The sweep rows of
+enumerated names are filled from the same tables, unless both names are
+low.  Meeting u's half with v's, where the clause folds one into the
+other, is sound only for a lattice's meet: the tables are used only when
+meet and join pass `algebra.check_lattice` (and, under pa, the algebra has
+a star table).  They are not used where they cannot pay: with one low
+name, as at rank 2, a clause reads at most one entry a side.  Witness
+names, whose domains reach the top level, and defective tables take the
+clause.  The tables cover enumerated names only, so a run's contexts of
+one assignment share them across all the workspaces of a rank, like the
+store.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -55,27 +82,35 @@ instance, on a table where that row is constant) skips its right operand.
 The rows are read from the tables, not assumed, so defective tables from
 files evaluate exactly as before.
 
-A quantifier whose body has no binder sweeps over atom rows.  For every
-distinct atom of the body that mentions the bound variable z (`z in t`,
-`t in z`, `z = t`, `z in z`, `z = z`, with t an outer variable or a
-constant) the context keeps a row: the atom's value at z = 0, 1, 2, ...,
-keyed by relation, the side z stands on and t's name id.  A row is an
-array of the store's item type.  Before each sweep the rows are filled to
+Every quantifier sweeps its variable z by signature.  Each distinct atom
+of the body that pairs z with a term bound outside the body (`z in t`,
+`t in z`, `z = t`, with t an outer variable or a constant) or with itself
+(`z in z`, `z = z`) has a row: the atom's value at z = 0, 1, 2, ...,
+keyed by relation, the side z stands on and t's name id.  An atom that
+pairs z with a variable w bound inside the body reads a row of z's own:
+`w in z` the row of z's members (the row keyed like `x in t`, with t = z),
+`z in w` the row of its containers and `z = w` its equality row.  A row is
+an array of the store's item type.  Before it is read a row is filled to
 the end of the universe, never rebuilt, which is sound because atomic
-values never depend on later inserts; the row of `z in t` is a copy of the
-store's own row for t with its holes filled through the clause.  Each row
+values never depend on later inserts.  Past the enumerated names, the row
+of `z in t` is a copy of the store's own row for t with its holes filled
+through the clause.  Each row
 is interned by its bytes into a class id that holds while the universe
-keeps its length.  The body's value depends on z only through those rows
-and on the outer variables its other atoms read, so the sweep's result is
-cached in the compiled closure, for the life of its handle, under the
-universe length, the rows' class ids and the name ids of those outer
-variables.  Indiscernible names have equal rows (ps3 at rank 3 has 256
-names but 27 membership columns), so a sweep repeated for them is looked
-up, not run.  A sweep that does run folds in the same order and with the
-same early stop as before, and runs the body closure once per distinct
-tuple of row values.  `sweeps_run` and
-`sweeps_reused` count the two outcomes (sweeps over a body with a binder
-always run).
+keeps its length.  The signature of a name is its values in the rows of
+the first kind and the class ids of its own rows: the body's value depends
+on z through its signature alone, and on the outer variables its other
+atoms read.  Indiscernible names have equal signatures (ps3 at rank 3 has
+256 names but 27 membership columns), so the sweep runs the body once per
+distinct signature, folding in the same order and with the same early
+stop as a plain fold.  Own rows cost a row of atoms per name, so the sweep
+looks a name up first under its row values alone: a body evaluation that
+started no inner sweep read no own row, so its value holds for every name
+with those row values, and a name's own rows are filled only when that
+lookup misses.  The sweep's result is cached in the compiled closure, for
+the life of its handle, under the universe length, the class ids of the
+rows of the first kind and the name ids of those outer variables, so a
+sweep repeated for indiscernible outer names is looked up, not run.
+`sweeps_run` and `sweeps_reused` count the two outcomes.
 
 An equality clause stops as soon as its meet reaches bottom, but only when
 the meet table's bottom row is constant, so defective tables evaluate as
@@ -92,13 +127,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import Algebra
+from .algebra import Algebra, check_lattice
 from .errors import CapabilityError, InputError
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term,
-    Top, Var, enumerate_formulas, instantiate_axiom, print_formula, subformulas,
+    Top, Var, children, enumerate_formulas, instantiate_axiom, print_formula,
 )
 from .universe import Universe
 
@@ -129,6 +164,19 @@ def _decided(table: tuple[tuple[int, ...], ...]) -> list[Optional[int]]:
     return [row[0] if len(set(row)) == 1 else None for row in table]
 
 
+def _atoms(f: Formula, bound: frozenset[str] = frozenset()
+           ) -> Iterator[tuple[Eq | Mem, frozenset[str]]]:
+    """The atoms of f, each with the variables that binders of f bind
+    above it."""
+    if isinstance(f, (Eq, Mem)):
+        yield f, bound
+        return
+    if isinstance(f, (Forall, Exists)):
+        bound = bound | {f.var}
+    for g in children(f):
+        yield from _atoms(g, bound)
+
+
 def forget_names(memo: Memo, n: int) -> None:
     """Remove the values of an atomic store that involve a name id >= n."""
     for rows in memo:
@@ -138,17 +186,131 @@ def forget_names(memo: Memo, n: int) -> None:
             del row[n:]
 
 
+class ColumnClasses:
+    """Bell's clauses by column class, for the names of one universe whose
+    ids lie below `n` (see the module docstring).
+
+    The names before `low` are of lower rank than the universe's bound;
+    the ones from `low` up to `n` are of the bound's rank, and the low
+    names hold the entries of them all.  `n` is 0 where the tables would
+    not pay or not be sound.  A pair of two low names takes the clause, and
+    so does every column: a name's column is read through a context's
+    clauses and sorted into its class when first needed, and its rows of
+    halves and memberships grow as classes appear.  Like a store, the
+    tables may be shared by the contexts of one assignment over universes
+    that agree on their first `n` names.
+    """
+
+    def __init__(self, universe: Universe, assignment: str):
+        alg, names, bound = universe.algebra, universe.names, universe.rank_bound
+        low = 0
+        while low < len(names) and names[low].rank < bound:
+            low += 1
+        self.low, self.n = low, 0
+        # With one low name a clause reads one entry a side, as a table
+        # lookup would.  The halves meet in another order than the clause
+        # folds, which only a lattice's meet allows.
+        if low < 2 or assignment == "pa" and alg.star_t is None:
+            return
+        laws = check_lattice(alg)
+        if not (laws.ok("lattice") and laws.ok("bounded")):
+            return
+        n = low
+        while n < len(names) and names[n].rank == bound:
+            n += 1
+        self.n = n
+        self.alg, self.names = alg, names
+        self.typecode = _item_type(len(alg.elements))[0]
+        meet, imp, star = alg.meet_t, alg.imp_t, alg.star_t
+        k = range(len(alg.elements))
+        # the factor of `u = v` for an entry of weight a against a membership m
+        self.factor = [[meet[imp[a][m]][imp[star[m]][star[a]]] if assignment == "pa"
+                        else imp[a][m] for m in k] for a in k]
+        # by relation: each name's class id (-1 until needed), each class's column
+        self.ids = (array("i", [-1]) * n, array("i", [-1]) * n)
+        self.columns: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
+        self.halves: dict[int, array] = {}  # u's side of `u = v`, by class of v
+        self.members: dict[int, array] = {}  # `u in v`, by class of u
+
+    def class_of(self, ctx: EvalContext, rel: int, v: int) -> int:
+        """The class of v's column of `x = v` or of `x in v` over the low x."""
+        c = self.ids[rel][v]
+        if c < 0:
+            clause = ctx.equality if rel == _REL_EQ else ctx.membership
+            col = tuple(clause(x, v) for x in range(self.low))
+            known = self.columns[rel]
+            c = known.get(col)
+            if c is None:
+                c = known[col] = len(known)
+                # every row covers every class seen so far
+                rows, cell = ((self.members, self._member) if rel == _REL_EQ
+                              else (self.halves, self._half))
+                for u, row in rows.items():
+                    row.append(cell(u, col))
+            self.ids[rel][v] = c
+        return c
+
+    def classes(self, ctx: EvalContext, rel: int, lo: int, hi: int) -> array:
+        """The classes of the names lo .. hi - 1."""
+        if -1 in self.ids[rel][lo:hi]:
+            for v in range(lo, hi):
+                self.class_of(ctx, rel, v)
+        return self.ids[rel][lo:hi]
+
+    def _half(self, u: int, col: tuple[int, ...]) -> int:
+        """u's side of `u = v`, for a v with membership column col."""
+        meet, factor, acc = self.alg.meet_t, self.factor, self.alg.top_i
+        for x, a in self.names[u].entries:
+            acc = meet[acc][factor[a][col[x]]]
+        return acc
+
+    def _member(self, v: int, col: tuple[int, ...]) -> int:
+        """`u in v`, for a u with equality column col."""
+        meet, join, acc = self.alg.meet_t, self.alg.join_t, self.alg.bottom_i
+        for x, a in self.names[v].entries:
+            acc = join[acc][meet[a][col[x]]]
+        return acc
+
+    def half(self, u: int) -> array:
+        """u's side of `u = v`, for each membership class of v."""
+        row = self.halves.get(u)
+        if row is None:
+            row = self.halves[u] = array(
+                self.typecode, [self._half(u, col) for col in self.columns[_REL_MEM]])
+        return row
+
+    def member(self, v: int) -> array:
+        """`u in v`, for each equality class of u."""
+        row = self.members.get(v)
+        if row is None:
+            row = self.members[v] = array(
+                self.typecode, [self._member(v, col) for col in self.columns[_REL_EQ]])
+        return row
+
+    def equality(self, ctx: EvalContext, u: int, v: int) -> int:
+        ids = self.ids[_REL_MEM]
+        cu = ids[u] if ids[u] >= 0 else self.class_of(ctx, _REL_MEM, u)
+        cv = ids[v] if ids[v] >= 0 else self.class_of(ctx, _REL_MEM, v)
+        return self.alg.meet_t[self.half(u)[cv]][self.half(v)[cu]]
+
+    def membership(self, ctx: EvalContext, u: int, v: int) -> int:
+        ids = self.ids[_REL_EQ]
+        c = ids[u] if ids[u] >= 0 else self.class_of(ctx, _REL_EQ, u)
+        return self.member(v)[c]
+
+
 class EvalContext:
     """A universe, a designated set and one assignment style.
 
-    `memo` is the atomic store to read and fill; by default the context
-    owns a fresh one.  A store passed in may be shared with other contexts
-    of the same assignment over universes that agree on every name id they
-    hold.
+    `memo` is the atomic store to read and fill, and `columns` the class
+    tables; by default the context owns fresh ones.  A store or tables
+    passed in may be shared with other contexts of the same assignment
+    over universes that agree on every name id they hold.
     """
 
     def __init__(self, universe: Universe, designated: Iterable[str],
-                 assignment: str = "pa", memo: Optional[Memo] = None):
+                 assignment: str = "pa", memo: Optional[Memo] = None,
+                 columns: Optional[ColumnClasses] = None):
         if assignment not in ASSIGNMENTS:
             raise InputError(f"unknown assignment {assignment!r}; use 'ba' or 'pa'")
         self.universe = universe
@@ -176,9 +338,10 @@ class EvalContext:
         self._classes: dict[bytes, int] = {}
         self._row_class: dict[tuple[int, int, int], int] = {}
         self._classes_n = 0
-        self.atomic_fills = 0  # clause computations, that is, store misses
+        self.atomic_fills = 0  # store misses, each computed by a clause or the tables
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
-        self.sweeps_reused = 0  # row sweeps answered from their cache
+        self.sweeps_reused = 0  # sweeps answered from their cache
+        self._columns = ColumnClasses(universe, assignment) if columns is None else columns
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -214,6 +377,11 @@ class EvalContext:
                 f"the pa assignment needs a star table; {self.algebra.name} has none"
             )
         self.atomic_fills += 1
+        cc = self._columns
+        if cc.low <= u and v < cc.n:  # two top-level names
+            acc = cc.equality(self, u, v)
+            self._put(eq_rows, v, u, acc)
+            return acc
         mem, stop = self.membership, self._eq_stop
         acc = self._top
         for hi, lo in ((u, v), (v, u)):
@@ -248,6 +416,11 @@ class EvalContext:
             if hit != unset:
                 return hit
         self.atomic_fills += 1
+        cc = self._columns
+        if cc.low <= u < cc.n and cc.low <= v < cc.n:
+            acc = cc.membership(self, u, v)
+            self._put(mem_rows, v, u, acc)
+            return acc
         names = self.universe.names
         meet, join = self._meet, self._join
         eq, top = self.equality, self._top
@@ -268,7 +441,30 @@ class EvalContext:
         return acc
 
     def _extend(self, row: array, rel: int, side: int, t: int, n: int) -> None:
-        """Extend the row of (rel, side, t) to n names."""
+        """Extend the row of (rel, side, t) to n names: from the class
+        tables while both names are covered and not both low, else through
+        the clauses."""
+        cc = self._columns
+        if 0 <= t < cc.n and len(row) < cc.n:  # t is -1 in `z in z`, `z = z`
+            if t < cc.low:
+                self._fill(row, rel, side, t, min(cc.low, n))
+            zs = range(len(row), min(n, cc.n))
+            if rel == _REL_MEM and side == _Z_LEFT:  # z in t
+                cs = cc.classes(self, _REL_EQ, zs.start, zs.stop)
+                mt = cc.member(t)
+                row.extend([mt[c] for c in cs])
+            elif rel == _REL_MEM:  # t in z
+                c, member = cc.class_of(self, _REL_EQ, t), cc.member
+                row.extend([member(z)[c] for z in zs])
+            else:  # z = t
+                cs = cc.classes(self, _REL_MEM, zs.start, zs.stop)
+                c = cc.class_of(self, _REL_MEM, t)
+                meet, half, ht = self._meet, cc.half, cc.half(t)
+                row.extend([meet[half(z)[c]][ht[cz]] for z, cz in zip(zs, cs)])
+        self._fill(row, rel, side, t, n)
+
+    def _fill(self, row: array, rel: int, side: int, t: int, n: int) -> None:
+        """Extend the row of (rel, side, t) to n names through the clauses."""
         m, unset = len(row), self._unset
         if rel == _REL_MEM and side == _Z_LEFT:
             # `z in t` is the store's own row for t, with its holes filled
@@ -376,49 +572,44 @@ class EvalContext:
                     table, unit, absorbing = self._meet, self._top, self._bottom
                 else:
                     table, unit, absorbing = self._join, self._bottom, self._top
-                if not any(isinstance(g, (Forall, Exists)) for g in subformulas(body)):
-                    return self._row_sweep(var, body, inner, slots, k, run,
-                                           table, unit, absorbing)
-                names = self.universe.names
-
-                def sweep() -> int:
-                    self.sweeps_run += 1
-                    acc = unit
-                    for nid in range(len(names)):
-                        slots[k] = nid
-                        acc = table[acc][run()]
-                        if acc == absorbing:
-                            break
-                    return acc
-                return sweep
+                return self._sweep(var, body, inner, slots, k, run, table, unit, absorbing)
         raise InputError(f"cannot evaluate {f!r}")
 
-    def _row_sweep(self, var: str, body: Formula, scope: dict[str | int, int],
-                   slots: list[int], k: int, run: Callable[[], int],
-                   table: tuple[tuple[int, ...], ...], unit: int,
-                   absorbing: int) -> Callable[[], int]:
-        """A sweep over a quantifier-free body that reads the context's rows of
-        the atoms mentioning `var` (slot k in scope), runs `run` once per
-        distinct tuple of their values and caches its result by the rows'
-        classes (see the module docstring)."""
+    def _sweep(self, var: str, body: Formula, scope: dict[str | int, int],
+               slots: list[int], k: int, run: Callable[[], int],
+               table: tuple[tuple[int, ...], ...], unit: int,
+               absorbing: int) -> Callable[[], int]:
+        """A sweep of `var` (slot k in scope) that runs `run` once per
+        distinct signature of the swept name and caches its result by the
+        classes of the rows it reads (see the module docstring)."""
         specs: list[tuple[int, int, int]] = []  # (rel, side, slot of the other term)
+        own: list[tuple[int, int]] = []  # (rel, side) of z's own rows that inner binders read
         outer: list[int] = []  # slots read by the atoms that do not mention var
-        for g in subformulas(body):
-            if not isinstance(g, (Eq, Mem)):
-                continue
-            zl, zr = (isinstance(t, Var) and t.name == var for t in (g.left, g.right))
+        for g, bound in _atoms(body):
             rel = _REL_EQ if isinstance(g, Eq) else _REL_MEM
-            if not (zl or zr):
-                for j in (self._slot(g.left, scope, slots), self._slot(g.right, scope, slots)):
-                    if j not in outer:
-                        outer.append(j)
-                continue
+            zl, zr = (isinstance(t, Var) and t.name == var and var not in bound
+                      for t in (g.left, g.right))
+            il, ir = (isinstance(t, Var) and t.name in bound for t in (g.left, g.right))
             if zl and zr:
                 spec = (rel, _Z_BOTH, k)
-            else:
+            elif zl or zr:
+                if il or ir:
+                    # `w in z` reads the row of z's members, `z in w` the row
+                    # of z's containers, and `z = w` its equality row
+                    pair = (rel, _Z_LEFT if zr or rel == _REL_EQ else _Z_RIGHT)
+                    if pair not in own:
+                        own.append(pair)
+                    continue
                 # equality is symmetric, so both of its orientations share a row
                 side = _Z_LEFT if zl or rel == _REL_EQ else _Z_RIGHT
                 spec = (rel, side, self._slot(g.right if zl else g.left, scope, slots))
+            else:
+                for t, inner in ((g.left, il), (g.right, ir)):
+                    if not inner:
+                        j = self._slot(t, scope, slots)
+                        if j not in outer:
+                            outer.append(j)
+                continue
             if spec not in specs:
                 specs.append(spec)
         rows_of = self._rows
@@ -435,14 +626,23 @@ class EvalContext:
                 return acc
             self.sweeps_run += 1
             rows = [rows_of[rk] for rk in keys]
-            seen: dict[tuple[int, ...], int] = {}
+            flat: dict[tuple[int, ...], int] = {}  # by row values, runs that swept nothing
+            seen: dict[tuple, int] = {}  # by whole signature
             acc = unit
             # zip() of no rows is empty, but a body without them still runs
             for nid, atoms in enumerate(islice(zip(*rows), n) if rows else repeat((), n)):
-                v = seen.get(atoms)
+                v = flat.get(atoms)
                 if v is None:
-                    slots[k] = nid
-                    v = seen[atoms] = run()
+                    sig = atoms
+                    if own:
+                        sig += tuple(self._row_classes([(rel, side, nid) for rel, side in own])[1])
+                    v = seen.get(sig)
+                    if v is None:
+                        slots[k] = nid
+                        started = self.sweeps_run + self.sweeps_reused
+                        v = seen[sig] = run()
+                        if self.sweeps_run + self.sweeps_reused == started:
+                            flat[atoms] = v
                 acc = table[acc][v]
                 if acc == absorbing:
                     break

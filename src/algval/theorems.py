@@ -42,8 +42,8 @@ from .algebra import (
 )
 from .errors import InputError, InvariantError, ResourceError
 from .evaluate import (
-    ASSIGNMENTS, EvalContext, Memo, battery, bq_sides, forget_names, nff_battery,
-    two_var_battery,
+    ASSIGNMENTS, ColumnClasses, EvalContext, Memo, battery, bq_sides, forget_names,
+    nff_battery, two_var_battery,
 )
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
@@ -95,8 +95,8 @@ class CheckResult:
 
 
 class _Enumerated:
-    """One rank's enumerated universe and the atomic stores, one per
-    assignment, that the workspaces built on it share.
+    """One rank's enumerated universe and the atomic stores and class
+    tables, one each per assignment, that the workspaces built on it share.
 
     Atomic values depend only on the two names, so every workspace fills
     the same values for enumerated ids.  Witness ids are not shared: each
@@ -111,6 +111,8 @@ class _Enumerated:
         self.universe = universe
         self.n = len(universe)
         self.memos: dict[str, Memo] = {a: ({}, {}) for a in ASSIGNMENTS}
+        # the tables cover enumerated names only, so every context may read them
+        self.columns = {a: ColumnClasses(universe, a) for a in ASSIGNMENTS}
         self._contexts: weakref.WeakSet[EvalContext] = weakref.WeakSet()
         self._grower: Optional[weakref.ref[Universe]] = None
 
@@ -119,9 +121,11 @@ class _Enumerated:
         """A context on the shared store, unless its universe holds witness
         names that the store no longer tracks."""
         grower = self._grower() if self._grower is not None else None
+        columns = self.columns[assignment]
         if len(universe) > self.n and universe is not grower:
-            return EvalContext(universe, designated, assignment)
-        ctx = EvalContext(universe, designated, assignment, memo=self.memos[assignment])
+            return EvalContext(universe, designated, assignment, columns=columns)
+        ctx = EvalContext(universe, designated, assignment, memo=self.memos[assignment],
+                          columns=columns)
         self._contexts.add(ctx)
         return ctx
 
@@ -922,17 +926,17 @@ def check_leibniz(run: Run) -> Verdict:
 
     For every pa-equal pair and battery formula, validity transfers from
     one name to the other, and the value class (top, strictly intermediate,
-    bottom) is preserved.  Under ba, at least one negated battery formula
-    must break indiscernibility whenever an intermediate element exists.
+    bottom) is preserved.  Each formula is evaluated once per name, and the
+    rows of values are compared pair by pair.  Under ba, at least one
+    negated battery formula must break indiscernibility whenever an
+    intermediate element exists.
     """
     algebra, prof = run.algebra, run.profile
     ws = run.workspace()
     pa = ws.pa
     d = pa.designated_i
     n = len(ws.universe)
-    big = ws.enumerated > 64
-    forms = [(label, phi) for label, phi in battery(ws.universe)
-             if not (big and _quantifier_depth(phi) > 1)]
+    forms = battery(ws.universe)
     top_i, bottom_i = algebra.top_i, algebra.bottom_i
 
     def value_class(val: int) -> str:
@@ -944,14 +948,12 @@ def check_leibniz(run: Run) -> Verdict:
 
     pairs = [(u, v) for u in range(n) for v in range(n)
              if u != v and pa.equality(u, v) in d]
-    if big and len(pairs) > 200:
-        stride = len(pairs) // 200
-        pairs = pairs[::stride]
-    handles = [(label, phi, pa.sentence(phi, ("x",))) for label, phi in forms]
+    handles = [pa.sentence(phi, ("x",)) for _, phi in forms]
+    rows = list(zip(*[[at(u) for u in range(n)] for at in handles]))
     for u, v in pairs:
-        for label, phi, at in handles:
-            val_u = at(u)
-            val_v = at(v)
+        if rows[u] == rows[v]:
+            continue
+        for (label, phi), val_u, val_v in zip(forms, rows[u], rows[v]):
             if (val_u in d) and (val_v not in d):
                 note = f"{label}: valid at #{u} but not at pa-equal #{v}"
             elif value_class(val_u) != value_class(val_v):

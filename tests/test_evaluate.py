@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -21,7 +22,7 @@ from algval.formulas import (
     instantiate_axiom, parse, print_formula, subst_const,
 )
 from algval.theorems import CHECKS, Run, Workspace, run_check
-from algval.universe import build_universe
+from algval.universe import Universe, build_universe
 
 
 @pytest.fixture(scope="module")
@@ -561,17 +562,70 @@ def test_a_self_atom_keeps_one_row():
     assert {key[2] for key in ctx._rows if key[1] == 0} == set(uni.ids())
 
 
+# Bodies with binders are swept by signature: the rows of the swept name's
+# atoms with outer terms, and the classes of its own rows that the inner
+# binders read.  On ps3 at rank 3 many names share their rows, so a wrong
+# signature gives a wrong value for some of them.
+NESTED_SENTENCES = [
+    # the inner z shadows the swept one, so only its `z in y` is a row
+    "forall z. (z in y -> exists z. (z in y /\\ ~(z = y)))",
+    # no row of x beside y: only the class of x's members tells x apart
+    "exists x. forall z. (z in x <-> z in y)",
+    # a self atom beside an inner binder that reads x's members
+    "exists x. (x in x \\/ forall z. (z in x -> z in z))",
+    # `->` skips the inner sweep wherever x in y is bottom
+    "forall x. (x in y -> exists z. (z in x /\\ ~(z = y)))",
+    # the parameter is rebound inside, and x's containers are read
+    "exists x. (x = y \\/ forall y. (x in y -> ~(y in x)))",
+]
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_nested_sweeps_match_reference_evaluator_on_ps3_rank3(assignment):
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, assignment)
+    top = alg.top_i
+    # two top-rank names that no atom tells apart
+    a, b = next((u, v) for u in uni.ids() for v in uni.ids()
+                if u < v and uni.rank_of(u) == 3 and ctx.equality(u, v) == top)
+    handles = [(parse(text), ctx.sentence(parse(text), ("y",))) for text in NESTED_SENTENCES]
+    for ids in ((a, b), (b,)):
+        for f, h in handles:
+            for y in ids:
+                assert h(y) == reference_value(ctx, f, {"y": y}), (print_formula(f), y)
+        uni.insert({a: top, 255: alg.index["half"]})  # the held handles must see it
+
+
+def test_a_body_that_sweeps_nothing_fills_no_rows_of_its_own():
+    # Where `x in #c` is bottom, `->` skips the inner sweep: the body's value
+    # is cached under that row value alone, so x's row of members is filled
+    # for the members of #c and for one name besides.  The body is top
+    # everywhere, so the fold never stops early.
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, "pa")
+    c = uni.insert({0: alg.top_i})
+    f = parse(f"forall x. (x in #{c} -> exists z. (z in x \\/ ~(z in x)))")
+    assert ctx.value(f) == reference_value(ctx, f, {}) == alg.top_i
+    members = {x for x in uni.ids() if ctx.membership(x, c) != alg.bottom_i}
+    own = {key[2] for key in ctx._rows if key[:2] == (1, 0)} - {c}
+    assert len(own - members) <= 1 < len(uni) - len(members)
+
+
 # -- the atomic clauses against a direct transcription ------------------------------
 
 
 def reference_clauses(ctx):
-    """(equality, membership) transcribed from the two clauses with no memo
+    """(equality, membership) transcribed from the two clauses with no store
     and no mid-side exit: equality stops only between its sides, once it is
-    bottom, and membership once it is top."""
+    bottom, and membership once it is top.  Both are cached by argument
+    pair, which only saves repeated work."""
     alg, names = ctx.algebra, ctx.universe.names
     meet, join, imp, star = alg.meet_t, alg.join_t, alg.imp_t, alg.star_t
     pa = ctx.assignment == "pa"
 
+    @functools.cache
     def eq(u, v):
         if u > v:
             u, v = v, u
@@ -587,6 +641,7 @@ def reference_clauses(ctx):
                 break
         return acc
 
+    @functools.cache
     def mem(u, v):
         acc = alg.bottom_i
         for x, vx in names[v].entries:
@@ -611,6 +666,52 @@ def assert_clauses_match_reference(ctx):
 def test_atomic_clauses_match_reference_clauses(algname, assignment):
     alg, d = builtin(algname)
     assert_clauses_match_reference(EvalContext(build_universe(alg, 2), d, assignment))
+
+
+def covered_universe(alg, rank):
+    """A universe whose top-level names the class tables cover.  At rank 3
+    it is the enumerated one.  At rank 2 the tables are never built (one
+    low name, so nothing to gain); there the whole rank-2 level serves as
+    the low names of a universe of bound 3, whose top-level names are every
+    name of one entry and every name on the last two low names."""
+    if rank > 2:
+        return build_universe(alg, rank)
+    low, uni = build_universe(alg, 2), Universe(alg, 3)
+    for nid in low.ids():
+        uni.insert(low.entries_of(nid))
+    values = range(len(alg.elements))
+    for x in low.ids():
+        for a in values:
+            uni.insert({x: a})
+    last = len(low) - 2, len(low) - 1
+    for a, b in itertools.product(values, repeat=2):
+        uni.insert(dict(zip(last, (a, b))))
+    return uni
+
+
+@pytest.mark.parametrize("algname, rank", [(name, 2) for name in BUILTIN_NAMES]
+                         + [("ps3", 3), ("chain3", 3)])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_class_derived_atoms_match_reference_clauses(algname, rank, assignment):
+    alg, d = builtin(algname)
+    uni = covered_universe(alg, rank)
+    ctx = EvalContext(uni, d, assignment)
+    columns = ctx._columns
+    assert columns.low >= 2 and columns.n == len(uni)
+    eq, mem = reference_clauses(ctx)
+    for u in uni.ids():
+        for v in uni.ids():
+            if max(u, v) >= columns.low:  # two low names take the clause
+                assert columns.equality(ctx, u, v) == eq(u, v), ("=", u, v)
+                assert columns.membership(ctx, u, v) == mem(u, v), ("in", u, v)
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_a_meet_that_is_no_lattice_s_keeps_the_clauses(assignment):
+    alg, d = _skewed_meet_ps3()
+    ctx = EvalContext(covered_universe(alg, 3), d, assignment)
+    assert ctx._columns.n == 0  # no name covered
+    assert_clauses_match_reference(ctx)
 
 
 def stored_values(memo):
@@ -680,13 +781,14 @@ def test_atomic_clauses_match_reference_on_a_skewed_meet(assignment):
 
 
 def test_extensionality_bar_runs_one_inner_sweep_per_column_pair():
-    # ps3 at rank 3: 256 names, 27 distinct membership columns, so the
-    # inner forall z runs at most 27 * 27 times and is looked up otherwise.
+    # ps3 at rank 3: 256 names, 27 distinct membership columns.  The body of
+    # forall x runs once per class of x, so forall y runs at most 27 times;
+    # its body runs once per class of y beside x, and the inner forall z,
+    # keyed by the classes of its rows of x and y, at most 27 * 27 times.
     alg, d = ps3()
     uni = build_universe(alg, 3)
-    n = len(uni.names)
     ctx = EvalContext(uni, d, "pa")
+    columns = {tuple(ctx.membership(x, v) for x in uni.ids()) for v in uni.ids()}
+    assert len(columns) == 27
     assert ctx.holds(instantiate_axiom("ExtensionalityBar"))
-    outer = 1 + n  # forall x once, forall y once per x
-    assert ctx.sweeps_run - outer <= 27 * 27
-    assert ctx.sweeps_run + ctx.sweeps_reused == outer + n * n
+    assert ctx.sweeps_run + ctx.sweeps_reused <= 1 + 27 + 27 * 27

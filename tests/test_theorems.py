@@ -529,6 +529,19 @@ class TestFailurePath:
             assert ce["kind"] == "atomic" and ce["note"].startswith(law)
             assert replay(alg, d, 2, ce) == ce["value"]
 
+    def test_planted_transitivity_defect_fails_leibniz(self, monkeypatch):
+        # `u = c` made top on ps3 at rank 3 makes a pair pa-equal that the
+        # battery tells apart.  Leibniz reads every pa-equal pair, so it
+        # fails with a sentence at one of the two names.
+        clause, a, b, law = planted_defects(3)[0]
+        assert (clause, law) == ("equality", "transitivity")
+        flip(monkeypatch, clause, a, b)
+        alg, d = ps3()
+        ce, _ = check_leibniz(Run(alg, d, rank_bound=3))
+        assert ce is not None and ce["kind"] == "sentence"
+        assert f"#{a}" in ce["formula"] or f"#{b}" in ce["formula"]
+        assert replay(alg, d, 3, ce) == ce["value"]
+
     def test_record_lines_report_the_failure(self):
         alg, d = ps3()
         r = CheckResult("demo", "demo check", "fail",
