@@ -66,6 +66,7 @@ class Algebra:
         # the designated set is overridden.
         self.star_rule = star_rule
         self._cobounded_cache: Optional[bool] = None
+        self._lattice_cache: Optional[bool] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -257,6 +258,15 @@ def check_lattice(alg: Algebra) -> AlgebraReport:
             break
     rep.record("distributive", dist_ok, dw)
     return rep
+
+
+def is_bounded_lattice(alg: Algebra) -> bool:
+    """Whether meet and join form a bounded lattice; `check_lattice` runs
+    once per algebra."""
+    if alg._lattice_cache is None:
+        rep = check_lattice(alg)
+        alg._lattice_cache = rep.ok("lattice") and rep.ok("bounded")
+    return alg._lattice_cache
 
 
 def check_drim(alg: Algebra) -> AlgebraReport:

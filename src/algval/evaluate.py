@@ -49,13 +49,14 @@ columns, and a new class extends every row held.  The sweep rows of
 enumerated names are filled from the same tables, unless both names are
 low.  Meeting u's half with v's, where the clause folds one into the
 other, is sound only for a lattice's meet: the tables are used only when
-meet and join pass `algebra.check_lattice` (and, under pa, the algebra has
-a star table).  They are not used where they cannot pay: with one low
-name, as at rank 2, a clause reads at most one entry a side.  Witness
-names, whose domains reach the top level, and defective tables take the
-clause.  The tables cover enumerated names only, so a run's contexts of
-one assignment share them across all the workspaces of a rank, like the
-store.
+meet and join pass `algebra.check_lattice`, whose verdict each algebra
+keeps (and, under pa, the algebra has a star table).  They are not used
+where they cannot pay: with one low name, as at rank 2, a clause reads at
+most one entry a side.  Witness names, whose domains reach the top level,
+and defective tables take the clause.  The tables cover enumerated names
+only, so a run's contexts of one assignment share them across all the
+workspaces of a rank, like the store.  The class fold of
+`theorems.coincidence_mismatches` reads their cells, which keep no rows.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -129,7 +130,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import Algebra, check_lattice
+from .algebra import Algebra, is_bounded_lattice
 from .errors import CapabilityError, InputError
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term,
@@ -210,10 +211,7 @@ class ColumnClasses:
         # With one low name a clause reads one entry a side, as a table
         # lookup would.  The halves meet in another order than the clause
         # folds, which only a lattice's meet allows.
-        if low < 2 or assignment == "pa" and alg.star_t is None:
-            return
-        laws = check_lattice(alg)
-        if not (laws.ok("lattice") and laws.ok("bounded")):
+        if low < 2 or assignment == "pa" and alg.star_t is None or not is_bounded_lattice(alg):
             return
         n = low
         while n < len(names) and names[n].rank == bound:
@@ -243,8 +241,8 @@ class ColumnClasses:
             if c is None:
                 c = known[col] = len(known)
                 # every row covers every class seen so far
-                rows, cell = ((self.members, self._member) if rel == _REL_EQ
-                              else (self.halves, self._half))
+                rows, cell = ((self.members, self.member_cell) if rel == _REL_EQ
+                              else (self.halves, self.half_cell))
                 for u, row in rows.items():
                     row.append(cell(u, col))
             self.ids[rel][v] = c
@@ -257,15 +255,23 @@ class ColumnClasses:
                 self.class_of(ctx, rel, v)
         return self.ids[rel][lo:hi]
 
-    def _half(self, u: int, col: tuple[int, ...]) -> int:
-        """u's side of `u = v`, for a v with membership column col."""
+    def partition(self, ctx: EvalContext, rel: str) -> tuple[array, list[tuple[int, ...]]]:
+        """The class of each covered name's column of `x = v` (rel '=') or of
+        `x in v` (rel 'in'), and the column of each class, by class id."""
+        r = _REL_EQ if rel == "=" else _REL_MEM
+        return self.classes(ctx, r, 0, self.n), list(self.columns[r])
+
+    def half_cell(self, u: int, col: tuple[int, ...]) -> int:
+        """u's side of `u = v`, for a v with membership column col; unlike
+        `half`, it keeps no row."""
         meet, factor, acc = self.alg.meet_t, self.factor, self.alg.top_i
         for x, a in self.names[u].entries:
             acc = meet[acc][factor[a][col[x]]]
         return acc
 
-    def _member(self, v: int, col: tuple[int, ...]) -> int:
-        """`u in v`, for a u with equality column col."""
+    def member_cell(self, v: int, col: tuple[int, ...]) -> int:
+        """`u in v`, for a u with equality column col; unlike `member`, it
+        keeps no row."""
         meet, join, acc = self.alg.meet_t, self.alg.join_t, self.alg.bottom_i
         for x, a in self.names[v].entries:
             acc = join[acc][meet[a][col[x]]]
@@ -276,7 +282,7 @@ class ColumnClasses:
         row = self.halves.get(u)
         if row is None:
             row = self.halves[u] = array(
-                self.typecode, [self._half(u, col) for col in self.columns[_REL_MEM]])
+                self.typecode, [self.half_cell(u, col) for col in self.columns[_REL_MEM]])
         return row
 
     def member(self, v: int) -> array:
@@ -284,7 +290,7 @@ class ColumnClasses:
         row = self.members.get(v)
         if row is None:
             row = self.members[v] = array(
-                self.typecode, [self._member(v, col) for col in self.columns[_REL_EQ]])
+                self.typecode, [self.member_cell(v, col) for col in self.columns[_REL_EQ]])
         return row
 
     def equality(self, ctx: EvalContext, u: int, v: int) -> int:

@@ -433,20 +433,21 @@ def check_two_valued(run: Run) -> Verdict:
 
 
 def _characteristic_equality(uni: Universe, designated_i: frozenset[int],
-                             top_i: int, memo: dict, u: int, v: int) -> bool:
+                             top_i: int, memo: bytearray, u: int, v: int) -> bool:
     """Entry-matching equality criterion, computed by its own recursion.
 
     Designated entries of either name must be matched by designated entries
     of the other with equal keys, and top entries by top entries; this is
     the combinatorial mirror of the pa equality clause and never consults
-    the valuation engine.
+    the valuation engine.  `memo` holds one byte per pair of the n names,
+    at min * n + max: 0 while unknown, 1 for false, 2 for true.
     """
     if u > v:
         u, v = v, u
-    key = (u, v)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    key = u * len(uni.names) + v
+    hit = memo[key]
+    if hit:
+        return hit == 2
     names = uni.names
 
     def matched(src: int, dst: int) -> bool:
@@ -468,7 +469,7 @@ def _characteristic_equality(uni: Universe, designated_i: frozenset[int],
         return True
 
     out = matched(u, v) and matched(v, u)
-    memo[key] = out
+    memo[key] = 2 if out else 1
     return out
 
 
@@ -476,9 +477,9 @@ def check_equality_characterization(run: Run) -> Verdict:
     """Recursive pa equality agrees with the entry-matching criterion."""
     ws = run.workspace()
     ctx = ws.pa
-    memo: dict = {}
     d_i = ctx.designated_i
     n = len(ws.universe)
+    memo = bytearray(n * n)
     checked = 0
     for u in range(n):
         for v in range(u, n):
@@ -1033,128 +1034,78 @@ def check_bounded_quantification(run: Run) -> Verdict:
 def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     """Pairs where the two assignments give different atomic values, in
     order: the low rows (names of rank below the bound against every name,
-    `in` then `=`), then `=` for u <= v, then `in` for all (u, v).
+    `in` then `=`), then `=` for u <= v, then `in` for all (u, v).  Every
+    value is the engine's; past the low rows it is asked only the pairs of
+    bad class pairs.
 
-    The low rows come from the engine.  Above them, `=` of (u, v) reads
-    only u's entries against v's membership column (the (ba, pa) values
-    of `x in v` over the low names x) and v's entries against u's column;
-    `in` reads only v's entries against u's equality column.  Names with
-    the same column form a class, and classes are few (16 membership and
-    9 equality classes for the 3125 names of bool4 at rank 3), so each
-    name is folded once per class.  Within two classes u and v range
-    independently, so meeting every half from class pair (a, b) with
-    every half from (b, a) gives exactly the values of all their pairs:
-    the verdict covers every pair.  Only bad class pairs are rescanned
-    pair by pair to list the offenders.
-
-    Before the fold, the class-derived values are cross-checked against
-    the engine's clauses on fixed pairs, with the highest-id member of
-    each class standing for it: `=` on every pair of membership-class
-    members and `in` of each equality-class member in each
-    membership-class member, under both assignments.  A divergence raises
-    `InvariantError`.
+    Once the low rows agree, ba and pa give each name the same columns, so
+    their `evaluate.ColumnClasses` sort the names into the same classes
+    (16 membership and 9 equality classes for the 3125 names of bool4 at
+    rank 3), and the fold reads each assignment's own table cells.  u and
+    v range independently over their classes, so meeting every (ba, pa)
+    half of class a against b with every half of b against a gives exactly
+    the `=` values of all their pairs; the pair (a, b) is bad if two of
+    them differ.  An equality class is bad for `in` if some name's member
+    cell differs between the tables.  Without tables covering every name
+    (rank 2, say), or when the low rows disagree, all names form one bad
+    class.
     """
     uni = ws.universe
     alg = ws.algebra
     n = len(uni)
-    low = [nid for nid in range(n) if uni.rank_of(nid) < ws.rank_bound]
     ba, pa = ws.ba, ws.pa
     out: list[dict] = []
 
-    def mismatch(rel: str, u: int, v: int, vba: int, vpa: int) -> dict:
-        return {"kind": "coincidence-mismatch", "rel": rel, "u": uni.pretty(u),
-                "v": uni.pretty(v), "ba": alg.elements[vba], "pa": alg.elements[vpa]}
+    def ask(pairs: Iterable[tuple[str, int, int]]) -> bool:
+        """Add each pair whose two values differ; true once at the limit."""
+        for rel, u, v in pairs:
+            vba, vpa = (ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
+                        for ctx in (ba, pa))
+            if vba != vpa:
+                out.append({"kind": "coincidence-mismatch", "rel": rel, "u": uni.pretty(u),
+                            "v": uni.pretty(v), "ba": alg.elements[vba],
+                            "pa": alg.elements[vpa]})
+                if len(out) >= limit:
+                    return True
+        return False
 
-    m_ba, m_pa, e_ba, e_pa = {}, {}, {}, {}
-    for s in low:
-        m_ba[s] = [ba.membership(s, v) for v in range(n)]
-        m_pa[s] = [pa.membership(s, v) for v in range(n)]
-        e_ba[s] = [ba.equality(s, v) for v in range(n)]
-        e_pa[s] = [pa.equality(s, v) for v in range(n)]
-        for v in range(n):
-            if m_ba[s][v] != m_pa[s][v]:
-                out.append(mismatch("in", s, v, m_ba[s][v], m_pa[s][v]))
-            if e_ba[s][v] != e_pa[s][v]:
-                out.append(mismatch("=", s, v, e_ba[s][v], e_pa[s][v]))
-            if len(out) >= limit:
-                return out
+    if ask((rel, s, v) for s in range(n) if uni.rank_of(s) < ws.rank_bound
+           for v in range(n) for rel in ("in", "=")):
+        return out
 
-    meet, join, imp, star = alg.meet_t, alg.join_t, alg.imp_t, alg.star_t
-    entries = [uni.names[nid].entries for nid in range(n)]
+    m_of, e_of = [0] * n, [0] * n
+    bad_eq, bad_in = {0: {0}}, {0}
+    cb, cp = ws._shared.columns["ba"], ws._shared.columns["pa"]
+    if not out and cb.n == cp.n == n:
+        meet = alg.meet_t
+        m_of, m_cols = cb.partition(ba, "in")
+        e_of, e_cols = cb.partition(ba, "=")
+        halves: dict[tuple[int, int], set[tuple[int, int]]] = {}
+        for u in range(n):
+            for b, col in enumerate(m_cols):
+                halves.setdefault((m_of[u], b), set()).add(
+                    (cb.half_cell(u, col), cp.half_cell(u, col)))
+        bad_eq = {}
+        for (a, b), hs in halves.items():
+            if any(meet[hb][gb] != meet[hp][gp] for hb, hp in hs for gb, gp in halves[b, a]):
+                bad_eq.setdefault(a, set()).add(b)
+        bad_in = {c for c, col in enumerate(e_cols)
+                  if any(cb.member_cell(v, col) != cp.member_cell(v, col) for v in range(n))}
 
-    def classes(row_ba: dict, row_pa: dict) -> tuple[list[int], list[dict]]:
-        # Each name's class id, and each class's column {x: (ba, pa)}.
-        ids: dict[tuple, int] = {}
-        of = [ids.setdefault(tuple((row_ba[x][v], row_pa[x][v]) for x in low), len(ids))
-              for v in range(n)]
-        return of, [dict(zip(low, key)) for key in ids]
-
-    m_of, m_cols = classes(m_ba, m_pa)
-    e_of, e_cols = classes(e_ba, e_pa)
-
-    def half(u: int, col: dict) -> tuple[int, int]:
-        # The dom(u) factors of `u = v`, for a v with membership column col.
-        acc_ba = acc_pa = alg.top_i
-        for x, ux in entries[u]:
-            mb, mp = col[x]
-            acc_ba = meet[acc_ba][imp[ux][mb]]
-            acc_pa = meet[acc_pa][meet[imp[ux][mp]][imp[star[mp]][star[ux]]]]
-        return acc_ba, acc_pa
-
-    def member(v: int, col: dict) -> tuple[int, int]:
-        # `u in v`, for a u with equality column col.
-        acc_ba = acc_pa = alg.bottom_i
-        for x, vx in entries[v]:
-            acc_ba = join[acc_ba][meet[vx][col[x][0]]]
-            acc_pa = join[acc_pa][meet[vx][col[x][1]]]
-        return acc_ba, acc_pa
-
-    def eq_value(u: int, v: int) -> tuple[int, int]:
-        (b1, p1), (b2, p2) = half(u, m_cols[m_of[v]]), half(v, m_cols[m_of[u]])
-        return meet[b1][b2], meet[p1][p2]
-
-    m_reps = list({c: u for u, c in enumerate(m_of)}.values())
-    e_reps = list({c: u for u, c in enumerate(e_of)}.values())
-    derived = [("=", u, v, eq_value(u, v)) for u in m_reps for v in m_reps]
-    derived += [("in", u, v, member(v, e_cols[e_of[u]])) for u in e_reps for v in m_reps]
-    for rel, u, v, values in derived:
-        for ctx, want in zip((ba, pa), values):
-            got = ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
-            if got != want:
-                raise InvariantError(
-                    f"class-derived {rel} diverged from the engine at (#{u}, #{v})")
-
-    halves: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for u in range(n):
-        for b, col in enumerate(m_cols):
-            halves.setdefault((m_of[u], b), set()).add(half(u, col))
-    bad_eq: dict[int, set[int]] = {}
-    for (a, b), hs in halves.items():
-        if any(meet[hb][gb] != meet[hp][gp] for hb, hp in hs for gb, gp in halves[b, a]):
-            bad_eq.setdefault(a, set()).add(b)
-    bad_in = {c for c, col in enumerate(e_cols)
-              if any(vb != vp for vb, vp in (member(v, col) for v in range(n)))}
-
-    suspects = itertools.chain(
+    ask(itertools.chain(
         (("=", u, v) for u in range(n) if m_of[u] in bad_eq
          for v in range(u, n) if m_of[v] in bad_eq[m_of[u]]),
-        (("in", u, v) for u in range(n) if e_of[u] in bad_in for v in range(n)))
-    for rel, u, v in suspects:
-        vb, vp = eq_value(u, v) if rel == "=" else member(v, e_cols[e_of[u]])
-        if vb != vp:
-            out.append(mismatch(rel, u, v, vb, vp))
-            if len(out) >= limit:
-                return out
+        (("in", u, v) for u in range(n) if e_of[u] in bad_in for v in range(n))))
     return out
 
 
 def check_boolean_coincidence(run: Run) -> Verdict:
     """On boolean algebras the two assignments agree everywhere.
 
-    Atomic values are compared on every pair of the bounded universe, by
-    column class (see `coincidence_mismatches`).  Sentence validity on the
-    battery is compared at rank 2 at most, in the same workspace when the
-    bound allows (sweeps at the full bound would be quadratic).
+    Atomic values, as the engine gives them, are compared on every pair of
+    the bounded universe (see `coincidence_mismatches`).  Sentence validity
+    on the battery is compared at rank 2 at most, in the same workspace
+    when the bound allows (sweeps at the full bound would be quadratic).
     """
     algebra = run.algebra
     ws = run.workspace()

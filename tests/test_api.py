@@ -14,6 +14,11 @@ in the registry and in `run_check` alone.
 
 Partition guard: `build_quotient` is called only by `Run.quotient`, so a
 run builds the pa partition once and every reader shares it.
+
+Clause guard: Bell's atomic clauses live in `evaluate` alone, so no other
+module keeps a copy of them; a copy needs the implication table, so no
+module but `evaluate` reads `imp_t`.  `algebra` defines the table, and
+`proplogic` evaluates the propositional connectives with it.
 """
 
 import ast
@@ -137,9 +142,10 @@ def test_record_guard_sees_a_body_that_skips(tmp_path):
         "probe._skip builds a CheckResult", "probe.check_gated names a skipped verdict"])
 
 
-def quotient_builders(src: Path) -> list[str]:
-    """`module.qualified.name` of each definition in src/*.py that calls
-    `build_quotient` (`module` alone for a call at module level)."""
+def _owners(src: Path, hit, skip: frozenset[str] = frozenset()) -> list[str]:
+    """`module.qualified.name` of each definition in src/*.py, outside the
+    modules named in skip, that holds a node for which hit(node) is true
+    (`module` alone for one at module level)."""
     out = set()
 
     def visit(node: ast.AST, owner: str):
@@ -147,13 +153,27 @@ def quotient_builders(src: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and _callee(child) == "build_quotient":
+            if hit(child):
                 out.add(owner)
             visit(child, owner)
 
     for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if path.stem not in skip:
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return sorted(out)
+
+
+def quotient_builders(src: Path) -> list[str]:
+    """The definitions that call `build_quotient`."""
+    return _owners(src, lambda node: isinstance(node, ast.Call)
+                  and _callee(node) == "build_quotient")
+
+
+def imp_table_readers(src: Path) -> list[str]:
+    """The definitions outside `algebra`, `evaluate` and `proplogic` that
+    read an `imp_t`."""
+    return _owners(src, lambda node: isinstance(node, ast.Attribute) and node.attr == "imp_t",
+                  skip=frozenset({"algebra", "evaluate", "proplogic"}))
 
 
 def test_only_the_run_builds_the_partition():
@@ -171,3 +191,23 @@ def test_partition_guard_sees_a_check_that_builds_its_own(tmp_path):
         "    return None, {'classes': len(qm)}\n",
         encoding="utf-8")
     assert quotient_builders(tmp_path) == ["probe.Run.quotient", "probe.check_quotient"]
+
+
+def test_only_the_engine_reads_the_implication_table():
+    assert imp_table_readers(SRC) == []
+
+
+def test_clause_guard_sees_a_planted_reader(tmp_path):
+    reader = "def clause(alg, a, m):\n    return alg.imp_t[a][m]\n"
+    for exempt in ("algebra", "evaluate", "proplogic"):
+        (tmp_path / f"{exempt}.py").write_text(reader, encoding="utf-8")
+    (tmp_path / "theorems.py").write_text(
+        "class Fold:\n"
+        "    def half(self, a, m):\n"
+        "        return self.alg.imp_t[a][m]\n\n\n"
+        "def coincidence_mismatches(ws):\n"
+        "    imp = ws.algebra.imp_t\n"
+        "    return imp\n",
+        encoding="utf-8")
+    assert imp_table_readers(tmp_path) == ["theorems.Fold.half",
+                                           "theorems.coincidence_mismatches"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_formulas import formula_strategy
 
-from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
+from algval.algebra import BUILTIN_NAMES, Algebra, builtin, check_lattice, ps3
 from algval.errors import CapabilityError, InputError
 from algval.evaluate import (
     ASSIGNMENTS,
@@ -704,6 +704,18 @@ def test_class_derived_atoms_match_reference_clauses(algname, rank, assignment):
             if max(u, v) >= columns.low:  # two low names take the clause
                 assert columns.equality(ctx, u, v) == eq(u, v), ("=", u, v)
                 assert columns.membership(ctx, u, v) == mem(u, v), ("in", u, v)
+
+
+def test_lattice_verdict_computed_once_per_algebra(monkeypatch):
+    # the tables of every assignment and rank read one verdict per algebra
+    calls = []
+    monkeypatch.setattr("algval.algebra.check_lattice",
+                        lambda alg: calls.append(alg.name) or check_lattice(alg))
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    for assignment in ASSIGNMENTS * 2:
+        assert EvalContext(uni, d, assignment)._columns.n == len(uni)
+    assert calls == ["ps3"]
 
 
 @pytest.mark.parametrize("assignment", ASSIGNMENTS)

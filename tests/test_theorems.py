@@ -167,21 +167,6 @@ class TestSkips:
         assert run_check("boolean-coincidence", Run(alg, d)).verdict == "skipped"
 
 
-def wrong_above_the_low_rows(monkeypatch, rank_bound):
-    """Make `x in y` wrong whenever x has rank `rank_bound` or more.  The
-    coincidence sweep asks the engine only for members of rank below the
-    bound, so only its cross-check sees these values."""
-    engine = EvalContext.membership
-
-    def wrong(self, u, v):
-        value = engine(self, u, v)
-        if self.universe.rank_of(u) < rank_bound:
-            return value
-        return (value + 1) % len(self.algebra.elements)
-
-    monkeypatch.setattr(EvalContext, "membership", wrong)
-
-
 class TestCoincidenceSweep:
     def test_finds_the_divergent_pair_outside_boolean(self):
         # On the three-valued core the assignments genuinely disagree, and
@@ -198,17 +183,13 @@ class TestCoincidenceSweep:
         ws = Workspace(alg, d, rank_bound=3)
         assert coincidence_mismatches(ws) == []
 
-    def test_fold_divergence_is_an_invariant_violation(self, monkeypatch):
-        alg, d = builtin("bool2")
-        ws = Workspace(alg, d, rank_bound=2)
-        wrong_above_the_low_rows(monkeypatch, ws.rank_bound)
-        with pytest.raises(InvariantError, match="diverged"):
-            coincidence_mismatches(ws)
-
     def test_invariant_violation_fails_its_check_only(self, monkeypatch):
-        # the cross-check's InvariantError becomes the failing record of
+        # an InvariantError inside the sweep becomes the failing record of
         # boolean-coincidence; the run goes on and prints every record
-        wrong_above_the_low_rows(monkeypatch, 2)
+        def diverged(ws, limit=1):
+            raise InvariantError("class-derived in diverged from the engine at (#3, #4)")
+
+        monkeypatch.setattr(theorems, "coincidence_mismatches", diverged)
         r = CliRunner().invoke(cli, ["check", "all", "-a", "bool2", "--rank", "2",
                                      "--format", "records"])
         assert r.exit_code == 1
@@ -219,30 +200,27 @@ class TestCoincidenceSweep:
         assert failed["counterexample"]["kind"] == "invariant"
         assert "diverged" in failed["counterexample"]["message"]
 
-    def test_equality_divergence_is_an_invariant_violation(self, monkeypatch):
-        from algval.evaluate import EvalContext
-
+    @pytest.mark.parametrize("plant", ["factor", "member_cell"])
+    def test_planted_table_defect_found_on_every_pair(self, monkeypatch, plant):
+        # a defect in the pa tables alone makes the engine's two assignments
+        # disagree above the low rows; the fold must send the engine to
+        # every such pair
         alg, d = builtin("bool2")
-        ws = Workspace(alg, d, rank_bound=2)
-        engine = EvalContext.equality
+        ws = Workspace(alg, d, rank_bound=3)
+        tables = ws.pa._columns
+        if plant == "factor":
+            tables.factor[alg.top_i][alg.bottom_i] = alg.top_i
+        else:
+            cell, last = tables.member_cell, len(ws.universe) - 1
 
-        def wrong_above_the_low_rows(self, u, v):
-            # Wrong only where neither name is in a low row, so the fold
-            # never reads these values and only the cross-check sees them.
-            value = engine(self, u, v)
-            if min(ws.universe.rank_of(u), ws.universe.rank_of(v)) < ws.rank_bound:
-                return value
-            return (value + 1) % len(alg.elements)
+            def wrong(v, col):
+                value = cell(v, col)
+                return (value + 1) % len(alg.elements) if v == last else value
+            monkeypatch.setattr(tables, "member_cell", wrong)
+        got = coincidence_mismatches(ws, limit=10**9)
+        assert got and got == engine_mismatches(ws)
 
-        monkeypatch.setattr(EvalContext, "equality", wrong_above_the_low_rows)
-        with pytest.raises(InvariantError, match="diverged"):
-            coincidence_mismatches(ws)
-
-    def test_cross_check_reads_800_engine_atoms_on_bool4_rank3(self, monkeypatch):
-        # 16 membership and 9 equality classes: `=` on 16 x 16 member
-        # pairs and `in` on 9 x 16, under both assignments
-        from algval.evaluate import EvalContext
-
+    def test_fold_asks_no_pair_of_two_top_level_names_on_bool4_rank3(self, monkeypatch):
         alg, d = builtin("bool4")
         ws = Workspace(alg, d, rank_bound=3)
         low = sum(ws.universe.rank_of(nid) < 3 for nid in range(len(ws.universe)))
@@ -256,7 +234,7 @@ class TestCoincidenceSweep:
                 return engine(self, u, v)
             monkeypatch.setattr(EvalContext, name, counted)
         assert coincidence_mismatches(ws) == []
-        assert len(calls) == 2 * (16 * 16 + 9 * 16)
+        assert calls == []
 
 
 def engine_mismatches(ws):
