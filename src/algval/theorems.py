@@ -8,8 +8,7 @@ ordered list of (condition, skip reason) pairs.  A condition is a key of
 the run's structure profile (computed once per run, on first use),
 `rank>=2` or `star` (the algebra has a star table).  `run_check` is the
 one place that checks the gates in order, turns a resource overrun into a
-skip and an `InvariantError` into a failure (an `invariant`
-counterexample), times the check and builds its `CheckResult`.
+skip, times the check and builds its `CheckResult`.
 
 A body is `fn(run: Run)` and returns a `Verdict`: the counterexample
 (None when the check passes) and the details.  It sweeps a workspace from
@@ -19,11 +18,15 @@ rank, whose contexts share the run's atomic memos.  `properties` and
 per run; a pair on which it is not well defined fails both, with the law
 it breaks.
 
-A failing result carries a replayable counterexample: the assignment, the
-formula (or atomic pair), and the ad-hoc names inserted up to the point of
-failure, in insertion order, so that `replay` can rebuild the exact
-evaluation from scratch.  Quantified verdicts are approximations bounded at
-the configured rank and say so in their description.
+A failing result carries a counterexample of one of five kinds, one
+builder each.  `replay` repeats the evaluation that three of them name:
+`sentence` (a closed formula) and `atomic` (a relation at two names), each
+with its assignment, value and the ad-hoc names inserted before the
+failure, in order, so that the universe is rebuilt exactly; and
+`valuation` (a propositional formula and a valuation).  `law` (an algebra
+law with element witnesses) and `missing` (a witness the theorem
+guarantees that the sweep did not find) name none.  Quantified verdicts
+are approximations bounded at the configured rank and say so.
 """
 
 from __future__ import annotations
@@ -40,17 +43,19 @@ from .algebra import (
     Algebra, check_cobounded, check_drim, check_filter, check_lattice,
     collapse_f, ps3,
 )
-from .errors import InputError, InvariantError, ResourceError
+from .errors import InputError, ResourceError
 from .evaluate import (
     ASSIGNMENTS, ColumnClasses, EvalContext, Memo, battery, bq_sides, forget_names,
     nff_battery, two_var_battery,
 )
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
-    children, enumerate_formulas, iff, instantiate_axiom, is_negation_free,
+    children, enumerate_formulas, free_vars, iff, instantiate_axiom, is_negation_free,
     map_terms, parse, print_formula, subst_const,
 )
-from .proplogic import EXPLOSION, PVar, eval_prop, is_tautology, print_prop
+from .proplogic import (
+    EXPLOSION, PropFormula, PVar, eval_prop, is_tautology, parse_prop, print_prop,
+)
 from .quotient import (
     QuotientDefect, QuotientModel, build_quotient, quotient_satisfies, satisfaction,
 )
@@ -239,6 +244,27 @@ class Workspace:
         return out
 
 
+def valuation_counterexample(formula: PropFormula, valuation: dict, value: str,
+                             note: str = "") -> dict:
+    out = {"kind": "valuation", "formula": print_prop(formula),
+           "valuation": valuation, "value": value}
+    if note:
+        out["note"] = note
+    return out
+
+
+def law_counterexample(witnesses: dict[str, list], note: str = "") -> dict:
+    """The laws that fail, in order, each with its element witnesses."""
+    out = {"kind": "law", "laws": list(witnesses), "witnesses": witnesses}
+    if note:
+        out["note"] = note
+    return out
+
+
+def missing_counterexample(note: str) -> dict:
+    return {"kind": "missing", "note": note}
+
+
 @dataclass(frozen=True)
 class Run:
     """The configuration one check runs under.
@@ -295,19 +321,28 @@ class Run:
 
 def replay(algebra: Algebra, designated: Iterable[str], rank_bound: int,
            counterexample: dict, budget: int = DEFAULT_BUDGET) -> str:
-    """Re-evaluate a recorded counterexample from scratch.
+    """Re-evaluate a recorded counterexample from scratch and return the
+    element identifier obtained.
 
-    Rebuilds the enumerated universe, re-interns the logged ad-hoc names
-    (checking they land on the recorded ids) and evaluates the recorded
-    formula or atomic pair, returning the element identifier obtained.
+    A `valuation` is evaluated through `eval_prop`.  A `sentence` or
+    `atomic` rebuilds the enumerated universe, re-interns the logged ad-hoc
+    names (checking they land on the recorded ids) and evaluates the
+    recorded formula or atomic pair.  A `law` or `missing` counterexample
+    names no evaluation, so it raises `InputError`.
     """
+    kind = counterexample.get("kind")
+    if kind == "valuation":
+        return eval_prop(algebra, counterexample["valuation"],
+                         parse_prop(counterexample["formula"]))
+    if kind not in ("sentence", "atomic"):
+        raise InputError(f"a {kind!r} counterexample names no evaluation to replay")
     uni = build_universe(algebra, rank_bound, budget=budget)
     for nid, literal in counterexample.get("inserted", []):
         got = uni.insert({int(c): algebra.index[algebra.resolve(v)] for c, v in literal})
         if got != nid:
             raise InputError(f"replay divergence: literal for #{nid} interned as #{got}")
     ctx = EvalContext(uni, designated, counterexample["assignment"])
-    if counterexample["kind"] == "atomic":
+    if kind == "atomic":
         return ctx.atomic(counterexample["rel"], counterexample["u"], counterexample["v"])
     f = parse(counterexample["formula"], max_name=len(uni.names))
     return ctx.eval(f)
@@ -385,9 +420,7 @@ def check_algebra_laws(run: Run) -> Verdict:
         bad.append("filter")
     if bad:
         witnesses = {**rep.witnesses, **filt.witnesses}
-        ce = {"kind": "law", "laws": bad,
-              "witnesses": {k: list(witnesses.get(k, ())) for k in bad}}
-        return ce, details
+        return law_counterexample({k: list(witnesses.get(k, ())) for k in bad}), details
     return None, details
 
 
@@ -396,9 +429,7 @@ def check_implication_laws(run: Run) -> Verdict:
     rep = check_drim(run.algebra)
     if rep.ok("drim"):
         return None, {}
-    ce = {"kind": "law", "laws": ["drim"],
-          "witnesses": {"drim": list(rep.witnesses.get("drim", ()))}}
-    return ce, {}
+    return law_counterexample({"drim": list(rep.witnesses.get("drim", ()))}), {}
 
 
 def check_cobounded_routes(run: Run) -> Verdict:
@@ -408,8 +439,8 @@ def check_cobounded_routes(run: Run) -> Verdict:
     subset = rep.info.get("cobounded-subset-search")
     closed = rep.info.get("cobounded-closed-form")
     if subset is not None and subset != closed:
-        ce = {"kind": "route-disagreement", "subset_search": subset,
-              "closed_form": closed}
+        ce = law_counterexample({"cobounded": []}, note=f"the subset search says {subset}, "
+                                f"the closed form says {closed}")
         return ce, details
     return None, details
 
@@ -699,24 +730,21 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
                                    Mem(Var("m"), Const(omega_trunc))))
     if not pa.holds(empty_member):
         return _axiom_failure(ws, empty_member, "Infinity")
-    successor_checked = boundary = 0
-    for k in range(rank_bound):
-        if k + 1 <= rank_bound - 1:
-            inst = Exists("u", And(Mem(Var("u"), Const(omega_trunc)),
-                                   Mem(Const(nums[k]), Var("u"))))
-            if not pa.holds(inst):
-                return _axiom_failure(ws, inst, f"Infinity successor of {k}")
-            successor_checked += 1
-        else:
-            boundary += 1
+    # the successor of the last numeral below the bound is out of the truncation
+    successors = range(rank_bound - 1)
+    for k in successors:
+        inst = Exists("u", And(Mem(Var("u"), Const(omega_trunc)),
+                               Mem(Const(nums[k]), Var("u"))))
+        if not pa.holds(inst):
+            return _axiom_failure(ws, inst, f"Infinity successor of {k}")
     for k in range(rank_bound):
         for n2 in range(k + 1, rank_bound + 1):
             if pa.value(Mem(Const(nums[k]), Const(nums[n2]))) != top:
                 inst = Mem(Const(nums[k]), Const(nums[n2]))
                 return _axiom_failure(ws, inst, "Infinity membership chain")
     details["infinity"] = {"numerals": rank_bound + 1,
-                           "successor_instances": successor_checked,
-                           "out_of_truncation": boundary}
+                           "successor_instances": len(successors),
+                           "out_of_truncation": 1}
 
     # Bounded collection: the witness set ranges over everything present.
     count = vacuous = 0
@@ -824,14 +852,9 @@ def check_nff_transfer(run: Run) -> Verdict:
         collapsed = collapse_f(algebra, src_val)
         checked += 1
         if collapsed != dst_val:
-            ce = {
-                "kind": "transfer-mismatch",
-                "sentence": print_formula(sentence),
-                "label": label,
-                "source_value": src_val,
-                "collapsed": collapsed,
-                "target_value": dst_val,
-            }
+            ce = src_ws.sentence_counterexample(
+                "ba", sentence, src_val,
+                note=f"{label}: collapses to {collapsed}; the three-valued core gives {dst_val}")
             return ce, {}
     details = {"sentences": checked}
     if trimmed:
@@ -848,7 +871,8 @@ def check_paraconsistency(run: Run) -> Verdict:
     The witness sentence says some name both belongs and does not belong
     somewhere; its value and the value of its negation must both be the
     coatom, and the explosion implication must evaluate to bottom, under
-    both assignments.
+    both assignments.  The coatom is designated: the designated filter
+    holds a non-top element, which lies below it.
     """
     algebra = run.algebra
     ws = run.workspace()
@@ -865,10 +889,6 @@ def check_paraconsistency(run: Run) -> Verdict:
             ce = ws.sentence_counterexample(
                 assignment, phi, val_phi,
                 note=f"expected coatom {coatom}; negation gave {val_not_phi}")
-            return ce, {}
-        if not (ctx.holds(phi) and ctx.holds(Not(phi))):
-            ce = ws.sentence_counterexample(assignment, phi, val_phi,
-                                            note="witness or negation not designated")
             return ce, {}
         explosion = Imp(And(phi, Not(phi)), psi)
         val_exp = ctx.eval(explosion)
@@ -970,32 +990,21 @@ def check_leibniz(run: Run) -> Verdict:
         ba = ws.ba
         negated = [(label, ba.sentence(phi, ("x",))) for label, phi in forms
                    if not is_negation_free(phi)]
-        violation = None
-        for u in range(n):
-            for v in range(n):
-                if u == v or ba.equality(u, v) not in d:
-                    continue
-                for label, at in negated:
-                    vu = at(u)
-                    vv = at(v)
-                    if vu in d and vv not in d:
-                        violation = {
-                            "formula": label,
-                            "u": ws.universe.pretty(u),
-                            "v": ws.universe.pretty(v),
-                            "value_u": algebra.elements[vu],
-                            "value_v": algebra.elements[vv],
-                        }
-                        break
-                if violation:
-                    break
-            if violation:
-                break
+        violation = next(((label, u, v, vu, vv) for u in range(n) for v in range(n)
+                          if u != v and ba.equality(u, v) in d
+                          for label, at in negated for vu, vv in [(at(u), at(v))]
+                          if vu in d and vv not in d), None)
         if violation is None:
-            ce = {"kind": "missing-ba-violation",
-                  "note": "no negated battery formula broke ba indiscernibility"}
-            return ce, details
-        details["ba_violation"] = violation
+            return missing_counterexample(
+                "no negated battery formula broke ba indiscernibility"), details
+        label, u, v, vu, vv = violation
+        details["ba_violation"] = {
+            "formula": label,
+            "u": ws.universe.pretty(u),
+            "v": ws.universe.pretty(v),
+            "value_u": algebra.elements[vu],
+            "value_v": algebra.elements[vv],
+        }
     return None, details
 
 
@@ -1007,20 +1016,17 @@ def check_bounded_quantification(run: Run) -> Verdict:
     names = _sweep_base(ws) if big else list(range(ws.enumerated))
     forms = [(label, phi) for label, phi in battery(ws.universe)
              if not (big and _quantifier_depth(phi) > 1)]
-    sides = [(label, bq_sides(ctx, phi)) for label, phi in forms]
+    sides = [(phi, bq_sides(ctx, phi)) for _, phi in forms]
     checked = 0
     for u in names:
-        for label, compare in sides:
+        for phi, compare in sides:
             res = compare(u)
             checked += 1
             if not res.equal:
-                ce = {
-                    "kind": "bq-mismatch",
-                    "u": ws.universe.pretty(u),
-                    "formula": label,
-                    "quantified": res.quantified,
-                    "domain_indexed": res.domain_indexed,
-                }
+                sentence = Forall("x", Imp(Mem(Var("x"), Const(u)), phi))
+                ce = ws.sentence_counterexample(
+                    "pa", sentence, res.quantified,
+                    note=f"the domain-indexed meet is {res.domain_indexed}")
                 return ce, {}
     details = {"instances": checked}
     if big:
@@ -1062,9 +1068,8 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
             vba, vpa = (ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
                         for ctx in (ba, pa))
             if vba != vpa:
-                out.append({"kind": "coincidence-mismatch", "rel": rel, "u": uni.pretty(u),
-                            "v": uni.pretty(v), "ba": alg.elements[vba],
-                            "pa": alg.elements[vpa]})
+                out.append(ws.atomic_counterexample("pa", rel, u, v, alg.elements[vpa],
+                                                    note=f"ba gives {alg.elements[vba]}"))
                 if len(out) >= limit:
                     return True
         return False
@@ -1140,68 +1145,69 @@ def check_quotient(run: Run) -> Verdict:
     with its law.  Equal-classes is the identity relation and
     distinct-classes its exact complement; member/non-member cover every
     class pair, and overlap somewhere when the designated set has a
-    non-top element.  The connective clauses run on the same model.
+    non-top element.  A pair of classes that breaks a law fails the check
+    with the atomic value at their representatives.  The connective
+    clauses run on the same model.
     """
+    def fail(rel: str, u: int, v: int, note: str) -> dict:
+        ws = run.workspace()
+        return ws.atomic_counterexample("pa", rel, u, v, ws.pa.atomic(rel, u, v), note)
+
     try:
         qm = run.quotient
     except QuotientDefect as defect:
-        ws, rel, u, v = run.workspace(), defect.rel, defect.u, defect.v
-        return ws.atomic_counterexample("pa", rel, u, v, ws.pa.atomic(rel, u, v), defect.note), {}
+        return fail(defect.rel, defect.u, defect.v, defect.note), {}
     k = len(qm.classes)
     details: dict = {"classes": k,
                      "class_sizes": [len(c) for c in qm.classes]}
 
-    identity = {(i, i) for i in range(k)}
-    if qm.r_eq != identity:
-        ce = {"kind": "relation-law", "law": "equality-is-identity",
-              "extra": sorted(map(list, qm.r_eq - identity)),
-              "missing": sorted(map(list, identity - qm.r_eq))}
-        return ce, details
     all_pairs = {(i, j) for i in range(k) for j in range(k)}
-    if qm.r_neq != all_pairs - qm.r_eq:
-        ce = {"kind": "relation-law", "law": "distinct-is-complement",
-              "symmetric_difference":
-                  sorted(map(list, qm.r_neq ^ (all_pairs - qm.r_eq)))}
-        return ce, details
-    if qm.r_mem | qm.r_nmem != all_pairs:
-        ce = {"kind": "relation-law", "law": "membership-covers",
-              "missing": sorted(map(list, all_pairs - (qm.r_mem | qm.r_nmem)))}
-        return ce, details
+    for law, rel, got, want in (
+            ("equality-is-identity", "=", qm.r_eq, {(i, i) for i in range(k)}),
+            ("distinct-is-complement", "=", qm.r_neq, all_pairs - qm.r_eq),
+            ("membership-covers", "in", qm.r_mem | qm.r_nmem, all_pairs)):
+        if got != want:
+            i, j = min(got ^ want)
+            u, v = qm.representatives[i], qm.representatives[j]
+            return fail(rel, u, v, f"{law} at classes {[i, j]}"), details
     overlap = sorted(qm.r_mem & qm.r_nmem)
     details["membership_overlap"] = [list(p) for p in overlap]
     if run.profile["big_designated"] and not overlap:
-        return {"kind": "relation-law", "law": "membership-overlap-expected"}, details
+        ce = missing_counterexample("no class pair is both member and non-member, "
+                                    "although a non-top element is designated")
+        return ce, details
 
-    ce, details["connectives"] = check_connective_theorem(qm, overlap[0] if overlap else None)
+    ce, details["connectives"] = check_connective_theorem(run, overlap[0] if overlap else None)
     return ce, details
 
 
-def check_connective_theorem(qm: QuotientModel, overlap: Optional[tuple[int, int]]) -> Verdict:
-    """Satisfaction in the quotient `qm` distributes over the connectives.
+def check_connective_theorem(run: Run, overlap: Optional[tuple[int, int]]) -> Verdict:
+    """Satisfaction in the run's quotient distributes over the connectives.
 
     Implication is material, conjunction and disjunction are componentwise,
     an unsatisfied formula has a satisfied negation (one direction only),
     and the quantifier clauses are class sweeps.  `overlap`, a class pair
     both member and non-member, witnesses the failure of the converse; it
-    is None when the two relations do not overlap.
+    is None when the two relations do not overlap.  A clause that fails
+    gives the sentence it names at the representatives of the classes.
     """
+    qm = run.quotient
     k = len(qm.classes)
     x, y = Var("x"), Var("y")
-    atoms: list[tuple[str, Formula]] = [
-        ("x in y", Mem(x, y)),
-        ("x = y", Eq(x, y)),
-        ("~(x in y)", Not(Mem(x, y))),
-    ]
+    atoms = [Mem(x, y), Eq(x, y), Not(Mem(x, y))]
     details: dict = {"classes": k}
     sat = cache(partial(satisfaction, qm))  # one handle per distinct formula
 
-    def fail(clause: str, la: str, lb: str, i: int, j: int) -> Verdict:
-        ce = {"kind": "connective-clause", "clause": clause,
-              "left": la, "right": lb, "classes": [i, j]}
-        return ce, {}
+    def fail(clause: str, f: Formula, *classes: int) -> Verdict:
+        """f with its free variables, in sorted order, at the classes' representatives."""
+        for var, cls in zip(sorted(free_vars(f)), classes):
+            f = subst_const(f, var, qm.representatives[cls])
+        ws = run.workspace()
+        note = f"{clause} clause at classes {list(classes)}"
+        return ws.sentence_counterexample("pa", f, ws.pa.eval(f), note), {}
 
     checked = 0
-    for (la, fa), (lb, fb) in [(a, b) for a in atoms for b in atoms]:
+    for fa, fb in [(a, b) for a in atoms for b in atoms]:
         a, b, imp, conj, disj, neg = map(sat, (fa, fb, Imp(fa, fb), And(fa, fb),
                                                Or(fa, fb), Not(fa)))
         for i in range(k):
@@ -1209,39 +1215,38 @@ def check_connective_theorem(qm: QuotientModel, overlap: Optional[tuple[int, int
                 va, vb = a(i, j), b(i, j)
                 checked += 1
                 if imp(i, j) != ((not va) or vb):
-                    return fail("implication", la, lb, i, j)
+                    return fail("implication", Imp(fa, fb), i, j)
                 if conj(i, j) != (va and vb):
-                    return fail("conjunction", la, lb, i, j)
+                    return fail("conjunction", And(fa, fb), i, j)
                 if disj(i, j) != (va or vb):
-                    return fail("disjunction", la, lb, i, j)
+                    return fail("disjunction", Or(fa, fb), i, j)
                 if not va and not neg(i, j):
-                    return fail("negation-direction", la, lb, i, j)
+                    return fail("negation-direction", Not(fa), i, j)
     details["connective_instances"] = checked
 
     # Quantifier clauses: a quantified atom is satisfied iff the class
     # sweep says so.
     quantifier_checked = 0
-    for label, f in atoms:
+    for f in atoms:
         body, forall, exists = sat(f), sat(Forall("x", f)), sat(Exists("x", f))
         for j in range(k):
             all_forall = all(body(i, j) for i in range(k))
             some_exists = any(body(i, j) for i in range(k))
             if forall(j) != all_forall:
-                return fail("universal", label, "-", j, j)
+                return fail("universal", Forall("x", f), j)
             if exists(j) != some_exists:
-                return fail("existential", label, "-", j, j)
+                return fail("existential", Exists("x", f), j)
             quantifier_checked += 2
     details["quantifier_instances"] = quantifier_checked
 
     # Tautological sample: a universally satisfied body.
     if not quotient_satisfies(qm, Forall("x", Eq(x, x)), []):
-        return fail("reflexive-universal", "x = x", "-", 0, 0)
+        return fail("reflexive-universal", Forall("x", Eq(x, x)))
 
-    # The converse of the negation clause fails at the overlap.
+    # The converse of the negation clause fails at the overlap, whose two
+    # relations read the same membership values as `sat` does.
     if overlap is not None:
         i, j = overlap
-        if not (sat(Mem(x, y))(i, j) and sat(Not(Mem(x, y)))(i, j)):
-            return {"kind": "overlap-witness-broken", "pair": [i, j]}, details
         details["negation_converse_failure"] = {
             "classes": [i, j],
             "note": "membership and its negation both satisfied",
@@ -1262,18 +1267,13 @@ def check_paraconsistent(run: Run) -> Verdict:
     alg, d = run.algebra, run.designated
     ok, falsifier = is_tautology(alg, d, EXPLOSION)
     details: dict = {"witness": falsifier}
-    expected_witness = run.profile["designated_cobounded"] and run.profile["big_designated"]
-    if expected_witness and ok:
-        ce = {"kind": "missing-witness",
-              "note": "no falsifying valuation found although one is guaranteed"}
-        return ce, details
-    if expected_witness:
+    if run.profile["designated_cobounded"] and run.profile["big_designated"]:
         mid = sorted(d - {alg.top})[0]
         guaranteed = {"p": mid, "q": alg.bottom}
         val = eval_prop(alg, guaranteed, EXPLOSION)
         if alg.resolve(val) in d:
-            ce = {"kind": "guaranteed-witness-broken", "valuation": guaranteed,
-                  "value": val}
+            ce = valuation_counterexample(EXPLOSION, guaranteed, val,
+                                          note="the guaranteed falsifier is designated")
             return ce, details
         details["guaranteed_witness"] = guaranteed
     details["explosion_valid"] = ok
@@ -1295,19 +1295,20 @@ def check_ps3_agreement(run: Run) -> Verdict:
     section = {"1": alg.top, "half": alg.intermediates()[0], "0": alg.bottom}
     agreements = 0
     for f in corpus:
-        here, _ = is_tautology(alg, d, f)
+        here, local = is_tautology(alg, d, f)
         there, falsifier = is_tautology(core, core_d, f)
-        if here != there:
-            ce = {"kind": "validity-disagreement", "formula": print_prop(f),
-                  "alg": here, "core": there}
-            return ce, {}
         if falsifier is not None:
+            # valid here but not on the core fails here too: the pullback is designated
             pulled = {v: section[e] for v, e in falsifier.items()}
             val = eval_prop(alg, pulled, f)
             if alg.resolve(val) in d:
-                ce = {"kind": "pullback-not-falsifying", "formula": print_prop(f),
-                      "core_valuation": falsifier, "pulled": pulled, "value": val}
+                ce = valuation_counterexample(
+                    f, pulled, val, note=f"pulls back the core's falsifier {falsifier}")
                 return ce, {}
+        elif not here:
+            ce = valuation_counterexample(f, local, eval_prop(alg, local, f),
+                                          note="valid on the three-valued core")
+            return ce, {}
         agreements += 1
     return None, {"corpus": len(corpus), "agreements": agreements}
 
@@ -1409,9 +1410,8 @@ CHECKS: dict[str, Check] = {
 def run_check(name: str, run: Run) -> CheckResult:
     """Run one named check and time it.  The first gate the run does not
     meet skips it with that gate's reason, and so does a resource overrun
-    (an enumeration or valuation count over its budget).  An
-    `InvariantError` fails it with an `invariant` counterexample; otherwise
-    the body's counterexample decides between fail and pass."""
+    (an enumeration or valuation count over its budget); otherwise the
+    body's counterexample decides between fail and pass."""
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}; see `check --list`")
     check = CHECKS[name]
@@ -1423,8 +1423,6 @@ def run_check(name: str, run: Run) -> CheckResult:
             counterexample, details = check.fn(run)
         except ResourceError as exc:
             reason = f"budget exceeded: {exc}"
-        except InvariantError as exc:
-            counterexample = {"kind": "invariant", "message": str(exc)}
     verdict = "skipped" if reason else "pass" if counterexample is None else "fail"
     return CheckResult(name, check.description.format(rank=run.rank_bound), verdict,
                        counterexample, reason, time.perf_counter() - t0, details)

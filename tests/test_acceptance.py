@@ -216,10 +216,11 @@ def test_13_quotient_model():
     ok &= qm.r_mem | qm.r_nmem == all_pairs
     overlap = qm.r_mem & qm.r_nmem
     ok &= (qm.class_of[0], qm.class_of[2]) in overlap
-    counterexample, connectives = check_connective_theorem(qm, min(overlap))
+    run = Run(alg, designated, rank_bound=2)
+    counterexample, connectives = check_connective_theorem(run, min(overlap))
     ok &= counterexample is None
     ok &= bool(connectives.get("negation_converse_failure"))
-    full = run_check("quotient", Run(alg, designated, rank_bound=2))
+    full = run_check("quotient", run)
     ok &= full.verdict == "pass"
     _report(13, "quotient classes, relations and connective clauses", ok,
             f"classes={k}, overlap={sorted(overlap)}")

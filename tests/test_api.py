@@ -19,6 +19,10 @@ Clause guard: Bell's atomic clauses live in `evaluate` alone, so no other
 module keeps a copy of them; a copy needs the implication table, so no
 module but `evaluate` reads `imp_t`.  `algebra` defines the table, and
 `proplogic` evaluates the propositional connectives with it.
+
+Kind guard: every dict literal with a "kind" key names one of the five
+counterexample kinds, so `replay` and the readers of records know every
+kind there is.
 """
 
 import ast
@@ -211,3 +215,31 @@ def test_clause_guard_sees_a_planted_reader(tmp_path):
         encoding="utf-8")
     assert imp_table_readers(tmp_path) == ["theorems.Fold.half",
                                            "theorems.coincidence_mismatches"]
+
+
+KINDS = {"sentence", "atomic", "valuation", "law", "missing"}
+
+
+def stray_kinds(src: Path) -> list[str]:
+    """The definitions that build a dict literal whose "kind" is not one of
+    the five counterexample kinds."""
+    def stray(node: ast.AST) -> bool:
+        return isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "kind"
+            and not (isinstance(value, ast.Constant) and value.value in KINDS)
+            for key, value in zip(node.keys, node.values))
+    return _owners(src, stray)
+
+
+def test_every_counterexample_has_one_of_five_kinds():
+    assert stray_kinds(SRC) == []
+
+
+def test_kind_guard_sees_a_sixth_kind(tmp_path):
+    (tmp_path / "theorems.py").write_text(
+        "def law_counterexample(witnesses):\n"
+        "    return {'kind': 'law', 'witnesses': witnesses}\n\n\n"
+        "def check_routes(run):\n"
+        "    return {'kind': 'route-disagreement', 'closed_form': True}, {}\n",
+        encoding="utf-8")
+    assert stray_kinds(tmp_path) == ["theorems.check_routes"]

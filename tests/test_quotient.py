@@ -173,8 +173,9 @@ class TestChecks:
 
     def test_connective_clauses(self):
         alg, d = ps3()
-        qm = Run(alg, d, rank_bound=2).quotient
-        counterexample, details = check_connective_theorem(qm, min(qm.r_mem & qm.r_nmem))
+        run = Run(alg, d, rank_bound=2)
+        qm = run.quotient
+        counterexample, details = check_connective_theorem(run, min(qm.r_mem & qm.r_nmem))
         assert counterexample is None
         failure = details["negation_converse_failure"]
         assert failure["classes"]

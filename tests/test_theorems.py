@@ -8,12 +8,12 @@ import pytest
 from click.testing import CliRunner
 from test_evaluate import stored_values
 
-from algval import theorems
+from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
-from algval.errors import InputError, InvariantError
+from algval.errors import InputError
 from algval.evaluate import EvalContext, battery
-from algval.formulas import Eq, Var, parse
+from algval.formulas import Eq, Imp, Var, parse
 from algval.theorems import (
     CHECKS,
     CheckResult,
@@ -175,30 +175,16 @@ class TestCoincidenceSweep:
         ws = Workspace(alg, d, rank_bound=2)
         bad = coincidence_mismatches(ws, limit=5)
         assert bad
-        literals = {(m["u"], m["v"]) for m in bad}
+        literals = {(m["u_literal"], m["v_literal"]) for m in bad}
         assert any("half" in u + v for u, v in literals)
+        for m in bad:
+            assert m["kind"] == "atomic" and m["note"].startswith("ba gives")
+            assert replay(alg, d, 2, m) == m["value"]
 
     def test_flattened_fold_cross_checked(self):
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=3)
         assert coincidence_mismatches(ws) == []
-
-    def test_invariant_violation_fails_its_check_only(self, monkeypatch):
-        # an InvariantError inside the sweep becomes the failing record of
-        # boolean-coincidence; the run goes on and prints every record
-        def diverged(ws, limit=1):
-            raise InvariantError("class-derived in diverged from the engine at (#3, #4)")
-
-        monkeypatch.setattr(theorems, "coincidence_mismatches", diverged)
-        r = CliRunner().invoke(cli, ["check", "all", "-a", "bool2", "--rank", "2",
-                                     "--format", "records"])
-        assert r.exit_code == 1
-        records = {rec["check"]: rec for rec in map(json.loads, r.output.splitlines())}
-        assert list(records) == list(CHECKS) and len(records) == 16
-        failed = records["boolean-coincidence"]
-        assert failed["verdict"] == "fail"
-        assert failed["counterexample"]["kind"] == "invariant"
-        assert "diverged" in failed["counterexample"]["message"]
 
     @pytest.mark.parametrize("plant", ["factor", "member_cell"])
     def test_planted_table_defect_found_on_every_pair(self, monkeypatch, plant):
@@ -247,9 +233,8 @@ def engine_mismatches(ws):
         vba, vpa = (ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
                     for ctx in (ws.ba, ws.pa))
         if vba != vpa:
-            out.append({"kind": "coincidence-mismatch", "rel": rel,
-                        "u": uni.pretty(u), "v": uni.pretty(v),
-                        "ba": alg.elements[vba], "pa": alg.elements[vpa]})
+            out.append(ws.atomic_counterexample("pa", rel, u, v, alg.elements[vpa],
+                                                note=f"ba gives {alg.elements[vba]}"))
 
     for s in (nid for nid in range(n) if uni.rank_of(nid) < ws.rank_bound):
         for v in range(n):
@@ -446,8 +431,11 @@ class TestFailurePath:
         alg, d = loads_algebra(text)
         result = run_check("algebra-laws", Run(alg, d))
         assert result.verdict == "fail"
+        assert result.counterexample["kind"] == "law"
         assert result.counterexample["laws"] == ["lattice"]
         assert result.counterexample["witnesses"]["lattice"]
+        with pytest.raises(InputError, match="'law'"):
+            replay(alg, d, 2, result.counterexample)
 
     def test_properties_matches_the_triple_loop(self):
         # Every designated set, the body called without its gate.  Both
@@ -526,6 +514,118 @@ class TestFailurePath:
                         counterexample={"kind": "sentence", "formula": "true"})
         assert '"verdict": "fail"' in r.record_line()
         assert any("counterexample" in line for line in r.text_lines())
+
+
+def forced(name, run):
+    """The counterexample of the body of check `name`, called without its
+    gates, after checking that it has the kind that `replay` reads and
+    replays to its recorded value."""
+    ce, _ = CHECKS[name].fn(run)
+    assert ce is not None and ce["kind"] in ("sentence", "atomic", "valuation"), ce
+    assert replay(run.algebra, run.designated, run.rank_bound, ce) == ce["value"]
+    return ce
+
+
+class TestFailureKinds:
+    """Each failure site of the checks below, forced by a bypassed gate or
+    a planted defect, gives a counterexample that replays."""
+
+    def test_nff_transfer_mismatch_is_the_source_sentence(self, monkeypatch):
+        # a collapse that sends every element to bottom
+        monkeypatch.setattr(theorems, "bar_values",
+                            lambda src, dst: [dst.bottom_i] * len(src.elements))
+        alg, d = builtin("chain4")
+        ce = forced("nff-transfer", Run(alg, d, rank_bound=2))
+        assert ce["kind"] == "sentence" and ce["assignment"] == "ba"
+        assert "collapses to" in ce["note"]
+
+    def test_bounded_quantification_mismatch_is_the_quantified_sentence(self, monkeypatch):
+        # the two sides are declared unequal at the last name
+        sides = theorems.bq_sides
+
+        def skewed(ctx, phi):
+            compare, last = sides(ctx, phi), len(ctx.universe) - 1
+            return lambda u: dataclasses.replace(compare(u), equal=compare(u).equal and u != last)
+        monkeypatch.setattr(theorems, "bq_sides", skewed)
+        alg, d = ps3()
+        ce = forced("bounded-quantification", Run(alg, d, rank_bound=2))
+        assert ce["kind"] == "sentence" and ce["formula"].startswith("forall x. x in #3 ->")
+        assert ce["note"].startswith("the domain-indexed meet is")
+
+    def test_coincidence_failures_replay_outside_boolean(self, monkeypatch):
+        alg, d = ps3()
+        ce = forced("boolean-coincidence", Run(alg, d, rank_bound=2))
+        assert ce["kind"] == "atomic" and ce["note"] == "ba gives 1"
+        # with the atoms declared equal, the battery tells the assignments apart
+        monkeypatch.setattr(theorems, "coincidence_mismatches", lambda ws, limit=1: [])
+        ce = forced("boolean-coincidence", Run(alg, d, rank_bound=2))
+        assert ce["kind"] == "sentence"
+
+    @pytest.mark.parametrize("designated,rel,law", [
+        ("a", "=", "equality-is-identity"), ("1", "in", "membership-covers"),
+    ])
+    def test_relation_law_is_an_atomic_pair_at_the_representatives(self, designated, rel, law):
+        alg, _ = builtin("chain3")
+        ce = forced("quotient", Run(alg, frozenset({designated}), rank_bound=2))
+        assert ce["kind"] == "atomic" and ce["rel"] == rel and ce["note"].startswith(law)
+
+    def test_distinct_classes_law_is_an_atomic_pair(self, monkeypatch):
+        # `=` at the representative of a singleton class made half, which is
+        # designated and is its own star
+        alg, d = ps3()
+        qm = Run(alg, d, rank_bound=2).quotient
+        r = next(cls[0] for cls in qm.classes if len(cls) == 1)
+        engine, half = EvalContext.equality, alg.index["half"]
+        monkeypatch.setattr(EvalContext, "equality",
+                            lambda self, u, v: half if u == v == r else engine(self, u, v))
+        ce = forced("quotient", Run(alg, d, rank_bound=2))
+        assert (ce["kind"], ce["u"], ce["v"], ce["value"]) == ("atomic", r, r, "half")
+        assert ce["note"].startswith("distinct-is-complement")
+
+    def test_no_membership_overlap_is_missing_and_does_not_replay(self, monkeypatch):
+        # half memberships read as top, so no class pair is both member and
+        # non-member
+        alg, d = ps3()
+        engine, half = EvalContext.membership, alg.index["half"]
+        monkeypatch.setattr(EvalContext, "membership", lambda self, u, v: (
+            alg.top_i if engine(self, u, v) == half else engine(self, u, v)))
+        ce, details = CHECKS["quotient"].fn(Run(alg, d, rank_bound=2))
+        assert ce["kind"] == "missing" and details["membership_overlap"] == []
+        with pytest.raises(InputError, match="'missing'"):
+            replay(alg, d, 2, ce)
+
+    def test_connective_clause_is_a_sentence_at_the_representatives(self, monkeypatch):
+        # a quotient satisfaction that negates every implication
+        sat = quotient.satisfaction
+
+        def flipped(qm, f):
+            holds = sat(qm, f)
+            return (lambda *classes: not holds(*classes)) if isinstance(f, Imp) else holds
+        monkeypatch.setattr(theorems, "satisfaction", flipped)
+        alg, d = ps3()
+        ce = forced("quotient", Run(alg, d, rank_bound=2))
+        assert ce["kind"] == "sentence" and ce["formula"] == "#0 in #0 -> #0 in #0"
+        assert ce["note"] == "implication clause at classes [0, 0]"
+
+    def test_broken_explosion_witness_is_a_valuation(self, monkeypatch):
+        # bool4 with two designated elements, declared designated cobounded:
+        # p1 /\ ~p1 is bottom, so explosion holds at the guaranteed valuation
+        alg, _ = builtin("bool4")
+        run = Run(alg, frozenset({"1", "p1"}), rank_bound=2)
+        monkeypatch.setitem(run.profile, "designated_cobounded", True)
+        ce = forced("prop-paraconsistency", run)
+        assert ce["kind"] == "valuation" and ce["valuation"] == {"p": "p1", "q": "0"}
+        assert ce["value"] == "1"
+
+    @pytest.mark.parametrize("designated,formula,valuation", [
+        (("1",), "p \\/ ~p", {"p": "a"}),  # valid on the core only
+        (("0", "a"), "p", {"p": "0"}),      # the core's falsifier pulls back designated
+    ])
+    def test_agreement_failures_are_valuations(self, designated, formula, valuation):
+        alg, _ = builtin("chain3")
+        ce = forced("prop-agreement", Run(alg, frozenset(designated), rank_bound=2))
+        assert ce["kind"] == "valuation"
+        assert (ce["formula"], ce["valuation"]) == (formula, valuation)
 
 
 class TestCompileOnce:
