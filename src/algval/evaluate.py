@@ -47,13 +47,15 @@ equality column.  A name's column is read through the clauses when the
 name is first needed, so a run that asks for few pairs reads few
 columns, and a new class extends every row held.  The sweep rows of
 enumerated names are filled from the same tables, unless both names are
-low.  Meeting u's half with v's, where the clause folds one into the
-other, is sound only for a lattice's meet: the tables are used only when
-meet and join pass `algebra.check_lattice`, whose verdict each algebra
-keeps (and, under pa, the algebra has a star table).  They are not used
-where they cannot pay: with one low name, as at rank 2, a clause reads at
-most one entry a side.  Witness names, whose domains reach the top level,
-and defective tables take the clause.  The tables cover enumerated names
+low.  Such a row reads every name's cell at one class, so the tables keep
+the cells read across the names too, one column per class
+(`ColumnClasses.column`).  Meeting u's half with v's, where the clause
+folds one into the other, is sound only for a lattice's meet: the tables
+are used only when meet and join pass `algebra.check_lattice`, whose
+verdict each algebra keeps (and, under pa, the algebra has a star table).
+They are not used where they cannot pay: with one low name, as at rank 2,
+a clause reads at most one entry a side.  Witness names, whose domains
+reach the top level, and defective tables take the clause.  The tables cover enumerated names
 only, so a run's contexts of one assignment share them across all the
 workspaces of a rank, like the store.  The class fold of
 `theorems.coincidence_mismatches` reads their cells, which keep no rows.
@@ -112,6 +114,15 @@ the life of its handle, under the universe length, the class ids of the
 rows of the first kind and the name ids of those outer variables, so a
 sweep repeated for indiscernible outer names is looked up, not run.
 `sweeps_run` and `sweeps_reused` count the two outcomes.
+
+`row(rel, u)` gives a caller the values of `u = z` or of `u in z` for
+every name z, filled by `_extend` like the sweep row of `z = u` or of
+`u in z`: from the class tables where they cover both names, else through
+the clauses.  The row is a fresh array that the context does not keep, so
+a caller that reads one name's rows at a time holds O(n) values, and
+values read from the tables do not enter the store.
+`quotient.build_quotient` reads its partition and its verdicts this way,
+where asking pair by pair would make 2n² clause calls.
 
 An equality clause stops as soon as its meet reaches bottom, but only when
 the meet table's bottom row is constant, so defective tables evaluate as
@@ -229,6 +240,7 @@ class ColumnClasses:
         self.columns: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
         self.halves: dict[int, array] = {}  # u's side of `u = v`, by class of v
         self.members: dict[int, array] = {}  # `u in v`, by class of u
+        self.across: tuple[dict[int, array], ...] = ({}, {})  # the cells by class (`column`)
 
     def class_of(self, ctx: EvalContext, rel: int, v: int) -> int:
         """The class of v's column of `x = v` or of `x in v` over the low x."""
@@ -292,6 +304,17 @@ class ColumnClasses:
             row = self.members[v] = array(
                 self.typecode, [self.member_cell(v, col) for col in self.columns[_REL_EQ]])
         return row
+
+    def column(self, rel: int, c: int, stop: int) -> array:
+        """For each name z below stop, z's half against membership class c
+        (rel `in`), or `x in z` for an x of equality class c (rel `=`)."""
+        col = self.across[rel].get(c)
+        if col is None:
+            col = self.across[rel][c] = array(self.typecode)
+        if len(col) < stop:
+            cell = self.half if rel == _REL_MEM else self.member
+            col.extend([cell(z)[c] for z in range(len(col), stop)])
+        return col
 
     def equality(self, ctx: EvalContext, u: int, v: int) -> int:
         ids = self.ids[_REL_MEM]
@@ -460,13 +483,14 @@ class EvalContext:
                 mt = cc.member(t)
                 row.extend([mt[c] for c in cs])
             elif rel == _REL_MEM:  # t in z
-                c, member = cc.class_of(self, _REL_EQ, t), cc.member
-                row.extend([member(z)[c] for z in zs])
+                c = cc.class_of(self, _REL_EQ, t)
+                row.extend(cc.column(_REL_EQ, c, zs.stop)[zs.start:zs.stop])
             else:  # z = t
                 cs = cc.classes(self, _REL_MEM, zs.start, zs.stop)
                 c = cc.class_of(self, _REL_MEM, t)
-                meet, half, ht = self._meet, cc.half, cc.half(t)
-                row.extend([meet[half(z)[c]][ht[cz]] for z, cz in zip(zs, cs)])
+                meet, ht = self._meet, cc.half(t)
+                hz = cc.column(_REL_MEM, c, zs.stop)[zs.start:zs.stop]
+                row.extend([meet[a][ht[cz]] for a, cz in zip(hz, cs)])
         self._fill(row, rel, side, t, n)
 
     def _fill(self, row: array, rel: int, side: int, t: int, n: int) -> None:
@@ -506,6 +530,16 @@ class EvalContext:
                 cid = row_class[key] = classes.setdefault(row.tobytes(), len(classes))
             ids.append(cid)
         return n, ids
+
+    def row(self, rel: str, u: int) -> array:
+        """`u = z` (rel '=') or `u in z` (rel 'in') for every name z, in a
+        fresh array filled as a sweep row is; the context keeps no copy."""
+        if rel not in ("=", "in"):
+            raise InputError(f"unknown atomic relation {rel!r}")
+        out = array(self._typecode)
+        key = (_REL_EQ, _Z_LEFT, u) if rel == "=" else (_REL_MEM, _Z_RIGHT, u)
+        self._extend(out, *key, len(self.universe.names))
+        return out
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""

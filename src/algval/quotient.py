@@ -9,7 +9,9 @@ member and non-member.  Equal/distinct partition the class pairs; member
 and non-member cover all class pairs and may overlap, which is exactly the
 paraconsistent signature of these models.  `build_quotient` checks on
 every pair of names that the partition is well defined, and names the
-law that a failing pair breaks.
+law that a failing pair breaks.  It reads the values of each name against
+every other as two rows of the engine (`EvalContext.row`), three row reads
+per name in all, not 2n² calls of one atomic value each.
 """
 
 from __future__ import annotations
@@ -52,36 +54,37 @@ def build_quotient(ctx: EvalContext) -> QuotientModel:
     """Partition the universe by designated pa equality and materialize the
     four class relations.
 
-    A name in no earlier class opens one with the later names whose pa
-    equality with it is top, and represents it.  Pa equality off the
-    diagonal must be top or bottom, and the four relation verdicts at each
-    pair those at the representatives.  The first pair that breaks this
-    raises `QuotientDefect` naming the law: "not two-valued", or
-    "transitivity", "member substitution" or "container substitution" via
-    #w, the name equal to one of the pair with the other verdict ("of the
-    negation" when only the negated relation's verdict differs).
+    Each name's values are read a row at a time (`EvalContext.row`): its
+    `=` row, `u = z` for every z, and its `in` row, `u in z`.  A first pass
+    over the `=` rows in id order builds the partition: a name in no
+    earlier class opens one with the later names whose pa equality with it
+    is top, and represents it.  Pa equality off the diagonal must be top or
+    bottom.  A second pass reads both rows of each name, class by class,
+    and the four relation verdicts at each pair must be those at the
+    representatives.  The first pair that breaks this raises
+    `QuotientDefect` naming the law: "not two-valued", or "transitivity",
+    "member substitution" or "container substitution" via #w, the name
+    equal to one of the pair with the other verdict ("of the negation"
+    when only the negated relation's verdict differs).
     """
     if ctx.assignment != "pa":
         raise InputError("quotients are built over the pa assignment")
     alg = ctx.algebra
     n = len(ctx.universe.names)
-    two_values = (alg.top_i, alg.bottom_i)
-    eq, mem = ctx.equality, ctx.membership
+    top, two_values = alg.top_i, {alg.top_i, alg.bottom_i}
     classes: list[list[int]] = []
     class_of: dict[int, int] = {}
     for u in range(n):
-        opens = u not in class_of
-        if opens:
-            class_of[u] = len(classes)
-            classes.append([u])
-        for v in range(u + 1, n):
-            val = eq(u, v)
-            if val not in two_values:
-                raise QuotientDefect("=", u, v, "not two-valued")
+        row = ctx.row("=", u)
+        if not two_values.issuperset(row[u + 1:]):
+            v = next(v for v in range(u + 1, n) if row[v] not in two_values)
+            raise QuotientDefect("=", u, v, "not two-valued")
+        if u not in class_of:
             # a name already in a class stays there; the verdicts show the break
-            if opens and val == alg.top_i and v not in class_of:
-                class_of[v] = class_of[u]
-                classes[-1].append(v)
+            cls = [u] + [v for v in range(u + 1, n) if row[v] == top and v not in class_of]
+            for v in cls:
+                class_of[v] = len(classes)
+            classes.append(cls)
     reps = [cls[0] for cls in classes]
     qm = QuotientModel(ctx, classes, class_of, reps)
 
@@ -93,9 +96,7 @@ def build_quotient(ctx: EvalContext) -> QuotientModel:
     code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
 
     def verdicts(u: int) -> list[int]:
-        us = itertools.repeat(u)
-        return [code[e] + 4 * code[m]
-                for e, m in zip(map(eq, us, range(n)), map(mem, us, range(n)))]
+        return [code[e] + 4 * code[m] for e, m in zip(ctx.row("=", u), ctx.row("in", u))]
 
     # Well-definedness, class by class: each name's verdicts are its
     # representative's (the left name moves, position 0), and each verdict

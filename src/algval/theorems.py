@@ -383,20 +383,6 @@ def is_boolean(algebra: Algebra) -> bool:
     return True
 
 
-def _sweep_base(ws: Workspace, cap: int = 24) -> list[int]:
-    """Names to sweep: everything when small, else the low ranks plus an
-    evenly strided sample of the rest."""
-    if ws.enumerated <= cap:
-        return list(range(ws.enumerated))
-    low = [nid for nid in range(ws.enumerated) if ws.universe.rank_of(nid) <= 2]
-    rest = [nid for nid in range(ws.enumerated) if ws.universe.rank_of(nid) > 2]
-    want = max(cap - len(low), 0)
-    if want and rest:
-        stride = max(len(rest) // want, 1)
-        low.extend(rest[::stride][:want])
-    return sorted(set(low))
-
-
 def _first_intermediate(algebra: Algebra) -> Optional[str]:
     mids = algebra.intermediates()
     return mids[0] if mids else None
@@ -463,67 +449,59 @@ def check_two_valued(run: Run) -> Verdict:
     return None, {"names": n, "pairs": n * (n + 1) // 2}
 
 
-def _characteristic_equality(uni: Universe, designated_i: frozenset[int],
-                             top_i: int, memo: bytearray, u: int, v: int) -> bool:
-    """Entry-matching equality criterion, computed by its own recursion.
+def entry_classes(universe: Universe, designated_i: frozenset[int],
+                  top_i: int) -> list[int]:
+    """The class of each name under the entry-matching criterion, in one
+    pass over the names in id order; it never consults the engine.
 
-    Designated entries of either name must be matched by designated entries
-    of the other with equal keys, and top entries by top entries; this is
-    the combinatorial mirror of the pa equality clause and never consults
-    the valuation engine.  `memo` holds one byte per pair of the n names,
-    at min * n + max: 0 while unknown, 1 for false, 2 for true.
+    The criterion relates u and v when every designated entry of either
+    is matched by a designated entry of the other with a related key, and
+    every top entry by a top entry.  A name's class is read off its key:
+    the set of the classes of its designated entry keys, and that of its
+    top entry keys.  Entry keys have lower ids than the name, so their
+    classes are known when it is reached.  Related names are exactly
+    those of one class, by induction on rank(u) + rank(v): the keys of
+    u's and v's entries have lower ranks, so, by the hypothesis, each is
+    related to another key iff the two share a class.  So "every
+    designated entry of u is matched by a designated entry of v" says that
+    u's designated classes are among v's, the converse says the reverse
+    inclusion, and likewise for the top entries: u and v are related iff
+    their keys are equal.
     """
-    if u > v:
-        u, v = v, u
-    key = u * len(uni.names) + v
-    hit = memo[key]
-    if hit:
-        return hit == 2
-    names = uni.names
-
-    def matched(src: int, dst: int) -> bool:
-        for x, ux in names[src].entries:
-            if ux in designated_i:
-                if not any(
-                    vy in designated_i
-                    and _characteristic_equality(uni, designated_i, top_i, memo, x, y)
-                    for y, vy in names[dst].entries
-                ):
-                    return False
-            if ux == top_i:
-                if not any(
-                    vy == top_i
-                    and _characteristic_equality(uni, designated_i, top_i, memo, x, y)
-                    for y, vy in names[dst].entries
-                ):
-                    return False
-        return True
-
-    out = matched(u, v) and matched(v, u)
-    memo[key] = 2 if out else 1
+    ids: dict[tuple[frozenset[int], frozenset[int]], int] = {}
+    out: list[int] = []
+    for name in universe.names:
+        key = (frozenset(out[x] for x, a in name.entries if a in designated_i),
+               frozenset(out[x] for x, a in name.entries if a == top_i))
+        out.append(ids.setdefault(key, len(ids)))
     return out
 
 
 def check_equality_characterization(run: Run) -> Verdict:
-    """Recursive pa equality agrees with the entry-matching criterion."""
+    """Pa equality is designated exactly on the pairs that the
+    entry-matching criterion relates.
+
+    The criterion is one partition of the names (`entry_classes`); the
+    engine is asked `u = v` for every pair u <= v, in order, so it reads
+    the store that `two-valued` filled.
+    """
     ws = run.workspace()
     ctx = ws.pa
     d_i = ctx.designated_i
     n = len(ws.universe)
-    memo = bytearray(n * n)
-    checked = 0
+    classes = entry_classes(ws.universe, d_i, run.algebra.top_i)
+    eq = ctx.equality
     for u in range(n):
+        cu = classes[u]
         for v in range(u, n):
-            recursive = ctx.equality(u, v) in d_i
-            combinatorial = _characteristic_equality(
-                ws.universe, d_i, run.algebra.top_i, memo, u, v)
-            checked += 1
+            recursive = eq(u, v) in d_i
+            combinatorial = classes[v] == cu
             if recursive != combinatorial:
                 ce = ws.atomic_counterexample(
                     "pa", "=", u, v, ctx.atomic("=", u, v),
                     note=f"criterion says {combinatorial}")
                 return ce, {}
-    return None, {"pairs": checked}
+    return None, {"pairs": n * (n + 1) // 2}
 
 
 def check_extensionality_contrast(run: Run) -> Verdict:
@@ -612,9 +590,19 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
     top = alg.top_i
     details: dict = {}
     # Quantified instances cost at least a universe sweep each, and several
-    # axioms nest sweeps; shrink the instance base on big universes.
+    # axioms nest sweeps; past 24 names (8 on big universes) the instance
+    # base is the names of rank up to 2 plus an evenly strided sample of
+    # the rest.
     big = ws.enumerated > 64
-    base = _sweep_base(ws, cap=8 if big else 24)
+    cap = 8 if big else 24
+    base = list(range(ws.enumerated))
+    if len(base) > cap:
+        low = [nid for nid in base if ws.universe.rank_of(nid) <= 2]
+        rest = [nid for nid in base if ws.universe.rank_of(nid) > 2]
+        want = max(cap - len(low), 0)
+        if want and rest:
+            low += rest[::max(len(rest) // want, 1)][:want]
+        base = sorted(low)
     details["sweep_base"] = len(base)
 
     axiom = instantiate_axiom("ExtensionalityBar")
@@ -1009,16 +997,13 @@ def check_leibniz(run: Run) -> Verdict:
 
 
 def check_bounded_quantification(run: Run) -> Verdict:
-    """The domain-indexed form of a bounded universal matches the quantifier."""
+    """The domain-indexed form of a bounded universal matches the
+    quantifier, for every enumerated name and battery formula."""
     ws = run.workspace()
     ctx = ws.pa
-    big = ws.enumerated > 64
-    names = _sweep_base(ws) if big else list(range(ws.enumerated))
-    forms = [(label, phi) for label, phi in battery(ws.universe)
-             if not (big and _quantifier_depth(phi) > 1)]
-    sides = [(phi, bq_sides(ctx, phi)) for _, phi in forms]
+    sides = [(phi, bq_sides(ctx, phi)) for _, phi in battery(ws.universe)]
     checked = 0
-    for u in names:
+    for u in range(ws.enumerated):
         for phi, compare in sides:
             res = compare(u)
             checked += 1
@@ -1028,10 +1013,7 @@ def check_bounded_quantification(run: Run) -> Verdict:
                     "pa", sentence, res.quantified,
                     note=f"the domain-indexed meet is {res.domain_indexed}")
                 return ce, {}
-    details = {"instances": checked}
-    if big:
-        details["sampled_names"] = len(names)
-    return None, details
+    return None, {"instances": checked}
 
 
 # -- boolean coincidence ---------------------------------------------------------------

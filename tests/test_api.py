@@ -20,6 +20,11 @@ module keeps a copy of them; a copy needs the implication table, so no
 module but `evaluate` reads `imp_t`.  `algebra` defines the table, and
 `proplogic` evaluates the propositional connectives with it.
 
+Row guard: the sweep rows are filled in `evaluate` alone, so no other
+module reads `_extend`, `_fill` or `_rows`; a caller that needs a name's
+values against every name asks `EvalContext.row`, which fills its row the
+same way.
+
 Kind guard: every dict literal with a "kind" key names one of the five
 counterexample kinds, so `replay` and the readers of records know every
 kind there is.
@@ -215,6 +220,35 @@ def test_clause_guard_sees_a_planted_reader(tmp_path):
         encoding="utf-8")
     assert imp_table_readers(tmp_path) == ["theorems.Fold.half",
                                            "theorems.coincidence_mismatches"]
+
+
+ROW_INTERNALS = {"_extend", "_fill", "_rows"}
+
+
+def row_internal_readers(src: Path) -> list[str]:
+    """The definitions outside `evaluate` that read a sweep row internal."""
+    return _owners(src, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in ROW_INTERNALS, skip=frozenset({"evaluate"}))
+
+
+def test_only_the_engine_fills_rows():
+    assert row_internal_readers(SRC) == []
+
+
+def test_row_guard_sees_a_planted_reader(tmp_path):
+    (tmp_path / "evaluate.py").write_text(
+        "class EvalContext:\n"
+        "    def row(self, key, n):\n"
+        "        return self._extend(self._rows[key], *key, n)\n",
+        encoding="utf-8")
+    (tmp_path / "quotient.py").write_text(
+        "def build_quotient(ctx):\n"
+        "    out = []\n"
+        "    ctx._fill(out, 0, 0, 1, 4)\n"
+        "    return out\n\n\n"
+        "CACHED = len(EvalContext._rows)\n",
+        encoding="utf-8")
+    assert row_internal_readers(tmp_path) == ["quotient", "quotient.build_quotient"]
 
 
 KINDS = {"sentence", "atomic", "valuation", "law", "missing"}

@@ -726,6 +726,64 @@ def test_a_meet_that_is_no_lattice_s_keeps_the_clauses(assignment):
     assert_clauses_match_reference(ctx)
 
 
+def patch_atoms(monkeypatch, rel, change, at):
+    """Make the value of rel ('=' or 'in') at each pair (u, v) where
+    at(u, v) holds `change(ctx, value)`, both where the engine asks the
+    clause (`EvalContext.equality` or `membership`) and in
+    `EvalContext.row`, whose rows may come from the class tables instead.
+    For '=', `at` must hold at (v, u) wherever it holds at (u, v)."""
+    name = "equality" if rel == "=" else "membership"
+    clause, row = getattr(EvalContext, name), EvalContext.row
+
+    def patched(self, u, v):
+        value = clause(self, u, v)
+        return change(self, value) if at(u, v) else value
+
+    def patched_row(self, r, u):
+        out = row(self, r, u)
+        if r == rel:
+            for z in range(len(out)):
+                if at(u, z):
+                    out[z] = change(self, clause(self, u, z))
+        return out
+
+    monkeypatch.setattr(EvalContext, name, patched)
+    monkeypatch.setattr(EvalContext, "row", patched_row)
+
+
+def row_universes():
+    """(algebra, designated, universe, whether the class tables cover it):
+    ps3 and chain3 at rank 3, where the rows of the enumerated names come
+    from the tables; a rank-2 universe grown by witness names; and a
+    skewed meet, where the tables stay off."""
+    for name in ("ps3", "chain3"):
+        alg, d = builtin(name)
+        yield alg, d, build_universe(alg, 3), True
+    alg, d = ps3()
+    ws = Workspace(alg, d, rank_bound=2)
+    ws.numerals(3)
+    ws.insert({nid: alg.index["half"] for nid in range(len(ws.universe))})
+    yield alg, d, ws.universe, False
+    alg, d = _skewed_meet_ps3()
+    yield alg, d, covered_universe(alg, 3), False
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_rows_match_the_clauses_on_every_pair(assignment):
+    for alg, d, uni, tables in row_universes():
+        ctx = EvalContext(uni, d, assignment)
+        assert (ctx._columns.n > 0) == tables, alg.name
+        for u in uni.ids():
+            eq_row, in_row = ctx.row("=", u), ctx.row("in", u)
+            assert len(eq_row) == len(in_row) == len(uni)
+            for z in uni.ids():
+                assert eq_row[z] == ctx.equality(u, z), (alg.name, "=", u, z)
+                assert in_row[z] == ctx.membership(u, z), (alg.name, "in", u, z)
+        assert not ctx._rows  # a context keeps no row it hands out
+    with pytest.raises(InputError, match="relation"):
+        ctx.row("<", 0)
+
+
 def stored_values(memo):
     """Every value set in an atomic store, as ((rel, u, v), value), with
     u <= v for `=`."""

@@ -1,4 +1,5 @@
 import pytest
+from test_evaluate import patch_atoms
 
 from algval.algebra import boolean_algebra, builtin, ps3
 from algval.errors import InputError, InvariantError
@@ -72,6 +73,24 @@ class TestBuild:
         with pytest.raises(InvariantError, match="two-valued"):
             build_quotient(EvalContext(uni, d, "pa"))
 
+    def test_asks_no_pair_of_two_top_level_names_on_ps3_rank3(self, monkeypatch):
+        # the partition and the verdicts are read as rows, which the class
+        # tables fill, so the engine is asked no pair of two top-rank names
+        ctx = pa_context("ps3", 3)
+        uni = ctx.universe
+        low = sum(uni.rank_of(nid) < 3 for nid in uni.ids())
+        calls = []
+        for name in ("equality", "membership"):
+            engine = getattr(EvalContext, name)
+
+            def counted(self, u, v, engine=engine):
+                if min(u, v) >= low:
+                    calls.append((u, v))
+                return engine(self, u, v)
+            monkeypatch.setattr(EvalContext, name, counted)
+        assert len(build_quotient(ctx)) == 27
+        assert calls == []
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_one_wrong_membership_off_the_representatives_is_caught(
             self, monkeypatch, rank):
@@ -84,15 +103,9 @@ class TestBuild:
         u = max(nid for nid in range(len(uni)) if nid not in reps)
         assert uni.rank_of(u) == rank
         alg, d = ctx.algebra, ctx.designated_i
-        engine = EvalContext.membership
-
-        def flipped(self, a, b):
-            value = engine(self, a, b)
-            if (a, b) != (u, 0):
-                return value
-            return alg.bottom_i if value in d else alg.top_i
-
-        monkeypatch.setattr(EvalContext, "membership", flipped)
+        patch_atoms(monkeypatch, "in",
+                    lambda _, value: alg.bottom_i if value in d else alg.top_i,
+                    lambda a, b: (a, b) == (u, 0))
         with pytest.raises(InvariantError, match="representatives"):
             build_quotient(ctx)
 

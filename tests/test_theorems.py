@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from test_evaluate import stored_values
+from test_evaluate import patch_atoms, stored_values
 
 from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
@@ -372,23 +373,44 @@ def properties_by_triples(run):
     return "pass", None
 
 
+def characteristic_by_pairs(uni, designated_i, top_i):
+    """The entry-matching criterion by its own recursion, pair by pair:
+    related(u, v) when every designated entry of either name is matched by
+    a designated entry of the other with a related key, and every top entry
+    by a top entry."""
+    names = uni.names
+
+    def matched(src, dst):
+        for x, ux in names[src].entries:
+            if ux in designated_i and not any(
+                    vy in designated_i and related(x, y) for y, vy in names[dst].entries):
+                return False
+            if ux == top_i and not any(
+                    vy == top_i and related(x, y) for y, vy in names[dst].entries):
+                return False
+        return True
+
+    @functools.cache
+    def related(u, v):
+        return matched(u, v) and matched(v, u)
+    return related
+
+
 ENGINE_LAWS = ("reflexivity", "designated entry not a member")
 
 
 def flip(monkeypatch, clause, a, b):
     """Make the `clause` value ("equality" or "membership") at (a, b) change
-    sides of the designated set: bottom when it was designated, else top.
-    Equality is symmetric, so its flip holds at (b, a) too."""
-    engine = getattr(EvalContext, clause)
+    sides of the designated set: bottom when it was designated, else top,
+    in the clause and in the rows.  Equality is symmetric, so its flip
+    holds at (b, a) too."""
     pairs = {(a, b), (b, a)} if clause == "equality" else {(a, b)}
 
-    def flipped(self, u, v):
-        value = engine(self, u, v)
-        if (u, v) not in pairs:
-            return value
-        return self.algebra.bottom_i if value in self.designated_i else self.algebra.top_i
+    def flipped(ctx, value):
+        return ctx.algebra.bottom_i if value in ctx.designated_i else ctx.algebra.top_i
 
-    monkeypatch.setattr(EvalContext, clause, flipped)
+    patch_atoms(monkeypatch, "=" if clause == "equality" else "in", flipped,
+                lambda u, v: (u, v) in pairs)
 
 
 def planted_defects(rank):
@@ -575,9 +597,8 @@ class TestFailureKinds:
         alg, d = ps3()
         qm = Run(alg, d, rank_bound=2).quotient
         r = next(cls[0] for cls in qm.classes if len(cls) == 1)
-        engine, half = EvalContext.equality, alg.index["half"]
-        monkeypatch.setattr(EvalContext, "equality",
-                            lambda self, u, v: half if u == v == r else engine(self, u, v))
+        half = alg.index["half"]
+        patch_atoms(monkeypatch, "=", lambda _, value: half, lambda u, v: u == v == r)
         ce = forced("quotient", Run(alg, d, rank_bound=2))
         assert (ce["kind"], ce["u"], ce["v"], ce["value"]) == ("atomic", r, r, "half")
         assert ce["note"].startswith("distinct-is-complement")
@@ -586,9 +607,9 @@ class TestFailureKinds:
         # half memberships read as top, so no class pair is both member and
         # non-member
         alg, d = ps3()
-        engine, half = EvalContext.membership, alg.index["half"]
-        monkeypatch.setattr(EvalContext, "membership", lambda self, u, v: (
-            alg.top_i if engine(self, u, v) == half else engine(self, u, v)))
+        half = alg.index["half"]
+        patch_atoms(monkeypatch, "in", lambda _, value: alg.top_i if value == half else value,
+                    lambda u, v: True)
         ce, details = CHECKS["quotient"].fn(Run(alg, d, rank_bound=2))
         assert ce["kind"] == "missing" and details["membership_overlap"] == []
         with pytest.raises(InputError, match="'missing'"):
@@ -626,6 +647,56 @@ class TestFailureKinds:
         ce = forced("prop-agreement", Run(alg, frozenset(designated), rank_bound=2))
         assert ce["kind"] == "valuation"
         assert (ce["formula"], ce["valuation"]) == (formula, valuation)
+
+
+def criterion_universes():
+    """(algebra, designated set, universe): every builtin at rank 2 under
+    each of its designated sets, ps3 and chain3 at rank 3, and rank-2
+    universes grown by witness names."""
+    for name in BUILTIN_NAMES:
+        alg, _ = builtin(name)
+        uni = Workspace(alg, alg.elements, rank_bound=2).universe
+        for r in range(1, len(alg.elements) + 1):
+            for des in itertools.combinations(alg.elements, r):
+                yield alg, frozenset(des), uni
+    for name in ("ps3", "chain3"):
+        alg, d = builtin(name)
+        yield alg, d, Workspace(alg, d, rank_bound=3).universe
+    for name in ("ps3", "chain4"):
+        alg, d = builtin(name)
+        ws = Workspace(alg, d, rank_bound=2)
+        nums = ws.numerals(3)
+        for a in range(len(alg.elements)):
+            for b in range(len(alg.elements)):
+                ws.insert({nums[1]: a, nums[2]: b})
+                ws.insert({0: a, nums[3]: b})
+        yield alg, d, ws.universe
+
+
+class TestEqualityCriterion:
+    def test_partition_matches_the_pairwise_recursion(self):
+        for alg, d, uni in criterion_universes():
+            d_i = frozenset(alg.index[x] for x in d)
+            classes = theorems.entry_classes(uni, d_i, alg.top_i)
+            related = characteristic_by_pairs(uni, d_i, alg.top_i)
+            for u in uni.ids():
+                for v in uni.ids():
+                    assert (classes[u] == classes[v]) == related(u, v), (alg.name, d, u, v)
+
+    def test_a_key_without_the_top_entries_fails_with_a_replayable_pair(self, monkeypatch):
+        # {#0: half} and {#0: 1} have the same designated entries, but pa
+        # equality tells them apart
+        def designated_only(universe, designated_i, top_i):
+            ids, out = {}, []
+            for name in universe.names:
+                key = frozenset(out[x] for x, a in name.entries if a in designated_i)
+                out.append(ids.setdefault(key, len(ids)))
+            return out
+        monkeypatch.setattr(theorems, "entry_classes", designated_only)
+        alg, d = ps3()
+        ce = forced("equality-characterization", Run(alg, d, rank_bound=2))
+        assert (ce["kind"], ce["rel"], ce["value"]) == ("atomic", "=", "0")
+        assert ce["note"] == "criterion says True"
 
 
 class TestCompileOnce:
