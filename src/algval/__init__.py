@@ -31,9 +31,10 @@ from .errors import (
     InvariantError,
     ResourceError,
 )
-from .evaluate import BqResult, EvalContext, battery, bq_sides, nff_battery
+from .evaluate import BqResult, EvalContext, bq_sides
 from .formulas import (
     Formula,
+    battery,
     enumerate_formulas,
     instantiate_axiom,
     is_negation_free,

@@ -144,8 +144,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .algebra import Algebra, is_bounded_lattice
 from .errors import CapabilityError, InputError
 from .formulas import (
-    And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term,
-    Top, Var, children, enumerate_formulas, instantiate_axiom, print_formula,
+    And, Bot, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term, Top, Var, children,
 )
 from .universe import Universe
 
@@ -766,80 +765,3 @@ def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
             acc = meet[acc][imp[ux][indexed(x)]]
         return BqResult(es[q], es[acc], q == acc)
     return compare
-
-
-# -- formula batteries --------------------------------------------------------------
-
-
-def battery(universe: Universe, t_ids: Optional[Iterable[int]] = None
-            ) -> list[tuple[str, Formula]]:
-    """The fixed one-free-variable formula battery used by the property sweeps.
-
-    Contains, for each t in a small name sample: x = t, t in x, x in t,
-    ~(x in t) and (x in t) -> false; plus the t-independent members
-    exists m (m in x), forall m (m in x -> m = m), one nested-quantifier
-    formula and ~exists m (m in x).  Binder names steer clear of the axiom
-    schemas' slot variables so battery members can fill parameter slots.
-    """
-    if t_ids is None:
-        t_ids = range(min(4, len(universe.names)))
-    x = Var("x")
-    m, n = Var("m"), Var("n")
-    forms: list[tuple[str, Formula]] = []
-    for t in t_ids:
-        c = Const(t)
-        forms.append((f"x = #{t}", Eq(x, c)))
-        forms.append((f"#{t} in x", Mem(c, x)))
-        forms.append((f"x in #{t}", Mem(x, c)))
-        forms.append((f"~(x in #{t})", Not(Mem(x, c))))
-        forms.append((f"(x in #{t}) -> false", Imp(Mem(x, c), Bot())))
-    forms.append(("exists m (m in x)", Exists("m", Mem(m, x))))
-    forms.append(("forall m (m in x -> m = m)",
-                  Forall("m", Imp(Mem(m, x), Eq(m, m)))))
-    forms.append(("exists m forall n (n in m -> n in x)",
-                  Exists("m", Forall("n", Imp(Mem(n, m), Mem(n, x))))))
-    forms.append(("~exists m (m in x)", Not(Exists("m", Mem(m, x)))))
-    return forms
-
-
-def two_var_battery() -> list[tuple[str, Formula]]:
-    """Two-free-variable formulas (in y and z) for the collection sweeps."""
-    y, z = Var("y"), Var("z")
-    return [
-        ("y in z", Mem(y, z)),
-        ("y = z", Eq(y, z)),
-        ("z in y", Mem(z, y)),
-        ("(y in z) -> false", Imp(Mem(y, z), Bot())),
-    ]
-
-
-def nff_battery(universe: Universe) -> list[tuple[str, Formula]]:
-    """Closed negation-free sentences, with name constants from the first
-    (at most four) names of the universe: a fixed list, then `forall x. B`
-    and `exists x. B` for every negation-free B of at most 3 nodes over
-    `x in #c`, `#c in x` and `x = #c`, c the last of those names."""
-    sample = list(range(min(4, len(universe.names))))
-    out: list[tuple[str, Formula]] = []
-    e = sample[0]
-    out.append((f"#{e} = #{e}", Eq(Const(e), Const(e))))
-    for c in sample:
-        out.append((f"exists x (x in #{c})", Exists("x", Mem(Var("x"), Const(c)))))
-    c = sample[-1]
-    out.append((f"forall x (x in #{c} -> x = #{c})",
-                Forall("x", Imp(Mem(Var("x"), Const(c)), Eq(Var("x"), Const(c))))))
-    out.append(("exists x exists y (x in y)",
-                Exists("x", Exists("y", Mem(Var("x"), Var("y"))))))
-    out.append(("forall x exists y (x in y)",
-                Forall("x", Exists("y", Mem(Var("x"), Var("y"))))))
-    out.append(("Extensionality", instantiate_axiom("Extensionality")))
-    out.append(("Pairing", instantiate_axiom("Pairing")))
-    out.append(("Union", instantiate_axiom("Union")))
-    out.append(("PowerSet", instantiate_axiom("PowerSet")))
-    out.append(("Separation[z = z]",
-                instantiate_axiom("Separation", Eq(Var("z"), Var("z")))))
-    x, k = Var("x"), Const(c)
-    for body in enumerate_formulas((Mem(x, k), Mem(k, x), Eq(x, k)), 3, negation=False):
-        for quantifier in (Forall, Exists):
-            f = quantifier("x", body)
-            out.append((print_formula(f), f))
-    return out

@@ -18,8 +18,9 @@ The propositional formulas of `proplogic` share the connective nodes and
 the parser: `_Parser` reads the connectives and hands everything else to
 an atom rule, which here reads quantifiers and `term (=|in) term`, and in
 `proplogic` a bare variable.  For the same reason `enumerate_formulas`
-builds formulas of either language from the atoms it is given; checks
-sweep its lists instead of sampling instances.
+builds formulas of either language from the atoms it is given.  Every
+formula list a check sweeps comes from it through `battery`, and the
+propositional corpus straight from it; no check samples instances.
 """
 
 from __future__ import annotations
@@ -187,6 +188,31 @@ def enumerate_formulas(atoms: Sequence, max_nodes: int, negation: bool) -> list:
                 level += [op(a, b) for a in by_size[left] for b in by_size[size - 1 - left]]
         by_size.append(level)
     return [f for level in by_size[:max_nodes + 1] for f in level]
+
+
+def battery(variables: Sequence[str], constants: Sequence[int], max_nodes: int,
+            negation: bool, bounded: int = 0) -> list[tuple[str, Formula]]:
+    """The formula list a check sweeps: every formula of at most
+    `max_nodes` nodes over the atoms in `variables`, in `enumerate_formulas`
+    order, each with its `print_formula` label.
+
+    The terms are the variables followed by `#c` for each constant; for
+    each pair of distinct terms s before t with s a variable, the atoms are
+    `s in t`, `s = t` and `t in s`.  With `bounded` = k > 0 the list goes
+    on with `exists m (m in v /\\ B)`, v the first variable, for each B of
+    at most k nodes over the atoms with m as the one variable.
+    """
+    def atoms(names: Sequence[str]) -> list:
+        terms = [Var(v) for v in names] + [Const(c) for c in constants]
+        return [a for i, s in enumerate(terms[:len(names)]) for t in terms[i + 1:]
+                for a in (Mem(s, t), Eq(s, t), Mem(t, s))]
+
+    forms = enumerate_formulas(atoms(variables), max_nodes, negation)
+    if bounded:
+        m, v = Var("m"), Var(variables[0])
+        forms += [Exists("m", And(Mem(m, v), b))
+                  for b in enumerate_formulas(atoms(("m",)), bounded, negation)]
+    return [(print_formula(f), f) for f in forms]
 
 
 def rename_var(f: Formula, old: str, new: str) -> Formula:

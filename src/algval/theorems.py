@@ -37,7 +37,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Algebra, check_cobounded, check_drim, check_filter, check_lattice,
@@ -45,13 +45,12 @@ from .algebra import (
 )
 from .errors import InputError, ResourceError
 from .evaluate import (
-    ASSIGNMENTS, ColumnClasses, EvalContext, Memo, battery, bq_sides, forget_names,
-    nff_battery, two_var_battery,
+    ASSIGNMENTS, ColumnClasses, EvalContext, Memo, bq_sides, forget_names,
 )
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
-    children, enumerate_formulas, free_vars, iff, instantiate_axiom, is_negation_free,
-    map_terms, parse, print_formula, subst_const,
+    battery, children, enumerate_formulas, free_vars, iff, instantiate_axiom,
+    is_negation_free, map_terms, parse, print_formula, subst_const,
 )
 from .proplogic import (
     EXPLOSION, PropFormula, PVar, eval_prop, is_tautology, parse_prop, print_prop,
@@ -393,6 +392,40 @@ def _first_intermediate(algebra: Algebra) -> Optional[str]:
 Verdict = tuple[Optional[dict], dict]
 
 
+# -- formula batteries ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Battery:
+    """The arguments of `formulas.battery` for one kind of caller; a check
+    passes the name constants."""
+
+    variables: tuple[str, ...]
+    max_nodes: int
+    negation: bool
+    bounded: int = 0
+
+    def read(self, constants: Sequence[int]) -> tuple[list[tuple[str, Formula]], dict]:
+        """The formulas, and the record's declaration of them."""
+        forms = battery(self.variables, constants, self.max_nodes, self.negation, self.bounded)
+        return forms, {"formulas": len(forms), "max_nodes": self.max_nodes,
+                       "negation": self.negation, "bounded": self.bounded}
+
+
+# leibniz, bounded-quantification, boolean-coincidence's sentences and
+# Foundation, over the first four names (`first_names`): 36 formulas.
+ONE_VARIABLE = Battery(("x",), 2, negation=True, bounded=1)
+# Collection's parameters: the 3 atoms in y and z.
+COLLECTION = Battery(("y", "z"), 1, negation=True)
+# nff-transfer's bodies, over one name: 30 formulas, each under both quantifiers.
+NEGATION_FREE = Battery(("x",), 3, negation=False)
+
+
+def first_names(ws: Workspace) -> range:
+    """The name constants of the one-variable battery."""
+    return range(min(4, ws.enumerated))
+
+
 # -- algebra-level checks ------------------------------------------------------------
 
 
@@ -593,8 +626,7 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
     # axioms nest sweeps; past 24 names (8 on big universes) the instance
     # base is the names of rank up to 2 plus an evenly strided sample of
     # the rest.
-    big = ws.enumerated > 64
-    cap = 8 if big else 24
+    cap = 8 if ws.enumerated > 64 else 24
     base = list(range(ws.enumerated))
     if len(base) > cap:
         low = [nid for nid in base if ws.universe.rank_of(nid) <= 2]
@@ -736,7 +768,8 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
 
     # Bounded collection: the witness set ranges over everything present.
     count = vacuous = 0
-    for label, phi in two_var_battery():
+    params, details["collection_battery"] = COLLECTION.read(())
+    for label, phi in params:
         for u in base:
             antecedent = Forall("y", Imp(Mem(Var("y"), Const(u)), Exists("z", phi)))
             if not pa.holds(antecedent):
@@ -752,22 +785,13 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
     details["collection_instances"] = count
     details["collection_vacuous"] = vacuous
 
-    # Bounded foundation: the closed schema per battery formula.  The
-    # schema already nests two universe sweeps, so on big universes only
-    # quantifier-free battery bodies stay affordable.
-    count = trimmed = 0
-    for label, phi in battery(ws.universe, t_ids=range(min(3, ws.enumerated))):
-        if big and _quantifier_depth(phi) > 0:
-            trimmed += 1
-            continue
+    # Bounded foundation: the closed schema per battery formula.
+    params, details["foundation_battery"] = ONE_VARIABLE.read(first_names(ws))
+    for label, phi in params:
         axiom = instantiate_axiom("Foundation", phi)
         if not pa.holds(axiom):
             return _axiom_failure(ws, axiom, f"Foundation[{label}]")
-        count += 1
-    details["foundation_instances"] = count
-    if trimmed:
-        details["foundation_trimmed_quantified_bodies"] = trimmed
-
+    details["foundation_instances"] = len(params)
     return None, details
 
 
@@ -815,9 +839,10 @@ def bar_formula(f: Formula, name_map: dict[int, int]) -> Formula:
 
 def check_nff_transfer(run: Run) -> Verdict:
     """Collapsing a negation-free value commutes with moving the sentence
-    into the three-valued model at the same rank bound, for every sentence
-    of `nff_battery`: a fixed list plus 60 enumerated one-quantifier
-    sentences."""
+    into the three-valued model at the same rank bound, for `forall x. B`
+    and `exists x. B`, B each formula of the `NEGATION_FREE` battery over
+    the last of the first four names (60 sentences), and for the
+    negation-free axioms."""
     algebra = run.algebra
     src_ws = run.workspace()
     ps3_alg, ps3_d = ps3()
@@ -828,9 +853,16 @@ def check_nff_transfer(run: Run) -> Verdict:
                 for nid in range(src_ws.enumerated)}
     src_ctx = src_ws.ba
     dst_ctx = dst_ws.ba
+    bodies, declared = NEGATION_FREE.read(first_names(src_ws)[-1:])
+    sentences = [(print_formula(f), f) for _, body in bodies
+                 for f in (Forall("x", body), Exists("x", body))]
+    sentences += [(name, instantiate_axiom(name))
+                  for name in ("Extensionality", "Pairing", "Union", "PowerSet")]
+    sentences.append(("Separation[z = z]",
+                      instantiate_axiom("Separation", Eq(Var("z"), Var("z")))))
     big = src_ws.enumerated > 64
     checked = trimmed = 0
-    for label, sentence in nff_battery(src_ws.universe):
+    for label, sentence in sentences:
         if big and _quantifier_depth(sentence) > 2:
             trimmed += 1
             continue
@@ -844,7 +876,7 @@ def check_nff_transfer(run: Run) -> Verdict:
                 "ba", sentence, src_val,
                 note=f"{label}: collapses to {collapsed}; the three-valued core gives {dst_val}")
             return ce, {}
-    details = {"sentences": checked}
+    details = {"sentences": checked, "battery": declared}
     if trimmed:
         details["trimmed_deeply_quantified"] = trimmed
     return None, details
@@ -945,7 +977,7 @@ def check_leibniz(run: Run) -> Verdict:
     pa = ws.pa
     d = pa.designated_i
     n = len(ws.universe)
-    forms = battery(ws.universe)
+    forms, declared = ONE_VARIABLE.read(first_names(ws))
     top_i, bottom_i = algebra.top_i, algebra.bottom_i
 
     def value_class(val: int) -> str:
@@ -955,11 +987,12 @@ def check_leibniz(run: Run) -> Verdict:
             return "bottom"
         return "intermediate"
 
-    pairs = [(u, v) for u in range(n) for v in range(n)
-             if u != v and pa.equality(u, v) in d]
     handles = [pa.sentence(phi, ("x",)) for _, phi in forms]
     rows = list(zip(*[[at(u) for u in range(n)] for at in handles]))
-    for u, v in pairs:
+    equal_pairs = 0
+    for u, v in ((u, v) for u in range(n) for v in range(n)
+                 if u != v and pa.equality(u, v) in d):
+        equal_pairs += 1
         if rows[u] == rows[v]:
             continue
         for (label, phi), val_u, val_v in zip(forms, rows[u], rows[v]):
@@ -973,7 +1006,7 @@ def check_leibniz(run: Run) -> Verdict:
                 "pa", subst_const(phi, "x", v), algebra.elements[val_v], note=note)
             return ce, {}
 
-    details: dict = {"pa_equal_pairs": len(pairs), "battery": len(forms)}
+    details: dict = {"pa_equal_pairs": equal_pairs, "battery": declared}
     if prof["big_designated"] and prof["has_intermediate"]:
         ba = ws.ba
         negated = [(label, ba.sentence(phi, ("x",))) for label, phi in forms
@@ -1001,7 +1034,8 @@ def check_bounded_quantification(run: Run) -> Verdict:
     quantifier, for every enumerated name and battery formula."""
     ws = run.workspace()
     ctx = ws.pa
-    sides = [(phi, bq_sides(ctx, phi)) for _, phi in battery(ws.universe)]
+    forms, declared = ONE_VARIABLE.read(first_names(ws))
+    sides = [(phi, bq_sides(ctx, phi)) for _, phi in forms]
     checked = 0
     for u in range(ws.enumerated):
         for phi, compare in sides:
@@ -1013,7 +1047,7 @@ def check_bounded_quantification(run: Run) -> Verdict:
                     "pa", sentence, res.quantified,
                     note=f"the domain-indexed meet is {res.domain_indexed}")
                 return ce, {}
-    return None, {"instances": checked}
+    return None, {"instances": checked, "battery": declared}
 
 
 # -- boolean coincidence ---------------------------------------------------------------
@@ -1101,8 +1135,9 @@ def check_boolean_coincidence(run: Run) -> Verdict:
         return bad[0], {}
     ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
     checked = 0
+    battery_forms, declared = ONE_VARIABLE.read(first_names(ws2))
     forms = [(phi, ws2.ba.sentence(phi, ("x",)), ws2.pa.sentence(phi, ("x",)))
-             for _, phi in battery(ws2.universe)]
+             for _, phi in battery_forms]
     for u in range(len(ws2.universe)):
         for phi, at_ba, at_pa in forms:
             vba = at_ba(u)
@@ -1114,7 +1149,8 @@ def check_boolean_coincidence(run: Run) -> Verdict:
                     note=f"ba gave {algebra.elements[vba]}")
                 return ce, {}
     n = len(ws.universe)
-    return None, {"names": n, "atomic_pairs": n * n, "battery_sentences": checked}
+    return None, {"names": n, "atomic_pairs": n * n, "battery_sentences": checked,
+                  "battery": declared}
 
 
 # -- quotient model --------------------------------------------------------------------

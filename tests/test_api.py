@@ -25,6 +25,10 @@ module reads `_extend`, `_fill` or `_rows`; a caller that needs a name's
 values against every name asks `EvalContext.row`, which fills its row the
 same way.
 
+Formula-source guard: every formula list a check sweeps comes from
+`formulas.battery`, so only it and `check_ps3_agreement`'s propositional
+corpus call `enumerate_formulas`.
+
 Kind guard: every dict literal with a "kind" key names one of the five
 counterexample kinds, so `replay` and the readers of records know every
 kind there is.
@@ -249,6 +253,29 @@ def test_row_guard_sees_a_planted_reader(tmp_path):
         "CACHED = len(EvalContext._rows)\n",
         encoding="utf-8")
     assert row_internal_readers(tmp_path) == ["quotient", "quotient.build_quotient"]
+
+
+def formula_enumerators(src: Path) -> list[str]:
+    """The definitions that call `enumerate_formulas`."""
+    return _owners(src, lambda node: isinstance(node, ast.Call)
+                   and _callee(node) == "enumerate_formulas")
+
+
+def test_every_battery_comes_from_one_source():
+    assert formula_enumerators(SRC) == ["formulas.battery", "theorems.check_ps3_agreement"]
+
+
+def test_formula_source_guard_sees_a_hand_built_list(tmp_path):
+    (tmp_path / "evaluate.py").write_text(
+        "def nff_battery(universe):\n"
+        "    out = [('#0 = #0', Eq(Const(0), Const(0)))]\n"
+        "    return out + [(print_formula(f), f) for f in enumerate_formulas(ATOMS, 3, False)]\n",
+        encoding="utf-8")
+    (tmp_path / "formulas.py").write_text(
+        "def battery(variables, constants, max_nodes, negation, bounded=0):\n"
+        "    return enumerate_formulas(atoms(variables), max_nodes, negation)\n",
+        encoding="utf-8")
+    assert formula_enumerators(tmp_path) == ["evaluate.nff_battery", "formulas.battery"]
 
 
 KINDS = {"sentence", "atomic", "valuation", "law", "missing"}

@@ -9,19 +9,14 @@ from test_formulas import formula_strategy
 
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, check_lattice, ps3
 from algval.errors import CapabilityError, InputError
-from algval.evaluate import (
-    ASSIGNMENTS,
-    EvalContext,
-    battery,
-    bq_sides,
-    nff_battery,
-    two_var_battery,
-)
+from algval.evaluate import ASSIGNMENTS, EvalContext, bq_sides
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
-    instantiate_axiom, parse, print_formula, subst_const,
+    free_vars, instantiate_axiom, is_negation_free, parse, print_formula, subst_const,
 )
-from algval.theorems import CHECKS, Run, Workspace, run_check
+from algval.theorems import (
+    CHECKS, COLLECTION, NEGATION_FREE, ONE_VARIABLE, Run, Workspace, run_check,
+)
 from algval.universe import Universe, build_universe
 
 
@@ -34,6 +29,11 @@ def ps3_rank2():
 
 def contexts(uni, d):
     return EvalContext(uni, d, "ba"), EvalContext(uni, d, "pa")
+
+
+def one_variable(uni):
+    """The one-variable battery as the checks read it, over uni's first names."""
+    return ONE_VARIABLE.read(range(min(4, len(uni))))[0]
 
 
 class TestAtomic:
@@ -261,42 +261,36 @@ class TestBoundedQuantification:
         uni, d = ps3_rank2
         pa = EvalContext(uni, d, "pa")
         for u in uni.ids():
-            for _, phi in battery(uni):
+            for _, phi in one_variable(uni):
                 assert bq_sides(pa, phi)(u).equal
 
 
 class TestBatteries:
     def test_battery_contains_the_published_forms(self, ps3_rank2):
+        # the atoms against each of the first four names, their negations,
+        # then the bounded layer, in that order
         uni, _ = ps3_rank2
-        labels = [label for label, _ in battery(uni)]
-        assert "x = #0" in labels
-        assert "#0 in x" in labels
-        assert "x in #0" in labels
-        assert "~(x in #0)" in labels
-        assert "(x in #0) -> false" in labels
-        assert any("exists m forall n" in label for label in labels)
+        labels = [label for label, _ in one_variable(uni)]
+        assert labels[:3] == ["x in #0", "x = #0", "#0 in x"]
+        assert labels[12:15] == ["~x in #0", "~x = #0", "~#0 in x"]
+        assert labels[24] == "exists m. m in x /\\ m in #0"
+        assert labels[-1] == "exists m. m in x /\\ #3 in m"
+        assert [label for label, _ in COLLECTION.read(())[0]] == ["y in z", "y = z", "z in y"]
 
     def test_battery_formulas_have_one_free_variable(self, ps3_rank2):
-        from algval.formulas import free_vars
-
         uni, _ = ps3_rank2
-        for _, phi in battery(uni):
+        for _, phi in one_variable(uni):
             assert free_vars(phi) == {"x"}
 
-    def test_nff_battery_is_negation_free_and_closed(self, ps3_rank2):
-        from algval.formulas import free_vars, is_negation_free
-
-        uni, _ = ps3_rank2
-        forms = nff_battery(uni)
-        for _, f in forms:
+    def test_nff_battery_is_negation_free_and_closed(self):
+        # nff-transfer quantifies x in each body: 60 closed sentences
+        bodies, declared = NEGATION_FREE.read((3,))
+        assert declared == {"formulas": 30, "max_nodes": 3, "negation": False, "bounded": 0}
+        sentences = {q("x", body) for _, body in bodies for q in (Forall, Exists)}
+        assert len(sentences) == 60
+        for f in sentences:
             assert is_negation_free(f)
             assert not free_vars(f)
-        # 60 enumerated sentences: both quantifiers over the 30 bodies of
-        # at most 3 nodes over three atoms, after the fixed list
-        enumerated = forms[-60:]
-        assert len({f for _, f in enumerated}) == 60
-        assert all(isinstance(f, (Forall, Exists)) and f.var == "x" for _, f in enumerated)
-        assert all(label == print_formula(f) for label, f in enumerated)
 
 
 # -- differential test against a direct reading of the semantics -------------------
@@ -486,11 +480,11 @@ def test_env_binding_matches_substitution_on_the_batteries(algname, assignment):
     alg, d = builtin(algname)
     uni = build_universe(alg, 2)
     ctx = EvalContext(uni, d, assignment)
-    for _, phi in battery(uni):
+    for _, phi in one_variable(uni):
         for u in uni.ids():
             assert ctx.value(phi, {"x": u}) == ctx.value(subst_const(phi, "x", u)), \
                 print_formula(phi)
-    for _, phi in two_var_battery():
+    for _, phi in COLLECTION.read(())[0]:
         for y in uni.ids():
             for z in uni.ids():
                 closed = subst_const(subst_const(phi, "y", y), "z", z)
@@ -534,8 +528,8 @@ def test_held_handles_match_reference_evaluator_as_the_universe_grows(algname, a
     ctx = EvalContext(uni, d, assignment)
     rng = random.Random(f"handles-{algname}-{assignment}")
     y = Var("y")
-    one = [(phi, ("x",)) for _, phi in battery(uni)]
-    two = [(phi, ("y", "z")) for _, phi in two_var_battery()]
+    one = [(phi, ("x",)) for _, phi in one_variable(uni)]
+    two = [(phi, ("y", "z")) for _, phi in COLLECTION.read(())[0]]
     swept = [(Exists("z", phi), ("y",)) for phi, _ in two]
     swept += [(Forall("y", Imp(Mem(y, Var("x")), f)), ("x",)) for f, _ in swept]
     handles = [(f, params, ctx.sentence(f, params)) for f, params in one + two + swept]

@@ -30,6 +30,7 @@ from algval.formulas import (
     subformulas,
 )
 from algval.proplogic import PVar
+from algval.theorems import COLLECTION, NEGATION_FREE, ONE_VARIABLE
 
 
 class TestParsing:
@@ -219,6 +220,51 @@ class TestEnumerate:
         assert enumerate_formulas(PQR, 0, negation=True) == []
         assert enumerate_formulas(PQR, 1, negation=True) == PQR
         assert enumerate_formulas(PQR, 2, negation=True) == PQR + [Not(f) for f in PQR]
+
+
+# Each kind of caller's battery, over the constants a rank-2 universe gives it.
+BATTERIES = {
+    "one-variable": (ONE_VARIABLE, range(4)),
+    "collection": (COLLECTION, ()),
+    "negation-free": (NEGATION_FREE, (3,)),
+}
+
+
+class TestBattery:
+    def test_counts_for_each_kind_of_caller(self):
+        one, declared = ONE_VARIABLE.read(range(4))
+        assert len(one) == declared["formulas"] == 36
+        # 24 of at most 2 nodes, then the 12 bounded ones
+        assert sum(isinstance(f, Exists) for _, f in one) == 12
+        assert all(isinstance(f, Exists) for _, f in one[24:])
+        assert len(COLLECTION.read(())[0]) == 3
+        # nff-transfer quantifies x in each body both ways
+        assert 2 * len(NEGATION_FREE.read((3,))[0]) == 60
+
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_no_formula_is_listed_twice(self, kind):
+        spec, constants = BATTERIES[kind]
+        forms = [f for _, f in spec.read(constants)[0]]
+        assert len(set(forms)) == len(forms)
+
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_free_variables_are_the_declared_ones(self, kind):
+        spec, constants = BATTERIES[kind]
+        for label, f in spec.read(constants)[0]:
+            assert free_vars(f) == set(spec.variables), label
+
+    @pytest.mark.parametrize("kind", BATTERIES)
+    def test_every_label_parses_back(self, kind):
+        # replay parses the printed sentence
+        spec, constants = BATTERIES[kind]
+        for label, f in spec.read(constants)[0]:
+            assert label == print_formula(f) and parse(label) == f
+
+    def test_schemas_accept_every_parameter(self):
+        for _, phi in ONE_VARIABLE.read(range(4))[0]:
+            instantiate_axiom("Foundation", phi)
+        for _, phi in COLLECTION.read(())[0]:
+            instantiate_axiom("Collection", phi)
 
 
 class TestAxiomSchemas:

@@ -13,16 +13,18 @@ from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
-from algval.evaluate import EvalContext, battery
+from algval.evaluate import EvalContext
 from algval.formulas import Eq, Imp, Var, parse
 from algval.theorems import (
     CHECKS,
+    ONE_VARIABLE,
     CheckResult,
     Run,
     Workspace,
     check_leibniz,
     check_properties,
     coincidence_mismatches,
+    first_names,
     is_boolean,
     profile,
     replay,
@@ -734,7 +736,7 @@ class TestCompileOnce:
         alg, d = ps3()
         run = Run(alg, d, rank_bound=2)
         assert run_check(name, run).verdict == "pass"
-        assert 0 < len(compiled) <= 2 * len(battery(run.workspace().universe))
+        assert 0 < len(compiled) <= 2 * len(ONE_VARIABLE.read(first_names(run.workspace()))[0])
 
 
 class TestRegistry:
