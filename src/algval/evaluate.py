@@ -30,11 +30,11 @@ quantifiers always sweep the universe contents at call time, and atomic
 values never depend on what else has been interned.  `atomic_fills`
 counts the store misses.
 
-A store miss on two names of the bound's rank is computed by column class
-(`ColumnClasses`).  The entries of every enumerated name lie among the low
-names L, those of lower rank.  So `u = v` reads u's entries only against
-v's membership column, the values of `x in v` for x in L, and v's entries
-only against u's; and `u in v` reads v's entries only against u's
+A store miss on two covered names, not both low, is computed by column
+class (`ColumnClasses`).  The entries of every enumerated name lie among
+the low names L, those of lower rank.  So `u = v` reads u's entries only
+against v's membership column, the values of `x in v` for x in L, and v's
+entries only against u's; and `u in v` reads v's entries only against u's
 equality column, `x = u` for x in L.  Names with equal columns form a
 class (ps3 at rank 3: 256 names, 27 membership and 4 equality classes),
 and the tables hold one row of halves per name, by membership class, and
@@ -43,8 +43,12 @@ one row of memberships, by equality class:
     `=`(u, v) = H[u][mc(v)] /\\ H[v][mc(u)]        `in`(u, v) = M[v][ec(u)]
 
 where mc(v) is the class of v's membership column and ec(u) that of u's
-equality column.  A name's column is read through the clauses when the
-name is first needed, so a run that asks for few pairs reads few
+equality column; a pair of a low name x and a top-level v reads `x = v`
+or `x in v` from v's column itself.  The low names' columns, the |L| x |L|
+tables of `y = x` and `y in x`, are read through the clauses once, when
+the first column is needed.  A top-level name's columns are folded from
+them by Bell's clauses (`ColumnClasses.fold`), not asked of the clauses,
+so they put nothing in the store; a run that asks for few pairs folds few
 columns, and a new class extends every row held.  The sweep rows of
 enumerated names are filled from the same tables, unless both names are
 low.  Such a row reads every name's cell at one class, so the tables keep
@@ -55,10 +59,11 @@ are used only when meet and join pass `algebra.check_lattice`, whose
 verdict each algebra keeps (and, under pa, the algebra has a star table).
 They are not used where they cannot pay: with one low name, as at rank 2,
 a clause reads at most one entry a side.  Witness names, whose domains
-reach the top level, and defective tables take the clause.  The tables cover enumerated names
-only, so a run's contexts of one assignment share them across all the
-workspaces of a rank, like the store.  The class fold of
-`theorems.coincidence_mismatches` reads their cells, which keep no rows.
+reach the top level, and defective tables take the clause.  The tables
+cover enumerated names only, so a run's contexts of one assignment share
+them across all the workspaces of a rank, like the store.  The class fold
+of `theorems.coincidence_mismatches` compares their columns and reads
+their cells, which keep no rows.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -204,12 +209,15 @@ class ColumnClasses:
     The names before `low` are of lower rank than the universe's bound;
     the ones from `low` up to `n` are of the bound's rank, and the low
     names hold the entries of them all.  `n` is 0 where the tables would
-    not pay or not be sound.  A pair of two low names takes the clause, and
-    so does every column: a name's column is read through a context's
-    clauses and sorted into its class when first needed, and its rows of
-    halves and memberships grow as classes appear.  Like a store, the
-    tables may be shared by the contexts of one assignment over universes
-    that agree on their first `n` names.
+    not pay or not be sound.  A pair of two low names takes the clause,
+    and so do the low names' columns, read through a context's clauses
+    once; every other pair below `n` is read from the tables.  A top-level
+    name's columns are folded from the low names' (`fold`) and sorted into
+    their classes when first needed, and the rows of halves and
+    memberships grow as classes appear.  Each relation keeps its columns
+    by class id (`by_id`) beside the class id of each column.  Like a
+    store, the tables may be shared by the contexts of one assignment over
+    universes that agree on their first `n` names.
     """
 
     def __init__(self, universe: Universe, assignment: str):
@@ -234,9 +242,13 @@ class ColumnClasses:
         # the factor of `u = v` for an entry of weight a against a membership m
         self.factor = [[meet[imp[a][m]][imp[star[m]][star[a]]] if assignment == "pa"
                         else imp[a][m] for m in k] for a in k]
-        # by relation: each name's class id (-1 until needed), each class's column
+        # by relation: each name's class id (-1 until needed), each class's
+        # id by its column and its column by id
         self.ids = (array("i", [-1]) * n, array("i", [-1]) * n)
         self.columns: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
+        self.by_id: tuple[list[tuple[int, ...]], ...] = ([], [])
+        # by relation, each low name's column, read through the clauses once
+        self.low_columns: Optional[tuple[list[tuple[int, ...]], ...]] = None
         self.halves: dict[int, array] = {}  # u's side of `u = v`, by class of v
         self.members: dict[int, array] = {}  # `u in v`, by class of u
         self.across: tuple[dict[int, array], ...] = ({}, {})  # the cells by class (`column`)
@@ -245,12 +257,16 @@ class ColumnClasses:
         """The class of v's column of `x = v` or of `x in v` over the low x."""
         c = self.ids[rel][v]
         if c < 0:
-            clause = ctx.equality if rel == _REL_EQ else ctx.membership
-            col = tuple(clause(x, v) for x in range(self.low))
+            if v < self.low:
+                clause = ctx.equality if rel == _REL_EQ else ctx.membership
+                col = tuple(clause(x, v) for x in range(self.low))
+            else:
+                col = self.fold(ctx, rel, v)
             known = self.columns[rel]
             c = known.get(col)
             if c is None:
                 c = known[col] = len(known)
+                self.by_id[rel].append(col)
                 # every row covers every class seen so far
                 rows, cell = ((self.members, self.member_cell) if rel == _REL_EQ
                               else (self.halves, self.half_cell))
@@ -258,6 +274,33 @@ class ColumnClasses:
                     row.append(cell(u, col))
             self.ids[rel][v] = c
         return c
+
+    def fold(self, ctx: EvalContext, rel: int, v: int) -> tuple[int, ...]:
+        """A top-level v's column of `x = v` (rel `=`) or of `x in v` (rel
+        `in`) over the low x, folded from the low names' columns: with
+        E[y][x] = `y = x` and M[y][x] = `y in x` for y and x in L,
+
+            `x in v` = join over v's entries (y, a) of  a /\\ E[y][x]
+            `x = v`  = H[x][mc(v)] /\\ meet over v's entries (y, a) of
+                       factor[a][M[y][x]]
+
+        where x's half H[x][mc(v)] meets, over x's entries (x', b),
+        factor[b][`x' in v`] from v's membership column.  This is Bell's
+        clause for a pair with one low side: the entries of x and of v are
+        low, so every value the clause reads is a cell of E, of M or of
+        v's membership column.  The clause stops its join at top and its
+        meet at bottom, and meets v's entries into x's half one by one;
+        only meets and joins are reassociated, which the lattice gate of
+        the tables allows."""
+        if self.low_columns is None:
+            self.low_columns = tuple([self.by_id[r][self.class_of(ctx, r, x)]
+                                      for x in range(self.low)] for r in (_REL_EQ, _REL_MEM))
+        eq_low, mem_low = self.low_columns
+        if rel == _REL_MEM:
+            return tuple([self.member_cell(v, col) for col in eq_low])
+        c, meet = self.class_of(ctx, _REL_MEM, v), self.alg.meet_t
+        return tuple([meet[self.half(x)[c]][self.half_cell(v, col)]
+                      for x, col in enumerate(mem_low)])
 
     def classes(self, ctx: EvalContext, rel: int, lo: int, hi: int) -> array:
         """The classes of the names lo .. hi - 1."""
@@ -270,7 +313,7 @@ class ColumnClasses:
         """The class of each covered name's column of `x = v` (rel '=') or of
         `x in v` (rel 'in'), and the column of each class, by class id."""
         r = _REL_EQ if rel == "=" else _REL_MEM
-        return self.classes(ctx, r, 0, self.n), list(self.columns[r])
+        return self.classes(ctx, r, 0, self.n), self.by_id[r]
 
     def half_cell(self, u: int, col: tuple[int, ...]) -> int:
         """u's side of `u = v`, for a v with membership column col; unlike
@@ -316,12 +359,18 @@ class ColumnClasses:
         return col
 
     def equality(self, ctx: EvalContext, u: int, v: int) -> int:
+        """`u = v` for u <= v and a top-level v."""
+        if u < self.low:
+            return self.by_id[_REL_EQ][self.class_of(ctx, _REL_EQ, v)][u]
         ids = self.ids[_REL_MEM]
         cu = ids[u] if ids[u] >= 0 else self.class_of(ctx, _REL_MEM, u)
         cv = ids[v] if ids[v] >= 0 else self.class_of(ctx, _REL_MEM, v)
         return self.alg.meet_t[self.half(u)[cv]][self.half(v)[cu]]
 
     def membership(self, ctx: EvalContext, u: int, v: int) -> int:
+        """`u in v` for u and v not both low."""
+        if u < self.low:
+            return self.by_id[_REL_MEM][self.class_of(ctx, _REL_MEM, v)][u]
         ids = self.ids[_REL_EQ]
         c = ids[u] if ids[u] >= 0 else self.class_of(ctx, _REL_EQ, u)
         return self.member(v)[c]
@@ -406,7 +455,7 @@ class EvalContext:
             )
         self.atomic_fills += 1
         cc = self._columns
-        if cc.low <= u and v < cc.n:  # two top-level names
+        if cc.low <= v < cc.n:  # a top-level name and a covered one
             acc = cc.equality(self, u, v)
             self._put(eq_rows, v, u, acc)
             return acc
@@ -445,7 +494,7 @@ class EvalContext:
                 return hit
         self.atomic_fills += 1
         cc = self._columns
-        if cc.low <= u < cc.n and cc.low <= v < cc.n:
+        if cc.low <= max(u, v) < cc.n:  # a top-level name and a covered one
             acc = cc.membership(self, u, v)
             self._put(mem_rows, v, u, acc)
             return acc

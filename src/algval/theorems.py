@@ -1057,20 +1057,28 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     """Pairs where the two assignments give different atomic values, in
     order: the low rows (names of rank below the bound against every name,
     `in` then `=`), then `=` for u <= v, then `in` for all (u, v).  Every
-    value is the engine's; past the low rows it is asked only the pairs of
-    bad class pairs.
+    value is the engine's; it is asked only the pairs of bad class pairs.
 
-    Once the low rows agree, ba and pa give each name the same columns, so
-    their `evaluate.ColumnClasses` sort the names into the same classes
-    (16 membership and 9 equality classes for the 3125 names of bool4 at
-    rank 3), and the fold reads each assignment's own table cells.  u and
-    v range independently over their classes, so meeting every (ba, pa)
-    half of class a against b with every half of b against a gives exactly
-    the `=` values of all their pairs; the pair (a, b) is bad if two of
-    them differ.  An equality class is bad for `in` if some name's member
-    cell differs between the tables.  Without tables covering every name
-    (rank 2, say), or when the low rows disagree, all names form one bad
-    class.
+    Where the tables of `evaluate.ColumnClasses` cover every name, the low
+    rows hold each name's two columns over the low names, and the engine
+    answers them from the columns, which it reads through the clauses for
+    the low names alone.  So the low rows agree exactly when every name
+    has the same two columns under ba as under pa.  The columns, not the
+    class ids, are compared, since each table numbers its classes in the
+    order it first saw them.  Only if some column differs is the engine
+    asked the low rows, pair by pair, so every record and every `limit`
+    prefix come out as the engine gives them.
+
+    Once the low rows agree, ba and pa sort the names into the same
+    classes (16 membership and 9 equality classes for the 3125 names of
+    bool4 at rank 3), and the fold reads each assignment's own table
+    cells.  u and v range independently over their classes, so meeting
+    every (ba, pa) half of class a against b with every half of b against
+    a gives exactly the `=` values of all their pairs; the pair (a, b) is
+    bad if two of them differ.  An equality class is bad for `in` if some
+    name's member cell differs between the tables.  Without tables
+    covering every name (rank 2, say), the engine is asked the low rows,
+    and then, as when they disagree, all names form one bad class.
     """
     uni = ws.universe
     alg = ws.algebra
@@ -1090,17 +1098,20 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
                     return True
         return False
 
-    if ask((rel, s, v) for s in range(n) if uni.rank_of(s) < ws.rank_bound
-           for v in range(n) for rel in ("in", "=")):
-        return out
+    cb, cp = ws._shared.columns["ba"], ws._shared.columns["pa"]
+    parts = ([(cb.partition(ba, rel), cp.partition(pa, rel)) for rel in ("in", "=")]
+             if cb.n == cp.n == n else None)
+    if parts is None or any(cols_b[c] != cols_p[d] for (ids_b, cols_b), (ids_p, cols_p) in parts
+                            for c, d in zip(ids_b, ids_p)):
+        if ask((rel, s, v) for s in range(n) if uni.rank_of(s) < ws.rank_bound
+               for v in range(n) for rel in ("in", "=")):
+            return out
 
     m_of, e_of = [0] * n, [0] * n
     bad_eq, bad_in = {0: {0}}, {0}
-    cb, cp = ws._shared.columns["ba"], ws._shared.columns["pa"]
-    if not out and cb.n == cp.n == n:
+    if not out and parts is not None:
         meet = alg.meet_t
-        m_of, m_cols = cb.partition(ba, "in")
-        e_of, e_cols = cb.partition(ba, "=")
+        (m_of, m_cols), (e_of, e_cols) = (b for b, _ in parts)
         halves: dict[tuple[int, int], set[tuple[int, int]]] = {}
         for u in range(n):
             for b, col in enumerate(m_cols):

@@ -700,6 +700,29 @@ def test_class_derived_atoms_match_reference_clauses(algname, rank, assignment):
                 assert columns.membership(ctx, u, v) == mem(u, v), ("in", u, v)
 
 
+@pytest.mark.parametrize("algname, rank", [(name, 2) for name in BUILTIN_NAMES]
+                         + [("ps3", 3), ("chain3", 3), ("bool4", 3)])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_folded_columns_match_reference_clauses(algname, rank, assignment):
+    # a top-level name's columns are folded from the low names' tables, and
+    # the engine answers every low x top pair from them
+    alg, d = builtin(algname)
+    uni = covered_universe(alg, rank)
+    ctx = EvalContext(uni, d, assignment)
+    columns, low = ctx._columns, ctx._columns.low
+    assert low >= 2 and columns.n == len(uni)
+    eq, mem = reference_clauses(ctx)
+    for v in range(low, len(uni)):
+        for x in range(low):
+            assert ctx.equality(x, v) == ctx.equality(v, x) == eq(x, v), ("=", x, v)
+            assert ctx.membership(x, v) == mem(x, v), ("in", x, v)
+            assert ctx.membership(v, x) == mem(v, x), ("in", v, x)
+    (eq_of, eq_cols), (in_of, in_cols) = (columns.partition(ctx, rel) for rel in ("=", "in"))
+    for v in range(low, len(uni)):
+        assert eq_cols[eq_of[v]] == tuple(eq(x, v) for x in range(low)), ("=", v)
+        assert in_cols[in_of[v]] == tuple(mem(x, v) for x in range(low)), ("in", v)
+
+
 def test_lattice_verdict_computed_once_per_algebra(monkeypatch):
     # the tables of every assignment and rank read one verdict per algebra
     calls = []

@@ -13,7 +13,7 @@ from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
-from algval.evaluate import EvalContext
+from algval.evaluate import _REL_MEM, ASSIGNMENTS, EvalContext
 from algval.formulas import Eq, Imp, Var, parse
 from algval.theorems import (
     CHECKS,
@@ -189,16 +189,26 @@ class TestCoincidenceSweep:
         ws = Workspace(alg, d, rank_bound=3)
         assert coincidence_mismatches(ws) == []
 
-    @pytest.mark.parametrize("plant", ["factor", "member_cell"])
+    @pytest.mark.parametrize("plant", ["factor", "member_cell", "column"])
     def test_planted_table_defect_found_on_every_pair(self, monkeypatch, plant):
         # a defect in the pa tables alone makes the engine's two assignments
-        # disagree above the low rows; the fold must send the engine to
-        # every such pair
+        # disagree; the fold must send the engine to every such pair, and a
+        # wrong cell in a folded column to the low rows too
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=3)
         tables = ws.pa._columns
         if plant == "factor":
             tables.factor[alg.top_i][alg.bottom_i] = alg.top_i
+        elif plant == "column":
+            fold, last = tables.fold, len(ws.universe) - 1
+            assert last >= tables.low
+
+            def wrong(ctx, rel, v):
+                col = fold(ctx, rel, v)
+                if rel == _REL_MEM and v == last:
+                    col = ((col[0] + 1) % len(alg.elements),) + col[1:]
+                return col
+            monkeypatch.setattr(tables, "fold", wrong)
         else:
             cell, last = tables.member_cell, len(ws.universe) - 1
 
@@ -218,12 +228,25 @@ class TestCoincidenceSweep:
             engine = getattr(EvalContext, name)
 
             def counted(self, u, v, engine=engine):
-                if min(u, v) >= low:
+                if max(u, v) >= low:
                     calls.append((u, v))
                 return engine(self, u, v)
             monkeypatch.setattr(EvalContext, name, counted)
         assert coincidence_mismatches(ws) == []
         assert calls == []
+
+    def test_partitions_fill_only_low_pairs_on_bool4_rank3(self):
+        # the columns of the top-level names are folded from the low
+        # names' tables, so only the low x low pairs enter the store
+        alg, d = builtin("bool4")
+        ws = Workspace(alg, d, rank_bound=3)
+        for assignment in ASSIGNMENTS:
+            ctx = ws.ctx(assignment)
+            columns = ctx._columns
+            for rel in ("in", "="):
+                columns.partition(ctx, rel)
+            cells = sum(1 for _ in stored_values(ws._shared.memos[assignment]))
+            assert 0 < cells <= 2 * columns.low ** 2
 
 
 def engine_mismatches(ws):
