@@ -37,33 +37,51 @@ against v's membership column, the values of `x in v` for x in L, and v's
 entries only against u's; and `u in v` reads v's entries only against u's
 equality column, `x = u` for x in L.  Names with equal columns form a
 class (ps3 at rank 3: 256 names, 27 membership and 4 equality classes),
-and the tables hold one row of halves per name, by membership class, and
-one row of memberships, by equality class:
+and the tables hold one cell per class and name: H[c][u], u's half of
+`u = v` for a v of membership class c, and M[c][v], `u in v` for a u of
+equality class c:
 
-    `=`(u, v) = H[u][mc(v)] /\\ H[v][mc(u)]        `in`(u, v) = M[v][ec(u)]
+    `=`(u, v) = H[mc(v)][u] /\\ H[mc(u)][v]        `in`(u, v) = M[ec(u)][v]
 
 where mc(v) is the class of v's membership column and ec(u) that of u's
 equality column; a pair of a low name x and a top-level v reads `x = v`
-or `x in v` from v's column itself.  The low names' columns, the |L| x |L|
-tables of `y = x` and `y in x`, are read through the clauses once, when
-the first column is needed.  A top-level name's columns are folded from
-them by Bell's clauses (`ColumnClasses.fold`), not asked of the clauses,
-so they put nothing in the store; a run that asks for few pairs folds few
-columns, and a new class extends every row held.  The sweep rows of
-enumerated names are filled from the same tables, unless both names are
-low.  Such a row reads every name's cell at one class, so the tables keep
-the cells read across the names too, one column per class
-(`ColumnClasses.column`).  Meeting u's half with v's, where the clause
-folds one into the other, is sound only for a lattice's meet: the tables
-are used only when meet and join pass `algebra.check_lattice`, whose
-verdict each algebra keeps (and, under pa, the algebra has a star table).
-They are not used where they cannot pay: with one low name, as at rank 2,
-a clause reads at most one entry a side.  Witness names, whose domains
-reach the top level, and defective tables take the clause.  The tables
-cover enumerated names only, so a run's contexts of one assignment share
-them across all the workspaces of a rank, like the store.  The class fold
-of `theorems.coincidence_mismatches` compares their columns and reads
-their cells, which keep no rows.
+or `x in v` from v's column itself.
+
+A class's cells are filled in one pass down the names, by prefix.  The
+prefix p(v) of a name v is v less its last entry (x, a).  Enumeration
+interns it before v: it has v's weights on a smaller domain, and
+`build_universe` goes by rank and then by domain size.  The clause folds
+v's entries in order, so its fold over v is its fold over p(v) and one
+step more:
+
+    H[c][v] = H[c][p(v)] /\\ factor[a][col_c[x]]
+    M[c][v] = M[c][p(v)] \\/ (a /\\ col_c[x])
+
+from top and bottom at the empty name, where col_c is class c's column and
+factor[a][m] the clause's factor for an entry of weight a against a
+membership m.  The steps are the clause's own, in its order, so the cells
+are its folds on any table.  A covered name whose prefix is not interned
+below it (a hand-built universe may lack one) turns the tables off.
+
+The low names' columns, the |L| x |L| tables of `y = x` and `y in x`, are
+read through the clauses once, when the first class is needed.  A
+top-level name's columns are folded from the low names' cells by Bell's
+clauses (`ColumnClasses.fold`), not asked of the clauses, so they put
+nothing in the store.  The names are sorted into classes in id order, and
+each class's cells filled, only as far as a reader needs.  The sweep rows
+of enumerated names are filled from the same tables, unless both names
+are low; such a row reads every name's cell at one class, a slice of one
+array (`ColumnClasses.column`).  Meeting u's half with v's, where the
+clause folds one into the other, is sound only for a lattice's meet: the
+tables are used only when meet and join pass `algebra.check_lattice`,
+whose verdict each algebra keeps (and, under pa, the algebra has a star
+table).  They are not used where they cannot pay: with one low name, as
+at rank 2, a clause reads at most one entry a side.  Witness names, whose
+domains reach the top level, and defective tables take the clause.  The
+tables cover enumerated names only, so a run's contexts of one assignment
+share them across all the workspaces of a rank, like the store.  The
+class fold of `theorems.coincidence_mismatches` compares their columns
+and reads their cells.
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -211,13 +229,17 @@ class ColumnClasses:
     names hold the entries of them all.  `n` is 0 where the tables would
     not pay or not be sound.  A pair of two low names takes the clause,
     and so do the low names' columns, read through a context's clauses
-    once; every other pair below `n` is read from the tables.  A top-level
-    name's columns are folded from the low names' (`fold`) and sorted into
-    their classes when first needed, and the rows of halves and
-    memberships grow as classes appear.  Each relation keeps its columns
-    by class id (`by_id`) beside the class id of each column.  Like a
-    store, the tables may be shared by the contexts of one assignment over
-    universes that agree on their first `n` names.
+    once; every other pair below `n` is read from the tables.  The names
+    are sorted into classes in id order, a top-level name's columns folded
+    from the low names' (`fold`), so each table numbers its classes in the
+    order of the first name that has them.  Each relation keeps its
+    columns by class id (`by_id`) beside the class id of each name.
+
+    Every cell comes from one place, `column`: for each class, an array
+    over the names in id order, filled by one fold step per name from the
+    cell of its prefix.  `half` and `member` read a name's cells across
+    the classes.  Like a store, the tables may be shared by the contexts
+    of one assignment over universes that agree on their first `n` names.
     """
 
     def __init__(self, universe: Universe, assignment: str):
@@ -234,80 +256,98 @@ class ColumnClasses:
         n = low
         while n < len(names) and names[n].rank == bound:
             n += 1
+        # each name's prefix, itself less its last entry (x, a), and that
+        # entry as x * k + a; a cell is one step from its prefix's, so the
+        # prefix must come first
+        k = len(alg.elements)
+        self.prefix, self.last_entry = array("i", [0]) * n, array("i", [0]) * n
+        for v in range(1, n):
+            entries = names[v].entries
+            p = universe.find(entries[:-1])
+            if p is None or p >= v:
+                return
+            x, a = entries[-1]
+            self.prefix[v], self.last_entry[v] = p, x * k + a
         self.n = n
-        self.alg, self.names = alg, names
-        self.typecode = _item_type(len(alg.elements))[0]
+        self.alg = alg
+        self.typecode = _item_type(k)[0]
         meet, imp, star = alg.meet_t, alg.imp_t, alg.star_t
-        k = range(len(alg.elements))
         # the factor of `u = v` for an entry of weight a against a membership m
         self.factor = [[meet[imp[a][m]][imp[star[m]][star[a]]] if assignment == "pa"
-                        else imp[a][m] for m in k] for a in k]
-        # by relation: each name's class id (-1 until needed), each class's
-        # id by its column and its column by id
-        self.ids = (array("i", [-1]) * n, array("i", [-1]) * n)
+                        else imp[a][m] for m in range(k)] for a in range(k)]
+        # by relation: each name's class id, in id order, each class's id
+        # by its column, and by class id its column, its cells (`column`)
+        # and its steps: the cell of a name whose prefix's cell is h and
+        # whose last entry is e, at [h][e]
+        self.ids = (array("i"), array("i"))
         self.columns: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
         self.by_id: tuple[list[tuple[int, ...]], ...] = ([], [])
-        # by relation, each low name's column, read through the clauses once
-        self.low_columns: Optional[tuple[list[tuple[int, ...]], ...]] = None
-        self.halves: dict[int, array] = {}  # u's side of `u = v`, by class of v
-        self.members: dict[int, array] = {}  # `u in v`, by class of u
-        self.across: tuple[dict[int, array], ...] = ({}, {})  # the cells by class (`column`)
+        self.steps: tuple[list[list[list[int]]], ...] = ([], [])
+        self.cells: tuple[list[array], ...] = ([], [])
 
     def class_of(self, ctx: EvalContext, rel: int, v: int) -> int:
         """The class of v's column of `x = v` or of `x in v` over the low x."""
-        c = self.ids[rel][v]
-        if c < 0:
-            if v < self.low:
-                clause = ctx.equality if rel == _REL_EQ else ctx.membership
-                col = tuple(clause(x, v) for x in range(self.low))
-            else:
-                col = self.fold(ctx, rel, v)
-            known = self.columns[rel]
-            c = known.get(col)
-            if c is None:
-                c = known[col] = len(known)
-                self.by_id[rel].append(col)
-                # every row covers every class seen so far
-                rows, cell = ((self.members, self.member_cell) if rel == _REL_EQ
-                              else (self.halves, self.half_cell))
-                for u, row in rows.items():
-                    row.append(cell(u, col))
-            self.ids[rel][v] = c
-        return c
-
-    def fold(self, ctx: EvalContext, rel: int, v: int) -> tuple[int, ...]:
-        """A top-level v's column of `x = v` (rel `=`) or of `x in v` (rel
-        `in`) over the low x, folded from the low names' columns: with
-        E[y][x] = `y = x` and M[y][x] = `y in x` for y and x in L,
-
-            `x in v` = join over v's entries (y, a) of  a /\\ E[y][x]
-            `x = v`  = H[x][mc(v)] /\\ meet over v's entries (y, a) of
-                       factor[a][M[y][x]]
-
-        where x's half H[x][mc(v)] meets, over x's entries (x', b),
-        factor[b][`x' in v`] from v's membership column.  This is Bell's
-        clause for a pair with one low side: the entries of x and of v are
-        low, so every value the clause reads is a cell of E, of M or of
-        v's membership column.  The clause stops its join at top and its
-        meet at bottom, and meets v's entries into x's half one by one;
-        only meets and joins are reassociated, which the lattice gate of
-        the tables allows."""
-        if self.low_columns is None:
-            self.low_columns = tuple([self.by_id[r][self.class_of(ctx, r, x)]
-                                      for x in range(self.low)] for r in (_REL_EQ, _REL_MEM))
-        eq_low, mem_low = self.low_columns
-        if rel == _REL_MEM:
-            return tuple([self.member_cell(v, col) for col in eq_low])
-        c, meet = self.class_of(ctx, _REL_MEM, v), self.alg.meet_t
-        return tuple([meet[self.half(x)[c]][self.half_cell(v, col)]
-                      for x, col in enumerate(mem_low)])
+        ids = self.ids[rel]
+        return ids[v] if v < len(ids) else self.classes(ctx, rel, v, v + 1)[0]
 
     def classes(self, ctx: EvalContext, rel: int, lo: int, hi: int) -> array:
-        """The classes of the names lo .. hi - 1."""
-        if -1 in self.ids[rel][lo:hi]:
-            for v in range(lo, hi):
-                self.class_of(ctx, rel, v)
-        return self.ids[rel][lo:hi]
+        """The classes of the names lo .. hi - 1, sorting every name below
+        hi into its class first, in id order."""
+        ids = self.ids[rel]
+        if len(ids) < hi:
+            if not ids:  # the low names' columns, through the clauses
+                for r, clause in ((_REL_EQ, ctx.equality), (_REL_MEM, ctx.membership)):
+                    for v in range(self.low):
+                        self._add(r, tuple([clause(x, v) for x in range(self.low)]))
+            if rel == _REL_EQ:  # `x = v` reads v's membership class
+                self.classes(ctx, _REL_MEM, lo, hi)
+            for col in self.fold(rel, len(ids), hi):
+                self._add(rel, col)
+        return ids[lo:hi]
+
+    def _add(self, rel: int, col: tuple[int, ...]) -> None:
+        """Give the next name the class of col, a new one if col is new."""
+        known = self.columns[rel]
+        c = known.get(col)
+        if c is None:
+            c = known[col] = len(known)
+            self.by_id[rel].append(col)
+            alg = self.alg
+            table, fold = ((self.factor, alg.meet_t) if rel == _REL_MEM
+                           else (alg.meet_t, alg.join_t))
+            step = [table[a][m] for m in col for a in range(len(alg.elements))]
+            self.steps[rel].append([[row[s] for s in step] for row in fold])
+            self.cells[rel].append(array(self.typecode,
+                                         [alg.top_i if rel == _REL_MEM else alg.bottom_i]))
+        self.ids[rel].append(c)
+
+    def fold(self, rel: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        """The columns of the top-level names lo .. hi - 1, of `x = v` (rel
+        `=`) or of `x in v` (rel `in`) over the low x, folded from the
+        low names' classes' cells: for each low x,
+
+            `x in v` = M[ec(x)][v]        `x = v` = H[mc(v)][x] /\\ H[mc(x)][v]
+
+        where H[c][u] is u's half against the membership column of class c
+        and M[c][v] is `u in v` for a u of equality class c (`column`).
+        This is Bell's clause for a pair with one low side: the entries of
+        x and of v are low, so every value the clause reads is a cell of
+        the low names' columns or of v's membership column.  The clause
+        stops its join at top and its meet at bottom, and meets v's entries
+        into x's half one by one; only meets and joins are reassociated,
+        which the lattice gate of the tables allows.  Equality reads the
+        membership classes of lo .. hi - 1, which must be known."""
+        low = self.low
+        if rel == _REL_MEM:
+            yield from zip(*[self.column(_REL_EQ, c, hi)[lo:hi] for c in self.ids[_REL_EQ][:low]])
+            return
+        meet, heads = self.alg.meet_t, {}
+        theirs = zip(*[self.column(_REL_MEM, c, hi)[lo:hi] for c in self.ids[_REL_MEM][:low]])
+        for c, hv in zip(self.ids[_REL_MEM][lo:hi], theirs):
+            hx = heads.get(c)
+            if hx is None:
+                hx = heads[c] = self.column(_REL_MEM, c, low)[:low]
+            yield tuple([meet[a][b] for a, b in zip(hx, hv)])
 
     def partition(self, ctx: EvalContext, rel: str) -> tuple[array, list[tuple[int, ...]]]:
         """The class of each covered name's column of `x = v` (rel '=') or of
@@ -315,65 +355,53 @@ class ColumnClasses:
         r = _REL_EQ if rel == "=" else _REL_MEM
         return self.classes(ctx, r, 0, self.n), self.by_id[r]
 
-    def half_cell(self, u: int, col: tuple[int, ...]) -> int:
-        """u's side of `u = v`, for a v with membership column col; unlike
-        `half`, it keeps no row."""
-        meet, factor, acc = self.alg.meet_t, self.factor, self.alg.top_i
-        for x, a in self.names[u].entries:
-            acc = meet[acc][factor[a][col[x]]]
-        return acc
-
-    def member_cell(self, v: int, col: tuple[int, ...]) -> int:
-        """`u in v`, for a u with equality column col; unlike `member`, it
-        keeps no row."""
-        meet, join, acc = self.alg.meet_t, self.alg.join_t, self.alg.bottom_i
-        for x, a in self.names[v].entries:
-            acc = join[acc][meet[a][col[x]]]
-        return acc
-
-    def half(self, u: int) -> array:
-        """u's side of `u = v`, for each membership class of v."""
-        row = self.halves.get(u)
-        if row is None:
-            row = self.halves[u] = array(
-                self.typecode, [self.half_cell(u, col) for col in self.columns[_REL_MEM]])
-        return row
-
-    def member(self, v: int) -> array:
-        """`u in v`, for each equality class of u."""
-        row = self.members.get(v)
-        if row is None:
-            row = self.members[v] = array(
-                self.typecode, [self.member_cell(v, col) for col in self.columns[_REL_EQ]])
-        return row
-
     def column(self, rel: int, c: int, stop: int) -> array:
-        """For each name z below stop, z's half against membership class c
-        (rel `in`), or `x in z` for an x of equality class c (rel `=`)."""
-        col = self.across[rel].get(c)
-        if col is None:
-            col = self.across[rel][c] = array(self.typecode)
-        if len(col) < stop:
-            cell = self.half if rel == _REL_MEM else self.member
-            col.extend([cell(z)[c] for z in range(len(col), stop)])
-        return col
+        """Class c's cell of each name z below stop: z's half of `z = v`
+        for a v of membership class c (rel `in`), or `x in z` for an x of
+        equality class c (rel `=`).  With (x, a) z's last entry and p its
+        prefix,
+
+            H[c][z] = H[c][p] /\\ factor[a][`x in v`]
+            M[c][z] = M[c][p] \\/ (a /\\ `x = u`)
+
+        from H[c][0] = top and M[c][0] = bottom for the empty name: the
+        clause's fold over z's entries, in their order, one step a name."""
+        cells = self.cells[rel][c]
+        m = len(cells)
+        if m < stop:
+            step, append = self.steps[rel][c], cells.append
+            for p, e in zip(self.prefix[m:stop], self.last_entry[m:stop]):
+                append(step[cells[p]][e])
+        return cells
+
+    def cells_of(self, rel: str) -> list[array]:
+        """Each class's cells of every covered name, by class id (`column`):
+        halves by membership class (rel 'in'), memberships by equality
+        class (rel '=')."""
+        r = _REL_EQ if rel == "=" else _REL_MEM
+        return [self.column(r, c, self.n) for c in range(len(self.by_id[r]))]
+
+    def half(self, u: int) -> list[int]:
+        """u's side of `u = v`, for each membership class of v."""
+        return [self.column(_REL_MEM, c, u + 1)[u] for c in range(len(self.by_id[_REL_MEM]))]
+
+    def member(self, v: int) -> list[int]:
+        """`u in v`, for each equality class of u."""
+        return [self.column(_REL_EQ, c, v + 1)[v] for c in range(len(self.by_id[_REL_EQ]))]
 
     def equality(self, ctx: EvalContext, u: int, v: int) -> int:
         """`u = v` for u <= v and a top-level v."""
         if u < self.low:
             return self.by_id[_REL_EQ][self.class_of(ctx, _REL_EQ, v)][u]
-        ids = self.ids[_REL_MEM]
-        cu = ids[u] if ids[u] >= 0 else self.class_of(ctx, _REL_MEM, u)
-        cv = ids[v] if ids[v] >= 0 else self.class_of(ctx, _REL_MEM, v)
-        return self.alg.meet_t[self.half(u)[cv]][self.half(v)[cu]]
+        cu, cv = self.class_of(ctx, _REL_MEM, u), self.class_of(ctx, _REL_MEM, v)
+        return self.alg.meet_t[self.column(_REL_MEM, cv, v + 1)[u]][
+            self.column(_REL_MEM, cu, v + 1)[v]]
 
     def membership(self, ctx: EvalContext, u: int, v: int) -> int:
         """`u in v` for u and v not both low."""
         if u < self.low:
             return self.by_id[_REL_MEM][self.class_of(ctx, _REL_MEM, v)][u]
-        ids = self.ids[_REL_EQ]
-        c = ids[u] if ids[u] >= 0 else self.class_of(ctx, _REL_EQ, u)
-        return self.member(v)[c]
+        return self.column(_REL_EQ, self.class_of(ctx, _REL_EQ, u), v + 1)[v]
 
 
 class EvalContext:
@@ -801,16 +829,23 @@ def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
     universe.  Right side: meet over x in dom(u) of u(x) => phi(x).  Each
     side is compiled once, with u a parameter rather than a constant, and
     the returned function of u is held for a sweep over many names.
+    phi(x) is evaluated once per name x and universe length, since the
+    domains of many names share x.
     """
     quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
     indexed = ctx.sentence(phi, ("x",))
     names, meet, imp, top = ctx.universe.names, ctx._meet, ctx._imp, ctx._top
     es = ctx.algebra.elements
+    known: dict[tuple[int, int], int] = {}  # phi(x) by (universe length, x)
 
     def compare(u: int) -> BqResult:
         q = quantified(u)
         acc = top
         for x, ux in names[u].entries:
-            acc = meet[acc][imp[ux][indexed(x)]]
+            key = (len(names), x)
+            value = known.get(key)
+            if value is None:
+                value = known[key] = indexed(x)
+            acc = meet[acc][imp[ux][value]]
         return BqResult(es[q], es[acc], q == acc)
     return compare

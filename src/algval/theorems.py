@@ -1063,22 +1063,25 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     rows hold each name's two columns over the low names, and the engine
     answers them from the columns, which it reads through the clauses for
     the low names alone.  So the low rows agree exactly when every name
-    has the same two columns under ba as under pa.  The columns, not the
-    class ids, are compared, since each table numbers its classes in the
-    order it first saw them.  Only if some column differs is the engine
-    asked the low rows, pair by pair, so every record and every `limit`
-    prefix come out as the engine gives them.
+    has the same two columns under ba as under pa.  Each table numbers
+    its classes in the order of the first name that has them, so that
+    holds exactly when the two tables give every name the same class ids
+    and every class id the same column, which is compared.  Only if they
+    differ is the engine asked the low rows, pair by pair, so every record
+    and every `limit` prefix come out as the engine gives them.
 
     Once the low rows agree, ba and pa sort the names into the same
     classes (16 membership and 9 equality classes for the 3125 names of
-    bool4 at rank 3), and the fold reads each assignment's own table
-    cells.  u and v range independently over their classes, so meeting
-    every (ba, pa) half of class a against b with every half of b against
-    a gives exactly the `=` values of all their pairs; the pair (a, b) is
-    bad if two of them differ.  An equality class is bad for `in` if some
-    name's member cell differs between the tables.  Without tables
-    covering every name (rank 2, say), the engine is asked the low rows,
-    and then, as when they disagree, all names form one bad class.
+    bool4 at rank 3), and the fold reads each assignment's own cells: for
+    each class, the array the tables fill by prefix, one step a name, with
+    every name's half against that membership class or its `in` value for
+    that equality class.  u and v range independently over their classes,
+    so meeting every (ba, pa) half of class a against b with every half of
+    b against a gives exactly the `=` values of all their pairs; the pair
+    (a, b) is bad if two of them differ.  An equality class is bad for
+    `in` if its arrays differ between the tables.  Without tables covering
+    every name (rank 2, say), the engine is asked the low rows, and then,
+    as when they disagree, all names form one bad class.
     """
     uni = ws.universe
     alg = ws.algebra
@@ -1101,8 +1104,7 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     cb, cp = ws._shared.columns["ba"], ws._shared.columns["pa"]
     parts = ([(cb.partition(ba, rel), cp.partition(pa, rel)) for rel in ("in", "=")]
              if cb.n == cp.n == n else None)
-    if parts is None or any(cols_b[c] != cols_p[d] for (ids_b, cols_b), (ids_p, cols_p) in parts
-                            for c, d in zip(ids_b, ids_p)):
+    if parts is None or any(b != p for b, p in parts):
         if ask((rel, s, v) for s in range(n) if uni.rank_of(s) < ws.rank_bound
                for v in range(n) for rel in ("in", "=")):
             return out
@@ -1111,18 +1113,17 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     bad_eq, bad_in = {0: {0}}, {0}
     if not out and parts is not None:
         meet = alg.meet_t
-        (m_of, m_cols), (e_of, e_cols) = (b for b, _ in parts)
+        m_of, e_of = (ids for (ids, _), _ in parts)
         halves: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        for u in range(n):
-            for b, col in enumerate(m_cols):
-                halves.setdefault((m_of[u], b), set()).add(
-                    (cb.half_cell(u, col), cp.half_cell(u, col)))
+        for b, (hb, hp) in enumerate(zip(cb.cells_of("in"), cp.cells_of("in"))):
+            for a, h, g in set(zip(m_of, hb, hp)):
+                halves.setdefault((a, b), set()).add((h, g))
         bad_eq = {}
         for (a, b), hs in halves.items():
             if any(meet[hb][gb] != meet[hp][gp] for hb, hp in hs for gb, gp in halves[b, a]):
                 bad_eq.setdefault(a, set()).add(b)
-        bad_in = {c for c, col in enumerate(e_cols)
-                  if any(cb.member_cell(v, col) != cp.member_cell(v, col) for v in range(n))}
+        bad_in = {c for c, (mb, mp) in enumerate(zip(cb.cells_of("="), cp.cells_of("=")))
+                  if mb != mp}
 
     ask(itertools.chain(
         (("=", u, v) for u in range(n) if m_of[u] in bad_eq

@@ -18,7 +18,8 @@ from __future__ import annotations
 import copy
 import itertools
 import re
-from typing import Iterable, Mapping, Union
+from collections.abc import Iterable, Mapping
+from typing import Optional, Union
 
 from .algebra import Algebra
 from .errors import InputError, ResourceError
@@ -71,6 +72,10 @@ class Universe:
         self.names.append(Name(key, rank))
         self._index[key] = n
         return n
+
+    def find(self, entries: tuple[tuple[int, int], ...]) -> Optional[int]:
+        """The id of the name with these sorted entries, if it is interned."""
+        return self._index.get(entries)
 
     def copy(self) -> "Universe":
         """An independent universe holding the same names under the same ids."""

@@ -25,6 +25,11 @@ module reads `_extend`, `_fill` or `_rows`; a caller that needs a name's
 values against every name asks `EvalContext.row`, which fills its row the
 same way.
 
+Cell guard: the class tables' cells are the clause's folds, filled by
+prefix in `evaluate` alone, so no other module reads the factor table or
+the prefix arrays they are computed from (`factor`, `steps`, `prefix`,
+`last_entry`); a reader asks the tables for their cells.
+
 Formula-source guard: every formula list a check sweeps comes from
 `formulas.battery`, so only it and `check_ps3_agreement`'s propositional
 corpus call `enumerate_formulas`.
@@ -253,6 +258,38 @@ def test_row_guard_sees_a_planted_reader(tmp_path):
         "CACHED = len(EvalContext._rows)\n",
         encoding="utf-8")
     assert row_internal_readers(tmp_path) == ["quotient", "quotient.build_quotient"]
+
+
+CELL_SOURCES = {"factor", "steps", "prefix", "last_entry"}
+
+
+def cell_computers(src: Path) -> list[str]:
+    """The definitions outside `evaluate` that read what a table cell is
+    computed from."""
+    return _owners(src, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in CELL_SOURCES, skip=frozenset({"evaluate"}))
+
+
+def test_only_the_engine_computes_table_cells():
+    assert cell_computers(SRC) == []
+
+
+def test_cell_guard_sees_a_planted_reader(tmp_path):
+    (tmp_path / "evaluate.py").write_text(
+        "class ColumnClasses:\n"
+        "    def column(self, c, v):\n"
+        "        return self.steps[c][self.prefix[v]][self.last_entry[v]]\n",
+        encoding="utf-8")
+    (tmp_path / "theorems.py").write_text(
+        "class Fold:\n"
+        "    def half(self, tables, v):\n"
+        "        return tables.prefix[v], tables.last_entry[v]\n\n\n"
+        "def coincidence_mismatches(ws):\n"
+        "    factor = ws.pa._columns.factor\n"
+        "    return factor\n",
+        encoding="utf-8")
+    assert cell_computers(tmp_path) == ["theorems.Fold.half",
+                                        "theorems.coincidence_mismatches"]
 
 
 def formula_enumerators(src: Path) -> list[str]:

@@ -723,6 +723,81 @@ def test_folded_columns_match_reference_clauses(algname, rank, assignment):
         assert in_cols[in_of[v]] == tuple(mem(x, v) for x in range(low)), ("in", v)
 
 
+def per_entry_folds(ctx):
+    """(half_cell, member_cell): a name's cell of a class, folded from the
+    clause over its entries one at a time.  half_cell(u, col) is u's half
+    of `u = v` for a v with membership column col, and member_cell(v, col)
+    is `u in v` for a u with equality column col."""
+    alg, names = ctx.algebra, ctx.universe.names
+    meet, join, imp, star = alg.meet_t, alg.join_t, alg.imp_t, alg.star_t
+
+    def factor(a, m):
+        c = imp[a][m]
+        return meet[c][imp[star[m]][star[a]]] if ctx.assignment == "pa" else c
+
+    def half_cell(u, col):
+        acc = alg.top_i
+        for x, a in names[u].entries:
+            acc = meet[acc][factor(a, col[x])]
+        return acc
+
+    def member_cell(v, col):
+        acc = alg.bottom_i
+        for x, a in names[v].entries:
+            acc = join[acc][meet[a][col[x]]]
+        return acc
+
+    return half_cell, member_cell
+
+
+@pytest.mark.parametrize("algname, rank", [(name, 2) for name in BUILTIN_NAMES]
+                         + [("ps3", 3), ("chain3", 3), ("bool4", 3)])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_class_cells_match_per_entry_folds(algname, rank, assignment):
+    # the tables fill each class's cells by prefix, one step a name; every
+    # cell must be the clause's fold over that name's entries
+    alg, d = builtin(algname)
+    uni = covered_universe(alg, rank)
+    ctx = EvalContext(uni, d, assignment)
+    columns = ctx._columns
+    assert columns.n == len(uni)
+    half_cell, member_cell = per_entry_folds(ctx)
+    (_, in_cols), (_, eq_cols) = (columns.partition(ctx, rel) for rel in ("in", "="))
+    for rel, cols, cell in (("in", in_cols, half_cell), ("=", eq_cols, member_cell)):
+        cells = columns.cells_of(rel)
+        assert len(cells) == len(cols) > 0
+        for c, (col, row) in enumerate(zip(cols, cells)):
+            assert list(row) == [cell(v, col) for v in uni.ids()], (rel, c)
+    for v in uni.ids():
+        assert columns.half(v) == [half_cell(v, col) for col in in_cols], v
+        assert columns.member(v) == [member_cell(v, col) for col in eq_cols], v
+
+
+@pytest.mark.parametrize("prefix", ["before", "after", "never"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_a_covered_name_without_its_prefix_below_keeps_the_clauses(prefix, assignment):
+    # {x: half, y: one} folds from the cells of {x: half}, its prefix; the
+    # tables are on only where that name is interned below it
+    alg, d = ps3()
+    low, uni = build_universe(alg, 2), Universe(alg, 3)
+    for nid in low.ids():
+        uni.insert(low.entries_of(nid))
+    x, y = len(low) - 2, len(low) - 1
+    half, one = alg.index["half"], alg.top_i
+    uni.insert({y: one})
+    if prefix == "before":
+        uni.insert({x: half})
+    v = uni.insert({x: half, y: one})
+    if prefix == "after":
+        uni.insert({x: half})
+    p = uni.find(((x, half),))
+    assert {"before": p is not None and p < v, "after": p is not None and p > v,
+            "never": p is None}[prefix]
+    ctx = EvalContext(uni, d, assignment)
+    assert ctx._columns.n == (len(uni) if prefix == "before" else 0)
+    assert_clauses_match_reference(ctx)
+
+
 def test_lattice_verdict_computed_once_per_algebra(monkeypatch):
     # the tables of every assignment and rank read one verdict per algebra
     calls = []

@@ -13,7 +13,7 @@ from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
-from algval.evaluate import _REL_MEM, ASSIGNMENTS, EvalContext
+from algval.evaluate import _REL_EQ, _REL_MEM, ASSIGNMENTS, EvalContext
 from algval.formulas import Eq, Imp, Var, parse
 from algval.theorems import (
     CHECKS,
@@ -189,33 +189,53 @@ class TestCoincidenceSweep:
         ws = Workspace(alg, d, rank_bound=3)
         assert coincidence_mismatches(ws) == []
 
-    @pytest.mark.parametrize("plant", ["factor", "member_cell", "column"])
+    @pytest.mark.parametrize("plant", ["factor", "member_cell", "column", "class_column"])
     def test_planted_table_defect_found_on_every_pair(self, monkeypatch, plant):
         # a defect in the pa tables alone makes the engine's two assignments
         # disagree; the fold must send the engine to every such pair, and a
         # wrong cell in a folded column to the low rows too
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=3)
-        tables = ws.pa._columns
+        tables, k = ws.pa._columns, len(alg.elements)
+        last = len(ws.universe) - 1
+        assert last >= tables.low
         if plant == "factor":
             tables.factor[alg.top_i][alg.bottom_i] = alg.top_i
         elif plant == "column":
-            fold, last = tables.fold, len(ws.universe) - 1
-            assert last >= tables.low
+            fold = tables.fold
 
-            def wrong(ctx, rel, v):
-                col = fold(ctx, rel, v)
-                if rel == _REL_MEM and v == last:
-                    col = ((col[0] + 1) % len(alg.elements),) + col[1:]
-                return col
+            def wrong(rel, lo, hi):
+                for v, col in enumerate(fold(rel, lo, hi), lo):
+                    if rel == _REL_MEM and v == last:
+                        col = ((col[0] + 1) % k,) + col[1:]
+                    yield col
+            monkeypatch.setattr(tables, "fold", wrong)
+        elif plant == "class_column":
+            # one wrong column for every name of the last name's membership
+            # class, so the pa classes group the names as the ba ones do
+            ref = EvalContext(ws.universe, d, "pa")
+            ids, cols = ref._columns.partition(ref, "in")
+            target = cols[ids[last]]
+            shifted = ((target[0] + 1) % k,) + target[1:]
+            assert shifted not in cols and ids[last] not in ids[:tables.low]
+            fold = tables.fold
+
+            def wrong(rel, lo, hi):
+                for col in fold(rel, lo, hi):
+                    yield shifted if rel == _REL_MEM and col == target else col
             monkeypatch.setattr(tables, "fold", wrong)
         else:
-            cell, last = tables.member_cell, len(ws.universe) - 1
+            # one wrong step of the prefix pass: the last name's membership
+            # cell, which no later name's cell folds from
+            column, planted = tables.column, set()
 
-            def wrong(v, col):
-                value = cell(v, col)
-                return (value + 1) % len(alg.elements) if v == last else value
-            monkeypatch.setattr(tables, "member_cell", wrong)
+            def wrong(rel, c, stop):
+                cells = column(rel, c, stop)
+                if rel == _REL_EQ and len(cells) > last and c not in planted:
+                    planted.add(c)
+                    cells[last] = (cells[last] + 1) % k
+                return cells
+            monkeypatch.setattr(tables, "column", wrong)
         got = coincidence_mismatches(ws, limit=10**9)
         assert got and got == engine_mismatches(ws)
 
