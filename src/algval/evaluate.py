@@ -76,12 +76,56 @@ clause folds one into the other, is sound only for a lattice's meet: the
 tables are used only when meet and join pass `algebra.check_lattice`,
 whose verdict each algebra keeps (and, under pa, the algebra has a star
 table).  They are not used where they cannot pay: with one low name, as
-at rank 2, a clause reads at most one entry a side.  Witness names, whose
-domains reach the top level, and defective tables take the clause.  The
-tables cover enumerated names only, so a run's contexts of one assignment
-share them across all the workspaces of a rank, like the store.  The
-class fold of `theorems.coincidence_mismatches` compares their columns
-and reads their cells.
+at rank 2, a clause reads at most one entry a side.  Pairs of two
+witness names, and defective tables, take the clause.  The tables cover
+enumerated names only, so a run's contexts of one assignment share them
+across all the workspaces of a rank, like the store.  The class fold of
+`theorems.coincidence_mismatches` compares their columns and reads their
+cells.
+
+Names by signature.  The signature of a top-level covered name u is its
+membership class mc(u), its equality class ec(u), its row of halves
+H[.][u] and its row of memberships M[.][u]; a low name is a class of its
+own (`ColumnClasses.signatures`).  The four table formulas read a name
+only through its signature: `=`(u, v) and `in`(u, v) above, `x = v` and
+`x in v` for a low x from v's two columns, and `v in x` as M[ec(v)][x].
+So if u and u' share a signature, each atom of u with a covered z has the
+value of the same atom of u' with z, z = u and z = u' included: `u = u'`
+is H[mc(u)][u] /\\ H[mc(u)][u'], which is `u = u`, and `u in u'` is
+M[ec(u)][u'], which is `u in u`.  Swapping u and u' is then an
+automorphism of the covered names under `=` and `in`, and a formula whose
+constants the swap fixes has one value at u and at u' while the universe
+holds no other name.  `EvalContext.name_classes` gives these classes (27
+top-level classes of 256 names on ps3 at rank 3 under pa, 9 under ba).  A
+reader asks a class at its first name, weights its counts by the sizes
+of the classes, and sets a formula's constants apart in classes of their
+own (`NameClasses.apart`); `theorems.first_bad_pair` and
+`quotient.build_quotient` read pairs of classes so.
+
+Witness names, one level up (`_Witness`).  To a witness w the covered
+names play the part that the low names play for a top-level name.  For a
+covered r,
+
+    `r in w` = join over the entries (y, a) of w of  a /\\ `y = r`
+    w's half of `r = w` = meet over the entries (y, a) of w of
+                          factor[a][`y in r`]
+    r's half of `r = w` = r's cell at w's membership column over L
+    `w in r` = r's cell at w's equality column over L
+
+A covered y has `y = r` and `y in r` at the pair of signature classes of
+y and r (`ColumnClasses.class_atoms`), and a witness y its own values
+against r.  So w's values depend on r only through r's signature and its
+cells at the columns over L of w and of the witnesses below w that no
+class of the tables has (`extra`), which split the signature classes
+(`ColumnClasses.refined`): w keeps `r in w` and its half once per class.
+The folds reassociate meets and joins, and count a repeated (weight,
+class) term once, which a lattice's idempotent, commutative and
+associative meet and join allow; the gate of the tables is that.  A
+clause on two witnesses reads a covered entry's value from the other
+witness's values the same way.  Covered names that share a class split
+by every witness's extra columns are interchangeable in the grown
+universe too, so a sweep reads the own rows of the first name of the
+swept name's class (`EvalContext._firsts`).
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over every
@@ -161,13 +205,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, is_bounded_lattice
 from .errors import CapabilityError, InputError
 from .formulas import (
     And, Bot, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term, Top, Var, children,
+    constants,
 )
 from .universe import Universe
 
@@ -220,6 +265,84 @@ def forget_names(memo: Memo, n: int) -> None:
             del row[n:]
 
 
+class _Witness(NamedTuple):
+    """A witness w's values against the covered names r (see the module
+    docstring): `members[of[r]]` is `r in w`, `halves[of[r]]` w's half of
+    `r = w`, `covered_halves[r]` r's half and `containers[r]` `w in r`;
+    `extra` holds the columns of w and of the witnesses below it that no
+    class of the tables has, by which `of` splits the signature classes.
+    `entries` are w's entries with one covered entry per weight and
+    signature class, which the clauses fold where their terms depend on a
+    covered name only through its signature class."""
+
+    of: Sequence[int]
+    members: list[int]
+    halves: list[int]
+    covered_halves: array
+    containers: array
+    extra: frozenset[tuple[int, tuple[int, ...]]]
+    entries: list[tuple[int, int]]
+
+
+class NameClasses:
+    """A partition of the names of a universe into classes numbered in the
+    order of their first names: `of[u]` is u's class, `reps[c]` the first
+    name of class c and `sizes[c]` its size."""
+
+    def __init__(self, of: Sequence[int], reps: Sequence[int], sizes: Sequence[int]):
+        self.of, self.reps, self.sizes = of, reps, sizes
+        self._apart: dict[frozenset[int], NameClasses] = {}
+        self._firsts: Optional[array] = None
+
+    @property
+    def firsts(self) -> array:
+        """The first name of each name's class."""
+        if self._firsts is None:
+            self._firsts = array("i", map(self.reps.__getitem__, self.of))
+        return self._firsts
+
+    @classmethod
+    def by_key(cls, keys: Iterable[object]) -> NameClasses:
+        """The names 0, 1, ... grouped by equal keys."""
+        ids: dict[object, int] = {}
+        of, reps, sizes = array("i"), [], []
+        for u, key in enumerate(keys):
+            c = ids.setdefault(key, len(ids))
+            if c == len(reps):
+                reps.append(u)
+                sizes.append(0)
+            sizes[c] += 1
+            of.append(c)
+        return cls(of, reps, sizes)
+
+    @classmethod
+    def singletons(cls, n: int) -> NameClasses:
+        return cls(range(n), range(n), [1] * n)
+
+    def apart(self, names: Iterable[int]) -> NameClasses:
+        """This partition with each of `names` in a class of its own, as a
+        formula that names them as constants needs."""
+        split = frozenset(u for u in names if self.sizes[self.of[u]] > 1)
+        if not split:
+            return self
+        hit = self._apart.get(split)
+        if hit is None:
+            hit = self._apart[split] = NameClasses.by_key(
+                ~u if u in split else c for u, c in enumerate(self.of))
+        return hit
+
+    def first_pair(self, bad: dict[int, set[int]]) -> Optional[tuple[int, int]]:
+        """The first pair of names (u, v) in id order whose classes have
+        of[v] in bad[of[u]].  When bad is symmetric, v >= u: a partner
+        below u would have a partner itself, and come first."""
+        of = self.of
+        for u in range(len(of)):
+            row = bad.get(of[u])
+            if row:
+                return u, next(v for v in range(len(of)) if of[v] in row)
+        return None
+
+
 class ColumnClasses:
     """Bell's clauses by column class, for the names of one universe whose
     ids lie below `n` (see the module docstring).
@@ -240,34 +363,49 @@ class ColumnClasses:
     cell of its prefix.  `half` and `member` read a name's cells across
     the classes.  Like a store, the tables may be shared by the contexts
     of one assignment over universes that agree on their first `n` names.
+
+    The signature classes (`signatures`), the values at the pairs of
+    classes (`class_atoms`) and the classes split for witnesses
+    (`refined`) are computed from the cells on first use.
     """
 
-    def __init__(self, universe: Universe, assignment: str):
+    def __init__(self, universe: Universe, assignment: str,
+                 like: Optional[ColumnClasses] = None):
+        """`like`, the tables of another assignment over the same universe,
+        lends its prefix arrays."""
         alg, names, bound = universe.algebra, universe.names, universe.rank_bound
         low = 0
         while low < len(names) and names[low].rank < bound:
             low += 1
         self.low, self.n = low, 0
+        self._class_atoms: Optional[tuple[Sequence[int], list[list[int]],
+                                          list[list[int]]]] = None
+        self._signatures: Optional[NameClasses] = None
+        self._refined: dict[frozenset[tuple[int, tuple[int, ...]]], NameClasses] = {}
+        self._extra: dict[tuple[int, tuple[int, ...]], array] = {}
         # With one low name a clause reads one entry a side, as a table
         # lookup would.  The halves meet in another order than the clause
         # folds, which only a lattice's meet allows.
         if low < 2 or assignment == "pa" and alg.star_t is None or not is_bounded_lattice(alg):
             return
-        n = low
-        while n < len(names) and names[n].rank == bound:
-            n += 1
-        # each name's prefix, itself less its last entry (x, a), and that
-        # entry as x * k + a; a cell is one step from its prefix's, so the
-        # prefix must come first
         k = len(alg.elements)
-        self.prefix, self.last_entry = array("i", [0]) * n, array("i", [0]) * n
-        for v in range(1, n):
-            entries = names[v].entries
-            p = universe.find(entries[:-1])
-            if p is None or p >= v:
-                return
-            x, a = entries[-1]
-            self.prefix[v], self.last_entry[v] = p, x * k + a
+        if like is not None and like.n:
+            n, self.prefix, self.last_entry = like.n, like.prefix, like.last_entry
+        else:
+            n = low
+            while n < len(names) and names[n].rank == bound:
+                n += 1
+            # each name's prefix, itself less its last entry (x, a), and
+            # that entry as x * k + a; a cell is one step from its
+            # prefix's, so the prefix must come first
+            self.prefix, self.last_entry = array("i", [0]) * n, array("i", [0]) * n
+            for v in range(1, n):
+                entries = names[v].entries
+                p = universe.find(entries[:-1])
+                if p is None or p >= v:
+                    return
+                x, a = entries[-1]
+                self.prefix[v], self.last_entry[v] = p, x * k + a
         self.n = n
         self.alg = alg
         self.typecode = _item_type(k)[0]
@@ -312,14 +450,23 @@ class ColumnClasses:
         if c is None:
             c = known[col] = len(known)
             self.by_id[rel].append(col)
-            alg = self.alg
-            table, fold = ((self.factor, alg.meet_t) if rel == _REL_MEM
-                           else (alg.meet_t, alg.join_t))
-            step = [table[a][m] for m in col for a in range(len(alg.elements))]
-            self.steps[rel].append([[row[s] for s in step] for row in fold])
-            self.cells[rel].append(array(self.typecode,
-                                         [alg.top_i if rel == _REL_MEM else alg.bottom_i]))
+            self.steps[rel].append(self._steps(rel, col))
+            self.cells[rel].append(self._start(rel))
         self.ids[rel].append(c)
+
+    def _steps(self, rel: int, col: tuple[int, ...]) -> list[list[int]]:
+        """The steps of a column's cells: the cell of a name whose prefix's
+        cell is h and whose last entry is e, at [h][e]."""
+        alg = self.alg
+        table, fold = ((self.factor, alg.meet_t) if rel == _REL_MEM
+                       else (alg.meet_t, alg.join_t))
+        step = [table[a][m] for m in col for a in range(len(alg.elements))]
+        return [[row[s] for s in step] for row in fold]
+
+    def _start(self, rel: int) -> array:
+        """The cells of a column at the empty name: top for a half, bottom
+        for a membership."""
+        return array(self.typecode, [self.alg.top_i if rel == _REL_MEM else self.alg.bottom_i])
 
     def fold(self, rel: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         """The columns of the top-level names lo .. hi - 1, of `x = v` (rel
@@ -366,10 +513,13 @@ class ColumnClasses:
 
         from H[c][0] = top and M[c][0] = bottom for the empty name: the
         clause's fold over z's entries, in their order, one step a name."""
-        cells = self.cells[rel][c]
+        return self._grow(self.cells[rel][c], self.steps[rel][c], stop)
+
+    def _grow(self, cells: array, step: list[list[int]], stop: int) -> array:
+        """Fill cells by prefix, one step a name, up to stop."""
         m = len(cells)
         if m < stop:
-            step, append = self.steps[rel][c], cells.append
+            append = cells.append
             for p, e in zip(self.prefix[m:stop], self.last_entry[m:stop]):
                 append(step[cells[p]][e])
         return cells
@@ -402,6 +552,65 @@ class ColumnClasses:
         if u < self.low:
             return self.by_id[_REL_MEM][self.class_of(ctx, _REL_MEM, v)][u]
         return self.column(_REL_EQ, self.class_of(ctx, _REL_EQ, u), v + 1)[v]
+
+    def signatures(self, ctx: EvalContext) -> NameClasses:
+        """The covered names by signature: a top-level name's membership
+        class, equality class, row of halves H[.][u] and row of memberships
+        M[.][u]; each low name alone.  Names of one class are
+        interchangeable (see the module docstring)."""
+        if self._signatures is None:
+            low, n = self.low, self.n
+            keys = zip(self.classes(ctx, _REL_MEM, low, n), self.classes(ctx, _REL_EQ, low, n),
+                       *[cells[low:] for cells in self.cells_of("in") + self.cells_of("=")])
+            self._signatures = NameClasses.by_key(chain(range(-low, 0), keys))
+        return self._signatures
+
+    def class_atoms(self, ctx: EvalContext) -> tuple[Sequence[int], list[list[int]],
+                                                    list[list[int]]]:
+        """The signature class of each covered name, `=` by class pair and
+        `in` by class pair, read at the classes' first names: `a = b` at
+        [A][B] and `a in b` at [B][A]."""
+        if self._class_atoms is None:
+            sig, low = self.signatures(ctx), self.low
+            reps = sig.reps
+
+            def eq(a: int, b: int) -> int:
+                a, b = min(a, b), max(a, b)
+                return ctx.equality(a, b) if b < low else self.equality(ctx, a, b)
+
+            def mem(a: int, b: int) -> int:
+                return ctx.membership(a, b) if max(a, b) < low else self.membership(ctx, a, b)
+            self._class_atoms = (sig.of, [[eq(a, b) for b in reps] for a in reps],
+                                 [[mem(a, b) for a in reps] for b in reps])
+        return self._class_atoms
+
+    def refined(self, ctx: EvalContext, extra: frozenset[tuple[int, tuple[int, ...]]]
+                ) -> NameClasses:
+        """The signature classes split by each name's cells in the extra
+        columns, (rel, column) pairs that no class of the tables has: for
+        rel `in` a membership column, whose cells are halves, and for rel
+        `=` an equality column, whose cells are memberships."""
+        hit = self._refined.get(extra)
+        if hit is None:
+            base = self.signatures(ctx)
+            hit = base if not extra else NameClasses.by_key(zip(
+                base.of, *[self._extra_cells(rel, col) for rel, col in sorted(extra)]))
+            self._refined[extra] = hit
+        return hit
+
+    def cells_at(self, rel: int, col: tuple[int, ...]) -> array:
+        """The cells of every covered name at a column over the low names:
+        halves for a membership column (rel `in`), memberships for an
+        equality column (rel `=`)."""
+        c = self.columns[rel].get(col)
+        return self._extra_cells(rel, col) if c is None else self.column(rel, c, self.n)
+
+    def _extra_cells(self, rel: int, col: tuple[int, ...]) -> array:
+        cells = self._extra.get((rel, col))
+        if cells is None:
+            cells = self._extra[rel, col] = self._grow(self._start(rel), self._steps(rel, col),
+                                                       self.n)
+        return cells
 
 
 class EvalContext:
@@ -447,6 +656,9 @@ class EvalContext:
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.sweeps_reused = 0  # sweeps answered from their cache
         self._columns = ColumnClasses(universe, assignment) if columns is None else columns
+        self._witnesses: dict[int, _Witness] = {}  # by witness id (`_witness`)
+        # (universe length, the witnesses' extra columns, `_firsts`)
+        self._firsts_at: tuple[int, frozenset, Sequence[int]] = (0, frozenset(), ())
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -487,20 +699,33 @@ class EvalContext:
             acc = cc.equality(self, u, v)
             self._put(eq_rows, v, u, acc)
             return acc
+        if u < cc.n <= v:  # a covered name and a witness
+            w = self._witness(v)
+            acc = meet[w.covered_halves[u]][w.halves[w.of[u]]]
+            self._put(eq_rows, v, u, acc)
+            return acc
         mem, stop = self.membership, self._eq_stop
         acc = self._top
         for hi, lo in ((u, v), (v, u)):
             col = mem_rows.get(lo, ())  # `x in lo` for every x
-            for x, ux in names[hi].entries:
+            # a witness's values against the covered names, when lo is one
+            w = self._witness(lo) if lo >= cc.n > 0 else None
+            entries = names[hi].entries
+            if w is not None and hi >= cc.n and not w.extra:
+                entries = self._witness(hi).entries
+            for x, ux in entries:
                 if __debug__:
                     assert names[x].rank < names[hi].rank
-                try:
-                    m = col[x]
-                except IndexError:
-                    m = unset
-                if m == unset:
-                    m = mem(x, lo)
-                    col = mem_rows.get(lo, ())
+                if w is not None and x < cc.n:
+                    m = w.members[w.of[x]]
+                else:
+                    try:
+                        m = col[x]
+                    except IndexError:
+                        m = unset
+                    if m == unset:
+                        m = mem(x, lo)
+                        col = mem_rows.get(lo, ())
                 c = imp[ux][m]
                 if pa:
                     c = meet[c][imp[star[m]][star[ux]]]
@@ -524,24 +749,36 @@ class EvalContext:
         cc = self._columns
         if cc.low <= max(u, v) < cc.n:  # a top-level name and a covered one
             acc = cc.membership(self, u, v)
-            self._put(mem_rows, v, u, acc)
-            return acc
-        names = self.universe.names
-        meet, join = self._meet, self._join
-        eq, top = self.equality, self._top
-        col = eq_rows.get(u, ())  # `x = u` for every x <= u
-        acc = self._bottom
-        for x, vx in names[v].entries:
-            try:
-                e = col[x] if x <= u else eq_rows.get(x, ())[u]
-            except IndexError:
-                e = unset
-            if e == unset:
-                e = eq(x, u)
-                col = eq_rows.get(u, ())
-            acc = join[acc][meet[vx][e]]
-            if acc == top:
-                break
+        elif u < cc.n <= v:  # a covered name in a witness
+            w = self._witness(v)
+            acc = w.members[w.of[u]]
+        elif v < cc.n <= u:  # a witness in a covered name
+            acc = self._witness(u).containers[v]
+        else:  # the clause; where u is a witness, `x = u` for a covered x
+            # comes from u's values against the covered names
+            names = self.universe.names
+            meet, join = self._meet, self._join
+            eq, top = self.equality, self._top
+            col = eq_rows.get(u, ())  # `x = u` for every x <= u
+            w = self._witness(u) if u >= cc.n > 0 else None
+            entries = names[v].entries
+            if w is not None and v >= cc.n and not w.extra:
+                entries = self._witness(v).entries
+            acc = self._bottom
+            for x, vx in entries:
+                if w is not None and x < cc.n:
+                    e = meet[w.covered_halves[x]][w.halves[w.of[x]]]
+                else:
+                    try:
+                        e = col[x] if x <= u else eq_rows.get(x, ())[u]
+                    except IndexError:
+                        e = unset
+                    if e == unset:
+                        e = eq(x, u)
+                        col = eq_rows.get(u, ())
+                acc = join[acc][meet[vx][e]]
+                if acc == top:
+                    break
         self._put(mem_rows, v, u, acc)
         return acc
 
@@ -550,7 +787,16 @@ class EvalContext:
         tables while both names are covered and not both low, else through
         the clauses."""
         cc = self._columns
-        if 0 <= t < cc.n and len(row) < cc.n:  # t is -1 in `z in z`, `z = z`
+        if 0 < cc.n <= t and len(row) < cc.n:  # a witness t and the covered z
+            w, zs = self._witness(t), range(len(row), min(n, cc.n))
+            if rel == _REL_EQ:  # z = t
+                meet, halves, of = self._meet, w.halves, w.of
+                row.extend([meet[h][halves[of[z]]] for z, h in zip(zs, w.covered_halves[zs.start:])])
+            elif side == _Z_LEFT:  # z in t
+                row.extend([w.members[c] for c in w.of[zs.start:zs.stop]])
+            else:  # t in z
+                row.extend(w.containers[zs.start:zs.stop])
+        elif 0 <= t < cc.n and len(row) < cc.n:  # t is -1 in `z in z`, `z = z`
             if t < cc.low:
                 self._fill(row, rel, side, t, min(cc.low, n))
             zs = range(len(row), min(n, cc.n))
@@ -569,9 +815,83 @@ class EvalContext:
                 row.extend([meet[a][ht[cz]] for a, cz in zip(hz, cs)])
         self._fill(row, rel, side, t, n)
 
+    def _witness(self, w: int) -> _Witness:
+        """The values of a witness w against the covered names (see the
+        module docstring), computed once."""
+        hit = self._witnesses.get(w)
+        if hit is None:
+            hit = self._witnesses[w] = self._witness_values(w)
+        return hit
+
+    def _witness_values(self, w: int) -> _Witness:
+        cc = self._columns
+        sig, eq_at, in_to = cc.class_atoms(self)
+        meet, join, factor = self._meet, self._join, cc.factor
+        top, bottom = self._top, self._bottom
+        entries = self.universe.names[w].entries
+        # equal terms of a join or a meet count once
+        firsts = {(a, sig[y]): y for y, a in reversed(entries) if y < cc.n}
+        covered = list(firsts)
+        lower = [(a, self._witness(y)) for y, a in entries if y >= cc.n]
+        inherited = frozenset().union(*[x.extra for _, x in lower])
+        classes = cc.refined(self, inherited)
+        members, halves = [], []
+        for r in classes.reps:
+            s = sig[r]
+            eqs, ins = eq_at[s], in_to[s]  # `y = r` and `y in r` by the class of y
+            m = bottom
+            for a, c in covered:
+                m = join[m][meet[a][eqs[c]]]
+            for a, x in lower:
+                m = join[m][meet[a][meet[x.covered_halves[r]][x.halves[x.of[r]]]]]
+            members.append(m)
+            h = top
+            for a, c in covered:
+                h = meet[h][factor[a][ins[c]]]
+            for a, x in lower:
+                h = meet[h][factor[a][x.containers[r]]]
+            halves.append(h)
+        # w's columns over the low names, whose cells are every covered
+        # name's half of `r = w` and `w in r`
+        low = range(cc.low)
+        in_col = tuple([members[classes.of[x]] for x in low])
+        covered_halves = cc.cells_at(_REL_MEM, in_col)
+        eq_col = tuple([meet[covered_halves[x]][halves[classes.of[x]]] for x in low])
+        extra = inherited.union([(rel, col) for rel, col in ((_REL_MEM, in_col), (_REL_EQ, eq_col))
+                                 if col not in cc.columns[rel]])
+        return _Witness(classes.of, members, halves, covered_halves,
+                        cc.cells_at(_REL_EQ, eq_col), extra,
+                        sorted((y, a) for (a, _), y in firsts.items())
+                        + [(y, a) for y, a in entries if y >= cc.n])
+
+    def _firsts(self) -> Sequence[int]:
+        """For each covered name, the first name of its class of names
+        interchangeable in the current universe: the signature classes
+        split by the extra columns of every witness (see the module
+        docstring)."""
+        cc, n = self._columns, len(self.universe.names)
+        m, extra, firsts = self._firsts_at
+        if m != n:
+            extra = extra.union(*[self._witness(w).extra for w in range(max(m, cc.n), n)])
+            firsts = cc.refined(self, extra).firsts
+            self._firsts_at = (n, extra, firsts)
+        return firsts
+
     def _fill(self, row: array, rel: int, side: int, t: int, n: int) -> None:
-        """Extend the row of (rel, side, t) to n names through the clauses."""
+        """Extend the row of (rel, side, t) to n names through the clauses,
+        or, for witnesses z against a covered t, from their values against
+        the covered names."""
         m, unset = len(row), self._unset
+        if 0 <= t < self._columns.n <= m:
+            ws = [self._witness(z) for z in range(m, n)]
+            if rel == _REL_EQ:  # z = t
+                meet = self._meet
+                row.extend([meet[w.covered_halves[t]][w.halves[w.of[t]]] for w in ws])
+            elif side == _Z_LEFT:  # z in t
+                row.extend([w.containers[t] for w in ws])
+            else:  # t in z
+                row.extend([w.members[w.of[t]] for w in ws])
+            return
         if rel == _REL_MEM and side == _Z_LEFT:
             # `z in t` is the store's own row for t, with its holes filled
             row.extend(self._memo[_REL_MEM].get(t, ())[m:n])
@@ -616,6 +936,13 @@ class EvalContext:
         key = (_REL_EQ, _Z_LEFT, u) if rel == "=" else (_REL_MEM, _Z_RIGHT, u)
         self._extend(out, *key, len(self.universe.names))
         return out
+
+    def name_classes(self) -> NameClasses:
+        """Classes of interchangeable names: while the universe holds just
+        the names the class tables cover, their signature classes
+        (`ColumnClasses.signatures`); otherwise every name alone."""
+        cc, n = self._columns, len(self.universe.names)
+        return cc.signatures(self) if 0 < cc.n == n else NameClasses.singletons(n)
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""
@@ -744,6 +1071,8 @@ class EvalContext:
             rows = [rows_of[rk] for rk in keys]
             flat: dict[tuple[int, ...], int] = {}  # by row values, runs that swept nothing
             seen: dict[tuple, int] = {}  # by whole signature
+            covered = self._columns.n
+            firsts = self._firsts() if own and covered else ()
             acc = unit
             # zip() of no rows is empty, but a body without them still runs
             for nid, atoms in enumerate(islice(zip(*rows), n) if rows else repeat((), n)):
@@ -751,7 +1080,9 @@ class EvalContext:
                 if v is None:
                     sig = atoms
                     if own:
-                        sig += tuple(self._row_classes([(rel, side, nid) for rel, side in own])[1])
+                        # interchangeable names have the same own rows
+                        z = firsts[nid] if nid < covered else nid
+                        sig += tuple(self._row_classes([(rel, side, z) for rel, side in own])[1])
                     v = seen.get(sig)
                     if v is None:
                         slots[k] = nid
@@ -830,16 +1161,27 @@ def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
     side is compiled once, with u a parameter rather than a constant, and
     the returned function of u is held for a sweep over many names.
     phi(x) is evaluated once per name x and universe length, since the
-    domains of many names share x.
+    domains of many names share x.  The left side is evaluated once per
+    class of interchangeable names (`EvalContext.name_classes`, with phi's
+    constants apart) while the universe keeps the length those classes
+    are of; the right side reads u's own entries, so it stays per name.
     """
     quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
     indexed = ctx.sentence(phi, ("x",))
     names, meet, imp, top = ctx.universe.names, ctx._meet, ctx._imp, ctx._top
     es = ctx.algebra.elements
     known: dict[tuple[int, int], int] = {}  # phi(x) by (universe length, x)
+    classes = ctx.name_classes().apart(constants(phi))
+    by_class: dict[int, int] = {}  # the left side, by class
 
     def compare(u: int) -> BqResult:
-        q = quantified(u)
+        if len(names) == len(classes.of):
+            c = classes.of[u]
+            q = by_class.get(c)
+            if q is None:
+                q = by_class[c] = quantified(u)
+        else:
+            q = quantified(u)
         acc = top
         for x, ux in names[u].entries:
             key = (len(names), x)

@@ -156,6 +156,12 @@ def free_vars(f: Formula) -> frozenset[str]:
     return out - {f.var} if isinstance(f, BINDERS) else out
 
 
+def constants(f: Formula) -> frozenset[int]:
+    """The name ids of the constants of f."""
+    return frozenset(t.name_id for g in subformulas(f) if isinstance(g, (Eq, Mem))
+                     for t in (g.left, g.right) if isinstance(t, Const))
+
+
 def bound_vars(f: Formula) -> frozenset[str]:
     return frozenset(g.var for g in subformulas(f) if isinstance(g, BINDERS))
 

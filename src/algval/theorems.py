@@ -45,7 +45,7 @@ from .algebra import (
 )
 from .errors import InputError, ResourceError
 from .evaluate import (
-    ASSIGNMENTS, ColumnClasses, EvalContext, Memo, bq_sides, forget_names,
+    ASSIGNMENTS, ColumnClasses, EvalContext, Memo, NameClasses, bq_sides, forget_names,
 )
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
@@ -115,8 +115,10 @@ class _Enumerated:
         self.universe = universe
         self.n = len(universe)
         self.memos: dict[str, Memo] = {a: ({}, {}) for a in ASSIGNMENTS}
-        # the tables cover enumerated names only, so every context may read them
-        self.columns = {a: ColumnClasses(universe, a) for a in ASSIGNMENTS}
+        # the tables cover enumerated names only, so every context may read
+        # them; the pa tables take the prefix arrays of the ba ones
+        ba = ColumnClasses(universe, "ba")
+        self.columns = {"ba": ba, "pa": ColumnClasses(universe, "pa", ba)}
         self._contexts: weakref.WeakSet[EvalContext] = weakref.WeakSet()
         self._grower: Optional[weakref.ref[Universe]] = None
 
@@ -467,18 +469,40 @@ def check_cobounded_routes(run: Run) -> Verdict:
 # -- valuation checks -----------------------------------------------------------------
 
 
+def first_bad_pair(classes: NameClasses, bad: Callable[[int, int], bool],
+                   symmetric: bool = False) -> Optional[tuple[int, int]]:
+    """The first pair of names (u, v) in id order, with v >= u when
+    `symmetric`, whose classes A and B have bad(A, B).  Names of one class
+    are interchangeable (`EvalContext.name_classes`), so bad is asked once
+    per pair of classes, with A <= B when `symmetric` (see
+    `NameClasses.first_pair`)."""
+    k = len(classes.reps)
+    found: dict[int, set[int]] = {}
+    for a in range(k):
+        for b in range(a if symmetric else 0, k):
+            if bad(a, b):
+                found.setdefault(a, set()).add(b)
+                if symmetric:
+                    found.setdefault(b, set()).add(a)
+    return classes.first_pair(found) if found else None
+
+
 def check_two_valued(run: Run) -> Verdict:
-    """Equality under pa takes only the top or bottom value, on all pairs."""
+    """Equality under pa takes only the top or bottom value, on all pairs.
+
+    It is asked once per pair of classes of interchangeable names, at
+    their first names (`first_bad_pair`)."""
     algebra = run.algebra
     ws = run.workspace()
     ctx = ws.pa
     ok_values = (algebra.top_i, algebra.bottom_i)
     n = len(ws.universe)
-    for u in range(n):
-        for v in range(u, n):
-            val = ctx.equality(u, v)
-            if val not in ok_values:
-                return ws.atomic_counterexample("pa", "=", u, v, algebra.elements[val]), {}
+    classes = ctx.name_classes()
+    reps = classes.reps
+    pair = first_bad_pair(classes, lambda a, b: ctx.equality(reps[a], reps[b]) not in ok_values,
+                          symmetric=True)
+    if pair:
+        return ws.atomic_counterexample("pa", "=", *pair, ctx.atomic("=", *pair)), {}
     return None, {"names": n, "pairs": n * (n + 1) // 2}
 
 
@@ -514,26 +538,25 @@ def check_equality_characterization(run: Run) -> Verdict:
     """Pa equality is designated exactly on the pairs that the
     entry-matching criterion relates.
 
-    The criterion is one partition of the names (`entry_classes`); the
-    engine is asked `u = v` for every pair u <= v, in order, so it reads
-    the store that `two-valued` filled.
+    The criterion is one partition of the names (`entry_classes`).  The
+    engine is asked `u = v` once per pair of classes of names that share
+    both their class of interchangeable names and their criterion class,
+    at their first names (`first_bad_pair`).
     """
     ws = run.workspace()
     ctx = ws.pa
     d_i = ctx.designated_i
     n = len(ws.universe)
-    classes = entry_classes(ws.universe, d_i, run.algebra.top_i)
-    eq = ctx.equality
-    for u in range(n):
-        cu = classes[u]
-        for v in range(u, n):
-            recursive = eq(u, v) in d_i
-            combinatorial = classes[v] == cu
-            if recursive != combinatorial:
-                ce = ws.atomic_counterexample(
-                    "pa", "=", u, v, ctx.atomic("=", u, v),
-                    note=f"criterion says {combinatorial}")
-                return ce, {}
+    criterion = entry_classes(ws.universe, d_i, run.algebra.top_i)
+    classes = NameClasses.by_key(zip(ctx.name_classes().of, criterion))
+    reps = classes.reps
+    pair = first_bad_pair(classes, lambda a, b: (ctx.equality(reps[a], reps[b]) in d_i)
+                          != (criterion[reps[a]] == criterion[reps[b]]), symmetric=True)
+    if pair:
+        u, v = pair
+        ce = ws.atomic_counterexample("pa", "=", u, v, ctx.atomic("=", u, v),
+                                      note=f"criterion says {criterion[u] == criterion[v]}")
+        return ce, {}
     return None, {"pairs": n * (n + 1) // 2}
 
 
@@ -803,6 +826,12 @@ def _quantifier_depth(f: Formula) -> int:
 # -- collapse transfer ----------------------------------------------------------------
 
 
+def same_tables(a: Algebra, b: Algebra) -> bool:
+    """Whether two algebras have the same elements, bounds and tables."""
+    return all(getattr(a, key) == getattr(b, key) for key in (
+        "elements", "top", "bottom", "meet_t", "join_t", "imp_t", "star_t"))
+
+
 def bar_values(src: Algebra, dst: Algebra) -> list[int]:
     """Element-index map of the collapse homomorphism into the three-valued core."""
     out = []
@@ -846,7 +875,12 @@ def check_nff_transfer(run: Run) -> Verdict:
     algebra = run.algebra
     src_ws = run.workspace()
     ps3_alg, ps3_d = ps3()
-    dst_ws = Workspace(ps3_alg, ps3_d, run.rank_bound, run.budget)
+    if same_tables(algebra, ps3_alg):
+        # the collapse is the identity, and the run's workspace already
+        # holds the three-valued model
+        ps3_alg, dst_ws = algebra, src_ws
+    else:
+        dst_ws = Workspace(ps3_alg, ps3_d, run.rank_bound, run.budget)
     vmap = bar_values(algebra, ps3_alg)
     memo: dict[int, int] = {}
     name_map = {nid: bar_name(src_ws.universe, dst_ws.universe, vmap, nid, memo)
@@ -928,8 +962,9 @@ def check_properties(run: Run) -> Verdict:
     """Reflexivity, designated-entry membership, transitivity and the two
     substitution laws, exhaustively over the bounded universe.
 
-    The engine is asked the first two name by name and entry by entry.
-    The other three take u, v, w with e = `u = v` in D, the designated
+    The engine is asked reflexivity once per class of interchangeable
+    names, at its first name, and the designated-entry law name by name
+    and entry by entry.  The other three take u, v, w with e = `u = v` in D, the designated
     set: if a, the value of `v = w`, `v in w` or `w in v`, has e /\\ a in
     D, then `u = w`, `u in w` or `w in u` is in D.  They are a reading of
     the run's partition (`Run.quotient`).  D is a proper filter under the
@@ -948,9 +983,11 @@ def check_properties(run: Run) -> Verdict:
     def fail(rel: str, u: int, v: int, note: str) -> Verdict:
         return ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note), {}
 
-    for u in range(n):
-        if ctx.equality(u, u) not in d:
-            return fail("=", u, u, "reflexivity")
+    classes = ctx.name_classes()
+    irreflexive = {c for c, r in enumerate(classes.reps) if ctx.equality(r, r) not in d}
+    if irreflexive:
+        u = next(u for u in range(n) if classes.of[u] in irreflexive)
+        return fail("=", u, u, "reflexivity")
     for u in range(n):
         for x, ux in ws.universe.entries_of(u):
             if ux in d and ctx.membership(x, u) not in d:
@@ -967,16 +1004,18 @@ def check_leibniz(run: Run) -> Verdict:
 
     For every pa-equal pair and battery formula, validity transfers from
     one name to the other, and the value class (top, strictly intermediate,
-    bottom) is preserved.  Each formula is evaluated once per name, and the
-    rows of values are compared pair by pair.  Under ba, at least one
-    negated battery formula must break indiscernibility whenever an
-    intermediate element exists.
+    bottom) is preserved.  Names of one class of interchangeable names
+    (`EvalContext.name_classes`, with the battery's constants apart) have
+    the same values, so each formula is evaluated once per class, at its
+    first name, and pairs of classes are compared; the counterexample is
+    the first pair of names in id order of a bad pair of classes.  Under
+    ba, at least one negated battery formula must break indiscernibility
+    whenever an intermediate element exists.
     """
     algebra, prof = run.algebra, run.profile
     ws = run.workspace()
     pa = ws.pa
     d = pa.designated_i
-    n = len(ws.universe)
     forms, declared = ONE_VARIABLE.read(first_names(ws))
     top_i, bottom_i = algebra.top_i, algebra.bottom_i
 
@@ -987,38 +1026,64 @@ def check_leibniz(run: Run) -> Verdict:
             return "bottom"
         return "intermediate"
 
-    handles = [pa.sentence(phi, ("x",)) for _, phi in forms]
-    rows = list(zip(*[[at(u) for u in range(n)] for at in handles]))
-    equal_pairs = 0
-    for u, v in ((u, v) for u in range(n) for v in range(n)
-                 if u != v and pa.equality(u, v) in d):
-        equal_pairs += 1
-        if rows[u] == rows[v]:
-            continue
-        for (label, phi), val_u, val_v in zip(forms, rows[u], rows[v]):
+    def broken(row_u: tuple, row_v: tuple) -> Optional[tuple[int, bool]]:
+        """The first formula that breaks indiscernibility between two rows
+        of values, and whether it breaks validity."""
+        for i, (val_u, val_v) in enumerate(zip(row_u, row_v)):
             if (val_u in d) and (val_v not in d):
-                note = f"{label}: valid at #{u} but not at pa-equal #{v}"
-            elif value_class(val_u) != value_class(val_v):
-                note = f"{label}: value class changed across a pa-equal pair"
-            else:
-                continue
-            ce = ws.sentence_counterexample(
-                "pa", subst_const(phi, "x", v), algebra.elements[val_v], note=note)
-            return ce, {}
+                return i, True
+            if value_class(val_u) != value_class(val_v):
+                return i, False
+        return None
+
+    classes = pa.name_classes().apart(first_names(ws))
+    reps, sizes = classes.reps, classes.sizes
+    handles = [pa.sentence(phi, ("x",)) for _, phi in forms]
+    rows = [tuple([at(r) for at in handles]) for r in reps]
+    equal_pairs = 0
+
+    def bad(a: int, b: int) -> bool:
+        nonlocal equal_pairs
+        if pa.equality(reps[a], reps[b]) not in d:
+            return False
+        equal_pairs += sizes[a] * (sizes[b] - (a == b))
+        return rows[a] != rows[b] and broken(rows[a], rows[b]) is not None
+
+    pair = first_bad_pair(classes, bad)
+    if pair:
+        u, v = pair
+        i, invalid = broken(rows[classes.of[u]], rows[classes.of[v]])
+        label, phi = forms[i]
+        note = (f"{label}: valid at #{u} but not at pa-equal #{v}" if invalid
+                else f"{label}: value class changed across a pa-equal pair")
+        ce = ws.sentence_counterexample(
+            "pa", subst_const(phi, "x", v), algebra.elements[rows[classes.of[v]][i]], note=note)
+        return ce, {}
 
     details: dict = {"pa_equal_pairs": equal_pairs, "battery": declared}
     if prof["big_designated"] and prof["has_intermediate"]:
         ba = ws.ba
         negated = [(label, ba.sentence(phi, ("x",))) for label, phi in forms
                    if not is_negation_free(phi)]
-        violation = next(((label, u, v, vu, vv) for u in range(n) for v in range(n)
-                          if u != v and ba.equality(u, v) in d
-                          for label, at in negated for vu, vv in [(at(u), at(v))]
-                          if vu in d and vv not in d), None)
-        if violation is None:
+        classes = ba.name_classes().apart(first_names(ws))
+        reps = classes.reps
+        values = [tuple([at(r) for _, at in negated]) for r in reps]
+
+        def breaks(a: int, b: int) -> Optional[int]:
+            """The first negated formula valid at class a and not at class b."""
+            if a == b or ba.equality(reps[a], reps[b]) not in d:
+                return None
+            return next((i for i, (vu, vv) in enumerate(zip(values[a], values[b]))
+                         if vu in d and vv not in d), None)
+
+        pair = first_bad_pair(classes, lambda a, b: breaks(a, b) is not None)
+        if pair is None:
             return missing_counterexample(
                 "no negated battery formula broke ba indiscernibility"), details
-        label, u, v, vu, vv = violation
+        u, v = pair
+        a, b = classes.of[u], classes.of[v]
+        i = breaks(a, b)
+        label, vu, vv = negated[i][0], values[a][i], values[b][i]
         details["ba_violation"] = {
             "formula": label,
             "u": ws.universe.pretty(u),
@@ -1440,8 +1505,9 @@ CHECKS: dict[str, Check] = {
 def run_check(name: str, run: Run) -> CheckResult:
     """Run one named check and time it.  The first gate the run does not
     meet skips it with that gate's reason, and so does a resource overrun
-    (an enumeration or valuation count over its budget); otherwise the
-    body's counterexample decides between fail and pass."""
+    (an enumeration or valuation count over its budget, or memory run
+    out); otherwise the body's counterexample decides between fail and
+    pass."""
     if name not in CHECKS:
         raise InputError(f"unknown check {name!r}; see `check --list`")
     check = CHECKS[name]
@@ -1453,6 +1519,8 @@ def run_check(name: str, run: Run) -> CheckResult:
             counterexample, details = check.fn(run)
         except ResourceError as exc:
             reason = f"budget exceeded: {exc}"
+        except MemoryError:
+            reason = "out of memory: the check needed more memory than the process could get"
     verdict = "skipped" if reason else "pass" if counterexample is None else "fail"
     return CheckResult(name, check.description.format(rank=run.rank_bound), verdict,
                        counterexample, reason, time.perf_counter() - t0, details)

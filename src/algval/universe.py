@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import re
 from collections.abc import Iterable, Mapping
 from typing import Optional, Union
@@ -118,7 +119,8 @@ def build_universe(algebra: Algebra, rank_bound: int,
     level into the elements, so the level of rank r has (v+1)^(size of
     level r-1) candidates before deduplication, for v elements.
     Enumeration refuses to start a rank whose candidate count would exceed
-    the budget.
+    the budget; a count whose order of magnitude alone is past it is
+    refused before it is formed.
     """
     if rank_bound < 1:
         raise InputError("rank bound must be at least 1")
@@ -126,6 +128,14 @@ def build_universe(algebra: Algebra, rank_bound: int,
     uni = Universe(algebra, rank_bound)
     for rank in range(2, rank_bound + 1):
         prev = [nid for nid in uni.ids() if uni.rank_of(nid) <= rank - 1]
+        # the order of magnitude first: the count itself may have more
+        # digits than an integer may be printed with
+        magnitude = len(prev) * math.log10(len(values) + 1)
+        if magnitude >= 9 and magnitude > math.log10(max(budget, 1)) + 1:
+            raise ResourceError(
+                f"rank {rank}: enumeration needs about 10^{int(magnitude)} candidate names, "
+                f"budget is {budget}"
+            )
         candidates = (len(values) + 1) ** len(prev)
         if candidates > budget:
             shown = (str(candidates) if candidates < 10**9

@@ -145,6 +145,19 @@ class TestUniverse:
         assert r.exit_code == 2
         assert "rank 4" in r.output
 
+    def test_a_count_past_printable_digits_exits_2(self, runner):
+        # 6^46656 candidates: more digits than an int may be printed with
+        r = invoke(runner, "universe", "build", "-a", "chain5", "--rank", "4")
+        assert r.exit_code == 2
+        assert r.output.startswith("error:") and "about 10^36305" in r.output
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_no_rank_up_to_5_prints_a_traceback(self, name):
+        for rank in range(1, 6):
+            r = CliRunner().invoke(cli, ["universe", "build", "-a", name, "--rank", str(rank)])
+            assert r.exit_code in (0, 2), (rank, r.output)
+            assert "Traceback" not in r.output, rank
+
 
 class TestCheckCommand:
     def test_all_on_ps3(self, runner):

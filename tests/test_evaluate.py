@@ -798,6 +798,64 @@ def test_a_covered_name_without_its_prefix_below_keeps_the_clauses(prefix, assig
     assert_clauses_match_reference(ctx)
 
 
+def _skewed_imp_ps3():
+    """ps3's lattice and star with an implication table that keeps no law,
+    on which a witness's column splits the signature classes."""
+    alg, d = ps3()
+    es = alg.elements
+    table = lambda op: {(a, b): op(a, b) for a in es for b in es}  # noqa: E731
+    imp = {("0", "0"): "half", ("0", "1"): "0", ("0", "half"): "1", ("1", "0"): "1",
+           ("1", "1"): "0", ("1", "half"): "0", ("half", "0"): "0", ("half", "1"): "1",
+           ("half", "half"): "0"}
+    return Algebra("skew-imp3", es, table(alg.meet), table(alg.join), imp, "1", "0",
+                   {a: alg.star(a) for a in es}), d
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
+    # Few top-level names, so the columns of {#4: 1, #10: 1} over the low
+    # names are, under ba, no class of the tables: its cells at them are
+    # folded anew, and they split the signature classes for the witness
+    # above it.  Every value with a witness name, and every row of one,
+    # must be the clause's.
+    alg, d = _skewed_imp_ps3()
+    uni = covered_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    tables, top = ctx._columns, alg.top_i
+    assert tables.n == len(uni)
+    w = uni.insert({4: top, 10: top})
+    v = uni.insert({w: top})
+    others = [uni.insert({x: top, y: top}) for x, y in itertools.combinations(range(4, 22, 3), 2)]
+    eq, mem = reference_clauses(ctx)
+    if assignment == "ba":
+        assert ctx._witness(w).extra and ctx._witness(v).extra
+        sig, fine = tables.signatures(ctx).of, ctx._witness(v).of
+        assert len(set(fine)) > len(set(sig))
+        # two names of one signature class that w's columns set apart, as
+        # the entries of one witness
+        x, y = next((x, y) for x, y in itertools.combinations(range(tables.n), 2)
+                    if sig[x] == sig[y] and mem(x, v) != mem(y, v))
+        others.append(uni.insert({x: top, y: top}))
+    for t in [w, v] + others:
+        eq_row, in_row = ctx.row("=", t), ctx.row("in", t)
+        for z in uni.ids():
+            assert ctx.equality(z, t) == eq_row[z] == eq(z, t), ("=", z, t)
+            assert ctx.membership(z, t) == mem(z, t), ("in", z, t)
+            assert ctx.membership(t, z) == in_row[z] == mem(t, z), ("in", t, z)
+    # a sweep reads the own rows of one name per class of names that are
+    # interchangeable beside the witnesses
+    firsts = ctx._firsts()
+    for z in range(tables.n):
+        r = firsts[z]
+        assert ctx.row("=", z) == ctx.row("=", r) and ctx.row("in", z) == ctx.row("in", r)
+        assert [mem(x, z) for x in uni.ids()] == [mem(x, r) for x in uni.ids()], z
+    for text in (f"exists z. forall y. (y in z -> y in #{v})",
+                 f"forall z. exists y. (z in y /\\ ~(y = #{w}))",
+                 f"exists z. forall y. (z = y -> #{w} in y)"):
+        f = parse(text)
+        assert ctx.value(f) == reference_value(ctx, f, {}), text
+
+
 def test_lattice_verdict_computed_once_per_algebra(monkeypatch):
     # the tables of every assignment and rank read one verdict per algebra
     calls = []
@@ -823,9 +881,16 @@ def patch_atoms(monkeypatch, rel, change, at):
     at(u, v) holds `change(ctx, value)`, both where the engine asks the
     clause (`EvalContext.equality` or `membership`) and in
     `EvalContext.row`, whose rows may come from the class tables instead.
-    For '=', `at` must hold at (v, u) wherever it holds at (u, v)."""
+    For '=', `at` must hold at (v, u) wherever it holds at (u, v).
+
+    The readers that go by classes of interchangeable names ask each class
+    at its first name.  A changed value no longer answers alike for every
+    name of a class, as a changed cell of the tables would not, so each
+    name of a changed pair is set in a class of its own
+    (`EvalContext.name_classes`)."""
     name = "equality" if rel == "=" else "membership"
-    clause, row = getattr(EvalContext, name), EvalContext.row
+    clause, row, name_classes = getattr(EvalContext, name), EvalContext.row, \
+        EvalContext.name_classes
 
     def patched(self, u, v):
         value = clause(self, u, v)
@@ -839,8 +904,14 @@ def patch_atoms(monkeypatch, rel, change, at):
                     out[z] = change(self, clause(self, u, z))
         return out
 
+    def patched_classes(self):
+        classes = name_classes(self)
+        n = len(classes.of)
+        return classes.apart({x for u in range(n) for v in range(n) if at(u, v) for x in (u, v)})
+
     monkeypatch.setattr(EvalContext, name, patched)
     monkeypatch.setattr(EvalContext, "row", patched_row)
+    monkeypatch.setattr(EvalContext, "name_classes", patched_classes)
 
 
 def row_universes():

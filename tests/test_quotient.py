@@ -109,6 +109,22 @@ class TestBuild:
         with pytest.raises(InvariantError, match="representatives"):
             build_quotient(ctx)
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_one_wrong_membership_in_another_representative_is_caught(
+            self, monkeypatch, rank):
+        # Flip `u in c`, c the representative of a class other than u's:
+        # only u's verdicts against its representative's tell the break.
+        qm = build_quotient(pa_context("ps3", rank))
+        u = max(nid for nid in qm.class_of if nid not in qm.representatives)
+        c = max(r for r in qm.representatives if qm.class_of[r] != qm.class_of[u])
+        ctx = pa_context("ps3", rank)
+        alg, d = ctx.algebra, ctx.designated_i
+        patch_atoms(monkeypatch, "in",
+                    lambda _, value: alg.bottom_i if value in d else alg.top_i,
+                    lambda a, b: (a, b) == (u, c))
+        with pytest.raises(InvariantError, match=f"at \\(#{u}, #{c}\\), member substitution"):
+            build_quotient(ctx)
+
 
 class TestRelations:
     def test_equality_is_the_identity(self, qm):

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from test_evaluate import patch_atoms, stored_values
+from test_evaluate import (
+    assert_clauses_match_reference, patch_atoms, reference_clauses, stored_values,
+)
 
 from algval import quotient, theorems
-from algval.algebra import BUILTIN_NAMES, builtin, is_filter, loads_algebra, ps3
+from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
 from algval.evaluate import _REL_EQ, _REL_MEM, ASSIGNMENTS, EvalContext
@@ -31,6 +33,8 @@ from algval.theorems import (
     run_all,
     run_check,
 )
+from algval.quotient import QuotientDefect, build_quotient
+from algval.universe import Universe
 
 
 class TestProfile:
@@ -925,6 +929,19 @@ class TestBudgetDegradation:
         results = run_all(alg, d, rank_bound=4, names=["two-valued", "leibniz"])
         assert all(x.verdict == "skipped" for x in results)
 
+    def test_running_out_of_memory_is_a_skip(self, monkeypatch):
+        # a body that runs out of memory, planted rather than provoked
+        def exhausted(run):
+            raise MemoryError
+
+        monkeypatch.setitem(CHECKS, "two-valued", CHECKS["two-valued"]._replace(fn=exhausted))
+        result = run_check("two-valued", Run(*ps3()))
+        assert result.verdict == "skipped"
+        assert result.skip_reason.startswith("out of memory")
+        r = CliRunner().invoke(cli, ["check", "two-valued", "-a", "ps3"])
+        assert r.exit_code == 0 and "[SKIP] two-valued" in r.output
+        assert "Traceback" not in r.output
+
     @pytest.mark.parametrize("algname", BUILTIN_NAMES)
     def test_budget_skips_carry_the_check_description(self, algname):
         # At rank 2 enumeration needs more candidate names than a zero
@@ -1103,3 +1120,345 @@ class TestMemory:
             tracemalloc.stop()
         assert result.verdict == "pass"
         assert peak < 5.9e6
+
+
+# -- the pair checks by class against their every-pair references ------------------------
+
+
+def two_valued_by_pairs(run):
+    """`two-valued` asked of the engine pair by pair, u <= v in id order."""
+    ws, alg = run.workspace(), run.algebra
+    ctx, n = ws.pa, len(ws.universe)
+    for u in range(n):
+        for v in range(u, n):
+            val = ctx.equality(u, v)
+            if val not in (alg.top_i, alg.bottom_i):
+                return ws.atomic_counterexample("pa", "=", u, v, alg.elements[val]), {}
+    return None, {"names": n, "pairs": n * (n + 1) // 2}
+
+
+def characterization_by_pairs(run):
+    """`equality-characterization` asked of the engine pair by pair."""
+    ws = run.workspace()
+    ctx, n = ws.pa, len(ws.universe)
+    d_i = ctx.designated_i
+    classes = theorems.entry_classes(ws.universe, d_i, run.algebra.top_i)
+    for u in range(n):
+        for v in range(u, n):
+            combinatorial = classes[u] == classes[v]
+            if (ctx.equality(u, v) in d_i) != combinatorial:
+                return ws.atomic_counterexample("pa", "=", u, v, ctx.atomic("=", u, v),
+                                                note=f"criterion says {combinatorial}"), {}
+    return None, {"pairs": n * (n + 1) // 2}
+
+
+def leibniz_by_pairs(run):
+    """`leibniz` with every formula evaluated at every name and every
+    ordered pair of names asked of the engine."""
+    alg, prof = run.algebra, run.profile
+    ws = run.workspace()
+    pa, n = ws.pa, len(ws.universe)
+    d = pa.designated_i
+    forms, declared = ONE_VARIABLE.read(first_names(ws))
+
+    def value_class(val):
+        return "top" if val == alg.top_i else "bottom" if val == alg.bottom_i else "mid"
+
+    rows = list(zip(*[[at(u) for u in range(n)] for at in
+                      [pa.sentence(phi, ("x",)) for _, phi in forms]]))
+    equal_pairs = 0
+    for u in range(n):
+        for v in range(n):
+            if u == v or pa.equality(u, v) not in d:
+                continue
+            equal_pairs += 1
+            for (label, phi), val_u, val_v in zip(forms, rows[u], rows[v]):
+                if val_u in d and val_v not in d:
+                    note = f"{label}: valid at #{u} but not at pa-equal #{v}"
+                elif value_class(val_u) != value_class(val_v):
+                    note = f"{label}: value class changed across a pa-equal pair"
+                else:
+                    continue
+                return ws.sentence_counterexample("pa", theorems.subst_const(phi, "x", v),
+                                                  alg.elements[val_v], note=note), {}
+    details = {"pa_equal_pairs": equal_pairs, "battery": declared}
+    if prof["big_designated"] and prof["has_intermediate"]:
+        ba = ws.ba
+        negated = [(label, ba.sentence(phi, ("x",))) for label, phi in forms
+                   if not theorems.is_negation_free(phi)]
+        for u in range(n):
+            for v in range(n):
+                if u == v or ba.equality(u, v) not in d:
+                    continue
+                for label, at in negated:
+                    vu, vv = at(u), at(v)
+                    if vu in d and vv not in d:
+                        details["ba_violation"] = {
+                            "formula": label, "u": ws.universe.pretty(u),
+                            "v": ws.universe.pretty(v), "value_u": alg.elements[vu],
+                            "value_v": alg.elements[vv]}
+                        return None, details
+        return theorems.missing_counterexample(
+            "no negated battery formula broke ba indiscernibility"), details
+    return None, details
+
+
+def quotient_by_names(ctx):
+    """`build_quotient` reading every name's rows: the partition of the
+    first pass and the verdicts of the second, name by name, as a tuple of
+    its fields, or the `QuotientDefect` it raises."""
+    alg, n = ctx.algebra, len(ctx.universe)
+    top, two = alg.top_i, {alg.top_i, alg.bottom_i}
+    d, star = ctx.designated_i, alg.star_t
+    code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
+    classes, class_of = [], {}
+    for u in range(n):
+        row = ctx.row("=", u)
+        if not two.issuperset(row[u + 1:]):
+            v = next(v for v in range(u + 1, n) if row[v] not in two)
+            return QuotientDefect("=", u, v, "not two-valued")
+        if u not in class_of:
+            cls = [u] + [v for v in range(u + 1, n) if row[v] == top and v not in class_of]
+            for v in cls:
+                class_of[v] = len(classes)
+            classes.append(cls)
+    reps = [cls[0] for cls in classes]
+
+    def verdicts(u):
+        return [code[e] + 4 * code[m] for e, m in zip(ctx.row("=", u), ctx.row("in", u))]
+
+    rep_of = [reps[class_of[v]] for v in range(n)]
+    at_reps = []
+    for cls in classes:
+        base = verdicts(cls[0])
+        at_reps.append([base[r] for r in reps])
+        for u in cls:
+            row = verdicts(u)
+            for pos, other in enumerate((base, [row[r] for r in rep_of])):
+                if row != other:
+                    v = next(v for v in range(n) if row[v] != other[v])
+                    moved = (rep_of[u], v) if pos == 0 else (u, rep_of[v])
+                    bit = (row[v] ^ other[v]) & -(row[v] ^ other[v])
+                    good, bad = ((u, v), moved) if row[v] & bit else (moved, (u, v))
+                    rel, law = ("=", "transitivity") if bit < 4 else (
+                        "in", ("member substitution", "container substitution")[pos])
+                    negation = " of the negation" if bit in (2, 8) else ""
+                    return QuotientDefect(rel, *bad, f"{law}{negation} via #{good[pos]}")
+    relations = [{(i, j) for i in range(len(reps)) for j in range(len(reps))
+                  if at_reps[i][j] & bit} for bit in (1, 2, 4, 8)]
+    return classes, class_of, reps, *relations
+
+
+def quotient_by_class(ctx):
+    """`build_quotient` in the form `quotient_by_names` gives."""
+    try:
+        qm = build_quotient(ctx)
+    except QuotientDefect as defect:
+        return defect
+    return qm.classes, qm.class_of, qm.representatives, qm.r_eq, qm.r_neq, qm.r_mem, qm.r_nmem
+
+
+def same_outcome(a, b):
+    """Equal quotient outcomes; a defect compares by its law and pair."""
+    if isinstance(a, QuotientDefect) or isinstance(b, QuotientDefect):
+        return type(a) is type(b) and (a.rel, a.u, a.v, a.note) == (b.rel, b.u, b.v, b.note)
+    return a == b
+
+
+def properties_by_names(run):
+    """`properties` with reflexivity asked name by name and the partition
+    read name by name."""
+    ws = run.workspace()
+    ctx, n = ws.pa, len(ws.universe)
+    d = ctx.designated_i
+
+    def fail(rel, u, v, note):
+        return ws.atomic_counterexample("pa", rel, u, v, ctx.atomic(rel, u, v), note), {}
+
+    for u in range(n):
+        if ctx.equality(u, u) not in d:
+            return fail("=", u, u, "reflexivity")
+    for u in range(n):
+        for x, ux in ws.universe.entries_of(u):
+            if ux in d and ctx.membership(x, u) not in d:
+                return fail("in", x, u, "designated entry not a member")
+    found = quotient_by_names(ctx)
+    if isinstance(found, QuotientDefect):
+        return fail(found.rel, found.u, found.v, found.note)
+    return None, {"names": n}
+
+
+PAIR_ROUTES = [("two-valued", two_valued_by_pairs),
+               ("equality-characterization", characterization_by_pairs),
+               ("leibniz", leibniz_by_pairs), ("properties", properties_by_names)]
+
+
+def plant_cell(run, rel, name, value):
+    """Set one cell of the run's pa tables at the last name: its half
+    against the membership class of `name` (rel 'in') or its membership
+    for the equality class of `name` (rel '='), every cell filled first so
+    that no later cell folds from the planted one.  The cell must change."""
+    ctx = run.workspace().pa
+    tables = ctx._columns
+    ids, _ = tables.partition(ctx, rel)
+    cells = tables.cells_of(rel)[ids[name]]
+    assert cells[-1] != value
+    cells[-1] = value
+
+
+# (rel, name, value) of `plant_cell` on ps3 at rank 3
+PLANTS = [("in", 255, "half"),  # its own half made half: `#255 = #255` is half
+          ("in", 255, "0"),     # its own half made bottom: `#255 = #255` is bottom
+          ("=", 4, "1"),        # a membership made top
+          ("=", 0, "half")]     # a membership made half
+
+
+class TestClassRoutes:
+    @pytest.mark.parametrize("name, rank", [("ps3", 3), ("chain3", 3), ("ps3", 2),
+                                            ("chain4", 2), ("stretch-bool4", 2)])
+    def test_pair_checks_match_every_pair(self, name, rank):
+        alg, d = builtin(name)
+        for check, reference in PAIR_ROUTES:
+            assert CHECKS[check].fn(Run(alg, d, rank)) == reference(Run(alg, d, rank)), check
+        run = Run(alg, d, rank)
+        classes = run.workspace().pa.name_classes()
+        assert (len(classes.reps) < len(classes.of)) == (rank > 2)
+
+    @pytest.mark.parametrize("name, rank", [("ps3", 3), ("chain3", 3), ("bool2", 3),
+                                            ("ps3", 2), ("chain5", 2)])
+    def test_quotient_matches_the_pass_by_names(self, name, rank):
+        alg, d = builtin(name)
+        by_class = quotient_by_class(Run(alg, d, rank).workspace().pa)
+        assert same_outcome(by_class, quotient_by_names(Run(alg, d, rank).workspace().pa))
+
+    def test_quotient_export_is_unchanged(self):
+        alg, d = ps3()
+        got = quotient.export_relations(build_quotient(Run(alg, d, 3).workspace().pa))
+        classes, _, _, *relations = quotient_by_names(Run(alg, d, 3).workspace().pa)
+        want = [f"class [{i}] = " + " ".join(f"#{u}" for u in cls)
+                for i, cls in enumerate(classes)]
+        for tag, rel in zip(("eq", "neq", "mem", "nmem"), relations):
+            want += [f"{tag} [{i}] [{j}]" for i, j in sorted(rel)]
+        assert got == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("rel, name, value", PLANTS)
+    def test_a_planted_cell_fails_where_the_reference_does(self, rel, name, value):
+        # the signature reads the planted cell, so the last name leaves its
+        # class, and every route asks its values at the name itself
+        alg, d = ps3()
+
+        def planted():
+            run = Run(alg, d, 3)
+            plant_cell(run, rel, name, alg.index[value])
+            return run
+
+        for check, reference in PAIR_ROUTES:
+            assert CHECKS[check].fn(planted()) == reference(planted()), check
+        ctx = planted().workspace().pa
+        assert same_outcome(quotient_by_class(ctx), quotient_by_names(planted().workspace().pa))
+        classes = ctx.name_classes()
+        assert classes.sizes[classes.of[255]] == 1
+
+    def test_planted_cells_fail_every_pair_check(self):
+        alg, d = ps3()
+        failed = set()
+        for rel, name, value in PLANTS:
+            for check, _ in PAIR_ROUTES:
+                run = Run(alg, d, 3)
+                plant_cell(run, rel, name, alg.index[value])
+                if CHECKS[check].fn(run)[0] is not None:
+                    failed.add(check)
+        assert failed == {check for check, _ in PAIR_ROUTES}
+
+    def test_two_names_of_one_membership_class_with_different_halves_stay_apart(self):
+        # an implication table with no laws, under ba: {#1: 1} and
+        # {#1: half} have one membership column but different halves
+        base, d = ps3()
+        es = base.elements
+        imp = {("0", "0"): "1", ("0", "1"): "0", ("0", "half"): "0", ("1", "0"): "0",
+               ("1", "1"): "0", ("1", "half"): "half", ("half", "0"): "0",
+               ("half", "1"): "half", ("half", "half"): "0"}
+        alg = Algebra("imp-skew", es, {(a, b): base.meet(a, b) for a in es for b in es},
+                      {(a, b): base.join(a, b) for a in es for b in es}, imp, "1", "0",
+                      {a: base.star(a) for a in es})
+        # the low names, and every name of one entry
+        uni = Universe(alg, 3)
+        for a in range(len(es)):
+            uni.insert({0: a})
+        for x, a in itertools.product(range(len(uni)), range(len(es))):
+            uni.insert({x: a})
+        u, v = uni.find(((1, alg.top_i),)), uni.find(((1, alg.index["half"]),))
+        ctx = EvalContext(uni, d, "ba")
+        tables = ctx._columns
+        assert tables.n == len(uni)
+        ids, _ = tables.partition(ctx, "in")
+        assert ids[u] == ids[v] and tables.half(u) != tables.half(v)
+        classes = ctx.name_classes()
+        assert classes.of[u] != classes.of[v]
+        assert_clauses_match_reference(ctx)
+
+    def test_classes_of_a_grown_universe_are_single_names(self):
+        alg, d = ps3()
+        ws = Workspace(alg, d, rank_bound=3)
+        assert len(ws.pa.name_classes().reps) == 31
+        ws.insert({0: alg.top_i, 5: alg.top_i})
+        classes = ws.pa.name_classes()
+        assert list(classes.of) == list(classes.reps) == list(range(len(ws.universe)))
+
+    def test_boolean_coincidence_computes_no_signature(self):
+        alg, d = builtin("bool4")
+        run = Run(alg, d, 3)
+        assert run_check("boolean-coincidence", run).verdict == "pass"
+        assert all(t._signatures is None for t in run._enumerated[3].columns.values())
+
+    def test_the_pa_tables_take_the_prefix_arrays_of_the_ba_tables(self):
+        alg, d = ps3()
+        columns = Run(alg, d, 3).workspace()._shared.columns
+        assert columns["pa"].prefix is columns["ba"].prefix
+        assert columns["pa"].last_entry is columns["ba"].last_entry
+
+
+def zfbar_witnesses(ws):
+    """One witness of each kind that zfbar builds, over the last top-rank
+    names: a pair set, a power set, a separation subset under each
+    assignment, the everything-present set and its union set."""
+    alg, pa, top = ws.algebra, ws.pa, ws.algebra.top_i
+    x, y = ws.enumerated - 1, ws.enumerated - 2
+    out = {"pair": ws.insert({x: top, y: top})}
+    subset_of = pa.sentence(parse("forall w. (w in z -> w in x)"), ("z", "x"))
+    dom_x = [c for c, _ in ws.universe.entries_of(x)]
+    subsets = [ws.insert(dict(zip(dom_x, values)))
+               for values in itertools.product(range(len(alg.elements)), repeat=len(dom_x))]
+    out["power set"] = ws.insert({z: subset_of(z, x) for z in subsets})
+    for a in ASSIGNMENTS:
+        weight = ws.ctx(a).sentence(parse("~exists m. (m in z)"), ("z",))
+        out[f"separation {a}"] = ws.insert({z: alg.meet_t[xv][weight(z)]
+                                            for z, xv in ws.universe.entries_of(out["pair"])})
+    out["collection"] = ws.insert({nid: top for nid in range(len(ws.universe))})
+    # the union of the last: its members' members include top-rank names
+    member_of_member = pa.sentence(parse("exists m. (m in u /\\ x in m)"), ("x", "u"))
+    u = out["collection"]
+    dom = sorted({c for e, _ in ws.universe.entries_of(u) for c, _ in ws.universe.entries_of(e)})
+    out["union"] = ws.insert({c: member_of_member(c, u) for c in dom})
+    return out
+
+
+@pytest.mark.parametrize("name", ["ps3", "chain3"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_witness_values_match_the_clauses(name, assignment):
+    # a witness's values against the covered names come from its class
+    # rows; every pair with a witness name, and every row, must be the
+    # clause's
+    alg, d = builtin(name)
+    ws = Workspace(alg, d, rank_bound=3)
+    witnesses = zfbar_witnesses(ws)
+    assert min(witnesses.values()) >= ws.enumerated
+    ctx = ws.ctx(assignment)
+    eq, mem = reference_clauses(EvalContext(ws.universe, d, assignment))
+    n = len(ws.universe)
+    for w in range(ws.enumerated, n):
+        eq_row, in_row = ctx.row("=", w), ctx.row("in", w)
+        for z in range(n):
+            assert ctx.equality(z, w) == eq_row[z] == eq(z, w), ("=", z, w)
+            assert ctx.membership(z, w) == mem(z, w), ("in", z, w)
+            assert ctx.membership(w, z) == in_row[z] == mem(w, z), ("in", w, z)
