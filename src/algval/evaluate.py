@@ -14,32 +14,31 @@ Two assignment styles share one membership clause and differ on equality:
 
 The two clauses are mutually recursive; termination is by descent on the
 sum of the argument ranks, since every recursive call replaces one argument
-by a member of the other's domain.  Atomic values are memoized in a store
-per assignment, so "ba" and "pa" values never alias.  A store is two dicts
-of rows, one row per name and relation: `mem[v][u]` is `u in v` and
-`eq[max(u, v)][min(u, v)]` is `u = v`.  A row is an array of element
-indices whose item type is the narrowest unsigned one that holds every
-index below its maximum, which marks a value not yet computed; it grows
-only up to the largest index written to it, so bool4's 5 low names
-against its 3125 names at rank 3 make 3125 rows of 5 items, not 3125 x
-3125.  A context owns its store or is handed one to share: an atomic value
-depends only on its two names, so contexts over universes that agree on
-every id they hold may share a store (a run's workspaces share one per
-rank; see `theorems.Run.workspace`).  Every value is deterministic;
-quantifiers always sweep the universe contents at call time, and atomic
-values never depend on what else has been interned.  `atomic_fills`
-counts the store misses.
+by a member of the other's domain.  Each context memoizes the atomic
+values that the clauses compute in a store of its own, so "ba" and "pa"
+values never alias.  A store is two dicts of rows, one row per name and
+relation: `mem[v][u]` is `u in v` and `eq[max(u, v)][min(u, v)]` is
+`u = v`.  A row is an array of element indices whose item type is the
+narrowest unsigned one that holds every index below its maximum, which
+marks a value not yet computed; it grows only up to the largest index
+written to it.  Values read from the class tables below never enter the
+store, so where the tables are on it holds the pairs of two low names
+and the pairs with a witness name: bool4's 5 low names at rank 3 make 5
+rows of 5 items a relation, whatever the sweeps read of its 3125 names.
+Every value is deterministic; quantifiers always sweep the universe
+contents at call time, and atomic values never depend on what else has
+been interned.  `atomic_fills` counts the values the store gains.
 
-A store miss on two covered names, not both low, is computed by column
-class (`ColumnClasses`).  The entries of every enumerated name lie among
-the low names L, those of lower rank.  So `u = v` reads u's entries only
-against v's membership column, the values of `x in v` for x in L, and v's
-entries only against u's; and `u in v` reads v's entries only against u's
-equality column, `x = u` for x in L.  Names with equal columns form a
-class (ps3 at rank 3: 256 names, 27 membership and 4 equality classes),
-and the tables hold one cell per class and name: H[c][u], u's half of
-`u = v` for a v of membership class c, and M[c][v], `u in v` for a u of
-equality class c:
+A pair of two covered names, not both low, is read by column class
+(`ColumnClasses`), before the store is looked at.  The entries of every
+enumerated name lie among the low names L, those of lower rank.  So
+`u = v` reads u's entries only against v's membership column, the values
+of `x in v` for x in L, and v's entries only against u's; and `u in v`
+reads v's entries only against u's equality column, `x = u` for x in L.
+Names with equal columns form a class (ps3 at rank 3: 256 names, 27
+membership and 4 equality classes), and the tables hold one cell per
+class and name: H[c][u], u's half of `u = v` for a v of membership class
+c, and M[c][v], `u in v` for a u of equality class c:
 
     `=`(u, v) = H[mc(v)][u] /\\ H[mc(u)][v]        `in`(u, v) = M[ec(u)][v]
 
@@ -79,7 +78,7 @@ table).  They are not used where they cannot pay: with one low name, as
 at rank 2, a clause reads at most one entry a side.  Pairs of two
 witness names, and defective tables, take the clause.  The tables cover
 enumerated names only, so a run's contexts of one assignment share them
-across all the workspaces of a rank, like the store.  The class fold of
+across all the workspaces of a rank.  The class fold of
 `theorems.coincidence_mismatches` compares their columns and reads their
 cells.
 
@@ -144,8 +143,8 @@ a slot on first use, shared within its scope, that holds its id for the
 handle's life.  A constant `#k` and a variable bound to k are thus the same
 to the evaluator, and a caller binds a name through a parameter rather than
 substituting it into the formula.  Each relation has one atom closure,
-which calls its clause on its two slots; the clause reads the context's
-current store and computes on a miss.
+which calls its clause on its two slots; the clause reads the tables or
+the context's store and computes on a miss.
 
 A connective whose left value fixes the whole table row (bottom -> b, for
 instance, on a table where that row is constant) skips its right operand.
@@ -196,9 +195,7 @@ the meet table's bottom row is constant, so defective tables evaluate as
 they always have.  The clauses read the store inline on their recursive
 calls.
 
-The store and the rows only ever gain deterministic values while a context
-evaluates; only the owner of a shared store removes values from it
-(`forget_names`), between evaluations.
+The store and the rows only ever gain deterministic values.
 """
 
 from __future__ import annotations
@@ -220,10 +217,6 @@ ASSIGNMENTS = ("ba", "pa")
 
 _REL_EQ, _REL_MEM = 0, 1
 _Z_LEFT, _Z_RIGHT, _Z_BOTH = 0, 1, 2  # where a row's swept variable stands
-
-# The atomic store of one assignment: (eq, mem), indexed by relation, where
-# eq[max(u, v)][min(u, v)] is `u = v` and mem[v][u] is `u in v`.
-Memo = tuple[dict[int, array], dict[int, array]]
 
 
 def _item_type(size: int) -> tuple[str, int]:
@@ -254,15 +247,6 @@ def _atoms(f: Formula, bound: frozenset[str] = frozenset()
         bound = bound | {f.var}
     for g in children(f):
         yield from _atoms(g, bound)
-
-
-def forget_names(memo: Memo, n: int) -> None:
-    """Remove the values of an atomic store that involve a name id >= n."""
-    for rows in memo:
-        for key in [k for k in rows if k >= n]:
-            del rows[key]
-        for row in rows.values():
-            del row[n:]
 
 
 class _Witness(NamedTuple):
@@ -361,8 +345,8 @@ class ColumnClasses:
     Every cell comes from one place, `column`: for each class, an array
     over the names in id order, filled by one fold step per name from the
     cell of its prefix.  `half` and `member` read a name's cells across
-    the classes.  Like a store, the tables may be shared by the contexts
-    of one assignment over universes that agree on their first `n` names.
+    the classes.  The tables may be shared by the contexts of one
+    assignment over universes that agree on their first `n` names.
 
     The signature classes (`signatures`), the values at the pairs of
     classes (`class_atoms`) and the classes split for witnesses
@@ -543,15 +527,22 @@ class ColumnClasses:
         """`u = v` for u <= v and a top-level v."""
         if u < self.low:
             return self.by_id[_REL_EQ][self.class_of(ctx, _REL_EQ, v)][u]
-        cu, cv = self.class_of(ctx, _REL_MEM, u), self.class_of(ctx, _REL_MEM, v)
-        return self.alg.meet_t[self.column(_REL_MEM, cv, v + 1)[u]][
-            self.column(_REL_MEM, cu, v + 1)[v]]
+        ids, cells = self.ids[_REL_MEM], self.cells[_REL_MEM]
+        try:  # cells already filled are read directly
+            return self.alg.meet_t[cells[ids[v]][u]][cells[ids[u]][v]]
+        except IndexError:
+            cu, cv = self.class_of(ctx, _REL_MEM, u), self.class_of(ctx, _REL_MEM, v)
+            return self.alg.meet_t[self.column(_REL_MEM, cv, v + 1)[u]][
+                self.column(_REL_MEM, cu, v + 1)[v]]
 
     def membership(self, ctx: EvalContext, u: int, v: int) -> int:
         """`u in v` for u and v not both low."""
         if u < self.low:
             return self.by_id[_REL_MEM][self.class_of(ctx, _REL_MEM, v)][u]
-        return self.column(_REL_EQ, self.class_of(ctx, _REL_EQ, u), v + 1)[v]
+        try:  # cells already filled are read directly
+            return self.cells[_REL_EQ][self.ids[_REL_EQ][u]][v]
+        except IndexError:
+            return self.column(_REL_EQ, self.class_of(ctx, _REL_EQ, u), v + 1)[v]
 
     def signatures(self, ctx: EvalContext) -> NameClasses:
         """The covered names by signature: a top-level name's membership
@@ -616,15 +607,14 @@ class ColumnClasses:
 class EvalContext:
     """A universe, a designated set and one assignment style.
 
-    `memo` is the atomic store to read and fill, and `columns` the class
-    tables; by default the context owns fresh ones.  A store or tables
-    passed in may be shared with other contexts of the same assignment
-    over universes that agree on every name id they hold.
+    The context owns its atomic store.  `columns` are the class tables,
+    fresh ones by default; tables passed in may be shared with other
+    contexts of the same assignment over universes that agree on every
+    name id the tables cover.
     """
 
     def __init__(self, universe: Universe, designated: Iterable[str],
-                 assignment: str = "pa", memo: Optional[Memo] = None,
-                 columns: Optional[ColumnClasses] = None):
+                 assignment: str = "pa", columns: Optional[ColumnClasses] = None):
         if assignment not in ASSIGNMENTS:
             raise InputError(f"unknown assignment {assignment!r}; use 'ba' or 'pa'")
         self.universe = universe
@@ -633,7 +623,9 @@ class EvalContext:
         self.assignment = assignment
         self.designated = frozenset(alg.resolve(d) for d in designated)
         self.designated_i = frozenset(alg.index[d] for d in self.designated)
-        self._memo: Memo = ({}, {}) if memo is None else memo
+        # the atomic store: (eq, mem), indexed by relation, where
+        # eq[max(u, v)][min(u, v)] is `u = v` and mem[v][u] is `u in v`
+        self._memo: tuple[dict[int, array], dict[int, array]] = ({}, {})
         self._typecode, self._unset = _item_type(len(alg.elements))
         self._meet = alg.meet_t
         self._join = alg.join_t
@@ -652,7 +644,7 @@ class EvalContext:
         self._classes: dict[bytes, int] = {}
         self._row_class: dict[tuple[int, int, int], int] = {}
         self._classes_n = 0
-        self.atomic_fills = 0  # store misses, each computed by a clause or the tables
+        self.atomic_fills = 0  # values computed into the store, not read from the tables
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.sweeps_reused = 0  # sweeps answered from their cache
         self._columns = ColumnClasses(universe, assignment) if columns is None else columns
@@ -678,6 +670,9 @@ class EvalContext:
     def equality(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u  # the clause is symmetric
+        cc = self._columns
+        if cc.low <= v < cc.n:  # a top-level name and a covered one
+            return cc.equality(self, u, v)
         eq_rows, mem_rows = self._memo
         unset = self._unset
         row = eq_rows.get(v)
@@ -694,11 +689,6 @@ class EvalContext:
                 f"the pa assignment needs a star table; {self.algebra.name} has none"
             )
         self.atomic_fills += 1
-        cc = self._columns
-        if cc.low <= v < cc.n:  # a top-level name and a covered one
-            acc = cc.equality(self, u, v)
-            self._put(eq_rows, v, u, acc)
-            return acc
         if u < cc.n <= v:  # a covered name and a witness
             w = self._witness(v)
             acc = meet[w.covered_halves[u]][w.halves[w.of[u]]]
@@ -738,6 +728,9 @@ class EvalContext:
         return acc
 
     def membership(self, u: int, v: int) -> int:
+        cc = self._columns
+        if cc.low <= (u if u > v else v) < cc.n:  # a top-level name and a covered one
+            return cc.membership(self, u, v)
         eq_rows, mem_rows = self._memo
         unset = self._unset
         row = mem_rows.get(v)
@@ -746,10 +739,7 @@ class EvalContext:
             if hit != unset:
                 return hit
         self.atomic_fills += 1
-        cc = self._columns
-        if cc.low <= max(u, v) < cc.n:  # a top-level name and a covered one
-            acc = cc.membership(self, u, v)
-        elif u < cc.n <= v:  # a covered name in a witness
+        if u < cc.n <= v:  # a covered name in a witness
             w = self._witness(v)
             acc = w.members[w.of[u]]
         elif v < cc.n <= u:  # a witness in a covered name
@@ -1116,10 +1106,8 @@ class EvalContext:
 
     def _atom(self, f: Mem | Eq, scope: dict[str | int, int],
               slots: list[int]) -> Callable[[], int]:
-        """An atom closure that calls its clause, which reads the store at
-        call time, not the one the closure was compiled against, so a held
-        handle follows its context onto a private store (see
-        `theorems._Enumerated.release`)."""
+        """An atom closure that calls its clause on the names in its two
+        slots; the clause reads the context's tables and store."""
         i, j = self._slot(f.left, scope, slots), self._slot(f.right, scope, slots)
         if isinstance(f, Mem):
             clause = self.membership

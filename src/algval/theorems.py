@@ -13,10 +13,10 @@ skip, times the check and builds its `CheckResult`.
 A body is `fn(run: Run)` and returns a `Verdict`: the counterexample
 (None when the check passes) and the details.  It sweeps a workspace from
 `Run.workspace`: a copy of the run's enumerated universe, built once per
-rank, whose contexts share the run's atomic memos.  `properties` and
-`quotient` read one partition by pa equality, `Run.quotient`, built once
-per run; a pair on which it is not well defined fails both, with the law
-it breaks.
+rank, whose contexts share the run's class tables and each own an atomic
+store.  `properties` and `quotient` read one partition by pa equality,
+`Run.quotient`, built once per run; a pair on which it is not well
+defined fails both, with the law it breaks.
 
 A failing result carries a counterexample of one of five kinds, one
 builder each.  `replay` repeats the evaluation that three of them name:
@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-import weakref
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -44,9 +43,7 @@ from .algebra import (
     collapse_f, ps3,
 )
 from .errors import InputError, ResourceError
-from .evaluate import (
-    ASSIGNMENTS, ColumnClasses, EvalContext, Memo, NameClasses, bq_sides, forget_names,
-)
+from .evaluate import ColumnClasses, EvalContext, NameClasses, bq_sides
 from .formulas import (
     BINDERS, And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
     battery, children, enumerate_formulas, free_vars, iff, instantiate_axiom,
@@ -99,72 +96,27 @@ class CheckResult:
 
 
 class _Enumerated:
-    """One rank's enumerated universe and the atomic stores and class
-    tables, one each per assignment, that the workspaces built on it share.
-
-    Atomic values depend only on the two names, so every workspace fills
-    the same values for enumerated ids.  Witness ids are not shared: each
-    workspace interns its own names from the enumerated count `n` up.  So
-    the stores hold witness values of one universe at most, the grower's:
-    before a universe grows or a workspace is handed out, the contexts of
-    a live grower move onto private copies of the store's rows, and the
-    shared rows are cut to `n` and the rows keyed at `n` or above dropped.
-    """
+    """One rank's enumerated universe and its class tables, one per
+    assignment, that the workspaces built on it share.  The tables cover
+    enumerated names only, on which every workspace agrees."""
 
     def __init__(self, universe: Universe):
         self.universe = universe
-        self.n = len(universe)
-        self.memos: dict[str, Memo] = {a: ({}, {}) for a in ASSIGNMENTS}
-        # the tables cover enumerated names only, so every context may read
-        # them; the pa tables take the prefix arrays of the ba ones
+        # the pa tables take the prefix arrays of the ba ones
         ba = ColumnClasses(universe, "ba")
         self.columns = {"ba": ba, "pa": ColumnClasses(universe, "pa", ba)}
-        self._contexts: weakref.WeakSet[EvalContext] = weakref.WeakSet()
-        self._grower: Optional[weakref.ref[Universe]] = None
-
-    def context(self, universe: Universe, designated: Iterable[str],
-                assignment: str) -> EvalContext:
-        """A context on the shared store, unless its universe holds witness
-        names that the store no longer tracks."""
-        grower = self._grower() if self._grower is not None else None
-        columns = self.columns[assignment]
-        if len(universe) > self.n and universe is not grower:
-            return EvalContext(universe, designated, assignment, columns=columns)
-        ctx = EvalContext(universe, designated, assignment, memo=self.memos[assignment],
-                          columns=columns)
-        self._contexts.add(ctx)
-        return ctx
-
-    def release(self) -> None:
-        """Move a live grower's contexts onto private copies of the rows
-        and drop the witness values from the shared stores."""
-        if self._grower is None:
-            return
-        grower = self._grower()
-        for ctx in list(self._contexts):
-            if ctx.universe is grower:
-                ctx._memo = tuple({k: row[:] for k, row in rows.items()}
-                                  for rows in ctx._memo)
-                self._contexts.discard(ctx)
-        for memo in self.memos.values():
-            forget_names(memo, self.n)
-        self._grower = None
-
-    def grow(self, universe: Universe) -> None:
-        """Called when `universe` interns its first witness name."""
-        self.release()
-        self._grower = weakref.ref(universe)
 
 
 class Workspace:
     """A copy of an enumerated universe plus contexts for both assignments.
 
     Handed out by `Run.workspace`, it copies the run's enumerated universe
-    for its rank (same names, same ids) and its contexts read and fill the
-    run's atomic stores, one row per name and relation (see `evaluate`).
-    Built alone, it enumerates a universe of its own.  Ad-hoc
-    witness names go through `insert`, which keeps a log (id plus entry
-    literal) so failures can be replayed against a rebuilt universe.
+    for its rank (same names, same ids), and its contexts read the run's
+    class tables for that rank; each context fills an atomic store of its
+    own (see `evaluate`).  Built alone, it enumerates a universe of its
+    own.  Ad-hoc witness names go through `insert`, which keeps a log (id
+    plus entry literal) so failures can be replayed against a rebuilt
+    universe.
     """
 
     def __init__(self, algebra: Algebra, designated: Iterable[str],
@@ -183,8 +135,9 @@ class Workspace:
 
     def ctx(self, assignment: str) -> EvalContext:
         if assignment not in self._ctxs:
-            self._ctxs[assignment] = self._shared.context(
-                self.universe, self.designated, assignment)
+            self._ctxs[assignment] = EvalContext(
+                self.universe, self.designated, assignment,
+                columns=self._shared.columns[assignment])
         return self._ctxs[assignment]
 
     @property
@@ -199,8 +152,6 @@ class Workspace:
         before = len(self.universe)
         nid = self.universe.insert(entries)
         if nid >= before:
-            if before == self.enumerated:
-                self._shared.grow(self.universe)
             literal = [[c, self.algebra.elements[v]]
                        for c, v in self.universe.entries_of(nid)]
             self.insertion_log.append([nid, literal])
@@ -271,11 +222,13 @@ class Run:
     """The configuration one check runs under.
 
     `designated` is resolved to element ids once.  `profile`, each rank's
-    enumerated universe and atomic memos (kept in `_enumerated`) and the
+    enumerated universe and class tables (kept in `_enumerated`) and the
     pa partition are built on first use and kept, so the checks that
     `run_all` runs on one `Run` gate on one profile, share one universe
-    and one memo per rank, and read one partition.  Every check enumerates
-    what it sweeps, so a check's record depends on these fields alone.
+    and one pair of tables per rank, and read one partition.  Atomic
+    stores are not kept: each belongs to a context of one workspace, and
+    goes with it.  Every check enumerates what it sweeps, so a check's
+    record depends on these fields alone.
     """
 
     algebra: Algebra
@@ -309,14 +262,14 @@ class Run:
 
     def workspace(self, rank_bound: Optional[int] = None) -> Workspace:
         """A workspace at the run's rank bound, or at `rank_bound`, on the
-        run's enumerated universe and memos for that rank.  It starts at
-        the enumerated length, whatever earlier workspaces inserted."""
+        run's enumerated universe and class tables for that rank.  It
+        starts at the enumerated length, whatever earlier workspaces
+        inserted."""
         rank = self.rank_bound if rank_bound is None else rank_bound
         shared = self._enumerated.get(rank)
         if shared is None:
             shared = self._enumerated[rank] = _Enumerated(
                 build_universe(self.algebra, rank, budget=self.budget))
-        shared.release()
         return Workspace(self.algebra, self.designated, rank, self.budget, shared)
 
 

@@ -1,14 +1,17 @@
 import dataclasses
 import functools
+import gc
 import inspect
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from test_evaluate import (
     assert_clauses_match_reference, patch_atoms, reference_clauses, stored_values,
+    tracked_contexts,
 )
 
 from algval import quotient, theorems
@@ -269,7 +272,7 @@ class TestCoincidenceSweep:
             columns = ctx._columns
             for rel in ("in", "="):
                 columns.partition(ctx, rel)
-            cells = sum(1 for _ in stored_values(ws._shared.memos[assignment]))
+            cells = sum(1 for _ in stored_values(ctx._memo))
             assert 0 < cells <= 2 * columns.low ** 2
 
 
@@ -976,8 +979,9 @@ def _atomic_table(ws: Workspace, assignments=("ba", "pa")) -> dict:
 
 
 class TestSharedUniverse:
-    """A run enumerates each rank once and its workspaces share one atomic
-    memo per assignment; witness ids never share an entry."""
+    """A run enumerates each rank once and its workspaces share its class
+    tables; each context fills a store of its own, so witness ids never
+    share an entry."""
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_each_check_alone_matches_run_all(self, name):
@@ -986,31 +990,6 @@ class TestSharedUniverse:
         alone = [run_all(alg, d, rank_bound=2, seed=5, names=[check])[0].record_line()
                  for check in CHECKS]
         assert alone == together
-
-    def test_witness_entries_pruned_before_the_next_workspace(self):
-        alg, d = ps3()
-        run = Run(alg, d, rank_bound=2)
-        assert run_check("zfbar-witnesses", run).verdict == "pass"
-        n = run.workspace().enumerated
-        memos = run._enumerated[2].memos
-        # zfbar filled entries for its witnesses; none survive the hand-out
-        stored = {a: [pair for pair, _ in stored_values(memo)] for a, memo in memos.items()}
-        assert stored["pa"] and stored["ba"]
-        assert all(max(u, v) < n for pairs in stored.values() for _, u, v in pairs)
-        ws = run.workspace()
-        assert len(ws.universe) == ws.enumerated == n
-        assert ws.insert({0: alg.top_i, 1: alg.top_i, 2: alg.top_i}) == n
-
-    def test_grown_memo_holds_witness_entries_until_released(self):
-        # The prune test above only means something if witness entries do
-        # reach the shared memo while their workspace grows.
-        alg, d = ps3()
-        run = Run(alg, d, rank_bound=2)
-        ws = run.workspace()
-        w = ws.insert({0: alg.top_i, 1: alg.top_i, 2: alg.top_i})
-        ws.pa.equality(w, 1)
-        assert any(max(u, v) >= ws.enumerated
-                   for (_, u, v), _ in stored_values(run._enumerated[2].memos["pa"]))
 
     def test_two_live_workspaces_keep_their_own_witnesses(self):
         alg, d = ps3()
@@ -1024,9 +1003,9 @@ class TestSharedUniverse:
             expected[label] = _atomic_table(scratch)
         run = Run(alg, d, rank_bound=2)
         ws_a, ws_b = run.workspace(), run.workspace()
-        # a fills the shared pa memo with its witness, then b interns another
-        # name under the same id while a is still alive; a opens its ba
-        # context only after that
+        # a fills its pa store with its witness, then b interns another name
+        # under the same id while a is still alive; a opens its ba context
+        # only after that
         assert ws_a.insert(a_entries) == ws_a.enumerated
         pa_only = _atomic_table(ws_a, ("pa",))
         assert pa_only.items() <= expected["a"].items()
@@ -1035,10 +1014,10 @@ class TestSharedUniverse:
         assert _atomic_table(ws_a) == expected["a"]
         assert expected["a"] != expected["b"]
 
-    def test_a_held_handle_follows_its_context_off_the_shared_memo(self):
-        # A handle compiled on the shared memo must not read it after its
-        # context moves to a private copy, when another workspace's witness
-        # takes the same id there.
+    def test_a_held_handle_reads_its_own_workspace(self):
+        # A handle compiled before its workspace grows must read the values
+        # of its own witness, when another workspace's witness takes the
+        # same id.
         alg, d = ps3()
         top = alg.top_i
         x, y = Var("x"), Var("y")
@@ -1075,36 +1054,70 @@ class TestSharedUniverse:
         from algval.evaluate import EvalContext
 
         fills: Counter = Counter()
-        contexts: list = []
-        init = EvalContext.__init__
-
-        def tracked_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            contexts.append(self)
-
-        monkeypatch.setattr(EvalContext, "__init__", tracked_init)
+        contexts = tracked_contexts(monkeypatch)
         for rel, clause_name in ((0, "equality"), (1, "membership")):
             clause = getattr(EvalContext, clause_name)
 
             def logged(self, u, v, clause=clause, rel=rel):
                 if not _is_stored(self._memo, rel, u, v):
                     a, b = (v, u) if rel == 0 and u > v else (u, v)
-                    fills[self.algebra, self.assignment, rel, a, b] += 1
+                    fills[self, rel, a, b] += 1
                 return clause(self, u, v)
 
             monkeypatch.setattr(EvalContext, clause_name, logged)
         alg, d = ps3()
         run_all(alg, d, rank_bound=2, seed=0)
         n = len(Workspace(alg, d, rank_bound=2).universe)
-        mine = {k: c for k, c in fills.items() if k[0] is alg}
-        enumerated = [c for (_, _, _, u, v), c in mine.items() if u < n and v < n]
+        mine = {k: c for k, c in fills.items() if k[0].algebra is alg}
+        enumerated = {(ctx.assignment, rel, u, v) for ctx, rel, u, v in mine if u < n and v < n}
         assert len(enumerated) > 2 * n * n  # both assignments, both relations
-        assert max(enumerated) == 1
-        # the counter counts exactly the clause computations
+        # at most once per context: each store keeps what its clauses compute
+        assert max(mine.values()) == 1
+        # the counter counts exactly the values computed into the stores
         assert sum(c.atomic_fills for c in contexts if c.algebra is alg) == sum(mine.values())
 
 
+def _live_contexts(monkeypatch, run: Run, check: str) -> tuple[CheckResult, list]:
+    """Run one check and return its result with the contexts made during
+    it that are still alive after a collection, other than the one that
+    `Run.quotient` keeps."""
+    refs = []
+    init = EvalContext.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(EvalContext, "__init__", tracked)
+    result = run_check(check, run)
+    gc.collect()
+    quotient = run.__dict__.get("quotient")
+    kept = quotient.context if quotient is not None else None
+    return result, [ctx for ctx in (ref() for ref in refs) if ctx is not None and ctx is not kept]
+
+
 class TestMemory:
+    @pytest.mark.parametrize("check", list(CHECKS))
+    def test_a_check_keeps_no_context_alive(self, check, monkeypatch):
+        # a check's stores, rows and witnesses go with its contexts, so
+        # nothing it filled outlives it but the run's quotient
+        result, live = _live_contexts(monkeypatch, Run(*ps3(), rank_bound=3), check)
+        assert result.verdict != "skipped" or check == "boolean-coincidence"
+        assert live == []
+
+    def test_a_check_out_of_memory_keeps_no_context_alive(self, monkeypatch):
+        def exhausted(run):
+            ws = run.workspace()
+            ws.insert({0: run.algebra.top_i, 1: run.algebra.top_i})
+            for ctx in (ws.ba, ws.pa):
+                ctx.value(parse("forall x. exists y. (x = x /\\ y in x)"))
+            raise MemoryError
+
+        monkeypatch.setitem(CHECKS, "two-valued", CHECKS["two-valued"]._replace(fn=exhausted))
+        result, live = _live_contexts(monkeypatch, Run(*ps3(), rank_bound=3), "two-valued")
+        assert result.skip_reason.startswith("out of memory")
+        assert live == []
+
     def test_paraconsistency_on_ps3_rank3_traced_peak(self):
         # Traced peak of paraconsistency on ps3 at rank 3 (Python 3.11): about
         # 11.1 MB with the atomic memo as a dict keyed by one int per atom,
