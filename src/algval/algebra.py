@@ -3,8 +3,8 @@
 Every algebra here is a small finite carrier with total operation tables.
 Element identifiers are opaque interned strings; the partial order is always
 induced from the meet table (a <= b iff a /\\ b == a), never from identifier
-order.  Operations are pure table lookups, so constructed algebras are
-immutable and safe to share between threads.
+order.  Operations are pure lookups in immutable tables, and what an algebra
+keeps (its law verdicts, propositional columns) is written once per key.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import CapabilityError, InputError
@@ -66,7 +67,8 @@ class Algebra:
         # the designated set is overridden.
         self.star_rule = star_rule
         self._cobounded_cache: Optional[bool] = None
-        self._lattice_cache: Optional[bool] = None
+        self._lattice: dict[str, Optional[tuple[str, ...]]] = {}  # see _decided
+        self._columns: dict = {}  # proplogic's kept columns and index maps
 
     # -- construction helpers -------------------------------------------------
 
@@ -204,69 +206,91 @@ class AlgebraReport:
 
 
 def check_lattice(alg: Algebra) -> AlgebraReport:
-    """Exhaustively test the lattice laws, boundedness and distributivity."""
+    """Exhaustively test the lattice laws, boundedness and distributivity.
+
+    The witness of a failed verdict is its first failing point in element
+    order, and at that point the first failing law in the order listed by
+    `_laws`."""
     rep = AlgebraReport(alg.name)
-    es = alg.elements
-    lattice_ok = True
-    witness: tuple[str, ...] = ()
-
-    def fail(*w: str):
-        nonlocal lattice_ok, witness
-        if lattice_ok:
-            lattice_ok, witness = False, w
-
-    for a, b in itertools.product(es, repeat=2):
-        if alg.meet(a, b) != alg.meet(b, a):
-            fail("commutativity-meet", a, b)
-        if alg.join(a, b) != alg.join(b, a):
-            fail("commutativity-join", a, b)
-        if alg.meet(a, alg.join(a, b)) != a:
-            fail("absorption-meet", a, b)
-        if alg.join(a, alg.meet(a, b)) != a:
-            fail("absorption-join", a, b)
-    for a in es:
-        if alg.meet(a, a) != a:
-            fail("idempotence-meet", a)
-        if alg.join(a, a) != a:
-            fail("idempotence-join", a)
-    for a, b, c in itertools.product(es, repeat=3):
-        if alg.meet(a, alg.meet(b, c)) != alg.meet(alg.meet(a, b), c):
-            fail("associativity-meet", a, b, c)
-        if alg.join(a, alg.join(b, c)) != alg.join(alg.join(a, b), c):
-            fail("associativity-join", a, b, c)
-    rep.record("lattice", lattice_ok, witness)
-
-    bounded_ok = True
-    bw: tuple[str, ...] = ()
-    for a in es:
-        if alg.meet(a, alg.top) != a:
-            bounded_ok, bw = False, ("top", a)
-            break
-        if alg.join(a, alg.bottom) != a:
-            bounded_ok, bw = False, ("bottom", a)
-            break
-    rep.record("bounded", bounded_ok, bw)
-
-    dist_ok = True
-    dw: tuple[str, ...] = ()
-    for a, b, c in itertools.product(es, repeat=3):
-        if alg.meet(a, alg.join(b, c)) != alg.join(alg.meet(a, b), alg.meet(a, c)):
-            dist_ok, dw = False, ("meet-over-join", a, b, c)
-            break
-        if alg.join(a, alg.meet(b, c)) != alg.meet(alg.join(a, b), alg.join(a, c)):
-            dist_ok, dw = False, ("join-over-meet", a, b, c)
-            break
-    rep.record("distributive", dist_ok, dw)
+    verdicts = ("lattice", "bounded", "distributive")
+    for law, witness in zip(verdicts, _decided(alg, verdicts)):
+        rep.record(law, witness is None, witness or ())
     return rep
 
 
 def is_bounded_lattice(alg: Algebra) -> bool:
-    """Whether meet and join form a bounded lattice; `check_lattice` runs
-    once per algebra."""
-    if alg._lattice_cache is None:
-        rep = check_lattice(alg)
-        alg._lattice_cache = rep.ok("lattice") and rep.ok("bounded")
-    return alg._lattice_cache
+    """Whether meet and join form a bounded lattice, without deciding
+    distributivity."""
+    return _decided(alg, ("lattice", "bounded")) == [None, None]
+
+
+def _decided(alg: Algebra, verdicts: tuple[str, ...]) -> list[Optional[tuple[str, ...]]]:
+    """The first witness of each of the `check_lattice` verdicts named
+    (None when it holds), each decided once per algebra."""
+    todo = [v for v in verdicts if v not in alg._lattice]
+    if todo:
+        laws = _laws(alg)
+        alg._lattice.update((v, _first_failure(alg.elements, laws[v])) for v in todo)
+    return [alg._lattice[v] for v in verdicts]
+
+
+def _laws(alg: Algebra) -> dict[str, list]:
+    """The laws of each `check_lattice` verdict as (points, sides) groups
+    for `_first_failure`.  A side is a nested row of element indices, each
+    row read with one C-level call: for associativity of meet at a, row b
+    of one side is `meet[b]` read at a's row, and of the other the row of
+    a /\\ b."""
+    ids = tuple(range(len(alg.elements)))
+    m, j, at_m, at_j = alg.meet_t, alg.join_t, _readers(alg.meet_t), _readers(alg.join_t)
+    cols_m, cols_j, each = tuple(zip(*m)), tuple(zip(*j)), [(a,) for a in ids]
+    own = [(a,) * len(ids) for a in ids]
+    return {
+        "lattice": [([()], lambda: [
+            ("commutativity-meet", m, cols_m), ("commutativity-join", j, cols_j),
+            ("absorption-meet", [g(r) for g, r in zip(at_j, m)], own),
+            ("absorption-join", [g(r) for g, r in zip(at_m, j)], own)]),
+            # idempotence follows from absorption, a /\\ a = a /\\ (a \\/ (a /\\ a)) = a,
+            # so it never gives the first witness
+            (each, lambda a: [
+                ("associativity-meet", [g(m[a]) for g in at_m], list(at_m[a](m))),
+                ("associativity-join", [g(j[a]) for g in at_j], list(at_j[a](j)))])],
+        "bounded": [([()], lambda: [("top", cols_m[alg.top_i], ids),
+                                    ("bottom", cols_j[alg.bottom_i], ids)])],
+        "distributive": [(each, lambda a: [
+            ("meet-over-join", [g(m[a]) for g in at_j], list(map(at_m[a], at_m[a](j)))),
+            ("join-over-meet", [g(j[a]) for g in at_m], list(map(at_j[a], at_j[a](m))))])],
+    }
+
+
+def _readers(table: tuple[tuple[int, ...], ...]) -> list:
+    """For each row r of a table, a reader of any sequence at r's entries,
+    into a tuple."""
+    return [itemgetter(*r) if len(r) > 1 else lambda row, x=r[0]: (row[x],) for r in table]
+
+
+def _first_failure(es: Sequence[str], groups: list) -> Optional[tuple[str, ...]]:
+    """The name and elements of the first point, group by group and in
+    element order within one, where a law fails (the first such law there);
+    None if every law holds.  A group is (points, sides), and sides(*p) lists
+    each law as (name, lhs, rhs): its two sides at every point that begins
+    with p, as nested rows indexed by the rest."""
+    for points, sides in groups:
+        for p in points:
+            found = [(rest, order, name) for order, (name, lhs, rhs) in enumerate(sides(*p))
+                     if (rest := _difference(lhs, rhs))]
+            if found:
+                rest, _, name = min(found)
+                return (name, *(es[i] for i in (*p, *rest)))
+    return None
+
+
+def _difference(lhs, rhs) -> tuple[int, ...]:
+    """The index path to the first entry where two nested rows of the same
+    shape differ; () where they are equal."""
+    if lhs == rhs or isinstance(lhs, int):
+        return ()
+    c = next(c for c in range(len(lhs)) if lhs[c] != rhs[c])
+    return (c, *_difference(lhs[c], rhs[c]))
 
 
 def check_drim(alg: Algebra) -> AlgebraReport:
@@ -281,24 +305,15 @@ def check_drim(alg: Algebra) -> AlgebraReport:
     if not (rep.ok("lattice") and rep.ok("bounded")):
         rep.record("drim", False, ("not-a-bounded-lattice",))
         return rep
-    es = alg.elements
-    ok = True
-    witness: tuple[str, ...] = ()
-    for a, b, c in itertools.product(es, repeat=3):
-        if alg.le(alg.meet(a, b), c) and not alg.le(a, alg.imp(b, c)):
-            ok, witness = False, ("P1", a, b, c)
-            break
-        if alg.le(b, c):
-            if not alg.le(alg.imp(a, b), alg.imp(a, c)):
-                ok, witness = False, ("P2", a, b, c)
-                break
-            if not alg.le(alg.imp(c, a), alg.imp(b, a)):
-                ok, witness = False, ("P3", a, b, c)
-                break
-        if alg.imp(alg.meet(a, b), c) != alg.imp(a, alg.imp(b, c)):
-            ok, witness = False, ("P4", a, b, c)
-            break
-    rep.record("drim", ok, witness)
+    m, i, ids = alg.meet_t, alg.imp_t, range(len(alg.elements))
+    le = lambda x, y: m[x][y] == x  # noqa: E731  (x <= y)
+    holds = [True] * len(ids)
+    witness = _first_failure(alg.elements, [(itertools.product(ids, repeat=2), lambda a, b: [
+        ("P1", [not le(m[a][b], c) or le(a, i[b][c]) for c in ids], holds),
+        ("P2", [not le(b, c) or le(i[a][b], i[a][c]) for c in ids], holds),
+        ("P3", [not le(b, c) or le(i[c][a], i[b][a]) for c in ids], holds),
+        ("P4", list(i[m[a][b]]), [i[a][x] for x in i[b]])])])
+    rep.record("drim", witness is None, witness or ())
     return rep
 
 
@@ -345,13 +360,10 @@ def check_cobounded(alg: Algebra) -> AlgebraReport:
         rep.info["cobounded-subset-search"] = "true" if subset_ok else "false"
     rep.info["cobounded-closed-form"] = "true" if closed_ok else "false"
 
-    imp_ok = True
-    imp_witness: tuple[str, ...] = ()
-    for a, b in itertools.product(es, repeat=2):
-        want = alg.bottom if (a != alg.bottom and b == alg.bottom) else alg.top
-        if alg.imp(a, b) != want:
-            imp_ok, imp_witness = False, ("imp", a, b, alg.imp(a, b))
-            break
+    imp_witness = next((("imp", a, b, alg.imp(a, b)) for (a, b), want
+                        in _collapsing_imp(es, alg.bottom, alg.top).items()
+                        if alg.imp(a, b) != want), ())
+    imp_ok = not imp_witness
 
     conditions_ok = closed_ok if subset_ok is None else (closed_ok and subset_ok)
     ok = structural and conditions_ok and imp_ok
@@ -435,16 +447,10 @@ def check_filter(alg: Algebra, members: Iterable[str]) -> AlgebraReport:
     desig_ok = cob.ok("cobounded") and ok and alg.star_t is not None
     dw: tuple[str, ...] = ()
     if desig_ok:
-        for a in alg.elements:
-            if a == alg.top:
-                want = alg.bottom
-            elif a in d:
-                want = a
-            else:
-                want = alg.top
-            if alg.star(a) != want:
-                desig_ok, dw = False, ("star", a, alg.star(a), "expected", want)
-                break
+        want = _designated_star(alg.elements, alg.top, alg.bottom, d)
+        bad = [a for a in alg.elements if alg.star(a) != want[a]]
+        if bad:
+            desig_ok, dw = False, ("star", bad[0], alg.star(bad[0]), "expected", want[bad[0]])
     elif cob.ok("cobounded") and ok:
         dw = ("star-table-absent",)
     else:
@@ -607,8 +613,7 @@ def stretch(base: Algebra, designated: Optional[Iterable[str]] = None
     result, so the stretched algebra is cobounded; implication and star are
     installed per the designated-cobounded rules.
     """
-    base_rep = check_lattice(base)
-    if not (base_rep.ok("lattice") and base_rep.ok("bounded")):
+    if not is_bounded_lattice(base):
         raise InputError(f"cannot stretch {base.name}: not a bounded lattice")
     ren = {e: f"b_{e}" for e in base.elements}
     es = ["0"] + [ren[e] for e in base.elements] + ["1"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import suppress
 from typing import Optional
 
 import click
@@ -26,7 +27,7 @@ from .evaluate import EvalContext
 from .formulas import parse
 from .proplogic import is_tautology, parse_prop
 from .quotient import export_relations
-from .theorems import CHECKS, CheckResult, Run, run_all, run_check
+from .theorems import CHECKS, Run, run_all
 from .universe import DEFAULT_BUDGET, build_universe, parse_name_literal
 
 
@@ -63,6 +64,10 @@ def run_options(fn):
                       envvar="ALGVAL_RANK", show_default=True,
                       help="rank bound of the enumerated universe")(fn)
     return fn
+
+
+format_option = click.option("--format", "fmt", type=click.Choice(["text", "records"]),
+                             default="text", envvar="ALGVAL_FORMAT", show_default=True)
 
 
 def _fail_input(exc: Exception):
@@ -170,8 +175,7 @@ def eval_command(algebra_spec, designated_spec, rank, budget, assignment,
 @run_options
 @click.option("--seed", default=0, hidden=True,
               help="ignored; accepted so that callers passing it keep working")
-@click.option("--format", "fmt", type=click.Choice(["text", "records"]),
-              default="text", envvar="ALGVAL_FORMAT", show_default=True)
+@format_option
 @click.option("--list", "list_checks", is_flag=True,
               help="list the available check names and exit")
 @click.argument("selection", nargs=-1)
@@ -185,27 +189,29 @@ def check_command(algebra_spec, designated_spec, rank, budget, seed, fmt,
     names = None
     if selection and list(selection) != ["all"]:
         names = list(selection)
+    _run_checks(algebra_spec, designated_spec, fmt, names, rank_bound=rank, budget=budget)
+
+
+def _run_checks(algebra_spec, designated_spec, fmt: str, names, **run):
+    """Run the named checks, print their results in `fmt` and exit 1 if one
+    failed, else 0."""
     try:
         alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        results = run_all(alg, d, rank_bound=rank, budget=budget, names=names)
+        results = run_all(alg, d, names=names, **run)
     except AlgvalError as exc:
         _fail_input(exc)
-    _emit(results, fmt)
-    sys.exit(1 if any(r.verdict == "fail" for r in results) else 0)
-
-
-def _emit(results: list[CheckResult], fmt: str):
     if fmt == "records":
         for r in results:
             click.echo(r.record_line())
-        return
-    for r in results:
-        for line in r.text_lines():
-            click.echo(line)
-    passed = sum(r.verdict == "pass" for r in results)
-    failed = sum(r.verdict == "fail" for r in results)
-    skipped = sum(r.verdict == "skipped" for r in results)
-    click.echo(f"{passed} passed, {failed} failed, {skipped} skipped")
+    else:
+        for r in results:
+            for line in r.text_lines():
+                click.echo(line)
+        passed = sum(r.verdict == "pass" for r in results)
+        failed = sum(r.verdict == "fail" for r in results)
+        skipped = sum(r.verdict == "skipped" for r in results)
+        click.echo(f"{passed} passed, {failed} failed, {skipped} skipped")
+    sys.exit(1 if any(r.verdict == "fail" for r in results) else 0)
 
 
 # -- quotient --------------------------------------------------------------------------
@@ -273,37 +279,33 @@ def logic_taut(algebra_spec, designated_spec, formula_text):
 
 @logic_group.command("para")
 @algebra_options
-@click.option("--format", "fmt", type=click.Choice(["text", "records"]),
-              default="text", envvar="ALGVAL_FORMAT", show_default=True)
+@format_option
 def logic_para(algebra_spec, designated_spec, fmt):
     """Check that explosion fails for some valuation."""
-    try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        result = run_check("prop-paraconsistency", Run(alg, d))
-    except AlgvalError as exc:
-        _fail_input(exc)
-    _emit([result], fmt)
-    sys.exit(1 if result.verdict == "fail" else 0)
+    _run_checks(algebra_spec, designated_spec, fmt, ["prop-paraconsistency"])
 
 
 @logic_group.command("agree")
 @algebra_options
-@click.option("--format", "fmt", type=click.Choice(["text", "records"]),
-              default="text", envvar="ALGVAL_FORMAT", show_default=True)
+@format_option
 def logic_agree(algebra_spec, designated_spec, fmt):
     """Compare validity against the three-valued core on every formula of
     at most 5 nodes over p, q and r."""
-    try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        result = run_check("prop-agreement", Run(alg, d))
-    except AlgvalError as exc:
-        _fail_input(exc)
-    _emit([result], fmt)
-    sys.exit(1 if result.verdict == "fail" else 0)
+    _run_checks(algebra_spec, designated_spec, fmt, ["prop-agreement"])
 
 
 def main():
-    cli()
+    """Run the command line, then end the process with its exit code once
+    the output is flushed: the verdict is written, so interpreter teardown
+    is skipped.  Any other exception propagates with its traceback."""
+    try:
+        cli()  # click's standalone mode always ends in SystemExit
+    except SystemExit as exc:
+        code = exc.code or 0
+    for stream in (sys.stdout, sys.stderr):
+        with suppress(OSError):  # a reader that closed the pipe early
+            stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ of enumerated names are filled from the same tables, unless both names
 are low; such a row reads every name's cell at one class, a slice of one
 array (`ColumnClasses.column`).  Meeting u's half with v's, where the
 clause folds one into the other, is sound only for a lattice's meet: the
-tables are used only when meet and join pass `algebra.check_lattice`,
+tables are used only when meet and join pass `algebra.is_bounded_lattice`,
 whose verdict each algebra keeps (and, under pa, the algebra has a star
 table).  They are not used where they cannot pay: with one low name, as
 at rank 2, a clause reads at most one entry a side.  Pairs of two

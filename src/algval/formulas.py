@@ -10,9 +10,8 @@ The shape of the tree is known in one place: `children` lists a node's
 immediate subformulas and `map_terms` rebuilds a formula with its terms
 mapped, leaving alone the body of a binder of a given variable.  Every
 walker (`free_vars`, `subst_const`, `rename_var`, the collapse transfer's
-`bar_formula`, ...) is built from these two; only the evaluators, the
-printers and `proplogic.prop_vars`, which sits on the hot path of every
-tautology search, dispatch on node types themselves.
+`bar_formula`, ...) is built from these two; only the evaluators and the
+printers dispatch on node types themselves.
 
 The propositional formulas of `proplogic` share the connective nodes and
 the parser: `_Parser` reads the connectives and hands everything else to

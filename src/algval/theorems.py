@@ -1341,10 +1341,8 @@ def check_ps3_agreement(run: Run) -> Verdict:
     corpus = enumerate_formulas([PVar(v) for v in "pqr"], 5, negation=True)
     core, core_d = ps3()
     section = {"1": alg.top, "half": alg.intermediates()[0], "0": alg.bottom}
-    agreements = 0
     for f in corpus:
-        here, local = is_tautology(alg, d, f)
-        there, falsifier = is_tautology(core, core_d, f)
+        _, falsifier = is_tautology(core, core_d, f)
         if falsifier is not None:
             # valid here but not on the core fails here too: the pullback is designated
             pulled = {v: section[e] for v, e in falsifier.items()}
@@ -1353,12 +1351,13 @@ def check_ps3_agreement(run: Run) -> Verdict:
                 ce = valuation_counterexample(
                     f, pulled, val, note=f"pulls back the core's falsifier {falsifier}")
                 return ce, {}
-        elif not here:
-            ce = valuation_counterexample(f, local, eval_prop(alg, local, f),
-                                          note="valid on the three-valued core")
-            return ce, {}
-        agreements += 1
-    return None, {"corpus": len(corpus), "agreements": agreements}
+        else:
+            here, local = is_tautology(alg, d, f)
+            if not here:
+                ce = valuation_counterexample(f, local, eval_prop(alg, local, f),
+                                              note="valid on the three-valued core")
+                return ce, {}
+    return None, {"corpus": len(corpus), "agreements": len(corpus)}
 
 
 # -- registry --------------------------------------------------------------------------

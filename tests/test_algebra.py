@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from algval.algebra import (
     check_lattice,
     collapse_f,
     dumps_algebra,
+    is_bounded_lattice,
     loads_algebra,
     ps3,
     stretch,
@@ -131,6 +133,127 @@ class TestLatticeChecks:
             Algebra("partial", es, bad, good, good, "1", "0")
 
 
+def reference_check_lattice(alg):
+    """The element-by-element loops over the string-level operations that
+    `check_lattice` replaced: (verdicts, witnesses) in law order."""
+    es = alg.elements
+    witness = None
+
+    def fail(*w):
+        nonlocal witness
+        witness = witness or w
+
+    for a, b in itertools.product(es, repeat=2):
+        if alg.meet(a, b) != alg.meet(b, a):
+            fail("commutativity-meet", a, b)
+        if alg.join(a, b) != alg.join(b, a):
+            fail("commutativity-join", a, b)
+        if alg.meet(a, alg.join(a, b)) != a:
+            fail("absorption-meet", a, b)
+        if alg.join(a, alg.meet(a, b)) != a:
+            fail("absorption-join", a, b)
+    for a in es:
+        if alg.meet(a, a) != a:
+            fail("idempotence-meet", a)
+        if alg.join(a, a) != a:
+            fail("idempotence-join", a)
+    for a, b, c in itertools.product(es, repeat=3):
+        if alg.meet(a, alg.meet(b, c)) != alg.meet(alg.meet(a, b), c):
+            fail("associativity-meet", a, b, c)
+        if alg.join(a, alg.join(b, c)) != alg.join(alg.join(a, b), c):
+            fail("associativity-join", a, b, c)
+    bw = dw = None
+    for a in es:
+        if alg.meet(a, alg.top) != a:
+            bw = ("top", a)
+        elif alg.join(a, alg.bottom) != a:
+            bw = ("bottom", a)
+        if bw:
+            break
+    for a, b, c in itertools.product(es, repeat=3):
+        if alg.meet(a, alg.join(b, c)) != alg.join(alg.meet(a, b), alg.meet(a, c)):
+            dw = ("meet-over-join", a, b, c)
+        elif alg.join(a, alg.meet(b, c)) != alg.meet(alg.join(a, b), alg.join(a, c)):
+            dw = ("join-over-meet", a, b, c)
+        if dw:
+            break
+    found = {"lattice": witness, "bounded": bw, "distributive": dw}
+    return ({k: w is None for k, w in found.items()},
+            {k: w for k, w in found.items() if w is not None})
+
+
+def with_entry(alg, op, a, b, value):
+    """alg with one entry of its meet or join table replaced."""
+    es = alg.elements
+    tables = {name: {(x, y): getattr(alg, name)(x, y) for x in es for y in es}
+              for name in ("meet", "join", "imp")}
+    tables[op][a, b] = value
+    return Algebra(f"{alg.name}-{op}-{a}-{b}-{value}", es, tables["meet"], tables["join"],
+                   tables["imp"], alg.top, alg.bottom)
+
+
+class TestLatticeReference:
+    """`check_lattice` against the element-by-element loops: the same
+    verdicts and the same first witness."""
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_builtins(self, name):
+        alg = builtin(name)[0]
+        rep = check_lattice(alg)
+        assert (rep.verdicts, rep.witnesses) == reference_check_lattice(alg)
+
+    @pytest.mark.parametrize("name", ["ps3", "bool4", "chain4"])
+    def test_every_single_entry_defect(self, name):
+        alg = builtin(name)[0]
+        laws = set()
+        for op, a, b, value in itertools.product(("meet", "join"), alg.elements,
+                                                 alg.elements, alg.elements):
+            bad = with_entry(alg, op, a, b, value)
+            rep = check_lattice(bad)
+            assert (rep.verdicts, rep.witnesses) == reference_check_lattice(bad), bad.name
+            laws |= {w[0] for w in rep.witnesses.values()}
+        assert {"commutativity-meet", "commutativity-join", "absorption-meet",
+                "absorption-join", "top", "bottom"} <= laws
+
+    @pytest.mark.parametrize("law,meet,join", [
+        # a commutative, absorptive (so idempotent) pair that is not associative
+        ("associativity-meet", "0 0 2|0 1 1|2 1 2", "0 1 0|1 1 2|0 2 2"),
+        # the pentagon N5 and the diamond M3: lattices that are not distributive
+        ("join-over-meet", "0 0 0 0 0|0 1 0 1 1|0 0 2 0 2|0 1 0 3 3|0 1 2 3 4",
+         "0 1 2 3 4|1 1 4 3 4|2 4 2 4 4|3 3 4 3 4|4 4 4 4 4"),
+        ("meet-over-join", "0 0 0 0 0|0 1 0 0 1|0 0 2 0 2|0 0 0 3 3|0 1 2 3 4",
+         "0 1 2 3 4|1 1 4 4 4|2 4 2 4 4|3 4 4 3 4|4 4 4 4 4"),
+    ])
+    def test_planted_law(self, law, meet, join):
+        rows = lambda text: [r.split() for r in text.split("|")]  # noqa: E731
+        es = [str(i) for i in range(len(rows(meet)))]
+        table = lambda text: {(x, y): v for x, r in zip(es, rows(text))  # noqa: E731
+                              for y, v in zip(es, r)}
+        alg = Algebra("planted", es, table(meet), table(join), table(join), es[-1], "0")
+        rep = check_lattice(alg)
+        assert (rep.verdicts, rep.witnesses) == reference_check_lattice(alg)
+        assert law in {w[0] for w in rep.witnesses.values()}
+
+    def test_planted_idempotence(self):
+        # meet(half, half) = 0: absorption at (half, half) fails before it
+        alg = with_entry(ps3()[0], "meet", "half", "half", "0")
+        rep = check_lattice(alg)
+        assert (rep.verdicts, rep.witnesses) == reference_check_lattice(alg)
+        assert rep.witnesses["lattice"][0].startswith("absorption")
+
+    def test_one_element(self):
+        alg = Algebra("one", ["e"], {("e", "e"): "e"}, {("e", "e"): "e"},
+                      {("e", "e"): "e"}, "e", "e")
+        assert check_lattice(alg).verdicts == reference_check_lattice(alg)[0]
+
+    def test_chain300_gate_takes_seconds(self):
+        # 112.6 s with the element-by-element loops
+        alg = builtin("chain300")[0]
+        start = time.process_time()
+        assert is_bounded_lattice(alg)
+        assert time.process_time() - start < 10
+
+
 class TestDrim:
     @pytest.mark.parametrize("name", ["ps3", "bool2", "bool4", "chain3",
                                       "chain4", "chain5", "chain6"])
@@ -148,6 +271,33 @@ class TestDrim:
         rep = check_drim(bad)
         assert not rep.ok("drim")
         assert rep.witnesses["drim"]
+
+    def test_every_single_imp_entry_against_the_loop(self):
+        laws = set()
+        for name in ("ps3", "bool4", "chain4", "stretch-bool4"):
+            alg = builtin(name)[0]
+            for a, b, value in itertools.product(alg.elements, repeat=3):
+                bad = with_entry(alg, "imp", a, b, value)
+                rep = check_drim(bad)
+                assert (rep.ok("drim"), rep.witnesses.get("drim")) == reference_drim(bad)
+                laws |= {rep.witnesses["drim"][0]} if "drim" in rep.witnesses else set()
+        assert laws == {"P1", "P2", "P3", "P4"}
+
+
+def reference_drim(alg):
+    """The loop over element triples that `check_drim` replaced, on a
+    bounded lattice: (verdict, witness or None)."""
+    for a, b, c in itertools.product(alg.elements, repeat=3):
+        if alg.le(alg.meet(a, b), c) and not alg.le(a, alg.imp(b, c)):
+            return False, ("P1", a, b, c)
+        if alg.le(b, c):
+            if not alg.le(alg.imp(a, b), alg.imp(a, c)):
+                return False, ("P2", a, b, c)
+            if not alg.le(alg.imp(c, a), alg.imp(b, a)):
+                return False, ("P3", a, b, c)
+        if alg.imp(alg.meet(a, b), c) != alg.imp(a, alg.imp(b, c)):
+            return False, ("P4", a, b, c)
+    return True, None
 
 
 class TestCobounded:

@@ -305,15 +305,90 @@ class TestEnvironmentOverrides:
 
     def test_no_variable_for_undeclared_options(self):
         # Only the options that declare an envvar read one; `--list` does not.
-        src = os.path.dirname(os.path.dirname(algval.__file__))
-        env = {k: v for k, v in os.environ.items() if not k.startswith("ALGVAL_")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        env["ALGVAL_CHECK_LIST_CHECKS"] = "1"
+        env = dict(process_env(), ALGVAL_CHECK_LIST_CHECKS="1")
         r = subprocess.run([sys.executable, "-m", "algval.cli", "check", "drim"],
                            env=env, capture_output=True, text=True, timeout=120)
         assert r.returncode == 0, r.stderr
         assert "[PASS] drim" in r.stdout
         assert "zfbar-witnesses" not in r.stdout
+
+
+def process_env() -> dict:
+    """The environment of a CLI process: this checkout's sources first, no
+    ALGVAL_ variables."""
+    src = os.path.dirname(os.path.dirname(algval.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ALGVAL_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_process(*args, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m algval.cli` with args, through `main()`, which CliRunner
+    never reaches."""
+    kwargs.setdefault("capture_output", "stdout" not in kwargs)
+    return subprocess.run([sys.executable, "-m", "algval.cli", *args], env=process_env(),
+                          text=True, timeout=300, **kwargs)
+
+
+def _broken_file(directory) -> str:
+    alg, d = ps3()
+    path = directory / "broken.alg"
+    path.write_text(dumps_algebra(alg, d).replace("join half 1 1", "join half 1 half"))
+    return str(path)
+
+
+class TestProcessExit:
+    """The exit-code contract and the output through a real process."""
+
+    @pytest.mark.parametrize("case,code", [("pass", 0), ("fail", 1), ("unknown-algebra", 2),
+                                           ("bad-option", 2), ("help", 0)])
+    def test_exit_code(self, tmp_path, case, code):
+        args = {"pass": ["check", "drim"],
+                "fail": ["check", "algebra-laws", "-a", _broken_file(tmp_path)],
+                "unknown-algebra": ["check", "all", "-a", "chainZ"],
+                "bad-option": ["check", "drim", "--bogus"],
+                "help": ["--help"]}[case]
+        r = run_process(*args)
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        assert CliRunner().invoke(cli, args).exit_code == code
+        if case == "help":
+            assert "Usage:" in r.stdout
+
+    @pytest.mark.parametrize("args", [["check", "all", "-a", "chain4"],
+                                      ["check", "algebra-laws", "-a", "BROKEN"]])
+    def test_records_in_a_file_equal_the_runner(self, tmp_path, args):
+        args = [_broken_file(tmp_path) if a == "BROKEN" else a for a in args]
+        args += ["--format", "records"]
+        out = tmp_path / "records"
+        with open(out, "w", encoding="utf-8") as fh:
+            r = run_process(*args, stdout=fh, stderr=subprocess.PIPE)
+        expected = CliRunner().invoke(cli, args)
+        assert r.returncode == expected.exit_code
+        assert out.read_text(encoding="utf-8") == expected.stdout
+
+    def test_a_reader_that_closes_the_pipe_leaves_no_traceback(self):
+        p = subprocess.Popen([sys.executable, "-m", "algval.cli", "check", "all", "-a", "ps3",
+                              "--format", "records"], env=process_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert p.stdout.readline().startswith(b'{"check": "algebra-laws"')
+            p.stdout.close()
+            err = p.stderr.read().decode()
+        finally:
+            p.wait(timeout=120)
+            p.stderr.close()
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_check_all_at_ranks_1_and_4(self, name):
+        for rank in ("1", "4"):
+            r = run_process("check", "all", "-a", name, "--rank", rank, "--format", "records")
+            assert r.returncode in (0, 2), (rank, r.stderr)
+            assert "Traceback" not in r.stderr, rank
+            if rank == "4":
+                reasons = [json.loads(line)["skip_reason"] for line in r.stdout.splitlines()]
+                assert any(x and x.startswith("budget exceeded") for x in reasons)
 
 
 class TestBuiltinSweep:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_formulas import formula_strategy
 
-from algval.algebra import BUILTIN_NAMES, Algebra, builtin, check_lattice, ps3
+from algval import algebra
+from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
 from algval.errors import CapabilityError, InputError
 from algval.evaluate import ASSIGNMENTS, EvalContext, bq_sides
 from algval.formulas import (
@@ -859,8 +860,8 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
 def test_lattice_verdict_computed_once_per_algebra(monkeypatch):
     # the tables of every assignment and rank read one verdict per algebra
     calls = []
-    monkeypatch.setattr("algval.algebra.check_lattice",
-                        lambda alg: calls.append(alg.name) or check_lattice(alg))
+    laws = algebra._laws
+    monkeypatch.setattr(algebra, "_laws", lambda alg: calls.append(alg.name) or laws(alg))
     alg, d = ps3()
     uni = build_universe(alg, 3)
     for assignment in ASSIGNMENTS * 2:

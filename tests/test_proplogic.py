@@ -150,6 +150,88 @@ class TestAgreement:
         assert run_check("prop-agreement", Run(alg, d)).verdict == "skipped"
 
 
+class ReferenceEvaluator:
+    """Per-valuation recursive evaluation over copies of an algebra's
+    tables taken at construction, written apart from the value columns."""
+
+    def __init__(self, alg, designated):
+        self.alg, self.n = alg, len(alg.elements)
+        self.tables = {And: alg.meet_t, Or: alg.join_t, Imp: alg.imp_t, Not: alg.star_t}
+        self.designated = {alg.index[alg.resolve(x)] for x in designated}
+
+    def value(self, f, valuation: dict) -> int:
+        kind = type(f)
+        if kind is PVar:
+            return valuation[f.name]
+        if kind is Top or kind is Bot:
+            return self.alg.top_i if kind is Top else self.alg.bottom_i
+        if kind is Not:
+            return self.tables[Not][self.value(f.body, valuation)]
+        return self.tables[kind][self.value(f.left, valuation)][self.value(f.right, valuation)]
+
+    def tautology(self, f):
+        """(valid, the first falsifying valuation in product order)."""
+        variables = sorted(prop_vars(f))
+        for combo in itertools.product(range(self.n), repeat=len(variables)):
+            if self.value(f, dict(zip(variables, combo))) not in self.designated:
+                return False, {v: self.alg.elements[i] for v, i in zip(variables, combo)}
+        return True, None
+
+    def at(self, f, valuation: dict) -> str:
+        index = {v: self.alg.index[e] for v, e in valuation.items()}
+        return self.alg.elements[self.value(f, index)]
+
+
+CORPUS = enumerate_formulas([PVar(v) for v in "pqr"], 5, negation=True)
+
+
+def column_mismatches(alg, d, reference) -> list:
+    """The corpus formulas on which the columns and the reference disagree:
+    validity and the first falsifier on the algebra and on the core, and
+    the algebra's value at the core falsifier pulled back as
+    `prop-agreement` pulls it back, where there is an intermediate."""
+    core, core_d = ps3()
+    core_reference = ReferenceEvaluator(core, core_d)
+    mid = (alg.intermediates() or [None])[0]
+    section = {"1": alg.top, "half": mid, "0": alg.bottom}
+    bad = []
+    for f in CORPUS:
+        there = is_tautology(core, core_d, f)
+        ok = is_tautology(alg, d, f) == reference.tautology(f)
+        ok &= there == core_reference.tautology(f)
+        if there[1] is not None and mid is not None:
+            pulled = {v: section[e] for v, e in there[1].items()}
+            ok &= eval_prop(alg, pulled, f) == reference.at(f, pulled)
+        if not ok:
+            bad.append(f)
+    return bad
+
+
+class TestColumnsAgainstReference:
+    @pytest.mark.parametrize("name", ["ps3", "bool2", "bool4", "chain3", "chain4", "chain5",
+                                      "chain6", "chain7", "chain8", "stretch-bool4"])
+    def test_corpus(self, name):
+        alg, d = builtin(name)
+        assert column_mismatches(alg, d, ReferenceEvaluator(alg, d)) == []
+
+    def test_planted_table_entry_is_caught(self):
+        # the reference keeps chain4's tables; the columns read a meet with
+        # one wrong entry, a /\ 1 = 0
+        alg, d = builtin("chain4")
+        reference = ReferenceEvaluator(alg, d)
+        meet = [list(row) for row in alg.meet_t]
+        meet[alg.index["a"]][alg.top_i] = alg.bottom_i
+        alg.meet_t = tuple(map(tuple, meet))
+        assert column_mismatches(alg, d, reference)
+
+    def test_chain300_agreement_skips_for_the_valuation_cap(self):
+        alg, d = builtin("chain300")
+        r = run_check("prop-agreement", Run(alg, d))
+        assert r.verdict == "skipped"
+        assert r.skip_reason == ("budget exceeded: 3 variables over 300 elements "
+                                 "need 27000000 valuations; cap is 100000")
+
+
 @st.composite
 def prop_formula(draw):
     variables = st.sampled_from([PVar("p"), PVar("q"), PVar("r")])
