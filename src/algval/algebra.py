@@ -386,7 +386,7 @@ def is_filter(alg: Algebra, members: Iterable[str]) -> tuple[bool, tuple[str, ..
         return False, ("missing-top",)
     if alg.bottom in d:
         return False, ("contains-bottom",)
-    for x in d:
+    for x in filter(d.__contains__, alg.elements):
         for y in alg.elements:
             if alg.le(x, y) and y not in d:
                 return False, ("not-upward-closed", x, y)

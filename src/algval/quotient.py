@@ -9,15 +9,17 @@ member and non-member.  Equal/distinct partition the class pairs; member
 and non-member cover all class pairs and may overlap, which is exactly the
 paraconsistent signature of these models.  `build_quotient` checks on
 every pair of names that the partition is well defined, and names the
-law that a failing pair breaks.  It reads the values of a name against
-every other as two rows of the engine (`EvalContext.row`), once per class
-of interchangeable names, not 2n² calls of one atomic value each.
+law that a failing pair breaks.  It makes one pass over a partition of
+the names, reading each class's values against every name as two rows of
+the engine (`EvalContext.row`): over the classes of interchangeable names,
+and only when that pass finds a break, over every name alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -55,164 +57,108 @@ def build_quotient(ctx: EvalContext) -> QuotientModel:
     """Partition the universe by designated pa equality and materialize the
     four class relations.
 
-    Each name's values are read a row at a time (`EvalContext.row`): its
-    `=` row, `u = z` for every z, and its `in` row, `u in z`.  Names of
-    one class of interchangeable names (`EvalContext.name_classes`) have
-    the same rows, so each class's rows are read once, at its first name.
-    Read name by name, the partition is built by a first pass over the `=`
-    rows in id order: a name in no earlier class opens one with the later
-    names whose pa equality with it is top, and represents it.  Pa
-    equality off the diagonal must be top or bottom.  A second pass reads
-    both rows of each name, class by class, and the four relation verdicts
-    at each pair must be those at the representatives.  The first pair
-    that breaks this raises `QuotientDefect` naming the law: "not
-    two-valued", or "transitivity", "member substitution" or "container
-    substitution" via #w, the name equal to one of the pair with the other
-    verdict ("of the negation" when only the negated relation's verdict
-    differs).
-
-    The passes run on the pairs of classes instead (`_by_class`) when
-    every class's rows agree with the classes, which holds by the
-    exactness of the classes: a name's value is then the one at the first
-    name of its class.  Both passes find no pair that breaks a law exactly
-    when the class pass finds no pair of classes that does, and they
-    build the same partition.  Otherwise the passes run name by name
-    (`_by_names`), so a defect is named at the pair a pass over every name
-    finds.
+    The partition is built by one pass over a partition of the names
+    (`_quotient`), first over the classes of interchangeable names
+    (`EvalContext.name_classes`), and, when that pass finds a break it
+    cannot place at a pair of names, again over every name alone.  Read
+    name by name, a name in no earlier class opens one with the later
+    names whose pa equality with it is top, and represents it; pa equality
+    with a later name must be top or bottom, and the four relation
+    verdicts of every name must be those at the representatives.  The
+    first pair that breaks this raises `QuotientDefect` naming the law:
+    "not two-valued", or "transitivity", "member substitution" or
+    "container substitution" via #w, the name equal to one of the pair
+    with the other verdict ("of the negation" when only the negated
+    relation's verdict differs).
     """
     if ctx.assignment != "pa":
         raise InputError("quotients are built over the pa assignment")
-    alg = ctx.algebra
+    return (_quotient(ctx, ctx.name_classes())
+            or _quotient(ctx, NameClasses.singletons(len(ctx.universe.names))))
+
+
+def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
+    """The passes of `build_quotient` over the classes of `names`, each
+    class's `=` and `in` rows (`EvalContext.row`) read once, at its first
+    name.  Over single names this is the pass name by name, and a break
+    raises `QuotientDefect`.  Over a coarser partition a break returns
+    None: a row that disagrees with the classes, a value that is not
+    two-valued, a class of several names that is not top against itself
+    (the pass by names would split it), or a verdict unlike its
+    representative's.  Otherwise a name's values are those of its class
+    at the classes of the names, and each class is two-valued against
+    every name after its first, so the pass by names finds no break
+    either, and builds the same partition: all the names of a class fall
+    in one quotient class, opened by the first of them in no earlier one.
+    """
+    alg, n = ctx.algebra, len(ctx.universe.names)
+    top, two_values = alg.top_i, {alg.top_i, alg.bottom_i}
     d, star = ctx.designated_i, alg.star_t
     # One code per value: bit 0 set when it is designated, bit 1 when its
     # star is; a pair's four verdicts are the code of its equality plus 4
     # times the code of its membership.
     code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
-    names = ctx.name_classes()
-    found = _by_class(ctx, names, code)
-    if found is None:
-        return _by_names(ctx, names, code)
-    classes, comp, at_reps = found
-    qm = QuotientModel(ctx, classes, {u: comp[c] for u, c in enumerate(names.of)},
-                       [cls[0] for cls in classes])
-    _relate(qm, at_reps)
-    return qm
-
-
-def _by_class(ctx: EvalContext, names: NameClasses, code: list[int]
-              ) -> Optional[tuple[list[list[int]], list[int], list[list[int]]]]:
-    """The classes of the quotient, the quotient class of each class of
-    names and the verdicts at the pairs of representatives, computed on
-    the pairs of classes of names; None when a row of a class disagrees
-    with the classes, or a pair of classes may break a law.
-
-    The pass by names then reads at (u, v) the value at the classes (A, B)
-    of u and v.  So its first pass finds no pair that is not two-valued
-    when every pair of classes is two-valued, but for A = B of one name.
-    All the names of a class are in one quotient class or none, so the
-    first name in no quotient class is the first name of its class A; it
-    opens one with the later names whose class B has top at (A, B): the
-    rest of A, which needs top at (A, A), and every class in no quotient
-    class yet with top at (A, B).  A name's verdicts are those of its
-    class at the classes of the names, so the second pass finds no break
-    when every class's verdicts are those of the class of its quotient
-    class's representative, and its verdict at each class B is the one at
-    the class of B's representative.
-    """
-    top, two_values = ctx.algebra.top_i, {ctx.algebra.top_i, ctx.algebra.bottom_i}
     of, reps, sizes = names.of, names.reps, names.sizes
-    k = len(reps)
-    eqs, verdicts = [], []
-    for r in reps:
-        eq, mem = ctx.row("=", r), ctx.row("in", r)
-        e, m = [eq[s] for s in reps], [mem[s] for s in reps]
-        if (eq != array(eq.typecode, map(e.__getitem__, of))
-                or mem != array(mem.typecode, map(m.__getitem__, of))):
-            return None
-        eqs.append(e)
-        verdicts.append([code[a] + 4 * code[b] for a, b in zip(e, m)])
-    if any(eqs[a][b] not in two_values for a in range(k) for b in range(k)
-           if a != b or sizes[a] > 1):
-        return None
-    comp = [-1] * k
+    k, coarse = len(reps), len(reps) < n
+    spread = itemgetter(*of) if coarse else None  # class values to name values
+    comp = [-1] * k  # the quotient class of each class of names
     count = 0
-    for a in range(k):
+    verdicts = []  # each class's verdicts at the classes, as k bytes
+    for a, u in enumerate(reps):
+        eq, mem = ctx.row("=", u), ctx.row("in", u)
+        e, m = list(map(eq.__getitem__, reps)), list(map(mem.__getitem__, reps))
+        if coarse and (eq != array(eq.typecode, spread(e))
+                       or mem != array(mem.typecode, spread(m))):
+            return None
+        if not two_values.issuperset(eq[u + 1:]):
+            if coarse:
+                return None
+            v = next(v for v in range(u + 1, n) if eq[v] not in two_values)
+            raise QuotientDefect("=", u, v, "not two-valued")
+        verdicts.append(bytes([code[x] + 4 * code[y] for x, y in zip(e, m)]))
         if comp[a] < 0:
-            if sizes[a] > 1 and eqs[a][a] != top:
+            if sizes[a] > 1 and eq[u] != top:
                 return None
             comp[a] = count
             for b in range(a + 1, k):
-                if comp[b] < 0 and eqs[a][b] == top:
+                if comp[b] < 0 and e[b] == top:
                     comp[b] = count
             count += 1
+    members: list[list[int]] = [[] for _ in range(count)]
+    for a, c in enumerate(comp):
+        members[c].append(a)
+    base = [cls[0] for cls in members]  # the class of each representative
+    rep_class = [base[c] for c in comp]
+    # Well-definedness, class by class: each class's verdicts are its
+    # representative's (the left name moves, position 0), and each verdict
+    # is the one at the right class's representative (position 1).
+    for a in itertools.chain.from_iterable(members):
+        row = verdicts[a]
+        at_rep_class = bytes(map(row.__getitem__, rep_class))
+        for pos, other in enumerate((verdicts[rep_class[a]], at_rep_class)):
+            if row == other:
+                continue
+            if coarse:
+                return None
+            # single names: a class is its name
+            v = next(v for v in range(n) if row[v] != other[v])
+            moved = (rep_class[a], v) if pos == 0 else (a, rep_class[v])
+            bit = (row[v] ^ other[v]) & -(row[v] ^ other[v])  # the lowest that differs
+            good, bad = ((a, v), moved) if row[v] & bit else (moved, (a, v))
+            rel, law = ("=", "transitivity") if bit < 4 else (
+                "in", ("member substitution", "container substitution")[pos])
+            negation = " of the negation" if bit in (2, 8) else ""
+            raise QuotientDefect(rel, *bad, f"{law}{negation} via #{good[pos]}")
     classes: list[list[int]] = [[] for _ in range(count)]
     for u, c in enumerate(of):
         classes[comp[c]].append(u)
-    base = [of[cls[0]] for cls in classes]  # the class of each representative
-    rep_class = [base[comp[b]] for b in range(k)]
-    for a in range(k):
-        row = verdicts[a]
-        if row != verdicts[base[comp[a]]] or any(row[b] != row[c] for b, c in enumerate(rep_class)):
-            return None
-    return classes, comp, [[verdicts[a][b] for b in base] for a in base]
-
-
-def _by_names(ctx: EvalContext, names: NameClasses, code: list[int]) -> QuotientModel:
-    """The passes of `build_quotient` name by name, each name reading the
-    rows of the first name of its class."""
-    alg = ctx.algebra
-    n = len(ctx.universe.names)
-    top, two_values = alg.top_i, {alg.top_i, alg.bottom_i}
-    of, first = names.of, names.reps
-
-    def row(rel: str, u: int) -> array:
-        return ctx.row(rel, first[of[u]])
-
-    classes: list[list[int]] = []
-    class_of: dict[int, int] = {}
-    for u in range(n):
-        eq = row("=", u)
-        if not two_values.issuperset(eq[u + 1:]):
-            v = next(v for v in range(u + 1, n) if eq[v] not in two_values)
-            raise QuotientDefect("=", u, v, "not two-valued")
-        if u not in class_of:
-            # a name already in a class stays there; the verdicts show the break
-            cls = [u] + [v for v in range(u + 1, n) if eq[v] == top and v not in class_of]
-            for v in cls:
-                class_of[v] = len(classes)
-            classes.append(cls)
-    reps = [cls[0] for cls in classes]
-    qm = QuotientModel(ctx, classes, class_of, reps)
-
-    def verdicts(u: int) -> list[int]:
-        return [code[e] + 4 * code[m] for e, m in zip(row("=", u), row("in", u))]
-
-    # Well-definedness, class by class: each name's verdicts are its
-    # representative's (the left name moves, position 0), and each verdict
-    # is the one at the right name's representative (position 1).
-    rep_of = [reps[class_of[v]] for v in range(n)]
-    at_reps = []
-    for cls in classes:
-        base = verdicts(cls[0])
-        at_reps.append([base[r] for r in reps])
-        for u in cls:
-            verdict = base if u == cls[0] else verdicts(u)
-            for pos, other in enumerate((base, list(map(verdict.__getitem__, rep_of)))):
-                if verdict == other:
-                    continue
-                v = next(v for v in range(n) if verdict[v] != other[v])
-                moved = (rep_of[u], v) if pos == 0 else (u, rep_of[v])
-                bit = (verdict[v] ^ other[v]) & -(verdict[v] ^ other[v])  # the lowest that differs
-                good, bad = ((u, v), moved) if verdict[v] & bit else (moved, (u, v))
-                rel, law = ("=", "transitivity") if bit < 4 else (
-                    "in", ("member substitution", "container substitution")[pos])
-                negation = " of the negation" if bit in (2, 8) else ""
-                raise QuotientDefect(rel, *bad, f"{law}{negation} via #{good[pos]}")
-    _relate(qm, at_reps)
+    qm = QuotientModel(ctx, classes, {u: comp[c] for u, c in enumerate(of)},
+                       [cls[0] for cls in classes])
+    _relate(qm, [bytes(map(verdicts[a].__getitem__, base)) for a in base])
     return qm
 
 
-def _relate(qm: QuotientModel, at_reps: list[list[int]]) -> None:
+def _relate(qm: QuotientModel, at_reps: list[bytes]) -> None:
     """Fill the four class relations from the verdict codes at the pairs of
     representatives."""
     for i, j in itertools.product(range(len(at_reps)), repeat=2):

@@ -341,6 +341,12 @@ class TestFilters:
         assert rep.ok("ultra-designated-cobounded")
         assert rep.info["complement-of-designated"] == "0"
 
+    def test_witness_follows_the_carrier(self):
+        # a is the first designated element in carrier order with an
+        # undesignated element above it
+        rep = check_filter(chain(6)[0], {"1", "b", "a"})
+        assert rep.witnesses["filter"] == ("not-upward-closed", "a", "c")
+
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     def test_chain_default_designated_is_ultra(self, k):
         alg, d = chain(k)

@@ -1,4 +1,5 @@
-"""Guards over the package source, read with `ast`.
+"""Guards over the package source, read with `ast`, and over the names
+the benchmark binds.
 
 Dead-code guard: every public module-level function and class of the
 package is reachable by name from code that runs.  The live parts of
@@ -37,14 +38,25 @@ corpus call `enumerate_formulas`.
 Kind guard: every dict literal with a "kind" key names one of the five
 counterexample kinds, so `replay` and the readers of records know every
 kind there is.
+
+Benchmark guard: `bench/layers.py` wraps package attributes by name
+(`quotient_satisfies`, `subst_const`, `Workspace.__init__`, `run_all`'s
+keywords, the atomic methods of `EvalContext`, ...), so a traced pass
+runs in a process of its own and must give the records of an untraced
+one, with the quotient layers seen.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import algval
 
 SRC = Path(algval.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # public entry points with no caller in the package: `replay` rebuilds a
 # value from a record, `dumps_algebra` writes the algebra file format
@@ -341,3 +353,17 @@ def test_kind_guard_sees_a_sixth_kind(tmp_path):
         "    return {'kind': 'route-disagreement', 'closed_form': True}, {}\n",
         encoding="utf-8")
     assert stray_kinds(tmp_path) == ["theorems.check_routes"]
+
+
+def test_the_benchmark_finds_every_name_it_wraps():
+    script = ("import json, algval, layers\n"
+              "out = layers.traced_pass(algval, [('ps3', 2, 'all')], 0)\n"
+              "print(json.dumps([out['traced_records'] == out['untraced_records'],\n"
+              "                  out['metrics']['quotient.classes'],\n"
+              "                  out['metrics']['quotient.satisfies_calls']]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), str(BENCH)])}
+    r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                       text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    same, classes, satisfies_calls = json.loads(r.stdout)
+    assert same and classes > 0 and satisfies_calls >= 1

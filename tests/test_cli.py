@@ -355,6 +355,19 @@ class TestProcessExit:
         if case == "help":
             assert "Usage:" in r.stdout
 
+    def test_filter_error_is_the_same_under_every_hash_seed(self):
+        # the witness is found in carrier order, not in the order of a set of strings
+        errors = set()
+        for seed in "1234":
+            r = subprocess.run([sys.executable, "-m", "algval.cli", "algebra", "check", "-a",
+                                "chain6", "--designated", "1,b,a"],
+                               env={**process_env(), "PYTHONHASHSEED": seed},
+                               capture_output=True, text=True, timeout=300)
+            assert r.returncode == 2, r.stderr
+            errors.add(r.stderr)
+        assert errors == {"error: designated set ['1', 'a', 'b'] is not a filter: "
+                          "('not-upward-closed', 'a', 'c')\n"}
+
     @pytest.mark.parametrize("args", [["check", "all", "-a", "chain4"],
                                       ["check", "algebra-laws", "-a", "BROKEN"]])
     def test_records_in_a_file_equal_the_runner(self, tmp_path, args):

@@ -91,6 +91,22 @@ class TestBuild:
         assert len(build_quotient(ctx)) == 27
         assert calls == []
 
+    def test_reads_two_rows_per_class_on_ps3_rank3(self, monkeypatch):
+        # a clean universe is partitioned by its classes of names alone,
+        # with no pass over single names after it
+        ctx = pa_context("ps3", 3)
+        classes = ctx.name_classes()
+        assert len(classes.reps) < len(ctx.universe)
+        calls = []
+        row = EvalContext.row
+
+        def counted(self, rel, u):
+            calls.append((rel, u))
+            return row(self, rel, u)
+        monkeypatch.setattr(EvalContext, "row", counted)
+        assert len(build_quotient(ctx)) == 27
+        assert len(calls) <= 2 * len(classes.reps)
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_one_wrong_membership_off_the_representatives_is_caught(
             self, monkeypatch, rank):

@@ -18,7 +18,7 @@ from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
-from algval.evaluate import _REL_EQ, _REL_MEM, ASSIGNMENTS, EvalContext
+from algval.evaluate import _REL_EQ, _REL_MEM, ASSIGNMENTS, EvalContext, NameClasses
 from algval.formulas import Eq, Imp, Var, parse
 from algval.theorems import (
     CHECKS,
@@ -1262,13 +1262,20 @@ def quotient_by_names(ctx):
     return classes, class_of, reps, *relations
 
 
-def quotient_by_class(ctx):
-    """`build_quotient` in the form `quotient_by_names` gives."""
+def quotient_by_class(ctx, names=None):
+    """`build_quotient`, or its pass over the partition `names`, in the
+    form `quotient_by_names` gives."""
     try:
-        qm = build_quotient(ctx)
+        qm = build_quotient(ctx) if names is None else quotient._quotient(ctx, names)
     except QuotientDefect as defect:
         return defect
     return qm.classes, qm.class_of, qm.representatives, qm.r_eq, qm.r_neq, qm.r_mem, qm.r_nmem
+
+
+def quotient_by_single_names(ctx):
+    """The pass of `build_quotient` over every name alone, which a clean
+    universe never reaches."""
+    return quotient_by_class(ctx, NameClasses.singletons(len(ctx.universe)))
 
 
 def same_outcome(a, b):
@@ -1344,6 +1351,77 @@ class TestClassRoutes:
         by_class = quotient_by_class(Run(alg, d, rank).workspace().pa)
         assert same_outcome(by_class, quotient_by_names(Run(alg, d, rank).workspace().pa))
 
+    @pytest.mark.parametrize("name, rank", [(name, 2) for name in BUILTIN_NAMES]
+                             + [("ps3", 3), ("chain3", 3)])
+    def test_the_pass_over_single_names_matches_the_pass_by_names(self, name, rank):
+        alg, d = builtin(name)
+        by_names = quotient_by_names(Run(alg, d, rank).workspace().pa)
+        assert same_outcome(quotient_by_single_names(Run(alg, d, rank).workspace().pa), by_names)
+
+    @pytest.mark.parametrize("rel, name, value", [("in", 255, "a"),  # `#147 = #255` is a
+                                                  ("=", 0, "a")])     # a membership made a
+    def test_a_defect_the_classes_hand_to_the_single_names(self, rel, name, value):
+        alg, d = builtin("chain3")
+
+        def planted():
+            run = Run(alg, d, 3)
+            plant_cell(run, rel, name, alg.index[value])
+            return run.workspace().pa
+
+        ctx = planted()
+        classes = ctx.name_classes()
+        assert len(classes.reps) < len(classes.of)
+        assert quotient._quotient(ctx, classes) is None
+        found = quotient_by_class(ctx)
+        assert isinstance(found, QuotientDefect)
+        assert same_outcome(found, quotient_by_names(planted()))
+
+    def test_single_names_break_first_in_quotient_class_order(self, monkeypatch):
+        # two memberships in #0 flipped: the name in quotient class 0 comes
+        # last in id order, but the second pass reaches its class first
+        alg, d = ps3()
+        qm = build_quotient(Run(alg, d, 3).workspace().pa)
+        early = min(u for cls in qm.classes[1:] for u in cls[1:])
+        late = qm.classes[0][-1]
+        assert early < late
+        patch_atoms(monkeypatch, "in",
+                    lambda ctx, value: alg.bottom_i if value in ctx.designated_i else alg.top_i,
+                    lambda u, v: v == 0 and u in (early, late))
+        found = quotient_by_class(Run(alg, d, 3).workspace().pa)
+        assert isinstance(found, QuotientDefect) and found.note.endswith(f"via #{late}")
+        assert same_outcome(found, quotient_by_names(Run(alg, d, 3).workspace().pa))
+
+    def test_single_names_see_a_break_at_the_next_name(self, monkeypatch):
+        alg, d = ps3()
+        patch_atoms(monkeypatch, "=", lambda ctx, value: alg.index["half"],
+                    lambda u, v: {u, v} == {40, 41})
+        found = quotient_by_class(Run(alg, d, 3).workspace().pa)
+        assert (found.rel, found.u, found.v, found.note) == ("=", 40, 41, "not two-valued")
+        assert same_outcome(found, quotient_by_names(Run(alg, d, 3).workspace().pa))
+
+    def test_classes_hand_over_a_class_the_pass_by_names_splits(self, monkeypatch):
+        # every pair of one class of names made unequal, a class that is a
+        # quotient class of its own: its rows still agree with the classes,
+        # but the pass by names puts each of its names apart
+        alg, d = ps3()
+        ctx = Run(alg, d, 3).workspace().pa
+        classes, qm = ctx.name_classes(), build_quotient(ctx)
+        a = next(classes.of[cls[0]] for cls in qm.classes
+                 if 1 < len(cls) == classes.sizes[classes.of[cls[0]]])
+        patch_atoms(monkeypatch, "=", lambda ctx, value: alg.bottom_i,
+                    lambda u, v: classes.of[u] == classes.of[v] == a)
+        ctx = Run(alg, d, 3).workspace().pa
+        assert quotient._quotient(ctx, classes) is None
+        assert same_outcome(quotient_by_class(ctx),
+                            quotient_by_names(Run(alg, d, 3).workspace().pa))
+
+    def test_classes_hand_over_rows_that_disagree_with_them(self):
+        # every class of names but the first merged into one
+        alg, d = ps3()
+        ctx = Run(alg, d, 3).workspace().pa
+        merged = NameClasses.by_key(min(c, 1) for c in ctx.name_classes().of)
+        assert quotient._quotient(ctx, merged) is None
+
     def test_quotient_export_is_unchanged(self):
         alg, d = ps3()
         got = quotient.export_relations(build_quotient(Run(alg, d, 3).workspace().pa))
@@ -1368,7 +1446,9 @@ class TestClassRoutes:
         for check, reference in PAIR_ROUTES:
             assert CHECKS[check].fn(planted()) == reference(planted()), check
         ctx = planted().workspace().pa
-        assert same_outcome(quotient_by_class(ctx), quotient_by_names(planted().workspace().pa))
+        by_names = quotient_by_names(planted().workspace().pa)
+        assert same_outcome(quotient_by_class(ctx), by_names)
+        assert same_outcome(quotient_by_single_names(planted().workspace().pa), by_names)
         classes = ctx.name_classes()
         assert classes.sizes[classes.of[255]] == 1
 
