@@ -123,13 +123,26 @@ associative meet and join allow; the gate of the tables is that.  A
 clause on two witnesses reads a covered entry's value from the other
 witness's values the same way.  Covered names that share a class split
 by every witness's extra columns are interchangeable in the grown
-universe too, so a sweep reads the own rows of the first name of the
-swept name's class (`EvalContext._firsts`).
+universe too, so a sweep visits the first name of each such class alone
+(`EvalContext._visit`).
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
-tables, ~ through star, and the quantifiers as big meet/join over every
-name in the (bounded) universe, stopping early once the fold reaches its
-absorbing element (bottom for forall, top for exists).
+tables, ~ through star, and the quantifiers as big meet/join over the
+names of the (bounded) universe, stopping early once the fold reaches its
+absorbing element (bottom for forall, top for exists).  Where the class
+tables are on, a fold visits the first name of each class of
+interchangeable names, the signature classes split by the witnesses'
+extra columns, and then every witness, in id order: 31 of ps3's 256 names
+at rank 3 under pa.  Where they are off (rank 2, defective tables, a
+covered name whose prefix is missing) it visits every name.  Skipping
+the other names is exact for three reasons.  The gate of the tables makes
+meet and join idempotent, commutative and associative, so a value met or
+joined again changes nothing.  Names of one class answer every atom
+alike, each other included, so a skipped name's body has the value of its
+class's first name's.  And the visit is a subsequence of id order that
+holds the first name of every class, so after each visited name the fold
+holds what a fold over every name holds there: it reaches the absorbing
+element at the same name, and the bodies run before it are the same.
 
 `sentence(f, params)` compiles a formula into nested closures, once, and
 returns a handle: a function of the name ids of `params` that writes them
@@ -168,18 +181,22 @@ is interned by its bytes into a class id that holds while the universe
 keeps its length.  The signature of a name is its values in the rows of
 the first kind and the class ids of its own rows: the body's value depends
 on z through its signature alone, and on the outer variables its other
-atoms read.  Indiscernible names have equal signatures (ps3 at rank 3 has
-256 names but 27 membership columns), so the sweep runs the body once per
-distinct signature, folding in the same order and with the same early
-stop as a plain fold.  Own rows cost a row of atoms per name, so the sweep
-looks a name up first under its row values alone: a body evaluation that
-started no inner sweep read no own row, so its value holds for every name
-with those row values, and a name's own rows are filled only when that
-lookup misses.  The sweep's result is cached in the compiled closure, for
-the life of its handle, under the universe length, the class ids of the
-rows of the first kind and the name ids of those outer variables, so a
-sweep repeated for indiscernible outer names is looked up, not run.
-`sweeps_run` and `sweeps_reused` count the two outcomes.
+atoms read.  The rows are filled for every name but read only at the
+names the fold visits (above), each by one C-level gather kept with the
+visit for the universe's length.  Names that the body's atoms cannot tell
+apart have equal signatures, and many of the visited names are such, so
+the sweep runs the body once per distinct signature and folds the values
+in the order of the visit.  Own rows cost a row of atoms per name, so the
+sweep looks a name up first under its row values alone: a body evaluation
+that started no inner sweep read no own row, so its value holds for every
+name with those row values, and a name's own rows are filled only when
+that lookup misses.  The sweep's result is cached in the compiled
+closure, for the life of its handle, under the universe length, the class
+ids of the rows of the first kind and the name ids of those outer
+variables, so a sweep repeated for indiscernible outer names is looked
+up, not run.
+`sweeps_run` and `sweeps_reused` count the two outcomes, and
+`names_swept` the names that the folds of the sweeps run visited.
 
 `row(rel, u)` gives a caller the values of `u = z` or of `u in z` for
 every name z, filled by `_extend` like the sweep row of `z = u` or of
@@ -202,7 +219,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, is_bounded_lattice
@@ -276,14 +294,6 @@ class NameClasses:
     def __init__(self, of: Sequence[int], reps: Sequence[int], sizes: Sequence[int]):
         self.of, self.reps, self.sizes = of, reps, sizes
         self._apart: dict[frozenset[int], NameClasses] = {}
-        self._firsts: Optional[array] = None
-
-    @property
-    def firsts(self) -> array:
-        """The first name of each name's class."""
-        if self._firsts is None:
-            self._firsts = array("i", map(self.reps.__getitem__, self.of))
-        return self._firsts
 
     @classmethod
     def by_key(cls, keys: Iterable[object]) -> NameClasses:
@@ -647,10 +657,12 @@ class EvalContext:
         self.atomic_fills = 0  # values computed into the store, not read from the tables
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.sweeps_reused = 0  # sweeps answered from their cache
+        self.names_swept = 0  # names the folds of those sweeps visited
         self._columns = ColumnClasses(universe, assignment) if columns is None else columns
         self._witnesses: dict[int, _Witness] = {}  # by witness id (`_witness`)
-        # (universe length, the witnesses' extra columns, `_firsts`)
-        self._firsts_at: tuple[int, frozenset, Sequence[int]] = (0, frozenset(), ())
+        # (universe length, the witnesses' extra columns, `_visit`)
+        self._visit_at: tuple[int, frozenset, Sequence[int], Optional[itemgetter]] = (
+            0, frozenset(), (), None)
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -854,18 +866,25 @@ class EvalContext:
                         sorted((y, a) for (a, _), y in firsts.items())
                         + [(y, a) for y, a in entries if y >= cc.n])
 
-    def _firsts(self) -> Sequence[int]:
-        """For each covered name, the first name of its class of names
-        interchangeable in the current universe: the signature classes
-        split by the extra columns of every witness (see the module
-        docstring)."""
+    def _visit(self) -> tuple[Sequence[int], Optional[itemgetter]]:
+        """The names a sweep visits, in id order, and a gather of a row's
+        values at them.  With the class tables on, the first name of each
+        class of names interchangeable in the current universe, the
+        signature classes split by the extra columns of every witness (see
+        the module docstring), and then every witness; the low names are
+        classes of their own, so there are at least two.  With the tables
+        off, every name, and no gather: the rows are read whole."""
         cc, n = self._columns, len(self.universe.names)
-        m, extra, firsts = self._firsts_at
+        m, extra, visit, gather = self._visit_at
         if m != n:
-            extra = extra.union(*[self._witness(w).extra for w in range(max(m, cc.n), n)])
-            firsts = cc.refined(self, extra).firsts
-            self._firsts_at = (n, extra, firsts)
-        return firsts
+            if cc.n:
+                extra = extra.union(*[self._witness(w).extra for w in range(max(m, cc.n), n)])
+                visit = [*cc.refined(self, extra).reps, *range(cc.n, n)]
+                gather = itemgetter(*visit)
+            else:
+                visit = range(n)
+            self._visit_at = (n, extra, visit, gather)
+        return visit, gather
 
     def _fill(self, row: array, rel: int, side: int, t: int, n: int) -> None:
         """Extend the row of (rel, side, t) to n names through the clauses,
@@ -1013,8 +1032,9 @@ class EvalContext:
                table: tuple[tuple[int, ...], ...], unit: int,
                absorbing: int) -> Callable[[], int]:
         """A sweep of `var` (slot k in scope) that runs `run` once per
-        distinct signature of the swept name and caches its result by the
-        classes of the rows it reads (see the module docstring)."""
+        distinct signature among the names it visits (`_visit`) and caches
+        its result by the classes of the rows it reads (see the module
+        docstring)."""
         specs: list[tuple[int, int, int]] = []  # (rel, side, slot of the other term)
         own: list[tuple[int, int]] = []  # (rel, side) of z's own rows that inner binders read
         outer: list[int] = []  # slots read by the atoms that do not mention var
@@ -1058,21 +1078,19 @@ class EvalContext:
                 self.sweeps_reused += 1
                 return acc
             self.sweeps_run += 1
-            rows = [rows_of[rk] for rk in keys]
+            visit, gather = self._visit()
+            rows = [rows_of[rk] if gather is None else gather(rows_of[rk]) for rk in keys]
             flat: dict[tuple[int, ...], int] = {}  # by row values, runs that swept nothing
             seen: dict[tuple, int] = {}  # by whole signature
-            covered = self._columns.n
-            firsts = self._firsts() if own and covered else ()
-            acc = unit
+            acc, swept = unit, 0
             # zip() of no rows is empty, but a body without them still runs
-            for nid, atoms in enumerate(islice(zip(*rows), n) if rows else repeat((), n)):
+            for nid, atoms in zip(visit, zip(*rows) if rows else repeat(())):
+                swept += 1
                 v = flat.get(atoms)
                 if v is None:
                     sig = atoms
                     if own:
-                        # interchangeable names have the same own rows
-                        z = firsts[nid] if nid < covered else nid
-                        sig += tuple(self._row_classes([(rel, side, z) for rel, side in own])[1])
+                        sig += tuple(self._row_classes([(rel, side, nid) for rel, side in own])[1])
                     v = seen.get(sig)
                     if v is None:
                         slots[k] = nid
@@ -1083,6 +1101,7 @@ class EvalContext:
                 acc = table[acc][v]
                 if acc == absorbing:
                     break
+            self.names_swept += swept
             done[key] = acc
             return acc
         return sweep

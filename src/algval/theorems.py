@@ -598,10 +598,12 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
     alg = run.algebra
     top = alg.top_i
     details: dict = {}
-    # Quantified instances cost at least a universe sweep each, and several
-    # axioms nest sweeps; past 24 names (8 on big universes) the instance
-    # base is the names of rank up to 2 plus an evenly strided sample of
-    # the rest.
+    # Quantified instances cost a sweep each, and several axioms nest
+    # sweeps.  A sweep visits one name per class of interchangeable names
+    # and every witness where the class tables are on, every name where
+    # they are off, and each instance adds witnesses that later sweeps
+    # visit; past 24 names (8 on big universes) the instance base is the
+    # names of rank up to 2 plus an evenly strided sample of the rest.
     cap = 8 if ws.enumerated > 64 else 24
     base = list(range(ws.enumerated))
     if len(base) > cap:

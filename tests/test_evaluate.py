@@ -13,7 +13,7 @@ from algval.errors import CapabilityError, InputError
 from algval.evaluate import ASSIGNMENTS, EvalContext, bq_sides
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
-    free_vars, instantiate_axiom, is_negation_free, parse, print_formula, subst_const,
+    children, free_vars, instantiate_axiom, is_negation_free, parse, print_formula, subst_const,
 )
 from algval.theorems import (
     CHECKS, COLLECTION, NEGATION_FREE, ONE_VARIABLE, Run, Workspace, run_check,
@@ -608,6 +608,126 @@ def test_a_body_that_sweeps_nothing_fills_no_rows_of_its_own():
     assert len(own - members) <= 1 < len(uni) - len(members)
 
 
+# Where the class tables are on, a sweep visits the first name of each class
+# of interchangeable names and then every witness, not every name.  The
+# reference evaluator folds over every name, so it checks that the skipped
+# names add nothing to a fold and that the early stop comes out the same.
+
+
+def nesting(f):
+    """The deepest nesting of binders in f."""
+    return max(map(nesting, children(f)), default=0) + isinstance(f, (Forall, Exists))
+
+
+SHALLOW_SENTENCES = [t for t in ROW_SWEEP_SENTENCES if nesting(parse(t)) == 1]
+
+
+def assert_sweeps_match_reference(ctx, texts, names):
+    """Each sentence, through a held handle, at every binding of its free
+    variables to `names` (a closed one once), against the reference."""
+    for text in texts:
+        f = parse(text)
+        params = sorted(free_vars(f))
+        h = ctx.sentence(f, params)
+        for ids in itertools.product(names, repeat=len(params)):
+            assert h(*ids) == reference_value(ctx, f, dict(zip(params, ids))), (text, ids)
+
+
+def same_class_pair(ctx):
+    """The first two names of the largest class of interchangeable names."""
+    classes = ctx.name_classes()
+    big = max(range(len(classes.sizes)), key=classes.sizes.__getitem__)
+    return [u for u, c in enumerate(classes.of) if c == big][:2]
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain3"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_class_visit_sweeps_match_reference_evaluator_at_rank_3(algname, assignment):
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, assignment)
+    assert len(ctx._visit()[0]) < len(uni)
+    a, b = same_class_pair(ctx)
+    last = len(uni) - 1
+    deep = [t for t in ROW_SWEEP_SENTENCES + NESTED_SENTENCES if nesting(parse(t)) == 2]
+    assert_sweeps_match_reference(ctx, SHALLOW_SENTENCES, [0, ctx._columns.low - 1, a, b, last])
+    assert_sweeps_match_reference(ctx, deep, [b])
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain4"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_class_visit_sweeps_match_reference_evaluator_on_covered_universes(algname, assignment):
+    # every sentence of both lists, on universes small enough for the
+    # reference to fold the deepest ones, before and after two witnesses
+    alg, d = builtin(algname)
+    uni = covered_universe(alg, 2)
+    ctx = EvalContext(uni, d, assignment)
+    top, n = alg.top_i, len(uni)
+    assert ctx._columns.n == n and len(ctx._visit()[0]) < n
+    names = sorted({*range(0, n, 6), *same_class_pair(ctx)})
+    for _ in range(2):
+        assert_sweeps_match_reference(ctx, ROW_SWEEP_SENTENCES + NESTED_SENTENCES, names)
+        names += [uni.insert({1: top, n - 1: top}), uni.insert({len(uni) - 1: top, 2: top})]
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_class_visit_sweeps_match_reference_evaluator_after_zfbar_witnesses(assignment):
+    # one witness of each kind that zfbar-witnesses builds, on ps3 at rank 3
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, assignment)
+    top, meet = alg.top_i, alg.meet_t
+    a, b = same_class_pair(ctx)
+    x, y = b, len(uni) - 1
+    pair = uni.insert({x: top, y: top})
+    subset_of = ctx.sentence(parse("forall w. (w in z -> w in x)"), ("z", "x"))
+    dom_x = [c for c, _ in uni.entries_of(x)]
+    power = uni.insert({z: subset_of(z, x) for z in [
+        uni.insert(dict(zip(dom_x, values)))
+        for values in itertools.product(range(len(alg.elements)), repeat=len(dom_x))]})
+    # the union of {pair, power} and a part of power, so that each is new
+    u = uni.insert({pair: top, power: top})
+    member_of_member = ctx.sentence(parse("exists m. (m in u /\\ x in m)"), ("x", "u"))
+    dom = sorted({c for z in (pair, power) for c, _ in uni.entries_of(z)})
+    union = uni.insert({c: member_of_member(c, u) for c in dom})
+    empty = ctx.sentence(parse("~(exists m. m in z)"), ("z",))
+    sep = uni.insert({z: meet[v][empty(z)] for z, v in uni.entries_of(power)})
+    assert len({pair, union, power, sep}) == 4 and min(pair, union, power, sep) >= 256
+    assert_sweeps_match_reference(ctx, [
+        f"forall w. (w in #{pair} <-> (w = #{x} \\/ w = #{y}))",
+        f"forall w. (w in #{union} <-> exists m. (m in #{u} /\\ w in m))",
+        f"forall z. (z in #{power} <-> forall w. (w in z -> w in #{x}))",
+        f"forall z. (z in #{sep} <-> (z in #{power} /\\ ~(exists m. m in z)))",
+    ], [])
+    assert_sweeps_match_reference(ctx, SHALLOW_SENTENCES, [a, pair, union, power, sep])
+    assert_sweeps_match_reference(ctx, NESTED_SENTENCES, [power])
+
+
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_a_witness_that_names_one_name_of_a_class_keeps_the_class_visit(assignment):
+    # w has a as an entry and not b, which shares a's class: `z in w` is
+    # top /\ `a = z`, and `a = z` is `b = z` for every z, so w keeps a and
+    # b interchangeable (no builtin at rank 3 has a witness column that
+    # splits the classes) and the sweep still visits a alone
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, assignment)
+    top, half = alg.top_i, alg.index["half"]
+    a, b = same_class_pair(ctx)
+    w = uni.insert({a: top})
+    v = uni.insert({w: top, b: half})
+    visit, _ = ctx._visit()
+    assert a in visit and b not in visit and visit[-2:] == [w, v]
+    assert_sweeps_match_reference(ctx, [
+        f"exists z. (z in #{w} /\\ ~(z = #{a}))",
+        f"forall z. (z in #{w} -> z = #{b})",
+        f"exists z. (#{w} in z /\\ z in #{v})",
+        f"forall z. (z in #{v} <-> (z = #{w} \\/ z = #{a}))",
+    ], [])
+    assert_sweeps_match_reference(ctx, SHALLOW_SENTENCES, [a, b, w, v])
+    assert_sweeps_match_reference(ctx, NESTED_SENTENCES, [w])
+
+
 # -- the atomic clauses against a direct transcription ------------------------------
 
 
@@ -843,18 +963,26 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
             assert ctx.equality(z, t) == eq_row[z] == eq(z, t), ("=", z, t)
             assert ctx.membership(z, t) == mem(z, t), ("in", z, t)
             assert ctx.membership(t, z) == in_row[z] == mem(t, z), ("in", t, z)
-    # a sweep reads the own rows of one name per class of names that are
-    # interchangeable beside the witnesses
-    firsts = ctx._firsts()
-    for z in range(tables.n):
-        r = firsts[z]
-        assert ctx.row("=", z) == ctx.row("=", r) and ctx.row("in", z) == ctx.row("in", r)
-        assert [mem(x, z) for x in uni.ids()] == [mem(x, r) for x in uni.ids()], z
     for text in (f"exists z. forall y. (y in z -> y in #{v})",
                  f"forall z. exists y. (z in y /\\ ~(y = #{w}))",
                  f"exists z. forall y. (z = y -> #{w} in y)"):
         f = parse(text)
         assert ctx.value(f) == reference_value(ctx, f, {}), text
+    # sweeps whose rows set apart names of one signature class
+    assert_sweeps_match_reference(ctx, SHALLOW_SENTENCES, [w, v] + others)
+    # under ba, y differs from x, the first name of its signature class,
+    # only in `y in v`, which these folds read
+    assert_sweeps_match_reference(
+        ctx, [f"exists z. (~(z in #{t}) -> ~(z in #{v}))" for t in others], [])
+    # a sweep visits the first name of each class of names that are
+    # interchangeable beside the witnesses, and every witness
+    visit, _ = ctx._visit()
+    classes = tables.refined(ctx, ctx._visit_at[1])
+    assert visit == [*classes.reps, *range(tables.n, len(uni))]
+    for z in range(tables.n):
+        r = classes.reps[classes.of[z]]
+        assert ctx.row("=", z) == ctx.row("=", r) and ctx.row("in", z) == ctx.row("in", r)
+        assert [mem(x, z) for x in uni.ids()] == [mem(x, r) for x in uni.ids()], z
 
 
 def test_lattice_verdict_computed_once_per_algebra(monkeypatch):
@@ -1068,3 +1196,30 @@ def test_extensionality_bar_runs_one_inner_sweep_per_column_pair():
     assert len(columns) == 27
     assert ctx.holds(instantiate_axiom("ExtensionalityBar"))
     assert ctx.sweeps_run + ctx.sweeps_reused <= 1 + 27 + 27 * 27
+
+
+def test_extensionality_bar_visits_one_name_per_class():
+    # 27 top-level classes and the 4 low names of ps3 at rank 3 under pa
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, "pa")
+    assert len(ctx._visit()[0]) == 31
+    assert ctx.holds(instantiate_axiom("ExtensionalityBar"))
+    assert 0 < ctx.names_swept <= 31 * ctx.sweeps_run
+
+
+def test_a_sweep_without_the_tables_visits_every_name():
+    # `z in #1 /\ false` is bottom everywhere, so the fold never stops early
+    f = parse("exists z. (z in #1 /\\ false)")
+    alg, d = ps3()
+    uni = build_universe(alg, 2)
+    uni.insert({1: alg.top_i, 2: alg.top_i})
+    ctx = EvalContext(uni, d, "pa")
+    assert ctx._columns.n == 0 and ctx.value(f) == alg.bottom_i
+    assert (ctx.sweeps_run, ctx.names_swept) == (1, len(uni))
+    # with the tables on, the same sweep visits one name per class
+    uni = covered_universe(alg, 2)
+    uni.insert({1: alg.top_i, len(uni) - 1: alg.top_i})
+    ctx = EvalContext(uni, d, "pa")
+    assert ctx._columns.n == len(uni) - 1 and ctx.value(f) == alg.bottom_i
+    assert ctx.names_swept == len(ctx._columns.signatures(ctx).reps) + 1 < len(uni)
