@@ -166,7 +166,7 @@ files evaluate exactly as before.
 
 Every quantifier sweeps its variable z by signature.  Each distinct atom
 of the body that pairs z with a term bound outside the body (`z in t`,
-`t in z`, `z = t`, with t an outer variable or a constant) or with itself
+`t in z`, `z = t`, with t a variable or a constant) or with itself
 (`z in z`, `z = z`) has a row: the atom's value at z = 0, 1, 2, ...,
 keyed by relation, the side z stands on and t's name id.  An atom that
 pairs z with a variable w bound inside the body reads a row of z's own:
@@ -176,27 +176,21 @@ an array of the store's item type.  Before it is read a row is filled to
 the end of the universe, never rebuilt, which is sound because atomic
 values never depend on later inserts.  Past the enumerated names, the row
 of `z in t` is a copy of the store's own row for t with its holes filled
-through the clause.  Each row
-is interned by its bytes into a class id that holds while the universe
-keeps its length.  The signature of a name is its values in the rows of
-the first kind and the class ids of its own rows: the body's value depends
-on z through its signature alone, and on the outer variables its other
-atoms read.  The rows are filled for every name but read only at the
-names the fold visits (above), each by one C-level gather kept with the
-visit for the universe's length.  Names that the body's atoms cannot tell
-apart have equal signatures, and many of the visited names are such, so
-the sweep runs the body once per distinct signature and folds the values
-in the order of the visit.  Own rows cost a row of atoms per name, so the
-sweep looks a name up first under its row values alone: a body evaluation
-that started no inner sweep read no own row, so its value holds for every
-name with those row values, and a name's own rows are filled only when
-that lookup misses.  The sweep's result is cached in the compiled
-closure, for the life of its handle, under the universe length, the class
-ids of the rows of the first kind and the name ids of those outer
-variables, so a sweep repeated for indiscernible outer names is looked
-up, not run.
-`sweeps_run` and `sweeps_reused` count the two outcomes, and
-`names_swept` the names that the folds of the sweeps run visited.
+through the clause.  The rows are filled for every name but read only at
+the names the fold visits (above), each by one C-level gather kept with
+the visit for the universe's length.  Within one fold the body's value
+depends on z only through z's signature: its values in the rows of the
+first kind and the contents of its own rows.  Many visited names share a
+signature, so the sweep keeps one dict of body values for its fold and
+runs the body once per key.  A name is looked up first under its row
+values alone: a run of the body that started no inner sweep read no own
+row, so its value holds for every name with those row values and is stored
+under them, as is every value of a body without own rows.  On a miss the
+name's own rows are filled and interned by their bytes into class ids that
+hold while the universe keeps its length, and the value is looked up, or
+else stored, under the row values and those ids.  No value outlives its
+fold.  `sweeps_run` counts the sweeps, and `names_swept` the names their
+folds visited.
 
 `row(rel, u)` gives a caller the values of `u = z` or of `u in z` for
 every name z, filled by `_extend` like the sweep row of `z = u` or of
@@ -656,7 +650,6 @@ class EvalContext:
         self._classes_n = 0
         self.atomic_fills = 0  # values computed into the store, not read from the tables
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
-        self.sweeps_reused = 0  # sweeps answered from their cache
         self.names_swept = 0  # names the folds of those sweeps visited
         self._columns = ColumnClasses(universe, assignment) if columns is None else columns
         self._witnesses: dict[int, _Witness] = {}  # by witness id (`_witness`)
@@ -914,10 +907,10 @@ class EvalContext:
             u, v = (t, z) if side == _Z_RIGHT else (z, z) if side == _Z_BOTH else (z, t)
             row.append(clause(u, v))
 
-    def _row_classes(self, keys: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
-        """Fill the rows of keys to the end of the universe and return its
-        length n with the rows' class ids: rows with equal contents share an
-        id while the universe holds n names."""
+    def _row_classes(self, keys: list[tuple[int, int, int]]) -> list[int]:
+        """Fill the rows of keys to the end of the universe and return their
+        class ids: rows with equal contents share an id while the universe
+        keeps its length."""
         n = len(self.universe.names)
         rows, row_class, classes = self._rows, self._row_class, self._classes
         if self._classes_n != n:
@@ -934,7 +927,7 @@ class EvalContext:
                 self._extend(row, *key, n)
                 cid = row_class[key] = classes.setdefault(row.tobytes(), len(classes))
             ids.append(cid)
-        return n, ids
+        return ids
 
     def row(self, rel: str, u: int) -> array:
         """`u = z` (rel '=') or `u in z` (rel 'in') for every name z, in a
@@ -971,8 +964,8 @@ class EvalContext:
     def sentence(self, f: Formula, params: Sequence[str] = ()) -> Callable[..., int]:
         """f compiled once, as a function from the name ids of `params`, in
         order, to f's value.  A caller that evaluates one formula over many
-        names holds the handle for its loop; the handle keeps its sweeps'
-        caches and grows with the universe like `value` does."""
+        names holds the handle for its loop; the handle grows with the
+        universe like `value` does."""
         k = len(params)
         slots = [0] * k
         run = self._compile(f, dict(zip(params, range(k))), slots)
@@ -1031,78 +1024,65 @@ class EvalContext:
                slots: list[int], k: int, run: Callable[[], int],
                table: tuple[tuple[int, ...], ...], unit: int,
                absorbing: int) -> Callable[[], int]:
-        """A sweep of `var` (slot k in scope) that runs `run` once per
-        distinct signature among the names it visits (`_visit`) and caches
-        its result by the classes of the rows it reads (see the module
-        docstring)."""
+        """A sweep of `var` (slot k in scope) that folds the values of `run`
+        over the names it visits (`_visit`), running it once per distinct
+        key of its row values and, where inner sweeps read them, its own
+        rows' class ids (see the module docstring)."""
         specs: list[tuple[int, int, int]] = []  # (rel, side, slot of the other term)
         own: list[tuple[int, int]] = []  # (rel, side) of z's own rows that inner binders read
-        outer: list[int] = []  # slots read by the atoms that do not mention var
         for g, bound in _atoms(body):
             rel = _REL_EQ if isinstance(g, Eq) else _REL_MEM
             zl, zr = (isinstance(t, Var) and t.name == var and var not in bound
                       for t in (g.left, g.right))
             il, ir = (isinstance(t, Var) and t.name in bound for t in (g.left, g.right))
+            if not (zl or zr):
+                continue
             if zl and zr:
                 spec = (rel, _Z_BOTH, k)
-            elif zl or zr:
-                if il or ir:
-                    # `w in z` reads the row of z's members, `z in w` the row
-                    # of z's containers, and `z = w` its equality row
-                    pair = (rel, _Z_LEFT if zr or rel == _REL_EQ else _Z_RIGHT)
-                    if pair not in own:
-                        own.append(pair)
-                    continue
+            elif il or ir:
+                # `w in z` reads the row of z's members, `z in w` the row
+                # of z's containers, and `z = w` its equality row
+                pair = (rel, _Z_LEFT if zr or rel == _REL_EQ else _Z_RIGHT)
+                if pair not in own:
+                    own.append(pair)
+                continue
+            else:
                 # equality is symmetric, so both of its orientations share a row
                 side = _Z_LEFT if zl or rel == _REL_EQ else _Z_RIGHT
                 spec = (rel, side, self._slot(g.right if zl else g.left, scope, slots))
-            else:
-                for t, inner in ((g.left, il), (g.right, ir)):
-                    if not inner:
-                        j = self._slot(t, scope, slots)
-                        if j not in outer:
-                            outer.append(j)
-                continue
             if spec not in specs:
                 specs.append(spec)
         rows_of = self._rows
-        done: dict[tuple[int, ...], int] = {}
 
         def sweep() -> int:
+            self.sweeps_run += 1
             slots[k] = -1  # so the row of `z in z` or `z = z` keys on -1
             keys = [(rel, side, slots[j]) for rel, side, j in specs]
-            n, ids = self._row_classes(keys)
-            key = (n, *ids, *[slots[j] for j in outer])
-            acc = done.get(key)
-            if acc is not None:
-                self.sweeps_reused += 1
-                return acc
-            self.sweeps_run += 1
+            self._row_classes(keys)
             visit, gather = self._visit()
             rows = [rows_of[rk] if gather is None else gather(rows_of[rk]) for rk in keys]
-            flat: dict[tuple[int, ...], int] = {}  # by row values, runs that swept nothing
-            seen: dict[tuple, int] = {}  # by whole signature
+            # body values by row values, and by row values and own rows' class
+            # ids where a run that swept inside the body read its own rows
+            seen: dict[tuple[int, ...], int] = {}
             acc, swept = unit, 0
             # zip() of no rows is empty, but a body without them still runs
             for nid, atoms in zip(visit, zip(*rows) if rows else repeat(())):
                 swept += 1
-                v = flat.get(atoms)
+                v = seen.get(atoms)
                 if v is None:
                     sig = atoms
                     if own:
-                        sig += tuple(self._row_classes([(rel, side, nid) for rel, side in own])[1])
-                    v = seen.get(sig)
+                        sig += tuple(self._row_classes([(rel, side, nid) for rel, side in own]))
+                        v = seen.get(sig)
                     if v is None:
                         slots[k] = nid
-                        started = self.sweeps_run + self.sweeps_reused
-                        v = seen[sig] = run()
-                        if self.sweeps_run + self.sweeps_reused == started:
-                            flat[atoms] = v
+                        started = self.sweeps_run
+                        v = run()
+                        seen[sig if self.sweeps_run != started else atoms] = v
                 acc = table[acc][v]
                 if acc == absorbing:
                     break
             self.names_swept += swept
-            done[key] = acc
             return acc
         return sweep
 

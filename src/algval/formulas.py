@@ -301,61 +301,61 @@ class _Parser:
     def deeper(self) -> int:
         """Take the next token one nesting level down; returns the old level."""
         self.take()
-        outer = self.depth
-        if outer >= MAX_NESTING:
+        level = self.depth
+        if level >= MAX_NESTING:
             raise InputError(f"formula nested deeper than {MAX_NESTING} levels")
-        self.depth = outer + 1
-        return outer
+        self.depth = level + 1
+        return level
 
     def formula(self) -> Formula:
-        outer = self.depth
+        level = self.depth
         left = self.implication()
         while self.peek() == "<->":
             self.deeper()
             right = self.implication()
             left = iff(left, right)
-        self.depth = outer
+        self.depth = level
         return left
 
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.peek() == "->":
-            outer = self.deeper()
+            level = self.deeper()
             right = self.implication()
-            self.depth = outer
+            self.depth = level
             return Imp(left, right)
         return left
 
     def disjunction(self) -> Formula:
-        outer = self.depth
+        level = self.depth
         left = self.conjunction()
         while self.peek() == "\\/":
             self.deeper()
             left = Or(left, self.conjunction())
-        self.depth = outer
+        self.depth = level
         return left
 
     def conjunction(self) -> Formula:
-        outer = self.depth
+        level = self.depth
         left = self.unary()
         while self.peek() == "/\\":
             self.deeper()
             left = And(left, self.unary())
-        self.depth = outer
+        self.depth = level
         return left
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok == "~":
-            outer = self.deeper()
+            level = self.deeper()
             body = self.unary()
-            self.depth = outer
+            self.depth = level
             return Not(body)
         if tok == "(":
-            outer = self.deeper()
+            level = self.deeper()
             f = self.formula()
             self.take(")")
-            self.depth = outer
+            self.depth = level
             return f
         if tok == "true":
             self.take()
@@ -382,7 +382,7 @@ def parse(text: str, max_name: Optional[int] = None) -> Formula:
 
     def quantifier(p: _Parser) -> Formula:
         kind = p.peek()
-        outer = p.deeper()
+        level = p.deeper()
         var = p.take()
         if not _is_variable(var):
             raise InputError(f"bad quantified variable {var!r}")
@@ -392,7 +392,7 @@ def parse(text: str, max_name: Optional[int] = None) -> Formula:
             bound = term(p)
         p.take(".")
         body = p.formula()
-        p.depth = outer
+        p.depth = level
         if kind == "forall":
             return Forall(var, body if bound is None else Imp(Mem(Var(var), bound), body))
         return Exists(var, body if bound is None else And(Mem(Var(var), bound), body))

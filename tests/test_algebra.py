@@ -4,6 +4,7 @@ import time
 import pytest
 
 from algval.algebra import (
+    CHAIN_MAX,
     Algebra,
     boolean_algebra,
     builtin,
@@ -404,6 +405,21 @@ class TestBuilders:
     def test_builtin_unknown(self):
         with pytest.raises(InputError, match="unknown builtin"):
             builtin("chainX")
+        with pytest.raises(InputError, match="unknown builtin"):
+            builtin("chain\u00b2")  # a digit to str.isdigit, not to int()
+
+    def test_chain_names_past_z_are_printable_and_distinct(self):
+        assert chain(32)[0].elements == ("0", *"abcdefghijklmnopqrstuvwxyz{|}~", "1")
+        es = chain(40)[0].elements
+        assert es[30:33] == ("~", "e31", "e32") and es[-2:] == ("e38", "1")
+        assert len(set(es)) == 40 and all(e.isprintable() and e.split() == [e] for e in es)
+
+    def test_a_chain_past_the_cap_is_refused_before_its_tables(self):
+        # a trillion elements would never finish building
+        assert len(chain(CHAIN_MAX)[0]) == CHAIN_MAX
+        for k in (CHAIN_MAX + 1, 10**12):
+            with pytest.raises(InputError, match=f"at most {CHAIN_MAX} elements"):
+                builtin(f"chain{k}")
 
 
 class TestCollapse:
@@ -450,7 +466,7 @@ class TestCollapse:
 
 
 class TestTextFormat:
-    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    @pytest.mark.parametrize("name", [*ALL_BUILTINS, "chain29", "chain40", f"chain{CHAIN_MAX}"])
     def test_round_trip(self, name):
         alg, d = builtin(name)
         text = dumps_algebra(alg, d)

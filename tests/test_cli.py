@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import algval
-from algval.algebra import BUILTIN_NAMES, Algebra, builtin, dumps_algebra, load_algebra, ps3
+from algval.algebra import (BUILTIN_NAMES, CHAIN_MAX, Algebra, builtin, dumps_algebra,
+                            load_algebra, ps3)
 from algval.cli import cli
 from algval.errors import InputError
 from algval.formulas import And, Bot, Imp, Not, Or, Top
@@ -86,6 +88,12 @@ class TestAlgebraCheck:
                    "--designated", "1,b")
         assert r.exit_code == 0
         assert "ultrafilter: false" in r.output
+
+    def test_designated_override_names_chain_elements_past_the_letters(self, runner):
+        r = invoke(runner, "algebra", "check", "-a", "chain40",
+                   "--designated", "~,e31,e32,e33,e34,e35,e36,e37,e38,1")
+        assert r.exit_code == 0
+        assert "designated: 1 e31 e32 e33 e34 e35 e36 e37 e38 ~\n" in r.output
 
     def test_non_filter_override_rejected(self, runner):
         r = invoke(runner, "algebra", "check", "-a", "chain4",
@@ -354,6 +362,18 @@ class TestProcessExit:
         assert CliRunner().invoke(cli, args).exit_code == code
         if case == "help":
             assert "Usage:" in r.stdout
+
+    def test_a_chain_past_the_cap_exits_2_before_building_it(self):
+        # under a 512 MB address space, which building chain100000 would exceed
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+        args = ["check", "two-valued", "-a", "chain100000"]
+        error = (f"error: a chain has at most {CHAIN_MAX} elements, not 100000: "
+                 "its tables grow with the square of its size\n")
+        r = run_process(*args, preexec_fn=limit)
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", error)
+        r = CliRunner().invoke(cli, args)
+        assert (r.exit_code, r.output) == (2, error)
 
     def test_filter_error_is_the_same_under_every_hash_seed(self):
         # the witness is found in carrier order, not in the order of a set of strings

@@ -359,8 +359,8 @@ def test_value_matches_reference_evaluator(algname, assignment):
         assert got == reference_value(ctx, f, env), print_formula(f)
 
 
-# Quantifier-free bodies are swept over cached atom rows, with results cached
-# by row class, and connectives skip a right operand their table row makes
+# Quantifier-free bodies are swept over atom rows, run once per distinct row
+# value, and connectives skip a right operand their table row makes
 # irrelevant; all must agree with the reference evaluator on every binding.
 
 ROW_SWEEP_SENTENCES = [
@@ -378,7 +378,7 @@ ROW_SWEEP_SENTENCES = [
     # no atom rows at all
     "x = x /\\ forall x. false",
     "forall z. ~false -> x in y",
-    # atoms that read an outer binding the swept variable does not reach
+    # atoms that read bindings made outside the body, not the swept variable
     "forall z. (z in x -> x = y)",
     "forall x. forall y. forall z. (z in x -> x = y)",
     "exists x. exists z. (z = x /\\ ~(y in x))",
@@ -495,7 +495,7 @@ def test_env_binding_matches_substitution_on_the_batteries(algname, assignment):
 
 # A constant gets one slot per scope: repeated within a scope, first used
 # inside a binder and again outside it, and mixed into a row sweep with an
-# outer variable and the bound one.  #a and #b range over every name.
+# free variable and the bound one.  #a and #b range over every name.
 CONSTANT_SLOT_SENTENCES = [
     "#a in #b /\\ forall y. (#a in y -> exists z. (z = #a \\/ #b in z))",
     "(forall y. (y in #a \\/ #a = y)) \\/ (#a in #b /\\ ~(#b = #a))",
@@ -523,7 +523,7 @@ def test_constant_slots_match_reference_evaluator(algname, assignment):
 def test_held_handles_match_reference_evaluator_as_the_universe_grows(algname, assignment):
     # One handle per formula for the whole test, called with every id in a
     # new order each round, while inserts grow the universe between rounds:
-    # each sweep cache entry must hold only for the universe it was made on.
+    # each sweep must read rows and row classes of the universe it runs on.
     alg, d = builtin(algname)
     uni = build_universe(alg, 2)
     ctx = EvalContext(uni, d, assignment)
@@ -558,9 +558,9 @@ def test_a_self_atom_keeps_one_row():
 
 
 # Bodies with binders are swept by signature: the rows of the swept name's
-# atoms with outer terms, and the classes of its own rows that the inner
-# binders read.  On ps3 at rank 3 many names share their rows, so a wrong
-# signature gives a wrong value for some of them.
+# atoms with terms bound outside the body, and the classes of its own rows
+# that the inner binders read.  On ps3 at rank 3 many names share their
+# rows, so a wrong signature gives a wrong value for some of them.
 NESTED_SENTENCES = [
     # the inner z shadows the swept one, so only its `z in y` is a row
     "forall z. (z in y -> exists z. (z in y /\\ ~(z = y)))",
@@ -594,7 +594,7 @@ def test_nested_sweeps_match_reference_evaluator_on_ps3_rank3(assignment):
 
 def test_a_body_that_sweeps_nothing_fills_no_rows_of_its_own():
     # Where `x in #c` is bottom, `->` skips the inner sweep: the body's value
-    # is cached under that row value alone, so x's row of members is filled
+    # is stored under that row value alone, so x's row of members is filled
     # for the members of #c and for one name besides.  The body is top
     # everywhere, so the fold never stops early.
     alg, d = ps3()
@@ -1187,15 +1187,15 @@ def test_atomic_clauses_match_reference_on_a_skewed_meet(assignment):
 def test_extensionality_bar_runs_one_inner_sweep_per_column_pair():
     # ps3 at rank 3: 256 names, 27 distinct membership columns.  The body of
     # forall x runs once per class of x, so forall y runs at most 27 times;
-    # its body runs once per class of y beside x, and the inner forall z,
-    # keyed by the classes of its rows of x and y, at most 27 * 27 times.
+    # its body runs once per class of y beside x, and each of those runs
+    # sweeps the inner forall z once, so z is swept at most 27 * 27 times.
     alg, d = ps3()
     uni = build_universe(alg, 3)
     ctx = EvalContext(uni, d, "pa")
     columns = {tuple(ctx.membership(x, v) for x in uni.ids()) for v in uni.ids()}
     assert len(columns) == 27
     assert ctx.holds(instantiate_axiom("ExtensionalityBar"))
-    assert ctx.sweeps_run + ctx.sweeps_reused <= 1 + 27 + 27 * 27
+    assert ctx.sweeps_run <= 1 + 27 + 27 * 27
 
 
 def test_extensionality_bar_visits_one_name_per_class():

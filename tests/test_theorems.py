@@ -347,10 +347,10 @@ class TestReplay:
     def test_replay_covers_inserted_chains(self):
         alg, d = builtin("chain4")
         ws = Workspace(alg, d, rank_bound=2)
-        inner = ws.insert({0: alg.index["a"]})
-        outer = ws.insert({inner: alg.top_i})
-        ce = ws.atomic_counterexample("pa", "in", inner, outer,
-                                      ws.pa.atomic("in", inner, outer))
+        member = ws.insert({0: alg.index["a"]})
+        holder = ws.insert({member: alg.top_i})
+        ce = ws.atomic_counterexample("pa", "in", member, holder,
+                                      ws.pa.atomic("in", member, holder))
         assert replay(alg, d, 2, ce) == ce["value"]
 
     def test_leibniz_failure_replays(self):
