@@ -29,77 +29,84 @@ Every value is deterministic; quantifiers always sweep the universe
 contents at call time, and atomic values never depend on what else has
 been interned.  `atomic_fills` counts the values the store gains.
 
-A pair of two covered names, not both low, is read by column class
+A pair of two covered names, not both low, is read from the class tables
 (`ColumnClasses`), before the store is looked at.  The entries of every
 enumerated name lie among the low names L, those of lower rank.  So
 `u = v` reads u's entries only against v's membership column, the values
 of `x in v` for x in L, and v's entries only against u's; and `u in v`
 reads v's entries only against u's equality column, `x = u` for x in L.
-Names with equal columns form a class (ps3 at rank 3: 256 names, 27
-membership and 4 equality classes), and the tables hold one cell per
-class and name: H[c][u], u's half of `u = v` for a v of membership class
-c, and M[c][v], `u in v` for a u of equality class c:
+Names with equal columns form a membership or an equality class (ps3 at
+rank 3: 256 names, 27 membership and 4 equality classes).  With H[c][u]
+u's half of `u = v` for a v of membership class c, and M[c][v] `u in v`
+for a u of equality class c,
 
     `=`(u, v) = H[mc(v)][u] /\\ H[mc(u)][v]        `in`(u, v) = M[ec(u)][v]
 
-where mc(v) is the class of v's membership column and ec(u) that of u's
-equality column; a pair of a low name x and a top-level v reads `x = v`
-or `x in v` from v's column itself.
+where mc(v) is v's membership class and ec(u) u's equality class.
 
-A class's cells are filled in one pass down the names, by prefix.  The
-prefix p(v) of a name v is v less its last entry (x, a).  Enumeration
-interns it before v: it has v's weights on a smaller domain, and
-`build_universe` goes by rank and then by domain size.  The clause folds
-v's entries in order, so its fold over v is its fold over p(v) and one
-step more:
+Names by signature.  The signature of a top-level covered name u is
+mc(u), ec(u), its row of halves H[.][u] and its row of memberships
+M[.][u]; a low name is a class of its own.  The two formulas read a name
+only through its signature, and so do `x = v` and `x in v` for a low x,
+which are v's columns, and `v in x`, which is M[ec(v)][x].  So the tables
+keep one signature class id per covered name (`of`) and two class x class
+tables, filled at the classes' first names: every covered pair not both
+low reads `eq[of[u]][of[v]]` or `mem[of[v]][of[u]]`, a sweep row one
+gather from a class row.  If u and u' share a signature, each atom of u
+with a covered z has the value of the same atom of u' with z, z = u and
+z = u' included: `u = u'` is H[mc(u)][u] /\\ H[mc(u)][u'], which is
+`u = u`, and `u in u'` is M[ec(u)][u'], which is `u in u`.  Swapping u
+and u' is then an automorphism of the covered names under `=` and `in`,
+and a formula whose constants the swap fixes has one value at u and at
+u' while the universe holds no other name.  `EvalContext.name_classes`
+gives these classes (27 top-level classes of 256 names on ps3 at rank 3
+under pa, 9 under ba).  A reader asks a class at its first name, weights
+its counts by the sizes of the classes, and sets a formula's constants
+apart in classes of their own (`NameClasses.apart`);
+`theorems.first_bad_pair`, `theorems.coincidence_mismatches` and
+`quotient.build_quotient` read pairs of classes so.
+
+Signatures by transition.  The prefix p(v) of a name v is v less its
+last entry (x, a).  Enumeration interns it before v: it has v's weights
+on a smaller domain, and `build_universe` goes by rank and then by domain
+size.  The clause folds v's entries in order, so its fold over v is its
+fold over p(v) and one step more:
 
     H[c][v] = H[c][p(v)] /\\ factor[a][col_c[x]]
     M[c][v] = M[c][p(v)] \\/ (a /\\ col_c[x])
 
-from top and bottom at the empty name, where col_c is class c's column and
-factor[a][m] the clause's factor for an entry of weight a against a
-membership m.  The steps are the clause's own, in its order, so the cells
-are its folds on any table.  A covered name whose prefix is not interned
+from top and bottom at the empty name, where col_c is class c's column
+and factor[a][m] the clause's factor for an entry of weight a against a
+membership m.  So a name's cells at any list of columns are a function
+of its prefix's cells there and its last entry, and a pass down the
+prefix arrays gives every covered name its tuple of cells with one dict
+lookup per name, each (tuple, last entry) move computed once
+(`ColumnClasses._pass`).  Three passes find the signatures.  The
+memberships at the low names' equality classes give each name's
+membership column, `x in v` = M[ec(x)][v]; the halves at every
+membership class give, with it, its equality column, `x = v` =
+H[mc(v)][x] /\\ H[mc(x)][v]; and the memberships at every equality class
+complete the signature.  A name's signature, its cells and the two
+columns they give, is thus a function of its prefix's signature and its
+last entry.  A covered name whose prefix is not interned
 below it (a hand-built universe may lack one) turns the tables off.
 
-The low names' columns, the |L| x |L| tables of `y = x` and `y in x`, are
-read through the clauses once, when the first class is needed.  A
-top-level name's columns are folded from the low names' cells by Bell's
-clauses (`ColumnClasses.fold`), not asked of the clauses, so they put
-nothing in the store.  The names are sorted into classes in id order, and
-each class's cells filled, only as far as a reader needs.  The sweep rows
-of enumerated names are filled from the same tables, unless both names
-are low; such a row reads every name's cell at one class, a slice of one
-array (`ColumnClasses.column`).  Meeting u's half with v's, where the
-clause folds one into the other, is sound only for a lattice's meet: the
-tables are used only when meet and join pass `algebra.is_bounded_lattice`,
-whose verdict each algebra keeps (and, under pa, the algebra has a star
-table).  They are not used where they cannot pay: with one low name, as
-at rank 2, a clause reads at most one entry a side.  Pairs of two
-witness names, and defective tables, take the clause.  The tables cover
+The steps are the clause's own, in its order, but the clause stops its
+join at top and its meet at bottom, and meets v's entries into u's half
+one by one where the table meets two halves: only meets and joins are
+reassociated, which a lattice allows.  The tables are used only when
+meet and join pass `algebra.is_bounded_lattice`, whose verdict each
+algebra keeps (and, under pa, the algebra has a star table), and not
+where they cannot pay: with one low name, as at rank 2, a clause reads at
+most one entry a side.  The pairs of two low names keep the clause.
+Their entries lie below L, so no cell reads them, and the first pass
+needs the low names' equality columns before any class is known: they
+are the base the passes start from.  They are read through a context's
+clauses, into its store, when the tables are built, once per assignment,
+as the first context that reads them is made.  Pairs of two witness
+names, and defective tables, take the clause.  The tables cover
 enumerated names only, so a run's contexts of one assignment share them
-across all the workspaces of a rank.  The class fold of
-`theorems.coincidence_mismatches` compares their columns and reads their
-cells.
-
-Names by signature.  The signature of a top-level covered name u is its
-membership class mc(u), its equality class ec(u), its row of halves
-H[.][u] and its row of memberships M[.][u]; a low name is a class of its
-own (`ColumnClasses.signatures`).  The four table formulas read a name
-only through its signature: `=`(u, v) and `in`(u, v) above, `x = v` and
-`x in v` for a low x from v's two columns, and `v in x` as M[ec(v)][x].
-So if u and u' share a signature, each atom of u with a covered z has the
-value of the same atom of u' with z, z = u and z = u' included: `u = u'`
-is H[mc(u)][u] /\\ H[mc(u)][u'], which is `u = u`, and `u in u'` is
-M[ec(u)][u'], which is `u in u`.  Swapping u and u' is then an
-automorphism of the covered names under `=` and `in`, and a formula whose
-constants the swap fixes has one value at u and at u' while the universe
-holds no other name.  `EvalContext.name_classes` gives these classes (27
-top-level classes of 256 names on ps3 at rank 3 under pa, 9 under ba).  A
-reader asks a class at its first name, weights its counts by the sizes
-of the classes, and sets a formula's constants apart in classes of their
-own (`NameClasses.apart`); `theorems.first_bad_pair` and
-`quotient.build_quotient` read pairs of classes so.
+across all the workspaces of a rank.
 
 Witness names, one level up (`_Witness`).  To a witness w the covered
 names play the part that the low names play for a top-level name.  For a
@@ -112,7 +119,7 @@ covered r,
     `w in r` = r's cell at w's equality column over L
 
 A covered y has `y = r` and `y in r` at the pair of signature classes of
-y and r (`ColumnClasses.class_atoms`), and a witness y its own values
+y and r (`ColumnClasses.eq` and `mem`), and a witness y its own values
 against r.  So w's values depend on r only through r's signature and its
 cells at the columns over L of w and of the witnesses below w that no
 class of the tables has (`extra`), which split the signature classes
@@ -174,9 +181,12 @@ pairs z with a variable w bound inside the body reads a row of z's own:
 `z in w` the row of its containers and `z = w` its equality row.  A row is
 an array of the store's item type.  Before it is read a row is filled to
 the end of the universe, never rebuilt, which is sound because atomic
-values never depend on later inserts.  Past the enumerated names, the row
-of `z in t` is a copy of the store's own row for t with its holes filled
-through the clause.  The rows are filled for every name but read only at
+values never depend on later inserts.  Over the covered names, a row is
+one gather from a class row of the tables (`ColumnClasses.gather`); `t in
+z` depends on a top-level t only through its equality class, so the
+tables keep that gather once per class (`ColumnClasses.containers`).
+Past the enumerated names, the row of `z in t` is a copy of the store's
+own row for t with its holes filled through the clause.  The rows are filled for every name but read only at
 the names the fold visits (above), each by one C-level gather kept with
 the visit for the universe's length.  Within one fold the body's value
 depends on z only through z's signature: its values in the rows of the
@@ -332,29 +342,27 @@ class NameClasses:
 
 
 class ColumnClasses:
-    """Bell's clauses by column class, for the names of one universe whose
-    ids lie below `n` (see the module docstring).
+    """Bell's clauses by signature class, for the names of one universe
+    whose ids lie below `n` (see the module docstring).
 
     The names before `low` are of lower rank than the universe's bound;
     the ones from `low` up to `n` are of the bound's rank, and the low
     names hold the entries of them all.  `n` is 0 where the tables would
-    not pay or not be sound.  A pair of two low names takes the clause,
-    and so do the low names' columns, read through a context's clauses
-    once; every other pair below `n` is read from the tables.  The names
-    are sorted into classes in id order, a top-level name's columns folded
-    from the low names' (`fold`), so each table numbers its classes in the
-    order of the first name that has them.  Each relation keeps its
-    columns by class id (`by_id`) beside the class id of each name.
+    not pay or not be sound.  `build` gives each covered name its
+    signature class (`signatures`, and its `of` array), found by passes
+    down the prefix arrays (`_pass`), and fills two class x class tables
+    at the classes' first names: `u = v` is eq[of[u]][of[v]] and `u in v`
+    is mem[of[v]][of[u]] for every covered pair not both low.  The low
+    names are classes of their own, and their pairs come from a context's
+    clauses, which also answer them outside the tables.
 
-    Every cell comes from one place, `column`: for each class, an array
-    over the names in id order, filled by one fold step per name from the
-    cell of its prefix.  `half` and `member` read a name's cells across
-    the classes.  The tables may be shared by the contexts of one
+    Each class keeps the cells of its names, their halves by membership
+    class (`halves`) and their memberships by equality class (`members`),
+    whose columns over the low names `columns` numbers by relation.  The
+    cells of every covered name at a column that no class has, which
+    witnesses bring, are folded by prefix on first use (`cells_at`,
+    `refined`).  The tables may be shared by the contexts of one
     assignment over universes that agree on their first `n` names.
-
-    The signature classes (`signatures`), the values at the pairs of
-    classes (`class_atoms`) and the classes split for witnesses
-    (`refined`) are computed from the cells on first use.
     """
 
     def __init__(self, universe: Universe, assignment: str,
@@ -366,11 +374,10 @@ class ColumnClasses:
         while low < len(names) and names[low].rank < bound:
             low += 1
         self.low, self.n = low, 0
-        self._class_atoms: Optional[tuple[Sequence[int], list[list[int]],
-                                          list[list[int]]]] = None
-        self._signatures: Optional[NameClasses] = None
-        self._refined: dict[frozenset[tuple[int, tuple[int, ...]]], NameClasses] = {}
+        self.eq: list[list[int]] = []
         self._extra: dict[tuple[int, tuple[int, ...]], array] = {}
+        self._containers: dict[tuple[int, ...], array] = {}
+        self._refined: dict[frozenset[tuple[int, tuple[int, ...]]], NameClasses] = {}
         # With one low name a clause reads one entry a side, as a table
         # lookup would.  The halves meet in another order than the clause
         # folds, which only a lattice's meet allows.
@@ -401,220 +408,127 @@ class ColumnClasses:
         # the factor of `u = v` for an entry of weight a against a membership m
         self.factor = [[meet[imp[a][m]][imp[star[m]][star[a]]] if assignment == "pa"
                         else imp[a][m] for m in range(k)] for a in range(k)]
-        # by relation: each name's class id, in id order, each class's id
-        # by its column, and by class id its column, its cells (`column`)
-        # and its steps: the cell of a name whose prefix's cell is h and
-        # whose last entry is e, at [h][e]
-        self.ids = (array("i"), array("i"))
-        self.columns: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
-        self.by_id: tuple[list[tuple[int, ...]], ...] = ([], [])
-        self.steps: tuple[list[list[list[int]]], ...] = ([], [])
-        self.cells: tuple[list[array], ...] = ([], [])
 
-    def class_of(self, ctx: EvalContext, rel: int, v: int) -> int:
-        """The class of v's column of `x = v` or of `x in v` over the low x."""
-        ids = self.ids[rel]
-        return ids[v] if v < len(ids) else self.classes(ctx, rel, v, v + 1)[0]
+    def build(self, ctx: EvalContext) -> None:
+        """Fill the tables, reading the pairs of two low names through ctx's
+        clauses.  Three passes down the prefix arrays find each name's
+        cells: its memberships at the low names' equality classes, which
+        give its membership column; its halves at every membership class,
+        which with that column give its equality column; and its
+        memberships at every equality class.  Its membership column, its
+        halves and those memberships are its signature."""
+        low, meet = self.low, self.alg.meet_t
+        lows = range(low)
+        eq_low = [[ctx.equality(x, v) for x in lows] for v in lows]
+        mem_low = [[ctx.membership(x, v) for x in lows] for v in lows]
+        e_low, low_cols = _numbered(map(tuple, eq_low))
+        states, cells = self._pass(_REL_EQ, list(low_cols))
+        of_state, in_cols = _numbered(tuple([h[e] for e in e_low]) for h in cells)
+        mc = array("i", map(of_state.__getitem__, states))
+        hs, halves = self._pass(_REL_MEM, list(in_cols))
+        # `x = v` is x's half against v's membership class met with v's
+        # against x's, so v's equality column is a function of the two
+        ec = dict.fromkeys(zip(mc, hs))
+        eq_cols: dict[tuple[int, ...], int] = {}
+        for c, s in ec:
+            col = tuple([meet[halves[hs[x]][c]][halves[s][mc[x]]] for x in lows])
+            ec[c, s] = eq_cols.setdefault(col, len(eq_cols))
+        ms, members = self._pass(_REL_EQ, list(eq_cols))
+        self.signatures = NameClasses.by_key(chain(
+            range(-low, 0), zip(mc[low:], hs[low:], ms[low:])))
+        self.of, reps = self.signatures.of, self.signatures.reps
+        self.gather = itemgetter(*self.of)  # a class row's values at every name
+        self.halves = [halves[hs[r]] for r in reps]
+        self.members = [members[ms[r]] for r in reps]
+        self.columns = (eq_cols, in_cols)
+        mcs, ecs = [mc[r] for r in reps], [ec[mc[r], hs[r]] for r in reps]
+        self.eq = [[meet[h[c]][g[d]] for g, c in zip(self.halves, mcs)]
+                   for h, d in zip(self.halves, mcs)]
+        self.mem = [[m[c] for c in ecs] for m in self.members]
+        for v in lows:
+            self.eq[v][:low], self.mem[v][:low] = eq_low[v], mem_low[v]
 
-    def classes(self, ctx: EvalContext, rel: int, lo: int, hi: int) -> array:
-        """The classes of the names lo .. hi - 1, sorting every name below
-        hi into its class first, in id order."""
-        ids = self.ids[rel]
-        if len(ids) < hi:
-            if not ids:  # the low names' columns, through the clauses
-                for r, clause in ((_REL_EQ, ctx.equality), (_REL_MEM, ctx.membership)):
-                    for v in range(self.low):
-                        self._add(r, tuple([clause(x, v) for x in range(self.low)]))
-            if rel == _REL_EQ:  # `x = v` reads v's membership class
-                self.classes(ctx, _REL_MEM, lo, hi)
-            for col in self.fold(rel, len(ids), hi):
-                self._add(rel, col)
-        return ids[lo:hi]
-
-    def _add(self, rel: int, col: tuple[int, ...]) -> None:
-        """Give the next name the class of col, a new one if col is new."""
-        known = self.columns[rel]
-        c = known.get(col)
-        if c is None:
-            c = known[col] = len(known)
-            self.by_id[rel].append(col)
-            self.steps[rel].append(self._steps(rel, col))
-            self.cells[rel].append(self._start(rel))
-        self.ids[rel].append(c)
+    def _pass(self, rel: int, cols: list[tuple[int, ...]]) -> tuple[array, list[tuple[int, ...]]]:
+        """Every covered name's cells at the columns cols over the low
+        names, as a state: the id of their tuple, in the order of the first
+        name that has it, and the tuples by id.  A cell is one step from the
+        prefix's (`_steps`), so a name's state is its prefix's state moved
+        by its last entry, and each move is computed once."""
+        steps = [self._steps(rel, col) for col in cols]
+        start = (self.alg.top_i if rel == _REL_MEM else self.alg.bottom_i,) * len(cols)
+        cells, ids, moves = [start], {start: 0}, {}
+        states, width = array("i", [0]) * self.n, self.low * len(self.alg.elements)
+        for v, p, e in zip(range(1, self.n), self.prefix[1:], self.last_entry[1:]):
+            key = states[p] * width + e
+            s = moves.get(key)
+            if s is None:
+                to = tuple([step[h][e] for step, h in zip(steps, cells[states[p]])])
+                s = moves[key] = ids.setdefault(to, len(cells))
+                if s == len(cells):
+                    cells.append(to)
+            states[v] = s
+        return states, cells
 
     def _steps(self, rel: int, col: tuple[int, ...]) -> list[list[int]]:
         """The steps of a column's cells: the cell of a name whose prefix's
-        cell is h and whose last entry is e, at [h][e]."""
+        cell is h and whose last entry is e, at [h][e].  A half (rel `in`)
+        meets the factor of e's weight against e's membership in col, and
+        a membership (rel `=`) joins e's weight met with e's equality."""
         alg = self.alg
         table, fold = ((self.factor, alg.meet_t) if rel == _REL_MEM
                        else (alg.meet_t, alg.join_t))
         step = [table[a][m] for m in col for a in range(len(alg.elements))]
         return [[row[s] for s in step] for row in fold]
 
-    def _start(self, rel: int) -> array:
-        """The cells of a column at the empty name: top for a half, bottom
-        for a membership."""
-        return array(self.typecode, [self.alg.top_i if rel == _REL_MEM else self.alg.bottom_i])
-
-    def fold(self, rel: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        """The columns of the top-level names lo .. hi - 1, of `x = v` (rel
-        `=`) or of `x in v` (rel `in`) over the low x, folded from the
-        low names' classes' cells: for each low x,
-
-            `x in v` = M[ec(x)][v]        `x = v` = H[mc(v)][x] /\\ H[mc(x)][v]
-
-        where H[c][u] is u's half against the membership column of class c
-        and M[c][v] is `u in v` for a u of equality class c (`column`).
-        This is Bell's clause for a pair with one low side: the entries of
-        x and of v are low, so every value the clause reads is a cell of
-        the low names' columns or of v's membership column.  The clause
-        stops its join at top and its meet at bottom, and meets v's entries
-        into x's half one by one; only meets and joins are reassociated,
-        which the lattice gate of the tables allows.  Equality reads the
-        membership classes of lo .. hi - 1, which must be known."""
-        low = self.low
-        if rel == _REL_MEM:
-            yield from zip(*[self.column(_REL_EQ, c, hi)[lo:hi] for c in self.ids[_REL_EQ][:low]])
-            return
-        meet, heads = self.alg.meet_t, {}
-        theirs = zip(*[self.column(_REL_MEM, c, hi)[lo:hi] for c in self.ids[_REL_MEM][:low]])
-        for c, hv in zip(self.ids[_REL_MEM][lo:hi], theirs):
-            hx = heads.get(c)
-            if hx is None:
-                hx = heads[c] = self.column(_REL_MEM, c, low)[:low]
-            yield tuple([meet[a][b] for a, b in zip(hx, hv)])
-
-    def partition(self, ctx: EvalContext, rel: str) -> tuple[array, list[tuple[int, ...]]]:
-        """The class of each covered name's column of `x = v` (rel '=') or of
-        `x in v` (rel 'in'), and the column of each class, by class id."""
-        r = _REL_EQ if rel == "=" else _REL_MEM
-        return self.classes(ctx, r, 0, self.n), self.by_id[r]
-
-    def column(self, rel: int, c: int, stop: int) -> array:
-        """Class c's cell of each name z below stop: z's half of `z = v`
-        for a v of membership class c (rel `in`), or `x in z` for an x of
-        equality class c (rel `=`).  With (x, a) z's last entry and p its
-        prefix,
-
-            H[c][z] = H[c][p] /\\ factor[a][`x in v`]
-            M[c][z] = M[c][p] \\/ (a /\\ `x = u`)
-
-        from H[c][0] = top and M[c][0] = bottom for the empty name: the
-        clause's fold over z's entries, in their order, one step a name."""
-        return self._grow(self.cells[rel][c], self.steps[rel][c], stop)
-
-    def _grow(self, cells: array, step: list[list[int]], stop: int) -> array:
-        """Fill cells by prefix, one step a name, up to stop."""
-        m = len(cells)
-        if m < stop:
-            append = cells.append
-            for p, e in zip(self.prefix[m:stop], self.last_entry[m:stop]):
-                append(step[cells[p]][e])
-        return cells
-
-    def cells_of(self, rel: str) -> list[array]:
-        """Each class's cells of every covered name, by class id (`column`):
-        halves by membership class (rel 'in'), memberships by equality
-        class (rel '=')."""
-        r = _REL_EQ if rel == "=" else _REL_MEM
-        return [self.column(r, c, self.n) for c in range(len(self.by_id[r]))]
-
-    def half(self, u: int) -> list[int]:
-        """u's side of `u = v`, for each membership class of v."""
-        return [self.column(_REL_MEM, c, u + 1)[u] for c in range(len(self.by_id[_REL_MEM]))]
-
-    def member(self, v: int) -> list[int]:
-        """`u in v`, for each equality class of u."""
-        return [self.column(_REL_EQ, c, v + 1)[v] for c in range(len(self.by_id[_REL_EQ]))]
-
-    def equality(self, ctx: EvalContext, u: int, v: int) -> int:
-        """`u = v` for u <= v and a top-level v."""
-        if u < self.low:
-            return self.by_id[_REL_EQ][self.class_of(ctx, _REL_EQ, v)][u]
-        ids, cells = self.ids[_REL_MEM], self.cells[_REL_MEM]
-        try:  # cells already filled are read directly
-            return self.alg.meet_t[cells[ids[v]][u]][cells[ids[u]][v]]
-        except IndexError:
-            cu, cv = self.class_of(ctx, _REL_MEM, u), self.class_of(ctx, _REL_MEM, v)
-            return self.alg.meet_t[self.column(_REL_MEM, cv, v + 1)[u]][
-                self.column(_REL_MEM, cu, v + 1)[v]]
-
-    def membership(self, ctx: EvalContext, u: int, v: int) -> int:
-        """`u in v` for u and v not both low."""
-        if u < self.low:
-            return self.by_id[_REL_MEM][self.class_of(ctx, _REL_MEM, v)][u]
-        try:  # cells already filled are read directly
-            return self.cells[_REL_EQ][self.ids[_REL_EQ][u]][v]
-        except IndexError:
-            return self.column(_REL_EQ, self.class_of(ctx, _REL_EQ, u), v + 1)[v]
-
-    def signatures(self, ctx: EvalContext) -> NameClasses:
-        """The covered names by signature: a top-level name's membership
-        class, equality class, row of halves H[.][u] and row of memberships
-        M[.][u]; each low name alone.  Names of one class are
-        interchangeable (see the module docstring)."""
-        if self._signatures is None:
-            low, n = self.low, self.n
-            keys = zip(self.classes(ctx, _REL_MEM, low, n), self.classes(ctx, _REL_EQ, low, n),
-                       *[cells[low:] for cells in self.cells_of("in") + self.cells_of("=")])
-            self._signatures = NameClasses.by_key(chain(range(-low, 0), keys))
-        return self._signatures
-
-    def class_atoms(self, ctx: EvalContext) -> tuple[Sequence[int], list[list[int]],
-                                                    list[list[int]]]:
-        """The signature class of each covered name, `=` by class pair and
-        `in` by class pair, read at the classes' first names: `a = b` at
-        [A][B] and `a in b` at [B][A]."""
-        if self._class_atoms is None:
-            sig, low = self.signatures(ctx), self.low
-            reps = sig.reps
-
-            def eq(a: int, b: int) -> int:
-                a, b = min(a, b), max(a, b)
-                return ctx.equality(a, b) if b < low else self.equality(ctx, a, b)
-
-            def mem(a: int, b: int) -> int:
-                return ctx.membership(a, b) if max(a, b) < low else self.membership(ctx, a, b)
-            self._class_atoms = (sig.of, [[eq(a, b) for b in reps] for a in reps],
-                                 [[mem(a, b) for a in reps] for b in reps])
-        return self._class_atoms
-
-    def refined(self, ctx: EvalContext, extra: frozenset[tuple[int, tuple[int, ...]]]
-                ) -> NameClasses:
-        """The signature classes split by each name's cells in the extra
-        columns, (rel, column) pairs that no class of the tables has: for
-        rel `in` a membership column, whose cells are halves, and for rel
-        `=` an equality column, whose cells are memberships."""
-        hit = self._refined.get(extra)
-        if hit is None:
-            base = self.signatures(ctx)
-            hit = base if not extra else NameClasses.by_key(zip(
-                base.of, *[self._extra_cells(rel, col) for rel, col in sorted(extra)]))
-            self._refined[extra] = hit
-        return hit
-
     def cells_at(self, rel: int, col: tuple[int, ...]) -> array:
         """The cells of every covered name at a column over the low names:
         halves for a membership column (rel `in`), memberships for an
         equality column (rel `=`)."""
         c = self.columns[rel].get(col)
-        return self._extra_cells(rel, col) if c is None else self.column(rel, c, self.n)
+        if c is not None:  # a gather from the class rows
+            row = [cells[c] for cells in (self.halves if rel == _REL_MEM else self.members)]
+            return array(self.typecode, self.gather(row))
+        hit = self._extra.get((rel, col))
+        if hit is None:
+            states, cells = self._pass(rel, [col])
+            hit = self._extra[rel, col] = array(self.typecode, [cells[s][0] for s in states])
+        return hit
 
-    def _extra_cells(self, rel: int, col: tuple[int, ...]) -> array:
-        cells = self._extra.get((rel, col))
-        if cells is None:
-            cells = self._extra[rel, col] = self._grow(self._start(rel), self._steps(rel, col),
-                                                       self.n)
-        return cells
+    def containers(self, t: int) -> array:
+        """`t in z` for every covered z, one gather from t's class column of
+        `mem`.  For a top-level t it is M[ec(t)][z], so the names of one
+        equality class share one array."""
+        column = [in_z[self.of[t]] for in_z in self.mem]
+        hit = self._containers.get(tuple(column))
+        if hit is None:
+            hit = self._containers[tuple(column)] = array(self.typecode, self.gather(column))
+        return hit
+
+    def refined(self, extra: frozenset[tuple[int, tuple[int, ...]]]) -> NameClasses:
+        """The signature classes split by each name's cells in the extra
+        columns, (rel, column) pairs that no class of the tables has."""
+        hit = self._refined.get(extra)
+        if hit is None:
+            hit = self._refined[extra] = self.signatures if not extra else NameClasses.by_key(
+                zip(self.of, *[self.cells_at(rel, col) for rel, col in sorted(extra)]))
+        return hit
+
+
+def _numbered(keys: Iterable[tuple[int, ...]]) -> tuple[list[int], dict[tuple[int, ...], int]]:
+    """The number of each key, distinct keys numbered in order of first
+    sight, and the numbers by key."""
+    ids: dict[tuple[int, ...], int] = {}
+    return [ids.setdefault(key, len(ids)) for key in keys], ids
 
 
 class EvalContext:
     """A universe, a designated set and one assignment style.
 
     The context owns its atomic store.  `columns` are the class tables,
-    fresh ones by default; tables passed in may be shared with other
-    contexts of the same assignment over universes that agree on every
-    name id the tables cover.
+    fresh ones by default, which the first context made with them builds;
+    tables passed in may be shared with other contexts of the same
+    assignment over universes that agree on every name id the tables
+    cover.
     """
 
     def __init__(self, universe: Universe, designated: Iterable[str],
@@ -651,11 +565,13 @@ class EvalContext:
         self.atomic_fills = 0  # values computed into the store, not read from the tables
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.names_swept = 0  # names the folds of those sweeps visited
-        self._columns = ColumnClasses(universe, assignment) if columns is None else columns
         self._witnesses: dict[int, _Witness] = {}  # by witness id (`_witness`)
         # (universe length, the witnesses' extra columns, `_visit`)
         self._visit_at: tuple[int, frozenset, Sequence[int], Optional[itemgetter]] = (
             0, frozenset(), (), None)
+        cc = self._columns = ColumnClasses(universe, assignment) if columns is None else columns
+        if cc.n and not cc.eq:  # built before any atom reads them
+            cc.build(self)
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -677,7 +593,8 @@ class EvalContext:
             u, v = v, u  # the clause is symmetric
         cc = self._columns
         if cc.low <= v < cc.n:  # a top-level name and a covered one
-            return cc.equality(self, u, v)
+            of = cc.of
+            return cc.eq[of[u]][of[v]]
         eq_rows, mem_rows = self._memo
         unset = self._unset
         row = eq_rows.get(v)
@@ -735,7 +652,8 @@ class EvalContext:
     def membership(self, u: int, v: int) -> int:
         cc = self._columns
         if cc.low <= (u if u > v else v) < cc.n:  # a top-level name and a covered one
-            return cc.membership(self, u, v)
+            of = cc.of
+            return cc.mem[of[v]][of[u]]
         eq_rows, mem_rows = self._memo
         unset = self._unset
         row = mem_rows.get(v)
@@ -794,20 +712,11 @@ class EvalContext:
         elif 0 <= t < cc.n and len(row) < cc.n:  # t is -1 in `z in z`, `z = z`
             if t < cc.low:
                 self._fill(row, rel, side, t, min(cc.low, n))
-            zs = range(len(row), min(n, cc.n))
-            if rel == _REL_MEM and side == _Z_LEFT:  # z in t
-                cs = cc.classes(self, _REL_EQ, zs.start, zs.stop)
-                mt = cc.member(t)
-                row.extend([mt[c] for c in cs])
-            elif rel == _REL_MEM:  # t in z
-                c = cc.class_of(self, _REL_EQ, t)
-                row.extend(cc.column(_REL_EQ, c, zs.stop)[zs.start:zs.stop])
-            else:  # z = t
-                cs = cc.classes(self, _REL_MEM, zs.start, zs.stop)
-                c = cc.class_of(self, _REL_MEM, t)
-                meet, ht = self._meet, cc.half(t)
-                hz = cc.column(_REL_MEM, c, zs.stop)[zs.start:zs.stop]
-                row.extend([meet[a][ht[cz]] for a, cz in zip(hz, cs)])
+            if rel == _REL_MEM and side == _Z_RIGHT:  # t in z
+                row.extend(cc.containers(t)[len(row):])
+            else:  # z = t, z in t
+                by_class = (cc.eq if rel == _REL_EQ else cc.mem)[cc.of[t]]
+                row.extend(array(self._typecode, cc.gather(by_class)[len(row):]))
         self._fill(row, rel, side, t, n)
 
     def _witness(self, w: int) -> _Witness:
@@ -820,7 +729,7 @@ class EvalContext:
 
     def _witness_values(self, w: int) -> _Witness:
         cc = self._columns
-        sig, eq_at, in_to = cc.class_atoms(self)
+        sig, eq_at, in_to = cc.of, cc.eq, cc.mem
         meet, join, factor = self._meet, self._join, cc.factor
         top, bottom = self._top, self._bottom
         entries = self.universe.names[w].entries
@@ -829,7 +738,7 @@ class EvalContext:
         covered = list(firsts)
         lower = [(a, self._witness(y)) for y, a in entries if y >= cc.n]
         inherited = frozenset().union(*[x.extra for _, x in lower])
-        classes = cc.refined(self, inherited)
+        classes = cc.refined(inherited)
         members, halves = [], []
         for r in classes.reps:
             s = sig[r]
@@ -872,7 +781,7 @@ class EvalContext:
         if m != n:
             if cc.n:
                 extra = extra.union(*[self._witness(w).extra for w in range(max(m, cc.n), n)])
-                visit = [*cc.refined(self, extra).reps, *range(cc.n, n)]
+                visit = [*cc.refined(extra).reps, *range(cc.n, n)]
                 gather = itemgetter(*visit)
             else:
                 visit = range(n)
@@ -944,7 +853,7 @@ class EvalContext:
         the names the class tables cover, their signature classes
         (`ColumnClasses.signatures`); otherwise every name alone."""
         cc, n = self._columns, len(self.universe.names)
-        return cc.signatures(self) if 0 < cc.n == n else NameClasses.singletons(n)
+        return cc.signatures if 0 < cc.n == n else NameClasses.singletons(n)
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -1066,76 +1067,46 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
     `in` then `=`), then `=` for u <= v, then `in` for all (u, v).  Every
     value is the engine's; it is asked only the pairs of bad class pairs.
 
-    Where the tables of `evaluate.ColumnClasses` cover every name, the low
-    rows hold each name's two columns over the low names, and the engine
-    answers them from the columns, which it reads through the clauses for
-    the low names alone.  So the low rows agree exactly when every name
-    has the same two columns under ba as under pa.  Each table numbers
-    its classes in the order of the first name that has them, so that
-    holds exactly when the two tables give every name the same class ids
-    and every class id the same column, which is compared.  Only if they
-    differ is the engine asked the low rows, pair by pair, so every record
-    and every `limit` prefix come out as the engine gives them.
-
-    Once the low rows agree, ba and pa sort the names into the same
-    classes (16 membership and 9 equality classes for the 3125 names of
-    bool4 at rank 3), and the fold reads each assignment's own cells: for
-    each class, the array the tables fill by prefix, one step a name, with
-    every name's half against that membership class or its `in` value for
-    that equality class.  u and v range independently over their classes,
-    so meeting every (ba, pa) half of class a against b with every half of
-    b against a gives exactly the `=` values of all their pairs; the pair
-    (a, b) is bad if two of them differ.  An equality class is bad for
-    `in` if its arrays differ between the tables.  Without tables covering
-    every name (rank 2, say), the engine is asked the low rows, and then,
-    as when they disagree, all names form one bad class.
+    The classes are those shared under ba and pa: names of one class under
+    both `name_classes()` (16 classes beside the 5 low names for the 3125
+    names of bool4 at rank 3, where the tables cover every name; every
+    name alone where they do not, as at rank 2).  Two names of one class
+    answer every atom alike under either assignment, against each other
+    too, so each relation has one value per pair of classes and
+    assignment, the value at the classes' first names.  A pair of classes
+    is bad for a relation where its two values differ, and every pair of
+    names from a bad pair of classes is asked, in the order above.
     """
-    uni = ws.universe
-    alg = ws.algebra
-    n = len(uni)
-    ba, pa = ws.ba, ws.pa
-    out: list[dict] = []
+    n = len(ws.universe)
+    alg, ba, pa = ws.algebra, ws.ba, ws.pa
+    classes = NameClasses.by_key(zip(ba.name_classes().of, pa.name_classes().of))
+    of, reps = classes.of, classes.reps
 
-    def ask(pairs: Iterable[tuple[str, int, int]]) -> bool:
-        """Add each pair whose two values differ; true once at the limit."""
-        for rel, u, v in pairs:
-            vba, vpa = (ctx.equality(u, v) if rel == "=" else ctx.membership(u, v)
-                        for ctx in (ba, pa))
+    def values(rel: str, u: int, v: int) -> tuple[int, int]:
+        """The engine's values of rel at (u, v) under ba and under pa."""
+        if rel == "=":
+            return ba.equality(u, v), pa.equality(u, v)
+        return ba.membership(u, v), pa.membership(u, v)
+
+    bad: dict[str, dict[int, set[int]]] = {"=": {}, "in": {}}
+    for rel, by_class in bad.items():
+        for a, u in enumerate(reps):
+            row = {b for b, v in enumerate(reps) if operator.ne(*values(rel, u, v))}
+            if row:
+                by_class[a] = row
+    out: list[dict] = []
+    low = [s for s in range(n) if ws.universe.rank_of(s) < ws.rank_bound]
+    for rel, u, v in itertools.chain(
+            ((rel, s, v) for s in low for v in range(n) for rel in ("in", "=")),
+            (("=", u, v) for u in range(n) if of[u] in bad["="] for v in range(u, n)),
+            (("in", u, v) for u in range(n) if of[u] in bad["in"] for v in range(n))):
+        if of[v] in bad[rel].get(of[u], ()):
+            vba, vpa = values(rel, u, v)
             if vba != vpa:
                 out.append(ws.atomic_counterexample("pa", rel, u, v, alg.elements[vpa],
                                                     note=f"ba gives {alg.elements[vba]}"))
                 if len(out) >= limit:
-                    return True
-        return False
-
-    cb, cp = ws._shared.columns["ba"], ws._shared.columns["pa"]
-    parts = ([(cb.partition(ba, rel), cp.partition(pa, rel)) for rel in ("in", "=")]
-             if cb.n == cp.n == n else None)
-    if parts is None or any(b != p for b, p in parts):
-        if ask((rel, s, v) for s in range(n) if uni.rank_of(s) < ws.rank_bound
-               for v in range(n) for rel in ("in", "=")):
-            return out
-
-    m_of, e_of = [0] * n, [0] * n
-    bad_eq, bad_in = {0: {0}}, {0}
-    if not out and parts is not None:
-        meet = alg.meet_t
-        m_of, e_of = (ids for (ids, _), _ in parts)
-        halves: dict[tuple[int, int], set[tuple[int, int]]] = {}
-        for b, (hb, hp) in enumerate(zip(cb.cells_of("in"), cp.cells_of("in"))):
-            for a, h, g in set(zip(m_of, hb, hp)):
-                halves.setdefault((a, b), set()).add((h, g))
-        bad_eq = {}
-        for (a, b), hs in halves.items():
-            if any(meet[hb][gb] != meet[hp][gp] for hb, hp in hs for gb, gp in halves[b, a]):
-                bad_eq.setdefault(a, set()).add(b)
-        bad_in = {c for c, (mb, mp) in enumerate(zip(cb.cells_of("="), cp.cells_of("=")))
-                  if mb != mp}
-
-    ask(itertools.chain(
-        (("=", u, v) for u in range(n) if m_of[u] in bad_eq
-         for v in range(u, n) if m_of[v] in bad_eq[m_of[u]]),
-        (("in", u, v) for u in range(n) if e_of[u] in bad_in for v in range(n))))
+                    break
     return out
 
 

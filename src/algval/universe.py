@@ -153,7 +153,9 @@ def build_universe(algebra: Algebra, rank_bound: int,
 
 # -- CLI name-entry literals --------------------------------------------------------
 
-_ENTRY_RE = re.compile(r"#(\d+)\s*:\s*([A-Za-z0-9_]+)")
+# an element is any token without whitespace, ',' or '#', as in the
+# algebra text format; `Algebra.resolve` rejects one the algebra lacks
+_ENTRY_RE = re.compile(r"#(\d+)\s*:\s*([^\s,#]+)")
 
 
 def parse_name_literal(text: str, universe: Universe) -> int:

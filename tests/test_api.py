@@ -26,10 +26,13 @@ module reads `_extend`, `_fill` or `_rows`; a caller that needs a name's
 values against every name asks `EvalContext.row`, which fills its row the
 same way.
 
-Cell guard: the class tables' cells are the clause's folds, filled by
-prefix in `evaluate` alone, so no other module reads the factor table or
-the prefix arrays they are computed from (`factor`, `steps`, `prefix`,
-`last_entry`); a reader asks the tables for their cells.
+Cell guard: the class tables, each name's signature class and the
+`=` and `in` values by pair of classes, come from passes down the prefix
+arrays in `evaluate` alone, whose steps are the clause's folds.  So no
+other module reads what they are computed from (`factor`, `steps`,
+`prefix`, `last_entry`), the tables (`eq`, `mem`) or a class's cells
+(`halves`, `members`); a reader asks the engine its values, and
+`EvalContext.name_classes` its classes.
 
 Formula-source guard: every formula list a check sweeps comes from
 `formulas.battery`, so only it and `check_ps3_agreement`'s propositional
@@ -272,12 +275,12 @@ def test_row_guard_sees_a_planted_reader(tmp_path):
     assert row_internal_readers(tmp_path) == ["quotient", "quotient.build_quotient"]
 
 
-CELL_SOURCES = {"factor", "steps", "prefix", "last_entry"}
+CELL_SOURCES = {"factor", "steps", "prefix", "last_entry", "eq", "mem", "halves", "members"}
 
 
 def cell_computers(src: Path) -> list[str]:
-    """The definitions outside `evaluate` that read what a table cell is
-    computed from."""
+    """The definitions outside `evaluate` that read the class tables or
+    what they are computed from."""
     return _owners(src, lambda node: isinstance(node, ast.Attribute)
                    and node.attr in CELL_SOURCES, skip=frozenset({"evaluate"}))
 

@@ -75,6 +75,20 @@ class TestEval:
         assert r.exit_code == 2
         assert "duplicate key #0" in r.output
 
+    @pytest.mark.parametrize("algebra", ["chain31", "chain40"])
+    @pytest.mark.parametrize("element", ["|", "}", "~", "e31"])
+    def test_name_literals_take_every_chain_element(self, runner, algebra, element):
+        # chain31's elements past `z` are `{`, `|` and `}`; chain40 has `~`
+        # and `e31` too.  An element the algebra lacks is an input error.
+        r = invoke(runner, "eval", "-a", algebra, "--name", f"{{#0: {element}}}", "#1 in #1")
+        if element in builtin(algebra)[0].elements:
+            assert r.exit_code == 0
+            assert r.stderr.startswith("name #")
+            assert r.stderr.endswith(f" = {{#0: {element}}}\n")
+        else:
+            assert r.exit_code == 2
+            assert r.stderr == f"error: unknown element {element!r} of algebra {algebra}\n"
+
 
 class TestAlgebraCheck:
     def test_ps3_passes(self, runner):

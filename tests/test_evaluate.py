@@ -10,7 +10,9 @@ from test_formulas import formula_strategy
 from algval import algebra
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
 from algval.errors import CapabilityError, InputError
-from algval.evaluate import ASSIGNMENTS, EvalContext, bq_sides
+from algval.evaluate import (
+    _REL_EQ, _REL_MEM, ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses, bq_sides,
+)
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
     children, free_vars, instantiate_axiom, is_negation_free, parse, print_formula, subst_const,
@@ -813,35 +815,39 @@ def test_class_derived_atoms_match_reference_clauses(algname, rank, assignment):
     ctx = EvalContext(uni, d, assignment)
     columns = ctx._columns
     assert columns.low >= 2 and columns.n == len(uni)
-    eq, mem = reference_clauses(ctx)
+    eq, mem, of = *reference_clauses(ctx), columns.of
     for u in uni.ids():
         for v in uni.ids():
             if max(u, v) >= columns.low:  # two low names take the clause
-                assert columns.equality(ctx, u, v) == eq(u, v), ("=", u, v)
-                assert columns.membership(ctx, u, v) == mem(u, v), ("in", u, v)
+                assert columns.eq[of[u]][of[v]] == eq(u, v), ("=", u, v)
+                assert columns.mem[of[v]][of[u]] == mem(u, v), ("in", u, v)
 
 
 @pytest.mark.parametrize("algname, rank", [(name, 2) for name in BUILTIN_NAMES]
                          + [("ps3", 3), ("chain3", 3), ("bool4", 3)])
 @pytest.mark.parametrize("assignment", ASSIGNMENTS)
 def test_folded_columns_match_reference_clauses(algname, rank, assignment):
-    # a top-level name's columns are folded from the low names' tables, and
-    # the engine answers every low x top pair from them
+    # a top-level name's columns come from the passes down the prefix
+    # arrays, the engine answers every low x top pair from the class rows,
+    # and the columns the tables know are those of the covered names
     alg, d = builtin(algname)
     uni = covered_universe(alg, rank)
     ctx = EvalContext(uni, d, assignment)
     columns, low = ctx._columns, ctx._columns.low
     assert low >= 2 and columns.n == len(uni)
-    eq, mem = reference_clauses(ctx)
+    eq, mem, of = *reference_clauses(ctx), columns.of
     for v in range(low, len(uni)):
         for x in range(low):
             assert ctx.equality(x, v) == ctx.equality(v, x) == eq(x, v), ("=", x, v)
             assert ctx.membership(x, v) == mem(x, v), ("in", x, v)
             assert ctx.membership(v, x) == mem(v, x), ("in", v, x)
-    (eq_of, eq_cols), (in_of, in_cols) = (columns.partition(ctx, rel) for rel in ("=", "in"))
-    for v in range(low, len(uni)):
-        assert eq_cols[eq_of[v]] == tuple(eq(x, v) for x in range(low)), ("=", v)
-        assert in_cols[in_of[v]] == tuple(mem(x, v) for x in range(low)), ("in", v)
+    eq_cols = [tuple(eq(x, v) for x in range(low)) for v in uni.ids()]
+    in_cols = [tuple(mem(x, v) for x in range(low)) for v in uni.ids()]
+    for v in range(low, len(uni)):  # the low names are the first classes
+        assert tuple(columns.eq[of[v]][:low]) == eq_cols[v], ("=", v)
+        assert tuple(columns.mem[of[v]][:low]) == in_cols[v], ("in", v)
+    assert list(columns.columns[_REL_EQ]) == list(dict.fromkeys(eq_cols))
+    assert list(columns.columns[_REL_MEM]) == list(dict.fromkeys(in_cols))
 
 
 def per_entry_folds(ctx):
@@ -871,27 +877,88 @@ def per_entry_folds(ctx):
     return half_cell, member_cell
 
 
+def reference_route(ctx):
+    """The differences between ctx's class tables and the signature
+    computed from every cell: each covered name's membership and equality
+    columns over the low names, its halves at every membership column and
+    its memberships at every equality column, through the clauses one name
+    at a time (`reference_clauses`, `per_entry_folds`), and its class of
+    equal signatures, the low names each alone.  A difference names what
+    differs, the first name with a wrong class or else every name with
+    wrong columns or cells; none is found where the tables are right."""
+    tables = ctx._columns
+    low, n, of = tables.low, tables.n, tables.of
+    eq, mem = reference_clauses(ctx)
+    half_cell, member_cell = per_entry_folds(ctx)
+    in_col = [tuple(mem(x, v) for x in range(low)) for v in range(n)]
+    eq_col = [tuple(eq(x, v) for x in range(low)) for v in range(n)]
+    in_cols, eq_cols = list(dict.fromkeys(in_col)), list(dict.fromkeys(eq_col))
+    halves = [tuple(half_cell(v, col) for col in in_cols) for v in range(n)]
+    members = [tuple(member_cell(v, col) for col in eq_cols) for v in range(n)]
+    signatures = NameClasses.by_key(itertools.chain(
+        range(-low, 0), zip(halves[low:], members[low:])))
+    out = [("classes", v) for v in range(n) if of[v] != signatures.of[v]][:1]
+    # the low names are the first classes, so a class's row of each table
+    # begins with its names' column
+    out += [("columns", v) for v in range(low, n)
+            if (tuple(tables.eq[of[v]][:low]), tuple(tables.mem[of[v]][:low]))
+            != (eq_col[v], in_col[v])]
+    for rel, cols, cells, by_class in ((_REL_MEM, in_cols, halves, tables.halves),
+                                       (_REL_EQ, eq_cols, members, tables.members)):
+        known = tables.columns[rel]
+        if set(known) != set(cols):
+            out.append(("columns", rel))
+        else:
+            out += [("cells", rel, v) for v in range(n)
+                    if tuple(by_class[of[v]][known[col]] for col in cols) != cells[v]]
+    return out
+
+
 @pytest.mark.parametrize("algname, rank", [(name, 2) for name in BUILTIN_NAMES]
-                         + [("ps3", 3), ("chain3", 3), ("bool4", 3)])
+                         + [("ps3", 3), ("chain3", 3), ("bool4", 3), ("bool2", 3),
+                            ("chain4", 3)])
 @pytest.mark.parametrize("assignment", ASSIGNMENTS)
 def test_class_cells_match_per_entry_folds(algname, rank, assignment):
-    # the tables fill each class's cells by prefix, one step a name; every
-    # cell must be the clause's fold over that name's entries
+    # the tables find each name's cells and class by transition, one move
+    # per (state, last entry) of a pass down the prefix arrays; every cell
+    # of every name must be the clause's fold over its entries, and every
+    # column and class the one the reference route gives
     alg, d = builtin(algname)
     uni = covered_universe(alg, rank)
     ctx = EvalContext(uni, d, assignment)
-    columns = ctx._columns
-    assert columns.n == len(uni)
-    half_cell, member_cell = per_entry_folds(ctx)
-    (_, in_cols), (_, eq_cols) = (columns.partition(ctx, rel) for rel in ("in", "="))
-    for rel, cols, cell in (("in", in_cols, half_cell), ("=", eq_cols, member_cell)):
-        cells = columns.cells_of(rel)
-        assert len(cells) == len(cols) > 0
-        for c, (col, row) in enumerate(zip(cols, cells)):
-            assert list(row) == [cell(v, col) for v in uni.ids()], (rel, c)
-    for v in uni.ids():
-        assert columns.half(v) == [half_cell(v, col) for col in in_cols], v
-        assert columns.member(v) == [member_cell(v, col) for col in eq_cols], v
+    assert ctx._columns.n == len(uni)
+    assert reference_route(ctx) == []
+
+
+@pytest.mark.parametrize("target", [0, 1, 2])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_a_planted_wrong_step_fails_the_reference_route(monkeypatch, target, assignment):
+    # one step of one pass made wrong (the memberships at the low names'
+    # equality classes, the halves, the memberships): at the pass's first
+    # column, the move of the last name's prefix's cell by its last entry,
+    # and with it that name's (state, last entry) transition
+    alg, d = ps3()
+    uni = build_universe(alg, 3)
+    half_cell, member_cell = per_entry_folds(EvalContext(uni, d, assignment))
+    last, k = len(uni) - 1, len(alg.elements)
+    x, a = uni.entries_of(last)[-1]
+    run_pass, steps, firsts = ColumnClasses._pass, ColumnClasses._steps, []
+
+    def counted_pass(self, rel, cols):
+        firsts.append(cols[0])
+        return run_pass(self, rel, cols)
+
+    def wrong_steps(self, rel, col):
+        out = steps(self, rel, col)
+        if len(firsts) == target + 1 and col is firsts[-1]:
+            h = (half_cell if rel == _REL_MEM else member_cell)(self.prefix[last], col)
+            out[h][x * k + a] = (out[h][x * k + a] + 1) % k
+        return out
+
+    monkeypatch.setattr(ColumnClasses, "_pass", counted_pass)
+    monkeypatch.setattr(ColumnClasses, "_steps", wrong_steps)
+    ctx = EvalContext(uni, d, assignment)
+    assert len(firsts) == 3 and reference_route(ctx) != []
 
 
 @pytest.mark.parametrize("prefix", ["before", "after", "never"])
@@ -950,7 +1017,7 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
     eq, mem = reference_clauses(ctx)
     if assignment == "ba":
         assert ctx._witness(w).extra and ctx._witness(v).extra
-        sig, fine = tables.signatures(ctx).of, ctx._witness(v).of
+        sig, fine = tables.signatures.of, ctx._witness(v).of
         assert len(set(fine)) > len(set(sig))
         # two names of one signature class that w's columns set apart, as
         # the entries of one witness
@@ -977,7 +1044,7 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
     # a sweep visits the first name of each class of names that are
     # interchangeable beside the witnesses, and every witness
     visit, _ = ctx._visit()
-    classes = tables.refined(ctx, ctx._visit_at[1])
+    classes = tables.refined(ctx._visit_at[1])
     assert visit == [*classes.reps, *range(tables.n, len(uni))]
     for z in range(tables.n):
         r = classes.reps[classes.of[z]]
@@ -1222,4 +1289,4 @@ def test_a_sweep_without_the_tables_visits_every_name():
     uni.insert({1: alg.top_i, len(uni) - 1: alg.top_i})
     ctx = EvalContext(uni, d, "pa")
     assert ctx._columns.n == len(uni) - 1 and ctx.value(f) == alg.bottom_i
-    assert ctx.names_swept == len(ctx._columns.signatures(ctx).reps) + 1 < len(uni)
+    assert ctx.names_swept == len(ctx._columns.signatures.reps) + 1 < len(uni)

@@ -4,9 +4,10 @@ Each `golden/rank2-<name>.records` is the output of
 
     algval check all -a <name> --rank 2 --format records
 
-for a builtin, and `golden/rank3-ps3.records` that of
+for a builtin, and each `golden/rank3-<name>.records` (ps3, bool4, chain3
+and chain4) that of
 
-    algval check all -a ps3 --rank 3 --format records
+    algval check all -a <name> --rank 3 --format records
 
 A change that is meant to alter a record must regenerate the file with
 that command and say why; any other difference is a regression.  No check
@@ -44,3 +45,8 @@ def test_rank2_records_do_not_depend_on_the_seed(name):
 
 def test_rank3_ps3_records_match_golden():
     assert records("ps3", 3) == (GOLDEN / "rank3-ps3.records").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["bool4", "chain3", "chain4"])
+def test_rank3_records_match_golden(name):
+    assert records(name, 3) == (GOLDEN / f"rank3-{name}.records").read_text(encoding="utf-8")

@@ -18,7 +18,7 @@ from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
 from algval.cli import cli
 from algval.errors import InputError
-from algval.evaluate import _REL_EQ, _REL_MEM, ASSIGNMENTS, EvalContext, NameClasses
+from algval.evaluate import ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses
 from algval.formulas import Eq, Imp, Var, parse
 from algval.theorems import (
     CHECKS,
@@ -197,59 +197,39 @@ class TestCoincidenceSweep:
         assert coincidence_mismatches(ws) == []
 
     @pytest.mark.parametrize("plant", ["factor", "member_cell", "column", "class_column"])
-    def test_planted_table_defect_found_on_every_pair(self, monkeypatch, plant):
+    def test_planted_table_defect_found_on_every_pair(self, plant):
         # a defect in the pa tables alone makes the engine's two assignments
-        # disagree; the fold must send the engine to every such pair, and a
-        # wrong cell in a folded column to the low rows too
+        # disagree; the classes must send the engine to every such pair.
+        # The plants: the factor table before the tables are built, the
+        # cell of `u in last` for a top-level u, the cell of `x in last` for
+        # a low x (a low row), and the cell of `x = last` both ways round
         alg, d = builtin("bool2")
         ws = Workspace(alg, d, rank_bound=3)
-        tables, k = ws.pa._columns, len(alg.elements)
-        last = len(ws.universe) - 1
-        assert last >= tables.low
+        k, last = len(alg.elements), len(ws.universe) - 1
         if plant == "factor":
-            tables.factor[alg.top_i][alg.bottom_i] = alg.top_i
+            ws._shared.columns["pa"].factor[alg.top_i][alg.bottom_i] = alg.top_i
+        tables = ws.pa._columns
+        of, low = tables.of, tables.low
+        assert last >= low and of[low] != of[last]
+        if plant == "member_cell":
+            tables.mem[of[last]][of[low]] = (tables.mem[of[last]][of[low]] + 1) % k
         elif plant == "column":
-            fold = tables.fold
-
-            def wrong(rel, lo, hi):
-                for v, col in enumerate(fold(rel, lo, hi), lo):
-                    if rel == _REL_MEM and v == last:
-                        col = ((col[0] + 1) % k,) + col[1:]
-                    yield col
-            monkeypatch.setattr(tables, "fold", wrong)
+            tables.mem[of[last]][1] = (tables.mem[of[last]][1] + 1) % k
         elif plant == "class_column":
-            # one wrong column for every name of the last name's membership
-            # class, so the pa classes group the names as the ba ones do
-            ref = EvalContext(ws.universe, d, "pa")
-            ids, cols = ref._columns.partition(ref, "in")
-            target = cols[ids[last]]
-            shifted = ((target[0] + 1) % k,) + target[1:]
-            assert shifted not in cols and ids[last] not in ids[:tables.low]
-            fold = tables.fold
-
-            def wrong(rel, lo, hi):
-                for col in fold(rel, lo, hi):
-                    yield shifted if rel == _REL_MEM and col == target else col
-            monkeypatch.setattr(tables, "fold", wrong)
-        else:
-            # one wrong step of the prefix pass: the last name's membership
-            # cell, which no later name's cell folds from
-            column, planted = tables.column, set()
-
-            def wrong(rel, c, stop):
-                cells = column(rel, c, stop)
-                if rel == _REL_EQ and len(cells) > last and c not in planted:
-                    planted.add(c)
-                    cells[last] = (cells[last] + 1) % k
-                return cells
-            monkeypatch.setattr(tables, "column", wrong)
+            wrong = (tables.eq[of[last]][1] + 1) % k
+            tables.eq[of[last]][1] = tables.eq[1][of[last]] = wrong
         got = coincidence_mismatches(ws, limit=10**9)
         assert got and got == engine_mismatches(ws)
 
-    def test_fold_asks_no_pair_of_two_top_level_names_on_bool4_rank3(self, monkeypatch):
+    def test_coincidence_asks_only_first_names_on_bool4_rank3(self, monkeypatch):
+        # past the low names, the engine is asked only at the first names of
+        # the classes shared under ba and pa, once per pair, relation and
+        # assignment
         alg, d = builtin("bool4")
         ws = Workspace(alg, d, rank_bound=3)
         low = sum(ws.universe.rank_of(nid) < 3 for nid in range(len(ws.universe)))
+        reps = set(NameClasses.by_key(zip(ws.ba.name_classes().of,
+                                          ws.pa.name_classes().of)).reps)
         calls = []
         for name in ("equality", "membership"):
             engine = getattr(EvalContext, name)
@@ -260,20 +240,21 @@ class TestCoincidenceSweep:
                 return engine(self, u, v)
             monkeypatch.setattr(EvalContext, name, counted)
         assert coincidence_mismatches(ws) == []
-        assert calls == []
+        assert calls and {u for pair in calls for u in pair} <= reps
+        assert len(calls) <= 2 * 2 * len(reps) ** 2 < len(ws.universe)
 
-    def test_partitions_fill_only_low_pairs_on_bool4_rank3(self):
-        # the columns of the top-level names are folded from the low
-        # names' tables, so only the low x low pairs enter the store
+    def test_tables_fill_only_low_pairs_on_bool4_rank3(self):
+        # the tables read only the low x low pairs through the clauses, and
+        # their values never enter the store, so only those pairs do
         alg, d = builtin("bool4")
         ws = Workspace(alg, d, rank_bound=3)
+        assert coincidence_mismatches(ws) == []
         for assignment in ASSIGNMENTS:
             ctx = ws.ctx(assignment)
-            columns = ctx._columns
-            for rel in ("in", "="):
-                columns.partition(ctx, rel)
-            cells = sum(1 for _ in stored_values(ctx._memo))
-            assert 0 < cells <= 2 * columns.low ** 2
+            low = ctx._columns.low
+            stored = [pair for pair, _ in stored_values(ctx._memo)]
+            assert stored and all(max(u, v) < low for _, u, v in stored)
+            assert len(stored) <= 2 * low ** 2
 
 
 def engine_mismatches(ws):
@@ -1314,23 +1295,26 @@ PAIR_ROUTES = [("two-valued", two_valued_by_pairs),
 
 
 def plant_cell(run, rel, name, value):
-    """Set one cell of the run's pa tables at the last name: its half
-    against the membership class of `name` (rel 'in') or its membership
-    for the equality class of `name` (rel '='), every cell filled first so
-    that no later cell folds from the planted one.  The cell must change."""
-    ctx = run.workspace().pa
-    tables = ctx._columns
-    ids, _ = tables.partition(ctx, rel)
-    cells = tables.cells_of(rel)[ids[name]]
-    assert cells[-1] != value
-    cells[-1] = value
+    """Set one cell of the run's pa tables at the class of the last name:
+    rel names the column the cell was read against, as the cells of
+    names were, so 'in' sets `#name = #last`, the meet of the two halves
+    (both ways round, for the table is symmetric), and '=' sets
+    `#name in #last`.  Every name of the two classes reads the planted
+    value.  The cell must change."""
+    tables = run.workspace().pa._columns
+    a, b = tables.of[name], tables.of[-1]
+    table = tables.eq if rel == "in" else tables.mem
+    assert table[b][a] != value
+    table[b][a] = value
+    if rel == "in":
+        table[a][b] = value
 
 
 # (rel, name, value) of `plant_cell` on ps3 at rank 3
-PLANTS = [("in", 255, "half"),  # its own half made half: `#255 = #255` is half
-          ("in", 255, "0"),     # its own half made bottom: `#255 = #255` is bottom
-          ("=", 4, "1"),        # a membership made top
-          ("=", 0, "half")]     # a membership made half
+PLANTS = [("in", 255, "half"),  # `#255 = #255` made half
+          ("in", 255, "0"),     # `#255 = #255` made bottom
+          ("=", 4, "1"),        # `#4 in #255` made top
+          ("=", 0, "half")]     # `#0 in #255` made half
 
 
 class TestClassRoutes:
@@ -1358,8 +1342,8 @@ class TestClassRoutes:
         by_names = quotient_by_names(Run(alg, d, rank).workspace().pa)
         assert same_outcome(quotient_by_single_names(Run(alg, d, rank).workspace().pa), by_names)
 
-    @pytest.mark.parametrize("rel, name, value", [("in", 255, "a"),  # `#147 = #255` is a
-                                                  ("=", 0, "a")])     # a membership made a
+    @pytest.mark.parametrize("rel, name, value", [("in", 255, "a"),  # `#255 = #255` is a
+                                                  ("=", 0, "a")])     # `#0 in #255` is a
     def test_a_defect_the_classes_hand_to_the_single_names(self, rel, name, value):
         alg, d = builtin("chain3")
 
@@ -1434,8 +1418,9 @@ class TestClassRoutes:
 
     @pytest.mark.parametrize("rel, name, value", PLANTS)
     def test_a_planted_cell_fails_where_the_reference_does(self, rel, name, value):
-        # the signature reads the planted cell, so the last name leaves its
-        # class, and every route asks its values at the name itself
+        # every name of the last name's class reads the planted cell alike,
+        # so the classes stay as they were, and the routes by classes fail
+        # as the routes by names do
         alg, d = ps3()
 
         def planted():
@@ -1450,7 +1435,8 @@ class TestClassRoutes:
         assert same_outcome(quotient_by_class(ctx), by_names)
         assert same_outcome(quotient_by_single_names(planted().workspace().pa), by_names)
         classes = ctx.name_classes()
-        assert classes.sizes[classes.of[255]] == 1
+        assert list(classes.of) == list(Run(alg, d, 3).workspace().pa.name_classes().of)
+        assert classes.sizes[classes.of[255]] > 1
 
     def test_planted_cells_fail_every_pair_check(self):
         alg, d = ps3()
@@ -1484,8 +1470,8 @@ class TestClassRoutes:
         ctx = EvalContext(uni, d, "ba")
         tables = ctx._columns
         assert tables.n == len(uni)
-        ids, _ = tables.partition(ctx, "in")
-        assert ids[u] == ids[v] and tables.half(u) != tables.half(v)
+        a, b, low = tables.of[u], tables.of[v], tables.low  # the low names lead each row
+        assert tables.mem[a][:low] == tables.mem[b][:low] and tables.halves[a] != tables.halves[b]
         classes = ctx.name_classes()
         assert classes.of[u] != classes.of[v]
         assert_clauses_match_reference(ctx)
@@ -1498,11 +1484,15 @@ class TestClassRoutes:
         classes = ws.pa.name_classes()
         assert list(classes.of) == list(classes.reps) == list(range(len(ws.universe)))
 
-    def test_boolean_coincidence_computes_no_signature(self):
+    def test_boolean_coincidence_builds_each_table_once(self, monkeypatch):
+        # one build per assignment, when its first context is made
         alg, d = builtin("bool4")
+        built, build = [], ColumnClasses.build
+        monkeypatch.setattr(ColumnClasses, "build",
+                            lambda self, ctx: built.append(ctx.assignment) or build(self, ctx))
         run = Run(alg, d, 3)
         assert run_check("boolean-coincidence", run).verdict == "pass"
-        assert all(t._signatures is None for t in run._enumerated[3].columns.values())
+        assert sorted(built) == ["ba", "pa"]
 
     def test_the_pa_tables_take_the_prefix_arrays_of_the_ba_tables(self):
         alg, d = ps3()
