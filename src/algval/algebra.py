@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -173,14 +172,14 @@ class Algebra:
 # -- law reports ---------------------------------------------------------------
 
 
-@dataclass
 class AlgebraReport:
     """Named verdicts plus a counterexample tuple for every failed law."""
 
-    algebra: str
-    verdicts: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    info: dict[str, str] = field(default_factory=dict)
+    def __init__(self, algebra: str):
+        self.algebra = algebra
+        self.verdicts: dict[str, bool] = {}
+        self.witnesses: dict[str, tuple[str, ...]] = {}
+        self.info: dict[str, str] = {}
 
     def record(self, law: str, ok: bool, witness: tuple[str, ...] = ()):
         self.verdicts[law] = ok

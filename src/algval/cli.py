@@ -3,20 +3,20 @@
 Subcommands: `algebra check`, `universe build`, `eval`, `check`, `quotient
 export` and `logic`.  Exit code 0 means every selected verification passed,
 1 means at least one failed (its counterexample is printed), 2 is a usage
-or input problem.  The options that name an `envvar` below can also be set
-through that environment variable, and no others can.  Every check
-enumerates what it sweeps, so the machine-readable record output is
-byte-identical across runs of the same configuration.
+or input problem.  The options that name an `env` variable below can also
+be set through that environment variable, and no others can; a value from
+the variable is checked as the flag's would be.  Every check enumerates
+what it sweeps, so the machine-readable record output is byte-identical
+across runs of the same configuration.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from contextlib import suppress
 from typing import Optional
-
-import click
 
 from .algebra import (
     BUILTIN_NAMES, Algebra, builtin, check_cobounded, check_drim,
@@ -45,70 +45,136 @@ def _resolve_algebra(spec: str, designated: Optional[str]
     return alg, d
 
 
-def algebra_options(fn):
-    fn = click.option(
-        "--designated", "designated_spec", default=None, envvar="ALGVAL_DESIGNATED",
-        help="override the designated set (comma separated element ids)")(fn)
-    fn = click.option(
-        "--algebra", "-a", "algebra_spec", default="ps3", envvar="ALGVAL_ALGEBRA",
-        show_default=True,
-        help=f"builtin ({', '.join(BUILTIN_NAMES)}) or a definition file")(fn)
-    return fn
+def _at_least(least: int):
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        return value
+    return integer
 
 
-def run_options(fn):
-    fn = click.option("--budget", default=DEFAULT_BUDGET, type=click.IntRange(min=0),
-                      envvar="ALGVAL_BUDGET", show_default=True,
-                      help="name enumeration budget")(fn)
-    fn = click.option("--rank", default=2, type=click.IntRange(min=1),
-                      envvar="ALGVAL_RANK", show_default=True,
-                      help="rank bound of the enumerated universe")(fn)
-    return fn
+def _one_of(*choices: str):
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {text!r} (choose from {', '.join(choices)})")
+        return text
+    return choice
 
 
-format_option = click.option("--format", "fmt", type=click.Choice(["text", "records"]),
-                             default="text", envvar="ALGVAL_FORMAT", show_default=True)
+def _option(parser, *flags, env: Optional[str] = None, default=None, help: str = "", **kw):
+    """Add an option whose default is the value of `env`, when that is set.
+    argparse converts a string default with `type` when the flag is not
+    given, so a bad value there exits 2 naming the option, as a bad flag
+    does.  argparse checks no default against `choices`, so `type` checks
+    the choices too (`_one_of`)."""
+    if env:
+        default = os.environ.get(env, default)
+        help += f" [env: {env}]"
+    parser.add_argument(*flags, default=default, help=f"{help} (default: %(default)s)", **kw)
+
+
+def _algebra_options(parser):
+    _option(parser, "--algebra", "-a", env="ALGVAL_ALGEBRA", default="ps3",
+            help=f"builtin ({', '.join(BUILTIN_NAMES)}) or a definition file")
+    _option(parser, "--designated", env="ALGVAL_DESIGNATED",
+            help="override the designated set (comma separated element ids)")
+
+
+def _run_options(parser):
+    _option(parser, "--rank", env="ALGVAL_RANK", default=2, type=_at_least(1),
+            help="rank bound of the enumerated universe")
+    _option(parser, "--budget", env="ALGVAL_BUDGET", default=DEFAULT_BUDGET,
+            type=_at_least(0), help="name enumeration budget")
+
+
+def _format_option(parser):
+    _option(parser, "--format", env="ALGVAL_FORMAT", default="text",
+            type=_one_of("text", "records"), metavar="{text,records}")
 
 
 def _fail_input(exc: Exception):
-    click.echo(f"error: {exc}", err=True)
+    print(f"error: {exc}", file=sys.stderr)
     sys.exit(2)
 
 
-@click.group()
-def cli():
+def _parser() -> argparse.ArgumentParser:
+    """The command line: each command's parser names its handler."""
+    root = argparse.ArgumentParser(prog="algval", description=cli.__doc__, allow_abbrev=False)
+    top = root.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help, description=help).add_subparsers(
+            metavar="COMMAND", required=True)
+
+    def command(commands, name: str, handler, *options) -> argparse.ArgumentParser:
+        doc = handler.__doc__
+        parser = commands.add_parser(name, help=" ".join(doc.split()), description=doc,
+                                     allow_abbrev=False)
+        for add in options:
+            add(parser)
+        parser.set_defaults(handler=handler, parser=parser)
+        return parser
+
+    command(group("algebra", "Algebra-level operations."), "check", algebra_check,
+            _algebra_options)
+    command(group("universe", "Universe-level operations."), "build", universe_build,
+            _algebra_options, _run_options)
+    p = command(top, "eval", eval_command, _algebra_options, _run_options)
+    _option(p, "--assignment", env="ALGVAL_ASSIGNMENT", default="pa",
+            type=_one_of("ba", "pa"), metavar="{ba,pa}")
+    p.add_argument("--name", action="append", default=[],
+                   help="intern an ad-hoc name, e.g. '{#0: half}' (repeatable)")
+    p.add_argument("formula_text")
+    p = command(top, "check", check_command, _algebra_options, _run_options, _format_option)
+    # ignored; accepted so that callers passing it keep working
+    p.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
+    p.add_argument("--list", action="store_true", help="list the available check names and exit")
+    p.add_argument("selection", nargs="*", help="'all' or check names (default: all)")
+    p = command(group("quotient", "Quotient-model operations."), "export", quotient_export,
+                _algebra_options, _run_options)
+    p.add_argument("--out", help="write to a file instead of standard output")
+    logic = group("logic", "Propositional validity over the configured algebra.")
+    command(logic, "taut", logic_taut, _algebra_options).add_argument("formula_text")
+    command(logic, "para", logic_para, _algebra_options, _format_option)
+    command(logic, "agree", logic_agree, _algebra_options, _format_option)
+    return root
+
+
+def cli(argv: Optional[list[str]] = None):
     """Finite algebra-valued models: build algebras and universes, evaluate
     sentences, run the named validation checks."""
+    args, rest = _parser().parse_known_args(argv)
+    # check names may follow options, as in `check drim -a ps3 cobounded`
+    if rest and hasattr(args, "selection") and not any(r.startswith("-") for r in rest):
+        args.selection += rest
+    elif rest:
+        args.parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.handler(args)
 
 
 # -- algebra ---------------------------------------------------------------------------
 
 
-@cli.group("algebra")
-def algebra_group():
-    """Algebra-level operations."""
-
-
-@algebra_group.command("check")
-@algebra_options
-def algebra_check(algebra_spec, designated_spec):
+def algebra_check(args):
     """Report the law verdicts for an algebra and its designated set."""
     try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
+        alg, d = _resolve_algebra(args.algebra, args.designated)
         drim_rep = check_drim(alg)
         cob_rep = check_cobounded(alg)
         filt_rep = check_filter(alg, d)
     except AlgvalError as exc:
         _fail_input(exc)
-    click.echo(f"algebra: {alg.name} ({len(alg)} elements)")
-    click.echo(f"designated: {' '.join(sorted(d))}")
+    print(f"algebra: {alg.name} ({len(alg)} elements)")
+    print(f"designated: {' '.join(sorted(d))}")
     seen = set()
     for rep in (drim_rep, cob_rep, filt_rep):
         for line in rep.lines():
             key = line.split(":", 1)[0]
             if key not in seen:
                 seen.add(key)
-                click.echo(line)
+                print(line)
     essential = (drim_rep.ok("lattice") and drim_rep.ok("bounded")
                  and drim_rep.ok("distributive") and filt_rep.ok("filter"))
     sys.exit(0 if essential else 1)
@@ -117,191 +183,145 @@ def algebra_check(algebra_spec, designated_spec):
 # -- universe --------------------------------------------------------------------------
 
 
-@cli.group("universe")
-def universe_group():
-    """Universe-level operations."""
-
-
-@universe_group.command("build")
-@algebra_options
-@run_options
-def universe_build(algebra_spec, designated_spec, rank, budget):
+def universe_build(args):
     """Enumerate the bounded universe and print the level sizes."""
     try:
-        alg, _ = _resolve_algebra(algebra_spec, designated_spec)
-        uni = build_universe(alg, rank, budget=budget)
+        alg, _ = _resolve_algebra(args.algebra, args.designated)
+        uni = build_universe(alg, args.rank, budget=args.budget)
     except AlgvalError as exc:
         _fail_input(exc)
     for r, size in uni.level_sizes().items():
-        click.echo(f"rank {r}: {size} names")
-    click.echo(f"total: {len(uni)} names")
+        print(f"rank {r}: {size} names")
+    print(f"total: {len(uni)} names")
     sys.exit(0)
 
 
 # -- eval ------------------------------------------------------------------------------
 
 
-@cli.command("eval")
-@algebra_options
-@run_options
-@click.option("--assignment", type=click.Choice(["ba", "pa"]), default="pa",
-              envvar="ALGVAL_ASSIGNMENT", show_default=True)
-@click.option("--name", "name_literals", multiple=True,
-              help="intern an ad-hoc name, e.g. '{#0: half}' (repeatable)")
-@click.argument("formula_text")
-def eval_command(algebra_spec, designated_spec, rank, budget, assignment,
-                 name_literals, formula_text):
+def eval_command(args):
     """Evaluate a sentence and print the resulting element."""
     try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        uni = build_universe(alg, rank, budget=budget)
-        for literal in name_literals:
+        alg, d = _resolve_algebra(args.algebra, args.designated)
+        uni = build_universe(alg, args.rank, budget=args.budget)
+        for literal in args.name:
             nid = parse_name_literal(literal, uni)
-            click.echo(f"name #{nid} = {uni.pretty(nid)}", err=True)
-        ctx = EvalContext(uni, d, assignment)
-        sentence = parse(formula_text, max_name=len(uni.names))
+            print(f"name #{nid} = {uni.pretty(nid)}", file=sys.stderr)
+        ctx = EvalContext(uni, d, args.assignment)
+        sentence = parse(args.formula_text, max_name=len(uni.names))
         value = ctx.eval(sentence)
     except AlgvalError as exc:
         _fail_input(exc)
-    click.echo(value)
+    print(value)
     sys.exit(0)
 
 
 # -- check -----------------------------------------------------------------------------
 
 
-@cli.command("check")
-@algebra_options
-@run_options
-@click.option("--seed", default=0, hidden=True,
-              help="ignored; accepted so that callers passing it keep working")
-@format_option
-@click.option("--list", "list_checks", is_flag=True,
-              help="list the available check names and exit")
-@click.argument("selection", nargs=-1)
-def check_command(algebra_spec, designated_spec, rank, budget, seed, fmt,
-                  list_checks, selection):
+def check_command(args):
     """Run named validation checks ('all' or explicit names)."""
-    if list_checks:
+    if args.list:
         for name, check in CHECKS.items():
-            click.echo(f"{name}: {check.help}")
+            print(f"{name}: {check.help}")
         sys.exit(0)
     names = None
-    if selection and list(selection) != ["all"]:
-        names = list(selection)
-    _run_checks(algebra_spec, designated_spec, fmt, names, rank_bound=rank, budget=budget)
+    if args.selection and args.selection != ["all"]:
+        names = args.selection
+    _run_checks(args, names, rank_bound=args.rank, budget=args.budget)
 
 
-def _run_checks(algebra_spec, designated_spec, fmt: str, names, **run):
-    """Run the named checks, print their results in `fmt` and exit 1 if one
-    failed, else 0."""
+def _run_checks(args, names, **run):
+    """Run the named checks, print their results in `args.format` and exit
+    1 if one failed, else 0."""
     try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
+        alg, d = _resolve_algebra(args.algebra, args.designated)
         results = run_all(alg, d, names=names, **run)
     except AlgvalError as exc:
         _fail_input(exc)
-    if fmt == "records":
+    if args.format == "records":
         for r in results:
-            click.echo(r.record_line())
+            print(r.record_line())
     else:
         for r in results:
             for line in r.text_lines():
-                click.echo(line)
+                print(line)
         passed = sum(r.verdict == "pass" for r in results)
         failed = sum(r.verdict == "fail" for r in results)
         skipped = sum(r.verdict == "skipped" for r in results)
-        click.echo(f"{passed} passed, {failed} failed, {skipped} skipped")
+        print(f"{passed} passed, {failed} failed, {skipped} skipped")
     sys.exit(1 if any(r.verdict == "fail" for r in results) else 0)
 
 
 # -- quotient --------------------------------------------------------------------------
 
 
-@cli.group("quotient")
-def quotient_group():
-    """Quotient-model operations."""
-
-
-@quotient_group.command("export")
-@algebra_options
-@run_options
-@click.option("--out", "out_path", default=None,
-              help="write to a file instead of standard output")
-def quotient_export(algebra_spec, designated_spec, rank, budget, out_path):
+def quotient_export(args):
     """Build the quotient model and export classes and relations."""
     try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        run = Run(alg, d, rank_bound=rank, budget=budget)
+        alg, d = _resolve_algebra(args.algebra, args.designated)
+        run = Run(alg, d, rank_bound=args.rank, budget=args.budget)
         if not run.profile["ultra_designated_cobounded"]:
             raise CapabilityError("needs an ultra-designated cobounded algebra")
         qm = run.quotient
     except AlgvalError as exc:
         _fail_input(exc)
     text = export_relations(qm)
-    if out_path:
+    if args.out:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             _fail_input(exc)
-        click.echo(f"wrote {len(qm.classes)} classes to {out_path}")
+        print(f"wrote {len(qm.classes)} classes to {args.out}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     sys.exit(0)
 
 
 # -- logic -----------------------------------------------------------------------------
 
 
-@cli.group("logic")
-def logic_group():
-    """Propositional validity over the configured algebra."""
-
-
-@logic_group.command("taut")
-@algebra_options
-@click.argument("formula_text")
-def logic_taut(algebra_spec, designated_spec, formula_text):
+def logic_taut(args):
     """Decide propositional validity; prints any falsifying valuation."""
     try:
-        alg, d = _resolve_algebra(algebra_spec, designated_spec)
-        f = parse_prop(formula_text)
+        alg, d = _resolve_algebra(args.algebra, args.designated)
+        f = parse_prop(args.formula_text)
         ok, falsifier = is_tautology(alg, d, f)
     except AlgvalError as exc:
         _fail_input(exc)
     if ok:
-        click.echo("valid")
+        print("valid")
         sys.exit(0)
     parts = " ".join(f"{k}={v}" for k, v in sorted(falsifier.items()))
-    click.echo(f"falsified by: {parts}")
+    print(f"falsified by: {parts}")
     sys.exit(1)
 
 
-@logic_group.command("para")
-@algebra_options
-@format_option
-def logic_para(algebra_spec, designated_spec, fmt):
+def logic_para(args):
     """Check that explosion fails for some valuation."""
-    _run_checks(algebra_spec, designated_spec, fmt, ["prop-paraconsistency"])
+    _run_checks(args, ["prop-paraconsistency"])
 
 
-@logic_group.command("agree")
-@algebra_options
-@format_option
-def logic_agree(algebra_spec, designated_spec, fmt):
+def logic_agree(args):
     """Compare validity against the three-valued core on every formula of
     at most 5 nodes over p, q and r."""
-    _run_checks(algebra_spec, designated_spec, fmt, ["prop-agreement"])
+    _run_checks(args, ["prop-agreement"])
 
 
 def main():
     """Run the command line, then end the process with its exit code once
     the output is flushed: the verdict is written, so interpreter teardown
-    is skipped.  Any other exception propagates with its traceback."""
+    is skipped.  A reader that closed the pipe early ends the process with
+    exit 1 and no traceback.  Any other exception propagates with its
+    traceback."""
+    code = 0
     try:
-        cli()  # click's standalone mode always ends in SystemExit
+        cli()  # every command ends in SystemExit
     except SystemExit as exc:
         code = exc.code or 0
+    except BrokenPipeError:
+        code = 1
     for stream in (sys.stdout, sys.stderr):
         with suppress(OSError):  # a reader that closed the pipe early
             stream.flush()

@@ -222,7 +222,6 @@ The store and the rows only ever gain deterministic values.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -1041,8 +1040,7 @@ class EvalContext:
 # -- bounded quantification ------------------------------------------------------
 
 
-@dataclass
-class BqResult:
+class BqResult(NamedTuple):
     quantified: str
     domain_indexed: str
     equal: bool

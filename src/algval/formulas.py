@@ -25,81 +25,58 @@ propositional corpus straight from it; no check samples instances.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Const:
-    name_id: int
+class _Node(tuple):
+    """A formula or term node: the tuple (class name, *fields), of a class
+    made by `_node`.  Equality and hashing are the tuple's own, and the
+    class name keeps two nodes of different classes with equal fields
+    apart.  Fields are read by index, cannot be assigned, and give the repr
+    its `Class(field=value, ...)` form."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __getnewargs__(self):  # so that copy and pickle rebuild the same node
+        return self[1:]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
 
+def _node(name: str, *fields: str, module: str = __name__) -> type:
+    """The node class `name` of module `module`, whose nodes take `fields`,
+    positionally, and match on them positionally.  Its constructor is one
+    of a fixed arity, so that a call packs no tuple of arguments."""
+    new = (lambda cls: _new(cls, (name,)), lambda cls, a: _new(cls, (name, a)),
+           lambda cls, a, b: _new(cls, (name, a, b)))[len(fields)]
+    new.__qualname__ = f"{name}.__new__"
+    getters = {field: property(itemgetter(i)) for i, field in enumerate(fields, 1)}
+    return type(name, (_Node,), {"__slots__": (), "__match_args__": fields, "__new__": new,
+                                 "__module__": module, **getters})
+
+
+Var = _node("Var", "name")
+Const = _node("Const", "name_id")
 Term = Union[Var, Const]
-
-
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Mem:
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@dataclass(frozen=True)
-class Bot:
-    pass
-
-
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
-
+Eq = _node("Eq", "left", "right")
+Mem = _node("Mem", "left", "right")
+And = _node("And", "left", "right")
+Or = _node("Or", "left", "right")
+Imp = _node("Imp", "left", "right")
+Not = _node("Not", "body")
+Top = _node("Top")
+Bot = _node("Bot")
+Forall = _node("Forall", "var", "body")
+Exists = _node("Exists", "var", "body")
 
 Formula = Union[Eq, Mem, And, Or, Imp, Not, Top, Bot, Forall, Exists]
 

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from operator import getitem, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .algebra import Algebra
 from .errors import AlgvalError, CapabilityError, InputError, ResourceError
-from .formulas import And, Bot, Imp, Not, Or, Top, _is_variable, _Parser, subformulas
+from .formulas import And, Bot, Imp, Not, Or, Top, _is_variable, _node, _Parser, subformulas
 
 MAX_VALUATIONS = 100_000
 # Formulas of at most this many nodes keep their value columns: the
@@ -33,9 +32,7 @@ MAX_VALUATIONS = 100_000
 KEPT_NODES = 4
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
+PVar = _node("PVar", "name", module=__name__)
 
 
 PropFormula = Union[PVar, And, Or, Imp, Not, Top, Bot]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from operator import itemgetter
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InvariantError
@@ -28,16 +27,13 @@ from .evaluate import EvalContext, NameClasses
 from .formulas import Formula, free_vars
 
 
-@dataclass
 class QuotientModel:
-    context: EvalContext
-    classes: list[list[int]]
-    class_of: dict[int, int]
-    representatives: list[int]
-    r_eq: set[tuple[int, int]] = field(default_factory=set)
-    r_neq: set[tuple[int, int]] = field(default_factory=set)
-    r_mem: set[tuple[int, int]] = field(default_factory=set)
-    r_nmem: set[tuple[int, int]] = field(default_factory=set)
+    def __init__(self, context: EvalContext, classes: list[list[int]],
+                 class_of: dict[int, int], representatives: list[int]):
+        self.context, self.classes = context, classes
+        self.class_of, self.representatives = class_of, representatives
+        # the four class relations, each a set of (class, class) pairs
+        self.r_eq, self.r_neq, self.r_mem, self.r_nmem = set(), set(), set(), set()
 
     def __len__(self) -> int:
         return len(self.classes)

@@ -35,7 +35,6 @@ import itertools
 import json
 import operator
 import time
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -63,15 +62,14 @@ from .universe import DEFAULT_BUDGET, Universe, build_universe
 POWERSET_DOMAIN_CAP = 3
 
 
-@dataclass
 class CheckResult:
-    name: str
-    description: str
-    verdict: str  # "pass" | "fail" | "skipped"
-    counterexample: Optional[dict] = None
-    skip_reason: Optional[str] = None
-    wall_time: float = 0.0
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, description: str, verdict: str,
+                 counterexample: Optional[dict] = None, skip_reason: Optional[str] = None,
+                 wall_time: float = 0.0, details: Optional[dict] = None):
+        self.name, self.description = name, description
+        self.verdict = verdict  # "pass" | "fail" | "skipped"
+        self.counterexample, self.skip_reason = counterexample, skip_reason
+        self.wall_time, self.details = wall_time, {} if details is None else details
 
     def record_line(self) -> str:
         """One machine-readable line; excludes timing so identical runs
@@ -218,7 +216,6 @@ def missing_counterexample(note: str) -> dict:
     return {"kind": "missing", "note": note}
 
 
-@dataclass(frozen=True)
 class Run:
     """The configuration one check runs under.
 
@@ -229,18 +226,14 @@ class Run:
     and one pair of tables per rank, and read one partition.  Atomic
     stores are not kept: each belongs to a context of one workspace, and
     goes with it.  Every check enumerates what it sweeps, so a check's
-    record depends on these fields alone.
+    record depends on the four arguments alone.
     """
 
-    algebra: Algebra
-    designated: frozenset[str]
-    rank_bound: int = 2
-    budget: int = DEFAULT_BUDGET
-    _enumerated: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "designated",
-                           frozenset(self.algebra.resolve(d) for d in self.designated))
+    def __init__(self, algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,
+                 budget: int = DEFAULT_BUDGET):
+        self.algebra, self.rank_bound, self.budget = algebra, rank_bound, budget
+        self.designated = frozenset(algebra.resolve(d) for d in designated)
+        self._enumerated: dict[int, _Enumerated] = {}
 
     @cached_property
     def profile(self) -> dict[str, bool]:
@@ -351,8 +344,7 @@ Verdict = tuple[Optional[dict], dict]
 # -- formula batteries ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Battery:
+class Battery(NamedTuple):
     """The arguments of `formulas.battery` for one kind of caller; a check
     passes the name constants."""
 

@@ -4,10 +4,19 @@ the benchmark binds.
 Dead-code guard: every public module-level function and class of the
 package is reachable by name from code that runs.  The live parts of
 `src/algval/` are its module-level statements other than definitions and
-imports (the check registry, for instance), its click commands, the
-allowlisted entry points, and every definition that a live part names.  A
-public definition that only names itself, or is only named by dead
-definitions or by the package's re-exports, is reported.
+imports (the check registry and the command line's `main` call, for
+instance), the allowlisted entry points, and every definition that a live
+part names; so the command handlers are live because the parser that
+`main` builds names them.  A public definition that only names itself, or
+is only named by dead definitions or by the package's re-exports, is
+reported.
+
+Import guards: the package needs nothing past the standard library, so
+`src/` imports only its own modules and `sys.stdlib_module_names`, and
+`pyproject.toml` declares no runtime dependency.  Start-up is part of
+every verdict, so importing the command line loads none of `click`,
+`dataclasses` and `inspect`, whose import alone took about a fifth of a
+check process's start-up.
 
 Record guard: `CheckResult` is built only in `run_check`, and no
 registered check body names a "skipped" verdict, so gates and skips live
@@ -56,6 +65,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import algval
 
 SRC = Path(algval.__file__).parent
@@ -76,11 +87,6 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
-def _is_click_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
-    return any(isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
-               and dec.func.attr in ("command", "group") for dec in node.decorator_list)
-
-
 def dead_definitions(src: Path) -> list[str]:
     """`module.name` of each public definition in src/*.py that is not live."""
     defs: dict[tuple[str, str], set[str]] = {}  # (module, name) -> names it uses
@@ -92,8 +98,6 @@ def dead_definitions(src: Path) -> list[str]:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 used = _names(node) - {node.name}
                 defs[(path.stem, node.name)] = used
-                if _is_click_command(node):
-                    roots |= used | {node.name}
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _names(node)
     live = set(roots)
@@ -124,6 +128,52 @@ def test_guard_sees_a_definition_named_only_by_the_dead(tmp_path):
     (tmp_path / "__init__.py").write_text("from .probe import helper, orphan\n",
                                           encoding="utf-8")
     assert dead_definitions(tmp_path) == ["probe.helper", "probe.orphan"]
+
+
+def foreign_imports(src: Path) -> list[str]:
+    """`module: name` for each import in src/*.py of a module that is
+    neither the package's own nor in the standard library."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            out += [f"{path.stem}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+def test_the_package_imports_only_the_standard_library():
+    assert foreign_imports(SRC) == []
+
+
+def test_import_guard_sees_a_third_party_import(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import os\nimport click\nfrom . import theorems\nfrom .errors import InputError\n"
+        "from click.testing import CliRunner\n\n\ndef main():\n    import numpy.linalg\n",
+        encoding="utf-8")
+    assert foreign_imports(tmp_path) == ["cli: click", "cli: click.testing", "cli: numpy.linalg"]
+
+
+def test_no_runtime_dependency_is_declared():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(BENCH.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project.get("dependencies", []) == []
+
+
+def test_importing_the_command_line_loads_no_slow_module():
+    script = ("import sys, algval.cli\n"
+              "print(sorted({'click', 'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def _callee(call: ast.Call) -> str:

@@ -1,12 +1,15 @@
+import io
 import itertools
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,68 +22,97 @@ from algval.formulas import And, Bot, Imp, Not, Or, Top
 from algval.proplogic import MAX_VALUATIONS, PVar, parse_prop, print_prop
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, interleaved as written
 
 
-def invoke(runner, *args, env=None):
-    return runner.invoke(cli, list(args), env=env or {}, catch_exceptions=False)
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is given to `both`."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+def run_cli(argv, env=None) -> CliResult:
+    """`cli(argv)` in this process, with stdout and stderr captured and the
+    variables in `env` set: its exit code and what it wrote.  Any exception
+    but SystemExit propagates."""
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    code = 0
+    with mock.patch.dict(os.environ, env or {}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            cli(list(argv))
+        except SystemExit as exc:
+            code = exc.code or 0
+    return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue())
+
+
+def invoke(*args, env=None):
+    return run_cli(args, env)
 
 
 class TestEval:
-    def test_contradiction_witness_prints_half(self, runner):
-        r = invoke(runner, "eval", "--algebra", "ps3", "--assignment", "pa",
+    def test_contradiction_witness_prints_half(self):
+        r = invoke("eval", "--algebra", "ps3", "--assignment", "pa",
                    "--rank", "2", "exists x. exists y. (x in y /\\ ~(x in y))")
         assert r.exit_code == 0
         assert r.output.strip() == "half"
 
-    def test_ba_assignment(self, runner):
-        r = invoke(runner, "eval", "-a", "ps3", "--assignment", "ba",
+    def test_ba_assignment(self):
+        r = invoke("eval", "-a", "ps3", "--assignment", "ba",
                    "--rank", "2", "forall x. x = x")
         assert r.exit_code == 0
         assert r.output.strip() == "1"
 
-    def test_ad_hoc_names(self, runner):
+    def test_ad_hoc_names(self):
         # {#1: half} is not in the rank-2 enumeration, so it lands on id 4.
-        r = invoke(runner, "eval", "-a", "ps3", "--rank", "2",
+        r = invoke("eval", "-a", "ps3", "--rank", "2",
                    "--name", "{#1: half}", "#1 in #4")
         assert r.exit_code == 0
         assert r.output.strip().splitlines()[-1] == "half"
 
-    def test_syntax_error_exits_2(self, runner):
-        r = invoke(runner, "eval", "-a", "ps3", "x = ")
+    def test_syntax_error_exits_2(self):
+        r = invoke("eval", "-a", "ps3", "x = ")
         assert r.exit_code == 2
 
-    def test_unknown_algebra_exits_2(self, runner):
-        r = invoke(runner, "eval", "-a", "chainZ", "true")
+    def test_unknown_algebra_exits_2(self):
+        r = invoke("eval", "-a", "chainZ", "true")
         assert r.exit_code == 2
 
-    def test_more_than_255_elements(self, runner):
+    def test_more_than_255_elements(self):
         # element indices past one byte: the atomic store widens its item type
-        r = invoke(runner, "eval", "forall x. x = x", "-a", "chain300")
+        r = invoke("eval", "forall x. x = x", "-a", "chain300")
         assert r.exit_code == 0
         assert r.output.strip() == "1"
 
     @pytest.mark.parametrize("text", ["~" * 3000 + "#0 = #0",
                                       "(" * 3000 + "#0 = #0" + ")" * 3000])
-    def test_deep_nesting_exits_2(self, runner, text):
-        r = invoke(runner, "eval", "-a", "ps3", text)
+    def test_deep_nesting_exits_2(self, text):
+        r = invoke("eval", "-a", "ps3", text)
         assert r.exit_code == 2
         assert "nested deeper" in r.output and "Traceback" not in r.output
 
 
-    def test_duplicate_name_key_exits_2(self, runner):
-        r = invoke(runner, "eval", "-a", "ps3", "--name", "{#0: half, #0: 1}", "true")
+    def test_duplicate_name_key_exits_2(self):
+        r = invoke("eval", "-a", "ps3", "--name", "{#0: half, #0: 1}", "true")
         assert r.exit_code == 2
         assert "duplicate key #0" in r.output
 
     @pytest.mark.parametrize("algebra", ["chain31", "chain40"])
     @pytest.mark.parametrize("element", ["|", "}", "~", "e31"])
-    def test_name_literals_take_every_chain_element(self, runner, algebra, element):
+    def test_name_literals_take_every_chain_element(self, algebra, element):
         # chain31's elements past `z` are `{`, `|` and `}`; chain40 has `~`
         # and `e31` too.  An element the algebra lacks is an input error.
-        r = invoke(runner, "eval", "-a", algebra, "--name", f"{{#0: {element}}}", "#1 in #1")
+        r = invoke("eval", "-a", algebra, "--name", f"{{#0: {element}}}", "#1 in #1")
         if element in builtin(algebra)[0].elements:
             assert r.exit_code == 0
             assert r.stderr.startswith("name #")
@@ -91,212 +123,221 @@ class TestEval:
 
 
 class TestAlgebraCheck:
-    def test_ps3_passes(self, runner):
-        r = invoke(runner, "algebra", "check", "--algebra", "ps3")
+    def test_ps3_passes(self):
+        r = invoke("algebra", "check", "--algebra", "ps3")
         assert r.exit_code == 0
         assert "cobounded: true" in r.output
         assert "ultrafilter: true" in r.output
 
-    def test_designated_override(self, runner):
-        r = invoke(runner, "algebra", "check", "-a", "chain4",
+    def test_designated_override(self):
+        r = invoke("algebra", "check", "-a", "chain4",
                    "--designated", "1,b")
         assert r.exit_code == 0
         assert "ultrafilter: false" in r.output
 
-    def test_designated_override_names_chain_elements_past_the_letters(self, runner):
-        r = invoke(runner, "algebra", "check", "-a", "chain40",
+    def test_designated_override_names_chain_elements_past_the_letters(self):
+        r = invoke("algebra", "check", "-a", "chain40",
                    "--designated", "~,e31,e32,e33,e34,e35,e36,e37,e38,1")
         assert r.exit_code == 0
         assert "designated: 1 e31 e32 e33 e34 e35 e36 e37 e38 ~\n" in r.output
 
-    def test_non_filter_override_rejected(self, runner):
-        r = invoke(runner, "algebra", "check", "-a", "chain4",
+    def test_non_filter_override_rejected(self):
+        r = invoke("algebra", "check", "-a", "chain4",
                    "--designated", "b")
         assert r.exit_code == 2
 
-    def test_file_algebra(self, runner, tmp_path):
+    def test_file_algebra(self, tmp_path):
         alg, d = ps3()
         path = tmp_path / "core.alg"
         path.write_text(dumps_algebra(alg, d))
-        r = invoke(runner, "algebra", "check", "--algebra", str(path))
+        r = invoke("algebra", "check", "--algebra", str(path))
         assert r.exit_code == 0
         assert "algebra: core" in r.output
 
-    def test_defective_file_fails(self, runner, tmp_path):
+    def test_defective_file_fails(self, tmp_path):
         alg, d = ps3()
         text = dumps_algebra(alg, d).replace("join half 1 1", "join half 1 half")
         path = tmp_path / "broken.alg"
         path.write_text(text)
-        r = invoke(runner, "algebra", "check", "--algebra", str(path))
+        r = invoke("algebra", "check", "--algebra", str(path))
         assert r.exit_code == 1
         assert "lattice: false" in r.output
 
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
-    def test_unreadable_file_exits_2(self, runner, tmp_path, case):
+    def test_unreadable_file_exits_2(self, tmp_path, case):
         path = tmp_path / "core.alg"
         if case == "directory":
             path.mkdir()
         elif case == "not-utf8":
             path.write_bytes(b"elements \xff\xfe\n")
-        r = invoke(runner, "algebra", "check", "-a", str(path))
+        r = invoke("algebra", "check", "-a", str(path))
         assert r.exit_code == 2
         assert "error: cannot read algebra file" in r.stderr
 
     @pytest.mark.parametrize("first,repeat", [("star 1 0", "star 1 1"),
                                               ("meet 1 1 1", "meet 1 1 0"),
                                               ("top 1", "top 1")])
-    def test_repeated_line_exits_2(self, runner, tmp_path, first, repeat):
+    def test_repeated_line_exits_2(self, tmp_path, first, repeat):
         lines = dumps_algebra(*ps3()).splitlines() + [repeat]
         path = tmp_path / "core.alg"
         path.write_text("\n".join(lines) + "\n")
-        r = invoke(runner, "algebra", "check", "-a", str(path))
+        r = invoke("algebra", "check", "-a", str(path))
         assert r.exit_code == 2
         assert r.stderr.startswith(f"error: line {len(lines)}: ")
         assert f"on line {lines.index(first) + 1}" in r.stderr
 
 
 class TestUniverse:
-    def test_level_sizes(self, runner):
-        r = invoke(runner, "universe", "build", "-a", "ps3", "--rank", "3")
+    def test_level_sizes(self):
+        r = invoke("universe", "build", "-a", "ps3", "--rank", "3")
         assert r.exit_code == 0
         assert "rank 3: 256 names" in r.output
         assert "total: 256 names" in r.output
 
-    def test_budget_exceeded_exits_2(self, runner):
-        r = invoke(runner, "universe", "build", "-a", "ps3", "--rank", "4")
+    def test_budget_exceeded_exits_2(self):
+        r = invoke("universe", "build", "-a", "ps3", "--rank", "4")
         assert r.exit_code == 2
         assert "rank 4" in r.output
 
-    def test_a_count_past_printable_digits_exits_2(self, runner):
+    def test_a_count_past_printable_digits_exits_2(self):
         # 6^46656 candidates: more digits than an int may be printed with
-        r = invoke(runner, "universe", "build", "-a", "chain5", "--rank", "4")
+        r = invoke("universe", "build", "-a", "chain5", "--rank", "4")
         assert r.exit_code == 2
         assert r.output.startswith("error:") and "about 10^36305" in r.output
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_no_rank_up_to_5_prints_a_traceback(self, name):
         for rank in range(1, 6):
-            r = CliRunner().invoke(cli, ["universe", "build", "-a", name, "--rank", str(rank)])
+            r = run_cli(["universe", "build", "-a", name, "--rank", str(rank)])
             assert r.exit_code in (0, 2), (rank, r.output)
             assert "Traceback" not in r.output, rank
 
 
 class TestCheckCommand:
-    def test_all_on_ps3(self, runner):
-        r = invoke(runner, "check", "all", "-a", "ps3", "--rank", "2")
+    def test_all_on_ps3(self):
+        r = invoke("check", "all", "-a", "ps3", "--rank", "2")
         assert r.exit_code == 0
         assert "0 failed" in r.output
 
-    def test_named_selection(self, runner):
-        r = invoke(runner, "check", "drim", "cobounded", "-a", "bool4")
+    def test_named_selection(self):
+        r = invoke("check", "drim", "cobounded", "-a", "bool4")
         assert r.exit_code == 0
         assert "[PASS] drim" in r.output
 
-    def test_list(self, runner):
-        r = invoke(runner, "check", "--list")
+    def test_list(self):
+        r = invoke("check", "--list")
         assert r.exit_code == 0
         for name in ("zfbar-witnesses", "leibniz", "quotient",
                      "prop-agreement", "boolean-coincidence"):
             assert name in r.output
 
-    def test_unknown_name_exits_2(self, runner):
-        r = invoke(runner, "check", "mystery", "-a", "ps3")
+    def test_names_may_follow_options(self):
+        r = invoke("check", "drim", "-a", "bool4", "cobounded")
+        assert r.exit_code == 0
+        assert "[PASS] drim" in r.output and "[PASS] cobounded" in r.output
+        # a command with no list of names takes no stray argument
+        r = invoke("eval", "-a", "ps3", "true", "false")
+        assert r.exit_code == 2 and "unrecognized arguments: false" in r.stderr
+        assert r.stderr.startswith("usage: algval eval ")
+
+    def test_unknown_name_exits_2(self):
+        r = invoke("check", "mystery", "-a", "ps3")
         assert r.exit_code == 2
 
-    def test_negative_budget_exits_2(self, runner):
-        r = invoke(runner, "check", "drim", "-a", "ps3", "--budget", "-1")
+    def test_negative_budget_exits_2(self):
+        r = invoke("check", "drim", "-a", "ps3", "--budget", "-1")
         assert r.exit_code == 2
         assert "--budget" in r.output
 
     @pytest.mark.parametrize("name,rank", [("drim", "0"), ("drim", "-1"),
                                            ("two-valued", "0")])
-    def test_rank_below_one_exits_2(self, runner, name, rank):
-        r = invoke(runner, "check", name, "-a", "ps3", "--rank", rank)
+    def test_rank_below_one_exits_2(self, name, rank):
+        r = invoke("check", name, "-a", "ps3", "--rank", rank)
         assert r.exit_code == 2
         assert "--rank" in r.output
 
-    def test_records_are_json_lines(self, runner):
-        r = invoke(runner, "check", "drim", "-a", "ps3", "--format", "records")
+    def test_records_are_json_lines(self):
+        r = invoke("check", "drim", "-a", "ps3", "--format", "records")
         assert r.exit_code == 0
         payload = json.loads(r.output.strip())
         assert payload["check"] == "drim"
         assert payload["verdict"] == "pass"
 
-    def test_failing_check_exits_1(self, runner, tmp_path):
+    def test_failing_check_exits_1(self, tmp_path):
         alg, d = ps3()
         text = dumps_algebra(alg, d).replace("join half 1 1", "join half 1 half")
         path = tmp_path / "broken.alg"
         path.write_text(text)
-        r = invoke(runner, "check", "algebra-laws", "-a", str(path))
+        r = invoke("check", "algebra-laws", "-a", str(path))
         assert r.exit_code == 1
         assert "FAIL" in r.output
         assert "counterexample" in r.output
 
 
 class TestQuotientExport:
-    def test_stdout(self, runner):
-        r = invoke(runner, "quotient", "export", "-a", "ps3", "--rank", "2")
+    def test_stdout(self):
+        r = invoke("quotient", "export", "-a", "ps3", "--rank", "2")
         assert r.exit_code == 0
         assert "class [0] = #0 #3" in r.output
         assert "mem [0] [2]" in r.output
         assert "nmem [0] [2]" in r.output
 
-    def test_file_output(self, runner, tmp_path):
+    def test_file_output(self, tmp_path):
         out = tmp_path / "relations.txt"
-        r = invoke(runner, "quotient", "export", "-a", "ps3", "--rank", "2",
+        r = invoke("quotient", "export", "-a", "ps3", "--rank", "2",
                    "--out", str(out))
         assert r.exit_code == 0
         assert out.read_text().startswith("class [0]")
 
     @pytest.mark.parametrize("case", ["ps3-designated-1", "file-designated-0", "bool4"])
-    def test_outside_the_quotient_class_exits_2(self, runner, tmp_path, case):
+    def test_outside_the_quotient_class_exits_2(self, tmp_path, case):
         path = tmp_path / "bottom.alg"
         path.write_text(dumps_algebra(ps3()[0], {"0"}))
         args = {"ps3-designated-1": ["-a", "ps3", "--designated", "1"],
                 "file-designated-0": ["-a", str(path)], "bool4": ["-a", "bool4"]}[case]
-        r = invoke(runner, "quotient", "export", *args)
+        r = invoke("quotient", "export", *args)
         assert r.exit_code == 2
         assert r.stderr == "error: needs an ultra-designated cobounded algebra\n"
         assert "class" not in r.stdout
 
-    def test_unwritable_out_exits_2(self, runner, tmp_path):
+    def test_unwritable_out_exits_2(self, tmp_path):
         out = tmp_path / "missing-dir" / "relations.txt"
-        r = invoke(runner, "quotient", "export", "-a", "ps3", "--rank", "2",
+        r = invoke("quotient", "export", "-a", "ps3", "--rank", "2",
                    "--out", str(out))
         assert r.exit_code == 2
         assert "error:" in r.stderr and str(out) in r.stderr
 
 
 class TestLogic:
-    def test_taut_rejects_explosion_on_ps3(self, runner):
-        r = invoke(runner, "logic", "taut", "--algebra", "ps3", "(p /\\ ~p) -> q")
+    def test_taut_rejects_explosion_on_ps3(self):
+        r = invoke("logic", "taut", "--algebra", "ps3", "(p /\\ ~p) -> q")
         assert r.exit_code == 1
         assert "falsified by: p=half q=0" in r.output
 
-    def test_taut_accepts_on_bool2(self, runner):
-        r = invoke(runner, "logic", "taut", "-a", "bool2", "(p /\\ ~p) -> q")
+    def test_taut_accepts_on_bool2(self):
+        r = invoke("logic", "taut", "-a", "bool2", "(p /\\ ~p) -> q")
         assert r.exit_code == 0
         assert "valid" in r.output
 
     @pytest.mark.parametrize("text", ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000])
-    def test_taut_deep_nesting_exits_2(self, runner, text):
-        r = invoke(runner, "logic", "taut", "-a", "ps3", text)
+    def test_taut_deep_nesting_exits_2(self, text):
+        r = invoke("logic", "taut", "-a", "ps3", text)
         assert r.exit_code == 2
         assert "nested deeper" in r.output and "Traceback" not in r.output
 
-    def test_para(self, runner):
-        r = invoke(runner, "logic", "para", "-a", "chain4")
+    def test_para(self):
+        r = invoke("logic", "para", "-a", "chain4")
         assert r.exit_code == 0
         assert "[PASS]" in r.output
 
-    def test_agree(self, runner):
-        r = invoke(runner, "logic", "agree", "-a", "chain5")
+    def test_agree(self):
+        r = invoke("logic", "agree", "-a", "chain5")
         assert r.exit_code == 0
 
     @pytest.mark.parametrize("size", ["-3", "0"])
-    def test_agree_rejects_empty_corpus(self, runner, size):
+    def test_agree_rejects_empty_corpus(self, size):
         # the corpus is enumerated, so no corpus size is accepted at all
-        r = invoke(runner, "logic", "agree", "-a", "chain5", "--corpus-size", size)
+        r = invoke("logic", "agree", "-a", "chain5", "--corpus-size", size)
         assert r.exit_code == 2
         assert "--corpus-size" in r.output
 
@@ -304,26 +345,50 @@ class TestLogic:
         ("logic", "agree", "--seed", "1"),
         ("quotient", "export", "--seed", "1"),
     ], ids=["agree-seed", "export-seed"])
-    def test_removed_options_exit_2(self, runner, args):
+    def test_removed_options_exit_2(self, args):
         # the corpus is enumerated and nothing is sampled, so these
         # commands take neither a corpus size nor a seed
-        r = invoke(runner, *args)
+        r = invoke(*args)
         assert r.exit_code == 2
-        assert "No such option" in r.output and "Traceback" not in r.output
+        assert "unrecognized arguments" in r.output and "Traceback" not in r.output
 
 
 class TestEnvironmentOverrides:
-    def test_algebra_from_env(self, runner):
-        r = invoke(runner, "universe", "build", "--rank", "2",
+    def test_algebra_from_env(self):
+        r = invoke("universe", "build", "--rank", "2",
                    env={"ALGVAL_ALGEBRA": "chain4"})
         assert r.exit_code == 0
         assert "rank 2: 5 names" in r.output
 
-    def test_rank_from_env(self, runner):
-        r = invoke(runner, "universe", "build", "-a", "ps3",
+    def test_rank_from_env(self):
+        r = invoke("universe", "build", "-a", "ps3",
                    env={"ALGVAL_RANK": "3"})
         assert r.exit_code == 0
         assert "total: 256 names" in r.output
+
+    @pytest.mark.parametrize("variable,value,argv", [
+        ("ALGVAL_FORMAT", "bogus", ["check", "drim"]),
+        ("ALGVAL_RANK", "0", ["check", "drim"]),
+        ("ALGVAL_BUDGET", "abc", ["universe", "build"]),
+        ("ALGVAL_ASSIGNMENT", "xa", ["eval", "true"])])
+    def test_a_bad_variable_exits_2_naming_its_option(self, variable, value, argv):
+        option = "--" + variable.removeprefix("ALGVAL_").lower()
+        r = run_cli(argv, env={variable: value})
+        assert r.exit_code == 2 and r.stdout == ""
+        assert f"argument {option}: " in r.stderr and "Traceback" not in r.stderr
+        # a flag on the command line takes the place of the variable
+        given = {"--format": "text", "--rank": "1", "--budget": "9", "--assignment": "ba"}
+        assert run_cli(argv + [option, given[option]], env={variable: value}).exit_code == 0
+
+    @pytest.mark.parametrize("variable,value,option", [("ALGVAL_FORMAT", "bogus", "--format"),
+                                                       ("ALGVAL_RANK", "0", "--rank"),
+                                                       ("ALGVAL_BUDGET", "abc", "--budget")])
+    def test_a_bad_variable_exits_2_in_a_process(self, variable, value, option):
+        r = subprocess.run([sys.executable, "-m", "algval.cli", "check", "drim"],
+                           env={**process_env(), variable: value}, capture_output=True,
+                           text=True, timeout=120)
+        assert (r.returncode, r.stdout) == (2, "")
+        assert f"argument {option}: " in r.stderr and "Traceback" not in r.stderr
 
     def test_no_variable_for_undeclared_options(self):
         # Only the options that declare an envvar read one; `--list` does not.
@@ -345,7 +410,7 @@ def process_env() -> dict:
 
 
 def run_process(*args, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m algval.cli` with args, through `main()`, which CliRunner
+    """`python -m algval.cli` with args, through `main()`, which `run_cli`
     never reaches."""
     kwargs.setdefault("capture_output", "stdout" not in kwargs)
     return subprocess.run([sys.executable, "-m", "algval.cli", *args], env=process_env(),
@@ -373,9 +438,9 @@ class TestProcessExit:
         r = run_process(*args)
         assert r.returncode == code, r.stderr
         assert "Traceback" not in r.stderr
-        assert CliRunner().invoke(cli, args).exit_code == code
+        assert run_cli(args).exit_code == code
         if case == "help":
-            assert "Usage:" in r.stdout
+            assert "usage:" in r.stdout
 
     def test_a_chain_past_the_cap_exits_2_before_building_it(self):
         # under a 512 MB address space, which building chain100000 would exceed
@@ -386,7 +451,7 @@ class TestProcessExit:
                  "its tables grow with the square of its size\n")
         r = run_process(*args, preexec_fn=limit)
         assert (r.returncode, r.stdout, r.stderr) == (2, "", error)
-        r = CliRunner().invoke(cli, args)
+        r = run_cli(args)
         assert (r.exit_code, r.output) == (2, error)
 
     def test_filter_error_is_the_same_under_every_hash_seed(self):
@@ -410,7 +475,7 @@ class TestProcessExit:
         out = tmp_path / "records"
         with open(out, "w", encoding="utf-8") as fh:
             r = run_process(*args, stdout=fh, stderr=subprocess.PIPE)
-        expected = CliRunner().invoke(cli, args)
+        expected = run_cli(args)
         assert r.returncode == expected.exit_code
         assert out.read_text(encoding="utf-8") == expected.stdout
 
@@ -450,27 +515,27 @@ class TestProcessExit:
 class TestBuiltinSweep:
     @pytest.mark.parametrize("name", ["bool2", "bool4", "chain3", "chain6",
                                       "stretch-bool4"])
-    def test_check_all_exits_zero(self, runner, name):
-        r = invoke(runner, "check", "all", "-a", name, "--rank", "2")
+    def test_check_all_exits_zero(self, name):
+        r = invoke("check", "all", "-a", name, "--rank", "2")
         assert r.exit_code == 0, r.output
 
-    def test_agree_full_corpus_on_chain5(self, runner):
-        r = invoke(runner, "logic", "agree", "-a", "chain5", "--format", "records")
+    def test_agree_full_corpus_on_chain5(self):
+        r = invoke("logic", "agree", "-a", "chain5", "--format", "records")
         assert r.exit_code == 0
         assert '"corpus": 771' in r.output
 
-    def test_check_ignores_seed(self, runner):
-        plain = invoke(runner, "check", "nff-transfer", "quotient", "-a", "chain4",
+    def test_check_ignores_seed(self):
+        plain = invoke("check", "nff-transfer", "quotient", "-a", "chain4",
                        "--format", "records")
-        seeded = invoke(runner, "check", "nff-transfer", "quotient", "-a", "chain4",
+        seeded = invoke("check", "nff-transfer", "quotient", "-a", "chain4",
                         "--seed", "7", "--format", "records")
         assert plain.exit_code == seeded.exit_code == 0
         assert plain.output == seeded.output
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_check_all_at_rank_1_exits_zero(self, runner, name):
+    def test_check_all_at_rank_1_exits_zero(self, name):
         # the checks whose witnesses need a second rank skip, naming it
-        r = invoke(runner, "check", "all", "-a", name, "--rank", "1")
+        r = invoke("check", "all", "-a", name, "--rank", "1")
         assert r.exit_code == 0, r.output
         assert "[FAIL]" not in r.output
 
@@ -568,8 +633,7 @@ class TestLogicTautFuzz:
 
     def _check(self, taut_algebras, which: int, text: str):
         spec, alg, designated_i = taut_algebras[which]
-        r = CliRunner().invoke(cli, ["logic", "taut", "-a", spec, "--", text])
-        assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+        r = run_cli(["logic", "taut", "-a", spec, "--", text])
         assert r.exit_code in (0, 1, 2)
         assert "Traceback" not in r.stderr
         code, line = _expected_taut(alg, designated_i, text)
@@ -590,7 +654,7 @@ class TestLogicTautFuzz:
     def test_valuation_cap_comes_before_the_missing_star(self, taut_algebras):
         spec, alg, designated_i = taut_algebras[2]
         text = " /\\ ".join(f"~p{i}" for i in range(12))  # 3**12 valuations
-        r = CliRunner().invoke(cli, ["logic", "taut", "-a", spec, "--", text])
+        r = run_cli(["logic", "taut", "-a", spec, "--", text])
         assert r.exit_code == 2 and "valuations" in r.stderr
 
 
@@ -635,8 +699,7 @@ class TestEvalFuzz:
         args = ["eval", "-a", "ps3", "--rank", "2"]
         for literal in names:
             args += ["--name", literal]
-        r = CliRunner().invoke(cli, args + ["--", text])
-        assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+        r = run_cli(args + ["--", text])
         assert r.exit_code in (0, 2), (names, text, r.output)
         assert "Traceback" not in r.stderr
         if r.exit_code == 0:
@@ -680,8 +743,7 @@ class TestAlgebraFileFuzz:
         path = tmp_path / f"{name}.alg"
         path.write_text("\n".join(lines) + "\n")
         for args in (["algebra", "check"], ["check", "drim"]):
-            r = CliRunner().invoke(cli, args + ["-a", str(path)])
-            assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+            r = run_cli(args + ["-a", str(path)])
             assert r.exit_code == 2, (args, lines, r.output)
             assert r.stderr.startswith("error:")
             assert "Traceback" not in r.stderr

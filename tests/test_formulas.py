@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +151,60 @@ class TestPrinting:
     def test_readable_output(self):
         f = Forall("x", Imp(Mem(Var("x"), Const(2)), Eq(Var("x"), Const(2))))
         assert print_formula(f) == "forall x. x in #2 -> x = #2"
+
+
+class TestNodes:
+    """A node is the tuple (class name, *fields): equal to another exactly
+    when class and fields are equal, hashed alike then, and immutable."""
+
+    def test_nodes_of_two_classes_with_equal_fields_are_unequal(self):
+        x, y = Var("x"), Var("y")
+        for a, b in ((And(x, y), Or(x, y)), (Eq(x, y), Mem(x, y)), (PVar("x"), x),
+                     (Top(), Bot()), (Forall("x", Top()), Exists("x", Top()))):
+            assert a != b and b != a, (a, b)
+            assert len({a, b}) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(formula_strategy())
+    def test_equal_nodes_hash_alike(self, f):
+        for g in (parse(print_formula(f)), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+
+    def test_fields_cannot_be_assigned(self):
+        f = And(Mem(Var("x"), Var("y")), Top())
+        with pytest.raises(AttributeError):
+            f.left = Bot()
+        with pytest.raises(AttributeError):
+            f.left.right.name = "z"
+        with pytest.raises(AttributeError):
+            f.extra = 1
+        assert f == And(Mem(Var("x"), Var("y")), Top())
+
+    @pytest.mark.parametrize("make,fields", [(Var, ()), (Var, ("x", "y")), (Const, ()),
+                                             (And, (Top(),)), (Not, (Top(), Top())),
+                                             (Top, (1,)), (Forall, ("x",)), (PVar, ())])
+    def test_the_wrong_number_of_fields_is_refused(self, make, fields):
+        with pytest.raises(TypeError):
+            make(*fields)
+
+    def test_positional_match(self):
+        match Forall("x", Imp(Mem(Var("x"), Const(2)), Not(Bot()))):
+            case Forall(var, Imp(Mem(Var(name), Const(nid)), Not(Bot()))):
+                assert (var, name, nid) == ("x", "x", 2)
+            case _:
+                pytest.fail("no case matched")
+        match Or(Top(), Top()):
+            case And():
+                pytest.fail("an Or matched And")
+            case Or(left, right):
+                assert left == right == Top()
+
+    def test_repr(self):
+        assert repr(And(Mem(Var("x"), Var("x")), Top())) == (
+            "And(left=Mem(left=Var(name='x'), right=Var(name='x')), right=Top())")
+        assert repr(Exists("y", Not(Eq(Const(3), Var("y"))))) == (
+            "Exists(var='y', body=Not(body=Eq(left=Const(name_id=3), right=Var(name='y'))))")
+        assert repr(PVar("p")) == "PVar(name='p')"
 
 
 class TestFragments:

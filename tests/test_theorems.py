@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import inspect
@@ -8,7 +7,7 @@ import weakref
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from test_cli import run_cli
 from test_evaluate import (
     assert_clauses_match_reference, patch_atoms, reference_clauses, stored_values,
     tracked_contexts,
@@ -16,7 +15,6 @@ from test_evaluate import (
 
 from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
-from algval.cli import cli
 from algval.errors import InputError
 from algval.evaluate import ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses
 from algval.formulas import Eq, Imp, Var, parse
@@ -538,8 +536,7 @@ class TestFailurePath:
         clause, a, b, law = planted_defects(2)[1]
         assert (clause, b, law) == ("membership", 0, "member substitution")
         flip(monkeypatch, clause, a, b)
-        r = CliRunner().invoke(cli, ["check", "all", "-a", "ps3", "--rank", "2",
-                                     "--format", "records"])
+        r = run_cli(["check", "all", "-a", "ps3", "--rank", "2", "--format", "records"])
         assert r.exit_code == 1
         records = {rec["check"]: rec for rec in map(json.loads, r.output.splitlines())}
         assert list(records) == list(CHECKS) and len(records) == 16
@@ -600,7 +597,7 @@ class TestFailureKinds:
 
         def skewed(ctx, phi):
             compare, last = sides(ctx, phi), len(ctx.universe) - 1
-            return lambda u: dataclasses.replace(compare(u), equal=compare(u).equal and u != last)
+            return lambda u: compare(u)._replace(equal=compare(u).equal and u != last)
         monkeypatch.setattr(theorems, "bq_sides", skewed)
         alg, d = ps3()
         ce = forced("bounded-quantification", Run(alg, d, rank_bound=2))
@@ -789,7 +786,7 @@ class TestRegistry:
             assert callable(check.fn)
 
     def test_run_sets_four_fields(self):
-        assert [f.name for f in dataclasses.fields(Run) if f.init] == [
+        assert list(inspect.signature(Run).parameters) == [
             "algebra", "designated", "rank_bound", "budget"]
         with pytest.raises(TypeError):
             Run(*ps3(), _profile={"ultra_designated_cobounded": True})
@@ -922,7 +919,7 @@ class TestBudgetDegradation:
         result = run_check("two-valued", Run(*ps3()))
         assert result.verdict == "skipped"
         assert result.skip_reason.startswith("out of memory")
-        r = CliRunner().invoke(cli, ["check", "two-valued", "-a", "ps3"])
+        r = run_cli(["check", "two-valued", "-a", "ps3"])
         assert r.exit_code == 0 and "[SKIP] two-valued" in r.output
         assert "Traceback" not in r.output
 
