@@ -106,7 +106,7 @@ clauses, into its store, when the tables are built, once per assignment,
 as the first context that reads them is made.  Pairs of two witness
 names, and defective tables, take the clause.  The tables cover
 enumerated names only, so a run's contexts of one assignment share them
-across all the workspaces of a rank.
+across all of its workspaces.
 
 Witness names, one level up (`_Witness`).  To a witness w the covered
 names play the part that the low names play for a top-level name.  For a
@@ -296,7 +296,6 @@ class NameClasses:
 
     def __init__(self, of: Sequence[int], reps: Sequence[int], sizes: Sequence[int]):
         self.of, self.reps, self.sizes = of, reps, sizes
-        self._apart: dict[frozenset[int], NameClasses] = {}
 
     @classmethod
     def by_key(cls, keys: Iterable[object]) -> NameClasses:
@@ -322,11 +321,7 @@ class NameClasses:
         split = frozenset(u for u in names if self.sizes[self.of[u]] > 1)
         if not split:
             return self
-        hit = self._apart.get(split)
-        if hit is None:
-            hit = self._apart[split] = NameClasses.by_key(
-                ~u if u in split else c for u, c in enumerate(self.of))
-        return hit
+        return NameClasses.by_key(~u if u in split else c for u, c in enumerate(self.of))
 
     def first_pair(self, bad: dict[int, set[int]]) -> Optional[tuple[int, int]]:
         """The first pair of names (u, v) in id order whose classes have
@@ -610,11 +605,6 @@ class EvalContext:
                 f"the pa assignment needs a star table; {self.algebra.name} has none"
             )
         self.atomic_fills += 1
-        if u < cc.n <= v:  # a covered name and a witness
-            w = self._witness(v)
-            acc = meet[w.covered_halves[u]][w.halves[w.of[u]]]
-            self._put(eq_rows, v, u, acc)
-            return acc
         mem, stop = self.membership, self._eq_stop
         acc = self._top
         for hi, lo in ((u, v), (v, u)):

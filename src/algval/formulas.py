@@ -432,18 +432,6 @@ def print_formula(f: Formula) -> str:
 
 # -- axiom schemas --------------------------------------------------------------------
 
-SCHEMA_NAMES = (
-    "Extensionality",
-    "ExtensionalityBar",
-    "Pairing",
-    "Infinity",
-    "Union",
-    "PowerSet",
-    "Separation",
-    "Collection",
-    "Foundation",
-)
-
 # Variable slots the schema parameter may use, by schema name.
 _PARAM_SLOTS = {"Separation": ("z",), "Collection": ("y", "z"), "Foundation": ("x",)}
 

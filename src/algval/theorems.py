@@ -11,10 +11,12 @@ one place that checks the gates in order, turns a resource overrun into a
 skip, times the check and builds its `CheckResult`.
 
 A body is `fn(run: Run)` and returns a `Verdict`: the counterexample
-(None when the check passes) and the details.  It sweeps a workspace from
-`Run.workspace`: a copy of the run's enumerated universe, built once per
-rank, whose contexts share the run's class tables and each own an atomic
-store.  `properties` and `quotient` read one partition by pa equality,
+(None when the check passes) and the details.  A run has one rank, and
+owns the one universe enumerated at it and that universe's class tables.
+A body sweeps a workspace from `Run.workspace`: a copy of that universe
+whose contexts share the run's class tables and each own an atomic
+store.  A body that needs another rank or another algebra builds another
+`Run`.  `properties` and `quotient` read one partition by pa equality,
 `Run.quotient`, built once per run; a pair on which it is not well
 defined fails both, with the law it breaks.
 
@@ -94,40 +96,22 @@ class CheckResult:
         return out
 
 
-class _Enumerated:
-    """One rank's enumerated universe and its class tables, one per
-    assignment, that the workspaces built on it share.  The tables cover
-    enumerated names only, on which every workspace agrees."""
-
-    def __init__(self, universe: Universe):
-        self.universe = universe
-        # the pa tables take the prefix arrays of the ba ones
-        ba = ColumnClasses(universe, "ba")
-        self.columns = {"ba": ba, "pa": ColumnClasses(universe, "pa", ba)}
-
-
 class Workspace:
-    """A copy of an enumerated universe plus contexts for both assignments.
+    """A copy of a run's enumerated universe plus contexts for both
+    assignments.
 
-    Handed out by `Run.workspace`, it copies the run's enumerated universe
-    for its rank (same names, same ids), and its contexts read the run's
-    class tables for that rank; each context fills an atomic store of its
-    own (see `evaluate`).  Built alone, it enumerates a universe of its
-    own.  Ad-hoc witness names go through `insert`, which keeps a log (id
-    plus entry literal) so failures can be replayed against a rebuilt
-    universe.
+    Built only by `Run.workspace`, it starts with the run's names and ids,
+    and its contexts read the run's class tables; each context fills an
+    atomic store of its own (see `evaluate`).  Ad-hoc witness names go
+    through `insert`, which keeps a log (id plus entry literal) so failures
+    can be replayed against a rebuilt universe.
     """
 
-    def __init__(self, algebra: Algebra, designated: Iterable[str],
-                 rank_bound: int = 2, budget: int = DEFAULT_BUDGET,
-                 shared: Optional[_Enumerated] = None):
-        self.algebra = algebra
-        self.designated = frozenset(algebra.resolve(d) for d in designated)
-        self.rank_bound = rank_bound
-        if shared is None:
-            shared = _Enumerated(build_universe(algebra, rank_bound, budget=budget))
-        self._shared = shared
-        self.universe = shared.universe.copy()
+    def __init__(self, run: Run):
+        self.run = run
+        self.algebra, self.designated, self.rank_bound = (
+            run.algebra, run.designated, run.rank_bound)
+        self.universe = run.universe.copy()
         self.enumerated = len(self.universe)
         self.insertion_log: list[list] = []
         self._ctxs: dict[str, EvalContext] = {}
@@ -136,7 +120,7 @@ class Workspace:
         if assignment not in self._ctxs:
             self._ctxs[assignment] = EvalContext(
                 self.universe, self.designated, assignment,
-                columns=self._shared.columns[assignment])
+                columns=self.run.columns[assignment])
         return self._ctxs[assignment]
 
     @property
@@ -217,27 +201,45 @@ def missing_counterexample(note: str) -> dict:
 
 
 class Run:
-    """The configuration one check runs under.
+    """The configuration one check runs under: one algebra, one designated
+    set, one rank bound and one budget.  A check that needs another rank
+    or another algebra builds another `Run`.
 
-    `designated` is resolved to element ids once.  `profile`, each rank's
-    enumerated universe and class tables (kept in `_enumerated`) and the
-    pa partition are built on first use and kept, so the checks that
-    `run_all` runs on one `Run` gate on one profile, share one universe
-    and one pair of tables per rank, and read one partition.  Atomic
-    stores are not kept: each belongs to a context of one workspace, and
-    goes with it.  Every check enumerates what it sweeps, so a check's
-    record depends on the four arguments alone.
+    `designated` is resolved to element ids once.  `profile`, the
+    enumerated universe, its class tables and the pa partition are built
+    on first use and kept, so the checks that `run_all` runs on one `Run`
+    gate on one profile, share one universe and one pair of tables, and
+    read one partition.  An enumeration over the budget raises
+    `ResourceError` and is not kept, so each check that asks for it skips
+    with the budget reason.  Atomic stores are not kept: each belongs to a
+    context of one workspace, and goes with it.  Every check enumerates
+    what it sweeps, so a check's record depends on the four arguments
+    alone.
     """
 
     def __init__(self, algebra: Algebra, designated: Iterable[str], rank_bound: int = 2,
                  budget: int = DEFAULT_BUDGET):
         self.algebra, self.rank_bound, self.budget = algebra, rank_bound, budget
         self.designated = frozenset(algebra.resolve(d) for d in designated)
-        self._enumerated: dict[int, _Enumerated] = {}
 
     @cached_property
     def profile(self) -> dict[str, bool]:
         return profile(self.algebra, self.designated)
+
+    @cached_property
+    def universe(self) -> Universe:
+        """The enumerated universe at the rank bound, which every workspace
+        copies and none grows."""
+        return build_universe(self.algebra, self.rank_bound, budget=self.budget)
+
+    @cached_property
+    def columns(self) -> dict[str, ColumnClasses]:
+        """The class tables of `universe`, one per assignment, that the
+        contexts of every workspace read.  They cover enumerated names
+        only, on which every workspace agrees."""
+        # the pa tables take the prefix arrays of the ba ones
+        ba = ColumnClasses(self.universe, "ba")
+        return {"ba": ba, "pa": ColumnClasses(self.universe, "pa", ba)}
 
     @cached_property
     def quotient(self) -> QuotientModel:
@@ -254,17 +256,11 @@ class Run:
             return self.algebra.star_t is not None
         return self.profile[condition]
 
-    def workspace(self, rank_bound: Optional[int] = None) -> Workspace:
-        """A workspace at the run's rank bound, or at `rank_bound`, on the
-        run's enumerated universe and class tables for that rank.  It
-        starts at the enumerated length, whatever earlier workspaces
+    def workspace(self) -> Workspace:
+        """A workspace on the run's enumerated universe and class tables.
+        It starts at the enumerated length, whatever earlier workspaces
         inserted."""
-        rank = self.rank_bound if rank_bound is None else rank_bound
-        shared = self._enumerated.get(rank)
-        if shared is None:
-            shared = self._enumerated[rank] = _Enumerated(
-                build_universe(self.algebra, rank, budget=self.budget))
-        return Workspace(self.algebra, self.designated, rank, self.budget, shared)
+        return Workspace(self)
 
 
 def replay(algebra: Algebra, designated: Iterable[str], rank_bound: int,
@@ -826,7 +822,7 @@ def check_nff_transfer(run: Run) -> Verdict:
     # keeps its value.
     same = same_tables(algebra, ps3_alg)
     if not same:
-        dst_ws = Workspace(ps3_alg, ps3_d, run.rank_bound, run.budget)
+        dst_ws = Run(ps3_alg, ps3_d, run.rank_bound, run.budget).workspace()
         dst_ctx = dst_ws.ba
         vmap = bar_values(algebra, ps3_alg)
         memo: dict[int, int] = {}
@@ -1086,6 +1082,8 @@ def coincidence_mismatches(ws: Workspace, limit: int = 1) -> list[dict]:
             row = {b for b, v in enumerate(reps) if operator.ne(*values(rel, u, v))}
             if row:
                 by_class[a] = row
+    if not any(bad.values()):
+        return []
     out: list[dict] = []
     low = [s for s in range(n) if ws.universe.rank_of(s) < ws.rank_bound]
     for rel, u, v in itertools.chain(
@@ -1107,15 +1105,16 @@ def check_boolean_coincidence(run: Run) -> Verdict:
 
     Atomic values, as the engine gives them, are compared on every pair of
     the bounded universe (see `coincidence_mismatches`).  Sentence validity
-    on the battery is compared at rank 2 at most, in the same workspace
-    when the bound allows (sweeps at the full bound would be quadratic).
+    on the battery is compared at rank 2 at most: in the run's workspace
+    at rank 2 or below, else in that of a rank-2 `Run`, and the details
+    then say so (sweeps at the full bound would be quadratic).
     """
     algebra = run.algebra
     ws = run.workspace()
     bad = coincidence_mismatches(ws, limit=1)
     if bad:
         return bad[0], {}
-    ws2 = ws if run.rank_bound <= 2 else run.workspace(2)
+    ws2 = ws if run.rank_bound <= 2 else Run(algebra, run.designated, 2, run.budget).workspace()
     checked = 0
     battery_forms, declared = ONE_VARIABLE.read(first_names(ws2))
     forms = [(phi, ws2.ba.sentence(phi, ("x",)), ws2.pa.sentence(phi, ("x",)))
@@ -1131,8 +1130,11 @@ def check_boolean_coincidence(run: Run) -> Verdict:
                     note=f"ba gave {algebra.elements[vba]}")
                 return ce, {}
     n = len(ws.universe)
-    return None, {"names": n, "atomic_pairs": n * n, "battery_sentences": checked,
-                  "battery": declared}
+    details = {"names": n, "atomic_pairs": n * n, "battery_sentences": checked,
+               "battery": declared}
+    if ws2 is not ws:
+        details["battery_rank"] = ws2.rank_bound
+    return None, details
 
 
 # -- quotient model --------------------------------------------------------------------

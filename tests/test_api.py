@@ -1,15 +1,16 @@
 """Guards over the package source, read with `ast`, and over the names
 the benchmark binds.
 
-Dead-code guard: every public module-level function and class of the
-package is reachable by name from code that runs.  The live parts of
-`src/algval/` are its module-level statements other than definitions and
-imports (the check registry and the command line's `main` call, for
-instance), the allowlisted entry points, and every definition that a live
-part names; so the command handlers are live because the parser that
-`main` builds names them.  A public definition that only names itself, or
-is only named by dead definitions or by the package's re-exports, is
-reported.
+Dead-code guard: every public module-level function, class and name
+bound by assignment in the package is reachable by name from code that
+runs.  The live parts of `src/algval/` are its module-level statements
+other than definitions, assignments to plain names and imports (the
+command line's `main` call, for instance), the allowlisted entry points,
+and every definition that a live part names; so the command handlers are
+live because the parser that `main` builds names them.  An assignment is
+a definition of each name it binds, which names what its value and
+annotation name.  A public definition that only names itself, or is only
+named by dead definitions or by the package's re-exports, is reported.
 
 Import guards: the package needs nothing past the standard library, so
 `src/` imports only its own modules and `sys.stdlib_module_names`, and
@@ -24,6 +25,10 @@ in the registry and in `run_check` alone.
 
 Partition guard: `build_quotient` is called only by `Run.quotient`, so a
 run builds the pa partition once and every reader shares it.
+
+Workspace guard: `Workspace` is built only by `Run.workspace`, so every
+workspace copies a run's enumerated universe and reads that run's class
+tables; a check that needs another universe builds another `Run`.
 
 Clause guard: Bell's atomic clauses live in `evaluate` alone, so no other
 module keeps a copy of them; a copy needs the implication table, so no
@@ -87,6 +92,19 @@ def _names(node: ast.AST) -> set[str]:
     return out
 
 
+def _bound(node: ast.AST) -> list[str]:
+    """The names a module-level assignment binds, or [] when it is no
+    assignment or binds something other than plain names."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    names = [n for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [n.id for n in names] if all(isinstance(n, ast.Name) for n in names) else []
+
+
 def dead_definitions(src: Path) -> list[str]:
     """`module.name` of each public definition in src/*.py that is not live."""
     defs: dict[tuple[str, str], set[str]] = {}  # (module, name) -> names it uses
@@ -95,9 +113,13 @@ def dead_definitions(src: Path) -> list[str]:
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = _bound(node)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 used = _names(node) - {node.name}
                 defs[(path.stem, node.name)] = used
+            elif bound:
+                for name in bound:
+                    defs[(path.stem, name)] = _names(node) - set(bound)
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 roots |= _names(node)
     live = set(roots)
@@ -123,11 +145,25 @@ def test_guard_sees_a_definition_named_only_by_the_dead(tmp_path):
         "def orphan():\n    return helper()\n\n\n"
         "def helper():\n    return 1\n\n\n"
         "def used():\n    return inner()\n\n\n"
-        "def inner():\n    return 2\n\n\nVALUE = used()\n",
+        "def inner():\n    return 2\n\n\nprint(used())\n",
         encoding="utf-8")
     (tmp_path / "__init__.py").write_text("from .probe import helper, orphan\n",
                                           encoding="utf-8")
     assert dead_definitions(tmp_path) == ["probe.helper", "probe.orphan"]
+
+
+def test_guard_sees_an_assigned_name_that_nothing_reads(tmp_path):
+    # a constant no code reads, and one read only by it, are dead; one a
+    # live function reads, and the private names, are not reported
+    (tmp_path / "probe.py").write_text(
+        "NAMES = (LEFT, 'b')\n"
+        "LEFT: str = 'a'\n"
+        "_SLOTS, WIDTH = {'x': 1}, 2\n"
+        "READ = {'y': 2}\n\n\n"
+        "def main():\n    return READ, _SLOTS\n\n\n"
+        "main()\n",
+        encoding="utf-8")
+    assert dead_definitions(tmp_path) == ["probe.LEFT", "probe.NAMES", "probe.WIDTH"]
 
 
 def foreign_imports(src: Path) -> list[str]:
@@ -257,6 +293,28 @@ def imp_table_readers(src: Path) -> list[str]:
     read an `imp_t`."""
     return _owners(src, lambda node: isinstance(node, ast.Attribute) and node.attr == "imp_t",
                   skip=frozenset({"algebra", "evaluate", "proplogic"}))
+
+
+def workspace_builders(src: Path) -> list[str]:
+    """The definitions that build a `Workspace`."""
+    return _owners(src, lambda node: isinstance(node, ast.Call)
+                  and _callee(node) == "Workspace")
+
+
+def test_only_the_run_builds_workspaces():
+    assert workspace_builders(SRC) == ["theorems.Run.workspace"]
+
+
+def test_workspace_guard_sees_a_check_that_builds_its_own(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "class Run:\n"
+        "    def workspace(self):\n"
+        "        return Workspace(self)\n\n\n"
+        "def check_transfer(run):\n"
+        "    target = theorems.Workspace(ps3_alg, ps3_d, rank_bound=run.rank_bound)\n"
+        "    return None, {'names': len(target.universe)}\n",
+        encoding="utf-8")
+    assert workspace_builders(tmp_path) == ["probe.Run.workspace", "probe.check_transfer"]
 
 
 def test_only_the_run_builds_the_partition():

@@ -18,7 +18,7 @@ from algval.formulas import (
     children, free_vars, instantiate_axiom, is_negation_free, parse, print_formula, subst_const,
 )
 from algval.theorems import (
-    CHECKS, COLLECTION, NEGATION_FREE, ONE_VARIABLE, Run, Workspace, run_check,
+    CHECKS, COLLECTION, NEGATION_FREE, ONE_VARIABLE, Run, run_check,
 )
 from algval.universe import Universe, build_universe
 
@@ -68,7 +68,7 @@ class TestAtomic:
             ba.atomic("<", 0, 0)
 
     def test_numeral_membership(self):
-        ws = Workspace(*ps3())
+        ws = Run(*ps3()).workspace()
         _, one, two = ws.numerals(2)
         for assignment in ("ba", "pa"):
             assert ws.ctx(assignment).atomic("in", one, two) == "1"
@@ -79,7 +79,7 @@ class TestAtomic:
         # Six distinct hereditarily finite sets, each a name whose members
         # all weigh top: 0, 1, 2, 3, {1} and {0, 2}.  Equal exactly when
         # they are the same set.
-        ws = Workspace(*builtin(algname))
+        ws = Run(*builtin(algname)).workspace()
         top = ws.algebra.top_i
         nums = ws.numerals(3)
         ids = nums + [ws.universe.insert({nums[1]: top}),
@@ -1119,7 +1119,7 @@ def row_universes():
         alg, d = builtin(name)
         yield alg, d, build_universe(alg, 3), True
     alg, d = ps3()
-    ws = Workspace(alg, d, rank_bound=2)
+    ws = Run(alg, d, 2).workspace()
     ws.numerals(3)
     ws.insert({nid: alg.index["half"] for nid in range(len(ws.universe))})
     yield alg, d, ws.universe, False
@@ -1176,7 +1176,7 @@ def test_shared_store_matches_reference_clauses_after_all_checks(algname, rank, 
     made = tracked_contexts(monkeypatch)
     run = Run(alg, d, rank)
     results = {name: run_check(name, run) for name in CHECKS}
-    enumerated = {r: len(shared.universe) for r, shared in run._enumerated.items()}
+    enumerated = len(run.universe)
     checked = witnesses = 0
     for ctx in made:
         eq, mem = reference_clauses(ctx)
@@ -1185,7 +1185,7 @@ def test_shared_store_matches_reference_clauses_after_all_checks(algname, rank, 
             assert value == (eq if rel == "=" else mem)(u, v), (ctx.assignment, rel, u, v)
             checked += 1
             if ctx.algebra is alg:
-                witnesses += max(u, v) >= enumerated[ctx.universe.rank_bound]
+                witnesses += max(u, v) >= enumerated
     assert checked and (witnesses or results["zfbar-witnesses"].verdict == "skipped")
 
 

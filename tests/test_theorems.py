@@ -176,11 +176,19 @@ class TestSkips:
 
 
 class TestCoincidenceSweep:
+    def test_battery_rank_declared_above_rank_two(self):
+        # the battery runs at rank 2 at most, on another run past it
+        alg, d = builtin("bool2")
+        results = [run_check("boolean-coincidence", Run(alg, d, rank)) for rank in (2, 3)]
+        assert [r.verdict for r in results] == ["pass", "pass"]
+        assert [r.details.get("battery_rank") for r in results] == [None, 2]
+        assert results[0].details["battery_sentences"] == results[1].details["battery_sentences"]
+
     def test_finds_the_divergent_pair_outside_boolean(self):
         # On the three-valued core the assignments genuinely disagree, and
         # the sweep must surface a witness pair.
         alg, d = ps3()
-        ws = Workspace(alg, d, rank_bound=2)
+        ws = Run(alg, d, 2).workspace()
         bad = coincidence_mismatches(ws, limit=5)
         assert bad
         literals = {(m["u_literal"], m["v_literal"]) for m in bad}
@@ -191,7 +199,7 @@ class TestCoincidenceSweep:
 
     def test_flattened_fold_cross_checked(self):
         alg, d = builtin("bool2")
-        ws = Workspace(alg, d, rank_bound=3)
+        ws = Run(alg, d, 3).workspace()
         assert coincidence_mismatches(ws) == []
 
     @pytest.mark.parametrize("plant", ["factor", "member_cell", "column", "class_column"])
@@ -202,10 +210,10 @@ class TestCoincidenceSweep:
         # cell of `u in last` for a top-level u, the cell of `x in last` for
         # a low x (a low row), and the cell of `x = last` both ways round
         alg, d = builtin("bool2")
-        ws = Workspace(alg, d, rank_bound=3)
+        ws = Run(alg, d, 3).workspace()
         k, last = len(alg.elements), len(ws.universe) - 1
         if plant == "factor":
-            ws._shared.columns["pa"].factor[alg.top_i][alg.bottom_i] = alg.top_i
+            ws.run.columns["pa"].factor[alg.top_i][alg.bottom_i] = alg.top_i
         tables = ws.pa._columns
         of, low = tables.of, tables.low
         assert last >= low and of[low] != of[last]
@@ -224,7 +232,7 @@ class TestCoincidenceSweep:
         # the classes shared under ba and pa, once per pair, relation and
         # assignment
         alg, d = builtin("bool4")
-        ws = Workspace(alg, d, rank_bound=3)
+        ws = Run(alg, d, 3).workspace()
         low = sum(ws.universe.rank_of(nid) < 3 for nid in range(len(ws.universe)))
         reps = set(NameClasses.by_key(zip(ws.ba.name_classes().of,
                                           ws.pa.name_classes().of)).reps)
@@ -245,7 +253,7 @@ class TestCoincidenceSweep:
         # the tables read only the low x low pairs through the clauses, and
         # their values never enter the store, so only those pairs do
         alg, d = builtin("bool4")
-        ws = Workspace(alg, d, rank_bound=3)
+        ws = Run(alg, d, 3).workspace()
         assert coincidence_mismatches(ws) == []
         for assignment in ASSIGNMENTS:
             ctx = ws.ctx(assignment)
@@ -288,14 +296,14 @@ class TestCoincidenceExhaustive:
     ])
     def test_matches_the_engine_on_every_pair(self, name, rank, count):
         alg, d = builtin(name)
-        expected = engine_mismatches(Workspace(alg, d, rank_bound=rank))
-        got = coincidence_mismatches(Workspace(alg, d, rank_bound=rank), limit=10**9)
+        expected = engine_mismatches(Run(alg, d, rank).workspace())
+        got = coincidence_mismatches(Run(alg, d, rank).workspace(), limit=10**9)
         assert got == expected
         assert len(got) == count
 
     def test_limit_gives_a_prefix(self):
         alg, d = ps3()
-        ws = Workspace(alg, d, rank_bound=3)
+        ws = Run(alg, d, 3).workspace()
         full = coincidence_mismatches(ws, limit=10**9)
         for k in (1, 2, 5, 100, 1000, len(full)):
             assert coincidence_mismatches(ws, limit=k) == full[:k]
@@ -304,7 +312,7 @@ class TestCoincidenceExhaustive:
 class TestReplay:
     def test_atomic_counterexample_replays(self):
         alg, d = ps3()
-        ws = Workspace(alg, d, rank_bound=2)
+        ws = Run(alg, d, 2).workspace()
         h, t = alg.index["half"], alg.top_i
         u = ws.insert({0: h})
         v = ws.insert({0: t})
@@ -316,7 +324,7 @@ class TestReplay:
 
     def test_sentence_counterexample_replays(self):
         alg, d = ps3()
-        ws = Workspace(alg, d, rank_bound=2)
+        ws = Run(alg, d, 2).workspace()
         w = ws.insert({1: alg.index["half"], 2: alg.top_i})
         sentence = parse(f"exists x. x in #{w}", max_name=len(ws.universe.names))
         value = ws.pa.eval(sentence)
@@ -325,7 +333,7 @@ class TestReplay:
 
     def test_replay_covers_inserted_chains(self):
         alg, d = builtin("chain4")
-        ws = Workspace(alg, d, rank_bound=2)
+        ws = Run(alg, d, 2).workspace()
         member = ws.insert({0: alg.index["a"]})
         holder = ws.insert({member: alg.top_i})
         ce = ws.atomic_counterexample("pa", "in", member, holder,
@@ -364,7 +372,7 @@ class TestReplay:
 
     def test_replay_detects_divergence(self):
         alg, d = ps3()
-        ws = Workspace(alg, d, rank_bound=2)
+        ws = Run(alg, d, 2).workspace()
         u = ws.insert({0: alg.index["half"]})
         ce = ws.atomic_counterexample("pa", "=", u, u, "1")
         ce["inserted"] = [[999, [[0, "half"]]]]
@@ -685,16 +693,16 @@ def criterion_universes():
     universes grown by witness names."""
     for name in BUILTIN_NAMES:
         alg, _ = builtin(name)
-        uni = Workspace(alg, alg.elements, rank_bound=2).universe
+        uni = Run(alg, alg.elements, 2).workspace().universe
         for r in range(1, len(alg.elements) + 1):
             for des in itertools.combinations(alg.elements, r):
                 yield alg, frozenset(des), uni
     for name in ("ps3", "chain3"):
         alg, d = builtin(name)
-        yield alg, d, Workspace(alg, d, rank_bound=3).universe
+        yield alg, d, Run(alg, d, 3).workspace().universe
     for name in ("ps3", "chain4"):
         alg, d = builtin(name)
-        ws = Workspace(alg, d, rank_bound=2)
+        ws = Run(alg, d, 2).workspace()
         nums = ws.numerals(3)
         for a in range(len(alg.elements)):
             for b in range(len(alg.elements)):
@@ -957,9 +965,9 @@ def _atomic_table(ws: Workspace, assignments=("ba", "pa")) -> dict:
 
 
 class TestSharedUniverse:
-    """A run enumerates each rank once and its workspaces share its class
-    tables; each context fills a store of its own, so witness ids never
-    share an entry."""
+    """A run enumerates its one rank once and its workspaces share its
+    class tables; each context fills a store of its own, so witness ids
+    never share an entry.  Another rank is another run."""
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_each_check_alone_matches_run_all(self, name):
@@ -976,7 +984,7 @@ class TestSharedUniverse:
         b_entries = {1: half, 3: top}
         expected = {}
         for label, entries in (("a", a_entries), ("b", b_entries)):
-            scratch = Workspace(alg, d, rank_bound=2)
+            scratch = Run(alg, d, 2).workspace()
             scratch.insert(entries)
             expected[label] = _atomic_table(scratch)
         run = Run(alg, d, rank_bound=2)
@@ -1045,7 +1053,7 @@ class TestSharedUniverse:
             monkeypatch.setattr(EvalContext, clause_name, logged)
         alg, d = ps3()
         run_all(alg, d, rank_bound=2, seed=0)
-        n = len(Workspace(alg, d, rank_bound=2).universe)
+        n = len(Run(alg, d, 2).workspace().universe)
         mine = {k: c for k, c in fills.items() if k[0].algebra is alg}
         enumerated = {(ctx.assignment, rel, u, v) for ctx, rel, u, v in mine if u < n and v < n}
         assert len(enumerated) > 2 * n * n  # both assignments, both relations
@@ -1475,7 +1483,7 @@ class TestClassRoutes:
 
     def test_classes_of_a_grown_universe_are_single_names(self):
         alg, d = ps3()
-        ws = Workspace(alg, d, rank_bound=3)
+        ws = Run(alg, d, 3).workspace()
         assert len(ws.pa.name_classes().reps) == 31
         ws.insert({0: alg.top_i, 5: alg.top_i})
         classes = ws.pa.name_classes()
@@ -1493,7 +1501,7 @@ class TestClassRoutes:
 
     def test_the_pa_tables_take_the_prefix_arrays_of_the_ba_tables(self):
         alg, d = ps3()
-        columns = Run(alg, d, 3).workspace()._shared.columns
+        columns = Run(alg, d, 3).columns
         assert columns["pa"].prefix is columns["ba"].prefix
         assert columns["pa"].last_entry is columns["ba"].last_entry
 
@@ -1530,7 +1538,7 @@ def test_witness_values_match_the_clauses(name, assignment):
     # rows; every pair with a witness name, and every row, must be the
     # clause's
     alg, d = builtin(name)
-    ws = Workspace(alg, d, rank_bound=3)
+    ws = Run(alg, d, 3).workspace()
     witnesses = zfbar_witnesses(ws)
     assert min(witnesses.values()) >= ws.enumerated
     ctx = ws.ctx(assignment)
