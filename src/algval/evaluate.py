@@ -51,8 +51,8 @@ only through its signature, and so do `x = v` and `x in v` for a low x,
 which are v's columns, and `v in x`, which is M[ec(v)][x].  So the tables
 keep one signature class id per covered name (`of`) and two class x class
 tables, filled at the classes' first names: every covered pair not both
-low reads `eq[of[u]][of[v]]` or `mem[of[v]][of[u]]`, a sweep row one
-gather from a class row.  If u and u' share a signature, each atom of u
+low reads `eq[of[u]][of[v]]` or `mem[of[v]][of[u]]`, and a sweep row a
+class row.  If u and u' share a signature, each atom of u
 with a covered z has the value of the same atom of u' with z, z = u and
 z = u' included: `u = u'` is H[mc(u)][u] /\\ H[mc(u)][u'], which is
 `u = u`, and `u in u'` is M[ec(u)][u'], which is `u in u`.  Swapping u
@@ -120,36 +120,40 @@ covered r,
 
 A covered y has `y = r` and `y in r` at the pair of signature classes of
 y and r (`ColumnClasses.eq` and `mem`), and a witness y its own values
-against r.  So w's values depend on r only through r's signature and its
-cells at the columns over L of w and of the witnesses below w that no
-class of the tables has (`extra`), which split the signature classes
-(`ColumnClasses.refined`): w keeps `r in w` and its half once per class.
-The folds reassociate meets and joins, and count a repeated (weight,
-class) term once, which a lattice's idempotent, commutative and
-associative meet and join allow; the gate of the tables is that.  A
-clause on two witnesses reads a covered entry's value from the other
-witness's values the same way.  Covered names that share a class split
-by every witness's extra columns are interchangeable in the grown
-universe too, so a sweep visits the first name of each such class alone
+against r.  While the columns over L of w and of the witnesses below it
+are columns of covered names, r's cells at them are part of r's
+signature, so these values depend on r only through its signature
+class, and w keeps `r in w`, `r = w` (the two halves met) and `w in r`
+once per class.  The folds reassociate meets and
+joins, and count a repeated (weight, class) term once, which a lattice's
+idempotent, commutative and associative meet and join allow; the gate of
+the tables is that.  A clause on two witnesses reads a covered entry's
+value from the other witness's values the same way.  A witness with a
+column that no class has (none of a builtin's at rank 3) makes the
+context's covered classes single names for good: the rows read at the
+old classes go, and later witnesses keep their values once per name,
+while earlier ones keep theirs by signature class.  Either way, the
+names of one covered class of the context are interchangeable in the
+grown universe too, so a sweep visits the first name of each class alone
 (`EvalContext._visit`).
 
 Connectives evaluate homomorphically: /\\, \\/ and -> through the algebra
 tables, ~ through star, and the quantifiers as big meet/join over the
 names of the (bounded) universe, stopping early once the fold reaches its
 absorbing element (bottom for forall, top for exists).  Where the class
-tables are on, a fold visits the first name of each class of
-interchangeable names, the signature classes split by the witnesses'
-extra columns, and then every witness, in id order: 31 of ps3's 256 names
-at rank 3 under pa.  Where they are off (rank 2, defective tables, a
-covered name whose prefix is missing) it visits every name.  Skipping
-the other names is exact for three reasons.  The gate of the tables makes
-meet and join idempotent, commutative and associative, so a value met or
-joined again changes nothing.  Names of one class answer every atom
-alike, each other included, so a skipped name's body has the value of its
-class's first name's.  And the visit is a subsequence of id order that
-holds the first name of every class, so after each visited name the fold
-holds what a fold over every name holds there: it reaches the absorbing
-element at the same name, and the bodies run before it are the same.
+tables are on, a fold visits the first name of each covered class of
+interchangeable names (above) and then every witness, in id order: 31 of
+ps3's 256 names at rank 3 under pa.  Where they are off (rank 2, defective
+tables, a covered name whose prefix is missing) it visits every name.
+Skipping the other names is exact for three reasons.  The gate of the
+tables makes meet and join idempotent, commutative and associative, so a
+value met or joined again changes nothing.  Names of one class answer
+every atom alike, each other included, so a skipped name's body has the
+value of its class's first name's.  And the visit is a subsequence of id
+order that holds the first name of every class, so after each visited name
+the fold holds what a fold over every name holds there: it reaches the
+absorbing element at the same name, and the bodies run before it are the
+same.
 
 `sentence(f, params)` compiles a formula into nested closures, once, and
 returns a handle: a function of the name ids of `params` that writes them
@@ -174,40 +178,40 @@ files evaluate exactly as before.
 Every quantifier sweeps its variable z by signature.  Each distinct atom
 of the body that pairs z with a term bound outside the body (`z in t`,
 `t in z`, `z = t`, with t a variable or a constant) or with itself
-(`z in z`, `z = z`) has a row: the atom's value at z = 0, 1, 2, ...,
-keyed by relation, the side z stands on and t's name id.  An atom that
-pairs z with a variable w bound inside the body reads a row of z's own:
-`w in z` the row of z's members (the row keyed like `x in t`, with t = z),
-`z in w` the row of its containers and `z = w` its equality row.  A row is
-an array of the store's item type.  Before it is read a row is filled to
-the end of the universe, never rebuilt, which is sound because atomic
-values never depend on later inserts.  Over the covered names, a row is
-one gather from a class row of the tables (`ColumnClasses.gather`); `t in
-z` depends on a top-level t only through its equality class, so the
-tables keep that gather once per class (`ColumnClasses.containers`).
-Past the enumerated names, the row of `z in t` is a copy of the store's
-own row for t with its holes filled through the clause.  The rows are filled for every name but read only at
-the names the fold visits (above), each by one C-level gather kept with
-the visit for the universe's length.  Within one fold the body's value
-depends on z only through z's signature: its values in the rows of the
-first kind and the contents of its own rows.  Many visited names share a
-signature, so the sweep keeps one dict of body values for its fold and
-runs the body once per key.  A name is looked up first under its row
-values alone: a run of the body that started no inner sweep read no own
-row, so its value holds for every name with those row values and is stored
-under them, as is every value of a body without own rows.  On a miss the
-name's own rows are filled and interned by their bytes into class ids that
-hold while the universe keeps its length, and the value is looked up, or
-else stored, under the row values and those ids.  No value outlives its
-fold.  `sweeps_run` counts the sweeps, and `names_swept` the names their
-folds visited.
+(`z in z`, `z = z`) has a row: the atom's value at each name the fold
+visits, in order, keyed by relation, the side z stands on and t's name
+id.  An atom that pairs z with a variable w bound inside the body reads a
+row of z's own: `w in z` the row of z's members (the row keyed like
+`x in t`, with t = z), `z in w` the row of its containers and `z = w` its
+equality row.  A row is an array of the store's item type.  Before it is
+read it is extended to the end of the visit, never rebuilt, which is sound
+because atomic values never depend on later inserts.  With the class
+tables on, its covered part is a class row as it stands, since the visit's
+covered names are the first names of the classes: `eq[c]` or `mem[c]` for
+a t of class c, `mem[.][c]` for `t in z`, the diagonal for `z = z` and `z
+in z`, and a witness t's values by class.  Its part past the covered names
+is the witnesses' values against a covered t, or the clause; the row of `z
+in t` copies the store's own row for t and fills its holes through the
+clause.  With the tables off the visit and the rows span every name.
+Within one fold the body's value depends on z only through z's signature:
+its values in the rows of the first kind and the contents of its own rows.
+Many visited names share a signature, so the sweep keeps one dict of body
+values for its fold and runs the body once per key.  A name is looked up
+first under its row values alone: a run of the body that started no inner
+sweep read no own row, so its value holds for every name with those row
+values and is stored under them, as is every value of a body without own
+rows.  On a miss the name's own rows are filled and interned by their
+bytes into class ids that hold while the universe keeps its length, and
+the value is looked up, or else stored, under the row values and those
+ids.  No value outlives its fold.  `sweeps_run` counts the sweeps, and
+`names_swept` the names their folds visited.
 
 `row(rel, u)` gives a caller the values of `u = z` or of `u in z` for
-every name z, filled by `_extend` like the sweep row of `z = u` or of
-`u in z`: from the class tables where they cover both names, else through
-the clauses.  The row is a fresh array that the context does not keep, so
-a caller that reads one name's rows at a time holds O(n) values, and
-values read from the tables do not enter the store.
+every name z: with the tables on, one gather of u's class row over the
+covered names (`ColumnClasses.gather`), and past them the values a sweep
+row of `z = u` or of `u in z` holds.  The row is a fresh array that the
+context does not keep, so a caller that reads one name's rows at a time
+holds O(n) values, and values read from the tables do not enter the store.
 `quotient.build_quotient` reads its partition and its verdicts this way,
 where asking pair by pair would make 2n² clause calls.
 
@@ -216,7 +220,8 @@ the meet table's bottom row is constant, so defective tables evaluate as
 they always have.  The clauses read the store inline on their recursive
 calls.
 
-The store and the rows only ever gain deterministic values.
+The store and the rows only ever gain deterministic values; the rows
+go when the covered classes become single names.
 """
 
 from __future__ import annotations
@@ -271,21 +276,18 @@ def _atoms(f: Formula, bound: frozenset[str] = frozenset()
 
 
 class _Witness(NamedTuple):
-    """A witness w's values against the covered names r (see the module
-    docstring): `members[of[r]]` is `r in w`, `halves[of[r]]` w's half of
-    `r = w`, `covered_halves[r]` r's half and `containers[r]` `w in r`;
-    `extra` holds the columns of w and of the witnesses below it that no
-    class of the tables has, by which `of` splits the signature classes.
-    `entries` are w's entries with one covered entry per weight and
-    signature class, which the clauses fold where their terms depend on a
-    covered name only through its signature class."""
+    """A witness w's values against the covered names r, one per class of
+    the covered names (see the module docstring), with c = of[r]:
+    `members[c]` is `r in w`, `equals[c]` `r = w` and `containers[c]`
+    `w in r`.  `of` is the signature classes' or, once the covered names
+    went one by one, a class per name.  `entries` are w's entries with one covered entry per
+    weight and signature class, which the clauses fold where their terms
+    depend on a covered name only through its signature class."""
 
     of: Sequence[int]
     members: list[int]
-    halves: list[int]
-    covered_halves: array
-    containers: array
-    extra: frozenset[tuple[int, tuple[int, ...]]]
+    equals: list[int]
+    containers: list[int]
     entries: list[tuple[int, int]]
 
 
@@ -352,11 +354,11 @@ class ColumnClasses:
 
     Each class keeps the cells of its names, their halves by membership
     class (`halves`) and their memberships by equality class (`members`),
-    whose columns over the low names `columns` numbers by relation.  The
-    cells of every covered name at a column that no class has, which
-    witnesses bring, are folded by prefix on first use (`cells_at`,
-    `refined`).  The tables may be shared by the contexts of one
-    assignment over universes that agree on their first `n` names.
+    whose columns over the low names `columns` numbers by relation.  A
+    column that no class has, which a witness may bring, has its cells
+    folded by prefix (`cells_at`).  The tables may be shared by the
+    contexts of one assignment over universes that agree on their first
+    `n` names.
     """
 
     def __init__(self, universe: Universe, assignment: str,
@@ -369,9 +371,6 @@ class ColumnClasses:
             low += 1
         self.low, self.n = low, 0
         self.eq: list[list[int]] = []
-        self._extra: dict[tuple[int, tuple[int, ...]], array] = {}
-        self._containers: dict[tuple[int, ...], array] = {}
-        self._refined: dict[frozenset[tuple[int, tuple[int, ...]]], NameClasses] = {}
         # With one low name a clause reads one entry a side, as a table
         # lookup would.  The halves meet in another order than the clause
         # folds, which only a lattice's meet allows.
@@ -474,38 +473,17 @@ class ColumnClasses:
         step = [table[a][m] for m in col for a in range(len(alg.elements))]
         return [[row[s] for s in step] for row in fold]
 
-    def cells_at(self, rel: int, col: tuple[int, ...]) -> array:
-        """The cells of every covered name at a column over the low names:
-        halves for a membership column (rel `in`), memberships for an
-        equality column (rel `=`)."""
+    def cells_at(self, rel: int, col: tuple[int, ...], classes: NameClasses) -> list[int]:
+        """The cells at a column over the low names, halves for a
+        membership column (rel `in`) and memberships for an equality column
+        (rel `=`), of the first name of each of `classes`: the signature
+        classes or a class per name."""
         c = self.columns[rel].get(col)
-        if c is not None:  # a gather from the class rows
-            row = [cells[c] for cells in (self.halves if rel == _REL_MEM else self.members)]
-            return array(self.typecode, self.gather(row))
-        hit = self._extra.get((rel, col))
-        if hit is None:
-            states, cells = self._pass(rel, [col])
-            hit = self._extra[rel, col] = array(self.typecode, [cells[s][0] for s in states])
-        return hit
-
-    def containers(self, t: int) -> array:
-        """`t in z` for every covered z, one gather from t's class column of
-        `mem`.  For a top-level t it is M[ec(t)][z], so the names of one
-        equality class share one array."""
-        column = [in_z[self.of[t]] for in_z in self.mem]
-        hit = self._containers.get(tuple(column))
-        if hit is None:
-            hit = self._containers[tuple(column)] = array(self.typecode, self.gather(column))
-        return hit
-
-    def refined(self, extra: frozenset[tuple[int, tuple[int, ...]]]) -> NameClasses:
-        """The signature classes split by each name's cells in the extra
-        columns, (rel, column) pairs that no class of the tables has."""
-        hit = self._refined.get(extra)
-        if hit is None:
-            hit = self._refined[extra] = self.signatures if not extra else NameClasses.by_key(
-                zip(self.of, *[self.cells_at(rel, col) for rel, col in sorted(extra)]))
-        return hit
+        if c is not None:
+            by_class = [cells[c] for cells in (self.halves if rel == _REL_MEM else self.members)]
+            return by_class if classes is self.signatures else list(self.gather(by_class))
+        states, cells = self._pass(rel, [col])
+        return [cells[states[r]][0] for r in classes.reps]
 
 
 def _numbered(keys: Iterable[tuple[int, ...]]) -> tuple[list[int], dict[tuple[int, ...], int]]:
@@ -560,12 +538,13 @@ class EvalContext:
         self.sweeps_run = 0  # quantifier sweeps that folded the universe
         self.names_swept = 0  # names the folds of those sweeps visited
         self._witnesses: dict[int, _Witness] = {}  # by witness id (`_witness`)
-        # (universe length, the witnesses' extra columns, `_visit`)
-        self._visit_at: tuple[int, frozenset, Sequence[int], Optional[itemgetter]] = (
-            0, frozenset(), (), None)
+        self._visit_at: tuple[int, Sequence[int]] = (0, ())  # (universe length, `_visit`)
         cc = self._columns = ColumnClasses(universe, assignment) if columns is None else columns
         if cc.n and not cc.eq:  # built before any atom reads them
             cc.build(self)
+        # the classes of the covered names that sweeps visit and witnesses
+        # keep their values by (see the module docstring)
+        self._covered = cc.signatures if cc.n else NameClasses.singletons(0)
 
     # -- atomic clauses ---------------------------------------------------------
 
@@ -612,7 +591,7 @@ class EvalContext:
             # a witness's values against the covered names, when lo is one
             w = self._witness(lo) if lo >= cc.n > 0 else None
             entries = names[hi].entries
-            if w is not None and hi >= cc.n and not w.extra:
+            if w is not None and hi >= cc.n and w.of is cc.of:
                 entries = self._witness(hi).entries
             for x, ux in entries:
                 if __debug__:
@@ -655,7 +634,8 @@ class EvalContext:
             w = self._witness(v)
             acc = w.members[w.of[u]]
         elif v < cc.n <= u:  # a witness in a covered name
-            acc = self._witness(u).containers[v]
+            w = self._witness(u)
+            acc = w.containers[w.of[v]]
         else:  # the clause; where u is a witness, `x = u` for a covered x
             # comes from u's values against the covered names
             names = self.universe.names
@@ -664,12 +644,12 @@ class EvalContext:
             col = eq_rows.get(u, ())  # `x = u` for every x <= u
             w = self._witness(u) if u >= cc.n > 0 else None
             entries = names[v].entries
-            if w is not None and v >= cc.n and not w.extra:
+            if w is not None and v >= cc.n and w.of is cc.of:
                 entries = self._witness(v).entries
             acc = self._bottom
             for x, vx in entries:
                 if w is not None and x < cc.n:
-                    e = meet[w.covered_halves[x]][w.halves[w.of[x]]]
+                    e = w.equals[w.of[x]]
                 else:
                     try:
                         e = col[x] if x <= u else eq_rows.get(x, ())[u]
@@ -685,28 +665,32 @@ class EvalContext:
         return acc
 
     def _extend(self, row: array, rel: int, side: int, t: int, n: int) -> None:
-        """Extend the row of (rel, side, t) to n names: from the class
-        tables while both names are covered and not both low, else through
-        the clauses."""
+        """Extend the sweep row of (rel, side, t) to the names that a sweep
+        visits in a universe of n names (`_visit`): with the class tables
+        on, first the class row at the visit's covered names."""
+        cc, m = self._columns, len(row)
+        if cc.n:
+            if not row:
+                by_class, of = self._class_row(rel, side, t)
+                row.extend(by_class if of is self._covered.of else cc.gather(by_class))
+            m = cc.n + len(row) - len(self._covered.reps)
+        self._fill(row, rel, side, t, m, n)
+
+    def _class_row(self, rel: int, side: int, t: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The row of (rel, side, t) over the covered names, one value per
+        class, and the `of` of those classes: the signature classes' from
+        the tables, or a witness t's own."""
         cc = self._columns
-        if 0 < cc.n <= t and len(row) < cc.n:  # a witness t and the covered z
-            w, zs = self._witness(t), range(len(row), min(n, cc.n))
-            if rel == _REL_EQ:  # z = t
-                meet, halves, of = self._meet, w.halves, w.of
-                row.extend([meet[h][halves[of[z]]] for z, h in zip(zs, w.covered_halves[zs.start:])])
-            elif side == _Z_LEFT:  # z in t
-                row.extend([w.members[c] for c in w.of[zs.start:zs.stop]])
-            else:  # t in z
-                row.extend(w.containers[zs.start:zs.stop])
-        elif 0 <= t < cc.n and len(row) < cc.n:  # t is -1 in `z in z`, `z = z`
-            if t < cc.low:
-                self._fill(row, rel, side, t, min(cc.low, n))
-            if rel == _REL_MEM and side == _Z_RIGHT:  # t in z
-                row.extend(cc.containers(t)[len(row):])
-            else:  # z = t, z in t
-                by_class = (cc.eq if rel == _REL_EQ else cc.mem)[cc.of[t]]
-                row.extend(array(self._typecode, cc.gather(by_class)[len(row):]))
-        self._fill(row, rel, side, t, n)
+        if t >= cc.n:  # a witness t
+            w = self._witness(t)
+            return (w.equals if rel == _REL_EQ else w.members if side == _Z_LEFT
+                    else w.containers), w.of
+        table = cc.eq if rel == _REL_EQ else cc.mem
+        if t < 0:  # z = z, z in z
+            return [table[c][c] for c in range(len(table))], cc.of
+        if rel == _REL_MEM and side == _Z_RIGHT:  # t in z
+            return [in_z[cc.of[t]] for in_z in table], cc.of
+        return table[cc.of[t]], cc.of  # z = t, z in t
 
     def _witness(self, w: int) -> _Witness:
         """The values of a witness w against the covered names (see the
@@ -726,79 +710,75 @@ class EvalContext:
         firsts = {(a, sig[y]): y for y, a in reversed(entries) if y < cc.n}
         covered = list(firsts)
         lower = [(a, self._witness(y)) for y, a in entries if y >= cc.n]
-        inherited = frozenset().union(*[x.extra for _, x in lower])
-        classes = cc.refined(inherited)
+        classes = self._covered  # read after the witnesses below, which may split it
         members, halves = [], []
         for r in classes.reps:
             s = sig[r]
             eqs, ins = eq_at[s], in_to[s]  # `y = r` and `y in r` by the class of y
-            m = bottom
+            m, h = bottom, top
             for a, c in covered:
                 m = join[m][meet[a][eqs[c]]]
-            for a, x in lower:
-                m = join[m][meet[a][meet[x.covered_halves[r]][x.halves[x.of[r]]]]]
-            members.append(m)
-            h = top
-            for a, c in covered:
                 h = meet[h][factor[a][ins[c]]]
             for a, x in lower:
-                h = meet[h][factor[a][x.containers[r]]]
+                c = x.of[r]
+                m = join[m][meet[a][x.equals[c]]]
+                h = meet[h][factor[a][x.containers[c]]]
+            members.append(m)
             halves.append(h)
-        # w's columns over the low names, whose cells are every covered
-        # name's half of `r = w` and `w in r`
-        low = range(cc.low)
-        in_col = tuple([members[classes.of[x]] for x in low])
-        covered_halves = cc.cells_at(_REL_MEM, in_col)
-        eq_col = tuple([meet[covered_halves[x]][halves[classes.of[x]]] for x in low])
-        extra = inherited.union([(rel, col) for rel, col in ((_REL_MEM, in_col), (_REL_EQ, eq_col))
-                                 if col not in cc.columns[rel]])
-        return _Witness(classes.of, members, halves, covered_halves,
-                        cc.cells_at(_REL_EQ, eq_col), extra,
+        # w's columns over the low names, the first classes, whose cells are
+        # each class's half of `r = w` and `w in r`
+        in_col = tuple(members[:cc.low])
+        equals = [meet[h][g] for h, g in zip(cc.cells_at(_REL_MEM, in_col, classes), halves)]
+        eq_col = tuple(equals[:cc.low])
+        if classes is cc.signatures and not (in_col in cc.columns[_REL_MEM]
+                                             and eq_col in cc.columns[_REL_EQ]):
+            # a column that no class has: from now on the covered names go
+            # one by one, and the rows read at the old visit go
+            self._covered = NameClasses.singletons(cc.n)
+            self._rows.clear()
+            return self._witness_values(w)
+        return _Witness(classes.of, members, equals, cc.cells_at(_REL_EQ, eq_col, classes),
                         sorted((y, a) for (a, _), y in firsts.items())
                         + [(y, a) for y, a in entries if y >= cc.n])
 
-    def _visit(self) -> tuple[Sequence[int], Optional[itemgetter]]:
-        """The names a sweep visits, in id order, and a gather of a row's
-        values at them.  With the class tables on, the first name of each
-        class of names interchangeable in the current universe, the
-        signature classes split by the extra columns of every witness (see
-        the module docstring), and then every witness; the low names are
-        classes of their own, so there are at least two.  With the tables
-        off, every name, and no gather: the rows are read whole."""
+    def _visit(self) -> Sequence[int]:
+        """The names a sweep visits, in id order.  With the class tables
+        on, the first name of each covered class, and then every witness;
+        the low names are classes of their own, so there are at least two.
+        With the tables off, every name."""
         cc, n = self._columns, len(self.universe.names)
-        m, extra, visit, gather = self._visit_at
+        m, visit = self._visit_at
         if m != n:
             if cc.n:
-                extra = extra.union(*[self._witness(w).extra for w in range(max(m, cc.n), n)])
-                visit = [*cc.refined(extra).reps, *range(cc.n, n)]
-                gather = itemgetter(*visit)
+                for w in range(max(m, cc.n), n):
+                    self._witness(w)  # which may make the covered classes single names
+                visit = [*self._covered.reps, *range(cc.n, n)]
             else:
                 visit = range(n)
-            self._visit_at = (n, extra, visit, gather)
-        return visit, gather
+            self._visit_at = (n, visit)
+        return visit
 
-    def _fill(self, row: array, rel: int, side: int, t: int, n: int) -> None:
-        """Extend the row of (rel, side, t) to n names through the clauses,
-        or, for witnesses z against a covered t, from their values against
-        the covered names."""
-        m, unset = len(row), self._unset
+    def _fill(self, row: array, rel: int, side: int, t: int, m: int, n: int) -> None:
+        """Extend the row of (rel, side, t) by its values at the names m to
+        n, through the clauses or, for witnesses z against a covered t,
+        from their values against the covered names."""
         if 0 <= t < self._columns.n <= m:
             ws = [self._witness(z) for z in range(m, n)]
             if rel == _REL_EQ:  # z = t
-                meet = self._meet
-                row.extend([meet[w.covered_halves[t]][w.halves[w.of[t]]] for w in ws])
+                row.extend([w.equals[w.of[t]] for w in ws])
             elif side == _Z_LEFT:  # z in t
-                row.extend([w.containers[t] for w in ws])
+                row.extend([w.containers[w.of[t]] for w in ws])
             else:  # t in z
                 row.extend([w.members[w.of[t]] for w in ws])
             return
         if rel == _REL_MEM and side == _Z_LEFT:
             # `z in t` is the store's own row for t, with its holes filled
+            unset, i = self._unset, len(row) - m
             row.extend(self._memo[_REL_MEM].get(t, ())[m:n])
-            row.extend(repeat(unset, n - len(row)))
+            row.extend(repeat(unset, i + n - len(row)))
             for z in range(m, n):
-                if row[z] == unset:
-                    row[z] = self.membership(z, t)
+                if row[i + z] == unset:
+                    row[i + z] = self.membership(z, t)
             return
         clause = self.equality if rel == _REL_EQ else self.membership
         for z in range(m, n):
@@ -806,7 +786,7 @@ class EvalContext:
             row.append(clause(u, v))
 
     def _row_classes(self, keys: list[tuple[int, int, int]]) -> list[int]:
-        """Fill the rows of keys to the end of the universe and return their
+        """Extend the rows of keys to the current visit and return their
         class ids: rows with equal contents share an id while the universe
         keeps its length."""
         n = len(self.universe.names)
@@ -829,12 +809,16 @@ class EvalContext:
 
     def row(self, rel: str, u: int) -> array:
         """`u = z` (rel '=') or `u in z` (rel 'in') for every name z, in a
-        fresh array filled as a sweep row is; the context keeps no copy."""
+        fresh array that the context keeps no copy of: one gather of u's
+        class row over the covered names, and the rest as a sweep row's."""
         if rel not in ("=", "in"):
             raise InputError(f"unknown atomic relation {rel!r}")
-        out = array(self._typecode)
-        key = (_REL_EQ, _Z_LEFT, u) if rel == "=" else (_REL_MEM, _Z_RIGHT, u)
-        self._extend(out, *key, len(self.universe.names))
+        out, cc = array(self._typecode), self._columns
+        r, side = (_REL_EQ, _Z_LEFT) if rel == "=" else (_REL_MEM, _Z_RIGHT)
+        if cc.n:
+            by_class, of = self._class_row(r, side, u)
+            out.extend(cc.gather(by_class) if of is cc.of else by_class)
+        self._fill(out, r, side, u, len(out), len(self.universe.names))
         return out
 
     def name_classes(self) -> NameClasses:
@@ -956,9 +940,9 @@ class EvalContext:
             self.sweeps_run += 1
             slots[k] = -1  # so the row of `z in z` or `z = z` keys on -1
             keys = [(rel, side, slots[j]) for rel, side, j in specs]
+            visit = self._visit()  # before the rows, which it may drop
             self._row_classes(keys)
-            visit, gather = self._visit()
-            rows = [rows_of[rk] if gather is None else gather(rows_of[rk]) for rk in keys]
+            rows = [rows_of[rk] for rk in keys]
             # body values by row values, and by row values and own rows' class
             # ids where a run that swept inside the body read its own rows
             seen: dict[tuple[int, ...], int] = {}

@@ -354,7 +354,7 @@ def test_clause_guard_sees_a_planted_reader(tmp_path):
                                            "theorems.coincidence_mismatches"]
 
 
-ROW_INTERNALS = {"_extend", "_fill", "_rows"}
+ROW_INTERNALS = {"_extend", "_fill", "_rows", "_class_row", "_visit", "_covered"}
 
 
 def row_internal_readers(src: Path) -> list[str]:
@@ -376,11 +376,14 @@ def test_row_guard_sees_a_planted_reader(tmp_path):
     (tmp_path / "quotient.py").write_text(
         "def build_quotient(ctx):\n"
         "    out = []\n"
-        "    ctx._fill(out, 0, 0, 1, 4)\n"
+        "    ctx._fill(out, 0, 0, 1, 0, 4)\n"
         "    return out\n\n\n"
+        "def first_names(ctx):\n"
+        "    return ctx._covered.reps, ctx._class_row(0, 0, 1)\n\n\n"
         "CACHED = len(EvalContext._rows)\n",
         encoding="utf-8")
-    assert row_internal_readers(tmp_path) == ["quotient", "quotient.build_quotient"]
+    assert row_internal_readers(tmp_path) == ["quotient", "quotient.build_quotient",
+                                              "quotient.first_names"]
 
 
 CELL_SOURCES = {"factor", "steps", "prefix", "last_entry", "eq", "mem", "halves", "members"}

@@ -11,7 +11,8 @@ from algval import algebra
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
 from algval.errors import CapabilityError, InputError
 from algval.evaluate import (
-    _REL_EQ, _REL_MEM, ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses, bq_sides,
+    _REL_EQ, _REL_MEM, _Z_BOTH, _Z_RIGHT, ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses,
+    bq_sides,
 )
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
@@ -648,7 +649,7 @@ def test_class_visit_sweeps_match_reference_evaluator_at_rank_3(algname, assignm
     alg, d = builtin(algname)
     uni = build_universe(alg, 3)
     ctx = EvalContext(uni, d, assignment)
-    assert len(ctx._visit()[0]) < len(uni)
+    assert len(ctx._visit()) < len(uni)
     a, b = same_class_pair(ctx)
     last = len(uni) - 1
     deep = [t for t in ROW_SWEEP_SENTENCES + NESTED_SENTENCES if nesting(parse(t)) == 2]
@@ -665,7 +666,7 @@ def test_class_visit_sweeps_match_reference_evaluator_on_covered_universes(algna
     uni = covered_universe(alg, 2)
     ctx = EvalContext(uni, d, assignment)
     top, n = alg.top_i, len(uni)
-    assert ctx._columns.n == n and len(ctx._visit()[0]) < n
+    assert ctx._columns.n == n and len(ctx._visit()) < n
     names = sorted({*range(0, n, 6), *same_class_pair(ctx)})
     for _ in range(2):
         assert_sweeps_match_reference(ctx, ROW_SWEEP_SENTENCES + NESTED_SENTENCES, names)
@@ -709,8 +710,9 @@ def test_class_visit_sweeps_match_reference_evaluator_after_zfbar_witnesses(assi
 def test_a_witness_that_names_one_name_of_a_class_keeps_the_class_visit(assignment):
     # w has a as an entry and not b, which shares a's class: `z in w` is
     # top /\ `a = z`, and `a = z` is `b = z` for every z, so w keeps a and
-    # b interchangeable (no builtin at rank 3 has a witness column that
-    # splits the classes) and the sweep still visits a alone
+    # b interchangeable (no builtin at rank 3 has a witness column that no
+    # class has) and the sweep still visits a alone, with every witness
+    # value kept once per signature class
     alg, d = ps3()
     uni = build_universe(alg, 3)
     ctx = EvalContext(uni, d, assignment)
@@ -718,8 +720,13 @@ def test_a_witness_that_names_one_name_of_a_class_keeps_the_class_visit(assignme
     a, b = same_class_pair(ctx)
     w = uni.insert({a: top})
     v = uni.insert({w: top, b: half})
-    visit, _ = ctx._visit()
+    visit = ctx._visit()
     assert a in visit and b not in visit and visit[-2:] == [w, v]
+    signatures = ctx._columns.signatures
+    assert visit[:-2] == signatures.reps
+    for x in (w, v):
+        assert ctx._witness(x).of is signatures.of
+        assert len(ctx._witness(x).members) == len(ctx._witness(x).containers) == len(visit) - 2
     assert_sweeps_match_reference(ctx, [
         f"exists z. (z in #{w} /\\ ~(z = #{a}))",
         f"forall z. (z in #{w} -> z = #{b})",
@@ -728,6 +735,62 @@ def test_a_witness_that_names_one_name_of_a_class_keeps_the_class_visit(assignme
     ], [])
     assert_sweeps_match_reference(ctx, SHALLOW_SENTENCES, [a, b, w, v])
     assert_sweeps_match_reference(ctx, NESTED_SENTENCES, [w])
+
+
+def witness_grown(algname, assignment):
+    """(context, names): algname's universe at rank 3 grown by two pair
+    witnesses and a witness of a witness, and names to bind: two of one
+    class of interchangeable names, the witnesses and a low name."""
+    alg, d = builtin(algname)
+    uni = build_universe(alg, 3)
+    ctx = EvalContext(uni, d, assignment)
+    top = alg.top_i
+    a, b = same_class_pair(ctx)
+    pair = uni.insert({a: top, len(uni) - 1: top})
+    other = uni.insert({1: top, b: top})
+    up = uni.insert({pair: top, other: top, a: top})
+    return ctx, [a, b, pair, other, up, 1]
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain3"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_sweep_rows_hold_one_value_per_visited_name(algname, assignment):
+    # with the tables on, a row holds its values at the names a sweep
+    # visits, read from the class rows and the witnesses' values by class
+    ctx, names = witness_grown(algname, assignment)
+    n = len(ctx.universe)
+    assert_sweeps_match_reference(ctx, SHALLOW_SENTENCES, names)
+    visit = ctx._visit()
+    assert ctx._covered is ctx._columns.signatures and len(visit) < n
+    eq, mem = reference_clauses(ctx)
+    assert ctx._rows
+    for (rel, side, t), row in ctx._rows.items():
+        assert len(row) <= len(visit), (rel, side, t)
+        for z, value in zip(visit, row):
+            u, v = (t, z) if side == _Z_RIGHT else (z, z) if side == _Z_BOTH else (z, t)
+            assert value == (eq if rel == _REL_EQ else mem)(u, v), (rel, u, v)
+    for t in names:  # a row handed out still spans every name
+        eq_row, in_row = ctx.row("=", t), ctx.row("in", t)
+        assert list(eq_row) == [eq(t, z) for z in range(n)]
+        assert list(in_row) == [mem(t, z) for z in range(n)]
+
+
+@pytest.mark.parametrize("algname", ["ps3", "chain3"])
+@pytest.mark.parametrize("assignment", ASSIGNMENTS)
+def test_a_wrong_class_cell_that_only_a_sweep_reads_fails_the_reference(algname, assignment):
+    # `d = a` for a low d and a top-level a is read by the clause at
+    # eq[of[d]][of[a]], and by the sweep row of `z = a` at eq[of[a]][of[d]]:
+    # planted there, `a = a`'s value makes d's row value the one of a's
+    # class, whose body value the sweep then takes from d
+    ctx, names = witness_grown(algname, assignment)
+    a, tables = names[0], ctx._columns
+    c = tables.of[a]
+    d = next(x for x in range(tables.low) if ctx.equality(x, a) != ctx.equality(a, a))
+    tables.eq[c][d] = tables.eq[c][c]
+    sentences = ["exists z. z = x", "forall z. ~(z = x)"]
+    assert ctx.equality(d, a) == ctx.equality(a, d) != tables.eq[c][d]
+    with pytest.raises(AssertionError):
+        assert_sweeps_match_reference(ctx, sentences, [a])
 
 
 # -- the atomic clauses against a direct transcription ------------------------------
@@ -1003,9 +1066,9 @@ def _skewed_imp_ps3():
 def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
     # Few top-level names, so the columns of {#4: 1, #10: 1} over the low
     # names are, under ba, no class of the tables: its cells at them are
-    # folded anew, and they split the signature classes for the witness
-    # above it.  Every value with a witness name, and every row of one,
-    # must be the clause's.
+    # folded anew, and from then on the covered names go one by one.
+    # Every value with a witness name, and every row of one, must be the
+    # clause's.
     alg, d = _skewed_imp_ps3()
     uni = covered_universe(alg, 2)
     ctx = EvalContext(uni, d, assignment)
@@ -1016,9 +1079,8 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
     others = [uni.insert({x: top, y: top}) for x, y in itertools.combinations(range(4, 22, 3), 2)]
     eq, mem = reference_clauses(ctx)
     if assignment == "ba":
-        assert ctx._witness(w).extra and ctx._witness(v).extra
-        sig, fine = tables.signatures.of, ctx._witness(v).of
-        assert len(set(fine)) > len(set(sig))
+        assert list(ctx._witness(w).of) == list(ctx._witness(v).of) == list(range(tables.n))
+        sig = tables.signatures.of
         # two names of one signature class that w's columns set apart, as
         # the entries of one witness
         x, y = next((x, y) for x, y in itertools.combinations(range(tables.n), 2)
@@ -1042,10 +1104,11 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
     assert_sweeps_match_reference(
         ctx, [f"exists z. (~(z in #{t}) -> ~(z in #{v}))" for t in others], [])
     # a sweep visits the first name of each class of names that are
-    # interchangeable beside the witnesses, and every witness
-    visit, _ = ctx._visit()
-    classes = tables.refined(ctx._visit_at[1])
+    # interchangeable beside the witnesses, and every witness: under ba,
+    # after the split, every covered name and then the witnesses
+    visit, classes = ctx._visit(), ctx._covered
     assert visit == [*classes.reps, *range(tables.n, len(uni))]
+    assert (visit == list(uni.ids())) == (assignment == "ba")
     for z in range(tables.n):
         r = classes.reps[classes.of[z]]
         assert ctx.row("=", z) == ctx.row("=", r) and ctx.row("in", z) == ctx.row("in", r)
@@ -1270,7 +1333,7 @@ def test_extensionality_bar_visits_one_name_per_class():
     alg, d = ps3()
     uni = build_universe(alg, 3)
     ctx = EvalContext(uni, d, "pa")
-    assert len(ctx._visit()[0]) == 31
+    assert len(ctx._visit()) == 31
     assert ctx.holds(instantiate_axiom("ExtensionalityBar"))
     assert 0 < ctx.names_swept <= 31 * ctx.sweeps_run
 
@@ -1284,9 +1347,16 @@ def test_a_sweep_without_the_tables_visits_every_name():
     ctx = EvalContext(uni, d, "pa")
     assert ctx._columns.n == 0 and ctx.value(f) == alg.bottom_i
     assert (ctx.sweeps_run, ctx.names_swept) == (1, len(uni))
-    # with the tables on, the same sweep visits one name per class
+    # with the tables on, the same sweep visits one name per class while
+    # no witness brings a column that no class has
     uni = covered_universe(alg, 2)
-    uni.insert({1: alg.top_i, len(uni) - 1: alg.top_i})
+    last = len(uni) - 1
+    uni.insert({0: alg.top_i, last: alg.top_i})
     ctx = EvalContext(uni, d, "pa")
     assert ctx._columns.n == len(uni) - 1 and ctx.value(f) == alg.bottom_i
-    assert ctx.names_swept == len(ctx._columns.signatures.reps) + 1 < len(uni)
+    classes = len(ctx._columns.signatures.reps)
+    assert ctx.names_swept == classes + 1 < len(uni)
+    # and every name once one does: {#1: 1, last: 1} has such a column
+    uni.insert({1: alg.top_i, last: alg.top_i})
+    assert ctx.value(f) == alg.bottom_i
+    assert ctx.names_swept == classes + 1 + len(uni)
