@@ -81,7 +81,11 @@ membership m.  So a name's cells at any list of columns are a function
 of its prefix's cells there and its last entry, and a pass down the
 prefix arrays gives every covered name its tuple of cells with one dict
 lookup per name, each (tuple, last entry) move computed once
-(`ColumnClasses._pass`).  Three passes find the signatures.  The
+(`ColumnClasses.states`).  Any function of a name's entries that is one
+step from its prefix's is computed so: `domain_indexed` folds the right
+side of a bounded universal that way, and `theorems.check_properties`
+the keys of a name's designated entries.  Three passes find the
+signatures.  The
 memberships at the low names' equality classes give each name's
 membership column, `x in v` = M[ec(x)][v]; the halves at every
 membership class give, with it, its equality column, `x = v` =
@@ -212,8 +216,11 @@ covered names (`ColumnClasses.gather`), and past them the values a sweep
 row of `z = u` or of `u in z` holds.  The row is a fresh array that the
 context does not keep, so a caller that reads one name's rows at a time
 holds O(n) values, and values read from the tables do not enter the store.
-`quotient.build_quotient` reads its partition and its verdicts this way,
-where asking pair by pair would make 2n² clause calls.
+`quotient.build_quotient` reads its partition and its verdicts this way
+where the tables do not cover the universe, and where asking pair by pair
+would make 2n² clause calls; where they do (`EvalContext.tables`), it
+reads the values by pair of classes (`ColumnClasses.by_pair`), which
+those rows only spread over the names.
 
 An equality clause stops as soon as its meet reaches bottom, but only when
 the meet table's bottom row is constant, so defective tables evaluate as
@@ -229,7 +236,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, is_bounded_lattice
 from .errors import CapabilityError, InputError
@@ -443,35 +450,61 @@ class ColumnClasses:
 
     def _pass(self, rel: int, cols: list[tuple[int, ...]]) -> tuple[array, list[tuple[int, ...]]]:
         """Every covered name's cells at the columns cols over the low
-        names, as a state: the id of their tuple, in the order of the first
-        name that has it, and the tuples by id.  A cell is one step from the
-        prefix's (`_steps`), so a name's state is its prefix's state moved
-        by its last entry, and each move is computed once."""
-        steps = [self._steps(rel, col) for col in cols]
-        start = (self.alg.top_i if rel == _REL_MEM else self.alg.bottom_i,) * len(cols)
-        cells, ids, moves = [start], {start: 0}, {}
-        states, width = array("i", [0]) * self.n, self.low * len(self.alg.elements)
+        names, folded by the clause's steps (`fold`, `_steps`)."""
+        alg = self.alg
+        start = alg.top_i if rel == _REL_MEM else alg.bottom_i
+        return self.fold([self._steps(rel, col) for col in cols], start)
+
+    def _steps(self, rel: int, col: tuple[int, ...]) -> list[list[int]]:
+        """The steps of a column's cells: a half (rel `in`) meets the
+        factor of an entry's weight against its membership in col, and a
+        membership (rel `=`) joins its weight met with its equality."""
+        alg = self.alg
+        if rel == _REL_MEM:
+            return self.step_table(self.factor, alg.meet_t, col)
+        return self.step_table(alg.meet_t, alg.join_t, col)
+
+    def step_table(self, table: Sequence[Sequence[int]], fold: Sequence[Sequence[int]],
+                   col: Sequence[int]) -> list[list[int]]:
+        """The steps of a fold of table[a][col[x]] over a name's entries
+        (x, a), col a column over the low names: at [h][e] the fold of a
+        name whose prefix's fold is h and whose last entry is e."""
+        step = [table[a][m] for m in col for a in range(len(self.alg.elements))]
+        return [[row[s] for s in step] for row in fold]
+
+    def fold(self, steps: list[list[list[int]]], start: int
+             ) -> tuple[array, list[tuple[int, ...]]]:
+        """Every covered name's folds by `steps` (each a `step_table`) from
+        `start`, as `states` of their tuple."""
+        k = len(self.alg.elements)
+        return self.states((start,) * len(steps), lambda cell, x, a: tuple(
+            [step[h][x * k + a] for step, h in zip(steps, cell)]))
+
+    def states(self, start: Hashable, move: Callable[[Hashable, int, int], Hashable]
+               ) -> tuple[array, list]:
+        """A value of every covered name, down the prefix arrays: `start`
+        at the empty name, and move(s, x, a) at a name whose prefix has s
+        and whose last entry is (x, a).  Each name gets the id of its value,
+        in the order of the first name that has it, and the values come by
+        id.  `move` runs once per distinct (id, last entry), not per name."""
+        k = len(self.alg.elements)
+        values, ids, moves = [start], {start: 0}, {}
+        states, width = array("i", [0]) * self.n, self.low * k
         for v, p, e in zip(range(1, self.n), self.prefix[1:], self.last_entry[1:]):
             key = states[p] * width + e
             s = moves.get(key)
             if s is None:
-                to = tuple([step[h][e] for step, h in zip(steps, cells[states[p]])])
-                s = moves[key] = ids.setdefault(to, len(cells))
-                if s == len(cells):
-                    cells.append(to)
+                to = move(values[states[p]], *divmod(e, k))
+                s = moves[key] = ids.setdefault(to, len(values))
+                if s == len(values):
+                    values.append(to)
             states[v] = s
-        return states, cells
+        return states, values
 
-    def _steps(self, rel: int, col: tuple[int, ...]) -> list[list[int]]:
-        """The steps of a column's cells: the cell of a name whose prefix's
-        cell is h and whose last entry is e, at [h][e].  A half (rel `in`)
-        meets the factor of e's weight against e's membership in col, and
-        a membership (rel `=`) joins e's weight met with e's equality."""
-        alg = self.alg
-        table, fold = ((self.factor, alg.meet_t) if rel == _REL_MEM
-                       else (alg.meet_t, alg.join_t))
-        step = [table[a][m] for m in col for a in range(len(alg.elements))]
-        return [[row[s] for s in step] for row in fold]
+    def by_pair(self) -> tuple[list[list[int]], list[list[int]]]:
+        """`=` and `in` by pair of signature classes: at [a][b] the value
+        at (u, v) for every u of class a and v of class b."""
+        return self.eq, [list(col) for col in zip(*self.mem)]
 
     def cells_at(self, rel: int, col: tuple[int, ...], classes: NameClasses) -> list[int]:
         """The cells at a column over the low names, halves for a
@@ -821,12 +854,19 @@ class EvalContext:
         self._fill(out, r, side, u, len(out), len(self.universe.names))
         return out
 
+    def tables(self) -> Optional[ColumnClasses]:
+        """The class tables while the universe holds just the names they
+        cover, else None."""
+        cc = self._columns
+        return cc if 0 < cc.n == len(self.universe.names) else None
+
     def name_classes(self) -> NameClasses:
         """Classes of interchangeable names: while the universe holds just
         the names the class tables cover, their signature classes
         (`ColumnClasses.signatures`); otherwise every name alone."""
-        cc, n = self._columns, len(self.universe.names)
-        return cc.signatures if 0 < cc.n == n else NameClasses.singletons(n)
+        cc = self.tables()
+        n = len(self.universe.names)
+        return cc.signatures if cc is not None else NameClasses.singletons(n)
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""
@@ -1029,27 +1069,17 @@ def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
     side is compiled once, with u a parameter rather than a constant, and
     the returned function of u is held for a sweep over many names.
     phi(x) is evaluated once per name x and universe length, since the
-    domains of many names share x.  The left side is evaluated once per
-    class of interchangeable names (`EvalContext.name_classes`, with phi's
-    constants apart) while the universe keeps the length those classes
-    are of; the right side reads u's own entries, so it stays per name.
+    domains of many names share x.  Where the class tables cover the
+    universe, `bq_mismatch` compares the two sides by class instead.
     """
     quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
     indexed = ctx.sentence(phi, ("x",))
     names, meet, imp, top = ctx.universe.names, ctx._meet, ctx._imp, ctx._top
     es = ctx.algebra.elements
     known: dict[tuple[int, int], int] = {}  # phi(x) by (universe length, x)
-    classes = ctx.name_classes().apart(constants(phi))
-    by_class: dict[int, int] = {}  # the left side, by class
 
     def compare(u: int) -> BqResult:
-        if len(names) == len(classes.of):
-            c = classes.of[u]
-            q = by_class.get(c)
-            if q is None:
-                q = by_class[c] = quantified(u)
-        else:
-            q = quantified(u)
+        q = quantified(u)
         acc = top
         for x, ux in names[u].entries:
             key = (len(names), x)
@@ -1059,3 +1089,57 @@ def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
             acc = meet[acc][imp[ux][value]]
         return BqResult(es[q], es[acc], q == acc)
     return compare
+
+
+def domain_indexed(ctx: EvalContext, phis: Sequence[Formula]
+                   ) -> tuple[array, list[tuple[int, ...]]]:
+    """The right side of `bq_sides` for each of phis at every name, by one
+    pass down the prefix arrays, where the class tables cover the universe
+    (`EvalContext.tables`): each name's state, and by state the tuple of
+    its sides, one per formula.
+
+    The side of a name v is the meet, over its entries (x, a) in order, of
+    a => phi(x).  Its prefix p(v) has v's entries less the last, so the
+    meet over v's entries is the meet over p(v)'s and one step more,
+
+        d(v) = d(p(v)) /\\ (a => phi(x))
+
+    from top at the empty name: the steps of `bq_sides`, in its order, so
+    no lattice law is needed.  The x are low names, so phi is read once
+    per low name (`ColumnClasses.fold`)."""
+    cc, alg = ctx.tables(), ctx.algebra
+    steps = []
+    for phi in phis:
+        at = ctx.sentence(phi, ("x",))
+        steps.append(cc.step_table(alg.imp_t, alg.meet_t, [at(x) for x in range(cc.low)]))
+    return cc.fold(steps, alg.top_i)
+
+
+def bq_mismatch(ctx: EvalContext, phis: Sequence[Formula]
+                ) -> Optional[tuple[int, int, BqResult]]:
+    """The first (u, i), name u outer and formula i inner, at which the two
+    sides of `bq_sides(ctx, phis[i])` differ, with its result, or None;
+    where the class tables cover the universe (`EvalContext.tables`).
+
+    The left side is a function of u's class of interchangeable names,
+    with the formulas' constants apart, and the right side of u's state
+    in `domain_indexed`.  So both sides are asked once per distinct (class,
+    state), at the first name that has them, in id order; the left side
+    once per class.  The first name of the first pair that fails is the
+    first name that fails: each name before it has a pair whose first name
+    passed."""
+    cc = ctx.tables()
+    states, sides = domain_indexed(ctx, phis)
+    classes = cc.signatures.apart(frozenset().union(*map(constants, phis)))
+    quantified = [ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
+                  for phi in phis]
+    left: dict[int, list[int]] = {}  # the left sides, by class
+    es = ctx.algebra.elements
+    for u in NameClasses.by_key(zip(classes.of, states)).reps:
+        c = classes.of[u]
+        if c not in left:
+            left[c] = [at(u) for at in quantified]
+        for i, (q, d) in enumerate(zip(left[c], sides[states[u]])):
+            if q != d:
+                return u, i, BqResult(es[q], es[d], False)
+    return None

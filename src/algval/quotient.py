@@ -10,9 +10,12 @@ and non-member cover all class pairs and may overlap, which is exactly the
 paraconsistent signature of these models.  `build_quotient` checks on
 every pair of names that the partition is well defined, and names the
 law that a failing pair breaks.  It makes one pass over a partition of
-the names, reading each class's values against every name as two rows of
-the engine (`EvalContext.row`): over the classes of interchangeable names,
-and only when that pass finds a break, over every name alone.
+the names, reading each class's `=` and `in` values once: over the
+classes of interchangeable names, and only when that pass finds a break,
+over every name alone.  Where those classes are the signature classes of
+the class tables (`EvalContext.tables`), the values come by pair of
+classes from the tables; elsewhere they come as two rows of the engine
+(`EvalContext.row`) against every name.
 """
 
 from __future__ import annotations
@@ -75,17 +78,26 @@ def build_quotient(ctx: EvalContext) -> QuotientModel:
 
 def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
     """The passes of `build_quotient` over the classes of `names`, each
-    class's `=` and `in` rows (`EvalContext.row`) read once, at its first
-    name.  Over single names this is the pass name by name, and a break
-    raises `QuotientDefect`.  Over a coarser partition a break returns
-    None: a row that disagrees with the classes, a value that is not
-    two-valued, a class of several names that is not top against itself
-    (the pass by names would split it), or a verdict unlike its
+    class's `=` and `in` values against the classes read once, at its
+    first name.  Over single names this is the pass name by name, and a
+    break raises `QuotientDefect`.  Over a coarser partition a break
+    returns None: a row that disagrees with the classes, a value that is
+    not two-valued, a class of several names that is not top against
+    itself (the pass by names would split it), or a verdict unlike its
     representative's.  Otherwise a name's values are those of its class
     at the classes of the names, and each class is two-valued against
     every name after its first, so the pass by names finds no break
     either, and builds the same partition: all the names of a class fall
     in one quotient class, opened by the first of them in no earlier one.
+
+    Where `names` are the signature classes of the class tables, which
+    cover the universe (`EvalContext.tables`), the values by class are
+    the tables' (`ColumnClasses.by_pair`).  There a name's rows
+    (`EvalContext.row`) are its class's table rows spread over the names,
+    so no row can disagree with the classes, and the pass reads no row:
+    each class is two-valued against the classes that have a name after
+    its first.  Elsewhere each class's rows are read at its first name and
+    must equal its values at the classes spread over the names.
     """
     alg, n = ctx.algebra, len(ctx.universe.names)
     top, two_values = alg.top_i, {alg.top_i, alg.bottom_i}
@@ -96,24 +108,35 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
     code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
     of, reps, sizes = names.of, names.reps, names.sizes
     k, coarse = len(reps), len(reps) < n
-    spread = itemgetter(*of) if coarse else None  # class values to name values
+    tables = ctx.tables()
+    if tables is not None and names is tables.signatures:
+        eq_by, in_by = tables.by_pair()
+        last = dict(zip(of, range(n)))  # the last name of each class
+    else:
+        eq_by = None
+        spread = itemgetter(*of) if coarse else None  # class values to name values
     comp = [-1] * k  # the quotient class of each class of names
     count = 0
     verdicts = []  # each class's verdicts at the classes, as k bytes
     for a, u in enumerate(reps):
-        eq, mem = ctx.row("=", u), ctx.row("in", u)
-        e, m = list(map(eq.__getitem__, reps)), list(map(mem.__getitem__, reps))
-        if coarse and (eq != array(eq.typecode, spread(e))
-                       or mem != array(mem.typecode, spread(m))):
-            return None
-        if not two_values.issuperset(eq[u + 1:]):
+        if eq_by is not None:
+            e, m = eq_by[a], in_by[a]
+            later = (e[b] for b in range(k) if last[b] > u)
+        else:
+            eq, mem = ctx.row("=", u), ctx.row("in", u)
+            e, m = list(map(eq.__getitem__, reps)), list(map(mem.__getitem__, reps))
+            if coarse and (eq != array(eq.typecode, spread(e))
+                           or mem != array(mem.typecode, spread(m))):
+                return None
+            later = eq[u + 1:]
+        if not two_values.issuperset(later):
             if coarse:
                 return None
-            v = next(v for v in range(u + 1, n) if eq[v] not in two_values)
+            v = next(v for v in range(u + 1, n) if e[of[v]] not in two_values)
             raise QuotientDefect("=", u, v, "not two-valued")
         verdicts.append(bytes([code[x] + 4 * code[y] for x, y in zip(e, m)]))
         if comp[a] < 0:
-            if sizes[a] > 1 and eq[u] != top:
+            if sizes[a] > 1 and e[a] != top:
                 return None
             comp[a] = count
             for b in range(a + 1, k):

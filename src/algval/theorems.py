@@ -45,7 +45,7 @@ from .algebra import (
     collapse_f, ps3,
 )
 from .errors import InputError, ResourceError
-from .evaluate import ColumnClasses, EvalContext, NameClasses, bq_sides
+from .evaluate import ColumnClasses, EvalContext, NameClasses, bq_mismatch, bq_sides
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
     battery, enumerate_formulas, free_vars, iff, instantiate_axiom,
@@ -579,7 +579,9 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
     power set, filtered subset, numeral), then evaluates the instance over
     the bounded universe under pa.  The negated-emptiness separation
     instance is additionally evaluated under ba, where it is expected to
-    fail whenever an intermediate element exists.
+    fail whenever an intermediate element exists.  The Collection
+    instances whose antecedents hold share one witness that names every
+    name present before it (see the Collection block).
     """
     rank_bound = run.rank_bound
     ws = run.workspace()
@@ -734,23 +736,27 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
                            "out_of_truncation": 1}
 
     # Bounded collection: the witness set ranges over everything present.
-    count = vacuous = 0
+    # Each instance means: if its antecedent holds over X, the names
+    # present, then its consequent holds over X and the witness {X: top}.
+    # X is the same for every instance, the names present before the first
+    # witness, so neither an antecedent nor {X: top} depends on the other
+    # instances: every antecedent is read over X first, and the instances
+    # that hold share one witness, inserted once and read by each
+    # consequent.
     params, details["collection_battery"] = COLLECTION.read(())
-    for label, phi in params:
-        for u in base:
-            antecedent = Forall("y", Imp(Mem(Var("y"), Const(u)), Exists("z", phi)))
-            if not pa.holds(antecedent):
-                vacuous += 1
-                continue
-            v_big = ws.insert({nid: top for nid in range(len(ws.universe))})
+    instances = [(label, phi, u) for label, phi in params for u in base]
+    held = [(label, phi, u) for label, phi, u in instances
+            if pa.holds(Forall("y", Imp(Mem(Var("y"), Const(u)), Exists("z", phi))))]
+    if held:
+        v_big = ws.insert({nid: top for nid in range(len(ws.universe))})
+        for label, phi, u in held:
             consequent = Forall("y", Imp(
                 Mem(Var("y"), Const(u)),
                 Exists("z", And(Mem(Var("z"), Const(v_big)), phi))))
             if not pa.holds(consequent):
                 return _axiom_failure(ws, consequent, f"Collection[{label}]")
-            count += 1
-    details["collection_instances"] = count
-    details["collection_vacuous"] = vacuous
+    details["collection_instances"] = len(held)
+    details["collection_vacuous"] = len(instances) - len(held)
 
     # Bounded foundation: the closed schema per battery formula.
     params, details["foundation_battery"] = ONE_VARIABLE.read(first_names(ws))
@@ -889,13 +895,31 @@ def check_paraconsistency(run: Run) -> Verdict:
 # -- equivalence-style properties ------------------------------------------------------
 
 
+def designated_entry(d: frozenset[int]) -> Callable[[frozenset[int], int, int], frozenset[int]]:
+    """The move of a name's set of designated-entry keys by one more entry
+    (x, a), for `ColumnClasses.states`."""
+    return lambda held, x, a: held | {x} if a in d else held
+
+
 def check_properties(run: Run) -> Verdict:
     """Reflexivity, designated-entry membership, transitivity and the two
     substitution laws, exhaustively over the bounded universe.
 
     The engine is asked reflexivity once per class of interchangeable
-    names, at its first name, and the designated-entry law name by name
-    and entry by entry.  The other three take u, v, w with e = `u = v` in D, the designated
+    names, at its first name.
+
+    The designated-entry law fails at the first name u, in id order, with
+    an entry (x, a), a designated and `x in u` not, at its first such x.
+    Where the class tables cover the universe (`EvalContext.tables`) it is
+    decided by state.  The keys of u's designated entries are its prefix's
+    and perhaps its last entry's, so one pass down the prefix arrays gives
+    every name that set (`designated_entry`).  The keys are low names, so
+    `x in u` depends on u only through its signature class, and the law is
+    asked once per (set, class), at the first name that has them: the
+    first name of the first pair that fails is the first name that fails.
+    Elsewhere it is asked name by name and entry by entry.
+
+    The other three take u, v, w with e = `u = v` in D, the designated
     set: if a, the value of `v = w`, `v in w` or `w in v`, has e /\\ a in
     D, then `u = w`, `u in w` or `w in u` is in D.  They are a reading of
     the run's partition (`Run.quotient`).  D is a proper filter under the
@@ -919,9 +943,16 @@ def check_properties(run: Run) -> Verdict:
     if irreflexive:
         u = next(u for u in range(n) if classes.of[u] in irreflexive)
         return fail("=", u, u, "reflexivity")
-    for u in range(n):
-        for x, ux in ws.universe.entries_of(u):
-            if ux in d and ctx.membership(x, u) not in d:
+    tables = ctx.tables()
+    if tables is not None:
+        states, held = tables.states(frozenset(), designated_entry(d))
+        firsts = NameClasses.by_key(zip(states, tables.signatures.of)).reps
+        designated = ((u, sorted(held[states[u]])) for u in firsts)
+    else:
+        designated = ((u, [x for x, a in ws.universe.entries_of(u) if a in d]) for u in range(n))
+    for u, xs in designated:
+        for x in xs:
+            if ctx.membership(x, u) not in d:
                 return fail("in", x, u, "designated entry not a member")
     try:
         run.quotient  # its checks answer the other three laws
@@ -1027,23 +1058,29 @@ def check_leibniz(run: Run) -> Verdict:
 
 def check_bounded_quantification(run: Run) -> Verdict:
     """The domain-indexed form of a bounded universal matches the
-    quantifier, for every enumerated name and battery formula."""
+    quantifier, for every enumerated name and battery formula.
+
+    The first failing (name, formula) counts, name outer and formula
+    inner.  Where the class tables cover the universe it is found by class
+    (`bq_mismatch`); elsewhere each name is compared (`bq_sides`)."""
     ws = run.workspace()
     ctx = ws.pa
     forms, declared = ONE_VARIABLE.read(first_names(ws))
-    sides = [(phi, bq_sides(ctx, phi)) for _, phi in forms]
-    checked = 0
-    for u in range(ws.enumerated):
-        for phi, compare in sides:
-            res = compare(u)
-            checked += 1
-            if not res.equal:
-                sentence = Forall("x", Imp(Mem(Var("x"), Const(u)), phi))
-                ce = ws.sentence_counterexample(
-                    "pa", sentence, res.quantified,
-                    note=f"the domain-indexed meet is {res.domain_indexed}")
-                return ce, {}
-    return None, {"instances": checked, "battery": declared}
+    phis = [phi for _, phi in forms]
+    if ctx.tables() is not None:
+        found = bq_mismatch(ctx, phis)
+    else:
+        sides = [bq_sides(ctx, phi) for phi in phis]
+        found = next(((u, i, res) for u in range(ws.enumerated)
+                      for i, res in enumerate(compare(u) for compare in sides)
+                      if not res.equal), None)
+    if found is not None:
+        u, i, res = found
+        sentence = Forall("x", Imp(Mem(Var("x"), Const(u)), phis[i]))
+        ce = ws.sentence_counterexample("pa", sentence, res.quantified,
+                                        note=f"the domain-indexed meet is {res.domain_indexed}")
+        return ce, {}
+    return None, {"instances": ws.enumerated * len(phis), "battery": declared}
 
 
 # -- boolean coincidence ---------------------------------------------------------------
@@ -1149,7 +1186,10 @@ def check_quotient(run: Run) -> Verdict:
     class pair, and overlap somewhere when the designated set has a
     non-top element.  A pair of classes that breaks a law fails the check
     with the atomic value at their representatives.  The connective
-    clauses run on the same model.
+    clauses run on the same model (`check_connective_theorem`).  Both read
+    classes only: the partition, from the class tables where they cover
+    the universe (`build_quotient`), and the clauses once per key of atom
+    values.
     """
     def fail(rel: str, u: int, v: int, note: str) -> dict:
         ws = run.workspace()
@@ -1192,6 +1232,14 @@ def check_connective_theorem(run: Run, overlap: Optional[tuple[int, int]]) -> Ve
     both member and non-member, witnesses the failure of the converse; it
     is None when the two relations do not overlap.  A clause that fails
     gives the sentence it names at the representatives of the classes.
+
+    Every formula of the clauses but the quantified ones is built by the
+    connectives from `x in y` and `x = y`, and its value is a function of
+    the values of those two atoms.  So each pair of classes (i, j) has a
+    key, the two atoms' values at their representatives, and the formulas
+    are asked once per key, at its first pair in the order i outer, j
+    inner: a key that fails fails at each of its pairs, and its first pair
+    comes before the others.  The instances still count every pair.
     """
     qm = run.quotient
     k = len(qm.classes)
@@ -1208,35 +1256,39 @@ def check_connective_theorem(run: Run, overlap: Optional[tuple[int, int]]) -> Ve
         note = f"{clause} clause at classes {list(classes)}"
         return ws.sentence_counterexample("pa", f, ws.pa.eval(f), note), {}
 
+    ctx, reps = qm.context, qm.representatives
+    keys = [[(ctx.membership(u, v), ctx.equality(u, v)) for v in reps] for u in reps]
+    firsts: dict[tuple[int, int], tuple[int, int]] = {}  # the first pair of each key
+    for i, j in itertools.product(range(k), repeat=2):
+        firsts.setdefault(keys[i][j], (i, j))
     checked = 0
     for fa, fb in [(a, b) for a in atoms for b in atoms]:
         a, b, imp, conj, disj, neg = map(sat, (fa, fb, Imp(fa, fb), And(fa, fb),
                                                Or(fa, fb), Not(fa)))
-        for i in range(k):
-            for j in range(k):
-                va, vb = a(i, j), b(i, j)
-                checked += 1
-                if imp(i, j) != ((not va) or vb):
-                    return fail("implication", Imp(fa, fb), i, j)
-                if conj(i, j) != (va and vb):
-                    return fail("conjunction", And(fa, fb), i, j)
-                if disj(i, j) != (va or vb):
-                    return fail("disjunction", Or(fa, fb), i, j)
-                if not va and not neg(i, j):
-                    return fail("negation-direction", Not(fa), i, j)
+        for i, j in firsts.values():
+            va, vb = a(i, j), b(i, j)
+            if imp(i, j) != ((not va) or vb):
+                return fail("implication", Imp(fa, fb), i, j)
+            if conj(i, j) != (va and vb):
+                return fail("conjunction", And(fa, fb), i, j)
+            if disj(i, j) != (va or vb):
+                return fail("disjunction", Or(fa, fb), i, j)
+            if not va and not neg(i, j):
+                return fail("negation-direction", Not(fa), i, j)
+        checked += k * k
     details["connective_instances"] = checked
 
     # Quantifier clauses: a quantified atom is satisfied iff the class
-    # sweep says so.
+    # sweep says so; the atom is read once per key.
     quantifier_checked = 0
     for f in atoms:
         body, forall, exists = sat(f), sat(Forall("x", f)), sat(Exists("x", f))
+        held = {key: body(i, j) for key, (i, j) in firsts.items()}
         for j in range(k):
-            all_forall = all(body(i, j) for i in range(k))
-            some_exists = any(body(i, j) for i in range(k))
-            if forall(j) != all_forall:
+            column = [held[keys[i][j]] for i in range(k)]
+            if forall(j) != all(column):
                 return fail("universal", Forall("x", f), j)
-            if exists(j) != some_exists:
+            if exists(j) != any(column):
                 return fail("existential", Exists("x", f), j)
             quantifier_checked += 2
     details["quantifier_instances"] = quantifier_checked

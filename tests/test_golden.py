@@ -4,8 +4,8 @@ Each `golden/rank2-<name>.records` is the output of
 
     algval check all -a <name> --rank 2 --format records
 
-for a builtin, and each `golden/rank3-<name>.records` (ps3, bool4, chain3
-and chain4) that of
+for a builtin, and each `golden/rank3-<name>.records` (ps3, bool4, chain3,
+chain4 and chain5) that of
 
     algval check all -a <name> --rank 3 --format records
 
@@ -47,6 +47,6 @@ def test_rank3_ps3_records_match_golden():
     assert records("ps3", 3) == (GOLDEN / "rank3-ps3.records").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", ["bool4", "chain3", "chain4"])
+@pytest.mark.parametrize("name", ["bool4", "chain3", "chain4", "chain5"])
 def test_rank3_records_match_golden(name):
     assert records(name, 3) == (GOLDEN / f"rank3-{name}.records").read_text(encoding="utf-8")

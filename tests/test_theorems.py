@@ -16,8 +16,11 @@ from test_evaluate import (
 from algval import quotient, theorems
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
 from algval.errors import InputError
-from algval.evaluate import ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses
-from algval.formulas import Eq, Imp, Var, parse
+from algval.evaluate import (
+    ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses, bq_mismatch, bq_sides,
+    domain_indexed,
+)
+from algval.formulas import And, Const, Eq, Forall, Imp, Mem, Not, Or, Var, parse, print_formula
 from algval.theorems import (
     CHECKS,
     ONE_VARIABLE,
@@ -36,6 +39,8 @@ from algval.theorems import (
 )
 from algval.quotient import QuotientDefect, build_quotient
 from algval.universe import Universe
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestProfile:
@@ -1550,3 +1555,210 @@ def test_witness_values_match_the_clauses(name, assignment):
             assert ctx.equality(z, w) == eq_row[z] == eq(z, w), ("=", z, w)
             assert ctx.membership(z, w) == mem(z, w), ("in", z, w)
             assert ctx.membership(w, z) == in_row[z] == mem(w, z), ("in", w, z)
+
+
+
+def battery_of(ws):
+    return [phi for _, phi in ONE_VARIABLE.read(first_names(ws))[0]]
+
+
+def bq_mismatch_by_names(run):
+    """The first (u, i), name u outer and battery formula i inner, at which
+    the quantified side asked at u itself differs from the domain-indexed
+    side folded over u's own entries by the steps of
+    `ColumnClasses.step_table`: (u, i, quantified, domain-indexed), or
+    None."""
+    ws = run.workspace()
+    ctx, alg = ws.pa, run.algebra
+    tables, k = ctx.tables(), len(alg.elements)
+    phis = battery_of(ws)
+    steps = []
+    for phi in phis:
+        at = ctx.sentence(phi, ("x",))
+        steps.append(tables.step_table(alg.imp_t, alg.meet_t,
+                                       [at(x) for x in range(tables.low)]))
+    quantified = [ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
+                  for phi in phis]
+    for u in range(len(ws.universe)):
+        for i, step in enumerate(steps):
+            acc = alg.top_i
+            for x, a in ws.universe.entries_of(u):
+                acc = step[acc][x * k + a]
+            q = quantified[i](u)
+            if q != acc:
+                return u, i, alg.elements[q], alg.elements[acc]
+    return None
+
+
+def designated_entry_failure_by_names(run):
+    """The first (x, u) in id order of u, then of x, with x a key of u's
+    designated entries as `theorems.designated_entry` folds them over u's
+    own entries, and `x in u` undesignated; or None."""
+    ws = run.workspace()
+    ctx = ws.pa
+    d = ctx.designated_i
+    move = theorems.designated_entry(d)
+    for u in range(len(ws.universe)):
+        held = frozenset()
+        for x, a in ws.universe.entries_of(u):
+            held = move(held, x, a)
+        for x in sorted(held):
+            if ctx.membership(x, u) not in d:
+                return x, u
+    return None
+
+
+def connective_failure_by_pairs(run):
+    """The first failing connective clause of the quotient, asked at every
+    pair of classes through `theorems.satisfaction`: (clause, i, j), or
+    None."""
+    qm = run.quotient
+    k = len(qm.classes)
+    x, y = Var("x"), Var("y")
+    atoms = [Mem(x, y), Eq(x, y), Not(Mem(x, y))]
+    for fa, fb in itertools.product(atoms, repeat=2):
+        a, b, imp, conj, disj, neg = (theorems.satisfaction(qm, f) for f in (
+            fa, fb, Imp(fa, fb), And(fa, fb), Or(fa, fb), Not(fa)))
+        for i, j in itertools.product(range(k), repeat=2):
+            va, vb = a(i, j), b(i, j)
+            for clause, holds in (("implication", imp(i, j) == ((not va) or vb)),
+                                  ("conjunction", conj(i, j) == (va and vb)),
+                                  ("disjunction", disj(i, j) == (va or vb)),
+                                  ("negation-direction", va or neg(i, j))):
+                if not holds:
+                    return clause, i, j
+    return None
+
+
+def atom_key(qm, i, j):
+    """`x in y` and `x = y` at the representatives of classes i and j."""
+    ctx, reps = qm.context, qm.representatives
+    return ctx.membership(reps[i], reps[j]), ctx.equality(reps[i], reps[j])
+
+
+class TestByClass:
+    """The checks that read classes and states instead of names, on ps3 at
+    rank 3: each agrees with a loop over names, and a planted defect fails
+    it at the first name or pair at which that loop fails."""
+
+    def test_the_domain_indexed_pass_matches_bq_sides(self):
+        alg, d = ps3()
+        ctx = Run(alg, d, 3).workspace().pa
+        phis = battery_of(Run(alg, d, 3).workspace())
+        states, sides = domain_indexed(ctx, phis)
+        for i, phi in enumerate(phis):
+            compare = bq_sides(ctx, phi)
+            for u in range(len(ctx.universe)):
+                res = compare(u)
+                assert res.equal, (u, i)
+                assert res.domain_indexed == alg.elements[sides[states[u]][i]], (u, i)
+        assert bq_mismatch(ctx, phis) is None
+        assert bq_mismatch_by_names(Run(alg, d, 3)) is None
+
+    @pytest.mark.parametrize("x, a", [(1, "half"), (3, "0"), (2, "1")])
+    def test_a_wrong_step_fails_bounded_quantification_where_the_names_do(
+            self, monkeypatch, x, a):
+        # the step from top by the entry (x, a) made wrong for every battery
+        # formula, in the pass and in the fold over each name's entries
+        alg, d = ps3()
+        k, e = len(alg.elements), x * len(alg.elements) + alg.index[a]
+        step_table = ColumnClasses.step_table
+
+        def wrong(self, table, fold, col):
+            out = step_table(self, table, fold, col)
+            if table is alg.imp_t:
+                out[alg.top_i][e] = (out[alg.top_i][e] + 1) % k
+            return out
+
+        monkeypatch.setattr(ColumnClasses, "step_table", wrong)
+        want = bq_mismatch_by_names(Run(alg, d, 3))
+        assert want is not None
+        u, i, quantified, indexed = want
+        run = Run(alg, d, 3)
+        ce = forced("bounded-quantification", run)
+        phi = battery_of(run.workspace())[i]
+        assert ce["formula"] == print_formula(Forall("x", Imp(Mem(Var("x"), Const(u)), phi)))
+        assert (ce["value"], ce["note"]) == (quantified, f"the domain-indexed meet is {indexed}")
+
+    @pytest.mark.parametrize("rel, a, b, value", [
+        ("in", 4, 6, "1"), ("in", 6, 4, "1"), ("in", 9, 10, "1"), ("=", 4, 6, "half"),
+        ("=", 5, 6, "1")])
+    def test_a_wrong_table_cell_fails_the_quotient_where_the_names_do(self, rel, a, b, value):
+        # `u in v` or `u = v` for u of signature class a and v of class b,
+        # two classes of top-rank names, set in the pa tables: no clause
+        # reads it, since no domain holds a top-rank name, and the quotient
+        # reads it from the tables, where the pass by names reads rows
+        alg, d = ps3()
+
+        def planted():
+            run = Run(alg, d, 3)
+            tables = run.workspace().pa.tables()
+            assert tables.low <= min(a, b)
+            if rel == "in":
+                assert tables.mem[b][a] != alg.index[value]
+                tables.mem[b][a] = alg.index[value]
+            else:
+                assert tables.eq[a][b] != alg.index[value]
+                tables.eq[a][b] = tables.eq[b][a] = alg.index[value]
+            return run
+
+        want = quotient_by_names(planted().workspace().pa)
+        assert isinstance(want, QuotientDefect)
+        assert same_outcome(quotient_by_class(planted().workspace().pa), want)
+        ce, _ = CHECKS["quotient"].fn(planted())  # a replay rebuilds the tables unplanted
+        assert (ce["rel"], ce["u"], ce["v"], ce["note"]) == (want.rel, want.u, want.v, want.note)
+
+    def test_a_wrong_designated_entry_state_fails_properties_where_the_names_do(
+            self, monkeypatch):
+        # an entry (#3, bottom) counted as designated
+        alg, d = ps3()
+        move = theorems.designated_entry
+
+        def wrong(d):
+            right = move(d)
+            return lambda held, x, a: held | {x} if (x, a) == (3, alg.bottom_i) \
+                else right(held, x, a)
+
+        monkeypatch.setattr(theorems, "designated_entry", wrong)
+        want = designated_entry_failure_by_names(Run(alg, d, 3))
+        assert want is not None
+        ce, _ = check_properties(Run(alg, d, 3))
+        assert (ce["u"], ce["v"], ce["note"]) == (*want, "designated entry not a member")
+
+    def test_a_connective_defect_at_one_value_key_fails_where_the_pairs_do(self, monkeypatch):
+        # disjunction negated at the pairs of classes of the last key to
+        # appear, i outer and j inner
+        alg, d = ps3()
+        qm = Run(alg, d, 3).quotient
+        k = len(qm.classes)
+        keys = dict.fromkeys(atom_key(qm, i, j) for i, j in itertools.product(range(k), repeat=2))
+        key = list(keys)[-1]
+        sat = quotient.satisfaction
+
+        def wrong(qm, f):
+            holds = sat(qm, f)
+            if not isinstance(f, Or):
+                return holds
+            return lambda i, j: holds(i, j) != (atom_key(qm, i, j) == key)
+
+        monkeypatch.setattr(theorems, "satisfaction", wrong)
+        clause, i, j = connective_failure_by_pairs(Run(alg, d, 3))
+        assert clause == "disjunction" and (i, j) != (0, 0)
+        ce = forced("quotient", Run(alg, d, 3))
+        assert ce["note"] == f"disjunction clause at classes [{i}, {j}]"
+
+    def test_zfbar_inserts_one_collection_witness(self, monkeypatch):
+        workspaces, make = [], Run.workspace
+        monkeypatch.setattr(Run, "workspace",
+                            lambda self: workspaces.append(make(self)) or workspaces[-1])
+        alg, d = ps3()
+        ce, details = CHECKS["zfbar-witnesses"].fn(Run(alg, d, 3))
+        assert ce is None
+        (ws,) = workspaces
+        everything = [nid for nid, literal in ws.insertion_log
+                      if literal == [[c, alg.top] for c in range(nid)]]
+        assert len(everything) == 1
+        golden = {rec["check"]: rec["details"] for rec in map(
+            json.loads, (GOLDEN / "rank3-ps3.records").read_text(encoding="utf-8").splitlines())}
+        for key in ("collection_instances", "collection_vacuous"):
+            assert details[key] == golden["zfbar-witnesses"][key], key
