@@ -1,16 +1,20 @@
 """Truth-value assignment over a bounded universe of names.
 
-Two assignment styles share one membership clause and differ on equality:
+Two assignment styles share one membership clause and differ only in the
+factor f(a, m) of the equality clause, for an entry of weight a whose
+membership in the other side is m:
 
   membership(u, v) = join over x in dom(v) of  v(x) /\\ equality(x, u)
+  equality(u, v)   = meet over x in dom(u) of  f(u(x), membership(x, v))
+                     /\\ meet over y in dom(v) of  f(v(y), membership(y, u))
 
-  equality under "ba" (the boolean-style reading):
-      meet over x in dom(u) of (u(x) => membership(x, v))
-      /\\ meet over y in dom(v) of (v(y) => membership(y, u))
+  "ba" (the boolean-style reading):    f = a -> m
+  "pa" (the paraconsistent reading):   f = (a -> m) /\\ (~m -> ~a)
 
-  equality under "pa" (the paraconsistent reading) adds the contrapositive
-  conjunct (membership(x, v)* => u(x)*) to every factor, and symmetrically
-  for dom(v).
+Each factor is a propositional formula (`FACTORS`) whose k x k table
+`ColumnClasses.factor` builds once by `proplogic.value_column`, and every
+reader of the factor reads it.  A factor with ~ needs a star table, as a
+tautology does; without one it has no table, and its equality raises.
 
 The two clauses are mutually recursive; termination is by descent on the
 sum of the argument ranks, since every recursive call replaces one argument
@@ -81,28 +85,29 @@ membership m.  So a name's cells at any list of columns are a function
 of its prefix's cells there and its last entry, and a pass down the
 prefix arrays gives every covered name its tuple of cells with one dict
 lookup per name, each (tuple, last entry) move computed once
-(`ColumnClasses.states`).  Any function of a name's entries that is one
-step from its prefix's is computed so: `domain_indexed` folds the right
-side of a bounded universal that way, and `theorems.check_properties`
-the keys of a name's designated entries.  Three passes find the
-signatures.  The
-memberships at the low names' equality classes give each name's
-membership column, `x in v` = M[ec(x)][v]; the halves at every
-membership class give, with it, its equality column, `x = v` =
-H[mc(v)][x] /\\ H[mc(x)][v]; and the memberships at every equality class
-complete the signature.  A name's signature, its cells and the two
-columns they give, is thus a function of its prefix's signature and its
-last entry.  A covered name whose prefix is not interned
-below it (a hand-built universe may lack one) turns the tables off.
+(`ColumnClasses.states`).  The argument needs only that the factor is a
+function of (a, m), whatever its formula.  Any function of a name's
+entries that is one step from its prefix's is computed so:
+`domain_indexed` folds the right side of a bounded universal that way,
+and `theorems.check_properties` the keys of a name's designated entries.
+Three passes find the signatures.  The memberships at the low names'
+equality classes give each name's membership column, `x in v` =
+M[ec(x)][v]; the halves at every membership class give, with it, its
+equality column, `x = v` = H[mc(v)][x] /\\ H[mc(x)][v]; and the
+memberships at every equality class complete the signature.  A name's
+signature, its cells and the two columns they give, is thus a function
+of its prefix's signature and its last entry.  A covered name whose
+prefix is not interned below it (a hand-built universe may lack one)
+turns the tables off.
 
 The steps are the clause's own, in its order, but the clause stops its
 join at top and its meet at bottom, and meets v's entries into u's half
 one by one where the table meets two halves: only meets and joins are
 reassociated, which a lattice allows.  The tables are used only when
 meet and join pass `algebra.is_bounded_lattice`, whose verdict each
-algebra keeps (and, under pa, the algebra has a star table), and not
-where they cannot pay: with one low name, as at rank 2, a clause reads at
-most one entry a side.  The pairs of two low names keep the clause.
+algebra keeps (and the factor has a table), and not where they cannot
+pay: with one low name, as at rank 2, a clause reads at most one entry
+a side.  The pairs of two low names keep the clause.
 Their entries lie below L, so no cell reads them, and the first pass
 needs the low names' equality columns before any class is known: they
 are the base the passes start from.  They are read through a context's
@@ -244,9 +249,13 @@ from .formulas import (
     And, Bot, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Term, Top, Var, children,
     constants,
 )
+from .proplogic import parse_prop, value_column
 from .universe import Universe
 
-ASSIGNMENTS = ("ba", "pa")
+# the factor of the equality clause by assignment, in a (an entry's
+# weight) and m (its membership in the other side)
+FACTORS = {"ba": parse_prop("a -> m"), "pa": parse_prop("(a -> m) /\\ (~m -> ~a)")}
+ASSIGNMENTS = tuple(FACTORS)
 
 _REL_EQ, _REL_MEM = 0, 1
 _Z_LEFT, _Z_RIGHT, _Z_BOTH = 0, 1, 2  # where a row's swept variable stands
@@ -373,6 +382,12 @@ class ColumnClasses:
         """`like`, the tables of another assignment over the same universe,
         lends its prefix arrays."""
         alg, names, bound = universe.algebra, universe.names, universe.rank_bound
+        k = len(alg.elements)
+        try:  # the factor of `u = v` at [an entry's weight][its membership]
+            column = value_column(alg, FACTORS[assignment], capped=False)[1]
+            self.factor: Optional[list] = [column[i:i + k] for i in range(0, k * k, k)]
+        except CapabilityError:  # a factor with ~ and no star table: no equality
+            self.factor = None
         low = 0
         while low < len(names) and names[low].rank < bound:
             low += 1
@@ -381,9 +396,8 @@ class ColumnClasses:
         # With one low name a clause reads one entry a side, as a table
         # lookup would.  The halves meet in another order than the clause
         # folds, which only a lattice's meet allows.
-        if low < 2 or assignment == "pa" and alg.star_t is None or not is_bounded_lattice(alg):
+        if low < 2 or self.factor is None or not is_bounded_lattice(alg):
             return
-        k = len(alg.elements)
         if like is not None and like.n:
             n, self.prefix, self.last_entry = like.n, like.prefix, like.last_entry
         else:
@@ -403,11 +417,6 @@ class ColumnClasses:
                 self.prefix[v], self.last_entry[v] = p, x * k + a
         self.n = n
         self.alg = alg
-        self.typecode = _item_type(k)[0]
-        meet, imp, star = alg.meet_t, alg.imp_t, alg.star_t
-        # the factor of `u = v` for an entry of weight a against a membership m
-        self.factor = [[meet[imp[a][m]][imp[star[m]][star[a]]] if assignment == "pa"
-                        else imp[a][m] for m in range(k)] for a in range(k)]
 
     def build(self, ctx: EvalContext) -> None:
         """Fill the tables, reading the pairs of two low names through ctx's
@@ -552,7 +561,6 @@ class EvalContext:
         self._typecode, self._unset = _item_type(len(alg.elements))
         self._meet = alg.meet_t
         self._join = alg.join_t
-        self._imp = alg.imp_t
         self._star = alg.star_t
         self._top = alg.top_i
         self._bottom = alg.bottom_i
@@ -608,14 +616,7 @@ class EvalContext:
             hit = row[u]
             if hit != unset:
                 return hit
-        names = self.universe.names
-        meet, imp = self._meet, self._imp
-        pa = self.assignment == "pa"
-        star = self._star
-        if pa and star is None:
-            raise CapabilityError(
-                f"the pa assignment needs a star table; {self.algebra.name} has none"
-            )
+        names, meet, factor = self.universe.names, self._meet, self._factor()
         self.atomic_fills += 1
         mem, stop = self.membership, self._eq_stop
         acc = self._top
@@ -639,16 +640,20 @@ class EvalContext:
                     if m == unset:
                         m = mem(x, lo)
                         col = mem_rows.get(lo, ())
-                c = imp[ux][m]
-                if pa:
-                    c = meet[c][imp[star[m]][star[ux]]]
-                acc = meet[acc][c]
+                acc = meet[acc][factor[ux][m]]
                 if acc == stop:
                     break
             if acc == self._bottom:
                 break
         self._put(eq_rows, v, u, acc)
         return acc
+
+    def _factor(self) -> Sequence[Sequence[int]]:
+        """The factor table of the equality clause (`ColumnClasses.factor`)."""
+        if self._columns.factor is None:
+            raise CapabilityError(f"the {self.assignment} assignment needs a star table; "
+                                  f"{self.algebra.name} has none")
+        return self._columns.factor
 
     def membership(self, u: int, v: int) -> int:
         cc = self._columns
@@ -1032,13 +1037,11 @@ class EvalContext:
         i, j = self._slot(f.left, scope, slots), self._slot(f.right, scope, slots)
         if isinstance(f, Mem):
             clause = self.membership
-        elif self.assignment == "pa" and self._star is None:
-            # equality raises on every pair; say so here, where neither a
-            # skipped operand nor a row sweep can keep it from being called
-            raise CapabilityError(
-                f"the pa assignment needs a star table; {self.algebra.name} has none"
-            )
         else:
+            # with no factor table equality raises on every pair; say so
+            # here, where neither a skipped operand nor a row sweep can keep
+            # it from being called
+            self._factor()
             clause = self.equality
         return lambda: clause(slots[i], slots[j])
 
@@ -1074,7 +1077,7 @@ def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
     """
     quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
     indexed = ctx.sentence(phi, ("x",))
-    names, meet, imp, top = ctx.universe.names, ctx._meet, ctx._imp, ctx._top
+    names, meet, imp, top = ctx.universe.names, ctx._meet, ctx.algebra.imp_t, ctx._top
     es = ctx.algebra.elements
     known: dict[tuple[int, int], int] = {}  # phi(x) by (universe length, x)
 

@@ -109,23 +109,26 @@ def is_tautology(alg: Algebra, designated: Iterable[str], f: PropFormula
     return False, dict(zip(variables, next(itertools.islice(valuations, first, None))))
 
 
-def value_column(alg: Algebra, f: PropFormula) -> tuple[tuple[str, ...], Sequence[int]]:
+def value_column(alg: Algebra, f: PropFormula, capped: bool = True
+                 ) -> tuple[tuple[str, ...], Sequence[int]]:
     """f's variables, sorted, and the index of its value at each of their
     valuations, in `itertools.product` order.  A formula with more
     valuations than the cap raises `ResourceError`, before any other error
-    it has."""
+    it has; `capped` false lifts the cap, for the table of a binary
+    connective (`evaluate.FACTORS`), however large the algebra."""
     try:
-        return _column(alg, f)[:2]
+        return _column(alg, f, capped)[:2]
     except AlgvalError:
         size, count = len(alg.elements), len(prop_vars(f))
-        if size ** count > MAX_VALUATIONS:
+        if capped and size ** count > MAX_VALUATIONS:
             raise ResourceError(
                 f"{count} variables over {size} elements "
                 f"need {size ** count} valuations; cap is {MAX_VALUATIONS}") from None
         raise
 
 
-def _column(alg: Algebra, f: PropFormula) -> tuple[tuple[str, ...], Sequence[int], int]:
+def _column(alg: Algebra, f: PropFormula, capped: bool
+            ) -> tuple[tuple[str, ...], Sequence[int], int]:
     """f's sorted variables, value column and node count, bottom up: a
     child's column is broadcast to the node's variables by an index map and
     the node makes one table lookup per valuation.  Columns of at most
@@ -144,12 +147,12 @@ def _column(alg: Algebra, f: PropFormula) -> tuple[tuple[str, ...], Sequence[int
     elif kind is Not:
         if alg.star_t is None:
             raise CapabilityError(f"negation needs a star table; {alg.name} has none")
-        variables, column, nodes = _column(alg, f.body)
+        variables, column, nodes = _column(alg, f.body, capped)
         out = variables, store(map(alg.star_t.__getitem__, column)), nodes + 1
     elif kind is And or kind is Or or kind is Imp:
         table = alg.meet_t if kind is And else alg.join_t if kind is Or else alg.imp_t
-        (lv, lc, ln), (rv, rc, rn) = _column(alg, f.left), _column(alg, f.right)
-        variables, left, right = alg._columns.get((lv, rv)) or _broadcast(alg, lv, rv)
+        (lv, lc, ln), (rv, rc, rn) = _column(alg, f.left, capped), _column(alg, f.right, capped)
+        variables, left, right = alg._columns.get((lv, rv)) or _broadcast(alg, lv, rv, capped)
         rows = left(tuple(map(table.__getitem__, lc)))
         out = variables, store(map(getitem, rows, right(rc))), ln + rn + 1
     else:
@@ -159,12 +162,13 @@ def _column(alg: Algebra, f: PropFormula) -> tuple[tuple[str, ...], Sequence[int
     return out
 
 
-def _broadcast(alg: Algebra, lv: tuple[str, ...], rv: tuple[str, ...]) -> tuple:
+def _broadcast(alg: Algebra, lv: tuple[str, ...], rv: tuple[str, ...], capped: bool) -> tuple:
     """The sorted variables of a node whose children have the variables lv
     and rv, and for each child a reader of its column at every valuation of
     the node's variables (`iter` when there is nothing to broadcast)."""
     n, variables = len(alg.elements), tuple(sorted({*lv, *rv}))
-    if n ** len(variables) > MAX_VALUATIONS:
+    over = n ** len(variables) > MAX_VALUATIONS
+    if over and capped:
         raise ResourceError("over the valuation cap")  # restated by value_column
     plan = [variables]
     for inner in (lv, rv):
@@ -173,8 +177,9 @@ def _broadcast(alg: Algebra, lv: tuple[str, ...], rv: tuple[str, ...]) -> tuple:
             index = ([i * n + x for i in index for x in range(n)] if v in inner
                      else [i for i in index for _ in range(n)])
         plan.append(iter if len(index) == n ** len(inner) else itemgetter(*index))
-    alg._columns[lv, rv] = tuple(plan)
-    return alg._columns[lv, rv]
+    if not over:  # a capped column never finds a plan past the cap
+        alg._columns[lv, rv] = tuple(plan)
+    return tuple(plan)
 
 
 EXPLOSION = Imp(And(PVar("p"), Not(PVar("p"))), PVar("q"))

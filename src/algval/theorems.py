@@ -59,10 +59,6 @@ from .quotient import (
 )
 from .universe import DEFAULT_BUDGET, Universe, build_universe
 
-# zfbar's power-set witness enumerates |A|^|dom x| subsets, so only names
-# with at most this many entries get one.
-POWERSET_DOMAIN_CAP = 3
-
 
 class CheckResult:
     def __init__(self, name: str, description: str, verdict: str,
@@ -646,12 +642,9 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
     # its subset-of-x value.
     subset_of = pa.sentence(
         Forall("w", Imp(Mem(Var("w"), Var("z")), Mem(Var("w"), Var("x")))), ("z", "x"))
-    count = skipped = 0
+    count = 0
     for x in base:
         dom_x = [c for c, _ in ws.universe.entries_of(x)]
-        if len(dom_x) > POWERSET_DOMAIN_CAP:
-            skipped += 1
-            continue
         y_entries: dict[int, int] = {}
         for values in itertools.product(range(len(alg.elements)), repeat=len(dom_x)):
             z = ws.insert(dict(zip(dom_x, values)))
@@ -664,8 +657,6 @@ def check_zfbar_witnesses(run: Run) -> Verdict:
             return _axiom_failure(ws, inst, "PowerSet")
         count += 1
     details["powerset_instances"] = count
-    if skipped:
-        details["powerset_skipped_large_domains"] = skipped
 
     # Separation, including the negated-emptiness property that breaks the
     # ba reading on algebras with an intermediate element.

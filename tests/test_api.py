@@ -48,6 +48,12 @@ other module reads what they are computed from (`factor`, `steps`,
 (`halves`, `members`); a reader asks the engine its values, and
 `EvalContext.name_classes` its classes.
 
+Assignment guard: the assignments differ only in the factor of the
+equality clause, a formula per assignment (`evaluate.FACTORS`) whose table
+every reader of the factor reads, and whether an assignment has equality
+on an algebra is whether that table exists.  So no code in `evaluate`
+compares an assignment with a string literal.
+
 Formula-source guard: every formula list a check sweeps comes from
 `formulas.battery`, so only it and `check_ps3_agreement`'s propositional
 corpus call `enumerate_formulas`.
@@ -73,6 +79,7 @@ from pathlib import Path
 import pytest
 
 import algval
+from algval.evaluate import ASSIGNMENTS
 
 SRC = Path(algval.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -416,6 +423,46 @@ def test_cell_guard_sees_a_planted_reader(tmp_path):
         encoding="utf-8")
     assert cell_computers(tmp_path) == ["theorems.Fold.half",
                                         "theorems.coincidence_mismatches"]
+
+
+def assignment_tests(src: Path) -> list[str]:
+    """The definitions in `evaluate` that compare with a string literal
+    either an assignment's name or something named `assignment`."""
+    def test(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        literals = [x.value for y in operands for x in getattr(y, "elts", [y])
+                    if isinstance(x, ast.Constant) and isinstance(x.value, str)]
+        named = any(getattr(x, "id", getattr(x, "attr", None)) == "assignment" for x in operands)
+        return bool(literals) and named or any(x in ASSIGNMENTS for x in literals)
+    return _owners(src, test, skip=frozenset(p.stem for p in src.glob("*.py")) - {"evaluate"})
+
+
+def test_no_assignment_is_told_apart_by_its_name():
+    assert assignment_tests(SRC) == []
+
+
+def test_assignment_guard_sees_a_planted_test(tmp_path):
+    (tmp_path / "evaluate.py").write_text(
+        "class EvalContext:\n"
+        "    def equality(self, u, v):\n"
+        "        pa = self.assignment == \"pa\"\n"
+        "        return pa\n\n"
+        "    def membership(self, u, v):\n"
+        "        return u if self.rel in (\"=\", \"in\") else v\n\n\n"
+        "def _atom(ctx, f):\n"
+        "    if \"ba\" != ctx.name or ctx.assignment not in (\"xa\",):\n"
+        "        return f\n\n\n"
+        "STYLES = [a for a in ASSIGNMENTS if a == 'pa']\n",
+        encoding="utf-8")
+    (tmp_path / "quotient.py").write_text(
+        "def build_quotient(ctx):\n"
+        "    if ctx.assignment != \"pa\":\n"
+        "        raise InputError('quotients are built over the pa assignment')\n",
+        encoding="utf-8")
+    assert assignment_tests(tmp_path) == ["evaluate", "evaluate.EvalContext.equality",
+                                          "evaluate._atom"]
 
 
 def formula_enumerators(src: Path) -> list[str]:

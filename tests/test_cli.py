@@ -122,6 +122,36 @@ class TestEval:
             assert r.stderr == f"error: unknown element {element!r} of algebra {algebra}\n"
 
 
+class TestStarlessAlgebra:
+    """pa's equality factor needs a star table: on an algebra without one,
+    every pa atom is an error, while ba and the checks that read no pa atom
+    still run."""
+
+    @pytest.fixture(scope="class")
+    def spec(self, tmp_path_factory):
+        return _starless_file(tmp_path_factory.mktemp("alg"))
+
+    @pytest.mark.parametrize("text", ["#1 = #2", "#1 in #2"])
+    def test_pa_atoms_exit_2_naming_the_star_table(self, spec, text):
+        r = invoke("eval", "-a", spec, "--rank", "2", text)
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == "error: the pa assignment needs a star table; bare3 has none\n"
+
+    def test_pa_sentence_without_atoms(self, spec):
+        r = invoke("eval", "-a", spec, "--rank", "2", "true")
+        assert (r.exit_code, r.stdout) == (0, "1\n")
+
+    @pytest.mark.parametrize("text, value", [("#1 = #2", "1"), ("#1 in #2", "0")])
+    def test_ba_atoms(self, spec, text, value):
+        r = invoke("eval", "-a", spec, "--rank", "2", "--assignment", "ba", text)
+        assert (r.exit_code, r.stdout) == (0, value + "\n")
+
+    def test_check_all(self, spec):
+        r = invoke("check", "all", "-a", spec, "--rank", "2")
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[-1] == "4 passed, 0 failed, 12 skipped"
+
+
 class TestAlgebraCheck:
     def test_ps3_passes(self):
         r = invoke("algebra", "check", "--algebra", "ps3")

@@ -9,7 +9,7 @@ from test_formulas import formula_strategy
 
 from algval import algebra
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
-from algval.errors import CapabilityError, InputError
+from algval.errors import CapabilityError, InputError, ResourceError
 from algval.evaluate import (
     _REL_EQ, _REL_MEM, _Z_BOTH, _Z_RIGHT, ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses,
     bq_sides,
@@ -18,6 +18,7 @@ from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
     children, free_vars, instantiate_axiom, is_negation_free, parse, print_formula, subst_const,
 )
+from algval.proplogic import MAX_VALUATIONS, parse_prop, value_column
 from algval.theorems import (
     CHECKS, COLLECTION, NEGATION_FREE, ONE_VARIABLE, Run, run_check,
 )
@@ -145,14 +146,18 @@ class TestEval:
             ba.value(Eq(Const(10_000), Const(0)))
 
 
+def starless():
+    """ps3's lattice and implication with no star table, and ps3's designated set."""
+    alg, d = ps3()
+    meet = {(a, b): alg.meet(a, b) for a in alg.elements for b in alg.elements}
+    join = {(a, b): alg.join(a, b) for a in alg.elements for b in alg.elements}
+    imp = {(a, b): alg.imp(a, b) for a in alg.elements for b in alg.elements}
+    return Algebra("bare3", alg.elements, meet, join, imp, "1", "0"), d
+
+
 class TestStarRequirements:
     def _starless(self):
-        alg, d = ps3()
-        meet = {(a, b): alg.meet(a, b) for a in alg.elements for b in alg.elements}
-        join = {(a, b): alg.join(a, b) for a in alg.elements for b in alg.elements}
-        imp = {(a, b): alg.imp(a, b) for a in alg.elements for b in alg.elements}
-        bare = Algebra("bare3", alg.elements, meet, join, imp, "1", "0")
-        return bare, d
+        return starless()
 
     def test_pa_equality_needs_star(self):
         bare, d = self._starless()
@@ -184,6 +189,42 @@ class TestStarRequirements:
         uni = build_universe(bare, 2)
         ba = EvalContext(uni, d, "ba")
         assert ba.atomic("=", 1, 2) in bare.elements
+
+
+class TestFactorTable:
+    @pytest.mark.parametrize("algname", [*BUILTIN_NAMES, "bare3"])
+    @pytest.mark.parametrize("assignment", ASSIGNMENTS)
+    def test_table_is_the_factor_by_hand(self, algname, assignment):
+        # a -> m under ba, and (a -> m) /\ (m* -> a*) under pa, which has
+        # no table where the algebra has no star
+        alg = starless()[0] if algname == "bare3" else builtin(algname)[0]
+        factor = ColumnClasses(build_universe(alg, 1), assignment).factor
+        meet, imp, star = alg.meet_t, alg.imp_t, alg.star_t
+        if assignment == "pa" and star is None:
+            assert factor is None
+            return
+        es = range(len(alg.elements))
+        assert [list(row) for row in factor] == [
+            [imp[a][m] if assignment == "ba" else meet[imp[a][m]][imp[star[m]][star[a]]]
+             for m in es] for a in es]
+
+    def test_an_algebra_past_the_valuation_cap_evaluates(self, monkeypatch):
+        # 317 elements have more pairs than a propositional column may hold;
+        # the factor tables are built past that cap, and other columns are
+        # still held to it
+        monkeypatch.setattr(algebra, "CHAIN_MAX", 317)
+        alg, d = algebra.chain(317)
+        assert len(alg.elements) ** 2 > MAX_VALUATIONS
+        uni = build_universe(alg, 2)
+        pairs = [(u, v) for u in (0, 1, 2, len(uni) - 1) for v in (0, 1, 2, len(uni) - 1)]
+        for assignment in ASSIGNMENTS:
+            ctx = EvalContext(uni, d, assignment)
+            eq, mem = reference_clauses(ctx)
+            assert ctx.value(parse("#1 = #2")) == eq(1, 2)
+            assert [ctx.equality(u, v) for u, v in pairs] == [eq(u, v) for u, v in pairs]
+            assert [ctx.membership(u, v) for u, v in pairs] == [mem(u, v) for u, v in pairs]
+        with pytest.raises(ResourceError, match="valuations"):
+            value_column(alg, parse_prop("a -> m"))
 
 
 class TestMemoization:

@@ -13,7 +13,7 @@ from test_evaluate import (
     tracked_contexts,
 )
 
-from algval import quotient, theorems
+from algval import evaluate, quotient, theorems
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
 from algval.errors import InputError
 from algval.evaluate import (
@@ -208,17 +208,27 @@ class TestCoincidenceSweep:
         assert coincidence_mismatches(ws) == []
 
     @pytest.mark.parametrize("plant", ["factor", "member_cell", "column", "class_column"])
-    def test_planted_table_defect_found_on_every_pair(self, plant):
+    def test_planted_table_defect_found_on_every_pair(self, plant, monkeypatch):
         # a defect in the pa tables alone makes the engine's two assignments
         # disagree; the classes must send the engine to every such pair.
-        # The plants: the factor table before the tables are built, the
-        # cell of `u in last` for a top-level u, the cell of `x in last` for
-        # a low x (a low row), and the cell of `x = last` both ways round
+        # The plants: top => bottom := top in pa's factor table, where it is
+        # built (so the clause reads it too), the cell of `u in last` for a
+        # top-level u, the cell of `x in last` for a low x (a low row), and
+        # the cell of `x = last` both ways round
         alg, d = builtin("bool2")
-        ws = Run(alg, d, 3).workspace()
-        k, last = len(alg.elements), len(ws.universe) - 1
+        k = len(alg.elements)
         if plant == "factor":
-            ws.run.columns["pa"].factor[alg.top_i][alg.bottom_i] = alg.top_i
+            build = evaluate.value_column
+
+            def planted(algebra, f, capped=True):
+                variables, column = build(algebra, f, capped)
+                if f is evaluate.FACTORS["pa"]:
+                    column = bytearray(column)
+                    column[alg.top_i * k + alg.bottom_i] = alg.top_i
+                return variables, column
+            monkeypatch.setattr(evaluate, "value_column", planted)
+        ws = Run(alg, d, 3).workspace()
+        last = len(ws.universe) - 1
         tables = ws.pa._columns
         of, low = tables.of, tables.low
         assert last >= low and of[low] != of[last]
