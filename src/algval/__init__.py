@@ -31,7 +31,7 @@ from .errors import (
     InvariantError,
     ResourceError,
 )
-from .evaluate import BqResult, EvalContext, bq_sides
+from .evaluate import BqResult, EvalContext
 from .formulas import (
     Formula,
     battery,

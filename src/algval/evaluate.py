@@ -85,11 +85,15 @@ membership m.  So a name's cells at any list of columns are a function
 of its prefix's cells there and its last entry, and a pass down the
 prefix arrays gives every covered name its tuple of cells with one dict
 lookup per name, each (tuple, last entry) move computed once
-(`ColumnClasses.states`).  The argument needs only that the factor is a
+(`Universe.states`).  The arrays are the universe's: it records each
+name's prefix id and last entry as it interns the name, -1 for a prefix
+not yet interned.  The argument needs only that the factor is a
 function of (a, m), whatever its formula.  Any function of a name's
-entries that is one step from its prefix's is computed so:
-`domain_indexed` folds the right side of a bounded universal that way,
-and `theorems.check_properties` the keys of a name's designated entries.
+entries that is one step from its prefix's is computed so, over any
+universe whose every name has its prefix below it, with the tables on
+or off: `domain_indexed` folds the right side of a bounded universal
+that way, and `theorems.check_properties` the keys of a name's
+designated entries.
 Three passes find the signatures.  The memberships at the low names'
 equality classes give each name's membership column, `x in v` =
 M[ec(x)][v]; the halves at every membership class give, with it, its
@@ -97,8 +101,8 @@ equality column, `x = v` = H[mc(v)][x] /\\ H[mc(x)][v]; and the
 memberships at every equality class complete the signature.  A name's
 signature, its cells and the two columns they give, is thus a function
 of its prefix's signature and its last entry.  A covered name whose
-prefix is not interned below it (a hand-built universe may lack one)
-turns the tables off.
+prefix was not interned before it (a hand-built universe may lack one),
+which the universe records as -1, turns the tables off.
 
 The steps are the clause's own, in its order, but the clause stops its
 join at top and its meet at bottom, and meets v's entries into u's half
@@ -241,7 +245,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, is_bounded_lattice
 from .errors import CapabilityError, InputError
@@ -362,9 +366,10 @@ class ColumnClasses:
     names hold the entries of them all.  `n` is 0 where the tables would
     not pay or not be sound.  `build` gives each covered name its
     signature class (`signatures`, and its `of` array), found by passes
-    down the prefix arrays (`_pass`), and fills two class x class tables
-    at the classes' first names: `u = v` is eq[of[u]][of[v]] and `u in v`
-    is mem[of[v]][of[u]] for every covered pair not both low.  The low
+    down the prefix arrays of `universe`, the one the tables were made
+    for (`_pass`), and fills two class x class tables at the classes'
+    first names: `u = v` is eq[of[u]][of[v]] and `u in v` is
+    mem[of[v]][of[u]] for every covered pair not both low.  The low
     names are classes of their own, and their pairs come from a context's
     clauses, which also answer them outside the tables.
 
@@ -377,12 +382,10 @@ class ColumnClasses:
     `n` names.
     """
 
-    def __init__(self, universe: Universe, assignment: str,
-                 like: Optional[ColumnClasses] = None):
-        """`like`, the tables of another assignment over the same universe,
-        lends its prefix arrays."""
+    def __init__(self, universe: Universe, assignment: str):
         alg, names, bound = universe.algebra, universe.names, universe.rank_bound
         k = len(alg.elements)
+        self.universe, self.alg = universe, alg
         try:  # the factor of `u = v` at [an entry's weight][its membership]
             column = value_column(alg, FACTORS[assignment], capped=False)[1]
             self.factor: Optional[list] = [column[i:i + k] for i in range(0, k * k, k)]
@@ -398,25 +401,12 @@ class ColumnClasses:
         # folds, which only a lattice's meet allows.
         if low < 2 or self.factor is None or not is_bounded_lattice(alg):
             return
-        if like is not None and like.n:
-            n, self.prefix, self.last_entry = like.n, like.prefix, like.last_entry
-        else:
-            n = low
-            while n < len(names) and names[n].rank == bound:
-                n += 1
-            # each name's prefix, itself less its last entry (x, a), and
-            # that entry as x * k + a; a cell is one step from its
-            # prefix's, so the prefix must come first
-            self.prefix, self.last_entry = array("i", [0]) * n, array("i", [0]) * n
-            for v in range(1, n):
-                entries = names[v].entries
-                p = universe.find(entries[:-1])
-                if p is None or p >= v:
-                    return
-                x, a = entries[-1]
-                self.prefix[v], self.last_entry[v] = p, x * k + a
-        self.n = n
-        self.alg = alg
+        n = low
+        while n < len(names) and names[n].rank == bound:
+            n += 1
+        # a cell is one step from its prefix's, so the prefix must come first
+        if min(universe.prefix[1:n]) >= 0:
+            self.n = n
 
     def build(self, ctx: EvalContext) -> None:
         """Fill the tables, reading the pairs of two low names through ctx's
@@ -462,7 +452,7 @@ class ColumnClasses:
         names, folded by the clause's steps (`fold`, `_steps`)."""
         alg = self.alg
         start = alg.top_i if rel == _REL_MEM else alg.bottom_i
-        return self.fold([self._steps(rel, col) for col in cols], start)
+        return self.fold([self._steps(rel, col) for col in cols], start, self.universe, self.n)
 
     def _steps(self, rel: int, col: tuple[int, ...]) -> list[list[int]]:
         """The steps of a column's cells: a half (rel `in`) meets the
@@ -481,34 +471,13 @@ class ColumnClasses:
         step = [table[a][m] for m in col for a in range(len(self.alg.elements))]
         return [[row[s] for s in step] for row in fold]
 
-    def fold(self, steps: list[list[list[int]]], start: int
+    def fold(self, steps: list[list[list[int]]], start: int, universe: Universe, n: int
              ) -> tuple[array, list[tuple[int, ...]]]:
-        """Every covered name's folds by `steps` (each a `step_table`) from
-        `start`, as `states` of their tuple."""
+        """The folds by `steps` (each a `step_table`) from `start` of every
+        name of `universe` below n, as `Universe.states` of their tuple."""
         k = len(self.alg.elements)
-        return self.states((start,) * len(steps), lambda cell, x, a: tuple(
-            [step[h][x * k + a] for step, h in zip(steps, cell)]))
-
-    def states(self, start: Hashable, move: Callable[[Hashable, int, int], Hashable]
-               ) -> tuple[array, list]:
-        """A value of every covered name, down the prefix arrays: `start`
-        at the empty name, and move(s, x, a) at a name whose prefix has s
-        and whose last entry is (x, a).  Each name gets the id of its value,
-        in the order of the first name that has it, and the values come by
-        id.  `move` runs once per distinct (id, last entry), not per name."""
-        k = len(self.alg.elements)
-        values, ids, moves = [start], {start: 0}, {}
-        states, width = array("i", [0]) * self.n, self.low * k
-        for v, p, e in zip(range(1, self.n), self.prefix[1:], self.last_entry[1:]):
-            key = states[p] * width + e
-            s = moves.get(key)
-            if s is None:
-                to = move(values[states[p]], *divmod(e, k))
-                s = moves[key] = ids.setdefault(to, len(values))
-                if s == len(values):
-                    values.append(to)
-            states[v] = s
-        return states, values
+        return universe.states((start,) * len(steps), lambda cell, x, a: tuple(
+            [step[h][x * k + a] for step, h in zip(steps, cell)]), n)
 
     def by_pair(self) -> tuple[list[list[int]], list[list[int]]]:
         """`=` and `in` by pair of signature classes: at [a][b] the value
@@ -1063,77 +1032,46 @@ class BqResult(NamedTuple):
     equal: bool
 
 
-def bq_sides(ctx: EvalContext, phi: Formula) -> Callable[[int], BqResult]:
-    """Compare, for a name u, the quantified bounded formula against its
-    domain-indexed form.
-
-    Left side:  value of `forall x (x in u -> phi(x))` over the whole
-    universe.  Right side: meet over x in dom(u) of u(x) => phi(x).  Each
-    side is compiled once, with u a parameter rather than a constant, and
-    the returned function of u is held for a sweep over many names.
-    phi(x) is evaluated once per name x and universe length, since the
-    domains of many names share x.  Where the class tables cover the
-    universe, `bq_mismatch` compares the two sides by class instead.
-    """
-    quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
-    indexed = ctx.sentence(phi, ("x",))
-    names, meet, imp, top = ctx.universe.names, ctx._meet, ctx.algebra.imp_t, ctx._top
-    es = ctx.algebra.elements
-    known: dict[tuple[int, int], int] = {}  # phi(x) by (universe length, x)
-
-    def compare(u: int) -> BqResult:
-        q = quantified(u)
-        acc = top
-        for x, ux in names[u].entries:
-            key = (len(names), x)
-            value = known.get(key)
-            if value is None:
-                value = known[key] = indexed(x)
-            acc = meet[acc][imp[ux][value]]
-        return BqResult(es[q], es[acc], q == acc)
-    return compare
-
-
 def domain_indexed(ctx: EvalContext, phis: Sequence[Formula]
                    ) -> tuple[array, list[tuple[int, ...]]]:
-    """The right side of `bq_sides` for each of phis at every name, by one
-    pass down the prefix arrays, where the class tables cover the universe
-    (`EvalContext.tables`): each name's state, and by state the tuple of
-    its sides, one per formula.
+    """The domain-indexed side of the bounded universal of each of phis,
+    the meet over a name's entries (x, a) of a => phi(x), at every name, by
+    one pass down the prefix arrays: each name's state, and by state the
+    tuple of its sides, one per formula.  Every name of ctx's universe must
+    have its prefix interned below it and its entries among the low names,
+    as an enumerated universe's do (`Universe.states`).
 
-    The side of a name v is the meet, over its entries (x, a) in order, of
-    a => phi(x).  Its prefix p(v) has v's entries less the last, so the
-    meet over v's entries is the meet over p(v)'s and one step more,
+    The meet over v's entries is the meet over its prefix p(v)'s and one
+    step more,
 
         d(v) = d(p(v)) /\\ (a => phi(x))
 
-    from top at the empty name: the steps of `bq_sides`, in its order, so
-    no lattice law is needed.  The x are low names, so phi is read once
-    per low name (`ColumnClasses.fold`)."""
-    cc, alg = ctx.tables(), ctx.algebra
+    from top at the empty name: the steps of the meet over the entries in
+    their order, so no lattice law is needed.  The x are low names, so phi
+    is read once per low name (`ColumnClasses.fold`)."""
+    cc, alg = ctx._columns, ctx.algebra
     steps = []
     for phi in phis:
         at = ctx.sentence(phi, ("x",))
         steps.append(cc.step_table(alg.imp_t, alg.meet_t, [at(x) for x in range(cc.low)]))
-    return cc.fold(steps, alg.top_i)
+    return cc.fold(steps, alg.top_i, ctx.universe, len(ctx.universe))
 
 
 def bq_mismatch(ctx: EvalContext, phis: Sequence[Formula]
                 ) -> Optional[tuple[int, int, BqResult]]:
-    """The first (u, i), name u outer and formula i inner, at which the two
-    sides of `bq_sides(ctx, phis[i])` differ, with its result, or None;
-    where the class tables cover the universe (`EvalContext.tables`).
+    """The first (u, i), name u outer and formula i inner, at which the
+    value of `forall x (x in u -> phi(x))`, phi = phis[i], differs from its
+    domain-indexed side (`domain_indexed`), with the two sides, or None.
 
-    The left side is a function of u's class of interchangeable names,
-    with the formulas' constants apart, and the right side of u's state
-    in `domain_indexed`.  So both sides are asked once per distinct (class,
-    state), at the first name that has them, in id order; the left side
-    once per class.  The first name of the first pair that fails is the
-    first name that fails: each name before it has a pair whose first name
-    passed."""
-    cc = ctx.tables()
+    The left side is a function of u's class of interchangeable names
+    (`EvalContext.name_classes`), with the formulas' constants apart, and
+    the right side of u's state in `domain_indexed`.  So both sides are
+    asked once per distinct (class, state), at the first name that has
+    them, in id order; the left side once per class.  The first name of
+    the first pair that fails is the first name that fails: each name
+    before it has a pair whose first name passed."""
     states, sides = domain_indexed(ctx, phis)
-    classes = cc.signatures.apart(frozenset().union(*map(constants, phis)))
+    classes = ctx.name_classes().apart(frozenset().union(*map(constants, phis)))
     quantified = [ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
                   for phi in phis]
     left: dict[int, list[int]] = {}  # the left sides, by class

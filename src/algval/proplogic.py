@@ -172,11 +172,14 @@ def _broadcast(alg: Algebra, lv: tuple[str, ...], rv: tuple[str, ...], capped: b
         raise ResourceError("over the valuation cap")  # restated by value_column
     plan = [variables]
     for inner in (lv, rv):
+        if inner == variables:
+            plan.append(iter)
+            continue
         index = [0]
         for v in variables:
             index = ([i * n + x for i in index for x in range(n)] if v in inner
                      else [i for i in index for _ in range(n)])
-        plan.append(iter if len(index) == n ** len(inner) else itemgetter(*index))
+        plan.append(itemgetter(*index))
     if not over:  # a capped column never finds a plan past the cap
         alg._columns[lv, rv] = tuple(plan)
     return tuple(plan)

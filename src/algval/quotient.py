@@ -21,8 +21,6 @@ classes from the tables; elsewhere they come as two rows of the engine
 from __future__ import annotations
 
 import itertools
-from array import array
-from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, InvariantError
@@ -32,9 +30,8 @@ from .formulas import Formula, free_vars
 
 class QuotientModel:
     def __init__(self, context: EvalContext, classes: list[list[int]],
-                 class_of: dict[int, int], representatives: list[int]):
-        self.context, self.classes = context, classes
-        self.class_of, self.representatives = class_of, representatives
+                 representatives: list[int]):
+        self.context, self.classes, self.representatives = context, classes, representatives
         # the four class relations, each a set of (class, class) pairs
         self.r_eq, self.r_neq, self.r_mem, self.r_nmem = set(), set(), set(), set()
 
@@ -80,24 +77,25 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
     """The passes of `build_quotient` over the classes of `names`, each
     class's `=` and `in` values against the classes read once, at its
     first name.  Over single names this is the pass name by name, and a
-    break raises `QuotientDefect`.  Over a coarser partition a break
-    returns None: a row that disagrees with the classes, a value that is
-    not two-valued, a class of several names that is not top against
-    itself (the pass by names would split it), or a verdict unlike its
-    representative's.  Otherwise a name's values are those of its class
-    at the classes of the names, and each class is two-valued against
-    every name after its first, so the pass by names finds no break
-    either, and builds the same partition: all the names of a class fall
-    in one quotient class, opened by the first of them in no earlier one.
+    break raises `QuotientDefect`.  A coarser partition must be one of
+    classes of interchangeable names (`EvalContext.name_classes`), whose
+    names answer every atom alike, so a name's values are those of its
+    class at the classes of the names.  Over it a break returns None: a
+    value that is not two-valued, a class of several names that is not
+    top against itself (the pass by names would split it), or a verdict
+    unlike its representative's.  Otherwise each class is two-valued
+    against every name after its first, so the pass by names finds no
+    break either, and builds the same partition: all the names of a class
+    fall in one quotient class, opened by the first of them in no earlier
+    one.
 
     Where `names` are the signature classes of the class tables, which
     cover the universe (`EvalContext.tables`), the values by class are
-    the tables' (`ColumnClasses.by_pair`).  There a name's rows
-    (`EvalContext.row`) are its class's table rows spread over the names,
-    so no row can disagree with the classes, and the pass reads no row:
-    each class is two-valued against the classes that have a name after
-    its first.  Elsewhere each class's rows are read at its first name and
-    must equal its values at the classes spread over the names.
+    the tables' (`ColumnClasses.by_pair`), and the pass reads no row: each
+    class is two-valued against the classes that have a name after its
+    first.  Elsewhere each class's rows (`EvalContext.row`) are read at its
+    first name.  `build_quotient` hands a coarser partition only with the
+    tables, so its rows are read for single names alone.
     """
     alg, n = ctx.algebra, len(ctx.universe.names)
     top, two_values = alg.top_i, {alg.top_i, alg.bottom_i}
@@ -114,7 +112,6 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
         last = dict(zip(of, range(n)))  # the last name of each class
     else:
         eq_by = None
-        spread = itemgetter(*of) if coarse else None  # class values to name values
     comp = [-1] * k  # the quotient class of each class of names
     count = 0
     verdicts = []  # each class's verdicts at the classes, as k bytes
@@ -125,9 +122,6 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
         else:
             eq, mem = ctx.row("=", u), ctx.row("in", u)
             e, m = list(map(eq.__getitem__, reps)), list(map(mem.__getitem__, reps))
-            if coarse and (eq != array(eq.typecode, spread(e))
-                           or mem != array(mem.typecode, spread(m))):
-                return None
             later = eq[u + 1:]
         if not two_values.issuperset(later):
             if coarse:
@@ -171,8 +165,7 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
     classes: list[list[int]] = [[] for _ in range(count)]
     for u, c in enumerate(of):
         classes[comp[c]].append(u)
-    qm = QuotientModel(ctx, classes, {u: comp[c] for u, c in enumerate(of)},
-                       [cls[0] for cls in classes])
+    qm = QuotientModel(ctx, classes, [cls[0] for cls in classes])
     _relate(qm, [bytes(map(verdicts[a].__getitem__, base)) for a in base])
     return qm
 

@@ -45,7 +45,7 @@ from .algebra import (
     collapse_f, ps3,
 )
 from .errors import InputError, ResourceError
-from .evaluate import ColumnClasses, EvalContext, NameClasses, bq_mismatch, bq_sides
+from .evaluate import ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses, bq_mismatch
 from .formulas import (
     And, Bot, Const, Eq, Exists, Forall, Formula, Imp, Mem, Not, Or, Var,
     battery, enumerate_formulas, free_vars, iff, instantiate_axiom,
@@ -233,9 +233,7 @@ class Run:
         """The class tables of `universe`, one per assignment, that the
         contexts of every workspace read.  They cover enumerated names
         only, on which every workspace agrees."""
-        # the pa tables take the prefix arrays of the ba ones
-        ba = ColumnClasses(self.universe, "ba")
-        return {"ba": ba, "pa": ColumnClasses(self.universe, "pa", ba)}
+        return {a: ColumnClasses(self.universe, a) for a in ASSIGNMENTS}
 
     @cached_property
     def quotient(self) -> QuotientModel:
@@ -888,7 +886,7 @@ def check_paraconsistency(run: Run) -> Verdict:
 
 def designated_entry(d: frozenset[int]) -> Callable[[frozenset[int], int, int], frozenset[int]]:
     """The move of a name's set of designated-entry keys by one more entry
-    (x, a), for `ColumnClasses.states`."""
+    (x, a), for `Universe.states`."""
     return lambda held, x, a: held | {x} if a in d else held
 
 
@@ -901,14 +899,13 @@ def check_properties(run: Run) -> Verdict:
 
     The designated-entry law fails at the first name u, in id order, with
     an entry (x, a), a designated and `x in u` not, at its first such x.
-    Where the class tables cover the universe (`EvalContext.tables`) it is
-    decided by state.  The keys of u's designated entries are its prefix's
-    and perhaps its last entry's, so one pass down the prefix arrays gives
-    every name that set (`designated_entry`).  The keys are low names, so
-    `x in u` depends on u only through its signature class, and the law is
-    asked once per (set, class), at the first name that has them: the
-    first name of the first pair that fails is the first name that fails.
-    Elsewhere it is asked name by name and entry by entry.
+    It is decided by state.  The keys of u's designated entries are its
+    prefix's and perhaps its last entry's, so one pass down the prefix
+    arrays gives every name that set (`designated_entry`).  The keys are
+    low names, so `x in u` depends on u only through its class of
+    interchangeable names, and the law is asked once per (set, class), at
+    the first name that has them: the first name of the first pair that
+    fails is the first name that fails.
 
     The other three take u, v, w with e = `u = v` in D, the designated
     set: if a, the value of `v = w`, `v in w` or `w in v`, has e /\\ a in
@@ -934,15 +931,9 @@ def check_properties(run: Run) -> Verdict:
     if irreflexive:
         u = next(u for u in range(n) if classes.of[u] in irreflexive)
         return fail("=", u, u, "reflexivity")
-    tables = ctx.tables()
-    if tables is not None:
-        states, held = tables.states(frozenset(), designated_entry(d))
-        firsts = NameClasses.by_key(zip(states, tables.signatures.of)).reps
-        designated = ((u, sorted(held[states[u]])) for u in firsts)
-    else:
-        designated = ((u, [x for x, a in ws.universe.entries_of(u) if a in d]) for u in range(n))
-    for u, xs in designated:
-        for x in xs:
+    states, held = ws.universe.states(frozenset(), designated_entry(d), n)
+    for u in NameClasses.by_key(zip(states, classes.of)).reps:
+        for x in sorted(held[states[u]]):
             if ctx.membership(x, u) not in d:
                 return fail("in", x, u, "designated entry not a member")
     try:
@@ -1052,19 +1043,12 @@ def check_bounded_quantification(run: Run) -> Verdict:
     quantifier, for every enumerated name and battery formula.
 
     The first failing (name, formula) counts, name outer and formula
-    inner.  Where the class tables cover the universe it is found by class
-    (`bq_mismatch`); elsewhere each name is compared (`bq_sides`)."""
+    inner.  It is found by class and state (`bq_mismatch`)."""
     ws = run.workspace()
     ctx = ws.pa
     forms, declared = ONE_VARIABLE.read(first_names(ws))
     phis = [phi for _, phi in forms]
-    if ctx.tables() is not None:
-        found = bq_mismatch(ctx, phis)
-    else:
-        sides = [bq_sides(ctx, phi) for phi in phis]
-        found = next(((u, i, res) for u in range(ws.enumerated)
-                      for i, res in enumerate(compare(u) for compare in sides)
-                      if not res.equal), None)
+    found = bq_mismatch(ctx, phis)
     if found is not None:
         u, i, res = found
         sentence = Forall("x", Imp(Mem(Var("x"), Const(u)), phis[i]))

@@ -11,6 +11,15 @@ rank r.
 Construction is a single-writer phase; afterwards the universe only grows
 through explicit `insert` calls for ad-hoc witness names, which never
 invalidates previously computed atomic values.
+
+The prefix of a name is the name less its last entry (x, a), in the sorted
+order of its entries.  `insert` records, for each fresh name, the id of its
+prefix in `prefix` and that last entry as x * k + a in `last_entry`, for an
+algebra of k elements; a prefix that is not interned when the name is gets
+-1, and so does the empty name, which has neither.  Enumeration interns
+every prefix before its name (`build_universe`), so a pass down the two
+arrays (`Universe.states`) computes any function of a name's entries that
+is one step from its prefix's, once per distinct step.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ import copy
 import itertools
 import math
 import re
-from collections.abc import Iterable, Mapping
-from typing import Optional, Union
+from array import array
+from collections.abc import Hashable, Iterable, Mapping
+from typing import Callable, Union
 
 from .algebra import Algebra
 from .errors import InputError, ResourceError
@@ -42,9 +52,11 @@ class Universe:
     def __init__(self, algebra: Algebra, rank_bound: int):
         self.algebra = algebra
         self.rank_bound = rank_bound
-        self.names: list[Name] = []
-        self._index: dict[tuple[tuple[int, int], ...], int] = {}
-        self.insert({})  # the empty name, always NameId 0
+        # the empty name, always NameId 0, has neither a prefix nor a last entry
+        self.names: list[Name] = [Name((), 1)]
+        self._index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+        # each name's prefix id and last entry (see the module docstring)
+        self.prefix, self.last_entry = array("i", [-1]), array("i", [-1])
 
     # -- interning --------------------------------------------------------------
 
@@ -52,38 +64,65 @@ class Universe:
         """Intern a name, returning the existing id when the map is known.
 
         A fresh name lands at rank 1 + max rank of its domain (rank 1 for
-        the empty map).  Every domain id must already be interned.
+        the empty map).  Every domain id must already be interned.  Its
+        prefix and last entry are recorded as the name is interned.
         """
         if isinstance(entries, Mapping):
             items = sorted(entries.items())
         else:
             items = sorted(entries)
         key = tuple(items)
-        hit = self._index.get(key)
+        names, index = self.names, self._index
+        hit = index.get(key)
         if hit is not None:
             return hit
-        n = len(self.names)
+        n, k = len(names), len(self.algebra.elements)
         rank = 1
         for child, value in items:
             if not 0 <= child < n:
                 raise InputError(f"name entry refers to unknown NameId #{child}")
-            if not 0 <= value < len(self.algebra.elements):
+            if not 0 <= value < k:
                 raise InputError(f"name entry has unknown element index {value}")
-            rank = max(rank, self.names[child].rank + 1)
-        self.names.append(Name(key, rank))
-        self._index[key] = n
+            if names[child].rank >= rank:
+                rank = names[child].rank + 1
+        names.append(Name(key, rank))
+        x, a = key[-1]  # a fresh name has entries: the empty one is interned first
+        self.prefix.append(index.get(key[:-1], -1))
+        self.last_entry.append(x * k + a)
+        index[key] = n
         return n
-
-    def find(self, entries: tuple[tuple[int, int], ...]) -> Optional[int]:
-        """The id of the name with these sorted entries, if it is interned."""
-        return self._index.get(entries)
 
     def copy(self) -> "Universe":
         """An independent universe holding the same names under the same ids."""
         out = copy.copy(self)
         out.names = list(self.names)
         out._index = dict(self._index)
+        out.prefix, out.last_entry = self.prefix[:], self.last_entry[:]
         return out
+
+    def states(self, start: Hashable, move: Callable[[Hashable, int, int], Hashable],
+               n: int) -> tuple[array, list]:
+        """A value of every name below n, down the prefix arrays: `start` at
+        the empty name, and move(s, x, a) at a name whose prefix has s and
+        whose last entry is (x, a).  Each name gets the id of its value, in
+        the order of the first name that has it, and the values come by id.
+        `move` runs once per distinct (id, last entry), not per name.  Every
+        name from 1 up to n must have its prefix interned below it, as the
+        names of an enumerated universe do (`build_universe`), a check's
+        workspace among them until its first insert."""
+        k = len(self.algebra.elements)
+        values, ids, moves = [start], {start: 0}, {}
+        states, width = array("i", [0]) * n, n * k  # every last entry below n is below width
+        for v, p, e in zip(range(1, n), self.prefix[1:n], self.last_entry[1:n]):
+            key = states[p] * width + e
+            s = moves.get(key)
+            if s is None:
+                to = move(values[states[p]], *divmod(e, k))
+                s = moves[key] = ids.setdefault(to, len(values))
+                if s == len(values):
+                    values.append(to)
+            states[v] = s
+        return states, values
 
     def __len__(self) -> int:
         return len(self.names)

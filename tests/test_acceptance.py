@@ -7,13 +7,16 @@ criterion prints one pass/fail line.
 
 import time
 
+from test_evaluate import bq_reference
+from test_quotient import class_of
+
 from algval.algebra import (
     builtin,
     check_cobounded,
     check_drim,
     ps3,
 )
-from algval.evaluate import EvalContext, bq_sides
+from algval.evaluate import EvalContext, bq_mismatch, domain_indexed
 from algval.proplogic import EXPLOSION, is_tautology
 from algval.quotient import build_quotient
 from algval.theorems import ONE_VARIABLE, Run, check_connective_theorem, run_check
@@ -138,12 +141,15 @@ def test_08_bounded_quantification_identity():
     alg, designated = ps3()
     uni = build_universe(alg, 2)
     ctx = EvalContext(uni, designated, "pa")
+    phis = [phi for _, phi in ONE_VARIABLE.read(range(4))[0]]
+    states, sides = domain_indexed(ctx, phis)
     checked = 0
-    ok = True
-    for u in uni.ids():
-        for _, phi in ONE_VARIABLE.read(range(4))[0]:
-            res = bq_sides(ctx, phi)(u)
-            ok &= res.equal
+    ok = bq_mismatch(ctx, phis) is None
+    for i, phi in enumerate(phis):
+        reference = bq_reference(ctx, phi)
+        for u in uni.ids():
+            res = reference(u)
+            ok &= res.equal and res.domain_indexed == alg.elements[sides[states[u]][i]]
             checked += 1
     _report(8, "bounded universals equal domain-indexed meets", ok,
             f"{checked} instances")
@@ -215,7 +221,7 @@ def test_13_quotient_model():
     ok &= qm.r_neq == all_pairs - qm.r_eq
     ok &= qm.r_mem | qm.r_nmem == all_pairs
     overlap = qm.r_mem & qm.r_nmem
-    ok &= (qm.class_of[0], qm.class_of[2]) in overlap
+    ok &= (class_of(qm)[0], class_of(qm)[2]) in overlap
     run = Run(alg, designated, rank_bound=2)
     counterexample, connectives = check_connective_theorem(run, min(overlap))
     ok &= counterexample is None

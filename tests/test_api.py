@@ -46,7 +46,9 @@ arrays in `evaluate` alone, whose steps are the clause's folds.  So no
 other module reads what they are computed from (`factor`, `steps`,
 `prefix`, `last_entry`), the tables (`eq`, `mem`) or a class's cells
 (`halves`, `members`); a reader asks the engine its values, and
-`EvalContext.name_classes` its classes.
+`EvalContext.name_classes` its classes.  The prefix arrays are the
+universe's, which records them as it interns its names, so `universe`
+may read `prefix` and `last_entry`, and nothing else of these.
 
 Assignment guard: the assignments differ only in the factor of the
 equality clause, a formula per assignment (`evaluate.FACTORS`) whose table
@@ -394,13 +396,17 @@ def test_row_guard_sees_a_planted_reader(tmp_path):
 
 
 CELL_SOURCES = {"factor", "steps", "prefix", "last_entry", "eq", "mem", "halves", "members"}
+PREFIX_ARRAYS = {"prefix", "last_entry"}  # the universe's own
 
 
 def cell_computers(src: Path) -> list[str]:
     """The definitions outside `evaluate` that read the class tables or
-    what they are computed from."""
-    return _owners(src, lambda node: isinstance(node, ast.Attribute)
-                   and node.attr in CELL_SOURCES, skip=frozenset({"evaluate"}))
+    what they are computed from, but for `universe` reading its prefix
+    arrays."""
+    def reads(attrs):
+        return lambda node: isinstance(node, ast.Attribute) and node.attr in attrs
+    return sorted({*_owners(src, reads(CELL_SOURCES - PREFIX_ARRAYS), skip=frozenset({"evaluate"})),
+                   *_owners(src, reads(PREFIX_ARRAYS), skip=frozenset({"evaluate", "universe"}))})
 
 
 def test_only_the_engine_computes_table_cells():
@@ -421,8 +427,16 @@ def test_cell_guard_sees_a_planted_reader(tmp_path):
         "    factor = ws.pa._columns.factor\n"
         "    return factor\n",
         encoding="utf-8")
+    (tmp_path / "universe.py").write_text(
+        "class Universe:\n"
+        "    def states(self, v):\n"
+        "        return self.prefix[v], self.last_entry[v]\n\n"
+        "    def cells(self, tables, v):\n"
+        "        return tables.halves[v]\n",
+        encoding="utf-8")
     assert cell_computers(tmp_path) == ["theorems.Fold.half",
-                                        "theorems.coincidence_mismatches"]
+                                        "theorems.coincidence_mismatches",
+                                        "universe.Universe.cells"]
 
 
 def assignment_tests(src: Path) -> list[str]:

@@ -11,8 +11,8 @@ from algval import algebra
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, ps3
 from algval.errors import CapabilityError, InputError, ResourceError
 from algval.evaluate import (
-    _REL_EQ, _REL_MEM, _Z_BOTH, _Z_RIGHT, ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses,
-    bq_sides,
+    _REL_EQ, _REL_MEM, _Z_BOTH, _Z_RIGHT, ASSIGNMENTS, BqResult, ColumnClasses, EvalContext,
+    NameClasses, bq_mismatch, domain_indexed,
 )
 from algval.formulas import (
     And, Bot, Const, Eq, Exists, Forall, Imp, Mem, Not, Or, Top, Var,
@@ -292,22 +292,32 @@ class TestBoundedQuantification:
         uni, d = ps3_rank2
         pa = EvalContext(uni, d, "pa")
         u = uni.insert({0: uni.algebra.index["half"]})
-        res = bq_sides(pa, Eq(Var("x"), Var("x")))(u)
+        res = bq_reference(pa, Eq(Var("x"), Var("x")))(u)
         assert res.quantified == res.domain_indexed == "1"
 
     def test_absurd_body(self, ps3_rank2):
         uni, d = ps3_rank2
         pa = EvalContext(uni, d, "pa")
         u = uni.insert({0: uni.algebra.index["half"]})
-        res = bq_sides(pa, Bot())(u)
+        res = bq_reference(pa, Bot())(u)
         assert res.quantified == res.domain_indexed == "0"
 
-    def test_full_sweep_rank2(self, ps3_rank2):
-        uni, d = ps3_rank2
+    def test_full_sweep_rank2(self):
+        # the sides that the pass down the prefix arrays gives each name,
+        # and the first mismatch by class and state, against the sides
+        # asked name by name (at rank 3 in `test_theorems.TestByClass`)
+        alg, d = ps3()
+        uni = build_universe(alg, 2)
         pa = EvalContext(uni, d, "pa")
-        for u in uni.ids():
-            for _, phi in one_variable(uni):
-                assert bq_sides(pa, phi)(u).equal
+        phis = [phi for _, phi in one_variable(uni)]
+        states, sides = domain_indexed(pa, phis)
+        for i, phi in enumerate(phis):
+            reference = bq_reference(pa, phi)
+            for u in uni.ids():
+                res = reference(u)
+                assert res.equal, (u, i)
+                assert res.domain_indexed == alg.elements[sides[states[u]][i]], (u, i)
+        assert bq_mismatch(pa, phis) is None
 
 
 class TestBatteries:
@@ -367,6 +377,22 @@ def reference_value(ctx, f, env):
     for nid in ctx.universe.ids():
         acc = table[acc][reference_value(ctx, f.body, {**env, f.var: nid})]
     return acc
+
+
+def bq_reference(ctx, phi):
+    """The two sides of the bounded universal of phi at a name u, asked
+    name by name: `forall x (x in u -> phi(x))` at u, and the meet over
+    u's own entries (x, a) of a => phi(x)."""
+    alg = ctx.algebra
+    quantified = ctx.sentence(Forall("x", Imp(Mem(Var("x"), Var("u")), phi)), ("u",))
+    at = ctx.sentence(phi, ("x",))
+
+    def sides(u):
+        q, acc = quantified(u), alg.top_i
+        for x, a in ctx.universe.entries_of(u):
+            acc = alg.meet_t[acc][alg.imp_t[a][at(x)]]
+        return BqResult(alg.elements[q], alg.elements[acc], q == acc)
+    return sides
 
 
 VARS = ("x", "y", "z")
@@ -1055,7 +1081,7 @@ def test_a_planted_wrong_step_fails_the_reference_route(monkeypatch, target, ass
     def wrong_steps(self, rel, col):
         out = steps(self, rel, col)
         if len(firsts) == target + 1 and col is firsts[-1]:
-            h = (half_cell if rel == _REL_MEM else member_cell)(self.prefix[last], col)
+            h = (half_cell if rel == _REL_MEM else member_cell)(self.universe.prefix[last], col)
             out[h][x * k + a] = (out[h][x * k + a] + 1) % k
         return out
 
@@ -1082,9 +1108,8 @@ def test_a_covered_name_without_its_prefix_below_keeps_the_clauses(prefix, assig
     v = uni.insert({x: half, y: one})
     if prefix == "after":
         uni.insert({x: half})
-    p = uni.find(((x, half),))
-    assert {"before": p is not None and p < v, "after": p is not None and p > v,
-            "never": p is None}[prefix]
+    p = uni.prefix[v]
+    assert {"before": 0 <= p < v, "after": p == -1, "never": p == -1}[prefix]
     ctx = EvalContext(uni, d, assignment)
     assert ctx._columns.n == (len(uni) if prefix == "before" else 0)
     assert_clauses_match_reference(ctx)

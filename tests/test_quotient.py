@@ -16,6 +16,11 @@ def pa_context(algname, rank):
     return EvalContext(uni, d, "pa")
 
 
+def class_of(qm):
+    """The quotient class of each name, by name."""
+    return {u: i for i, cls in enumerate(qm.classes) for u in cls}
+
+
 def brute_classes(ctx):
     """Oracle: group names by their set of designated-equality partners."""
     n = len(ctx.universe.names)
@@ -131,8 +136,9 @@ class TestBuild:
         # Flip `u in c`, c the representative of a class other than u's:
         # only u's verdicts against its representative's tell the break.
         qm = build_quotient(pa_context("ps3", rank))
-        u = max(nid for nid in qm.class_of if nid not in qm.representatives)
-        c = max(r for r in qm.representatives if qm.class_of[r] != qm.class_of[u])
+        of = class_of(qm)
+        u = max(nid for nid in of if nid not in qm.representatives)
+        c = max(r for r in qm.representatives if of[r] != of[u])
         ctx = pa_context("ps3", rank)
         alg, d = ctx.algebra, ctx.designated_i
         patch_atoms(monkeypatch, "in",
@@ -160,8 +166,7 @@ class TestRelations:
         assert overlap
         # the half-weight singleton over the empty name both contains and
         # does not contain the empty class
-        half_class = qm.class_of[2]
-        empty_class = qm.class_of[0]
+        half_class, empty_class = class_of(qm)[2], class_of(qm)[0]
         assert (empty_class, half_class) in overlap
 
 
@@ -171,8 +176,7 @@ class TestSatisfaction:
             assert quotient_satisfies(qm, Eq(Var("x"), Var("y")), [i, i])
 
     def test_membership_and_its_negation_both_satisfied(self, qm):
-        i = qm.class_of[0]
-        j = qm.class_of[2]
+        i, j = class_of(qm)[0], class_of(qm)[2]
         assert quotient_satisfies(qm, Mem(Var("x"), Var("y")), [i, j])
         assert quotient_satisfies(qm, Not(Mem(Var("x"), Var("y"))), [i, j])
 

@@ -9,16 +9,16 @@ from pathlib import Path
 import pytest
 from test_cli import run_cli
 from test_evaluate import (
-    assert_clauses_match_reference, patch_atoms, reference_clauses, stored_values,
+    assert_clauses_match_reference, bq_reference, patch_atoms, reference_clauses, stored_values,
     tracked_contexts,
 )
+from test_quotient import class_of
 
 from algval import evaluate, quotient, theorems
 from algval.algebra import BUILTIN_NAMES, Algebra, builtin, is_filter, loads_algebra, ps3
 from algval.errors import InputError
 from algval.evaluate import (
-    ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses, bq_mismatch, bq_sides,
-    domain_indexed,
+    ASSIGNMENTS, ColumnClasses, EvalContext, NameClasses, bq_mismatch, domain_indexed,
 )
 from algval.formulas import And, Const, Eq, Forall, Imp, Mem, Not, Or, Var, parse, print_formula
 from algval.theorems import (
@@ -480,8 +480,8 @@ def planted_defects(rank):
     qm, uni = run.quotient, run.workspace().universe
     top = [nid for nid in range(len(uni)) if uni.rank_of(nid) == rank]
     u = max(nid for nid in top if nid not in qm.representatives)
-    c = max(nid for nid in top if nid in qm.representatives
-            and qm.class_of[nid] != qm.class_of[u])
+    of = class_of(qm)
+    c = max(nid for nid in top if nid in qm.representatives and of[nid] != of[u])
     return [("equality", u, c, "transitivity"),
             ("membership", u, 0, "member substitution"),
             ("membership", c, u, "container substitution")]
@@ -615,14 +615,18 @@ class TestFailureKinds:
         assert "collapses to" in ce["note"]
 
     def test_bounded_quantification_mismatch_is_the_quantified_sentence(self, monkeypatch):
-        # the two sides are declared unequal at the last name
-        sides = theorems.bq_sides
-
-        def skewed(ctx, phi):
-            compare, last = sides(ctx, phi), len(ctx.universe) - 1
-            return lambda u: compare(u)._replace(equal=compare(u).equal and u != last)
-        monkeypatch.setattr(theorems, "bq_sides", skewed)
+        # the last name given a state of its own, whose domain-indexed
+        # sides are all made wrong
         alg, d = ps3()
+        indexed, k = evaluate.domain_indexed, len(alg.elements)
+
+        def skewed(ctx, phis):
+            states, sides = indexed(ctx, phis)
+            last = len(ctx.universe) - 1
+            wrong = tuple((side + 1) % k for side in sides[states[last]])
+            states[last] = len(sides)
+            return states, [*sides, wrong]
+        monkeypatch.setattr(evaluate, "domain_indexed", skewed)
         ce = forced("bounded-quantification", Run(alg, d, rank_bound=2))
         assert ce["kind"] == "sentence" and ce["formula"].startswith("forall x. x in #3 ->")
         assert ce["note"].startswith("the domain-indexed meet is")
@@ -1270,7 +1274,7 @@ def quotient_by_class(ctx, names=None):
         qm = build_quotient(ctx) if names is None else quotient._quotient(ctx, names)
     except QuotientDefect as defect:
         return defect
-    return qm.classes, qm.class_of, qm.representatives, qm.r_eq, qm.r_neq, qm.r_mem, qm.r_nmem
+    return qm.classes, class_of(qm), qm.representatives, qm.r_eq, qm.r_neq, qm.r_mem, qm.r_nmem
 
 
 def quotient_by_single_names(ctx):
@@ -1419,13 +1423,6 @@ class TestClassRoutes:
         assert same_outcome(quotient_by_class(ctx),
                             quotient_by_names(Run(alg, d, 3).workspace().pa))
 
-    def test_classes_hand_over_rows_that_disagree_with_them(self):
-        # every class of names but the first merged into one
-        alg, d = ps3()
-        ctx = Run(alg, d, 3).workspace().pa
-        merged = NameClasses.by_key(min(c, 1) for c in ctx.name_classes().of)
-        assert quotient._quotient(ctx, merged) is None
-
     def test_quotient_export_is_unchanged(self):
         alg, d = ps3()
         got = quotient.export_relations(build_quotient(Run(alg, d, 3).workspace().pa))
@@ -1486,7 +1483,7 @@ class TestClassRoutes:
             uni.insert({0: a})
         for x, a in itertools.product(range(len(uni)), range(len(es))):
             uni.insert({x: a})
-        u, v = uni.find(((1, alg.top_i),)), uni.find(((1, alg.index["half"]),))
+        u, v = uni.insert({1: alg.top_i}), uni.insert({1: alg.index["half"]})  # both interned
         ctx = EvalContext(uni, d, "ba")
         tables = ctx._columns
         assert tables.n == len(uni)
@@ -1514,11 +1511,13 @@ class TestClassRoutes:
         assert run_check("boolean-coincidence", run).verdict == "pass"
         assert sorted(built) == ["ba", "pa"]
 
-    def test_the_pa_tables_take_the_prefix_arrays_of_the_ba_tables(self):
+    def test_both_tables_read_the_prefix_arrays_of_the_run_universe(self):
         alg, d = ps3()
-        columns = Run(alg, d, 3).columns
-        assert columns["pa"].prefix is columns["ba"].prefix
-        assert columns["pa"].last_entry is columns["ba"].last_entry
+        run = Run(alg, d, 3)
+        columns = run.columns
+        assert columns["pa"].universe is columns["ba"].universe is run.universe
+        for tables in columns.values():
+            assert not hasattr(tables, "prefix") and not hasattr(tables, "last_entry")
 
 
 def zfbar_witnesses(ws):
@@ -1576,11 +1575,11 @@ def bq_mismatch_by_names(run):
     """The first (u, i), name u outer and battery formula i inner, at which
     the quantified side asked at u itself differs from the domain-indexed
     side folded over u's own entries by the steps of
-    `ColumnClasses.step_table`: (u, i, quantified, domain-indexed), or
-    None."""
+    `ColumnClasses.step_table`, on or off: (u, i, quantified,
+    domain-indexed), or None."""
     ws = run.workspace()
     ctx, alg = ws.pa, run.algebra
-    tables, k = ctx.tables(), len(alg.elements)
+    tables, k = ctx._columns, len(alg.elements)
     phis = battery_of(ws)
     steps = []
     for phi in phis:
@@ -1618,6 +1617,51 @@ def designated_entry_failure_by_names(run):
     return None
 
 
+def assert_a_wrong_step_fails_bounded_quantification(monkeypatch, rank, x, a):
+    """The step from top by the entry (x, a) made wrong for every battery
+    formula on ps3 at `rank`, in the pass and in the fold over each name's
+    entries: bounded-quantification fails at the (name, formula) and with
+    the sides that `bq_mismatch_by_names` gives."""
+    alg, d = ps3()
+    k, e = len(alg.elements), x * len(alg.elements) + alg.index[a]
+    step_table = ColumnClasses.step_table
+
+    def wrong(self, table, fold, col):
+        out = step_table(self, table, fold, col)
+        if table is alg.imp_t:
+            out[alg.top_i][e] = (out[alg.top_i][e] + 1) % k
+        return out
+
+    monkeypatch.setattr(ColumnClasses, "step_table", wrong)
+    want = bq_mismatch_by_names(Run(alg, d, rank))
+    assert want is not None
+    u, i, quantified, indexed = want
+    run = Run(alg, d, rank)
+    ce = forced("bounded-quantification", run)
+    phi = battery_of(run.workspace())[i]
+    assert ce["formula"] == print_formula(Forall("x", Imp(Mem(Var("x"), Const(u)), phi)))
+    assert (ce["value"], ce["note"]) == (quantified, f"the domain-indexed meet is {indexed}")
+
+
+def assert_a_wrong_designated_entry_fails_properties(monkeypatch, rank, x):
+    """The entry (x, bottom) counted as designated by the move of
+    `theorems.designated_entry`, on ps3 at `rank`: properties fails at the
+    pair that `designated_entry_failure_by_names` gives."""
+    alg, d = ps3()
+    move = theorems.designated_entry
+
+    def wrong(d):
+        right = move(d)
+        return lambda held, y, a: held | {y} if (y, a) == (x, alg.bottom_i) \
+            else right(held, y, a)
+
+    monkeypatch.setattr(theorems, "designated_entry", wrong)
+    want = designated_entry_failure_by_names(Run(alg, d, rank))
+    assert want is not None
+    ce, _ = check_properties(Run(alg, d, rank))
+    assert (ce["u"], ce["v"], ce["note"]) == (*want, "designated entry not a member")
+
+
 def connective_failure_by_pairs(run):
     """The first failing connective clause of the quotient, asked at every
     pair of classes through `theorems.satisfaction`: (clause, i, j), or
@@ -1648,16 +1692,17 @@ def atom_key(qm, i, j):
 
 class TestByClass:
     """The checks that read classes and states instead of names, on ps3 at
-    rank 3: each agrees with a loop over names, and a planted defect fails
-    it at the first name or pair at which that loop fails."""
+    rank 3, and at rank 2 where the classes are single names: each agrees
+    with a loop over names, and a planted defect fails it at the first name
+    or pair at which that loop fails."""
 
-    def test_the_domain_indexed_pass_matches_bq_sides(self):
+    def test_the_domain_indexed_pass_matches_the_sides_by_names(self):
         alg, d = ps3()
         ctx = Run(alg, d, 3).workspace().pa
         phis = battery_of(Run(alg, d, 3).workspace())
         states, sides = domain_indexed(ctx, phis)
         for i, phi in enumerate(phis):
-            compare = bq_sides(ctx, phi)
+            compare = bq_reference(ctx, phi)
             for u in range(len(ctx.universe)):
                 res = compare(u)
                 assert res.equal, (u, i)
@@ -1670,25 +1715,7 @@ class TestByClass:
             self, monkeypatch, x, a):
         # the step from top by the entry (x, a) made wrong for every battery
         # formula, in the pass and in the fold over each name's entries
-        alg, d = ps3()
-        k, e = len(alg.elements), x * len(alg.elements) + alg.index[a]
-        step_table = ColumnClasses.step_table
-
-        def wrong(self, table, fold, col):
-            out = step_table(self, table, fold, col)
-            if table is alg.imp_t:
-                out[alg.top_i][e] = (out[alg.top_i][e] + 1) % k
-            return out
-
-        monkeypatch.setattr(ColumnClasses, "step_table", wrong)
-        want = bq_mismatch_by_names(Run(alg, d, 3))
-        assert want is not None
-        u, i, quantified, indexed = want
-        run = Run(alg, d, 3)
-        ce = forced("bounded-quantification", run)
-        phi = battery_of(run.workspace())[i]
-        assert ce["formula"] == print_formula(Forall("x", Imp(Mem(Var("x"), Const(u)), phi)))
-        assert (ce["value"], ce["note"]) == (quantified, f"the domain-indexed meet is {indexed}")
+        assert_a_wrong_step_fails_bounded_quantification(monkeypatch, 3, x, a)
 
     @pytest.mark.parametrize("rel, a, b, value", [
         ("in", 4, 6, "1"), ("in", 6, 4, "1"), ("in", 9, 10, "1"), ("=", 4, 6, "half"),
@@ -1721,19 +1748,21 @@ class TestByClass:
     def test_a_wrong_designated_entry_state_fails_properties_where_the_names_do(
             self, monkeypatch):
         # an entry (#3, bottom) counted as designated
-        alg, d = ps3()
-        move = theorems.designated_entry
+        assert_a_wrong_designated_entry_fails_properties(monkeypatch, 3, 3)
 
-        def wrong(d):
-            right = move(d)
-            return lambda held, x, a: held | {x} if (x, a) == (3, alg.bottom_i) \
-                else right(held, x, a)
+    @pytest.mark.parametrize("a", ["0", "half", "1"])
+    def test_a_wrong_step_fails_bounded_quantification_at_rank_2(self, monkeypatch, a):
+        # the tables are off at rank 2, and the pass down the prefix arrays
+        # still gives the domain-indexed side: the step from top by the
+        # entry (#0, a) made wrong
+        assert Run(*ps3(), 2).workspace().pa.tables() is None
+        assert_a_wrong_step_fails_bounded_quantification(monkeypatch, 2, 0, a)
 
-        monkeypatch.setattr(theorems, "designated_entry", wrong)
-        want = designated_entry_failure_by_names(Run(alg, d, 3))
-        assert want is not None
-        ce, _ = check_properties(Run(alg, d, 3))
-        assert (ce["u"], ce["v"], ce["note"]) == (*want, "designated entry not a member")
+    def test_a_wrong_designated_entry_move_fails_properties_at_rank_2(self, monkeypatch):
+        # the tables are off at rank 2, and the pass down the prefix arrays
+        # still gives the keys: an entry (#0, bottom) counted as designated
+        assert Run(*ps3(), 2).workspace().pa.tables() is None
+        assert_a_wrong_designated_entry_fails_properties(monkeypatch, 2, 0)
 
     def test_a_connective_defect_at_one_value_key_fails_where_the_pairs_do(self, monkeypatch):
         # disjunction negated at the pairs of classes of the last key to

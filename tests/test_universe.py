@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from algval.algebra import builtin, ps3
+from algval.algebra import BUILTIN_NAMES, builtin, ps3
 from algval.errors import InputError, ResourceError
+from algval.theorems import Run
 from algval.universe import build_universe, parse_name_literal
 
 
@@ -83,6 +84,55 @@ class TestInterning:
             uni.insert({99: 0})
         with pytest.raises(InputError, match="element index"):
             uni.insert({0: 17})
+
+
+class TestPrefixArrays:
+    @pytest.mark.parametrize("name, rank", [(name, 2) for name in BUILTIN_NAMES]
+                             + [("ps3", 3), ("chain3", 3), ("chain4", 3)])
+    def test_each_name_records_its_entries_less_the_last(self, name, rank):
+        alg, _ = builtin(name)
+        uni = build_universe(alg, rank)
+        ids = {uni.entries_of(v): v for v in uni.ids()}
+        k = len(alg.elements)
+        assert len(uni.prefix) == len(uni.last_entry) == len(uni)
+        assert (uni.prefix[0], uni.last_entry[0]) == (-1, -1)  # the empty name has neither
+        for v in range(1, len(uni)):
+            entries = uni.entries_of(v)
+            x, a = entries[-1]
+            assert (uni.prefix[v], uni.last_entry[v]) == (ids[entries[:-1]], x * k + a), v
+
+    def test_a_witness_without_its_prefix_gets_minus_one(self):
+        alg, _ = ps3()
+        uni = build_universe(alg, 2)
+        half, top, k = alg.index["half"], alg.top_i, len(alg.elements)
+        w = uni.insert({1: half, 2: top})  # {#1: half} is not interned
+        assert (uni.prefix[w], uni.last_entry[w]) == (-1, 2 * k + top)
+        p = uni.insert({1: half})
+        assert (uni.prefix[w], uni.prefix[p]) == (-1, 0)  # recorded as w was interned
+        v = uni.insert({1: half, 3: top})
+        assert (uni.prefix[v], uni.last_entry[v]) == (p, 3 * k + top)
+
+    def test_two_workspaces_keep_arrays_of_their_own(self):
+        alg, d = ps3()
+        run = Run(alg, d, 2)
+        one, two = run.workspace(), run.workspace()
+        n, half, top = len(run.universe), alg.index["half"], alg.top_i
+        w = one.insert({1: half, 2: top})
+        assert len(one.universe.prefix) == len(one.universe.last_entry) == n + 1
+        assert len(two.universe.prefix) == len(run.universe.prefix) == n
+        p = two.insert({1: half})
+        assert two.insert({1: half, 2: top}) == w + 1
+        assert (one.universe.prefix[w], two.universe.prefix[w + 1]) == (-1, p)
+        assert list(run.universe.prefix) == list(two.universe.prefix[:n])
+
+    def test_states_fold_each_name_from_its_prefix(self):
+        # the number of entries, one more than the prefix's; each move once
+        # per distinct (state, last entry)
+        uni = build_universe(ps3()[0], 3)
+        moves = []
+        states, values = uni.states(0, lambda s, x, a: moves.append((s, x, a)) or s + 1, len(uni))
+        assert [values[states[v]] for v in uni.ids()] == [len(uni.entries_of(v)) for v in uni.ids()]
+        assert len(moves) == len(set(moves)) < len(uni) - 1
 
 
 class TestNameLiterals:
