@@ -23,7 +23,7 @@ from .algebra import (
     check_filter, load_algebra, override_designated,
 )
 from .errors import AlgvalError, CapabilityError, InputError
-from .evaluate import EvalContext
+from .evaluate import ASSIGNMENTS, EvalContext
 from .formulas import parse
 from .proplogic import is_tautology, parse_prop
 from .quotient import export_relations
@@ -123,7 +123,7 @@ def _parser() -> argparse.ArgumentParser:
             _algebra_options, _run_options)
     p = command(top, "eval", eval_command, _algebra_options, _run_options)
     _option(p, "--assignment", env="ALGVAL_ASSIGNMENT", default="pa",
-            type=_one_of("ba", "pa"), metavar="{ba,pa}")
+            type=_one_of(*ASSIGNMENTS), metavar="{" + ",".join(ASSIGNMENTS) + "}")
     p.add_argument("--name", action="append", default=[],
                    help="intern an ad-hoc name, e.g. '{#0: half}' (repeatable)")
     p.add_argument("formula_text")

@@ -68,7 +68,7 @@ under pa, 9 under ba).  A reader asks a class at its first name, weights
 its counts by the sizes of the classes, and sets a formula's constants
 apart in classes of their own (`NameClasses.apart`);
 `theorems.first_bad_pair`, `theorems.coincidence_mismatches` and
-`quotient.build_quotient` read pairs of classes so.
+`quotient.build_quotient` read pairs of classes so, through the clauses.
 
 Signatures by transition.  The prefix p(v) of a name v is v less its
 last entry (x, a).  Enumeration interns it before v: it has v's weights
@@ -218,18 +218,6 @@ bytes into class ids that hold while the universe keeps its length, and
 the value is looked up, or else stored, under the row values and those
 ids.  No value outlives its fold.  `sweeps_run` counts the sweeps, and
 `names_swept` the names their folds visited.
-
-`row(rel, u)` gives a caller the values of `u = z` or of `u in z` for
-every name z: with the tables on, one gather of u's class row over the
-covered names (`ColumnClasses.gather`), and past them the values a sweep
-row of `z = u` or of `u in z` holds.  The row is a fresh array that the
-context does not keep, so a caller that reads one name's rows at a time
-holds O(n) values, and values read from the tables do not enter the store.
-`quotient.build_quotient` reads its partition and its verdicts this way
-where the tables do not cover the universe, and where asking pair by pair
-would make 2n² clause calls; where they do (`EvalContext.tables`), it
-reads the values by pair of classes (`ColumnClasses.by_pair`), which
-those rows only spread over the names.
 
 An equality clause stops as soon as its meet reaches bottom, but only when
 the meet table's bottom row is constant, so defective tables evaluate as
@@ -479,11 +467,6 @@ class ColumnClasses:
         return universe.states((start,) * len(steps), lambda cell, x, a: tuple(
             [step[h][x * k + a] for step, h in zip(steps, cell)]), n)
 
-    def by_pair(self) -> tuple[list[list[int]], list[list[int]]]:
-        """`=` and `in` by pair of signature classes: at [a][b] the value
-        at (u, v) for every u of class a and v of class b."""
-        return self.eq, [list(col) for col in zip(*self.mem)]
-
     def cells_at(self, rel: int, col: tuple[int, ...], classes: NameClasses) -> list[int]:
         """The cells at a column over the low names, halves for a
         membership column (rel `in`) and memberships for an equality column
@@ -517,7 +500,8 @@ class EvalContext:
     def __init__(self, universe: Universe, designated: Iterable[str],
                  assignment: str = "pa", columns: Optional[ColumnClasses] = None):
         if assignment not in ASSIGNMENTS:
-            raise InputError(f"unknown assignment {assignment!r}; use 'ba' or 'pa'")
+            raise InputError(f"unknown assignment {assignment!r}; use "
+                             + " or ".join(map(repr, ASSIGNMENTS)))
         self.universe = universe
         self.algebra: Algebra = universe.algebra
         alg = self.algebra
@@ -814,33 +798,12 @@ class EvalContext:
             ids.append(cid)
         return ids
 
-    def row(self, rel: str, u: int) -> array:
-        """`u = z` (rel '=') or `u in z` (rel 'in') for every name z, in a
-        fresh array that the context keeps no copy of: one gather of u's
-        class row over the covered names, and the rest as a sweep row's."""
-        if rel not in ("=", "in"):
-            raise InputError(f"unknown atomic relation {rel!r}")
-        out, cc = array(self._typecode), self._columns
-        r, side = (_REL_EQ, _Z_LEFT) if rel == "=" else (_REL_MEM, _Z_RIGHT)
-        if cc.n:
-            by_class, of = self._class_row(r, side, u)
-            out.extend(cc.gather(by_class) if of is cc.of else by_class)
-        self._fill(out, r, side, u, len(out), len(self.universe.names))
-        return out
-
-    def tables(self) -> Optional[ColumnClasses]:
-        """The class tables while the universe holds just the names they
-        cover, else None."""
-        cc = self._columns
-        return cc if 0 < cc.n == len(self.universe.names) else None
-
     def name_classes(self) -> NameClasses:
         """Classes of interchangeable names: while the universe holds just
         the names the class tables cover, their signature classes
         (`ColumnClasses.signatures`); otherwise every name alone."""
-        cc = self.tables()
-        n = len(self.universe.names)
-        return cc.signatures if cc is not None else NameClasses.singletons(n)
+        cc, n = self._columns, len(self.universe.names)
+        return cc.signatures if 0 < cc.n == n else NameClasses.singletons(n)
 
     def atomic(self, rel: str, u: int, v: int) -> str:
         """String-level access to one atomic value; rel is '=' or 'in'."""

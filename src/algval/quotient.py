@@ -12,10 +12,9 @@ every pair of names that the partition is well defined, and names the
 law that a failing pair breaks.  It makes one pass over a partition of
 the names, reading each class's `=` and `in` values once: over the
 classes of interchangeable names, and only when that pass finds a break,
-over every name alone.  Where those classes are the signature classes of
-the class tables (`EvalContext.tables`), the values come by pair of
-classes from the tables; elsewhere they come as two rows of the engine
-(`EvalContext.row`) against every name.
+over every name alone.  The values come from the engine's clauses, asked
+at the classes' first names, which read the class tables where they
+cover the pair.
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ def build_quotient(ctx: EvalContext) -> QuotientModel:
     The partition is built by one pass over a partition of the names
     (`_quotient`), first over the classes of interchangeable names
     (`EvalContext.name_classes`), and, when that pass finds a break it
-    cannot place at a pair of names, again over every name alone.  Read
+    cannot place at a pair of names, again over every name alone; each
+    pass asks the clauses at the pairs of its classes' first names.  Read
     name by name, a name in no earlier class opens one with the later
     names whose pa equality with it is top, and represents it; pa equality
     with a later name must be top or bottom, and the four relation
@@ -89,13 +89,10 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
     fall in one quotient class, opened by the first of them in no earlier
     one.
 
-    Where `names` are the signature classes of the class tables, which
-    cover the universe (`EvalContext.tables`), the values by class are
-    the tables' (`ColumnClasses.by_pair`), and the pass reads no row: each
-    class is two-valued against the classes that have a name after its
-    first.  Elsewhere each class's rows (`EvalContext.row`) are read at its
-    first name.  `build_quotient` hands a coarser partition only with the
-    tables, so its rows are read for single names alone.
+    The values are the clauses' (`EvalContext.equality` and
+    `membership`), 2k² calls for k classes, which read the class tables
+    where they cover the pair; the test of two values reads, for each
+    class, the classes that have a name after its first.
     """
     alg, n = ctx.algebra, len(ctx.universe.names)
     top, two_values = alg.top_i, {alg.top_i, alg.bottom_i}
@@ -106,24 +103,14 @@ def _quotient(ctx: EvalContext, names: NameClasses) -> Optional[QuotientModel]:
     code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
     of, reps, sizes = names.of, names.reps, names.sizes
     k, coarse = len(reps), len(reps) < n
-    tables = ctx.tables()
-    if tables is not None and names is tables.signatures:
-        eq_by, in_by = tables.by_pair()
-        last = dict(zip(of, range(n)))  # the last name of each class
-    else:
-        eq_by = None
+    last = dict(zip(of, range(n)))  # the last name of each class
+    eq, mem = ctx.equality, ctx.membership
     comp = [-1] * k  # the quotient class of each class of names
     count = 0
     verdicts = []  # each class's verdicts at the classes, as k bytes
     for a, u in enumerate(reps):
-        if eq_by is not None:
-            e, m = eq_by[a], in_by[a]
-            later = (e[b] for b in range(k) if last[b] > u)
-        else:
-            eq, mem = ctx.row("=", u), ctx.row("in", u)
-            e, m = list(map(eq.__getitem__, reps)), list(map(mem.__getitem__, reps))
-            later = eq[u + 1:]
-        if not two_values.issuperset(later):
+        e, m = [eq(u, r) for r in reps], [mem(u, r) for r in reps]
+        if not two_values.issuperset(e[b] for b in range(k) if last[b] > u):
             if coarse:
                 return None
             v = next(v for v in range(u + 1, n) if e[of[v]] not in two_values)

@@ -166,7 +166,8 @@ def build_universe(algebra: Algebra, rank_bound: int,
     values = range(len(algebra.elements))
     uni = Universe(algebra, rank_bound)
     for rank in range(2, rank_bound + 1):
-        prev = [nid for nid in uni.ids() if uni.rank_of(nid) <= rank - 1]
+        # every name so far is of lower rank: a map into lower levels was interned at its own
+        prev = range(len(uni))
         # the order of magnitude first: the count itself may have more
         # digits than an integer may be printed with
         magnitude = len(prev) * math.log10(len(values) + 1)

@@ -37,8 +37,8 @@ module but `evaluate` reads `imp_t`.  `algebra` defines the table, and
 
 Row guard: the sweep rows are filled in `evaluate` alone, so no other
 module reads `_extend`, `_fill` or `_rows`; a caller that needs a name's
-values against every name asks `EvalContext.row`, which fills its row the
-same way.
+values against every name asks the clauses pair by pair, at the first
+names of classes where it reads the classes of names.
 
 Cell guard: the class tables, each name's signature class and the
 `=` and `in` values by pair of classes, come from passes down the prefix

@@ -836,10 +836,10 @@ def test_sweep_rows_hold_one_value_per_visited_name(algname, assignment):
         for z, value in zip(visit, row):
             u, v = (t, z) if side == _Z_RIGHT else (z, z) if side == _Z_BOTH else (z, t)
             assert value == (eq if rel == _REL_EQ else mem)(u, v), (rel, u, v)
-    for t in names:  # a row handed out still spans every name
-        eq_row, in_row = ctx.row("=", t), ctx.row("in", t)
-        assert list(eq_row) == [eq(t, z) for z in range(n)]
-        assert list(in_row) == [mem(t, z) for z in range(n)]
+    for t in names:  # the clauses still answer at every name
+        for z in range(n):
+            assert ctx.equality(t, z) == eq(t, z), ("=", t, z)
+            assert ctx.membership(t, z) == mem(t, z), ("in", t, z)
 
 
 @pytest.mark.parametrize("algname", ["ps3", "chain3"])
@@ -1153,11 +1153,10 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
                     if sig[x] == sig[y] and mem(x, v) != mem(y, v))
         others.append(uni.insert({x: top, y: top}))
     for t in [w, v] + others:
-        eq_row, in_row = ctx.row("=", t), ctx.row("in", t)
         for z in uni.ids():
-            assert ctx.equality(z, t) == eq_row[z] == eq(z, t), ("=", z, t)
+            assert ctx.equality(z, t) == ctx.equality(t, z) == eq(z, t), ("=", z, t)
             assert ctx.membership(z, t) == mem(z, t), ("in", z, t)
-            assert ctx.membership(t, z) == in_row[z] == mem(t, z), ("in", t, z)
+            assert ctx.membership(t, z) == mem(t, z), ("in", t, z)
     for text in (f"exists z. forall y. (y in z -> y in #{v})",
                  f"forall z. exists y. (z in y /\\ ~(y = #{w}))",
                  f"exists z. forall y. (z = y -> #{w} in y)"):
@@ -1177,7 +1176,9 @@ def test_witnesses_past_the_classes_of_the_tables_match_the_clauses(assignment):
     assert (visit == list(uni.ids())) == (assignment == "ba")
     for z in range(tables.n):
         r = classes.reps[classes.of[z]]
-        assert ctx.row("=", z) == ctx.row("=", r) and ctx.row("in", z) == ctx.row("in", r)
+        for x in uni.ids():
+            assert ctx.equality(z, x) == ctx.equality(r, x), ("=", z, x)
+            assert ctx.membership(z, x) == ctx.membership(r, x), ("in", z, x)
         assert [mem(x, z) for x in uni.ids()] == [mem(x, r) for x in uni.ids()], z
 
 
@@ -1203,10 +1204,9 @@ def test_a_meet_that_is_no_lattice_s_keeps_the_clauses(assignment):
 
 def patch_atoms(monkeypatch, rel, change, at):
     """Make the value of rel ('=' or 'in') at each pair (u, v) where
-    at(u, v) holds `change(ctx, value)`, both where the engine asks the
-    clause (`EvalContext.equality` or `membership`) and in
-    `EvalContext.row`, whose rows may come from the class tables instead.
-    For '=', `at` must hold at (v, u) wherever it holds at (u, v).
+    at(u, v) holds `change(ctx, value)`, where the engine asks the clause
+    (`EvalContext.equality` or `membership`).  For '=', `at` must hold at
+    (v, u) wherever it holds at (u, v).
 
     The readers that go by classes of interchangeable names ask each class
     at its first name.  A changed value no longer answers alike for every
@@ -1214,20 +1214,11 @@ def patch_atoms(monkeypatch, rel, change, at):
     name of a changed pair is set in a class of its own
     (`EvalContext.name_classes`)."""
     name = "equality" if rel == "=" else "membership"
-    clause, row, name_classes = getattr(EvalContext, name), EvalContext.row, \
-        EvalContext.name_classes
+    clause, name_classes = getattr(EvalContext, name), EvalContext.name_classes
 
     def patched(self, u, v):
         value = clause(self, u, v)
         return change(self, value) if at(u, v) else value
-
-    def patched_row(self, r, u):
-        out = row(self, r, u)
-        if r == rel:
-            for z in range(len(out)):
-                if at(u, z):
-                    out[z] = change(self, clause(self, u, z))
-        return out
 
     def patched_classes(self):
         classes = name_classes(self)
@@ -1235,41 +1226,7 @@ def patch_atoms(monkeypatch, rel, change, at):
         return classes.apart({x for u in range(n) for v in range(n) if at(u, v) for x in (u, v)})
 
     monkeypatch.setattr(EvalContext, name, patched)
-    monkeypatch.setattr(EvalContext, "row", patched_row)
     monkeypatch.setattr(EvalContext, "name_classes", patched_classes)
-
-
-def row_universes():
-    """(algebra, designated, universe, whether the class tables cover it):
-    ps3 and chain3 at rank 3, where the rows of the enumerated names come
-    from the tables; a rank-2 universe grown by witness names; and a
-    skewed meet, where the tables stay off."""
-    for name in ("ps3", "chain3"):
-        alg, d = builtin(name)
-        yield alg, d, build_universe(alg, 3), True
-    alg, d = ps3()
-    ws = Run(alg, d, 2).workspace()
-    ws.numerals(3)
-    ws.insert({nid: alg.index["half"] for nid in range(len(ws.universe))})
-    yield alg, d, ws.universe, False
-    alg, d = _skewed_meet_ps3()
-    yield alg, d, covered_universe(alg, 3), False
-
-
-@pytest.mark.parametrize("assignment", ASSIGNMENTS)
-def test_rows_match_the_clauses_on_every_pair(assignment):
-    for alg, d, uni, tables in row_universes():
-        ctx = EvalContext(uni, d, assignment)
-        assert (ctx._columns.n > 0) == tables, alg.name
-        for u in uni.ids():
-            eq_row, in_row = ctx.row("=", u), ctx.row("in", u)
-            assert len(eq_row) == len(in_row) == len(uni)
-            for z in uni.ids():
-                assert eq_row[z] == ctx.equality(u, z), (alg.name, "=", u, z)
-                assert in_row[z] == ctx.membership(u, z), (alg.name, "in", u, z)
-        assert not ctx._rows  # a context keeps no row it hands out
-    with pytest.raises(InputError, match="relation"):
-        ctx.row("<", 0)
 
 
 def stored_values(memo):

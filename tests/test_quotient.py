@@ -78,39 +78,33 @@ class TestBuild:
         with pytest.raises(InvariantError, match="two-valued"):
             build_quotient(EvalContext(uni, d, "pa"))
 
-    def test_asks_no_pair_of_two_top_level_names_on_ps3_rank3(self, monkeypatch):
-        # the partition and the verdicts are read as rows, which the class
-        # tables fill, so the engine is asked no pair of two top-rank names
+    def test_computes_no_atomic_value_on_ps3_rank3(self):
+        # the pairs of classes not both low are read from the class tables,
+        # and the pairs of two low names from the store their build filled
         ctx = pa_context("ps3", 3)
-        uni = ctx.universe
-        low = sum(uni.rank_of(nid) < 3 for nid in uni.ids())
+        fills = ctx.atomic_fills
+        assert len(build_quotient(ctx)) == 27
+        assert ctx.atomic_fills == fills
+
+    def test_asks_each_pair_of_classes_once_on_ps3_rank3(self, monkeypatch):
+        # a clean universe is partitioned by its classes of names alone,
+        # with no pass over single names after it: 2k² clause calls, each
+        # at two first names of classes
+        ctx = pa_context("ps3", 3)
+        reps = ctx.name_classes().reps
+        assert len(reps) < len(ctx.universe)
         calls = []
         for name in ("equality", "membership"):
             engine = getattr(EvalContext, name)
 
-            def counted(self, u, v, engine=engine):
-                if min(u, v) >= low:
-                    calls.append((u, v))
+            def counted(self, u, v, name=name, engine=engine):
+                calls.append((name, u, v))
                 return engine(self, u, v)
             monkeypatch.setattr(EvalContext, name, counted)
         assert len(build_quotient(ctx)) == 27
-        assert calls == []
-
-    def test_reads_two_rows_per_class_on_ps3_rank3(self, monkeypatch):
-        # a clean universe is partitioned by its classes of names alone,
-        # with no pass over single names after it
-        ctx = pa_context("ps3", 3)
-        classes = ctx.name_classes()
-        assert len(classes.reps) < len(ctx.universe)
-        calls = []
-        row = EvalContext.row
-
-        def counted(self, rel, u):
-            calls.append((rel, u))
-            return row(self, rel, u)
-        monkeypatch.setattr(EvalContext, "row", counted)
-        assert len(build_quotient(ctx)) == 27
-        assert len(calls) <= 2 * len(classes.reps)
+        assert len(calls) == 2 * len(reps) ** 2
+        assert set(calls) == {(name, u, v) for name in ("equality", "membership")
+                              for u in reps for v in reps}
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_one_wrong_membership_off_the_representatives_is_caught(

@@ -1222,16 +1222,16 @@ def leibniz_by_pairs(run):
 
 
 def quotient_by_names(ctx):
-    """`build_quotient` reading every name's rows: the partition of the
-    first pass and the verdicts of the second, name by name, as a tuple of
-    its fields, or the `QuotientDefect` it raises."""
+    """`build_quotient` asking the clauses at every pair of names: the
+    partition of the first pass and the verdicts of the second, name by
+    name, as a tuple of its fields, or the `QuotientDefect` it raises."""
     alg, n = ctx.algebra, len(ctx.universe)
     top, two = alg.top_i, {alg.top_i, alg.bottom_i}
     d, star = ctx.designated_i, alg.star_t
     code = [(e in d) + 2 * (star[e] in d) for e in range(len(alg.elements))]
     classes, class_of = [], {}
     for u in range(n):
-        row = ctx.row("=", u)
+        row = [ctx.equality(u, z) for z in range(n)]
         if not two.issuperset(row[u + 1:]):
             v = next(v for v in range(u + 1, n) if row[v] not in two)
             return QuotientDefect("=", u, v, "not two-valued")
@@ -1243,7 +1243,7 @@ def quotient_by_names(ctx):
     reps = [cls[0] for cls in classes]
 
     def verdicts(u):
-        return [code[e] + 4 * code[m] for e, m in zip(ctx.row("=", u), ctx.row("in", u))]
+        return [code[ctx.equality(u, z)] + 4 * code[ctx.membership(u, z)] for z in range(n)]
 
     rep_of = [reps[class_of[v]] for v in range(n)]
     at_reps = []
@@ -1549,8 +1549,7 @@ def zfbar_witnesses(ws):
 @pytest.mark.parametrize("assignment", ASSIGNMENTS)
 def test_witness_values_match_the_clauses(name, assignment):
     # a witness's values against the covered names come from its class
-    # rows; every pair with a witness name, and every row, must be the
-    # clause's
+    # rows; every pair with a witness name must be the clause's
     alg, d = builtin(name)
     ws = Run(alg, d, 3).workspace()
     witnesses = zfbar_witnesses(ws)
@@ -1559,11 +1558,10 @@ def test_witness_values_match_the_clauses(name, assignment):
     eq, mem = reference_clauses(EvalContext(ws.universe, d, assignment))
     n = len(ws.universe)
     for w in range(ws.enumerated, n):
-        eq_row, in_row = ctx.row("=", w), ctx.row("in", w)
         for z in range(n):
-            assert ctx.equality(z, w) == eq_row[z] == eq(z, w), ("=", z, w)
+            assert ctx.equality(z, w) == ctx.equality(w, z) == eq(z, w), ("=", z, w)
             assert ctx.membership(z, w) == mem(z, w), ("in", z, w)
-            assert ctx.membership(w, z) == in_row[z] == mem(w, z), ("in", w, z)
+            assert ctx.membership(w, z) == mem(w, z), ("in", w, z)
 
 
 
@@ -1724,12 +1722,12 @@ class TestByClass:
         # `u in v` or `u = v` for u of signature class a and v of class b,
         # two classes of top-rank names, set in the pa tables: no clause
         # reads it, since no domain holds a top-rank name, and the quotient
-        # reads it from the tables, where the pass by names reads rows
+        # reads it through the clauses, as the pass by names does
         alg, d = ps3()
 
         def planted():
             run = Run(alg, d, 3)
-            tables = run.workspace().pa.tables()
+            tables = run.workspace().pa._columns
             assert tables.low <= min(a, b)
             if rel == "in":
                 assert tables.mem[b][a] != alg.index[value]
@@ -1755,13 +1753,13 @@ class TestByClass:
         # the tables are off at rank 2, and the pass down the prefix arrays
         # still gives the domain-indexed side: the step from top by the
         # entry (#0, a) made wrong
-        assert Run(*ps3(), 2).workspace().pa.tables() is None
+        assert Run(*ps3(), 2).columns["pa"].n == 0
         assert_a_wrong_step_fails_bounded_quantification(monkeypatch, 2, 0, a)
 
     def test_a_wrong_designated_entry_move_fails_properties_at_rank_2(self, monkeypatch):
         # the tables are off at rank 2, and the pass down the prefix arrays
         # still gives the keys: an entry (#0, bottom) counted as designated
-        assert Run(*ps3(), 2).workspace().pa.tables() is None
+        assert Run(*ps3(), 2).columns["pa"].n == 0
         assert_a_wrong_designated_entry_fails_properties(monkeypatch, 2, 0)
 
     def test_a_connective_defect_at_one_value_key_fails_where_the_pairs_do(self, monkeypatch):
